@@ -91,20 +91,16 @@ bench_engine.out:
 	$(GO) test -run '^$$' -bench '^BenchmarkScale10MEngineSharded$$' -benchmem -benchtime=1x -timeout 120m . >> bench_engine.out
 
 # One race-enabled iteration of every benchmark in the repo, with the scale
-# tiers shrunk via LASMQ_SCALE_JOBS / LASMQ_SCALE1M_JOBS /
-# LASMQ_SCALE10M_JOBS (and their _ENGINE_ twins) so the race detector's ~10x
-# slowdown stays tolerable. Part of `make check`: it smoke-tests the
-# benchmark code paths themselves (Scale100k's concurrent heap sampler, the
-# K=4 sharded work-stealing pools of Scale1M/Scale10M, and the K=4 engine
-# sharded runs of the EngineSharded tiers — their _WORKERS=4 overrides force
-# a real worker pool even on a single-core runner, where the GOMAXPROCS
-# default would silently serialize and give the race detector nothing to
-# watch) so they can't silently rot between baseline refreshes.
+# tiers shrunk via LASMQ_SCALE_JOBS / LASMQ_SCALE_SHARDS so the race
+# detector's ~10x slowdown stays tolerable. Part of `make check`: it
+# smoke-tests the benchmark code paths themselves (the concurrent heap
+# sampler and the K=4 sharded work-stealing pools of the fluid and engine
+# tiers — LASMQ_SCALE_WORKERS=4 forces a real worker pool even on a
+# single-core runner, where the GOMAXPROCS default would silently serialize
+# and give the race detector nothing to watch) so they can't silently rot
+# between baseline refreshes.
 bench-smoke:
-	LASMQ_SCALE_JOBS=2000 LASMQ_SCALE1M_JOBS=8000 LASMQ_SCALE1M_SHARDS=4 \
-	LASMQ_SCALE10M_JOBS=8000 LASMQ_SCALE10M_SHARDS=4 \
-	LASMQ_SCALE1M_ENGINE_JOBS=6000 LASMQ_SCALE1M_ENGINE_SHARDS=4 LASMQ_SCALE1M_ENGINE_WORKERS=4 \
-	LASMQ_SCALE10M_ENGINE_JOBS=6000 LASMQ_SCALE10M_ENGINE_SHARDS=4 LASMQ_SCALE10M_ENGINE_WORKERS=4 \
+	LASMQ_SCALE_JOBS=6000 LASMQ_SCALE_SHARDS=4 LASMQ_SCALE_WORKERS=4 \
 		$(GO) test -race -run '^$$' -bench . -benchtime=1x ./...
 
 # Telemetry must be free when off, and cheap when on: a scheduling round

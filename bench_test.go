@@ -133,15 +133,28 @@ func scaleEnvInt(b *testing.B, key string, set func(int)) {
 	set(n)
 }
 
-// benchScaleTier runs one scale-tier experiment per iteration while a
-// background sampler reads the heap every 5ms, then reports the high-water
-// mark as peak-heap-bytes and the per-run wall time as wall_clock_s
-// alongside the usual normalized-response metrics — the numbers
+// benchScaleTier runs one scale-tier preset of the experiment catalog per
+// iteration while a background sampler reads the heap every 5ms, then
+// reports the high-water mark as peak-heap-bytes and the per-run wall time as
+// wall_clock_s alongside the usual normalized-response metrics — the numbers
 // BENCH_engine.json tracks for the scale tiers. wall_clock_s duplicates
 // ns/op in different units so cmd/lasmq-benchdiff can show scale-out wins in
 // human-readable seconds and gate on them like any other extra metric.
-func benchScaleTier(b *testing.B, opts experiments.Options, run func(experiments.Options) (*experiments.TraceResult, error)) {
+//
+// LASMQ_SCALE_JOBS, LASMQ_SCALE_SHARDS and LASMQ_SCALE_WORKERS override the
+// trace length, shard count and shard worker pool of whichever tier runs (the
+// race-enabled `make bench-smoke` runs every tier small, K=4, with a real
+// 4-worker pool).
+func benchScaleTier(b *testing.B, preset string) {
 	b.Helper()
+	rows, err := experiments.Select(preset)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := experiments.Options{Seed: 1, Repeats: 1}
+	scaleEnvInt(b, "LASMQ_SCALE_JOBS", func(n int) { opts.ScaleJobs = n })
+	scaleEnvInt(b, "LASMQ_SCALE_SHARDS", func(n int) { opts.Shards = n })
+	scaleEnvInt(b, "LASMQ_SCALE_WORKERS", func(n int) { opts.ShardWorkers = n })
 	var peak uint64
 	var elapsed time.Duration
 	var last *experiments.TraceResult
@@ -167,7 +180,7 @@ func benchScaleTier(b *testing.B, opts experiments.Options, run func(experiments
 			}
 		}()
 		start := time.Now()
-		res, err := run(opts)
+		res, err := rows[0].Run(opts)
 		elapsed += time.Since(start)
 		close(stop)
 		if high := <-sampled; high > peak {
@@ -176,7 +189,7 @@ func benchScaleTier(b *testing.B, opts experiments.Options, run func(experiments
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = res
+		last = res.(*experiments.TraceResult)
 	}
 	b.ReportMetric(float64(peak), "peak-heap-bytes")
 	b.ReportMetric(elapsed.Seconds()/float64(b.N), "wall_clock_s")
@@ -185,61 +198,32 @@ func benchScaleTier(b *testing.B, opts experiments.Options, run func(experiments
 	}
 }
 
-// BenchmarkScale100k runs the scale tier: the heavy-tailed trace at 100,000
-// jobs (~4x the paper's) under all four policies. Beyond ns/op and allocs, it
-// samples the heap during the run and reports the high-water mark as
-// peak-heap-bytes, so BENCH_engine.json tracks the memory envelope of the
-// ladder event queue and slab state at scale. LASMQ_SCALE_JOBS overrides the
-// trace length (the race-enabled `make bench-smoke` uses a small value).
-func BenchmarkScale100k(b *testing.B) {
-	opts := experiments.Options{Seed: 1, Repeats: 1}
-	scaleEnvInt(b, "LASMQ_SCALE_JOBS", func(n int) { opts.ScaleJobs = n })
-	benchScaleTier(b, opts, experiments.Scale100k)
-}
+// BenchmarkScale100k runs the unsharded scale tier: the heavy-tailed trace at
+// 100,000 jobs (~4x the paper's), materialized, under all four policies.
+// Beyond ns/op and allocs, peak-heap-bytes tracks the memory envelope of the
+// ladder event queue and slab state at scale.
+func BenchmarkScale100k(b *testing.B) { benchScaleTier(b, "scale-100k") }
 
 // BenchmarkScale1M runs the millions-of-jobs tier: the heavy-tailed trace
 // streamed at 1,000,000 jobs over 8 independent 20-container shards (load
 // 0.9 each) under all four policies. The trace is never materialized and
 // completed job records are recycled through a free list, so peak-heap-bytes
-// tracks live jobs, not trace length. LASMQ_SCALE1M_JOBS and
-// LASMQ_SCALE1M_SHARDS override the scale (the race-enabled
-// `make bench-smoke` runs a small K=4 configuration).
-func BenchmarkScale1M(b *testing.B) {
-	opts := experiments.Options{Seed: 1, Repeats: 1}
-	scaleEnvInt(b, "LASMQ_SCALE1M_JOBS", func(n int) { opts.Scale1MJobs = n })
-	scaleEnvInt(b, "LASMQ_SCALE1M_SHARDS", func(n int) { opts.Shards = n })
-	benchScaleTier(b, opts, experiments.Scale1M)
-}
+// tracks live jobs, not trace length.
+func BenchmarkScale1M(b *testing.B) { benchScaleTier(b, "scale-1m") }
 
 // BenchmarkScale10M runs the ten-million-job tier: scale-1m's sharded
 // streaming machinery with the trace length turned up 10x. Because the trace
 // is generated on the fly and completed job records recycle through the free
 // list, peak-heap-bytes should stay in scale-1m's neighbourhood even though
 // the stream is an order of magnitude longer — the streaming contract this
-// benchmark pins in BENCH_engine.json. LASMQ_SCALE10M_JOBS and
-// LASMQ_SCALE10M_SHARDS override the scale (the race-enabled
-// `make bench-smoke` runs a small configuration).
-func BenchmarkScale10M(b *testing.B) {
-	opts := experiments.Options{Seed: 1, Repeats: 1}
-	scaleEnvInt(b, "LASMQ_SCALE10M_JOBS", func(n int) { opts.Scale10MJobs = n })
-	scaleEnvInt(b, "LASMQ_SCALE10M_SHARDS", func(n int) { opts.Shards = n })
-	benchScaleTier(b, opts, experiments.Scale10M)
-}
+// benchmark pins in BENCH_engine.json.
+func BenchmarkScale10M(b *testing.B) { benchScaleTier(b, "scale-10m") }
 
 // BenchmarkScale1MEngineSharded runs scale-1m on the task-level engine: the
 // streamed trace staged into map→reduce jobs on the fly and simulated task
 // by task — chaos failures, stragglers and speculation on — across 8
 // independent 20-container sub-clusters via engine.RunSharded.
-// LASMQ_SCALE1M_ENGINE_JOBS, LASMQ_SCALE1M_ENGINE_SHARDS and
-// LASMQ_SCALE1M_ENGINE_WORKERS override the scale (the race-enabled
-// `make bench-smoke` runs a small K=4 configuration with a real worker pool).
-func BenchmarkScale1MEngineSharded(b *testing.B) {
-	opts := experiments.Options{Seed: 1, Repeats: 1}
-	scaleEnvInt(b, "LASMQ_SCALE1M_ENGINE_JOBS", func(n int) { opts.Scale1MJobs = n })
-	scaleEnvInt(b, "LASMQ_SCALE1M_ENGINE_SHARDS", func(n int) { opts.Shards = n })
-	scaleEnvInt(b, "LASMQ_SCALE1M_ENGINE_WORKERS", func(n int) { opts.ShardWorkers = n })
-	benchScaleTier(b, opts, experiments.Scale1MEngine)
-}
+func BenchmarkScale1MEngineSharded(b *testing.B) { benchScaleTier(b, "scale-1m-engine") }
 
 // BenchmarkScale10MEngineSharded is the flagship engine scale-out tier: ten
 // million streamed jobs staged and simulated task by task across 8 sharded
@@ -247,15 +231,7 @@ func BenchmarkScale1MEngineSharded(b *testing.B) {
 // multi-core runner, wall_clock_s drops roughly with the worker count
 // (Workers is execution-only: results are DeepEqual for any value);
 // peak-heap-bytes stays bounded by live jobs, not trace length.
-// LASMQ_SCALE10M_ENGINE_JOBS, LASMQ_SCALE10M_ENGINE_SHARDS and
-// LASMQ_SCALE10M_ENGINE_WORKERS override the scale.
-func BenchmarkScale10MEngineSharded(b *testing.B) {
-	opts := experiments.Options{Seed: 1, Repeats: 1}
-	scaleEnvInt(b, "LASMQ_SCALE10M_ENGINE_JOBS", func(n int) { opts.Scale10MJobs = n })
-	scaleEnvInt(b, "LASMQ_SCALE10M_ENGINE_SHARDS", func(n int) { opts.Shards = n })
-	scaleEnvInt(b, "LASMQ_SCALE10M_ENGINE_WORKERS", func(n int) { opts.ShardWorkers = n })
-	benchScaleTier(b, opts, experiments.Scale10MEngine)
-}
+func BenchmarkScale10MEngineSharded(b *testing.B) { benchScaleTier(b, "scale-10m-engine") }
 
 // BenchmarkFig8Queues regenerates Fig. 8a: the number-of-queues sweep
 // (paper: beats Fair from k = 5 on).

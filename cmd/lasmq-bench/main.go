@@ -5,13 +5,9 @@
 //
 // Usage:
 //
-//	lasmq-bench [-experiment all|fig1|fig3|fig5|fig6|fig7a|fig7b|fig8a|fig8b|
-//	             table1|sjf-error|weights|adaptive|tradeoff|geo|
-//	             price-of-obliviousness|scale-100k|scale-1m|scale-10m|
-//	             scale-1m-engine|scale-10m-engine]
+//	lasmq-bench [-experiment all|NAME]   (-h lists the catalog's names)
 //	            [-seed N] [-repeats N] [-trace-jobs N] [-uniform-jobs N]
-//	            [-scale-jobs N] [-scale1m-jobs N] [-scale10m-jobs N]
-//	            [-shards K] [-shard-workers M]
+//	            [-scale-jobs N] [-shards K] [-shard-workers M]
 //	            [-csv-dir DIR]
 //	            [-seeds N] [-workers M] [-cache DIR]
 //	            [-cpuprofile FILE] [-memprofile FILE]
@@ -25,7 +21,8 @@
 // simulated task by task with chaos injection, sharded via engine.RunSharded)
 // are stress tiers, not paper figures; "all" skips them in direct mode so
 // reproduce-scale runs stay figure-shaped (select them explicitly, or run
-// replicated mode, where the registry includes them).
+// replicated mode, where the registry includes them). They are presets of one
+// scale experiment: -scale-jobs overrides the trace length of whichever runs.
 //
 // -cpuprofile and -memprofile capture pprof profiles of the selected
 // experiments (`go tool pprof` reads them), the same hooks `go test -bench`
@@ -51,50 +48,42 @@ import (
 
 	"lasmq/internal/cli"
 	"lasmq/internal/experiments"
-	"lasmq/internal/obs"
 	"lasmq/internal/runner"
 )
 
-// validExperiments lists every value -experiment accepts: the pseudo-name
-// "all", the direct-only "table1" report, and the replication registry.
-func validExperiments() []string {
-	return append([]string{"all", "table1"}, experiments.RegistryNames()...)
-}
-
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "lasmq-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("lasmq-bench", flag.ExitOnError)
 	var (
-		experiment   = flag.String("experiment", "all", "experiment to run (all, fig1, fig3, fig5, fig6, fig7a, fig7b, fig8a, fig8b, table1, sjf-error, weights, adaptive, tradeoff, geo, price-of-obliviousness, scale-100k, scale-1m, scale-10m, scale-1m-engine, scale-10m-engine)")
-		seed         = flag.Int64("seed", 1, "workload/trace synthesis seed")
-		repeats      = flag.Int("repeats", 1, "averaging repeats for cluster experiments")
-		traceJobs    = flag.Int("trace-jobs", 0, "heavy-tailed trace length (default: paper's 24443)")
-		uniformJobs  = flag.Int("uniform-jobs", 0, "uniform workload length (default: paper's 10000)")
-		scaleJobs    = flag.Int("scale-jobs", 0, "scale-100k stress trace length (default: 100000)")
-		scale1mJobs  = flag.Int("scale1m-jobs", 0, "scale-1m streaming trace length (default: 1000000)")
-		scale10mJobs = flag.Int("scale10m-jobs", 0, "scale-10m streaming trace length (default: 10000000)")
-		shards       = flag.Int("shards", 0, "scale-1m/scale-10m cluster partitions; affects results (default: 8)")
-		shardWorker  = flag.Int("shard-workers", 0, "concurrently advancing shards in the scale tiers; never affects results (default: GOMAXPROCS)")
-		csvDirFlag   = flag.String("csv-dir", "", "also write each experiment's plottable series as CSV files into this directory")
-		seeds        = flag.Int("seeds", 1, "replications per experiment; > 1 engages the parallel replication engine and reports mean ± 95% CI")
-		workers      = flag.Int("workers", 0, "worker-pool size for the replication engine (default GOMAXPROCS); setting it engages the engine")
-		cacheDir     = flag.String("cache", "", "content-addressed result cache directory; re-runs serve completed (experiment, seed) cells from it")
-		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile   = flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
-		traceOut     = flag.String("trace-out", "", "write a scheduler event trace of the selected experiments to this file (direct mode only)")
-		traceFormat  = flag.String("trace-format", "jsonl", "event-trace format: "+cli.TraceFormats())
-		histOut      = flag.String("hist-out", "", "write the selected experiments' latency histograms as CSV to this file (direct mode only)")
-		seriesOut    = flag.String("series-out", "", "write the windowed utilization/queue-depth series as CSV to this file (direct mode only)")
-		seriesWin    = flag.Float64("series-window", 50, "series sampling window in cluster seconds")
+		experiment  = fs.String("experiment", "all", "experiment to run (all, "+strings.Join(experiments.Names(), ", ")+")")
+		seed        = fs.Int64("seed", 1, "workload/trace synthesis seed")
+		repeats     = fs.Int("repeats", 1, "averaging repeats for cluster experiments")
+		traceJobs   = fs.Int("trace-jobs", 0, "heavy-tailed trace length (default: paper's 24443)")
+		uniformJobs = fs.Int("uniform-jobs", 0, "uniform workload length (default: paper's 10000)")
+		scaleJobs   = fs.Int("scale-jobs", 0, "scale-tier trace length (default: the selected tier's preset, 100000 to 10000000)")
+		shards      = fs.Int("shards", 0, "cluster partitions of the sharded scale tiers; affects results (default: 8)")
+		shardWorker = fs.Int("shard-workers", 0, "concurrently advancing shards in the scale tiers; never affects results (default: GOMAXPROCS)")
+		csvDir      = fs.String("csv-dir", "", "also write each experiment's plottable series as CSV files into this directory")
+		seeds       = fs.Int("seeds", 1, "replications per experiment; > 1 engages the parallel replication engine and reports mean ± 95% CI")
+		workers     = fs.Int("workers", 0, "worker-pool size for the replication engine (default GOMAXPROCS); setting it engages the engine")
+		cacheDir    = fs.String("cache", "", "content-addressed result cache directory; re-runs serve completed (experiment, seed) cells from it")
+		cpuProfile  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProfile  = fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
+		traceOut    = fs.String("trace-out", "", "write a scheduler event trace of the selected experiments to this file (direct mode only)")
+		traceFormat = fs.String("trace-format", "jsonl", "event-trace format: "+cli.TraceFormats())
+		histOut     = fs.String("hist-out", "", "write the selected experiments' latency histograms as CSV to this file (direct mode only)")
+		seriesOut   = fs.String("series-out", "", "write the windowed utilization/queue-depth series as CSV to this file (direct mode only)")
+		seriesWin   = fs.Float64("series-window", 50, "series sampling window in cluster seconds")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments %q: lasmq-bench takes flags only (see -h)", flag.Args())
+	fs.Parse(args) // ExitOnError: a bad flag never returns
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q: lasmq-bench takes flags only (see -h)", fs.Args())
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -121,9 +110,8 @@ func run() error {
 			}
 		}()
 	}
-	csvDir = *csvDirFlag
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			return err
 		}
 	}
@@ -134,8 +122,6 @@ func run() error {
 		TraceJobs:    *traceJobs,
 		UniformJobs:  *uniformJobs,
 		ScaleJobs:    *scaleJobs,
-		Scale1MJobs:  *scale1mJobs,
-		Scale10MJobs: *scale10mJobs,
 		Shards:       *shards,
 		ShardWorkers: *shardWorker,
 	}
@@ -147,88 +133,75 @@ func run() error {
 		if *histOut != "" || *seriesOut != "" {
 			return fmt.Errorf("-hist-out/-series-out require direct mode: the replication engine runs experiments on concurrent workers, which would interleave one sink")
 		}
-		return runReplicated(opts, runner.Options{
+		return runReplicated(out, opts, runner.Options{
 			Seeds:    *seeds,
 			BaseSeed: *seed,
 			Workers:  *workers,
 			CacheDir: *cacheDir,
-		}, *experiment)
+		}, *experiment, *csvDir)
 	}
 
-	sink, err := cli.OpenTraceSink(*traceOut, *traceFormat)
+	selected, err := experiments.Select(*experiment)
 	if err != nil {
 		return err
 	}
-	// The series utilization denominator is per-experiment cluster capacity,
-	// which varies across the registry; 20 containers is the Fig. 7a system
-	// most experiments run on.
-	hsink, err := cli.OpenHistSink(*histOut, *seriesOut, *seriesWin, 20)
+	// The series utilization denominator is the selected experiment's cluster
+	// capacity. It varies across the catalog, so a multi-experiment run
+	// disables the utilization column rather than report a wrong ratio.
+	capacity := 0
+	if len(selected) == 1 {
+		capacity = selected[0].Capacity(opts)
+	}
+	sink, err := cli.OpenSink(cli.SinkConfig{
+		TraceOut: *traceOut, TraceFormat: *traceFormat,
+		HistOut: *histOut, SeriesOut: *seriesOut, SeriesWindow: *seriesWin,
+		Capacity: capacity,
+	})
 	if err != nil {
 		return err
 	}
-	opts.Probe = obs.Multi(sink.Probe(), hsink.Probe())
-	finishTrace := func() error {
-		if err := sink.Close(); err != nil {
-			return err
+	opts.Probe = sink.Probe()
+	for _, e := range selected {
+		if err := runDirect(out, e, opts, *csvDir); err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		if err := hsink.Close(); err != nil {
-			return err
-		}
-		sink.PrintSummary(os.Stdout)
-		hsink.PrintSummary(os.Stdout)
-		return nil
 	}
+	if err := sink.Close(); err != nil {
+		return err
+	}
+	sink.PrintSummary(out)
+	return nil
+}
 
-	runners := map[string]func(experiments.Options) error{
-		"table1":    showTableI,
-		"fig1":      showFig1,
-		"fig3":      showFig3,
-		"fig5":      showCluster(80, experiments.Fig5),
-		"fig6":      showCluster(50, experiments.Fig6),
-		"fig7a":     showFig7a,
-		"fig7b":     showFig7b,
-		"fig8a":     showFig8a,
-		"fig8b":     showFig8b,
-		"sjf-error": showSJFError,
-		"weights":   showWeights,
-		"adaptive":  showAdaptive,
-		"tradeoff":  showTradeoff,
-		"geo":       showGeo,
-
-		"price-of-obliviousness": showPrice,
-		"scale-100k":             showScale100k,
-		"scale-1m":               showScale1M,
-		"scale-10m":              showScale10M,
-		"scale-1m-engine":        showScale1MEngine,
-		"scale-10m-engine":       showScale10MEngine,
+// runDirect runs one catalog row and prints its section: title, table, the
+// CSV files written, and the elapsed time.
+func runDirect(out io.Writer, e experiments.Experiment, opts experiments.Options, csvDir string) error {
+	start := time.Now()
+	res, err := e.Run(opts)
+	if err != nil {
+		return err
 	}
-	if *experiment != "all" {
-		runner, ok := runners[*experiment]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (valid: %s)",
-				*experiment, strings.Join(validExperiments(), ", "))
-		}
-		if err := timed(*experiment, func() error { return runner(opts) }); err != nil {
-			return err
-		}
-		return finishTrace()
-	}
-	for _, name := range []string{
-		"table1", "fig1", "fig3", "fig5", "fig6",
-		"fig7a", "fig7b", "fig8a", "fig8b", "sjf-error", "weights",
-		"adaptive", "tradeoff", "geo", "price-of-obliviousness",
-	} {
-		if err := timed(name, func() error { return runners[name](opts) }); err != nil {
-			return err
+	fmt.Fprintf(out, "== %s ==\n", e.Title)
+	fmt.Fprint(out, res.Table())
+	if series, ok := res.(experiments.CSVReport); ok {
+		for _, c := range series.CSVs() {
+			name := c.Name
+			if name == "" {
+				name = e.Name
+			}
+			if err := writeCSV(out, csvDir, name, c.Write); err != nil {
+				return err
+			}
 		}
 	}
-	return finishTrace()
+	fmt.Fprintf(out, "[%s finished in %v]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 // runReplicated drives the replication engine: the selected experiments fan
 // out over the seed range on the worker pool, cached cells are reused, and
 // every figure prints as a mean ± 95 % CI table.
-func runReplicated(opts experiments.Options, ropts runner.Options, experiment string) error {
+func runReplicated(out io.Writer, opts experiments.Options, ropts runner.Options, experiment, csvDir string) error {
 	var names []string
 	if experiment != "all" {
 		names = []string{experiment}
@@ -243,26 +216,24 @@ func runReplicated(opts experiments.Options, ropts runner.Options, experiment st
 		return err
 	}
 	ropts = ropts.Defaults()
-	fmt.Printf("== Replicated run: %d experiment(s) x %d seed(s) (base seed %d, %d workers) ==\n\n",
+	fmt.Fprintf(out, "== Replicated run: %d experiment(s) x %d seed(s) (base seed %d, %d workers) ==\n\n",
 		len(exps), ropts.Seeds, ropts.BaseSeed, ropts.Workers)
 	for i := range report.Aggregates {
 		a := &report.Aggregates[i]
-		fmt.Printf("-- %s (mean ± 95%% CI over %d seed(s)) --\n", a.Experiment, len(a.Seeds))
-		fmt.Print(a.Table())
-		fmt.Println()
+		fmt.Fprintf(out, "-- %s (mean ± 95%% CI over %d seed(s)) --\n", a.Experiment, len(a.Seeds))
+		fmt.Fprint(out, a.Table())
+		fmt.Fprintln(out)
 	}
 	if ropts.CacheDir != "" {
-		fmt.Printf("cache: %d hit(s), %d miss(es) in %s\n", report.CacheHits, report.CacheMisses, ropts.CacheDir)
+		fmt.Fprintf(out, "cache: %d hit(s), %d miss(es) in %s\n", report.CacheHits, report.CacheMisses, ropts.CacheDir)
 	}
-	fmt.Printf("[replicated run finished in %v]\n", time.Since(start).Round(time.Millisecond))
-	return writeCSV("replicated", report.WriteCSV)
+	fmt.Fprintf(out, "[replicated run finished in %v]\n", time.Since(start).Round(time.Millisecond))
+	return writeCSV(out, csvDir, "replicated", report.WriteCSV)
 }
 
-// csvDir, when non-empty, receives one CSV file per experiment.
-var csvDir string
-
-// writeCSV writes one experiment's series to <csvDir>/<name>.csv.
-func writeCSV(name string, write func(io.Writer) error) error {
+// writeCSV writes one series to <csvDir>/<name>.csv; an empty csvDir writes
+// nothing.
+func writeCSV(out io.Writer, csvDir, name string, write func(io.Writer) error) error {
 	if csvDir == "" {
 		return nil
 	}
@@ -278,214 +249,6 @@ func writeCSV(name string, write func(io.Writer) error) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("(wrote %s)\n", path)
-	return nil
-}
-
-func timed(name string, f func() error) error {
-	start := time.Now()
-	if err := f(); err != nil {
-		return fmt.Errorf("%s: %w", name, err)
-	}
-	fmt.Printf("[%s finished in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-func showTableI(experiments.Options) error {
-	fmt.Println("== Table I: workload composition ==")
-	fmt.Print(experiments.TableIText())
-	return nil
-}
-
-func showFig1(experiments.Options) error {
-	res, err := experiments.Fig1()
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Fig. 1: motivating example (sizes 4, 4, 1) ==")
-	fmt.Print(res.Table())
-	return nil
-}
-
-func showFig3(opts experiments.Options) error {
-	res, err := experiments.Fig3(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Fig. 3: design options (normalized over FAIR, 50 s interval) ==")
-	fmt.Print(res.Table())
-	return writeCSV("fig3", res.WriteCSV)
-}
-
-func showCluster(interval float64, f func(experiments.Options) (*experiments.ClusterResult, error)) func(experiments.Options) error {
-	return func(opts experiments.Options) error {
-		res, err := f(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("== Cluster experiment, %v s mean arrival interval ==\n", interval)
-		fmt.Print(res.Table())
-		fmt.Println("slowdowns:")
-		fmt.Print(res.SlowdownTable())
-		tag := fmt.Sprintf("fig_interval%v", interval)
-		if err := writeCSV(tag+"_bins", res.WriteCSV); err != nil {
-			return err
-		}
-		if err := writeCSV(tag+"_cdf", func(w io.Writer) error { return res.WriteCDFCSV(w, 200) }); err != nil {
-			return err
-		}
-		return writeCSV(tag+"_slowdown", func(w io.Writer) error { return res.WriteSlowdownCSV(w, 200) })
-	}
-}
-
-func showFig7a(opts experiments.Options) error {
-	res, err := experiments.Fig7HeavyTailed(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Fig. 7a: heavy-tailed trace (Facebook-like, load 0.9) ==")
-	fmt.Print(res.Table())
-	return writeCSV("fig7a", res.WriteCSV)
-}
-
-func showFig7b(opts experiments.Options) error {
-	res, err := experiments.Fig7Uniform(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Fig. 7b: uniform workload (10,000 x size 10,000) ==")
-	fmt.Print(res.Table())
-	return writeCSV("fig7b", res.WriteCSV)
-}
-
-func showFig8a(opts experiments.Options) error {
-	res, err := experiments.Fig8Queues(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Fig. 8a: number of queues sweep ==")
-	fmt.Print(res.Table())
-	return writeCSV("fig8a", res.WriteCSV)
-}
-
-func showFig8b(opts experiments.Options) error {
-	res, err := experiments.Fig8Thresholds(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Fig. 8b: first-queue threshold sweep ==")
-	fmt.Print(res.Table())
-	return writeCSV("fig8b", res.WriteCSV)
-}
-
-func showSJFError(opts experiments.Options) error {
-	res, err := experiments.MotivationSJFError(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Motivation: SJF under size-estimate error (50 s interval) ==")
-	fmt.Print(res.Table())
-	return nil
-}
-
-func showAdaptive(opts experiments.Options) error {
-	res, err := experiments.Adaptive(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Extension: adaptive thresholds (heavy-tailed trace) ==")
-	fmt.Print(res.Table())
-	return nil
-}
-
-func showTradeoff(opts experiments.Options) error {
-	points, err := experiments.Tradeoff(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Extension: fairness/response tradeoff (LAS_MQ <-> FAIR blend) ==")
-	fmt.Print(experiments.TradeoffTable(points))
-	return nil
-}
-
-func showPrice(opts experiments.Options) error {
-	res, err := experiments.PriceOfObliviousness(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Price of obliviousness: information hierarchy on the congested Table-I mix ==")
-	fmt.Print(res.Table())
-	return writeCSV("price-of-obliviousness", res.WriteCSV)
-}
-
-func showScale100k(opts experiments.Options) error {
-	res, err := experiments.Scale100k(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Scale tier: heavy-tailed trace at 100,000 jobs ==")
-	fmt.Print(res.Table())
-	return writeCSV("scale-100k", res.WriteCSV)
-}
-
-func showScale1M(opts experiments.Options) error {
-	res, err := experiments.Scale1M(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Scale tier: streamed heavy-tailed trace at 1,000,000 jobs, sharded ==")
-	fmt.Print(res.Table())
-	return writeCSV("scale-1m", res.WriteCSV)
-}
-
-func showScale10M(opts experiments.Options) error {
-	res, err := experiments.Scale10M(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Scale tier: streamed heavy-tailed trace at 10,000,000 jobs, sharded ==")
-	fmt.Print(res.Table())
-	return writeCSV("scale-10m", res.WriteCSV)
-}
-
-func showScale1MEngine(opts experiments.Options) error {
-	res, err := experiments.Scale1MEngine(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Scale tier: 1,000,000 staged jobs on the task engine, sharded, chaos on ==")
-	fmt.Print(res.Table())
-	return writeCSV("scale-1m-engine", res.WriteCSV)
-}
-
-func showScale10MEngine(opts experiments.Options) error {
-	res, err := experiments.Scale10MEngine(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Scale tier: 10,000,000 staged jobs on the task engine, sharded, chaos on ==")
-	fmt.Print(res.Table())
-	return writeCSV("scale-10m-engine", res.WriteCSV)
-}
-
-func showGeo(opts experiments.Options) error {
-	res, err := experiments.Geo(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Extension: geo-distributed scheduling (3 sites, variable WAN) ==")
-	fmt.Print(res.Table())
-	return nil
-}
-
-func showWeights(opts experiments.Options) error {
-	res, err := experiments.AblationWeights(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Ablation: cross-queue weight decay (normalized over FAIR) ==")
-	for _, decay := range []float64{1, 1.5, 2, 4, 8} {
-		fmt.Printf("decay %-4g -> %.2f\n", decay, res[decay])
-	}
+	fmt.Fprintf(out, "(wrote %s)\n", path)
 	return nil
 }

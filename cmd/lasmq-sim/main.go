@@ -30,7 +30,6 @@ import (
 	"lasmq/internal/cli"
 	"lasmq/internal/core"
 	"lasmq/internal/fluid"
-	"lasmq/internal/obs"
 	"lasmq/internal/trace"
 )
 
@@ -88,24 +87,21 @@ func run() error {
 		return err
 	}
 
-	sink, err := cli.OpenTraceSink(*traceOut, *traceFormat)
+	sink, err := cli.OpenSink(cli.SinkConfig{
+		TraceOut: *traceOut, TraceFormat: *traceFormat,
+		HistOut: *histOut, SeriesOut: *seriesOut, SeriesWindow: *seriesWin,
+		Capacity: int(fcfg.Capacity),
+	})
 	if err != nil {
 		return err
 	}
-	hsink, err := cli.OpenHistSink(*histOut, *seriesOut, *seriesWin, int(fcfg.Capacity))
-	if err != nil {
-		return err
-	}
-	fcfg.Probe = obs.Multi(sink.Probe(), hsink.Probe())
+	fcfg.Probe = sink.Probe()
 
 	res, err := fluid.Run(specs, policy, fcfg)
 	if err != nil {
 		return err
 	}
 	if err := sink.Close(); err != nil {
-		return err
-	}
-	if err := hsink.Close(); err != nil {
 		return err
 	}
 
@@ -126,7 +122,6 @@ func run() error {
 		cli.PrintCDF(os.Stdout, res.ResponseTimes(), 50)
 	}
 	sink.PrintSummary(os.Stdout)
-	hsink.PrintSummary(os.Stdout)
 	return nil
 }
 

@@ -14,27 +14,12 @@ import (
 )
 
 // SchedulerNames lists the accepted -scheduler flag values.
-func SchedulerNames() string { return "lasmq, las, fair, fifo, sjf, srtf" }
+func SchedulerNames() string { return strings.Join(core.PolicyNames(), ", ") }
 
 // BuildScheduler constructs a fresh scheduler from a flag value. The mqCfg
 // is used when name selects LAS_MQ.
 func BuildScheduler(name string, mqCfg core.Config) (sched.Scheduler, error) {
-	switch strings.ToLower(name) {
-	case "lasmq", "las_mq", "las-mq":
-		return core.New(mqCfg)
-	case "las":
-		return sched.NewLAS(), nil
-	case "fair":
-		return sched.NewFair(), nil
-	case "fifo":
-		return sched.NewFIFO(), nil
-	case "sjf":
-		return sched.NewSJF(), nil
-	case "srtf":
-		return sched.NewSRTF(), nil
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q (want one of %s)", name, SchedulerNames())
-	}
+	return core.NewPolicy(name, mqCfg)
 }
 
 // PrintSummary writes a response-time summary block.

@@ -20,6 +20,8 @@ func TestBuildScheduler(t *testing.T) {
 		{give: "FIFO", want: "FIFO"},
 		{give: "sjf", want: "SJF"},
 		{give: "srtf", want: "SRTF"},
+		{give: "ps", want: "PS"},
+		{give: "srpt", want: "SRPT"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.give, func(t *testing.T) {
@@ -35,8 +37,20 @@ func TestBuildScheduler(t *testing.T) {
 }
 
 func TestBuildSchedulerUnknown(t *testing.T) {
-	if _, err := BuildScheduler("bogus", core.DefaultConfig()); err == nil {
-		t.Error("expected error for unknown scheduler")
+	_, err := BuildScheduler("bogus", core.DefaultConfig())
+	if err == nil {
+		t.Fatal("expected error for unknown scheduler")
+	}
+	if !strings.Contains(err.Error(), SchedulerNames()) {
+		t.Errorf("error %q does not list the accepted names %q", err, SchedulerNames())
+	}
+}
+
+// TestSchedulerNamesDerived: the -scheduler help text is the policy table,
+// not a hand-kept string.
+func TestSchedulerNamesDerived(t *testing.T) {
+	if got, want := SchedulerNames(), strings.Join(core.PolicyNames(), ", "); got != want {
+		t.Errorf("SchedulerNames() = %q, want %q", got, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"lasmq/internal/core"
 	"lasmq/internal/engine"
 	"lasmq/internal/job"
+	"lasmq/internal/runner"
 	"lasmq/internal/sched"
 	"lasmq/internal/stats"
 	"lasmq/internal/workload"
@@ -80,7 +81,7 @@ func RunCluster(meanInterval float64, opts Options) (*ClusterResult, error) {
 			return nil, err
 		}
 		for _, name := range PolicyOrder {
-			policy, err := newPolicy(name, clusterLASMQ)
+			policy, err := core.NewPolicy(name, core.DefaultConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -125,8 +126,9 @@ func isolatedRuntimes(specs []job.Spec, cfg engine.Config) (map[int]float64, err
 	return out, nil
 }
 
-// Table renders the experiment like the paper's Fig. 5(b)/6(b): average job
-// response time per bin and overall, by policy.
+// Table renders the experiment like the paper's Fig. 5(b)/6(b) — average job
+// response time per bin and overall, by policy — followed by the slowdown
+// table of Fig. 5(c)/6(c).
 func (r *ClusterResult) Table() string {
 	header := []string{"policy", "bin1", "bin2", "bin3", "bin4", "all", "norm(vs FAIR)"}
 	var rows [][]string
@@ -141,7 +143,31 @@ func (r *ClusterResult) Table() string {
 			fmt.Sprintf("%.2f", r.Normalized[name]))
 		rows = append(rows, row)
 	}
-	return renderTable(header, rows)
+	return runner.RenderTable(header, rows) + "slowdowns:\n" + r.SlowdownTable()
+}
+
+// Cells flattens the experiment into metric cells: per-bin and overall
+// means, the normalized ratio, and the response and slowdown tails.
+func (r *ClusterResult) Cells() []runner.Cell {
+	var cells []runner.Cell
+	for _, name := range PolicyOrder {
+		ps := r.ByPolicy[name]
+		for bin := 1; bin <= 4; bin++ {
+			cells = append(cells, runner.Cell{
+				Group: name, Key: fmt.Sprintf("bin%d", bin), Value: ps.BinMeans[bin],
+			})
+		}
+		s := stats.Summarize(ps.Slowdowns)
+		cells = append(cells,
+			runner.Cell{Group: name, Key: "all", Value: ps.MeanResponse},
+			runner.Cell{Group: name, Key: "norm", Value: r.Normalized[name]})
+		cells = append(cells, tailCells(name, ps.Responses)...)
+		cells = append(cells,
+			runner.Cell{Group: name, Key: "slowdown_mean", Value: s.Mean},
+			runner.Cell{Group: name, Key: "slowdown_p99", Value: s.P99},
+			runner.Cell{Group: name, Key: "jain", Value: stats.JainIndex(ps.Slowdowns)})
+	}
+	return cells
 }
 
 // SlowdownTable renders mean and tail slowdowns plus Jain's fairness index
@@ -160,7 +186,7 @@ func (r *ClusterResult) SlowdownTable() string {
 			fmt.Sprintf("%.2f", stats.JainIndex(r.ByPolicy[name].Slowdowns)),
 		})
 	}
-	return renderTable(header, rows)
+	return runner.RenderTable(header, rows)
 }
 
 // Fig3Result reports the ablation of the paper's two design features.
@@ -210,7 +236,7 @@ func Fig3(opts Options) (*Fig3Result, error) {
 			}
 			run, err := engine.Run(specs, mq, opts.engineConfig())
 			if err != nil {
-				return nil, fmt.Errorf("fig3 case %d: %w", i+1, err)
+				return nil, fmt.Errorf("case %d: %w", i+1, err)
 			}
 			sums[i] += stats.Normalized(fairMean, run.MeanResponseTime())
 		}
@@ -235,7 +261,16 @@ func (r *Fig3Result) Table() string {
 			fmt.Sprintf("%.2f", c),
 		})
 	}
-	return renderTable(header, rows)
+	return runner.RenderTable(header, rows)
+}
+
+// Cells reports the four cases' normalized response times.
+func (r *Fig3Result) Cells() []runner.Cell {
+	var cells []runner.Cell
+	for i, c := range r.Cases {
+		cells = append(cells, runner.Cell{Group: fmt.Sprintf("case%d", i+1), Key: "norm", Value: c})
+	}
+	return cells
 }
 
 // TableIText renders the paper's Table I (workload composition).
@@ -252,5 +287,5 @@ func TableIText() string {
 			strconv.Itoa(jt.Count),
 		})
 	}
-	return renderTable(header, rows)
+	return runner.RenderTable(header, rows)
 }

@@ -6,14 +6,12 @@
 package experiments
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"cmp"
+	"slices"
 
 	"lasmq/internal/core"
 	"lasmq/internal/engine"
 	"lasmq/internal/obs"
-	"lasmq/internal/sched"
 )
 
 // Policy names used across all experiments (the paper's four algorithms).
@@ -41,34 +39,20 @@ type Options struct {
 	// UniformJobs overrides the light-tailed workload length (default:
 	// the paper's 10,000).
 	UniformJobs int
-	// ScaleJobs overrides the scale-100k stress trace length (default:
-	// 100,000 — roughly 4x the paper's trace). Tests shrink it; the
-	// benchmark tier runs it in full.
+	// ScaleJobs overrides the trace length of whichever scale tier runs
+	// (default: the tier's own preset, 100,000 to 10,000,000 jobs — see the
+	// catalog). Tests and `make bench-smoke` shrink it; the benchmark tiers
+	// run their presets in full.
 	ScaleJobs int
-	// Scale1MJobs overrides the scale-1m streaming trace length (default:
-	// 1,000,000). The trace is never materialized: each shard streams its
-	// stride of a per-seed deterministic generator.
-	Scale1MJobs int
-	// Scale10MJobs overrides the scale-10m streaming trace length (default:
-	// 10,000,000). scale-10m is scale-1m with the length knob turned up: same
-	// sharded streaming machinery, an order of magnitude more jobs, and —
-	// because peak heap tracks live jobs, not trace length — roughly the same
-	// memory footprint (BenchmarkScale10M records both in BENCH_engine.json).
-	Scale10MJobs int
-	// Shards partitions the scale-1m cluster into this many independent
-	// 20-container sub-clusters (default 8). Part of the simulated system —
-	// it changes results and is folded into the cache fingerprint.
+	// Shards partitions the sharded scale tiers' cluster into this many
+	// independent 20-container sub-clusters (default 8). Part of the
+	// simulated system — it changes results and is folded into the cache
+	// fingerprint.
 	Shards int
-	// ShardWorkers bounds how many shards advance concurrently in scale-1m
-	// (0 = GOMAXPROCS). Execution parallelism only: results are identical
-	// for any value, so it is deliberately NOT fingerprinted.
+	// ShardWorkers bounds how many shards advance concurrently in the sharded
+	// scale tiers (0 = GOMAXPROCS). Execution parallelism only: results are
+	// identical for any value, so it is deliberately NOT fingerprinted.
 	ShardWorkers int
-	// FullReschedule forwards engine.Config.FullReschedule: it disables the
-	// task-level engine's incremental round fast paths, re-invoking the
-	// policy every round. Results must be identical either way (a
-	// differential test enforces this); the knob exists for that test and as
-	// an escape hatch.
-	FullReschedule bool
 	// Probe receives telemetry events (see internal/obs) from every engine
 	// and fluid run an experiment performs. It is observation only: results
 	// must be bit-for-bit identical with and without a probe (a differential
@@ -89,35 +73,25 @@ func (o Options) Defaults() Options {
 	if o.UniformJobs <= 0 {
 		o.UniformJobs = 10000
 	}
-	if o.ScaleJobs <= 0 {
-		o.ScaleJobs = 100000
-	}
-	if o.Scale1MJobs <= 0 {
-		o.Scale1MJobs = 1000000
-	}
-	if o.Scale10MJobs <= 0 {
-		o.Scale10MJobs = 10000000
-	}
 	if o.Shards <= 0 {
 		o.Shards = 8
 	}
 	return o
 }
 
+// fullReschedule is the hook TestIncrementalMatchesFullAcrossRegistry flips
+// to run every engine-backed experiment on engine.Config.FullReschedule, the
+// reference path the incremental round fast paths must match. Nothing
+// outside the package's tests sets it.
+var fullReschedule bool
+
 // engineConfig returns the task-level engine configuration the cluster
-// experiments share: the paper's testbed defaults plus the Options'
-// scheduling-mode knob.
+// experiments share: the paper's testbed defaults plus the Options' probe.
 func (o Options) engineConfig() engine.Config {
 	cfg := engine.DefaultConfig()
-	cfg.FullReschedule = o.FullReschedule
+	cfg.FullReschedule = fullReschedule
 	cfg.Probe = o.Probe
 	return cfg
-}
-
-// clusterLASMQ returns the paper's testbed configuration of LAS_MQ
-// (k = 10, alpha0 = 100, step = 10, both features on).
-func clusterLASMQ() (*core.LASMQ, error) {
-	return core.New(core.DefaultConfig())
 }
 
 // traceLASMQConfig returns the paper's simulation configuration of LAS_MQ
@@ -126,7 +100,9 @@ func clusterLASMQ() (*core.LASMQ, error) {
 // (trace jobs have none) and in-queue ordering by remaining demand is
 // disabled — with it on, the first queue becomes an SRPT approximation and
 // the paper's Fig. 8b degradation at alpha0 = 10 cannot occur, so the
-// paper's simulator evidently ran FIFO queues as well.
+// paper's simulator evidently ran FIFO queues as well. The testbed
+// experiments use core.DefaultConfig (k = 10, alpha0 = 100, step = 10, both
+// features on) instead.
 func traceLASMQConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.FirstThreshold = 1
@@ -135,81 +111,12 @@ func traceLASMQConfig() core.Config {
 	return cfg
 }
 
-func traceLASMQ() (*core.LASMQ, error) {
-	return core.New(traceLASMQConfig())
-}
-
-// newPolicy constructs a fresh scheduler by name; LAS_MQ uses the given
-// constructor since its configuration differs between testbed and trace
-// experiments.
-func newPolicy(name string, mq func() (*core.LASMQ, error)) (sched.Scheduler, error) {
-	switch name {
-	case PolicyLASMQ:
-		return mq()
-	case PolicyLAS:
-		return sched.NewLAS(), nil
-	case PolicyFair:
-		return sched.NewFair(), nil
-	case PolicyFIFO:
-		return sched.NewFIFO(), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown policy %q", name)
-	}
-}
-
-// renderTable renders rows as a fixed-width text table.
-func renderTable(header []string, rows [][]string) string {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(header)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, row := range rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
-// sortedKeysF returns the keys of a float-keyed map in ascending order.
-func sortedKeysF(m map[float64]float64) []float64 {
-	keys := make([]float64, 0, len(m))
+// sortedKeys returns a map's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Float64s(keys)
-	return keys
-}
-
-// sortedKeysI returns the keys of an int-keyed map in ascending order.
-func sortedKeysI(m map[int]float64) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
+	slices.Sort(keys)
 	return keys
 }

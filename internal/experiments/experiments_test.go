@@ -308,7 +308,7 @@ func TestTradeoffExperiment(t *testing.T) {
 	if first.JainIndex >= last.JainIndex {
 		t.Errorf("Fair fairness %v not better than LAS_MQ %v", last.JainIndex, first.JainIndex)
 	}
-	if tbl := TradeoffTable(points); !strings.Contains(tbl, "theta") {
+	if tbl := points.Table(); !strings.Contains(tbl, "theta") {
 		t.Errorf("table malformed:\n%s", tbl)
 	}
 }
@@ -337,12 +337,6 @@ func TestTableIText(t *testing.T) {
 		if !strings.Contains(txt, want) {
 			t.Errorf("Table I text missing %q:\n%s", want, txt)
 		}
-	}
-}
-
-func TestNewPolicyUnknown(t *testing.T) {
-	if _, err := newPolicy("NOPE", clusterLASMQ); err == nil {
-		t.Error("expected error for unknown policy")
 	}
 }
 

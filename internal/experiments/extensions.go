@@ -8,6 +8,7 @@ import (
 	"lasmq/internal/engine"
 	"lasmq/internal/fluid"
 	"lasmq/internal/geo"
+	"lasmq/internal/runner"
 	"lasmq/internal/sched"
 	"lasmq/internal/stats"
 	"lasmq/internal/trace"
@@ -94,7 +95,17 @@ func (r *AdaptiveResult) Table() string {
 		{"mistuned (alpha0=1e-6, step 2)", fmt.Sprintf("%.4g", r.Mistuned)},
 		{fmt.Sprintf("adaptive from mistuned (%d refits)", r.Refits), fmt.Sprintf("%.4g", r.Adaptive)},
 	}
-	return renderTable(header, rows)
+	return runner.RenderTable(header, rows)
+}
+
+// Cells reports the three ladders' means and the adaptive refit count.
+func (r *AdaptiveResult) Cells() []runner.Cell {
+	return []runner.Cell{
+		{Group: "tuned", Key: "mean", Value: r.Tuned},
+		{Group: "mistuned", Key: "mean", Value: r.Mistuned},
+		{Group: "adaptive", Key: "mean", Value: r.Adaptive},
+		{Group: "adaptive", Key: "refits", Value: float64(r.Refits)},
+	}
 }
 
 // TradeoffPoint is one point of the fairness/response tradeoff curve.
@@ -105,9 +116,12 @@ type TradeoffPoint struct {
 	JainIndex    float64
 }
 
+// TradeoffCurve is the fairness/response tradeoff curve in ascending theta.
+type TradeoffCurve []TradeoffPoint
+
 // Tradeoff sweeps the LAS_MQ/Fair blend parameter on the Table I workload
 // (the paper's future-work item 2).
-func Tradeoff(opts Options) ([]TradeoffPoint, error) {
+func Tradeoff(opts Options) (TradeoffCurve, error) {
 	opts = opts.Defaults()
 	wcfg := workload.DefaultConfig()
 	wcfg.MeanInterval = 50
@@ -116,9 +130,9 @@ func Tradeoff(opts Options) ([]TradeoffPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	var points []TradeoffPoint
+	var points TradeoffCurve
 	for _, theta := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		mq, err := clusterLASMQ()
+		mq, err := core.New(core.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -140,11 +154,11 @@ func Tradeoff(opts Options) ([]TradeoffPoint, error) {
 	return points, nil
 }
 
-// TradeoffTable renders the tradeoff curve.
-func TradeoffTable(points []TradeoffPoint) string {
+// Table renders the tradeoff curve.
+func (c TradeoffCurve) Table() string {
 	header := []string{"theta (0=LAS_MQ, 1=FAIR)", "mean response", "p99 response", "jain"}
 	var rows [][]string
-	for _, p := range points {
+	for _, p := range c {
 		rows = append(rows, []string{
 			fmt.Sprintf("%.2f", p.Theta),
 			fmt.Sprintf("%.0f", p.MeanResponse),
@@ -152,7 +166,20 @@ func TradeoffTable(points []TradeoffPoint) string {
 			fmt.Sprintf("%.2f", p.JainIndex),
 		})
 	}
-	return renderTable(header, rows)
+	return runner.RenderTable(header, rows)
+}
+
+// Cells reports mean, p99 and Jain's index per blend parameter.
+func (c TradeoffCurve) Cells() []runner.Cell {
+	var cells []runner.Cell
+	for _, p := range c {
+		g := fmt.Sprintf("theta=%g", p.Theta)
+		cells = append(cells,
+			runner.Cell{Group: g, Key: "mean", Value: p.MeanResponse},
+			runner.Cell{Group: g, Key: "p99", Value: p.P99Response},
+			runner.Cell{Group: g, Key: "jain", Value: p.JainIndex})
+	}
+	return cells
 }
 
 // GeoResult compares job-ordering and task-placement policies on a
@@ -197,13 +224,10 @@ func Geo(opts Options) (*GeoResult, error) {
 		{label: "LAS_MQ+aware", policy: PolicyLASMQ, placement: geo.PlaceLocalityAware},
 		{label: "LAS_MQ+blind", policy: PolicyLASMQ, placement: geo.PlaceBlind},
 	}
-	mkMQ := func() (*core.LASMQ, error) {
-		c := core.DefaultConfig()
-		c.FirstThreshold = 10
-		return core.New(c)
-	}
+	mq := core.DefaultConfig()
+	mq.FirstThreshold = 10
 	for _, combo := range combos {
-		policy, err := newPolicy(combo.policy, mkMQ)
+		policy, err := core.NewPolicy(combo.policy, mq)
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +235,7 @@ func Geo(opts Options) (*GeoResult, error) {
 		gcfg.Placement = combo.placement
 		run, err := geo.Run(specs, policy, gcfg)
 		if err != nil {
-			return nil, fmt.Errorf("geo %s: %w", combo.label, err)
+			return nil, fmt.Errorf("%s: %w", combo.label, err)
 		}
 		res.Mean[combo.label] = run.MeanResponseTime()
 	}
@@ -225,5 +249,14 @@ func (r *GeoResult) Table() string {
 	for _, label := range []string{"FIFO+aware", "FAIR+blind", "FAIR+aware", "LAS_MQ+blind", "LAS_MQ+aware"} {
 		rows = append(rows, []string{label, fmt.Sprintf("%.1f", r.Mean[label])})
 	}
-	return renderTable(header, rows)
+	return runner.RenderTable(header, rows)
+}
+
+// Cells reports the mean response per combo, in label order.
+func (r *GeoResult) Cells() []runner.Cell {
+	var cells []runner.Cell
+	for _, label := range sortedKeys(r.Mean) {
+		cells = append(cells, runner.Cell{Group: label, Key: "mean", Value: r.Mean[label]})
+	}
+	return cells
 }

@@ -9,24 +9,26 @@ import (
 // the engine's differential test: every registered experiment, run at small
 // scale over several seeds, must produce identical metric cells whether the
 // task-level engine takes its incremental fast paths (the default) or
-// re-invokes the policy every round (FullReschedule). Fluid- and geo-backed
+// re-invokes the policy every round (engine.Config.FullReschedule, switched
+// on through the package's fullReschedule hook). Fluid- and geo-backed
 // experiments don't branch on the knob, so for them this doubles as a
 // same-seed determinism check.
 func TestIncrementalMatchesFullAcrossRegistry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole registry twice per seed")
 	}
-	base := Options{TraceJobs: 600, UniformJobs: 120, ScaleJobs: 800, Scale1MJobs: 1600, Scale10MJobs: 1600, Shards: 4}
+	t.Cleanup(func() { fullReschedule = false })
+	base := shrunk
 	for i, name := range RegistryNames() {
 		i, name := i, name
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				full := base
-				full.FullReschedule = true
-				fullSample, err := Registry(full)[i].Run(seed)
+				fullReschedule = true
+				fullSample, err := Registry(base)[i].Run(seed)
 				if err != nil {
 					t.Fatalf("seed %d full: %v", seed, err)
 				}
+				fullReschedule = false
 				incrSample, err := Registry(base)[i].Run(seed)
 				if err != nil {
 					t.Fatalf("seed %d incremental: %v", seed, err)

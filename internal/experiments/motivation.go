@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"lasmq/internal/core"
 	"lasmq/internal/engine"
 	"lasmq/internal/fluid"
+	"lasmq/internal/runner"
 	"lasmq/internal/sched"
 	"lasmq/internal/stats"
 	"lasmq/internal/workload"
@@ -74,7 +76,18 @@ func (r *Fig1Result) Table() string {
 			fmt.Sprintf("%.2f", r.LASMQ[name]),
 		})
 	}
-	return renderTable(header, rows)
+	return runner.RenderTable(header, rows)
+}
+
+// Cells reports each job's response time under both policies.
+func (r *Fig1Result) Cells() []runner.Cell {
+	var cells []runner.Cell
+	for _, job := range []string{"A", "B", "C"} {
+		cells = append(cells,
+			runner.Cell{Group: job, Key: "las", Value: r.LAS[job]},
+			runner.Cell{Group: job, Key: "lasmq", Value: r.LASMQ[job]})
+	}
+	return cells
 }
 
 // SJFErrorResult reports the size-estimate-error sweep motivating the paper:
@@ -112,7 +125,7 @@ func MotivationSJFError(opts Options) (*SJFErrorResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		mq, err := clusterLASMQ()
+		mq, err := core.New(core.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -155,18 +168,34 @@ func (r *SJFErrorResult) Table() string {
 	rows := [][]string{
 		{"SJF (oracle)", "none", fmt.Sprintf("%.0f", r.Oracle)},
 	}
-	for _, f := range sortedKeysF(r.SJF) {
+	for _, f := range sortedKeys(r.SJF) {
 		rows = append(rows, []string{"SJF", fmt.Sprintf("x%g", f), fmt.Sprintf("%.0f", r.SJF[f])})
 	}
 	rows = append(rows, []string{"LAS_MQ", "not needed", fmt.Sprintf("%.0f", r.LASMQ)})
-	return renderTable(header, rows)
+	return runner.RenderTable(header, rows)
 }
+
+// Cells reports the oracle, LAS_MQ and per-error-factor SJF means.
+func (r *SJFErrorResult) Cells() []runner.Cell {
+	cells := []runner.Cell{
+		{Group: "SJF-oracle", Key: "mean", Value: r.Oracle},
+		{Group: "LAS_MQ", Key: "mean", Value: r.LASMQ},
+	}
+	for _, f := range sortedKeys(r.SJF) {
+		cells = append(cells, runner.Cell{Group: fmt.Sprintf("SJF-x%g", f), Key: "mean", Value: r.SJF[f]})
+	}
+	return cells
+}
+
+// WeightsResult maps the cross-queue weight decay to LAS_MQ's response time
+// normalized over Fair.
+type WeightsResult map[float64]float64
 
 // AblationWeights sweeps the cross-queue weight decay (a parameter the paper
 // leaves unspecified) on the Table I workload, normalized over Fair.
-func AblationWeights(opts Options) (map[float64]float64, error) {
+func AblationWeights(opts Options) (WeightsResult, error) {
 	opts = opts.Defaults()
-	res := make(map[float64]float64)
+	res := make(WeightsResult)
 	for rep := 0; rep < opts.Repeats; rep++ {
 		wcfg := workload.DefaultConfig()
 		wcfg.MeanInterval = 50
@@ -197,4 +226,22 @@ func AblationWeights(opts Options) (map[float64]float64, error) {
 		res[k] /= float64(opts.Repeats)
 	}
 	return res, nil
+}
+
+// Table renders the decay sweep in ascending decay order.
+func (r WeightsResult) Table() string {
+	var b strings.Builder
+	for _, decay := range sortedKeys(r) {
+		fmt.Fprintf(&b, "decay %-4g -> %.2f\n", decay, r[decay])
+	}
+	return b.String()
+}
+
+// Cells reports the normalized response time per decay.
+func (r WeightsResult) Cells() []runner.Cell {
+	var cells []runner.Cell
+	for _, decay := range sortedKeys(r) {
+		cells = append(cells, runner.Cell{Group: fmt.Sprintf("decay=%g", decay), Key: "norm", Value: r[decay]})
+	}
+	return cells
 }

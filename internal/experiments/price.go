@@ -8,6 +8,7 @@ import (
 	"lasmq/internal/core"
 	"lasmq/internal/dist"
 	"lasmq/internal/fluid"
+	"lasmq/internal/runner"
 	"lasmq/internal/sched"
 	"lasmq/internal/stats"
 	"lasmq/internal/workload"
@@ -188,34 +189,21 @@ func PriceOfObliviousness(opts Options) (*PriceResult, error) {
 		Normalized: make(map[string]float64, len(PricePolicyOrder)),
 		Responses:  make(map[string][]float64, len(PricePolicyOrder)),
 	}
+	mq := traceLASMQConfig()
+	mq.FirstThreshold = priceFirstThreshold
+	mq.Step = priceStep
 	for _, name := range PricePolicyOrder {
+		// Gittins is the one policy built from the workload's service
+		// distribution rather than from the shared name table.
 		var policy sched.Scheduler
-		switch name {
-		case PolicySRPT:
-			policy = sched.NewSRPT()
-		case PolicyGittins:
+		if name == PolicyGittins {
 			policy = sched.NewGittins(model)
-		case PolicyPS:
-			policy = sched.NewPS()
-		case PolicyLASMQ:
-			cfg := traceLASMQConfig()
-			cfg.FirstThreshold = priceFirstThreshold
-			cfg.Step = priceStep
-			mq, err := core.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			policy = mq
-		default:
-			p, err := newPolicy(name, traceLASMQ)
-			if err != nil {
-				return nil, err
-			}
-			policy = p
+		} else if policy, err = core.NewPolicy(name, mq); err != nil {
+			return nil, err
 		}
 		run, err := fluid.Run(specs, policy, fcfg)
 		if err != nil {
-			return nil, fmt.Errorf("price-of-obliviousness %s: %w", name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		res.Mean[name] = run.MeanResponseTime()
 		res.Responses[name] = run.ResponseTimes()
@@ -247,7 +235,19 @@ func (r *PriceResult) Table() string {
 			fmt.Sprintf("%.4g", s.P99),
 		})
 	}
-	return renderTable(header, rows)
+	return runner.RenderTable(header, rows)
+}
+
+// Cells reports mean, ratio against PS and the response tail per policy.
+func (r *PriceResult) Cells() []runner.Cell {
+	var cells []runner.Cell
+	for _, name := range PricePolicyOrder {
+		cells = append(cells,
+			runner.Cell{Group: name, Key: "mean", Value: r.Mean[name]},
+			runner.Cell{Group: name, Key: "norm", Value: r.Normalized[name]})
+		cells = append(cells, tailCells(name, r.Responses[name])...)
+	}
+	return cells
 }
 
 // WriteCSV emits the sweep in rank order: policy, mean response, the ratio

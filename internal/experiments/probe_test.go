@@ -18,7 +18,7 @@ func TestProbedMatchesUnprobedAcrossRegistry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole registry twice per seed")
 	}
-	base := Options{TraceJobs: 600, UniformJobs: 120, ScaleJobs: 800, Scale1MJobs: 1600, Scale10MJobs: 1600, Shards: 4}
+	base := shrunk
 	for i, name := range RegistryNames() {
 		i, name := i, name
 		t.Run(name, func(t *testing.T) {

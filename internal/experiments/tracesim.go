@@ -5,6 +5,7 @@ import (
 
 	"lasmq/internal/core"
 	"lasmq/internal/fluid"
+	"lasmq/internal/runner"
 	"lasmq/internal/sched"
 	"lasmq/internal/stats"
 	"lasmq/internal/trace"
@@ -31,17 +32,11 @@ type TraceResult struct {
 // (~30% better than Fair), FIFO catastrophically worse.
 func Fig7HeavyTailed(opts Options) (*TraceResult, error) {
 	opts = opts.Defaults()
-	tcfg := trace.DefaultFacebookConfig()
-	tcfg.Jobs = opts.TraceJobs
-	tcfg.Seed = opts.Seed
-	specs, err := trace.Facebook(tcfg)
+	specs, fcfg, err := facebookTrace(opts, opts.TraceJobs)
 	if err != nil {
 		return nil, err
 	}
-	fcfg := fluid.DefaultConfig()
-	fcfg.Capacity = tcfg.Capacity
-	fcfg.Probe = opts.Probe
-	return runTrace(specs, fcfg, traceLASMQ)
+	return runTrace(specs, fcfg, traceLASMQConfig())
 }
 
 // Fig7Uniform runs the light-tailed workload (10,000 jobs of size 10,000 in
@@ -55,109 +50,36 @@ func Fig7Uniform(opts Options) (*TraceResult, error) {
 		return nil, err
 	}
 	fcfg := fluid.Config{Capacity: 1, TaskDuration: 1, Probe: opts.Probe}
-	return runTrace(specs, fcfg, traceLASMQ)
+	return runTrace(specs, fcfg, traceLASMQConfig())
 }
 
-// Scale100k runs the heavy-tailed Facebook trace stretched to 100,000 jobs —
-// roughly 4x the paper's — under all four policies with the Fig. 7a
-// simulation parameters. It is not a paper figure; it is the scale tier that
-// stresses the ladder event queue, the slab-allocated job state, and the
-// incremental in-queue ordering at trace lengths the figure experiments
-// never reach. BenchmarkScale100k records its runtime and peak heap in
-// BENCH_engine.json.
-func Scale100k(opts Options) (*TraceResult, error) {
-	opts = opts.Defaults()
+// facebookTrace materializes the heavy-tailed trace at the given length
+// together with the fluid configuration it targets (the Fig. 7a system: 20
+// containers at load 0.9).
+func facebookTrace(opts Options, jobs int) ([]fluid.JobSpec, fluid.Config, error) {
 	tcfg := trace.DefaultFacebookConfig()
-	tcfg.Jobs = opts.ScaleJobs
+	tcfg.Jobs = jobs
 	tcfg.Seed = opts.Seed
 	specs, err := trace.Facebook(tcfg)
 	if err != nil {
-		return nil, err
+		return nil, fluid.Config{}, err
 	}
 	fcfg := fluid.DefaultConfig()
 	fcfg.Capacity = tcfg.Capacity
 	fcfg.Probe = opts.Probe
-	return runTrace(specs, fcfg, traceLASMQ)
+	return specs, fcfg, nil
 }
 
-// Scale1M runs the heavy-tailed trace at a million jobs (default) — the tier
-// past what a materialized trace and a single event loop handle comfortably.
-// The trace is streamed (each shard pulls its stride of a per-seed
-// deterministic generator; nothing is materialized) and the cluster is
-// opts.Shards independent 20-container sub-clusters, each at load 0.9,
-// advanced concurrently by up to opts.ShardWorkers workers. Shards changes
-// results (and is fingerprinted); ShardWorkers never does. Peak heap is
-// bounded by the jobs live at once, not the trace length; BenchmarkScale1M
-// records runtime and peak heap in BENCH_engine.json.
-func Scale1M(opts Options) (*TraceResult, error) {
-	opts = opts.Defaults()
-	return scaleStreamed(opts, opts.Scale1MJobs, "scale-1m")
-}
-
-// Scale10M is scale-1m with the trace length turned up to ten million jobs
-// (default): a pure config knob over the same sharded streaming machinery.
-// It exists as its own tier because it is the first one where materializing
-// the trace would dominate the footprint — the streaming contract (peak heap
-// tracks live jobs, not trace length) is what makes it affordable, and
-// BenchmarkScale10M pins that by recording runtime and peak heap in
-// BENCH_engine.json alongside scale-1m's.
-func Scale10M(opts Options) (*TraceResult, error) {
-	opts = opts.Defaults()
-	return scaleStreamed(opts, opts.Scale10MJobs, "scale-10m")
-}
-
-// scaleStreamed runs one streamed-and-sharded scale tier: jobs total jobs
-// across opts.Shards independent 20-container sub-clusters, each at load 0.9,
-// every shard pulling its stride of a per-seed deterministic generator.
-func scaleStreamed(opts Options, jobs int, label string) (*TraceResult, error) {
-	tcfg := trace.DefaultFacebookConfig()
-	tcfg.Jobs = jobs
-	tcfg.Seed = opts.Seed
-	// Global capacity scales with the shard count so every sub-cluster is
-	// the Fig. 7a system: 20 containers at load 0.9.
-	tcfg.Capacity = 20 * float64(opts.Shards)
-	scfg := fluid.ShardedConfig{
-		Config:  fluid.DefaultConfig(),
-		Shards:  opts.Shards,
-		Workers: opts.ShardWorkers,
-	}
-	scfg.Capacity = tcfg.Capacity
-	scfg.Probe = opts.Probe
+// runTrace replays a materialized trace under the four policies, retaining
+// per-job responses and slowdowns.
+func runTrace(specs []fluid.JobSpec, fcfg fluid.Config, mq core.Config) (*TraceResult, error) {
 	res := &TraceResult{
-		Mean:       make(map[string]float64, len(PolicyOrder)),
-		Normalized: make(map[string]float64, len(PolicyOrder)),
+		Mean:      make(map[string]float64, len(PolicyOrder)),
+		Responses: make(map[string][]float64, len(PolicyOrder)),
+		Slowdowns: make(map[string][]float64, len(PolicyOrder)),
 	}
 	for _, name := range PolicyOrder {
-		newSource := func(shard int) (fluid.Source, error) {
-			src, err := trace.NewFacebookSource(tcfg)
-			if err != nil {
-				return nil, err
-			}
-			return fluid.Strided(src, shard, opts.Shards), nil
-		}
-		newPol := func() (sched.Scheduler, error) { return newPolicy(name, traceLASMQ) }
-		run, err := fluid.RunSharded(newSource, newPol, scfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s %s: %w", label, name, err)
-		}
-		res.Mean[name] = run.MeanResponseTime()
-	}
-	fair := res.Mean[PolicyFair]
-	for _, name := range PolicyOrder {
-		res.Normalized[name] = stats.Normalized(fair, res.Mean[name])
-	}
-	return res, nil
-}
-
-func runTrace(specs []fluid.JobSpec, fcfg fluid.Config, mq func() (*core.LASMQ, error)) (*TraceResult, error) {
-	res := &TraceResult{
-		Mean:       make(map[string]float64, len(PolicyOrder)),
-		Normalized: make(map[string]float64, len(PolicyOrder)),
-		Responses:  make(map[string][]float64, len(PolicyOrder)),
-		Slowdowns:  make(map[string][]float64, len(PolicyOrder)),
-	}
-	for _, name := range PolicyOrder {
-		policy, err := newPolicy(name, mq)
+		policy, err := core.NewPolicy(name, mq)
 		if err != nil {
 			return nil, err
 		}
@@ -169,11 +91,17 @@ func runTrace(specs []fluid.JobSpec, fcfg fluid.Config, mq func() (*core.LASMQ, 
 		res.Responses[name] = run.ResponseTimes()
 		res.Slowdowns[name] = run.Slowdowns()
 	}
-	fair := res.Mean[PolicyFair]
-	for _, name := range PolicyOrder {
-		res.Normalized[name] = stats.Normalized(fair, res.Mean[name])
-	}
+	res.Normalized = normalizedVsFair(res.Mean)
 	return res, nil
+}
+
+// normalizedVsFair returns Fair's mean over each policy's mean.
+func normalizedVsFair(mean map[string]float64) map[string]float64 {
+	norm := make(map[string]float64, len(PolicyOrder))
+	for _, name := range PolicyOrder {
+		norm[name] = stats.Normalized(mean[PolicyFair], mean[name])
+	}
+	return norm
 }
 
 // Table renders mean response times per policy (Fig. 7 bars) with the
@@ -199,7 +127,24 @@ func (r *TraceResult) Table() string {
 		}
 		rows = append(rows, row)
 	}
-	return renderTable(header, rows)
+	return runner.RenderTable(header, rows)
+}
+
+// Cells flattens the result into metric cells. Response percentiles appear
+// only where the experiment retained raw responses — the streamed scale tiers
+// report means alone so their cell sets stay identical across retention
+// policies.
+func (r *TraceResult) Cells() []runner.Cell {
+	var cells []runner.Cell
+	for _, name := range PolicyOrder {
+		cells = append(cells,
+			runner.Cell{Group: name, Key: "mean", Value: r.Mean[name]},
+			runner.Cell{Group: name, Key: "norm", Value: r.Normalized[name]})
+		if rs := r.Responses[name]; len(rs) > 0 {
+			cells = append(cells, tailCells(name, rs)...)
+		}
+	}
+	return cells
 }
 
 // Fig8QueuesResult maps number of queues to normalized response time.
@@ -223,7 +168,7 @@ func Fig8Queues(opts Options) (*Fig8QueuesResult, error) {
 		cfg.Queues = k
 		mean, err := runLASMQTrace(specs, fcfg, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("fig8a k=%d: %w", k, err)
+			return nil, fmt.Errorf("k=%d: %w", k, err)
 		}
 		res.Normalized[k] = stats.Normalized(fairMean, mean)
 	}
@@ -234,10 +179,19 @@ func Fig8Queues(opts Options) (*Fig8QueuesResult, error) {
 func (r *Fig8QueuesResult) Table() string {
 	header := []string{"queues", "norm. resp. time (vs FAIR)"}
 	var rows [][]string
-	for _, k := range sortedKeysI(r.Normalized) {
+	for _, k := range sortedKeys(r.Normalized) {
 		rows = append(rows, []string{fmt.Sprintf("%d", k), fmt.Sprintf("%.2f", r.Normalized[k])})
 	}
-	return renderTable(header, rows)
+	return runner.RenderTable(header, rows)
+}
+
+// Cells reports the sweep's normalized response time per queue count.
+func (r *Fig8QueuesResult) Cells() []runner.Cell {
+	var cells []runner.Cell
+	for _, k := range sortedKeys(r.Normalized) {
+		cells = append(cells, runner.Cell{Group: fmt.Sprintf("k=%d", k), Key: "norm", Value: r.Normalized[k]})
+	}
+	return cells
 }
 
 // Fig8ThresholdsResult maps the first queue's threshold to normalized
@@ -265,7 +219,7 @@ func Fig8Thresholds(opts Options) (*Fig8ThresholdsResult, error) {
 		cfg.FirstThreshold = alpha
 		mean, err := runLASMQTrace(specs, fcfg, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("fig8b alpha0=%v: %w", alpha, err)
+			return nil, fmt.Errorf("alpha0=%v: %w", alpha, err)
 		}
 		res.Normalized[alpha] = stats.Normalized(fairMean, mean)
 	}
@@ -276,23 +230,26 @@ func Fig8Thresholds(opts Options) (*Fig8ThresholdsResult, error) {
 func (r *Fig8ThresholdsResult) Table() string {
 	header := []string{"alpha0", "norm. resp. time (vs FAIR)"}
 	var rows [][]string
-	for _, alpha := range sortedKeysF(r.Normalized) {
+	for _, alpha := range sortedKeys(r.Normalized) {
 		rows = append(rows, []string{fmt.Sprintf("%g", alpha), fmt.Sprintf("%.2f", r.Normalized[alpha])})
 	}
-	return renderTable(header, rows)
+	return runner.RenderTable(header, rows)
+}
+
+// Cells reports the sweep's normalized response time per first threshold.
+func (r *Fig8ThresholdsResult) Cells() []runner.Cell {
+	var cells []runner.Cell
+	for _, alpha := range sortedKeys(r.Normalized) {
+		cells = append(cells, runner.Cell{Group: fmt.Sprintf("alpha0=%g", alpha), Key: "norm", Value: r.Normalized[alpha]})
+	}
+	return cells
 }
 
 func fig8Setup(opts Options) ([]fluid.JobSpec, fluid.Config, float64, error) {
-	tcfg := trace.DefaultFacebookConfig()
-	tcfg.Jobs = opts.TraceJobs
-	tcfg.Seed = opts.Seed
-	specs, err := trace.Facebook(tcfg)
+	specs, fcfg, err := facebookTrace(opts, opts.TraceJobs)
 	if err != nil {
 		return nil, fluid.Config{}, 0, err
 	}
-	fcfg := fluid.DefaultConfig()
-	fcfg.Capacity = tcfg.Capacity
-	fcfg.Probe = opts.Probe
 	fairRun, err := fluid.Run(specs, sched.NewFair(), fcfg)
 	if err != nil {
 		return nil, fluid.Config{}, 0, err

@@ -28,7 +28,7 @@ func (a *Aggregate) Table() string {
 			fmt.Sprintf("%d", c.Stats.N),
 		})
 	}
-	return renderTable(header, rows)
+	return RenderTable(header, rows)
 }
 
 // WriteCSV emits every aggregate as CSV rows:
@@ -52,10 +52,9 @@ func (r *Report) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// renderTable renders rows as a fixed-width text table (same layout as the
-// experiments package's tables, duplicated to keep the dependency pointing
-// experiments -> runner only).
-func renderTable(header []string, rows [][]string) string {
+// RenderTable renders rows as a fixed-width text table: the one layout of
+// the aggregate tables here and of the experiments package's result tables.
+func RenderTable(header []string, rows [][]string) string {
 	widths := make([]int, len(header))
 	for i, h := range header {
 		widths[i] = len(h)
