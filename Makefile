@@ -2,16 +2,17 @@
 
 GO ?= go
 
-.PHONY: all check lint layering build vet test test-race race bench bench-smoke bench-baseline bench-compare probe-gate crosscheck reproduce replicate examples clean
+.PHONY: all check lint layering build vet test test-race race bench bench-smoke bench-baseline bench-compare probe-gate alloc-gate crosscheck reproduce replicate examples clean
 
 all: build vet test
 
 # Full pre-merge gate: map-range lint, import-layering gate, build, vet,
 # tests, race detector, one race-enabled iteration of the engine benchmarks
 # (bench-smoke, so the benchmark tier itself cannot rot or race silently),
-# the telemetry zero-overhead assertion (probe-gate), and the analytic M/M/1
+# the telemetry zero-overhead assertion (probe-gate), the streamed paths'
+# marginal-allocation assertion (alloc-gate), and the analytic M/M/1
 # cross-check (crosscheck).
-check: lint layering build vet test test-race bench-smoke probe-gate crosscheck
+check: lint layering build vet test test-race bench-smoke probe-gate alloc-gate crosscheck
 
 # Policy/kernel packages whose float-bearing maps the lint watches.
 LINT_PKGS = internal/sched internal/core internal/mlq internal/substrate internal/engine internal/fluid internal/trace internal/yarn
@@ -111,6 +112,13 @@ bench-smoke:
 probe-gate:
 	$(GO) test -run '^TestScheduleRoundNilProbeZeroAlloc$$' -count=1 ./internal/engine
 	$(GO) test -run '^TestZeroAlloc' -count=1 ./internal/obs
+
+# Streamed runs allocate per run, never per job: fluid.RunStream,
+# engine.RunStream and engine.RunSharded (K = 4, chaos on) over the Facebook
+# source at N and 2N jobs may differ by at most 0.02 (fluid) / 0.25 (engine)
+# heap objects per extra job. -count=1 for the same reason as probe-gate.
+alloc-gate:
+	$(GO) test -run '^TestStreamMarginalAllocs$$' -count=1 ./internal/fluid ./internal/engine
 
 # Analytic M/M/1 cross-check: drive the fluid and engine substrates with
 # M/M/1 workloads at rho in {0.5, 0.7, 0.9} and assert FIFO/PS/SRPT/LAS

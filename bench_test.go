@@ -140,6 +140,10 @@ func scaleEnvInt(b *testing.B, key string, set func(int)) {
 // BENCH_engine.json tracks for the scale tiers. wall_clock_s duplicates
 // ns/op in different units so cmd/lasmq-benchdiff can show scale-out wins in
 // human-readable seconds and gate on them like any other extra metric.
+// allocs/job and bytes/job are the iteration's heap objects and bytes per
+// job-run (trace length × policies, sampler included — a few hundred objects
+// a second), so tiers of different lengths compare: on a streamed tier they
+// are what is left of per-run costs, and should fall as the trace grows.
 //
 // LASMQ_SCALE_JOBS, LASMQ_SCALE_SHARDS and LASMQ_SCALE_WORKERS override the
 // trace length, shard count and shard worker pool of whichever tier runs (the
@@ -158,8 +162,10 @@ func benchScaleTier(b *testing.B, preset string) {
 	var peak uint64
 	var elapsed time.Duration
 	var last *experiments.TraceResult
+	var before, after runtime.MemStats
 	b.ReportAllocs()
 	b.ResetTimer()
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		stop := make(chan struct{})
 		sampled := make(chan uint64, 1)
@@ -191,8 +197,12 @@ func benchScaleTier(b *testing.B, preset string) {
 		}
 		last = res.(*experiments.TraceResult)
 	}
+	runtime.ReadMemStats(&after)
+	jobRuns := float64(b.N * last.Jobs * len(experiments.PolicyOrder))
 	b.ReportMetric(float64(peak), "peak-heap-bytes")
 	b.ReportMetric(elapsed.Seconds()/float64(b.N), "wall_clock_s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/jobRuns, "allocs/job")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/jobRuns, "bytes/job")
 	for _, name := range experiments.PolicyOrder {
 		b.ReportMetric(last.Normalized[name], "norm"+name)
 	}

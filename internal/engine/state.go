@@ -50,7 +50,10 @@ type stageState struct {
 	// Ready-task queue: the live entries are readyIdx[readyHead:]. Dequeuing
 	// advances readyHead instead of re-slicing so the backing array is not
 	// abandoned (and reallocated) on every launch; the queue is reset to its
-	// full capacity whenever it drains.
+	// full capacity whenever it drains, and a push onto a full array moves
+	// the live entries to the front first. A task is queued at most once, so
+	// the one carve of len(tasks) slots then always has room: a re-queued
+	// retry does not spill to the heap.
 	readyIdx  []int
 	readyHead int
 	doneTasks int
@@ -60,7 +63,8 @@ type stageState struct {
 	remainingDeps int
 	active        bool
 	completed     bool
-	dependents    []int
+	dependents    []int // stages waiting on this one, ascending
+	fanOut        int   // len(dependents) once built (counted before the carve)
 
 	totalContainers int // sum of task container requirements
 	doneContainers  int
@@ -79,7 +83,14 @@ type stageState struct {
 }
 
 // pushReady enqueues a ready task index.
-func (st *stageState) pushReady(ti int) { st.readyIdx = append(st.readyIdx, ti) }
+func (st *stageState) pushReady(ti int) {
+	if len(st.readyIdx) == cap(st.readyIdx) && st.readyHead > 0 {
+		n := copy(st.readyIdx, st.readyIdx[st.readyHead:])
+		st.readyIdx = st.readyIdx[:n]
+		st.readyHead = 0
+	}
+	st.readyIdx = append(st.readyIdx, ti)
+}
 
 // readyEmpty reports whether the ready queue has no live entries.
 func (st *stageState) readyEmpty() bool { return st.readyHead >= len(st.readyIdx) }
@@ -363,9 +374,10 @@ type arena struct {
 	stages []stageState // flat; jobState.stages are full-capacity subslices
 	tasks  []taskState  // flat; stageState.tasks are full-capacity subslices
 	// ints backs the small per-stage/per-task index lists (ready queues,
-	// active-stage lists, the one-attempt common case of attemptIDs). Each
-	// carve is a zero-length, capacity-bounded subslice: appends fill it in
-	// place and a rare overflow (task retries) spills to the heap safely.
+	// active-stage and dependent-stage lists, the one-attempt common case of
+	// attemptIDs). Each carve is a zero-length, capacity-bounded subslice:
+	// appends fill it in place and a rare overflow (a task's second live
+	// attempt in a materialized run) spills to the heap safely.
 	ints     []int
 	attempts []attempt // value slab; grows by append during the run
 	// freeAttempts lists recycled attempt slots (see attemptRecycling); an
@@ -385,6 +397,13 @@ type arena struct {
 	// by arrival; the arrival cursor walks it (streaming runs pull from the
 	// source instead and leave it empty).
 	pending []*jobState
+
+	// records pools the streaming runs' per-job records. It lives here, not
+	// in the run, so that the records one run grew (five slabs each, sized by
+	// the largest job the record has held) serve the next run on this arena
+	// as they are: the policies of a sweep, the seeds of a replication, the
+	// shards one worker advances. scrub rewinds it.
+	records substrate.SlabPool[jobRecord]
 
 	queue eventHeap
 	vs    substrate.ViewSet
@@ -406,17 +425,18 @@ var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 // with their capacity pinned (three-index slices), so a neighbor can never
 // be overwritten by an append.
 func (a *arena) build(specs []job.Spec) {
-	nStages, nTasks := 0, 0
+	nStages, nTasks, nEdges := 0, 0, 0
 	for i := range specs {
 		nStages += len(specs[i].Stages)
 		for si := range specs[i].Stages {
 			nTasks += len(specs[i].Stages[si].Tasks)
+			nEdges += len(specs[i].Deps(si))
 		}
 	}
 	a.jobs = substrate.GrowSlab(a.jobs, len(specs))
 	a.stages = substrate.GrowSlab(a.stages, nStages)
 	a.tasks = substrate.GrowSlab(a.tasks, nTasks)
-	a.ints = substrate.GrowSlab(a.ints, nStages+2*nTasks)
+	a.ints = substrate.GrowSlab(a.ints, jobInts(nStages, nTasks, nEdges, materializedAttemptRoom))
 	if attemptRecycling {
 		// Recycling bounds the slab by peak in-flight attempts; let it grow
 		// on demand instead of pre-sizing for one attempt per task.
@@ -455,7 +475,7 @@ func (a *arena) build(specs []job.Spec) {
 		stageOff += ns
 		tasks := a.tasks[taskOff : taskOff+nt : taskOff+nt]
 		taskOff += nt
-		buildJobState(js, spec, stages, tasks, carve)
+		buildJobState(js, spec, stages, tasks, carve, materializedAttemptRoom)
 		a.byID[spec.ID] = js
 		a.jobSeq = append(a.jobSeq, js)
 		a.pending = append(a.pending, js)
@@ -471,13 +491,29 @@ func (a *arena) build(specs []job.Spec) {
 	})
 }
 
+// Attempt IDs carved per task. With attemptRecycling a task holds at most
+// two live attempts — a primary or retry plus one speculative copy — so two
+// slots mean attemptIDs never spills to the heap. A pooled streaming record
+// pays for the second slot once and every later job reuses it; the
+// materialized arena would pay it for every task of the workload on every
+// run, so there a task keeps one slot and the rare second attempt spills.
+const (
+	materializedAttemptRoom = 1
+	streamedAttemptRoom     = 2
+)
+
+// jobInts is the int-slab room buildJobState carves for one job (or, summed,
+// a workload) of ns stages, nt tasks and edges stage dependencies: the
+// active-stage list, the stages' ready queues and dependent lists, and
+// attemptRoom attempt IDs per task.
+func jobInts(ns, nt, edges, attemptRoom int) int { return ns + nt + edges + attemptRoom*nt }
+
 // buildJobState wires one job's runtime state over caller-provided storage:
 // stages and tasks are exact-capacity zeroed slices for this job's
 // stage/task records, and carve hands out zero-length capacity-pinned int
-// slices for the index lists (activeStages needs ns, each task's attemptIDs
-// 1, each stage's readyIdx its task count — ns+2·nt in total). Shared by
-// the materialized arena layout and the streaming per-job pooled records.
-func buildJobState(js *jobState, spec *job.Spec, stages []stageState, tasks []taskState, carve func(int) []int) {
+// slices for the index lists, jobInts(...) in total. Shared by the
+// materialized arena layout and the streaming per-job pooled records.
+func buildJobState(js *jobState, spec *job.Spec, stages []stageState, tasks []taskState, carve func(int) []int, attemptRoom int) {
 	js.spec = spec
 	js.view.js = js
 	js.stages = stages
@@ -492,12 +528,22 @@ func buildJobState(js *jobState, spec *job.Spec, stages []stageState, tasks []ta
 		for ti := range st.spec.Tasks {
 			task := &st.tasks[ti]
 			task.spec = st.spec.Tasks[ti]
-			task.attemptIDs = carve(1)
+			task.attemptIDs = carve(attemptRoom)
 			st.totalContainers += task.spec.Containers
 		}
 		st.readyIdx = carve(nt)
 		for _, dep := range spec.Deps(si) {
 			st.remainingDeps++
+			js.stages[dep].fanOut++
+		}
+	}
+	// Dependent lists: counted above, carved to size here, then filled in the
+	// same stage order an append per edge would have produced.
+	for si := range js.stages {
+		js.stages[si].dependents = carve(js.stages[si].fanOut)
+	}
+	for si := range spec.Stages {
+		for _, dep := range spec.Deps(si) {
 			js.stages[dep].dependents = append(js.stages[dep].dependents, si)
 		}
 	}
@@ -510,10 +556,11 @@ func buildJobState(js *jobState, spec *job.Spec, stages []stageState, tasks []ta
 }
 
 // buildStream resets the arena for a streaming run: job records come from
-// the run's free-list pool rather than the jobs/stages/tasks slabs, so only
-// the live-job index, the pointer lists, the event queue and the scratch are
-// prepared (with backing storage kept, as in build).
+// the arena's free-list pool rather than the jobs/stages/tasks slabs, so
+// only the live-job index, the pointer lists, the event queue and the
+// scratch are prepared (with backing storage kept, as in build).
 func (a *arena) buildStream() {
+	a.records.Reset = resetJobRecord
 	a.attempts = a.attempts[:0]
 	a.freeAttempts = a.freeAttempts[:0]
 	if a.byID == nil {
@@ -528,12 +575,14 @@ func (a *arena) buildStream() {
 }
 
 // scrub zeroes the slabs that hold references into caller-owned memory (the
-// job specs), so a pooled arena cannot pin a workload after its run, and
-// empties the event queue and view registry.
+// job specs), so a pooled arena cannot pin a workload after its run, takes
+// back every job record the run still held, and empties the event queue and
+// view registry.
 func (a *arena) scrub() {
 	clear(a.jobs)
 	clear(a.stages)
 	clear(a.tasks)
+	a.records.Rewind()
 	clear(a.byID)
 	clear(a.jobSeq)
 	a.jobSeq = a.jobSeq[:0]

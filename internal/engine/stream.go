@@ -46,7 +46,7 @@ type jobRecord struct {
 	js     jobState
 	stages []stageState
 	tasks  []taskState
-	ints   []int // index-list backing (activeStages, attemptIDs, readyIdx)
+	ints   []int // index-list backing (activeStages, attemptIDs, readyIdx, dependents)
 }
 
 // emptyDeps marks explicit root stages in deep-copied specs: job.Spec.Deps
@@ -62,10 +62,11 @@ var emptyDeps = []int{}
 // record's stale contents are never observed.
 func fillJobRecord(r *jobRecord, spec *job.Spec) {
 	ns := len(spec.Stages)
-	nt, nd := 0, 0
+	nt, nd, edges := 0, 0, 0
 	for si := range spec.Stages {
 		nt += len(spec.Stages[si].Tasks)
 		nd += len(spec.Stages[si].DependsOn)
+		edges += len(spec.Deps(si))
 	}
 
 	r.spec = *spec
@@ -97,23 +98,27 @@ func fillJobRecord(r *jobRecord, spec *job.Spec) {
 
 	r.stages = substrate.GrowSlab(r.stages, ns)
 	r.tasks = substrate.GrowSlab(r.tasks, nt)
-	r.ints = substrate.GrowSlab(r.ints, ns+2*nt)
+	r.ints = substrate.GrowSlab(r.ints, jobInts(ns, nt, edges, streamedAttemptRoom))
 	intOff := 0
 	carve := func(n int) []int {
 		b := r.ints[intOff : intOff : intOff+n]
 		intOff += n
 		return b
 	}
-	buildJobState(&r.js, &r.spec, r.stages[:ns:ns], r.tasks[:nt:nt], carve)
+	buildJobState(&r.js, &r.spec, r.stages[:ns:ns], r.tasks[:nt:nt], carve, streamedAttemptRoom)
 	r.js.rec = r
 }
 
-// resetJobRecord is the job pool's Reset hook, run as records are returned:
-// it zeroes the per-run scalar state while keeping every slice's backing
-// capacity (fillJobRecord re-zeroes the slabs to the next job's exact sizes
-// via GrowSlab, so stale slice contents are never observed).
+// resetJobRecord is the job pool's Reset hook, run as records are returned
+// (and on every record when the arena is scrubbed): it zeroes the per-run
+// scalar state and the copied stage specs — the only places a parked record
+// references caller memory, the job's and the stages' names — while keeping
+// every slice's backing capacity (fillJobRecord re-zeroes the slabs to the
+// next job's exact sizes via GrowSlab, so stale slice contents are never
+// observed).
 func resetJobRecord(r *jobRecord) {
 	r.spec = job.Spec{}
+	clear(r.specStages)
 	r.js = jobState{}
 }
 
@@ -225,7 +230,7 @@ func RunStream(src Source, policy sched.Scheduler, cfg Config, each func(JobResu
 	}
 	ar := arenaPool.Get().(*arena)
 	ar.buildStream()
-	pool := &substrate.SlabPool[jobRecord]{Reset: resetJobRecord}
+	pool := &ar.records
 	out := &StreamResult{}
 	s := &sim{
 		cfg:       cfg,

@@ -130,5 +130,5 @@ func (t scaleTier) run(opts Options) (*TraceResult, error) {
 		}
 		mean[name] = run.MeanResponseTime()
 	}
-	return &TraceResult{Mean: mean, Normalized: normalizedVsFair(mean)}, nil
+	return &TraceResult{Jobs: jobs, Mean: mean, Normalized: normalizedVsFair(mean)}, nil
 }

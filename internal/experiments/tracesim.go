@@ -13,6 +13,8 @@ import (
 
 // TraceResult reports a trace-driven simulation (Fig. 7 style).
 type TraceResult struct {
+	// Jobs is the trace length every policy ran (what per-job rates divide by).
+	Jobs int
 	// Mean is the average job response time per policy.
 	Mean map[string]float64
 	// Normalized is Fair's mean over each policy's mean.
@@ -74,6 +76,7 @@ func facebookTrace(opts Options, jobs int) ([]fluid.JobSpec, fluid.Config, error
 // per-job responses and slowdowns.
 func runTrace(specs []fluid.JobSpec, fcfg fluid.Config, mq core.Config) (*TraceResult, error) {
 	res := &TraceResult{
+		Jobs:      len(specs),
 		Mean:      make(map[string]float64, len(PolicyOrder)),
 		Responses: make(map[string][]float64, len(PolicyOrder)),
 		Slowdowns: make(map[string][]float64, len(PolicyOrder)),

@@ -143,35 +143,56 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// stackStages is the stage count up to which checkAcyclic's scratch lives on
+// the stack, so validating an ordinary job allocates nothing.
+const stackStages = 16
+
 // checkAcyclic verifies the stage dependency graph has no cycles, so every
-// stage can eventually run.
+// stage can eventually run. It is a depth-first search over an explicit
+// stack: the depth a hostile spec can reach is bounded by its stage count in
+// heap scratch, never by the goroutine stack.
 func (s *Spec) checkAcyclic() error {
 	const (
 		unvisited = iota
 		visiting
 		done
 	)
-	state := make([]int, len(s.Stages))
-	var visit func(i int) error
-	visit = func(i int) error {
-		switch state[i] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("job %d: stage dependency cycle through stage %d", s.ID, i)
-		}
-		state[i] = visiting
-		for _, dep := range s.Deps(i) {
-			if err := visit(dep); err != nil {
-				return err
-			}
-		}
-		state[i] = done
-		return nil
+	// frame is one stage on the search path and the index of the next of its
+	// dependencies to follow.
+	type frame struct{ stage, next int }
+	var (
+		stateBuf [stackStages]uint8
+		pathBuf  [stackStages]frame
+	)
+	n := len(s.Stages)
+	state, path := stateBuf[:], pathBuf[:0]
+	if n > stackStages {
+		// A stage is on the path at most once, so n frames always suffice.
+		state, path = make([]uint8, n), make([]frame, 0, n)
 	}
-	for i := range s.Stages {
-		if err := visit(i); err != nil {
-			return err
+	for root := range s.Stages {
+		if state[root] != unvisited {
+			continue
+		}
+		state[root] = visiting
+		path = append(path, frame{stage: root})
+		for len(path) > 0 {
+			top := &path[len(path)-1]
+			deps := s.Deps(top.stage)
+			if top.next == len(deps) {
+				state[top.stage] = done
+				path = path[:len(path)-1]
+				continue
+			}
+			dep := deps[top.next]
+			top.next++
+			switch state[dep] {
+			case visiting:
+				return fmt.Errorf("job %d: stage dependency cycle through stage %d", s.ID, dep)
+			case unvisited:
+				state[dep] = visiting
+				path = append(path, frame{stage: dep})
+			}
 		}
 	}
 	return nil

@@ -1,6 +1,8 @@
 package job
 
 import (
+	"fmt"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -165,5 +167,58 @@ func TestValidateDAGEdges(t *testing.T) {
 	)
 	if err := s.Validate(); err != nil {
 		t.Errorf("diamond: %v", err)
+	}
+}
+
+// TestValidateDoesNotAllocate: an ordinary job — up to stackStages stages,
+// here a chain with a diamond on top, default and explicit dependencies
+// mixed — validates on stack scratch alone.
+func TestValidateDoesNotAllocate(t *testing.T) {
+	s := Spec{ID: 1}
+	for i := 0; i < stackStages; i++ {
+		s.Stages = append(s.Stages, StageSpec{Name: "s", Tasks: []TaskSpec{{Duration: 1, Containers: 1}}})
+	}
+	s.Stages[stackStages-2].DependsOn = []int{stackStages - 4}
+	s.Stages[stackStages-1].DependsOn = []int{stackStages - 3, stackStages - 2}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Validate on a %d-stage spec: %v allocs, want 0", stackStages, allocs)
+	}
+}
+
+// TestValidateDeepChainWithoutRecursion feeds the cycle check the deepest
+// graph a spec of n stages can describe: stage i depends on stage i+1, so the
+// search from stage 0 is n stages deep. The goroutine stack is capped at 1 MB
+// for the test — a search that recursed per stage would overflow it (fatally)
+// long before 200,000 frames — so passing means the depth lives in heap
+// scratch. Closing the chain into a cycle at the far end must still be found,
+// and reported by naming a stage that is on it.
+func TestValidateDeepChainWithoutRecursion(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(1 << 20))
+	const n = 200000
+	task := []TaskSpec{{Duration: 1, Containers: 1}}
+	s := Spec{ID: 9, Stages: make([]StageSpec, n)}
+	for i := range s.Stages {
+		s.Stages[i] = StageSpec{Tasks: task, DependsOn: []int{i + 1}}
+	}
+	s.Stages[n-1].DependsOn = []int{}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("%d-stage chain: %v", n, err)
+	}
+
+	s.Stages[n-1].DependsOn = []int{n / 2} // stages n/2 .. n-1 now form a cycle
+	err := s.Validate()
+	if err == nil {
+		t.Fatal("chain closed into a cycle validated")
+	}
+	var id, stage int
+	if _, scanErr := fmt.Sscanf(err.Error(), "job %d: stage dependency cycle through stage %d", &id, &stage); scanErr != nil {
+		t.Fatalf("unexpected error %q (%v)", err, scanErr)
+	}
+	if id != 9 || stage < n/2 || stage >= n {
+		t.Fatalf("cycle reported through stage %d of job %d, want a stage in [%d, %d) of job 9", stage, id, n/2, n)
 	}
 }

@@ -11,17 +11,21 @@ package substrate
 // safe for concurrent use.
 type SlabPool[T any] struct {
 	// Reset, when non-nil, replaces the default zero-on-Get recycling: it
-	// runs on each record as it is Put back, and must leave the record
-	// equivalent to the zero value for the pool's users while retaining any
-	// reusable backing capacity (slices trimmed to length 0, not nil).
-	// Running at Put time means a parked record never pins memory beyond
-	// what its Reset deliberately keeps.
+	// runs on each record as it is Put back (and again on every record at
+	// Rewind, so it must not mind a record it has already reset), and must
+	// leave the record equivalent to the zero value for the pool's users
+	// while retaining any reusable backing capacity (slices trimmed to
+	// length 0, not nil). Running at Put time means a parked record never
+	// pins memory beyond what its Reset deliberately keeps.
 	Reset func(*T)
 
 	chunks [][]T
 	free   []*T
 	next   int // carve index into the newest chunk
-	stats  SlabStats
+	// warm counts the records at the bottom of the free list that Rewind put
+	// there: taking one is a carve as far as the statistics go.
+	warm  int
+	stats SlabStats
 }
 
 // slabChunk is the per-chunk record count: large enough to amortize chunk
@@ -51,7 +55,11 @@ func (p *SlabPool[T]) Get() *T {
 			var zero T
 			*x = zero
 		}
-		p.stats.Recycled++
+		if n > p.warm {
+			p.stats.Recycled++
+		} else {
+			p.warm--
+		}
 		return x
 	}
 	if len(p.chunks) == 0 || p.next == slabChunk {
@@ -72,6 +80,31 @@ func (p *SlabPool[T]) Put(x *T) {
 		p.Reset(x)
 	}
 	p.free = append(p.free, x)
+}
+
+// Rewind ends a run on a pool that outlives it: every record carved so far,
+// returned or not, goes back on the free list (scrubbed as Put would have),
+// and the statistics restart. The next run then reports exactly the Stats a
+// fresh pool would — records it takes from an earlier run count as carves,
+// only records Put during the run count as Recycled — while reusing the
+// chunks, and whatever backing capacity Reset keeps in each record, that
+// earlier runs grew. No record handed out before Rewind may be used after.
+func (p *SlabPool[T]) Rewind() {
+	p.free = p.free[:0]
+	for ci, chunk := range p.chunks {
+		if ci == len(p.chunks)-1 {
+			chunk = chunk[:p.next]
+		}
+		for i := range chunk {
+			x := &chunk[i]
+			if p.Reset != nil {
+				p.Reset(x)
+			}
+			p.free = append(p.free, x)
+		}
+	}
+	p.warm = len(p.free)
+	p.stats = SlabStats{}
 }
 
 // Stats returns the pool's current recycling statistics.

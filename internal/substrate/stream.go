@@ -160,7 +160,7 @@ type StreamCursor[S, R any] struct {
 }
 
 // Peek reports the next spec's arrival time, reading (and validating) one
-// spec ahead of the run loop.
+// spec ahead of the run loop, in place.
 func (c *StreamCursor[S, R]) Peek() (float64, bool, error) {
 	if c.err != nil {
 		return 0, false, c.err
@@ -171,7 +171,11 @@ func (c *StreamCursor[S, R]) Peek() (float64, bool, error) {
 	if c.done {
 		return 0, false, nil
 	}
-	spec, ok, err := c.Src.Next()
+	// Read straight into c.spec: a local would escape through the Validate
+	// and Arrival hooks and cost one heap copy of the spec per job.
+	var ok bool
+	var err error
+	c.spec, ok, err = c.Src.Next()
 	if err != nil {
 		if c.Wrap != nil {
 			err = c.Wrap(err)
@@ -184,15 +188,14 @@ func (c *StreamCursor[S, R]) Peek() (float64, bool, error) {
 		return 0, false, nil
 	}
 	if c.Validate != nil {
-		if err := c.Validate(c.n, c.last, &spec); err != nil {
+		if err := c.Validate(c.n, c.last, &c.spec); err != nil {
 			c.err = err
 			return 0, false, c.err
 		}
 	}
 	c.n++
-	c.arr = c.Arrival(&spec)
+	c.arr = c.Arrival(&c.spec)
 	c.last = c.arr
-	c.spec = spec
 	c.have = true
 	return c.arr, true, nil
 }

@@ -208,3 +208,39 @@ func TestSlabPoolResetHook(t *testing.T) {
 		t.Fatalf("stats = %+v, want Live 1 Peak 1 Recycled 1", st)
 	}
 }
+
+// TestStreamCursorPeekPopDoesNotAllocate pins the in-place read: with the
+// Validate and Arrival hooks attached — the calls a local spec would escape
+// through — one Peek+Pop+Put costs no allocation once the pool's first chunk
+// exists.
+func TestStreamCursorPeekPopDoesNotAllocate(t *testing.T) {
+	const n = 2000
+	specs := make([]JobSpec, n)
+	for i := range specs {
+		specs[i] = JobSpec{ID: i, Arrival: float64(i), Size: 1, Width: 1}
+	}
+	type job struct{ spec JobSpec }
+	pool := &SlabPool[job]{}
+	c := &StreamCursor[JobSpec, job]{
+		Src:     SliceStream(specs),
+		Pool:    pool,
+		Arrival: func(s *JobSpec) float64 { return s.Arrival },
+		Validate: func(n int, prev float64, s *JobSpec) error {
+			if n > 0 && s.Arrival < prev {
+				return fmt.Errorf("unsorted at %d", s.ID)
+			}
+			return nil
+		},
+		Fill: func(j *job, s *JobSpec) { j.spec = *s },
+	}
+	step := func() {
+		if _, ok, err := c.Peek(); !ok || err != nil {
+			t.Fatalf("Peek() = %v, %v before the stream ended", ok, err)
+		}
+		pool.Put(c.Pop())
+	}
+	step() // carves the pool's first chunk
+	if allocs := testing.AllocsPerRun(n/2, step); allocs != 0 {
+		t.Fatalf("Peek+Pop: %v allocs per spec, want 0", allocs)
+	}
+}
