@@ -84,6 +84,7 @@ bench_engine.out:
 	$(GO) test -run '^$$' -bench '$(HEAVY_BENCH)' -benchmem -benchtime=3x . > bench_engine.out
 	$(GO) test -run '^$$' -bench '$(MICRO_BENCH)' -benchmem -benchtime=300x . >> bench_engine.out
 	$(GO) test -run '^$$' -bench '^BenchmarkScheduleRound$$' -benchmem -benchtime=300x ./internal/engine >> bench_engine.out
+	$(GO) test -run '^$$' -bench '^BenchmarkQuantize$$' -benchmem -benchtime=3000x ./internal/sched >> bench_engine.out
 	$(GO) test -run '^$$' -bench '^BenchmarkScheduleRoundProbed$$' -benchmem -benchtime=300x ./internal/engine >> bench_engine.out
 	$(GO) test -run '^$$' -bench '^BenchmarkScale100k$$' -benchmem -benchtime=1x -timeout 30m . >> bench_engine.out
 	$(GO) test -run '^$$' -bench '^BenchmarkScale1M$$' -benchmem -benchtime=1x -timeout 30m . >> bench_engine.out

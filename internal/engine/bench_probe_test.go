@@ -59,4 +59,18 @@ func TestScheduleRoundNilProbeZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, s.schedule); avg != 0 {
 		t.Fatalf("nil-probe scheduling round allocates %v allocs/op, want 0", avg)
 	}
+
+	// The same round in a streamed run whose admission cap binds: 30 jobs
+	// run, 170 wait, and the round must neither walk nor pay for the backlog.
+	cfg := DefaultConfig()
+	cfg.FullReschedule = true
+	st, _ := newStreamSim(SliceSource(benchSpecs(200)), benchLASMQ(t), cfg, nil)
+	saturate(t, st)
+	if st.adm.Waiting() != 200-cfg.MaxRunningJobs || len(st.running) != cfg.MaxRunningJobs {
+		t.Fatalf("streamed bench sim: %d waiting, %d running, want %d and %d",
+			st.adm.Waiting(), len(st.running), 200-cfg.MaxRunningJobs, cfg.MaxRunningJobs)
+	}
+	if avg := testing.AllocsPerRun(100, st.schedule); avg != 0 {
+		t.Fatalf("streamed nil-probe scheduling round allocates %v allocs/op, want 0", avg)
+	}
 }

@@ -46,7 +46,13 @@ func newBenchSim(tb testing.TB, policy sched.Scheduler, probe obs.Probe) *sim {
 	cfg.MaxRunningJobs = 0
 	cfg.FullReschedule = true
 	cfg.Probe = probe
-	s := newSim(benchSpecs(200), policy, cfg)
+	return saturate(tb, newSim(benchSpecs(200), policy, cfg))
+}
+
+// saturate delivers the t=0 arrivals, admits what the cap allows and runs
+// the one round that fills the cluster.
+func saturate(tb testing.TB, s *sim) *sim {
+	tb.Helper()
 	if err := s.armArrivals(); err != nil {
 		tb.Fatal(err)
 	}
@@ -59,8 +65,8 @@ func newBenchSim(tb testing.TB, policy sched.Scheduler, probe obs.Probe) *sim {
 	}
 	s.admit()
 	s.schedule()
-	if s.usedSlots != cfg.Containers {
-		tb.Fatalf("bench sim not saturated: %d/%d containers busy", s.usedSlots, cfg.Containers)
+	if s.usedSlots != s.cfg.Containers {
+		tb.Fatalf("bench sim not saturated: %d/%d containers busy", s.usedSlots, s.cfg.Containers)
 	}
 	return s
 }

@@ -215,6 +215,7 @@ type sim struct {
 	pool      *substrate.SlabPool[jobRecord]
 	streaming bool
 
+	arrivals   int // streaming: jobs arrived so far, the next one's jobSeq position
 	remaining  int // arrived jobs not yet completed
 	usedSlots  int // containers currently occupied
 	readySlots int // containers needed by ready tasks of admitted jobs
@@ -266,6 +267,8 @@ func newSim(specs []job.Spec, policy sched.Scheduler, cfg Config) *sim {
 }
 
 func jobStateArrival(js *jobState) float64 { return js.spec.Arrival }
+
+func compareJobID(a, b *jobState) int { return a.spec.ID - b.spec.ID }
 
 // push enqueues a simulator event, reporting the one-time heap->ladder
 // migration to the probe when it happens inside this push.
@@ -395,10 +398,12 @@ func (s *sim) sample() {
 
 func (s *sim) handleArrival(js *jobState) {
 	if s.streaming {
-		// Streaming jobs join the live set on arrival: the materialized run
-		// indexed every job up front in build.
+		// Streaming jobs join the live set, and take their place in the
+		// arrival order, as they arrive: the materialized run listed and
+		// positioned every job up front in build.
 		s.byID[js.spec.ID] = js
-		s.jobSeq = append(s.jobSeq, js)
+		js.pos = s.arrivals
+		s.arrivals++
 	}
 	s.remaining++
 	js.arrived = true
@@ -415,6 +420,13 @@ func (s *sim) admit() {
 		js.admitted = true
 		js.admittedAt = s.now
 		js.seq = seq
+		// Jobs are admitted in arrival order and listed in jobSeq order, which
+		// differ in a materialized run: insert from the back by position.
+		k := len(s.running)
+		for k > 0 && s.running[k-1].pos > js.pos {
+			k--
+		}
+		s.running = slices.Insert(s.running, k, js)
 		s.readySlots += js.readyContainersTotal()
 		s.driver.MarkDirty() // the schedulable job set changed
 		if s.probe != nil {
@@ -425,7 +437,7 @@ func (s *sim) admit() {
 
 func (s *sim) handleAttemptDone(attemptID int) {
 	a := &s.attempts[attemptID]
-	js := s.byID[a.jobID]
+	js := a.js
 	if !a.ended {
 		s.processAttemptDone(a)
 	}
@@ -445,24 +457,15 @@ func (s *sim) handleAttemptDone(attemptID int) {
 }
 
 // releaseJob removes a completed job from the live set and returns its
-// record to the pool. The linear jobSeq removal preserves relative order;
-// the scan is cheap because the live set is bounded by in-flight jobs, not
-// trace length.
+// record to the pool.
 func (s *sim) releaseJob(js *jobState) {
 	delete(s.byID, js.spec.ID)
-	for i, x := range s.jobSeq {
-		if x == js {
-			s.jobSeq = append(s.jobSeq[:i], s.jobSeq[i+1:]...)
-			break
-		}
-	}
 	s.pool.Put(js.rec)
 }
 
 // freeAttempt returns an ended attempt's slab slot to the free list.
 func (s *sim) freeAttempt(a *attempt) {
-	js := s.byID[a.jobID]
-	task := &js.stages[a.stage].tasks[a.task]
+	task := &a.js.stages[a.stage].tasks[a.task]
 	task.attemptIDs = removeID(task.attemptIDs, a.id)
 	s.freeAttempts = append(s.freeAttempts, a.id)
 	s.attemptLive--
@@ -481,7 +484,7 @@ func removeID(ids []int, id int) []int {
 // processAttemptDone handles a not-yet-ended attempt's completion event.
 func (s *sim) processAttemptDone(a *attempt) {
 	s.finishAttempt(a)
-	js := s.byID[a.jobID]
+	js := a.js
 	st := &js.stages[a.stage]
 	task := &st.tasks[a.task]
 	task.runningAttempts--
@@ -489,7 +492,7 @@ func (s *sim) processAttemptDone(a *attempt) {
 	if !a.success {
 		js.failures++
 		if s.probe != nil {
-			s.probe.TaskFail(s.now, a.jobID, a.stage, a.task, a.start)
+			s.probe.TaskFail(s.now, js.spec.ID, a.stage, a.task, a.start)
 		}
 		// Re-queue the task unless a sibling attempt is still running.
 		if task.runningAttempts == 0 && !task.done {
@@ -505,7 +508,7 @@ func (s *sim) processAttemptDone(a *attempt) {
 	st.doneTasks++
 	st.doneContainers += task.spec.Containers
 	if s.probe != nil {
-		s.probe.TaskDone(s.now, a.jobID, a.stage, a.task, a.start, a.speculative)
+		s.probe.TaskDone(s.now, js.spec.ID, a.stage, a.task, a.start, a.speculative)
 	}
 
 	// Kill the remaining sibling attempts of the completed task.
@@ -535,7 +538,7 @@ func (s *sim) requeueTask(st *stageState, taskIdx int) {
 func (s *sim) finishAttempt(a *attempt) {
 	a.ended = true
 	consumed := float64(a.containers) * (s.now - a.start)
-	js := s.byID[a.jobID]
+	js := a.js
 	st := &js.stages[a.stage]
 
 	js.finalizedService += consumed
@@ -582,6 +585,8 @@ func (s *sim) completeStage(js *jobState, idx int) {
 	// All stages complete: the job is done.
 	js.completed = true
 	js.completedAt = s.now
+	k := slices.Index(s.running, js)
+	s.running = slices.Delete(s.running, k, k+1)
 	s.adm.Done()
 	s.remaining--
 	if s.now > s.makespan {
@@ -626,12 +631,28 @@ func (s *sim) schedule() {
 	// state; any previously computed observation horizon is stale.
 	s.driver.MarkDirty()
 
-	s.collectViews(true, false)
-	if s.vs.Len() == 0 {
+	if len(s.running) == 0 {
 		return
 	}
+	s.collectViews(false)
 	alloc := s.driver.Assign(s.now, float64(s.cfg.Containers), s.vs.Views())
-	targets := s.quant.QuantizeInto(alloc, s.vs.Demand(), s.cfg.Containers)
+
+	// Quantize the shares: one dense row per running job, in ascending job ID
+	// — the order the share total is summed in, whatever order the jobs were
+	// listed or arrived in. Reading alloc is the round's one map access per
+	// job; demand comes straight from job state.
+	ordered := s.running
+	if !slices.IsSortedFunc(ordered, compareJobID) {
+		ordered = append(s.idOrder[:0], s.running...)
+		slices.SortFunc(ordered, compareJobID)
+		s.idOrder = ordered
+	}
+	rows := s.rows[:0]
+	for _, js := range ordered {
+		rows = append(rows, sched.QuantRow{ID: js.spec.ID, Share: alloc[js.spec.ID], Demand: js.readyDemand()})
+	}
+	s.rows = rows
+	s.quant.QuantizeRows(rows, s.cfg.Containers)
 
 	// Launch ready tasks while a job is below its target, serving the
 	// largest allocation deficits first (the policy's most-preferred jobs).
@@ -641,11 +662,8 @@ func (s *sim) schedule() {
 	// reservation, 1-container map tasks of lower-priority jobs would snatch
 	// every freed container and starve multi-container tasks indefinitely.
 	cands := s.cands[:0]
-	for _, js := range s.jobSeq {
-		if !js.schedulable() {
-			continue
-		}
-		if t := targets[js.spec.ID]; t > js.usage {
+	for i, js := range ordered {
+		if t := rows[i].Target; t > js.usage {
 			cands = append(cands, launchCand{js: js, target: t})
 		}
 	}
@@ -691,10 +709,7 @@ func (s *sim) schedule() {
 	progress := true
 	for progress && s.usedSlots+reserved < s.cfg.Containers {
 		progress = false
-		for _, js := range s.jobSeq {
-			if !js.schedulable() {
-				continue
-			}
+		for _, js := range s.running {
 			if started, _ := s.startNextReadyTask(js, reserved); started {
 				progress = true
 			}
@@ -776,7 +791,7 @@ func (s *sim) launchAttempt(js *jobState, stage, taskIdx int, speculative bool) 
 	}
 	s.attempts[id] = attempt{
 		id:          id,
-		jobID:       js.spec.ID,
+		js:          js,
 		stage:       stage,
 		task:        taskIdx,
 		containers:  task.spec.Containers,
@@ -827,10 +842,7 @@ func (s *sim) speculate(reserved int) {
 		return
 	}
 	cands := s.specCands[:0]
-	for _, js := range s.jobSeq {
-		if !js.schedulable() {
-			continue
-		}
+	for _, js := range s.running {
 		for _, si := range js.activeStages {
 			st := &js.stages[si]
 			for ti := range st.tasks {
@@ -872,21 +884,15 @@ func (s *sim) speculate(reserved int) {
 }
 
 // collectViews rebuilds the kernel's view registry with the scheduler-facing
-// snapshots of all admitted, unfinished jobs, reusing the per-job view
-// adapters. Full rounds request the ready-demand map (withDemand, for share
-// quantization); observation rounds for horizon-hinting policies request the
-// per-job metric-rate bounds instead (withRates).
-func (s *sim) collectViews(withDemand, withRates bool) {
-	s.vs.Begin(withDemand, withRates)
-	for _, js := range s.jobSeq {
-		if !js.schedulable() {
-			continue
-		}
+// snapshots of the running jobs, reusing the per-job view adapters.
+// Observation rounds for horizon-hinting policies request the per-job
+// metric-rate bounds as well (withRates). The registry's demand map stays
+// unused: the engine quantizes from job state (see schedule).
+func (s *sim) collectViews(withRates bool) {
+	s.vs.Begin(false, withRates)
+	for _, js := range s.running {
 		js.view.now = s.now
 		s.vs.Add(&js.view)
-		if withDemand {
-			s.vs.SetDemand(js.spec.ID, js.readyDemand())
-		}
 		if withRates {
 			s.vs.SetRate(js.spec.ID, s.metricRateBound(js))
 		}

@@ -1,9 +1,11 @@
 package engine_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"lasmq/internal/core"
 	"lasmq/internal/engine"
@@ -333,6 +335,46 @@ func TestOversizedTaskDeadlocks(t *testing.T) {
 	_, err := engine.Run([]job.Spec{spec}, sched.NewFIFO(), smallConfig(2))
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Errorf("err = %v, want deadlock error for task larger than the cluster", err)
+	}
+}
+
+// brokenShares is a buggy policy: the first job's share is not finite.
+type brokenShares struct{ share float64 }
+
+func (brokenShares) Name() string { return "BROKEN" }
+func (p brokenShares) Assign(_, _ float64, jobs []sched.JobView) sched.Assignment {
+	alloc := sched.Assignment{}
+	for i, v := range jobs {
+		alloc[v.ID()] = 1
+		if i == 0 {
+			alloc[v.ID()] = p.share
+		}
+	}
+	return alloc
+}
+
+// TestNonFiniteShareDoesNotHangRun: a policy that hands out +Inf or NaN used
+// to spin the quantizer's trim loop forever; the run must finish (the
+// work-conserving backfill still serves the job whose share was dropped).
+func TestNonFiniteShareDoesNotHangRun(t *testing.T) {
+	specs := []job.Spec{uniformJob(1, 0, 6, 2), uniformJob(2, 0, 6, 2), mapReduceJob(3, 1, 4, 2, 2, 3)}
+	for _, share := range []float64{math.Inf(1), math.NaN()} {
+		done := make(chan error, 1)
+		go func() {
+			res, err := engine.Run(specs, brokenShares{share}, smallConfig(4))
+			if err == nil && len(res.Jobs) != len(specs) {
+				err = fmt.Errorf("completed %d of %d jobs", len(res.Jobs), len(specs))
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("share %v: %v", share, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("share %v: run did not finish", share)
+		}
 	}
 }
 

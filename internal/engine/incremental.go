@@ -53,7 +53,7 @@ func (s *sim) observeRound() {
 	if !due {
 		return
 	}
-	s.collectViews(false, s.driver.NeedsRates())
+	s.collectViews(s.driver.NeedsRates())
 	s.driver.Observe(s.now, &s.vs)
 }
 

@@ -13,10 +13,12 @@ import (
 // attempt is one execution attempt of a task on physical containers.
 // Attempts live in the arena's flat slab and are addressed by index; the
 // slab grows during a run, so pointers into it must not be held across a
-// launchAttempt call.
+// launchAttempt call. js is the attempt's job: the job state outlives every
+// attempt's pending completion event (jobState.pendingEvents), so the event
+// path follows the pointer instead of looking the job up by ID.
 type attempt struct {
 	id          int
-	jobID       int
+	js          *jobState
 	stage       int
 	task        int
 	containers  int
@@ -140,6 +142,7 @@ type jobState struct {
 	admittedAt  float64
 	completedAt float64
 	seq         int // admission sequence
+	pos         int // position in jobSeq order (see arena.running)
 
 	stages       []stageState
 	activeStages []int // indices of unlocked, uncompleted stages, ascending
@@ -200,8 +203,6 @@ func (js *jobState) deactivateStage(i int) {
 		}
 	}
 }
-
-func (js *jobState) schedulable() bool { return js.admitted && !js.completed }
 
 func (js *jobState) attained(now float64) float64 {
 	return js.finalizedService + now*float64(js.usage) - js.runStartWeight
@@ -385,14 +386,23 @@ type arena struct {
 	// fires, the one moment no pending event references the slot.
 	freeAttempts []int
 
-	byID map[int]*jobState // job ID -> live job state (pointers are stable)
-	// jobSeq is the deterministic iteration order of live job states:
-	// workload order in a materialized run (every job, for the whole run);
-	// arrival order in a streaming run (jobs join on arrival and leave when
-	// their record is recycled). When a streaming source is sorted by arrival
-	// — which RunStream requires — the two orders coincide, one of the
-	// ingredients of the Run/RunStream byte-identity.
+	// byID indexes a streaming run's live jobs, for its duplicate-live-ID
+	// check alone; a materialized run validates IDs up front and leaves it
+	// empty. Nothing on the event or round path reads it.
+	byID map[int]*jobState
+	// jobSeq is the deterministic iteration order of job states: workload
+	// order in a materialized run, which lists every job here for the whole
+	// run; arrival order in a streaming run, which keeps no list and stamps
+	// jobState.pos from an arrival counter instead. When a streaming source
+	// is sorted by arrival — which RunStream requires — the two orders
+	// coincide, one of the ingredients of the Run/RunStream byte-identity.
 	jobSeq []*jobState
+	// running is the admitted, unfinished jobs in jobSeq order (ascending
+	// jobState.pos) — exactly the jobs a scheduling round concerns. admit
+	// inserts, completeStage removes; view collection, the target scan, the
+	// work-conserving backfill and speculation walk it, so a round never
+	// touches the admission backlog or finished jobs.
+	running []*jobState
 	// pending is the materialized run's not-yet-arrived jobs, stable-sorted
 	// by arrival; the arrival cursor walks it (streaming runs pull from the
 	// source instead and leave it empty).
@@ -411,6 +421,8 @@ type arena struct {
 	// Round-local scratch reused across scheduling rounds.
 	batchBuf  []event
 	quant     sched.Quantizer
+	rows      []sched.QuantRow // one per running job, ascending ID
+	idOrder   []*jobState      // running sorted by ID, when it is not already
 	cands     []launchCand
 	specCands []specCand
 
@@ -447,11 +459,6 @@ func (a *arena) build(specs []job.Spec) {
 		a.attempts = a.attempts[:0]
 	}
 	a.freeAttempts = a.freeAttempts[:0]
-	if a.byID == nil {
-		a.byID = make(map[int]*jobState, len(specs))
-	} else {
-		clear(a.byID)
-	}
 	a.jobSeq = a.jobSeq[:0]
 	a.pending = a.pending[:0]
 	a.queue.reset()
@@ -476,7 +483,7 @@ func (a *arena) build(specs []job.Spec) {
 		tasks := a.tasks[taskOff : taskOff+nt : taskOff+nt]
 		taskOff += nt
 		buildJobState(js, spec, stages, tasks, carve, materializedAttemptRoom)
-		a.byID[spec.ID] = js
+		js.pos = i
 		a.jobSeq = append(a.jobSeq, js)
 		a.pending = append(a.pending, js)
 	}
@@ -576,18 +583,23 @@ func (a *arena) buildStream() {
 
 // scrub zeroes the slabs that hold references into caller-owned memory (the
 // job specs), so a pooled arena cannot pin a workload after its run, takes
-// back every job record the run still held, and empties the event queue and
+// back every job record the run still held, drops the job pointers the
+// attempt slab and the round scratch hold, and empties the event queue and
 // view registry.
 func (a *arena) scrub() {
 	clear(a.jobs)
 	clear(a.stages)
 	clear(a.tasks)
+	clear(a.attempts)
 	a.records.Rewind()
 	clear(a.byID)
 	clear(a.jobSeq)
 	a.jobSeq = a.jobSeq[:0]
 	clear(a.pending)
 	a.pending = a.pending[:0]
+	clear(a.running)
+	a.running = a.running[:0]
+	clear(a.idOrder[:cap(a.idOrder)])
 	a.queue.reset()
 	a.vs.Reset()
 }

@@ -228,6 +228,36 @@ func RunStream(src Source, policy sched.Scheduler, cfg Config, each func(JobResu
 	if src == nil {
 		return nil, errors.New("engine: nil source")
 	}
+	s, out := newStreamSim(src, policy, cfg, each)
+	defer s.release()
+	if err := s.run(); err != nil {
+		return nil, err
+	}
+	out.Scheduler = s.driver.Name()
+	out.Makespan = s.makespan
+	out.Busy = s.busyIntegral
+	if s.makespan > 0 {
+		out.Utilization = out.Busy / (s.makespan * float64(s.cfg.Containers))
+	}
+	out.PeakUsage = s.peakUsage
+	out.Slab = s.pool.Stats()
+	out.AttemptSlab = substrate.SlabStats{
+		Live:     s.attemptLive,
+		Peak:     s.attemptPeak,
+		Recycled: s.attemptRecycled,
+	}
+	if s.probe != nil {
+		// The job-record pool's stats, after run() has emitted the attempt
+		// slab's: both are functions of the simulated run alone, so the
+		// events are byte-deterministic.
+		s.probe.SlabStats(s.now, out.Slab.Live, out.Slab.Peak, out.Slab.Recycled)
+	}
+	return out, nil
+}
+
+// newStreamSim wires a streaming sim over a pooled arena, and the result its
+// finish hook accumulates into. The caller releases the sim.
+func newStreamSim(src Source, policy sched.Scheduler, cfg Config, each func(JobResult)) (*sim, *StreamResult) {
 	ar := arenaPool.Get().(*arena)
 	ar.buildStream()
 	pool := &ar.records
@@ -255,28 +285,5 @@ func RunStream(src Source, policy sched.Scheduler, cfg Config, each func(JobResu
 		}
 	}
 	s.driver.SetProbe(cfg.Probe)
-	defer s.release()
-	if err := s.run(); err != nil {
-		return nil, err
-	}
-	out.Scheduler = s.driver.Name()
-	out.Makespan = s.makespan
-	out.Busy = s.busyIntegral
-	if s.makespan > 0 {
-		out.Utilization = out.Busy / (s.makespan * float64(s.cfg.Containers))
-	}
-	out.PeakUsage = s.peakUsage
-	out.Slab = pool.Stats()
-	out.AttemptSlab = substrate.SlabStats{
-		Live:     s.attemptLive,
-		Peak:     s.attemptPeak,
-		Recycled: s.attemptRecycled,
-	}
-	if s.probe != nil {
-		// The job-record pool's stats, after run() has emitted the attempt
-		// slab's: both are functions of the simulated run alone, so the
-		// events are byte-deterministic.
-		s.probe.SlabStats(s.now, out.Slab.Live, out.Slab.Peak, out.Slab.Recycled)
-	}
-	return out, nil
+	return s, out
 }

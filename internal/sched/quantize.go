@@ -5,19 +5,32 @@ import (
 	"slices"
 )
 
+// QuantRow is one job's line in a dense quantization round: the fractional
+// Share a policy assigned it, its ready container Demand (+Inf = uncapped),
+// and — written by QuantizeRows — its whole-container Target.
+type QuantRow struct {
+	ID     int
+	Share  float64
+	Demand float64
+	Target int
+}
+
 // Quantizer converts fractional container shares into whole containers
 // using the largest-remainder method, reusing internal scratch and the
 // result map across rounds so quantization is allocation-free on the hot
 // path. One Quantizer must not be shared between concurrent simulations;
-// the returned map is valid until the next QuantizeInto call.
+// the map QuantizeInto returns is valid until its next call.
 type Quantizer struct {
-	shares []qshare
-	trim   []int
-	out    map[int]int
+	rem  []qrem
+	rows []QuantRow  // QuantizeInto's adapter scratch
+	out  map[int]int // QuantizeInto's result
 }
 
-type qshare struct {
-	id    int
+// qrem is one counted row's sort key: its floored share (the trim order) and
+// the fraction the floor cut off (the remainder order). Rows arrive in
+// ascending ID, so row order is the ID tie-break.
+type qrem struct {
+	row   int
 	whole int
 	frac  float64
 }
@@ -29,101 +42,119 @@ func Quantize(alloc Assignment, demand map[int]float64, capacity int) map[int]in
 	return qz.QuantizeInto(alloc, demand, capacity)
 }
 
-// QuantizeInto converts the fractional shares in alloc into whole
-// containers, never exceeding capacity, each job's demand cap, or (in
-// total) the sum of the fractional shares rounded to the nearest whole
-// container. The task-level engine uses it to turn policy output into
-// physical container counts.
+// QuantizeRows sets every row's Target to its whole-container share, never
+// exceeding capacity, each row's Demand, or (in total) the sum of the
+// fractional shares rounded to the nearest whole container. The task-level
+// engine uses it to turn policy output into physical container counts.
 //
-// Shares are processed in ascending job-ID order and remainder ties break
-// by ascending job ID, so the result — including the floating-point
-// rounding of the share total — is deterministic and independent of map
-// iteration order.
-func (qz *Quantizer) QuantizeInto(alloc Assignment, demand map[int]float64, capacity int) map[int]int {
-	shares := qz.shares[:0]
-	for id := range alloc { // range-ok: ids are sorted immediately below
-		shares = append(shares, qshare{id: id})
-	}
-	// Job IDs are unique, so each comparator below is a total order and the
-	// unstable sort is deterministic; slices.SortFunc keeps the round free of
-	// sort.Slice's interface/reflect allocations.
-	slices.SortFunc(shares, func(a, b qshare) int { return a.id - b.id })
+// Rows must be in ascending ID: the share total is summed in row order and
+// remainder ties break by row order, so the result — including the
+// floating-point rounding of the total — is deterministic. Shares that are
+// not positive and finite count for nothing and get Target 0, so the call
+// terminates with a sane result on any input.
+func (qz *Quantizer) QuantizeRows(rows []QuantRow, capacity int) {
+	rem := qz.rem[:0]
 	var allocTotal float64
 	total := 0
-	k := 0
-	for _, s := range shares {
-		x := alloc[s.id]
-		if x <= 0 {
+	for i := range rows {
+		r := &rows[i]
+		r.Target = 0
+		x := r.Share
+		if !(x > 0) || math.IsInf(x, 1) {
 			continue
 		}
 		allocTotal += x
-		if d, ok := demand[s.id]; ok && x > d {
-			x = d
+		if x > r.Demand {
+			x = r.Demand
 		}
 		whole := int(math.Floor(x + 1e-9))
-		shares[k] = qshare{id: s.id, whole: whole, frac: x - float64(whole)}
+		r.Target = whole
+		rem = append(rem, qrem{row: i, whole: whole, frac: x - float64(whole)})
 		total += whole
-		k++
 	}
-	shares = shares[:k]
-	qz.shares = shares
+	qz.rem = rem
 
-	// Distribute the remaining whole containers (from summed fractions) to the
-	// largest remainders first.
-	budget := int(math.Round(allocTotal))
-	if budget > capacity {
-		budget = capacity
+	// The whole containers to hand out: the rounded share total, compared
+	// with capacity as floats so that a huge total cannot wrap the
+	// conversion, and never negative.
+	budget := max(capacity, 0)
+	if r := math.Round(allocTotal); r < float64(budget) {
+		budget = int(r)
 	}
-	// Defensive: if the floored shares already exceed the budget (a policy
-	// over-allocated), trim the largest holders first, deterministically.
+	// Row order is ID order, so each comparator below is a total order and the
+	// unstable sort is deterministic; slices.SortFunc with a capture-free
+	// comparator keeps the round free of sort.Slice's allocations.
 	if total > budget {
-		trim := qz.trim[:0]
-		for i := range shares {
-			trim = append(trim, i)
-		}
-		qz.trim = trim
-		slices.SortFunc(trim, func(a, b int) int {
-			if shares[a].whole != shares[b].whole {
-				return shares[b].whole - shares[a].whole
+		// Defensive: the floored shares already exceed the budget (a policy
+		// over-allocated); trim the largest holders first, one container each
+		// in rotation. total > budget >= 0 means some row still holds one.
+		slices.SortFunc(rem, func(a, b qrem) int {
+			if a.whole != b.whole {
+				return b.whole - a.whole
 			}
-			return shares[a].id - shares[b].id
+			return a.row - b.row
 		})
-		for i := 0; total > budget; i = (i + 1) % len(trim) {
-			if shares[trim[i]].whole > 0 {
-				shares[trim[i]].whole--
+		for i := 0; total > budget; i = (i + 1) % len(rem) {
+			if r := &rows[rem[i].row]; r.Target > 0 {
+				r.Target--
 				total--
 			}
 		}
+		return
 	}
+	// Distribute the remaining whole containers (from summed fractions) to the
+	// largest remainders first.
 	remaining := budget - total
-	slices.SortFunc(shares, func(a, b qshare) int {
+	if remaining == 0 {
+		return
+	}
+	slices.SortFunc(rem, func(a, b qrem) int {
 		if a.frac != b.frac {
 			if a.frac > b.frac {
 				return -1
 			}
 			return 1
 		}
-		return a.id - b.id
+		return a.row - b.row
 	})
+	for _, q := range rem {
+		if q.frac <= 1e-9 {
+			break // sorted: no later row has a remainder either
+		}
+		if r := &rows[q.row]; float64(r.Target+1) <= r.Demand+1e-9 {
+			r.Target++
+			if remaining--; remaining == 0 {
+				break
+			}
+		}
+	}
+}
+
+// QuantizeInto is QuantizeRows behind maps, for callers that hold their
+// shares and demands that way (the live resource manager, the geo scheduler):
+// alloc's shares, capped by demand where it has an entry, come back as a map
+// of the positive targets. Map iteration order cannot reach the result: the
+// rows are sorted by job ID before the dense core sees them.
+func (qz *Quantizer) QuantizeInto(alloc Assignment, demand map[int]float64, capacity int) map[int]int {
+	rows := qz.rows[:0]
+	for id, x := range alloc { // range-ok: rows are sorted by ID immediately below
+		d, ok := demand[id]
+		if !ok {
+			d = math.Inf(1)
+		}
+		rows = append(rows, QuantRow{ID: id, Share: x, Demand: d})
+	}
+	slices.SortFunc(rows, func(a, b QuantRow) int { return a.ID - b.ID })
+	qz.rows = rows
+	qz.QuantizeRows(rows, capacity)
 	if qz.out == nil {
-		qz.out = make(map[int]int, len(shares))
+		qz.out = make(map[int]int, len(rows))
 	} else {
 		clear(qz.out)
 	}
-	for _, s := range shares {
-		n := s.whole
-		if remaining > 0 && s.frac > 1e-9 {
-			limit := math.Inf(1)
-			if d, ok := demand[s.id]; ok {
-				limit = d
-			}
-			if float64(n+1) <= limit+1e-9 {
-				n++
-				remaining--
-			}
-		}
-		if n > 0 {
-			qz.out[s.id] = n
+	for i := range rows {
+		if rows[i].Target > 0 {
+			qz.out[rows[i].ID] = rows[i].Target
 		}
 	}
 	return qz.out

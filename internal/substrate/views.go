@@ -8,7 +8,10 @@ import "lasmq/internal/sched"
 // quantization) and an upper bound on each job's decision-metric growth rate
 // (consumed by sched.ObserveHinter horizon gating). All three reuse their
 // backing storage across rounds, which is what keeps the steady scheduling
-// path allocation-free.
+// path allocation-free. The demand map is the live resource manager's
+// (internal/yarn) alone: it feeds sched.Quantizer.QuantizeInto there, while
+// the task engine quantizes dense rows built from its own job state and
+// always calls Begin(false, ·).
 type ViewSet struct {
 	views    []sched.JobView
 	demand   map[int]float64
