@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check lint layering build vet test test-race race bench bench-smoke bench-baseline bench-compare probe-gate alloc-gate crosscheck reproduce replicate examples clean
+.PHONY: all check lint layering build vet test test-race race bench bench-smoke probe-gate alloc-gate crosscheck reproduce replicate examples clean
 
 all: build vet test
 
@@ -37,12 +37,27 @@ lint:
 # Layering gate: the canonical streaming Source/JobSpec live in
 # internal/substrate, and internal/trace aliases them from there. The trace
 # substrate must never import a simulator — that inversion (trace -> fluid)
-# is exactly what the substrate hoist removed, so keep it out for good.
+# is exactly what the substrate hoist removed, so keep it out for good. The
+# other two greps keep deleted second paths deleted: fluid's materialised
+# arrival cursor, and the engine's heap→ladder event-queue hybrid.
 layering:
 	@bad=$$(grep -rn '"lasmq/internal/fluid"' internal/trace --include='*.go'; true); \
 	if [ -n "$$bad" ]; then \
 		echo "layering: internal/trace must not import internal/fluid" \
 			"(alias streaming types from internal/substrate instead):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'SliceCursor' internal/fluid; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: internal/fluid has one arrival path, the StreamCursor" \
+			"(fluid.Run is a collector over RunStream):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'eventq\.Ladder' --include='*.go' . | grep -v '_test\.go:' \
+		| grep -v -e '^\./internal/eventq/' -e '^\./benchmark/'; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: the simulators queue events on eventq.Queue only;" \
+			"eventq.Ladder is kept for benchmark/replay.go alone:"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "layering: ok"
@@ -72,26 +87,6 @@ race: test-race
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# Engine performance record (BENCH_engine.json): the heavy end-to-end benches
-# run a few fixed iterations, the scheduling-round/Assign micro benches many,
-# and lasmq-benchdiff folds both into the committed JSON. Run bench-baseline
-# once before an optimization, bench-compare after; the speedup section then
-# holds baseline/current ratios (> 1 is an improvement).
-HEAVY_BENCH = ^(BenchmarkFig7Heavy|BenchmarkClusterEngine|BenchmarkFluidEngine)$$
-MICRO_BENCH = ^(BenchmarkLASMQAssign|BenchmarkFairAssign|BenchmarkLASAssign)$$
-
-bench_engine.out:
-	$(GO) test -run '^$$' -bench '$(HEAVY_BENCH)' -benchmem -benchtime=3x . > bench_engine.out
-	$(GO) test -run '^$$' -bench '$(MICRO_BENCH)' -benchmem -benchtime=300x . >> bench_engine.out
-	$(GO) test -run '^$$' -bench '^BenchmarkScheduleRound$$' -benchmem -benchtime=300x ./internal/engine >> bench_engine.out
-	$(GO) test -run '^$$' -bench '^BenchmarkQuantize$$' -benchmem -benchtime=3000x ./internal/sched >> bench_engine.out
-	$(GO) test -run '^$$' -bench '^BenchmarkScheduleRoundProbed$$' -benchmem -benchtime=300x ./internal/engine >> bench_engine.out
-	$(GO) test -run '^$$' -bench '^BenchmarkScale100k$$' -benchmem -benchtime=1x -timeout 30m . >> bench_engine.out
-	$(GO) test -run '^$$' -bench '^BenchmarkScale1M$$' -benchmem -benchtime=1x -timeout 30m . >> bench_engine.out
-	$(GO) test -run '^$$' -bench '^BenchmarkScale10M$$' -benchmem -benchtime=1x -timeout 60m . >> bench_engine.out
-	$(GO) test -run '^$$' -bench '^BenchmarkScale1MEngineSharded$$' -benchmem -benchtime=1x -timeout 30m . >> bench_engine.out
-	$(GO) test -run '^$$' -bench '^BenchmarkScale10MEngineSharded$$' -benchmem -benchtime=1x -timeout 120m . >> bench_engine.out
-
 # One race-enabled iteration of every benchmark in the repo, with the scale
 # tiers shrunk via LASMQ_SCALE_JOBS / LASMQ_SCALE_SHARDS so the race
 # detector's ~10x slowdown stays tolerable. Part of `make check`: it
@@ -99,8 +94,9 @@ bench_engine.out:
 # sampler and the K=4 sharded work-stealing pools of the fluid and engine
 # tiers — LASMQ_SCALE_WORKERS=4 forces a real worker pool even on a
 # single-core runner, where the GOMAXPROCS default would silently serialize
-# and give the race detector nothing to watch) so they can't silently rot
-# between baseline refreshes.
+# and give the race detector nothing to watch) so they cannot rot
+# unnoticed. Whether a change made anything faster or slower is answered
+# by benchmark/ (see benchmark/README.md), never by these benches.
 bench-smoke:
 	LASMQ_SCALE_JOBS=6000 LASMQ_SCALE_SHARDS=4 LASMQ_SCALE_WORKERS=4 \
 		$(GO) test -race -run '^$$' -bench . -benchtime=1x ./...
@@ -129,13 +125,6 @@ alloc-gate:
 crosscheck:
 	$(GO) test -run '^TestCrossCheck' -count=1 ./internal/analytic
 
-.PHONY: bench_engine.out
-bench-baseline: bench_engine.out
-	$(GO) run ./cmd/lasmq-benchdiff -mode baseline -out BENCH_engine.json < bench_engine.out
-
-bench-compare: bench_engine.out
-	$(GO) run ./cmd/lasmq-benchdiff -mode compare -out BENCH_engine.json < bench_engine.out
-
 # Regenerate every table and figure at paper scale (writes full_results.txt).
 reproduce:
 	$(GO) run ./cmd/lasmq-bench -repeats 3 -seed 1 | tee full_results.txt
@@ -154,4 +143,4 @@ examples:
 	$(GO) run ./examples/geo
 
 clean:
-	rm -f full_results.txt test_output.txt bench_output.txt bench_engine.out
+	rm -f full_results.txt test_output.txt bench_output.txt

@@ -136,10 +136,9 @@ func scaleEnvInt(b *testing.B, key string, set func(int)) {
 // benchScaleTier runs one scale-tier preset of the experiment catalog per
 // iteration while a background sampler reads the heap every 5ms, then
 // reports the high-water mark as peak-heap-bytes and the per-run wall time as
-// wall_clock_s alongside the usual normalized-response metrics — the numbers
-// BENCH_engine.json tracks for the scale tiers. wall_clock_s duplicates
-// ns/op in different units so cmd/lasmq-benchdiff can show scale-out wins in
-// human-readable seconds and gate on them like any other extra metric.
+// wall_clock_s (ns/op in human-readable seconds) alongside the usual
+// normalized-response metrics. These are for looking at one tier's memory
+// envelope; whether a change is faster or slower is benchmark/'s question.
 // allocs/job and bytes/job are the iteration's heap objects and bytes per
 // job-run (trace length × policies, sampler included — a few hundred objects
 // a second), so tiers of different lengths compare: on a streamed tier they
@@ -226,7 +225,7 @@ func BenchmarkScale1M(b *testing.B) { benchScaleTier(b, "scale-1m") }
 // is generated on the fly and completed job records recycle through the free
 // list, peak-heap-bytes should stay in scale-1m's neighbourhood even though
 // the stream is an order of magnitude longer — the streaming contract this
-// benchmark pins in BENCH_engine.json.
+// benchmark shows.
 func BenchmarkScale10M(b *testing.B) { benchScaleTier(b, "scale-10m") }
 
 // BenchmarkScale1MEngineSharded runs scale-1m on the task-level engine: the

@@ -26,8 +26,7 @@ func benchLASMQ(tb testing.TB) sched.Scheduler {
 // with no probe attached against the same round feeding each sink family:
 // the mutex-guarded obs.Counters, the lock-free obs.Ring flight recorder,
 // and the obs.Histograms distribution sink — the overhead a user pays for
-// each flavor of live telemetry (ring-vs-counters is the number
-// BENCH_engine.json tracks).
+// each flavor of live telemetry.
 func BenchmarkScheduleRoundProbed(b *testing.B) {
 	cases := []struct {
 		name  string

@@ -3,8 +3,8 @@ package engine
 // White-box benchmarks of the scheduling round itself: a saturated sim where
 // schedule() must run the policy, quantize, and scan candidates but cannot
 // launch anything — the steady-path overhead the incremental round work
-// targets. `make bench-baseline` / `make bench-compare` track these through
-// BENCH_engine.json.
+// targets. They isolate one layer for a profile or a paired `go test -c`
+// comparison; the end-to-end record of engine speed is benchmark/.
 
 import (
 	"testing"
@@ -56,7 +56,7 @@ func saturate(tb testing.TB, s *sim) *sim {
 	if err := s.armArrivals(); err != nil {
 		tb.Fatal(err)
 	}
-	t, batch, ok := s.queue.popBatch(nil)
+	t, batch, ok := s.queue.PopBatch(nil)
 	if !ok || t != 0 || len(batch) != 1 || batch[0].kind != evArrivals {
 		tb.Fatalf("expected the arrivals sentinel at t=0, got t=%v ok=%v batch=%v", t, ok, batch)
 	}

@@ -270,20 +270,6 @@ func jobStateArrival(js *jobState) float64 { return js.spec.Arrival }
 
 func compareJobID(a, b *jobState) int { return a.spec.ID - b.spec.ID }
 
-// push enqueues a simulator event, reporting the one-time heap->ladder
-// migration to the probe when it happens inside this push.
-func (s *sim) push(t float64, ev event) {
-	if s.probe == nil {
-		s.queue.push(t, ev)
-		return
-	}
-	wasLadder := s.queue.useLadder
-	s.queue.push(t, ev)
-	if !wasLadder && s.queue.useLadder {
-		s.probe.EventqMigrate(s.now, s.queue.ladder.Len())
-	}
-}
-
 // release scrubs the sim's arena and returns it to the pool. The sim must
 // not be used afterwards.
 func (s *sim) release() {
@@ -298,7 +284,7 @@ func (s *sim) run() error {
 		return err
 	}
 	for s.remaining > 0 || s.moreArrivals {
-		t, batch, ok := s.queue.popBatch(s.batchBuf)
+		t, batch, ok := s.queue.PopBatch(s.batchBuf)
 		s.batchBuf = batch
 		if !ok {
 			return fmt.Errorf("engine: deadlock at t=%v with %d unfinished jobs", s.now, s.remaining)
@@ -346,7 +332,7 @@ func (s *sim) armArrivals() error {
 		return nil
 	}
 	s.moreArrivals = true
-	s.push(t, event{kind: evArrivals})
+	s.queue.Push(t, event{kind: evArrivals})
 	return nil
 }
 
@@ -365,7 +351,7 @@ func (s *sim) drainArrivals(t float64) error {
 			return nil
 		}
 		if a > t {
-			s.push(a, event{kind: evArrivals})
+			s.queue.Push(a, event{kind: evArrivals})
 			return nil
 		}
 		js := s.cur.Pop()
@@ -831,7 +817,7 @@ func (s *sim) launchAttempt(js *jobState, stage, taskIdx int, speculative bool) 
 	}
 	s.usedSlots += a.containers
 	js.pendingEvents++
-	s.push(s.now+runtime, event{kind: evAttemptDone, attempt: a.id})
+	s.queue.Push(s.now+runtime, event{kind: evAttemptDone, attempt: a.id})
 }
 
 // speculate launches duplicate copies of the running tasks with the largest

@@ -295,73 +295,12 @@ func (v *jobView) ExactRemaining() float64 {
 	return rem
 }
 
-// ladderThreshold is the pending-event population at which the engine's
-// event queue migrates from the binary heap to the bucketed ladder queue:
-// small simulations keep the heap's simplicity, large traces (whose arrival
-// events are all pushed up front) get O(1) amortized event handling. A var
-// so the equivalence test can force the migration on small workloads.
-var ladderThreshold = 4096
-
 // attemptRecycling returns ended attempts' slab slots to a free list as soon
 // as their completion event fires, bounding the attempt slab by the peak
 // number of in-flight attempts instead of the total launched. A var so the
 // differential tests can prove the recycled and append-only slabs produce
 // byte-identical results.
 var attemptRecycling = true
-
-// eventHeap wraps the two event-queue implementations behind one push/pop
-// surface with same-timestamp batching, so a burst of simultaneous
-// completions triggers a single scheduling round. It starts on the binary
-// heap and migrates — once, irreversibly for the run — to the ladder queue
-// when the pending population crosses ladderThreshold.
-type eventHeap struct {
-	heap      eventq.Queue[event]
-	ladder    eventq.Ladder[event]
-	useLadder bool
-}
-
-func (h *eventHeap) push(t float64, ev event) {
-	if !h.useLadder {
-		if h.heap.Len() < ladderThreshold {
-			h.heap.Push(t, ev)
-			return
-		}
-		h.migrate()
-	}
-	h.ladder.Push(t, ev)
-}
-
-// migrate drains the heap into the ladder in delivery order. The re-pushes
-// receive fresh, increasing sequence numbers in exactly the old (time, seq)
-// order, and every later push sequences after them, so delivery order is
-// preserved bit for bit across the migration.
-func (h *eventHeap) migrate() {
-	for {
-		t, ev, ok := h.heap.Pop()
-		if !ok {
-			break
-		}
-		h.ladder.Push(t, ev)
-	}
-	h.useLadder = true
-}
-
-// popBatch drains all events sharing the earliest timestamp into buf
-// (reusing its backing array), so the simulator's per-iteration batch is
-// allocation-free in steady state.
-func (h *eventHeap) popBatch(buf []event) (float64, []event, bool) {
-	if h.useLadder {
-		return h.ladder.PopBatch(buf)
-	}
-	return h.heap.PopBatch(buf)
-}
-
-// reset empties both queues, keeping their backing arrays for the next run.
-func (h *eventHeap) reset() {
-	h.heap.Reset()
-	h.ladder.Reset()
-	h.useLadder = false
-}
 
 // arena is the slab-allocated simulation state: jobs, stages, tasks and
 // attempts live in flat, index-addressed slices partitioned into
@@ -415,7 +354,10 @@ type arena struct {
 	// shards one worker advances. scrub rewinds it.
 	records substrate.SlabPool[jobRecord]
 
-	queue eventHeap
+	// queue is the pending-event heap. PopBatch drains every event sharing the
+	// earliest timestamp, so a burst of simultaneous completions triggers a
+	// single scheduling round.
+	queue eventq.Queue[event]
 	vs    substrate.ViewSet
 
 	// Round-local scratch reused across scheduling rounds.
@@ -461,7 +403,7 @@ func (a *arena) build(specs []job.Spec) {
 	a.freeAttempts = a.freeAttempts[:0]
 	a.jobSeq = a.jobSeq[:0]
 	a.pending = a.pending[:0]
-	a.queue.reset()
+	a.queue.Reset()
 	a.timeline = a.timeline[:0]
 
 	stageOff, taskOff, intOff := 0, 0, 0
@@ -577,7 +519,7 @@ func (a *arena) buildStream() {
 	}
 	a.jobSeq = a.jobSeq[:0]
 	a.pending = a.pending[:0]
-	a.queue.reset()
+	a.queue.Reset()
 	a.timeline = a.timeline[:0]
 }
 
@@ -600,6 +542,6 @@ func (a *arena) scrub() {
 	clear(a.running)
 	a.running = a.running[:0]
 	clear(a.idOrder[:cap(a.idOrder)])
-	a.queue.reset()
+	a.queue.Reset()
 	a.vs.Reset()
 }

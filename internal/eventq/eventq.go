@@ -1,6 +1,13 @@
 // Package eventq implements the priority queue over virtual time used by the
 // discrete-event simulators. Events with equal timestamps are delivered in
 // insertion order, which keeps simulations deterministic.
+//
+// The simulators use Queue, the binary heap, and nothing else. Ladder has had
+// no caller in the product since the engine's heap→ladder hybrid was measured
+// to buy nothing and removed; it stays, with its fuzz differential against
+// Queue, only because benchmark/replay.go instantiates it for the
+// eventq.ladder_hold_ns replays. The next benchmark-scoped change that drops
+// those replays should delete ladder.go and ladder_test.go with them.
 package eventq
 
 // Queue is a min-heap of values keyed by (time, insertion sequence).

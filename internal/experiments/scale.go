@@ -14,11 +14,11 @@ import (
 
 // scaleTier parameterises the one scale experiment: the heavy-tailed
 // Facebook trace, stretched well past the paper's 24,443 jobs, under all four
-// policies. It is not a paper figure; it stresses the ladder event queue, the
+// policies. It is not a paper figure; it stresses the event queue, the
 // slab-allocated job state and the incremental in-queue ordering at trace
 // lengths the figure experiments never reach. The catalog's scale-* rows are
-// presets over it, and the BenchmarkScale* functions record their runtime and
-// peak heap in BENCH_engine.json.
+// presets over it, and the BenchmarkScale* functions report their runtime and
+// peak heap.
 type scaleTier struct {
 	// jobs is the preset trace length; Options.ScaleJobs overrides it.
 	jobs int

@@ -15,9 +15,9 @@ import (
 // contracts on the Table-I-style heavy-tailed mix (the Fig. 7a generator at
 // reduced length), across seeds and all four policies:
 //
-//   - streaming ≡ materialized: RunStream over a Source yields byte-identical
-//     per-job outcomes to Run over the materialized trace (one shared event
-//     loop, so the floating-point operation order is the same);
+//   - collector ≡ stream: Run is RunStream plus a collector, so the Result it
+//     assembles holds, at each trace index, exactly the JobResult the streamed
+//     run's callback delivered for that job, and the same aggregates;
 //   - Shards=1 ≡ unsharded: a one-shard sharded run is byte-identical to a
 //     plain streaming run;
 //   - Workers never affect results: Workers=1 and Workers=8 at Shards=8 are
@@ -84,10 +84,17 @@ func TestRunStreamMatchesRun(t *testing.T) {
 				if sr.Jobs != len(ref.Jobs) {
 					t.Fatalf("streamed %d jobs, materialized %d", sr.Jobs, len(ref.Jobs))
 				}
+				responses, slowdowns := ref.ResponseTimes(), ref.Slowdowns()
 				for i := range ref.Jobs {
+					if ref.Jobs[i].ID != specs[i].ID {
+						t.Fatalf("Jobs[%d] is job %d, the trace holds job %d there", i, ref.Jobs[i].ID, specs[i].ID)
+					}
 					got, ok := byID[ref.Jobs[i].ID]
 					if !ok {
 						t.Fatalf("job %d missing from stream", ref.Jobs[i].ID)
+					}
+					if responses[i] != got.ResponseTime || slowdowns[i] != got.Slowdown {
+						t.Fatalf("job %d: statistics not folded in trace order", got.ID)
 					}
 					if got != ref.Jobs[i] {
 						t.Fatalf("job %d differs:\n stream: %+v\n    run: %+v",

@@ -13,6 +13,7 @@
 package fluid
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -54,14 +55,14 @@ func DefaultConfig() Config {
 }
 
 func (c *Config) validate() error {
-	if c.Capacity <= 0 {
-		return fmt.Errorf("fluid: capacity must be positive, got %v", c.Capacity)
+	if !finite(c.Capacity) || c.Capacity <= 0 {
+		return fmt.Errorf("fluid: capacity must be positive and finite, got %v", c.Capacity)
 	}
-	if c.TaskDuration < 0 {
-		return fmt.Errorf("fluid: task duration must be >= 0, got %v", c.TaskDuration)
+	if !finite(c.TaskDuration) || c.TaskDuration < 0 {
+		return fmt.Errorf("fluid: task duration must be finite and >= 0, got %v", c.TaskDuration)
 	}
-	if c.MaxStep < 0 {
-		return fmt.Errorf("fluid: max step must be >= 0, got %v", c.MaxStep)
+	if !finite(c.MaxStep) || c.MaxStep < 0 {
+		return fmt.Errorf("fluid: max step must be finite and >= 0, got %v", c.MaxStep)
 	}
 	if c.MaxRunningJobs < 0 {
 		return fmt.Errorf("fluid: max running jobs must be >= 0, got %v", c.MaxRunningJobs)
@@ -98,7 +99,6 @@ type fluidJob struct {
 	seq      int
 	attained float64
 	rate     float64
-	done     bool
 	view     jobView // embedded adapter, reused across rounds
 }
 
@@ -168,8 +168,17 @@ func (v *jobView) ExactRemaining() float64 {
 	return rem
 }
 
-// Run simulates the trace under the given policy. The scheduler instance
+// Run simulates the trace under the given policy and reports the jobs in the
+// caller's slice order, whatever order they arrive in. The scheduler instance
 // must be fresh.
+//
+// Run is a collector over the streaming path: it checks the trace once (every
+// spec, and that no two share an ID — the ID is how a completion finds its
+// slot), streams it — through a copy stable-sorted by arrival when the slice
+// is not already in arrival order — and writes each job's outcome where the
+// job stood in specs. The statistics are then folded in that order, so the
+// floating-point sums behind MeanResponseTime do not depend on completion
+// order.
 func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -177,156 +186,129 @@ func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 	if policy == nil {
 		return nil, errors.New("fluid: nil scheduler")
 	}
-	seen := make(map[int]bool, len(specs))
+	index := make(map[int]int, len(specs))
+	sorted := true
 	for i := range specs {
-		s := &specs[i]
-		if s.Size <= 0 {
-			return nil, fmt.Errorf("fluid: job %d has non-positive size %v", s.ID, s.Size)
+		sp := &specs[i]
+		if err := validateSpec(sp); err != nil {
+			return nil, err
 		}
-		if s.Width < 1 {
-			return nil, fmt.Errorf("fluid: job %d has width %v < 1", s.ID, s.Width)
+		if _, dup := index[sp.ID]; dup {
+			return nil, fmt.Errorf("fluid: duplicate job ID %d", sp.ID)
 		}
-		if s.Arrival < 0 {
-			return nil, fmt.Errorf("fluid: job %d has negative arrival %v", s.ID, s.Arrival)
+		index[sp.ID] = i
+		if i > 0 && sp.Arrival < specs[i-1].Arrival {
+			sorted = false
 		}
-		if seen[s.ID] {
-			return nil, fmt.Errorf("fluid: duplicate job ID %d", s.ID)
-		}
-		seen[s.ID] = true
 	}
-	s := newSim(specs, policy, cfg)
-	defer s.release()
-	if err := s.run(); err != nil {
+	feed := specs
+	if !sorted {
+		feed = slices.Clone(specs)
+		slices.SortStableFunc(feed, func(x, y JobSpec) int { return cmp.Compare(x.Arrival, y.Arrival) })
+	}
+
+	res := &Result{Jobs: make([]JobResult, len(specs))}
+	// Slowdown is fluid-derived state, not a probe event, so it reaches the
+	// histogram sink through its side-channel, at each completion.
+	hist := obs.FindHistograms(cfg.Probe)
+	s := newSim(SliceSource(feed), policy, cfg, func(jr JobResult) {
+		res.Jobs[index[jr.ID]] = jr
+		if hist != nil {
+			hist.ObserveSlowdown(jr.Slowdown)
+		}
+	})
+	if s.probe != nil {
+		s.probe.ArenaReuse(len(specs), 0, s.reused)
+	}
+	out, err := s.stream()
+	if err != nil {
 		return nil, err
 	}
-	return s.result(), nil
+	res.Scheduler = out.Scheduler
+	res.Makespan = out.Makespan
+	res.Utilization = out.Utilization
+	res.Rounds = out.Rounds
+	for i := range res.Jobs {
+		res.Record(0, res.Jobs[i].ResponseTime)
+		res.RecordSlowdown(res.Jobs[i].Slowdown)
+	}
+	res.FoldCounters(cfg.Probe)
+	return res, nil
 }
 
-// arena is the fluid run's slab-allocated state: all fluidJob records live
-// in one flat slice (fixed length per run, so pointers into it are stable),
-// with the pending/active pointer lists, the result map and the view
-// registry keeping their backing storage. Arenas are pooled so repeated runs
-// on one worker — the replication engine sweeping seeds — reuse storage
-// instead of re-allocating one fluidJob per trace job per run.
+// arena is the run state that outlives a run: the job-record pool, the
+// active-job list and the view registry keep their backing storage. Arenas
+// are pooled, so repeated runs on one worker — the policies of a sweep, the
+// seeds of a replication, the shards one worker advances — reuse the records
+// earlier runs carved instead of allocating one per live job per run.
 type arena struct {
-	jobs    []fluidJob
-	pending []*fluidJob // sorted by arrival (stable on trace order)
-	active  []*fluidJob
-	results map[int]JobResult
-	vs      substrate.ViewSet
+	// jobs recycles the fluidJob records: a run holds only the jobs that are
+	// live at once. scrub rewinds it, so each run reads a fresh pool's Stats.
+	jobs   substrate.SlabPool[fluidJob]
+	active []*fluidJob
+	vs     substrate.ViewSet
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
-// build lays the trace out in the slab and sorts the pending list.
-func (a *arena) build(specs []JobSpec, taskDuration float64) {
-	a.jobs = substrate.GrowSlab(a.jobs, len(specs))
-	a.pending = a.pending[:0]
-	a.active = a.active[:0]
-	if a.results == nil {
-		a.results = make(map[int]JobResult, len(specs))
-	} else {
-		clear(a.results)
-	}
-	for i := range specs {
-		j := &a.jobs[i]
-		j.spec = specs[i]
-		j.view.j = j
-		j.view.taskDuration = taskDuration
-		a.pending = append(a.pending, j)
-	}
-	slices.SortStableFunc(a.pending, func(x, y *fluidJob) int {
-		if x.spec.Arrival < y.spec.Arrival {
-			return -1
-		}
-		if x.spec.Arrival > y.spec.Arrival {
-			return 1
-		}
-		return 0
-	})
-}
-
-// buildStream resets the arena for a streaming run: job records come from
-// the run's free-list pool rather than the jobs slab, so only the pointer
-// lists, result map and view registry are prepared (with backing storage
-// kept, as in build).
-func (a *arena) buildStream() {
-	a.pending = a.pending[:0]
-	a.active = a.active[:0]
-	clear(a.results)
-}
-
-// scrub drops every reference the arena holds into the finished run so a
-// pooled arena cannot pin caller memory, keeping the backing storage.
+// scrub takes back every record the finished run still held and drops the
+// arena's pointers to them, keeping the backing storage. A fluidJob holds no
+// caller memory (the spec is copied by value), so nothing else needs zeroing.
 func (a *arena) scrub() {
-	clear(a.jobs)
-	clear(a.pending)
-	a.pending = a.pending[:0]
+	a.jobs.Rewind()
 	clear(a.active)
 	a.active = a.active[:0]
-	clear(a.results)
 	a.vs.Reset()
 }
 
-// arrivalCursor feeds the run loop its arrival stream: Peek reports the next
-// arrival time (or that the stream is exhausted, or a source error), and Pop
-// consumes the peeked job. Run walks the arena's pre-sorted pending list
-// (substrate.SliceCursor); RunStream pulls specs from a Source and
-// materializes job records from a free-list pool on demand
-// (substrate.StreamCursor), so both share one event loop — the operations
-// (and their floating-point order) are identical, which is what makes the
-// streaming-versus-materialized differential byte-exact.
-type arrivalCursor = substrate.Cursor[fluidJob]
-
-func fluidJobArrival(j *fluidJob) float64 { return j.spec.Arrival }
-
 // sim is one fluid run: the kernel modules (policy driver, admission queue,
-// view registry) plus the fluid-specific state — continuous time, fractional
-// rates, and exact event computation. The embedded arena holds the slab of
-// job records and the reused per-run storage.
+// arrival cursor, view registry) plus the fluid-specific state — continuous
+// time, fractional rates, and exact event computation. The embedded arena
+// holds the pooled job records and the reused per-run storage.
 type sim struct {
 	cfg    Config
-	specs  []JobSpec
 	probe  obs.Probe
 	driver *substrate.Driver
 	adm    *substrate.Queue[*fluidJob]
 	*arena
+	reused bool // the arena has carried a run before (Run's ArenaReuse event)
 
-	// slowdowns receives per-job slowdowns at completion, resolved once from
-	// the probe (obs.FindHistograms). Slowdown is fluid-derived state, not a
-	// probe event, so it reaches the histogram sink through this side-channel.
-	slowdowns obs.SlowdownObserver
-
-	cur    arrivalCursor
-	finish func(j *fluidJob, jr JobResult) // per-completion sink
-	now    float64
-
-	rounds    int
-	makespan  float64
-	delivered float64
+	// cur reads the source one spec ahead, validating it, and materializes
+	// the job record from the arena's pool when the loop pops the arrival.
+	cur  substrate.StreamCursor[JobSpec, fluidJob]
+	each func(JobResult) // per-completion sink, may be nil
+	out  *StreamResult   // accumulated in place as the run advances
+	now  float64
 }
 
-func newSim(specs []JobSpec, policy sched.Scheduler, cfg Config) *sim {
+// newSim wires a run over a pooled arena. The caller must stream (or
+// release) it.
+func newSim(src Source, policy sched.Scheduler, cfg Config, each func(JobResult)) *sim {
 	ar := arenaPool.Get().(*arena)
-	reused := cap(ar.jobs) > 0
-	ar.build(specs, cfg.TaskDuration)
 	s := &sim{
 		cfg:    cfg,
-		specs:  specs,
 		probe:  cfg.Probe,
 		driver: substrate.NewDriver(policy),
 		adm:    substrate.NewQueue[*fluidJob](cfg.MaxRunningJobs),
 		arena:  ar,
+		reused: cap(ar.active) > 0,
+		each:   each,
+		out:    &StreamResult{},
 	}
-	s.cur = &substrate.SliceCursor[fluidJob]{List: ar.pending, Arrival: fluidJobArrival}
-	s.finish = func(j *fluidJob, jr JobResult) { s.results[j.spec.ID] = jr }
+	taskDuration := cfg.TaskDuration
+	s.cur = substrate.StreamCursor[JobSpec, fluidJob]{
+		Src:      src,
+		Pool:     &ar.jobs,
+		Arrival:  func(spec *JobSpec) float64 { return spec.Arrival },
+		Validate: validateStreamSpec,
+		Wrap:     func(err error) error { return fmt.Errorf("fluid: source: %w", err) },
+		Fill: func(j *fluidJob, spec *JobSpec) {
+			j.spec = *spec
+			j.view.j = j
+			j.view.taskDuration = taskDuration
+		},
+	}
 	s.driver.SetProbe(cfg.Probe)
-	if h := obs.FindHistograms(cfg.Probe); h != nil {
-		s.slowdowns = h
-	}
-	if s.probe != nil {
-		s.probe.ArenaReuse(len(specs), 0, reused)
-	}
 	return s
 }
 
@@ -337,6 +319,24 @@ func (s *sim) release() {
 	s.arena = nil
 	ar.scrub()
 	arenaPool.Put(ar)
+}
+
+// stream runs the sim to completion, releases it, and reports the run.
+func (s *sim) stream() (*StreamResult, error) {
+	defer s.release()
+	if err := s.run(); err != nil {
+		return nil, err
+	}
+	out := s.out
+	out.Scheduler = s.driver.Name()
+	if out.Makespan > 0 {
+		out.Utilization = out.Delivered / (out.Makespan * s.cfg.Capacity)
+	}
+	out.Slab = s.jobs.Stats()
+	if s.probe != nil {
+		s.probe.SlabStats(s.now, out.Slab.Live, out.Slab.Peak, out.Slab.Recycled)
+	}
+	return out, nil
 }
 
 // admit releases waiting jobs while the admission limit allows; released
@@ -353,6 +353,7 @@ func (s *sim) admit() {
 
 func (s *sim) run() error {
 	capacity := s.cfg.Capacity
+	out := s.out
 	for {
 		// Admit arrivals due by now.
 		for {
@@ -397,7 +398,7 @@ func (s *sim) run() error {
 		}
 		views := s.vs.Views()
 		alloc := s.driver.Assign(s.now, capacity, views)
-		s.rounds++
+		out.Rounds++
 
 		// Apply rates (defensively capped by width).
 		for _, j := range s.active {
@@ -437,58 +438,42 @@ func (s *sim) run() error {
 		s.now = next
 		live := s.active[:0]
 		for _, j := range s.active {
-			s.delivered += j.rate * dt
+			out.Delivered += j.rate * dt
 			j.attained += j.rate * dt
 			if j.attained > j.spec.Size {
 				j.attained = j.spec.Size
 			}
-			if j.finished() {
-				j.done = true
-				s.adm.Done()
-				iso := j.spec.Size / math.Min(j.spec.Width, capacity)
-				response := s.now - j.spec.Arrival
-				jr := JobResult{
-					ID:           j.spec.ID,
-					Arrival:      j.spec.Arrival,
-					Completed:    s.now,
-					ResponseTime: response,
-					Size:         j.spec.Size,
-					Width:        j.spec.Width,
-					Slowdown:     response / iso,
-				}
-				if s.now > s.makespan {
-					s.makespan = s.now
-				}
-				if s.probe != nil {
-					s.probe.JobDone(s.now, j.spec.ID, response)
-				}
-				if s.slowdowns != nil {
-					s.slowdowns.ObserveSlowdown(jr.Slowdown)
-				}
-				s.finish(j, jr)
+			if !j.finished() {
+				live = append(live, j)
 				continue
 			}
-			live = append(live, j)
+			s.adm.Done()
+			iso := j.spec.Size / math.Min(j.spec.Width, capacity)
+			response := s.now - j.spec.Arrival
+			jr := JobResult{
+				ID:           j.spec.ID,
+				Arrival:      j.spec.Arrival,
+				Completed:    s.now,
+				ResponseTime: response,
+				Size:         j.spec.Size,
+				Width:        j.spec.Width,
+				Slowdown:     response / iso,
+			}
+			if s.now > out.Makespan {
+				out.Makespan = s.now
+			}
+			if s.probe != nil {
+				s.probe.JobDone(s.now, j.spec.ID, response)
+			}
+			out.Jobs++
+			out.SumResponse += jr.ResponseTime
+			out.SumSlowdown += jr.Slowdown
+			if s.each != nil {
+				s.each(jr)
+			}
+			s.jobs.Put(j)
 		}
 		s.active = live
 	}
 	return nil
-}
-
-func (s *sim) result() *Result {
-	res := &Result{Rounds: s.rounds}
-	res.Scheduler = s.driver.Name()
-	res.Makespan = s.makespan
-	if s.makespan > 0 {
-		res.Utilization = s.delivered / (s.makespan * s.cfg.Capacity)
-	}
-	// Report in trace order.
-	for i := range s.specs {
-		jr := s.results[s.specs[i].ID]
-		res.Jobs = append(res.Jobs, jr)
-		res.Record(0, jr.ResponseTime)
-		res.RecordSlowdown(jr.Slowdown)
-	}
-	res.FoldCounters(s.probe)
-	return res
 }

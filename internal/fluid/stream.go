@@ -3,6 +3,7 @@ package fluid
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"lasmq/internal/sched"
 	"lasmq/internal/substrate"
@@ -57,12 +58,18 @@ func (r *StreamResult) MeanSlowdown() float64 {
 	return r.SumSlowdown / float64(r.Jobs)
 }
 
-// validateStreamSpec checks one streamed spec before the run admits it: the
-// same per-spec checks Run applies up front, plus the nondecreasing-order
-// contract a streaming run must enforce on the fly (prev is the previously
-// yielded arrival, meaningful when n > 0). Wired into the substrate kernel's
-// StreamCursor as its Validate hook.
-func validateStreamSpec(n int, prev float64, s *JobSpec) error {
+// validateSpec is the one place a job spec is checked: Run applies it to the
+// whole trace before anything runs, the arrival cursor to each streamed spec
+// as it is read.
+func validateSpec(s *JobSpec) error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"arrival", s.Arrival}, {"size", s.Size}, {"width", s.Width}} {
+		if !finite(f.v) {
+			return fmt.Errorf("fluid: job %d has non-finite %s %v", s.ID, f.name, f.v)
+		}
+	}
 	if s.Size <= 0 {
 		return fmt.Errorf("fluid: job %d has non-positive size %v", s.ID, s.Size)
 	}
@@ -72,30 +79,24 @@ func validateStreamSpec(n int, prev float64, s *JobSpec) error {
 	if s.Arrival < 0 {
 		return fmt.Errorf("fluid: job %d has negative arrival %v", s.ID, s.Arrival)
 	}
+	return nil
+}
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// validateStreamSpec is the arrival cursor's Validate hook: validateSpec plus
+// the nondecreasing-order contract a streaming run must enforce on the fly
+// (prev is the previously yielded arrival, meaningful when n > 0).
+func validateStreamSpec(n int, prev float64, s *JobSpec) error {
+	if err := validateSpec(s); err != nil {
+		return err
+	}
 	if n > 0 && s.Arrival < prev {
 		return fmt.Errorf("fluid: source not sorted: job %d arrives at %v after %v",
 			s.ID, s.Arrival, prev)
 	}
 	return nil
-}
-
-// sourceCursor instantiates the substrate kernel's StreamCursor for fluid:
-// Peek reads one spec ahead (validating it), Pop materializes the job record
-// from the free-list pool. Completed records return to the pool, so the
-// run's job state is bounded by the peak number of live jobs.
-func sourceCursor(src Source, pool *substrate.SlabPool[fluidJob], taskDuration float64) arrivalCursor {
-	return &substrate.StreamCursor[JobSpec, fluidJob]{
-		Src:      src,
-		Pool:     pool,
-		Arrival:  func(s *JobSpec) float64 { return s.Arrival },
-		Validate: validateStreamSpec,
-		Wrap:     func(err error) error { return fmt.Errorf("fluid: source: %w", err) },
-		Fill: func(j *fluidJob, spec *JobSpec) {
-			j.spec = *spec
-			j.view.j = j
-			j.view.taskDuration = taskDuration
-		},
-	}
 }
 
 // RunStream simulates a streamed trace under the given policy. The source
@@ -116,42 +117,5 @@ func RunStream(src Source, policy sched.Scheduler, cfg Config, each func(JobResu
 	if src == nil {
 		return nil, errors.New("fluid: nil source")
 	}
-	ar := arenaPool.Get().(*arena)
-	ar.buildStream()
-	var pool substrate.SlabPool[fluidJob]
-	out := &StreamResult{}
-	s := &sim{
-		cfg:    cfg,
-		probe:  cfg.Probe,
-		driver: substrate.NewDriver(policy),
-		adm:    substrate.NewQueue[*fluidJob](cfg.MaxRunningJobs),
-		arena:  ar,
-		cur:    sourceCursor(src, &pool, cfg.TaskDuration),
-	}
-	s.finish = func(j *fluidJob, jr JobResult) {
-		out.Jobs++
-		out.SumResponse += jr.ResponseTime
-		out.SumSlowdown += jr.Slowdown
-		if each != nil {
-			each(jr)
-		}
-		pool.Put(j)
-	}
-	s.driver.SetProbe(cfg.Probe)
-	defer s.release()
-	if err := s.run(); err != nil {
-		return nil, err
-	}
-	out.Scheduler = s.driver.Name()
-	out.Makespan = s.makespan
-	out.Delivered = s.delivered
-	if s.makespan > 0 {
-		out.Utilization = s.delivered / (s.makespan * s.cfg.Capacity)
-	}
-	out.Rounds = s.rounds
-	out.Slab = pool.Stats()
-	if s.probe != nil {
-		s.probe.SlabStats(s.now, out.Slab.Live, out.Slab.Peak, out.Slab.Recycled)
-	}
-	return out, nil
+	return newSim(src, policy, cfg, each).stream()
 }

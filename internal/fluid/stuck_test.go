@@ -14,7 +14,8 @@ import (
 // the test leaks an admission slot through the kernel queue directly.
 func TestStuckAdmission(t *testing.T) {
 	specs := []JobSpec{{ID: 1, Arrival: 0, Size: 1, Width: 1}}
-	s := newSim(specs, sched.NewFIFO(), Config{Capacity: 1, TaskDuration: 1, MaxRunningJobs: 1})
+	s := newSim(SliceSource(specs), sched.NewFIFO(), Config{Capacity: 1, TaskDuration: 1, MaxRunningJobs: 1}, nil)
+	defer s.release()
 	// Leak the only admission slot: a phantom job is released (occupying the
 	// slot) but never joins the active set, so it can never complete.
 	s.adm.Push(&fluidJob{spec: JobSpec{ID: 99}})

@@ -11,7 +11,7 @@ import (
 // Jobs appear as threads of a "jobs" process: each job track carries one
 // complete ("X") slice spanning the whole job with its task attempts nested
 // inside, plus async ("b"/"e") spans for the job's residency in each LAS_MQ
-// queue level. Scheduler-wide moments (threshold refits, eventq migrations)
+// queue level. Scheduler-wide moments (threshold refits, slab statistics)
 // appear as instant events on a separate "scheduler" process. All
 // timestamps are virtual time scaled to microseconds.
 //
@@ -186,14 +186,6 @@ func (t *ChromeTrace) ThresholdRefit(now, first, step float64) {
 		Name: "refit", Cat: "scheduler", Ph: "i",
 		Ts: now * usec, Pid: chromeSchedPid, Tid: 0,
 		Args: map[string]any{"first": first, "step": step},
-	})
-}
-
-func (t *ChromeTrace) EventqMigrate(now float64, pending int) {
-	t.events = append(t.events, chromeEvent{
-		Name: "eventq migrate", Cat: "scheduler", Ph: "i",
-		Ts: now * usec, Pid: chromeSchedPid, Tid: 0,
-		Args: map[string]any{"pending": pending},
 	})
 }
 

@@ -36,8 +36,7 @@ type CounterSnapshot struct {
 	// observation (a subset of RoundsSkipped).
 	RoundsObserved int64 `json:"rounds_observed"`
 
-	EventqMigrations int64 `json:"eventq_migrations"`
-	ArenaReuses      int64 `json:"arena_reuses"`
+	ArenaReuses int64 `json:"arena_reuses"`
 
 	// SlabPeakLive is the largest per-run peak of live slab free-list
 	// records seen; SlabRecycled sums mid-run slot recycles across runs.
@@ -83,9 +82,6 @@ func (s CounterSnapshot) WriteSummary(w io.Writer) {
 	}
 	fmt.Fprintf(w, "  rounds executed/skipped            %d / %d (skip ratio %.3f, %d observed)\n",
 		s.RoundsExecuted, s.RoundsSkipped, s.SkippedRoundRatio(), s.RoundsObserved)
-	if s.EventqMigrations > 0 {
-		fmt.Fprintf(w, "  eventq heap->ladder migrations     %d\n", s.EventqMigrations)
-	}
 	if s.ArenaReuses > 0 {
 		fmt.Fprintf(w, "  arena reuses                       %d\n", s.ArenaReuses)
 	}
@@ -205,12 +201,6 @@ func (c *Counters) RoundSkipped(_ float64, observed bool) {
 	if observed {
 		c.s.RoundsObserved++
 	}
-	c.mu.Unlock()
-}
-
-func (c *Counters) EventqMigrate(float64, int) {
-	c.mu.Lock()
-	c.s.EventqMigrations++
 	c.mu.Unlock()
 }
 

@@ -173,12 +173,6 @@ func (j *JSONL) RoundSkipped(now float64, observed bool) {
 	j.end()
 }
 
-func (j *JSONL) EventqMigrate(now float64, pending int) {
-	j.line("eventq-migrate", now)
-	j.intField("pending", pending)
-	j.end()
-}
-
 // ArenaReuse logs the arena dimensions but deliberately not the reused
 // flag: whether a run draws a pooled arena or a fresh one depends on
 // process-global sync.Pool state (what other runs finished first), and the

@@ -2,10 +2,9 @@
 // engine, the fluid simulator, and the live mini-YARN cluster. It defines
 // a typed Probe interface that substrates and schedulers call at the
 // moments the paper's evaluation cares about (admission waits, LAS_MQ
-// queue demotions, threshold refits, skipped scheduling rounds, event-queue
-// ladder migrations, arena reuse) plus three sinks: a deterministic JSONL
-// event log (JSONL), a Chrome trace-event exporter (ChromeTrace), and an
-// aggregating Counters sink.
+// queue demotions, threshold refits, skipped scheduling rounds, arena
+// reuse) plus three sinks: a deterministic JSONL event log (JSONL), a Chrome
+// trace-event exporter (ChromeTrace), and an aggregating Counters sink.
 //
 // Zero-overhead contract: every emission site is guarded by a nil check on
 // a concrete interface field and passes only scalar arguments, so a nil
@@ -62,9 +61,6 @@ type Probe interface {
 	// replay ran in its place.
 	RoundSkipped(now float64, observed bool)
 
-	// EventqMigrate fires when the engine's event queue migrates from the
-	// binary heap to the ladder past the pending-event threshold.
-	EventqMigrate(now float64, pending int)
 	// ArenaReuse fires once per run with slab-arena statistics: the job
 	// and task counts carved, and whether a pooled arena was reused.
 	ArenaReuse(jobs, tasks int, reused bool)
@@ -101,7 +97,6 @@ func (Nop) QueueExit(float64, int, int)                    {}
 func (Nop) ThresholdRefit(float64, float64, float64)       {}
 func (Nop) RoundExecuted(float64, int)                     {}
 func (Nop) RoundSkipped(float64, bool)                     {}
-func (Nop) EventqMigrate(float64, int)                     {}
 func (Nop) ArenaReuse(int, int, bool)                      {}
 func (Nop) SlabStats(float64, int, int, int)               {}
 
@@ -226,12 +221,6 @@ func (m multi) RoundExecuted(now float64, jobs int) {
 func (m multi) RoundSkipped(now float64, observed bool) {
 	for _, p := range m {
 		p.RoundSkipped(now, observed)
-	}
-}
-
-func (m multi) EventqMigrate(now float64, pending int) {
-	for _, p := range m {
-		p.EventqMigrate(now, pending)
 	}
 }
 

@@ -31,7 +31,6 @@ func WritePrometheus(w io.Writer, snap *CounterSnapshot, hists *Histograms) erro
 		pw.counter("lasmq_rounds_executed_total", "Full scheduling rounds executed.", float64(snap.RoundsExecuted))
 		pw.counter("lasmq_rounds_skipped_total", "Scheduling rounds proven unable to launch work and skipped.", float64(snap.RoundsSkipped))
 		pw.counter("lasmq_rounds_observed_total", "Skipped rounds that replayed policy observation.", float64(snap.RoundsObserved))
-		pw.counter("lasmq_eventq_migrations_total", "Event-queue heap-to-ladder migrations.", float64(snap.EventqMigrations))
 		pw.counter("lasmq_arena_reuses_total", "Runs served by a recycled slab arena.", float64(snap.ArenaReuses))
 		pw.gauge("lasmq_slab_peak_live", "Peak live slab free-list records.", float64(snap.SlabPeakLive))
 		pw.counter("lasmq_slab_recycled_total", "Slab allocations served by recycling a completed record.", float64(snap.SlabRecycled))

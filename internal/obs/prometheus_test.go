@@ -34,7 +34,6 @@ func goldenState() (*Counters, *Histograms) {
 	p.ThresholdRefit(4, 16, 10)
 	p.RoundExecuted(1, 2)
 	p.RoundSkipped(2, true)
-	p.EventqMigrate(3, 4096)
 	p.ArenaReuse(2, 8, true)
 	p.SlabStats(8, 0, 6, 3)
 	p.StageDone(7, 1, 0)

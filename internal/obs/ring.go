@@ -41,7 +41,6 @@ const (
 	KindThresholdRefit
 	KindRoundExecuted
 	KindRoundSkipped
-	KindEventqMigrate
 	KindArenaReuse
 	KindSlabStats
 )
@@ -83,8 +82,6 @@ func (e *Event) Apply(p Probe) {
 		p.RoundExecuted(e.T, int(e.A))
 	case KindRoundSkipped:
 		p.RoundSkipped(e.T, e.Flags&FlagTrue != 0)
-	case KindEventqMigrate:
-		p.EventqMigrate(e.T, int(e.A))
 	case KindArenaReuse:
 		p.ArenaReuse(int(e.A), int(e.B), e.Flags&FlagTrue != 0)
 	case KindSlabStats:
@@ -325,10 +322,6 @@ func (r *Ring) RoundExecuted(now float64, jobs int) {
 
 func (r *Ring) RoundSkipped(now float64, observed bool) {
 	r.push(&Event{Kind: KindRoundSkipped, T: now, Flags: boolFlag(observed)})
-}
-
-func (r *Ring) EventqMigrate(now float64, pending int) {
-	r.push(&Event{Kind: KindEventqMigrate, T: now, A: int32(pending)})
 }
 
 func (r *Ring) ArenaReuse(jobs, tasks int, reused bool) {

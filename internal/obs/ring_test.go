@@ -35,7 +35,6 @@ func emitAll(p Probe) []Event {
 	p.ThresholdRefit(40, 41.5, 42.5)
 	p.RoundExecuted(43, 44)
 	p.RoundSkipped(45, true)
-	p.EventqMigrate(46, 47)
 	p.ArenaReuse(48, 49, true)
 	p.SlabStats(50, 51, 52, 53)
 	return []Event{
@@ -53,7 +52,6 @@ func emitAll(p Probe) []Event {
 		{Kind: KindThresholdRefit, T: 40, F: 41.5, G: 42.5},
 		{Kind: KindRoundExecuted, T: 43, A: 44},
 		{Kind: KindRoundSkipped, T: 45, Flags: FlagTrue},
-		{Kind: KindEventqMigrate, T: 46, A: 47},
 		{Kind: KindArenaReuse, A: 48, B: 49, Flags: FlagTrue},
 		{Kind: KindSlabStats, T: 50, A: 51, B: 52, C: 53},
 	}

@@ -166,12 +166,6 @@ func (s *Series) RoundSkipped(now float64, _ bool) {
 	s.mu.Unlock()
 }
 
-func (s *Series) EventqMigrate(float64, int) {
-	s.mu.Lock()
-	s.event()
-	s.mu.Unlock()
-}
-
 func (s *Series) ArenaReuse(int, int, bool) {
 	s.mu.Lock()
 	s.event()

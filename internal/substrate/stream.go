@@ -1,8 +1,11 @@
 // Streaming kernel: the substrate-neutral machinery both simulators stream
 // traces through. A Stream yields one item at a time in nondecreasing arrival
-// order; a Cursor adapts either a pre-materialized record list (SliceCursor)
-// or a live Stream backed by a SlabPool (StreamCursor) to a run loop's
-// peek/pop arrival split. The contract moved here from internal/fluid so the
+// order; a StreamCursor adapts it, backed by a SlabPool, to a run loop's
+// peek/pop arrival split. The fluid simulator has that one cursor (its
+// materialized Run streams the slice); the task engine also walks a
+// pre-materialized record list (SliceCursor) behind the Cursor interface,
+// because deep-copying every job into a pooled record doubles what its
+// materialized Run allocates. The contract moved here from internal/fluid so the
 // trace substrate no longer has to import a simulator for the JobSpec type:
 // fluid and trace alias Source/JobSpec from this package, and the task-level
 // engine instantiates the same generics over job.Spec.
@@ -91,20 +94,21 @@ func (s *stridedStream[S]) Next() (S, bool, error) {
 	}
 }
 
-// Cursor feeds a run loop its arrival stream: Peek reports the next arrival
-// time (or that the stream is exhausted, or a source error), and Pop consumes
-// the peeked record. A materialized run walks its pre-sorted record list
-// (SliceCursor); a streaming run pulls specs from a Stream and materializes
-// records from a free-list pool on demand (StreamCursor). Both feed one event
-// loop, so the operations — and their floating-point order — are identical,
-// which is what makes the streaming-versus-materialized differentials
-// byte-exact.
+// Cursor feeds the task engine's run loop its arrival stream: Peek reports
+// the next arrival time (or that the stream is exhausted, or a source error),
+// and Pop consumes the peeked record. The engine's materialized run walks its
+// pre-sorted record list (SliceCursor); its streaming run pulls specs from a
+// Stream and materializes records from a free-list pool on demand
+// (StreamCursor). Both feed one event loop, so the operations — and their
+// floating-point order — are identical, which is what makes the engine's
+// streaming-versus-materialized differential byte-exact.
 type Cursor[R any] interface {
 	Peek() (arrival float64, ok bool, err error)
 	Pop() *R
 }
 
-// SliceCursor walks a materialized run's record list, pre-sorted by arrival.
+// SliceCursor walks the engine's materialized record list, pre-sorted by
+// arrival.
 type SliceCursor[R any] struct {
 	// List is the pre-sorted record list (stable on trace order).
 	List []*R
