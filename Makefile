@@ -38,8 +38,11 @@ lint:
 # internal/substrate, and internal/trace aliases them from there. The trace
 # substrate must never import a simulator — that inversion (trace -> fluid)
 # is exactly what the substrate hoist removed, so keep it out for good. The
-# other two greps keep deleted second paths deleted: fluid's materialised
-# arrival cursor, and the engine's heap→ladder event-queue hybrid.
+# other greps keep deleted second paths deleted: fluid's materialised arrival
+# cursor, the engine's heap→ladder event-queue hybrid, and any map keyed by
+# job ID on the simulators' round path (they read shares and write rate bounds
+# by view index; only substrate.Driver touches a sched.Assignment, for the
+# policies that have no dense form).
 layering:
 	@bad=$$(grep -rn '"lasmq/internal/fluid"' internal/trace --include='*.go'; true); \
 	if [ -n "$$bad" ]; then \
@@ -58,6 +61,13 @@ layering:
 	if [ -n "$$bad" ]; then \
 		echo "layering: the simulators queue events on eventq.Queue only;" \
 			"eventq.Ladder is kept for benchmark/replay.go alone:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE 'alloc\[|sched\.Assignment|\.SetRate\(' --include='*.go' \
+		internal/engine internal/fluid | grep -v '_test\.go:'; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: the simulators speak the dense round contract" \
+			"(Driver.Shares, ViewSet.AddSlot/AddRate), never a map keyed by job ID:"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "layering: ok"
@@ -104,10 +114,14 @@ bench-smoke:
 # Telemetry must be free when off, and cheap when on: a scheduling round
 # with a nil probe may not allocate (testing.AllocsPerRun == 0), and neither
 # may recording one flight-recorder ring event or one histogram observation.
+# The same holds for the dense round contract: a steady LAS_MQ round over
+# 1,000 slotted views, and an engine round and observation round driven
+# through the dense forms, allocate nothing (TestDenseRoundZeroAlloc).
 # Run -count=1 so a cached pass cannot mask a regression introduced by an
 # unrelated package.
 probe-gate:
-	$(GO) test -run '^TestScheduleRoundNilProbeZeroAlloc$$' -count=1 ./internal/engine
+	$(GO) test -run '^(TestScheduleRoundNilProbeZeroAlloc|TestDenseRoundZeroAlloc)$$' -count=1 ./internal/engine
+	$(GO) test -run '^TestDenseRoundZeroAlloc$$' -count=1 ./internal/core
 	$(GO) test -run '^TestZeroAlloc' -count=1 ./internal/obs
 
 # Streamed runs allocate per run, never per job: fluid.RunStream,

@@ -76,7 +76,7 @@ type trackRec struct {
 type ordEntry struct {
 	demand float64 // RemainingDemand, the primary key under OrderByDemand
 	seq    int
-	id     int
+	id     int // the job's ID; on the dense path (dense.go) its slot
 }
 
 // LASMQ is the multilevel-queue scheduler. It is stateful: it remembers which
@@ -91,6 +91,13 @@ type ordEntry struct {
 // next allocation round, and the sort fallback fires only when the changed
 // demands actually inverted the order — round-over-round, queues mostly stay
 // sorted, so the steady path is O(live jobs) with no sorting at all.
+//
+// The scheduler speaks both forms of the round contract. The methods in this
+// file are the map form, keyed by job ID: what the adaptive wrapper, the
+// queue recorder, blends, the live resource manager and benchmark's tracer
+// call, and the oracle the dense form is tested against. dense.go holds the
+// dense form the simulators drive, which keeps the per-job record in an array
+// indexed by the substrate's slot. One instance runs on one of them.
 type LASMQ struct {
 	cfg    Config
 	levels *mlq.Levels
@@ -112,6 +119,17 @@ type LASMQ struct {
 	weights   []float64
 	departed  []int
 
+	// The dense path's state (dense.go), in place of tracked, seen and
+	// remaining: one record per slot, the number of live ones, the sweep
+	// counter that stamps the records a sweep saw, and the departures a sweep
+	// found. dense is set by the first dense call and tells QueueOf and
+	// QueueSizes where to look.
+	recs  []slotRec
+	nlive int
+	epoch uint32
+	exits []exitRec
+	dense bool
+
 	// probe, when non-nil, receives queue-trajectory telemetry (enter/
 	// demote/exit). Emissions never read back into scheduling decisions.
 	probe obs.Probe
@@ -132,8 +150,9 @@ func New(cfg Config) (*LASMQ, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.QueueWeightDecay < 1 {
-		return nil, fmt.Errorf("core: queue weight decay must be >= 1, got %v", cfg.QueueWeightDecay)
+	// Written so that NaN fails: a NaN decay would make every share NaN.
+	if !(cfg.QueueWeightDecay >= 1) || math.IsInf(cfg.QueueWeightDecay, 1) {
+		return nil, fmt.Errorf("core: queue weight decay must be finite and >= 1, got %v", cfg.QueueWeightDecay)
 	}
 	return &LASMQ{
 		cfg:        cfg,
@@ -162,6 +181,14 @@ func (s *LASMQ) Config() Config { return s.cfg }
 // whether the job is known to the scheduler. Exposed for tests and
 // instrumentation.
 func (s *LASMQ) QueueOf(jobID int) (int, bool) {
+	if s.dense {
+		for i := range s.recs {
+			if r := &s.recs[i]; r.live && r.id == jobID {
+				return int(r.queue), true
+			}
+		}
+		return 0, false
+	}
 	rec, ok := s.tracked[jobID]
 	return rec.queue, ok
 }
@@ -170,6 +197,12 @@ func (s *LASMQ) QueueOf(jobID int) (int, bool) {
 // instrumentation (e.g. occupancy timelines).
 func (s *LASMQ) QueueSizes() []int {
 	sizes := make([]int, s.levels.Queues())
+	if s.dense {
+		for q := range s.ordered {
+			sizes[q] = len(s.ordered[q])
+		}
+		return sizes
+	}
 	for _, rec := range s.tracked {
 		sizes[rec.queue]++
 	}

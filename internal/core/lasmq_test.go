@@ -3,6 +3,7 @@ package core_test
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -54,6 +55,34 @@ func TestNewValidation(t *testing.T) {
 	cfg.Queues = 0
 	if _, err := core.New(cfg); err == nil {
 		t.Error("expected error for zero queues")
+	}
+}
+
+// TestNonFiniteConfigRejected: a NaN or infinite threshold, step or weight
+// decay is an error naming the field, not a scheduler that files every job in
+// the last queue (NaN threshold) or hands out NaN shares (NaN decay).
+func TestNonFiniteConfigRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tests := []struct {
+		name   string
+		mutate func(*core.Config)
+		want   string
+	}{
+		{"NaN first threshold", func(c *core.Config) { c.FirstThreshold = nan }, "first threshold"},
+		{"+Inf first threshold", func(c *core.Config) { c.FirstThreshold = inf }, "first threshold"},
+		{"NaN step", func(c *core.Config) { c.Step = nan }, "step"},
+		{"+Inf step", func(c *core.Config) { c.Step = inf }, "step"},
+		{"NaN weight decay", func(c *core.Config) { c.QueueWeightDecay = nan }, "weight decay"},
+		{"+Inf weight decay", func(c *core.Config) { c.QueueWeightDecay = inf }, "weight decay"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			tt.mutate(&cfg)
+			if _, err := core.New(cfg); err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("New error = %v, want one naming %q", err, tt.want)
+			}
+		})
 	}
 }
 

@@ -73,3 +73,43 @@ func TestScheduleRoundNilProbeZeroAlloc(t *testing.T) {
 		t.Fatalf("streamed nil-probe scheduling round allocates %v allocs/op, want 0", avg)
 	}
 }
+
+// denseCounter is LAS_MQ with its dense calls counted: the embedded policy
+// brings every map and dense form along, so substrate.Driver drives it
+// densely, and the overrides show that it did.
+type denseCounter struct {
+	*core.LASMQ
+	assigns, observes int
+}
+
+func (c *denseCounter) AssignDense(now, capacity float64, jobs []sched.JobView, slots []int32, shares []float64) {
+	c.assigns++
+	c.LASMQ.AssignDense(now, capacity, jobs, slots, shares)
+}
+
+func (c *denseCounter) ObserveDense(now float64, jobs []sched.JobView, slots []int32) {
+	c.observes++
+	c.LASMQ.ObserveDense(now, jobs, slots)
+}
+
+// TestDenseRoundZeroAlloc pins the dense round contract on the engine: a
+// steady executed round (views with slots, LAS_MQ's shares read by view
+// index, dense quantizer rows) and a steady observation round (the rate
+// column) allocate nothing, and both reach the policy through its dense
+// forms.
+func TestDenseRoundZeroAlloc(t *testing.T) {
+	mq := &denseCounter{LASMQ: benchLASMQ(t).(*core.LASMQ)}
+	s := newBenchSim(t, mq, nil)
+	observe := func() {
+		s.collectViews(s.driver.NeedsRates())
+		s.driver.Observe(s.now, &s.vs)
+	}
+	observe() // sizes the rate column
+	mq.assigns, mq.observes = 0, 0
+	if avg := testing.AllocsPerRun(100, func() { s.schedule(); observe() }); avg != 0 {
+		t.Fatalf("dense scheduling and observation rounds allocate %v allocs/op, want 0", avg)
+	}
+	if mq.assigns == 0 || mq.observes == 0 {
+		t.Fatalf("the rounds reached the policy through AssignDense %d times and ObserveDense %d times; want both > 0", mq.assigns, mq.observes)
+	}
+}

@@ -12,6 +12,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -80,17 +81,22 @@ func (c *Config) validate() error {
 	if c.MaxRunningJobs < 0 {
 		return fmt.Errorf("engine: max running jobs must be >= 0, got %d", c.MaxRunningJobs)
 	}
-	if c.FailureProb < 0 || c.FailureProb >= 1 {
+	// Every float check is written so that NaN fails it: a NaN probability
+	// would pass a pair of < and > tests and then never (or always) fire.
+	if !(c.FailureProb >= 0 && c.FailureProb < 1) {
 		return fmt.Errorf("engine: failure probability must be in [0,1), got %v", c.FailureProb)
 	}
-	if c.StragglerProb < 0 || c.StragglerProb > 1 {
+	if !(c.StragglerProb >= 0 && c.StragglerProb <= 1) {
 		return fmt.Errorf("engine: straggler probability must be in [0,1], got %v", c.StragglerProb)
+	}
+	if math.IsNaN(c.StragglerFactor) || math.IsInf(c.StragglerFactor, 0) {
+		return fmt.Errorf("engine: straggler factor must be finite, got %v", c.StragglerFactor)
 	}
 	if c.StragglerProb > 0 && c.StragglerFactor <= 1 {
 		return fmt.Errorf("engine: straggler factor must be > 1, got %v", c.StragglerFactor)
 	}
-	if c.SampleInterval < 0 {
-		return fmt.Errorf("engine: sample interval must be >= 0, got %v", c.SampleInterval)
+	if !(c.SampleInterval >= 0) || math.IsInf(c.SampleInterval, 1) {
+		return fmt.Errorf("engine: sample interval must be finite and >= 0, got %v", c.SampleInterval)
 	}
 	return nil
 }
@@ -406,6 +412,7 @@ func (s *sim) admit() {
 		js.admitted = true
 		js.admittedAt = s.now
 		js.seq = seq
+		js.slot = s.vs.TakeSlot()
 		// Jobs are admitted in arrival order and listed in jobSeq order, which
 		// differ in a materialized run: insert from the back by position.
 		k := len(s.running)
@@ -573,6 +580,7 @@ func (s *sim) completeStage(js *jobState, idx int) {
 	js.completedAt = s.now
 	k := slices.Index(s.running, js)
 	s.running = slices.Delete(s.running, k, k+1)
+	s.vs.FreeSlot(js.slot)
 	s.adm.Done()
 	s.remaining--
 	if s.now > s.makespan {
@@ -621,12 +629,12 @@ func (s *sim) schedule() {
 		return
 	}
 	s.collectViews(false)
-	alloc := s.driver.Assign(s.now, float64(s.cfg.Containers), s.vs.Views())
+	shares := s.driver.Shares(s.now, float64(s.cfg.Containers), &s.vs)
 
 	// Quantize the shares: one dense row per running job, in ascending job ID
 	// — the order the share total is summed in, whatever order the jobs were
-	// listed or arrived in. Reading alloc is the round's one map access per
-	// job; demand comes straight from job state.
+	// listed or arrived in. A job's share sits at its view's index; demand
+	// comes straight from job state.
 	ordered := s.running
 	if !slices.IsSortedFunc(ordered, compareJobID) {
 		ordered = append(s.idOrder[:0], s.running...)
@@ -635,7 +643,7 @@ func (s *sim) schedule() {
 	}
 	rows := s.rows[:0]
 	for _, js := range ordered {
-		rows = append(rows, sched.QuantRow{ID: js.spec.ID, Share: alloc[js.spec.ID], Demand: js.readyDemand()})
+		rows = append(rows, sched.QuantRow{ID: js.spec.ID, Share: shares[js.viewIdx], Demand: js.readyDemand()})
 	}
 	s.rows = rows
 	s.quant.QuantizeRows(rows, s.cfg.Containers)
@@ -870,17 +878,19 @@ func (s *sim) speculate(reserved int) {
 }
 
 // collectViews rebuilds the kernel's view registry with the scheduler-facing
-// snapshots of the running jobs, reusing the per-job view adapters.
-// Observation rounds for horizon-hinting policies request the per-job
-// metric-rate bounds as well (withRates). The registry's demand map stays
-// unused: the engine quantizes from job state (see schedule).
+// snapshots of the running jobs and their slots, reusing the per-job view
+// adapters and noting each job's index among the views. Observation rounds
+// for horizon-hinting policies request the per-job metric-rate bounds as well
+// (withRates). The registry's demand map stays unused: the engine quantizes
+// from job state (see schedule).
 func (s *sim) collectViews(withRates bool) {
 	s.vs.Begin(false, withRates)
-	for _, js := range s.running {
+	for i, js := range s.running {
 		js.view.now = s.now
-		s.vs.Add(&js.view)
+		js.viewIdx = i
+		s.vs.AddSlot(&js.view, js.slot)
 		if withRates {
-			s.vs.SetRate(js.spec.ID, s.metricRateBound(js))
+			s.vs.AddRate(s.metricRateBound(js))
 		}
 	}
 }

@@ -410,6 +410,45 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteConfigRejected: a NaN or infinite probability, straggler
+// factor or sample interval is an error naming the field from every entry
+// point — NaN fails both halves of a range check written with < and >.
+func TestNonFiniteConfigRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	specs := []job.Spec{uniformJob(1, 0, 1, 1)}
+	tests := []struct {
+		name   string
+		mutate func(*engine.Config)
+		want   string
+	}{
+		{"NaN failure prob", func(c *engine.Config) { c.FailureProb = nan }, "failure probability"},
+		{"+Inf failure prob", func(c *engine.Config) { c.FailureProb = inf }, "failure probability"},
+		{"NaN straggler prob", func(c *engine.Config) { c.StragglerProb = nan }, "straggler probability"},
+		{"+Inf straggler prob", func(c *engine.Config) { c.StragglerProb = inf }, "straggler probability"},
+		{"NaN straggler factor", func(c *engine.Config) { c.StragglerFactor = nan }, "straggler factor"},
+		{"+Inf straggler factor", func(c *engine.Config) { c.StragglerFactor = inf }, "straggler factor"},
+		{"NaN sample interval", func(c *engine.Config) { c.SampleInterval = nan }, "sample interval"},
+		{"+Inf sample interval", func(c *engine.Config) { c.SampleInterval = inf }, "sample interval"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := smallConfig(4)
+			tt.mutate(&cfg)
+			_, runErr := engine.Run(specs, sched.NewFIFO(), cfg)
+			_, streamErr := engine.RunStream(engine.SliceSource(specs), sched.NewFIFO(), cfg, nil)
+			_, shardErr := engine.RunSharded(
+				func(int) (engine.Source, error) { return engine.SliceSource(specs), nil },
+				func() (sched.Scheduler, error) { return sched.NewFIFO(), nil },
+				engine.ShardedConfig{Config: cfg, Shards: 1})
+			for entry, err := range map[string]error{"Run": runErr, "RunStream": streamErr, "RunSharded": shardErr} {
+				if err == nil || !strings.Contains(err.Error(), tt.want) {
+					t.Errorf("%s error = %v, want one naming %q", entry, err, tt.want)
+				}
+			}
+		})
+	}
+}
+
 func TestAllSchedulersCompleteMixedWorkload(t *testing.T) {
 	mkSpecs := func() []job.Spec {
 		return []job.Spec{

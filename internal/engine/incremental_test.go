@@ -99,12 +99,10 @@ func diffWorkload(seed int64, n int) []job.Spec {
 	return specs
 }
 
-// TestIncrementalMatchesFull is the correctness gate of the incremental
-// scheduling rounds: for every policy family, noise configuration and seed,
-// a run with the fast paths enabled must produce a byte-identical Result to
-// a run that re-invokes the policy every round.
-func TestIncrementalMatchesFull(t *testing.T) {
-	configs := map[string]func(*engine.Config){
+// diffConfigs is the noise matrix of the engine differentials: each entry
+// adjusts a 20-container, uncapped, chaos-free base configuration.
+func diffConfigs() map[string]func(*engine.Config) {
+	return map[string]func(*engine.Config){
 		"clean":     func(*engine.Config) {},
 		"admission": func(c *engine.Config) { c.Containers = 12; c.MaxRunningJobs = 3 },
 		"failures":  func(c *engine.Config) { c.FailureProb = 0.15 },
@@ -127,6 +125,14 @@ func TestIncrementalMatchesFull(t *testing.T) {
 			c.SampleInterval = 5
 		},
 	}
+}
+
+// TestIncrementalMatchesFull is the correctness gate of the incremental
+// scheduling rounds: for every policy family, noise configuration and seed,
+// a run with the fast paths enabled must produce a byte-identical Result to
+// a run that re-invokes the policy every round.
+func TestIncrementalMatchesFull(t *testing.T) {
+	configs := diffConfigs()
 	for pname, mk := range diffPolicies(t) {
 		for cname, tweak := range configs {
 			t.Run(fmt.Sprintf("%s/%s", pname, cname), func(t *testing.T) {

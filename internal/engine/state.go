@@ -143,6 +143,11 @@ type jobState struct {
 	completedAt float64
 	seq         int // admission sequence
 	pos         int // position in jobSeq order (see arena.running)
+	// slot is the view registry's handle for the job, held from admission to
+	// completion; viewIdx is the job's index among the current round's views,
+	// where the policy's share for it is read.
+	slot    int32
+	viewIdx int
 
 	stages       []stageState
 	activeStages []int // indices of unlocked, uncompleted stages, ascending

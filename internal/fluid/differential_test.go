@@ -1,13 +1,16 @@
 package fluid_test
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"lasmq/internal/core"
 	"lasmq/internal/fluid"
+	"lasmq/internal/obs"
 	"lasmq/internal/sched"
+	"lasmq/internal/sched/schedtest"
 	"lasmq/internal/trace"
 )
 
@@ -266,6 +269,49 @@ func TestStridedPartition(t *testing.T) {
 	for id, n := range seen {
 		if n != 1 {
 			t.Fatalf("job %d yielded %d times", id, n)
+		}
+	}
+}
+
+// TestDenseMatchesMapOnly is the dense round contract's gate on the fluid
+// simulator: a policy driven through its dense forms and the same policy with
+// those forms hidden (schedtest.MapOnly, so substrate.Driver takes the maps)
+// must produce DeepEqual results and byte-identical JSONL probe streams, over
+// the suite's 3 seeds × 4 policies. Jobs here complete, and their slots are
+// reissued, thousands of times a run.
+func TestDenseMatchesMapOnly(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		specs, tcfg := diffTrace(t, seed)
+		for name, newPolicy := range diffPolicies(t) {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, name), func(t *testing.T) {
+				run := func(wrap func(sched.Scheduler) sched.Scheduler) (*fluid.Result, []byte) {
+					p, err := newPolicy()
+					if err != nil {
+						t.Fatal(err)
+					}
+					var log bytes.Buffer
+					sink := obs.NewJSONL(&log)
+					fcfg := fluid.DefaultConfig()
+					fcfg.Capacity = tcfg.Capacity
+					fcfg.Probe = sink
+					res, err := fluid.Run(specs, wrap(p), fcfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sink.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					return res, log.Bytes()
+				}
+				dense, denseLog := run(func(p sched.Scheduler) sched.Scheduler { return p })
+				mapped, mapLog := run(schedtest.MapOnly)
+				if !reflect.DeepEqual(dense, mapped) {
+					t.Fatal("result differs between the dense and the map forms")
+				}
+				if !bytes.Equal(denseLog, mapLog) {
+					t.Fatalf("probe stream differs between the dense and the map forms (%d vs %d bytes)", len(denseLog), len(mapLog))
+				}
+			})
 		}
 	}
 }

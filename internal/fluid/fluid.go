@@ -97,6 +97,7 @@ type Result struct {
 type fluidJob struct {
 	spec     JobSpec
 	seq      int
+	slot     int32 // the view registry's handle for this job, held while active
 	attained float64
 	rate     float64
 	view     jobView // embedded adapter, reused across rounds
@@ -344,6 +345,7 @@ func (s *sim) stream() (*StreamResult, error) {
 func (s *sim) admit() {
 	s.adm.Admit(func(j *fluidJob, seq int) {
 		j.seq = seq
+		j.slot = s.vs.TakeSlot()
 		s.active = append(s.active, j)
 		if s.probe != nil {
 			s.probe.JobAdmitted(s.now, j.spec.ID, math.Max(0, s.now-j.spec.Arrival))
@@ -390,19 +392,18 @@ func (s *sim) run() error {
 			continue
 		}
 
-		// Build views and ask the policy for shares through the kernel driver
-		// (which reuses the allocation map for buffered policies).
+		// Build views and ask the policy for shares through the kernel driver:
+		// shares[i] is the share of s.active[i].
 		s.vs.Begin(false, false)
 		for _, j := range s.active {
-			s.vs.Add(&j.view)
+			s.vs.AddSlot(&j.view, j.slot)
 		}
-		views := s.vs.Views()
-		alloc := s.driver.Assign(s.now, capacity, views)
+		shares := s.driver.Shares(s.now, capacity, &s.vs)
 		out.Rounds++
 
 		// Apply rates (defensively capped by width).
-		for _, j := range s.active {
-			j.rate = math.Min(alloc[j.spec.ID], j.spec.Width)
+		for i, j := range s.active {
+			j.rate = math.Min(shares[i], j.spec.Width)
 			if j.rate < 0 {
 				j.rate = 0
 			}
@@ -422,15 +423,19 @@ func (s *sim) run() error {
 				}
 			}
 		}
-		if h := s.driver.Horizon(s.now, views, alloc); h < next {
+		if h := s.driver.Horizon(s.now, &s.vs); h < next {
 			next = h
 		}
 		if s.cfg.MaxStep > 0 && s.now+s.cfg.MaxStep < next {
 			next = s.now + s.cfg.MaxStep
 		}
 		if math.IsInf(next, 1) || next <= s.now {
+			var total float64
+			for _, x := range shares {
+				total += x
+			}
 			return fmt.Errorf("fluid: no progress at t=%v with %d active jobs (total rate %v)",
-				s.now, len(s.active), alloc.Total())
+				s.now, len(s.active), total)
 		}
 
 		// Advance time and service.
@@ -471,6 +476,7 @@ func (s *sim) run() error {
 			if s.each != nil {
 				s.each(jr)
 			}
+			s.vs.FreeSlot(j.slot)
 			s.jobs.Put(j)
 		}
 		s.active = live

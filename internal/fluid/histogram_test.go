@@ -6,18 +6,38 @@ import (
 	"reflect"
 	"testing"
 
+	"lasmq/internal/core"
 	"lasmq/internal/fluid"
 	"lasmq/internal/obs"
 	"lasmq/internal/sched"
+	"lasmq/internal/sched/schedtest"
 )
 
 // TestHistogramSideChannels pins the fluid substrate's wiring into the
 // Histograms sink: every completed job feeds the response histogram via
 // JobDone and the slowdown histogram via the SlowdownObserver side-channel
 // (slowdown is fluid-derived state, not a probe event), every admission
-// feeds the wait histogram, and the driver feeds wall-clock round latency —
-// all without perturbing the simulation.
+// feeds the wait histogram, and the driver feeds wall-clock round latency,
+// one observation per executed round whichever form it drives the policy
+// through — all without perturbing the simulation.
 func TestHistogramSideChannels(t *testing.T) {
+	newLASMQ := func() sched.Scheduler {
+		mq, err := core.New(core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mq
+	}
+	for name, newPolicy := range map[string]func() sched.Scheduler{
+		"LAS dense":    func() sched.Scheduler { return sched.NewLAS() },
+		"LAS_MQ dense": newLASMQ,
+		"LAS_MQ map":   func() sched.Scheduler { return schedtest.MapOnly(newLASMQ()) },
+	} {
+		t.Run(name, func(t *testing.T) { histogramSideChannels(t, newPolicy) })
+	}
+}
+
+func histogramSideChannels(t *testing.T, newPolicy func() sched.Scheduler) {
 	rng := rand.New(rand.NewSource(3))
 	specs := make([]fluid.JobSpec, 60)
 	for i := range specs {
@@ -29,14 +49,14 @@ func TestHistogramSideChannels(t *testing.T) {
 		}
 	}
 	cfg := fluid.Config{Capacity: 8, TaskDuration: 1, MaxRunningJobs: 6}
-	plain, err := fluid.Run(specs, sched.NewLAS(), cfg)
+	plain, err := fluid.Run(specs, newPolicy(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	h := obs.NewHistograms()
 	cfg.Probe = h
-	probed, err := fluid.Run(specs, sched.NewLAS(), cfg)
+	probed, err := fluid.Run(specs, newPolicy(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +75,8 @@ func TestHistogramSideChannels(t *testing.T) {
 	if int(wait.Count()) != len(specs) {
 		t.Fatalf("admission wait saw %d jobs, want %d", wait.Count(), len(specs))
 	}
-	if lat.Count() == 0 {
-		t.Fatal("driver recorded no round latency")
+	if int(lat.Count()) != probed.Rounds || probed.Rounds == 0 {
+		t.Fatalf("driver recorded %d round latencies over %d executed rounds", lat.Count(), probed.Rounds)
 	}
 
 	// The histogram aggregates must agree with the exact per-job results.

@@ -21,17 +21,19 @@ type Levels struct {
 // New builds the threshold hierarchy for k queues with the given first
 // threshold and multiplicative step. k must be >= 1; if k == 1 there are no
 // thresholds and every job stays in the single queue. first and step must be
-// positive (step may be 1 for linear, equal thresholds are rejected below 1).
+// positive and finite (step may be 1 for linear, equal thresholds are
+// rejected below 1): a NaN threshold compares false with every estimate and
+// would silently file every job in the last queue.
 func New(k int, first, step float64) (*Levels, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("mlq: number of queues must be >= 1, got %d", k)
 	}
 	if k > 1 {
-		if first <= 0 {
-			return nil, fmt.Errorf("mlq: first threshold must be positive, got %v", first)
+		if !(first > 0) || math.IsInf(first, 1) {
+			return nil, fmt.Errorf("mlq: first threshold must be positive and finite, got %v", first)
 		}
-		if step < 1 {
-			return nil, fmt.Errorf("mlq: step must be >= 1, got %v", step)
+		if !(step >= 1) || math.IsInf(step, 1) {
+			return nil, fmt.Errorf("mlq: step must be finite and >= 1, got %v", step)
 		}
 	}
 	thresholds := make([]float64, 0, k-1)

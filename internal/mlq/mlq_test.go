@@ -2,6 +2,7 @@ package mlq
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -36,6 +37,32 @@ func TestNewValidation(t *testing.T) {
 			_, err := New(tt.k, tt.first, tt.step)
 			if (err != nil) != tt.wantErr {
 				t.Errorf("New(%d, %v, %v) error = %v, wantErr %v", tt.k, tt.first, tt.step, err, tt.wantErr)
+			}
+		})
+	}
+}
+
+// TestNonFiniteRejected: a NaN or infinite first threshold or step is an
+// error naming the argument — every comparison with NaN is false, so range
+// checks written as < or > let it through, and a NaN threshold files every
+// job in the last queue.
+func TestNonFiniteRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tests := []struct {
+		name        string
+		first, step float64
+		want        string
+	}{
+		{"NaN first", nan, 10, "first threshold"},
+		{"+Inf first", inf, 10, "first threshold"},
+		{"NaN step", 1, nan, "step"},
+		{"+Inf step", 1, inf, "step"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			_, err := New(3, tt.first, tt.step)
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("New(3, %v, %v) error = %v, want one naming %q", tt.first, tt.step, err, tt.want)
 			}
 		})
 	}

@@ -39,19 +39,20 @@ type ObserveHinter interface {
 
 // viewEntry caches one job's sort key and tie-break so ordering policies
 // sort concrete data instead of making interface calls inside a
-// reflection-based comparator.
+// reflection-based comparator. idx is the job's position in the round's view
+// slice, which is also where its share goes.
 type viewEntry struct {
 	key float64
 	seq int
-	job JobView
+	idx int32
 }
 
 // buildEntries fills scratch (reusing its backing array) with
-// (key(j), Seq, j) for every job.
+// (key(j), Seq, index) for every job.
 func buildEntries(scratch *[]viewEntry, jobs []JobView, key func(JobView) float64) []viewEntry {
 	entries := (*scratch)[:0]
-	for _, j := range jobs {
-		entries = append(entries, viewEntry{key: key(j), seq: j.Seq(), job: j})
+	for i, j := range jobs {
+		entries = append(entries, viewEntry{key: key(j), seq: j.Seq(), idx: int32(i)})
 	}
 	*scratch = entries
 	return entries
@@ -90,22 +91,25 @@ func less(a, b viewEntry) bool {
 	return a.seq < b.seq
 }
 
-// fillEntry is one job in a water-filling pass.
+// fillEntry is one job in a water-filling pass, by view index.
 type fillEntry struct {
-	id     int
+	idx    int32
 	demand float64
 	weight float64
 }
 
-// fillInOrderInto grants each entry min(demand, remaining capacity) in
-// entry order, writing shares into out, and returns the total granted.
-func fillInOrderInto(capacity float64, entries []viewEntry, out Assignment) float64 {
-	var granted float64
+// orderFill is the dense core of the serve-in-key-order policies: sort the
+// jobs by (key, Seq) and grant each min(demand, remaining capacity) in that
+// order, writing the shares by view index into the zeroed shares.
+func orderFill(scratch *[]viewEntry, capacity float64, jobs []JobView, key func(JobView) float64, shares []float64) {
+	clear(shares)
+	entries := buildEntries(scratch, jobs, key)
+	sortEntries(entries)
 	for i := range entries {
 		if capacity <= 0 {
 			break
 		}
-		d := entries[i].job.ReadyDemand()
+		d := jobs[entries[i].idx].ReadyDemand()
 		if d <= 0 {
 			continue
 		}
@@ -113,18 +117,16 @@ func fillInOrderInto(capacity float64, entries []viewEntry, out Assignment) floa
 		if capacity < x {
 			x = capacity
 		}
-		out[entries[i].job.ID()] = x
+		shares[entries[i].idx] = x
 		capacity -= x
-		granted += x
 	}
-	return granted
 }
 
 // fillActive performs demand-capped weighted max-min sharing (progressive
 // water filling) over the active entries, compacting the slice in place as
-// jobs saturate. Shares are added into out; the return value is the total
-// granted, accumulated in deterministic entry order.
-func fillActive(capacity float64, active []fillEntry, out Assignment) float64 {
+// jobs saturate. Shares are added into out by view index; the return value
+// is the total granted, accumulated in deterministic entry order.
+func fillActive(capacity float64, active []fillEntry, out []float64) float64 {
 	const eps = 1e-12
 	var granted float64
 	for capacity > eps && len(active) > 0 {
@@ -140,7 +142,7 @@ func fillActive(capacity float64, active []fillEntry, out Assignment) float64 {
 			e := active[i]
 			share := perWeight * e.weight
 			if e.demand <= share+eps {
-				out[e.id] += e.demand
+				out[e.idx] += e.demand
 				capacity -= e.demand
 				granted += e.demand
 				saturated = true
@@ -153,7 +155,7 @@ func fillActive(capacity float64, active []fillEntry, out Assignment) float64 {
 			// No bottlenecked jobs: everyone takes the proportional share.
 			for i := range active {
 				x := perWeight * active[i].weight
-				out[active[i].id] += x
+				out[active[i].idx] += x
 				granted += x
 			}
 			return granted
@@ -163,20 +165,22 @@ func fillActive(capacity float64, active []fillEntry, out Assignment) float64 {
 	return granted
 }
 
-// weightedFillInto runs fillActive over the jobs with positive demand and
-// weight, reusing scratch for the active set.
-func weightedFillInto(capacity float64, jobs []JobView, weight func(JobView) float64, out Assignment, scratch *[]fillEntry) float64 {
+// weightedFill is the dense core of the sharing policies: fillActive over
+// the jobs with positive demand and weight, into the zeroed shares, reusing
+// scratch for the active set.
+func weightedFill(scratch *[]fillEntry, capacity float64, jobs []JobView, weight func(JobView) float64, shares []float64) {
+	clear(shares)
 	active := (*scratch)[:0]
-	for _, j := range jobs {
+	for i, j := range jobs {
 		d := j.ReadyDemand()
 		w := weight(j)
 		if d <= 0 || w <= 0 {
 			continue
 		}
-		active = append(active, fillEntry{id: j.ID(), demand: d, weight: w})
+		active = append(active, fillEntry{idx: int32(i), demand: d, weight: w})
 	}
 	*scratch = active
-	return fillActive(capacity, active, out)
+	fillActive(capacity, active, shares)
 }
 
 // clearAssignment empties out in place (policies clear their output buffer

@@ -8,7 +8,8 @@ package sched
 // The scheduler carries water-filling scratch, so one instance must not be
 // shared between concurrent simulation runs.
 type Fair struct {
-	fill []fillEntry
+	fill   []fillEntry
+	shares []float64 // AssignInto's scratch for the dense core's answer
 }
 
 // NewFair returns the Fair baseline scheduler.
@@ -17,6 +18,7 @@ func NewFair() *Fair { return &Fair{} }
 var (
 	_ Scheduler        = (*Fair)(nil)
 	_ BufferedAssigner = (*Fair)(nil)
+	_ DenseAssigner    = (*Fair)(nil)
 )
 
 // Name implements Scheduler.
@@ -31,12 +33,16 @@ func (f *Fair) Assign(now float64, capacity float64, jobs []JobView) Assignment 
 
 // AssignInto implements BufferedAssigner.
 func (f *Fair) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	clearAssignment(out)
-	weightedFillInto(capacity, jobs, func(j JobView) float64 {
+	assignViaDense(f, &f.shares, now, capacity, jobs, out)
+}
+
+// AssignDense implements DenseAssigner.
+func (f *Fair) AssignDense(now, capacity float64, jobs []JobView, _ []int32, shares []float64) {
+	weightedFill(&f.fill, capacity, jobs, func(j JobView) float64 {
 		p := j.Priority()
 		if p <= 0 {
 			p = 1
 		}
 		return float64(p)
-	}, out, &f.fill)
+	}, shares)
 }

@@ -9,6 +9,7 @@ package sched
 // between concurrent simulation runs.
 type FIFO struct {
 	entries []viewEntry
+	shares  []float64 // AssignInto's scratch for the dense core's answer
 }
 
 // NewFIFO returns the FIFO baseline scheduler.
@@ -17,6 +18,7 @@ func NewFIFO() *FIFO { return &FIFO{} }
 var (
 	_ Scheduler        = (*FIFO)(nil)
 	_ BufferedAssigner = (*FIFO)(nil)
+	_ DenseAssigner    = (*FIFO)(nil)
 )
 
 // Name implements Scheduler.
@@ -31,8 +33,10 @@ func (f *FIFO) Assign(now float64, capacity float64, jobs []JobView) Assignment 
 
 // AssignInto implements BufferedAssigner.
 func (f *FIFO) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	clearAssignment(out)
-	entries := buildEntries(&f.entries, jobs, func(j JobView) float64 { return float64(j.Seq()) })
-	sortEntries(entries)
-	fillInOrderInto(capacity, entries, out)
+	assignViaDense(f, &f.shares, now, capacity, jobs, out)
+}
+
+// AssignDense implements DenseAssigner.
+func (f *FIFO) AssignDense(now, capacity float64, jobs []JobView, _ []int32, shares []float64) {
+	orderFill(&f.entries, capacity, jobs, func(j JobView) float64 { return float64(j.Seq()) }, shares)
 }

@@ -28,6 +28,7 @@ type Gittins struct {
 	service dist.Service
 	table   *dist.GittinsTable
 	entries []viewEntry
+	shares  []float64 // scratch for orderFill's answer
 }
 
 // NewGittins returns the Gittins-index policy for the given service
@@ -71,13 +72,12 @@ func (g *Gittins) Assign(now float64, capacity float64, jobs []JobView) Assignme
 // the distribution's support or sitting on a completion atom — sorts first
 // and is driven to completion).
 func (g *Gittins) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	clearAssignment(out)
 	table := g.lazyTable()
-	entries := buildEntries(&g.entries, jobs, func(j JobView) float64 {
+	shares := sizeShares(&g.shares, len(jobs))
+	orderFill(&g.entries, capacity, jobs, func(j JobView) float64 {
 		return -table.Index(j.Attained())
-	})
-	sortEntries(entries)
-	fillInOrderInto(capacity, entries, out)
+	}, shares)
+	sharesInto(jobs, shares, out)
 }
 
 // Horizon implements Hinter: the discretized index is constant between grid

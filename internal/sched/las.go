@@ -17,6 +17,7 @@ type LAS struct {
 	entries []viewEntry
 	fill    []fillEntry
 	levels  []float64
+	shares  []float64 // the map forms' scratch for the dense forms' slices
 }
 
 // NewLAS returns the LAS baseline scheduler.
@@ -26,6 +27,8 @@ var (
 	_ Scheduler        = (*LAS)(nil)
 	_ BufferedAssigner = (*LAS)(nil)
 	_ Hinter           = (*LAS)(nil)
+	_ DenseAssigner    = (*LAS)(nil)
+	_ DenseHinter      = (*LAS)(nil)
 )
 
 // lasTieEps is the tolerance under which two attained-service values are
@@ -46,7 +49,12 @@ func (l *LAS) Assign(now float64, capacity float64, jobs []JobView) Assignment {
 
 // AssignInto implements BufferedAssigner.
 func (l *LAS) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	clearAssignment(out)
+	assignViaDense(l, &l.shares, now, capacity, jobs, out)
+}
+
+// AssignDense implements DenseAssigner.
+func (l *LAS) AssignDense(now, capacity float64, jobs []JobView, _ []int32, shares []float64) {
+	clear(shares)
 	entries := buildEntries(&l.entries, jobs, JobView.Attained)
 	sortEntries(entries)
 	i := 0
@@ -61,20 +69,29 @@ func (l *LAS) AssignInto(now float64, capacity float64, jobs []JobView, out Assi
 		// accumulated in group order, keeping the result deterministic.
 		active := l.fill[:0]
 		for _, e := range entries[i:groupEnd] {
-			if d := e.job.ReadyDemand(); d > 0 {
-				active = append(active, fillEntry{id: e.job.ID(), demand: d, weight: 1})
+			if d := jobs[e.idx].ReadyDemand(); d > 0 {
+				active = append(active, fillEntry{idx: e.idx, demand: d, weight: 1})
 			}
 		}
 		l.fill = active
-		capacity -= fillActive(capacity, active, out)
+		capacity -= fillActive(capacity, active, shares)
 		i = groupEnd
 	}
 }
 
-// Horizon implements Hinter: the decision changes when a served job's
-// attained service catches up with the attained service of a job that is
-// currently ahead of it.
+// Horizon implements Hinter: HorizonDense over the shares alloc holds.
 func (l *LAS) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
+	shares := sizeShares(&l.shares, len(jobs))
+	for i, j := range jobs {
+		shares[i] = alloc[j.ID()]
+	}
+	return l.HorizonDense(now, jobs, nil, shares)
+}
+
+// HorizonDense implements DenseHinter: the decision changes when a served
+// job's attained service catches up with the attained service of a job that
+// is currently ahead of it.
+func (l *LAS) HorizonDense(now float64, jobs []JobView, _ []int32, shares []float64) float64 {
 	// Collect attained levels of all jobs, and find for each served job the
 	// next level strictly above its own.
 	levels := l.levels[:0]
@@ -85,8 +102,8 @@ func (l *LAS) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
 	sort.Float64s(levels)
 
 	horizon := math.Inf(1)
-	for _, j := range jobs {
-		rate := alloc[j.ID()]
+	for i, j := range jobs {
+		rate := shares[i]
 		if rate <= 0 {
 			continue
 		}

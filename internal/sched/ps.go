@@ -9,7 +9,8 @@ package sched
 // The scheduler carries water-filling scratch, so one instance must not be
 // shared between concurrent simulation runs.
 type PS struct {
-	fill []fillEntry
+	fill   []fillEntry
+	shares []float64 // AssignInto's scratch for the dense core's answer
 }
 
 // NewPS returns the processor-sharing baseline scheduler.
@@ -18,6 +19,7 @@ func NewPS() *PS { return &PS{} }
 var (
 	_ Scheduler        = (*PS)(nil)
 	_ BufferedAssigner = (*PS)(nil)
+	_ DenseAssigner    = (*PS)(nil)
 )
 
 // Name implements Scheduler.
@@ -32,6 +34,10 @@ func (p *PS) Assign(now float64, capacity float64, jobs []JobView) Assignment {
 
 // AssignInto implements BufferedAssigner.
 func (p *PS) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	clearAssignment(out)
-	weightedFillInto(capacity, jobs, func(JobView) float64 { return 1 }, out, &p.fill)
+	assignViaDense(p, &p.shares, now, capacity, jobs, out)
+}
+
+// AssignDense implements DenseAssigner.
+func (p *PS) AssignDense(now, capacity float64, jobs []JobView, _ []int32, shares []float64) {
+	weightedFill(&p.fill, capacity, jobs, func(JobView) float64 { return 1 }, shares)
 }

@@ -9,6 +9,7 @@ package sched
 // between concurrent simulation runs.
 type SJF struct {
 	entries []viewEntry
+	shares  []float64 // AssignInto's scratch for the dense core's answer
 }
 
 // NewSJF returns the SJF baseline scheduler.
@@ -17,6 +18,7 @@ func NewSJF() *SJF { return &SJF{} }
 var (
 	_ Scheduler        = (*SJF)(nil)
 	_ BufferedAssigner = (*SJF)(nil)
+	_ DenseAssigner    = (*SJF)(nil)
 )
 
 // Name implements Scheduler.
@@ -31,10 +33,12 @@ func (s *SJF) Assign(now float64, capacity float64, jobs []JobView) Assignment {
 
 // AssignInto implements BufferedAssigner.
 func (s *SJF) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	clearAssignment(out)
-	entries := buildEntries(&s.entries, jobs, JobView.SizeHint)
-	sortEntries(entries)
-	fillInOrderInto(capacity, entries, out)
+	assignViaDense(s, &s.shares, now, capacity, jobs, out)
+}
+
+// AssignDense implements DenseAssigner.
+func (s *SJF) AssignDense(now, capacity float64, jobs []JobView, _ []int32, shares []float64) {
+	orderFill(&s.entries, capacity, jobs, JobView.SizeHint, shares)
 }
 
 // SRTF is the preemptive shortest-remaining-time-first policy. Like SJF it
@@ -44,6 +48,7 @@ func (s *SJF) AssignInto(now float64, capacity float64, jobs []JobView, out Assi
 // between concurrent simulation runs.
 type SRTF struct {
 	entries []viewEntry
+	shares  []float64 // AssignInto's scratch for the dense core's answer
 }
 
 // NewSRTF returns the SRTF baseline scheduler.
@@ -52,6 +57,7 @@ func NewSRTF() *SRTF { return &SRTF{} }
 var (
 	_ Scheduler        = (*SRTF)(nil)
 	_ BufferedAssigner = (*SRTF)(nil)
+	_ DenseAssigner    = (*SRTF)(nil)
 )
 
 // Name implements Scheduler.
@@ -66,8 +72,10 @@ func (s *SRTF) Assign(now float64, capacity float64, jobs []JobView) Assignment 
 
 // AssignInto implements BufferedAssigner.
 func (s *SRTF) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	clearAssignment(out)
-	entries := buildEntries(&s.entries, jobs, JobView.RemainingSizeHint)
-	sortEntries(entries)
-	fillInOrderInto(capacity, entries, out)
+	assignViaDense(s, &s.shares, now, capacity, jobs, out)
+}
+
+// AssignDense implements DenseAssigner.
+func (s *SRTF) AssignDense(now, capacity float64, jobs []JobView, _ []int32, shares []float64) {
+	orderFill(&s.entries, capacity, jobs, JobView.RemainingSizeHint, shares)
 }

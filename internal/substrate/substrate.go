@@ -12,12 +12,13 @@
 //   - Queue: the job-admission module (FIFO waiting queue, running-job cap,
 //     admission sequence numbers, stuck-admission detection).
 //   - ViewSet: the scratch-reusing registry of scheduler-facing job views a
-//     substrate rebuilds each round, with the optional ready-demand and
-//     metric-rate-bound side maps.
+//     substrate rebuilds each round, with the slot allocator and the slot,
+//     share and rate columns of the dense round contract, and the optional
+//     ready-demand and metric-rate-bound side maps of the map one.
 //   - Driver: the policy invocation loop — BufferedAssigner/Observer/
-//     ObserveHinter/Hinter capability dispatch, allocation-buffer reuse, and
-//     the observation-horizon gating that lets substrates skip dead rounds
-//     without desynchronizing stateful policies.
+//     ObserveHinter/Hinter capability dispatch in map or dense form,
+//     allocation-buffer reuse, and the observation-horizon gating that lets
+//     substrates skip dead rounds without desynchronizing stateful policies.
 //   - Result: the response-time/slowdown/per-bin accumulator behind every
 //     substrate's result type.
 //
@@ -49,7 +50,16 @@ type Driver struct {
 	obsHinter sched.ObserveHinter
 	hinter    sched.Hinter
 	alloc     sched.Assignment
-	probe     obs.Probe
+	// The dense forms of the capabilities above. dense is nil unless the
+	// policy has the dense form of everything it has in map form; when it is
+	// non-nil, rounds over a slotted ViewSet never call a map form.
+	dense        sched.DenseAssigner
+	denseHinter  sched.DenseHinter
+	denseObserve sched.DenseObserver
+	// last is the assignment the latest map-form round returned, which that
+	// round's Horizon call hands back to the policy.
+	last  sched.Assignment
+	probe obs.Probe
 	// latency receives the wall-clock seconds each round spends inside the
 	// policy, resolved once at SetProbe. It is a side-channel, not a Probe
 	// event: wall-clock readings differ run to run, and the deterministic
@@ -78,6 +88,13 @@ func NewDriver(policy sched.Scheduler) *Driver {
 	if h, ok := policy.(sched.Hinter); ok {
 		d.hinter = h
 	}
+	if a, ok := policy.(sched.DenseAssigner); ok {
+		h, hasHinter := policy.(sched.DenseHinter)
+		o, hasObserver := policy.(sched.DenseObserver)
+		if (d.hinter == nil || hasHinter) && (d.observer == nil || hasObserver) {
+			d.dense, d.denseHinter, d.denseObserve = a, h, o
+		}
+	}
 	return d
 }
 
@@ -101,36 +118,74 @@ func (d *Driver) SetProbe(p obs.Probe) {
 // Name reports the policy name for results.
 func (d *Driver) Name() string { return d.policy.Name() }
 
-// Assign runs one full policy invocation, going through AssignInto when the
-// policy supports buffered assignment. The returned assignment aliases the
-// driver's buffer for buffered policies and is valid until the next Assign
-// call. A full invocation mutates stateful policies, so it also invalidates
-// any previously computed observation horizon.
-func (d *Driver) Assign(now, capacity float64, views []sched.JobView) sched.Assignment {
+// speaksDense reports whether a round over vs goes through the policy's dense
+// forms: the policy has them all, and the substrate added every view with its
+// slot. The live resource manager adds views without slots, so the same
+// policy takes its map forms there.
+func (d *Driver) speaksDense(vs *ViewSet) bool {
+	return d.dense != nil && len(vs.slots) == len(vs.views)
+}
+
+// beginRound is the bookkeeping every full policy invocation starts with: a
+// full invocation mutates stateful policies, so it invalidates any previously
+// computed observation horizon, and it is the RoundExecuted event. The
+// returned time is read only when a histogram sink is listening — unprobed
+// runs never touch the clock.
+func (d *Driver) beginRound(now float64, views int) (start time.Time) {
 	d.dirty = true
 	if d.probe != nil {
-		d.probe.RoundExecuted(now, len(views))
+		d.probe.RoundExecuted(now, views)
 	}
 	if d.latency != nil {
-		// Time only the policy invocation (wall-clock), feeding the
-		// round-latency histogram. Guarded so unprobed runs never touch the
-		// clock — the nil-probe path stays branch-and-return.
-		start := time.Now()
-		var out sched.Assignment
-		if d.buffered != nil {
-			d.buffered.AssignInto(now, capacity, views, d.alloc)
-			out = d.alloc
-		} else {
-			out = d.policy.Assign(now, capacity, views)
-		}
+		start = time.Now()
+	}
+	return start
+}
+
+// endRound feeds the round-latency histogram the wall-clock time since
+// beginRound: the policy invocation alone.
+func (d *Driver) endRound(start time.Time) {
+	if d.latency != nil {
 		d.latency.ObserveRoundLatency(time.Since(start).Seconds())
-		return out
 	}
+}
+
+// Assign runs one full policy invocation in map form, going through
+// AssignInto when the policy supports buffered assignment. The returned
+// assignment aliases the driver's buffer for buffered policies and is valid
+// until the next Assign call.
+func (d *Driver) Assign(now, capacity float64, views []sched.JobView) sched.Assignment {
+	start := d.beginRound(now, len(views))
+	out := d.alloc
 	if d.buffered != nil {
-		d.buffered.AssignInto(now, capacity, views, d.alloc)
-		return d.alloc
+		d.buffered.AssignInto(now, capacity, views, out)
+	} else {
+		out = d.policy.Assign(now, capacity, views)
 	}
-	return d.policy.Assign(now, capacity, views)
+	d.endRound(start)
+	return out
+}
+
+// Shares runs one full policy invocation over the views in vs and returns
+// the share column: shares[i] belongs to vs.Views()[i], zero for a job the
+// policy did not serve. A dense policy over slotted views fills the column
+// itself; any other is invoked through Assign and its map read out once per
+// view. The column is valid until the next Shares call, and Horizon reads
+// it.
+func (d *Driver) Shares(now, capacity float64, vs *ViewSet) []float64 {
+	vs.shares = grow(vs.shares[:0], len(vs.views))[:len(vs.views)]
+	shares := vs.shares
+	if !d.speaksDense(vs) {
+		d.last = d.Assign(now, capacity, vs.views)
+		for i, v := range vs.views {
+			shares[i] = d.last[v.ID()]
+		}
+		return shares
+	}
+	start := d.beginRound(now, len(vs.views))
+	d.dense.AssignDense(now, capacity, vs.views, vs.slots, shares)
+	d.endRound(start)
+	return shares
 }
 
 // MarkDirty invalidates the observation horizon. Substrates call it whenever
@@ -168,23 +223,45 @@ func (d *Driver) ObservationDue(now float64) bool {
 // rounds must match. When the policy hints horizons and vs carries rate
 // bounds, the next horizon is recorded and the dirty flag cleared, arming
 // ObservationDue's fast path.
+//
+// Rate bounds reach a dense policy as the column AddRate filled. A map-form
+// policy reads the rate map: what SetRate put there, or, when the substrate
+// filled the column instead, the column filed under the views' job IDs.
 func (d *Driver) Observe(now float64, vs *ViewSet) {
 	if d.observer == nil || vs.Len() == 0 {
 		return
 	}
+	rated := d.obsHinter != nil && vs.hasRates
+	if d.speaksDense(vs) {
+		d.denseObserve.ObserveDense(now, vs.views, vs.slots)
+		if rated {
+			d.obsHorizon = d.denseObserve.ObserveHorizonDense(now, vs.views, vs.slots, vs.rateCol)
+			d.dirty = false
+		}
+		return
+	}
 	d.observer.Observe(now, vs.views)
-	if d.obsHinter != nil && vs.hasRates {
+	if rated {
+		if len(vs.rateCol) == len(vs.views) {
+			for i, v := range vs.views {
+				vs.rates[v.ID()] = vs.rateCol[i]
+			}
+		}
 		d.obsHorizon = d.obsHinter.ObserveHorizon(now, vs.views, vs.rates)
 		d.dirty = false
 	}
 }
 
 // Horizon returns the earliest time strictly after now at which the policy's
-// decision could change given the allocation it just returned, or +Inf when
-// the policy publishes no change points (does not implement sched.Hinter).
-func (d *Driver) Horizon(now float64, views []sched.JobView, alloc sched.Assignment) float64 {
+// decision could change given the shares the latest Shares call over vs
+// returned, or +Inf when the policy publishes no change points (does not
+// implement sched.Hinter).
+func (d *Driver) Horizon(now float64, vs *ViewSet) float64 {
 	if d.hinter == nil {
 		return math.Inf(1)
 	}
-	return d.hinter.Horizon(now, views, alloc)
+	if d.speaksDense(vs) {
+		return d.denseHinter.HorizonDense(now, vs.views, vs.slots, vs.shares)
+	}
+	return d.hinter.Horizon(now, vs.views, d.last)
 }

@@ -2,6 +2,7 @@ package substrate_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"lasmq/internal/sched"
@@ -157,7 +158,7 @@ func TestDriverPlainDispatch(t *testing.T) {
 	if d.Observes() || d.NeedsRates() || d.ObservationDue(0) {
 		t.Fatal("stateless policy should need no observation")
 	}
-	if h := d.Horizon(0, nil, nil); !math.IsInf(h, 1) {
+	if h := d.Horizon(0, &substrate.ViewSet{}); !math.IsInf(h, 1) {
 		t.Fatalf("hintless Horizon = %v, want +Inf", h)
 	}
 }
@@ -236,6 +237,167 @@ func TestDriverPlainObserver(t *testing.T) {
 	}
 	if p.observes != 3 {
 		t.Fatalf("observes = %d, want 3", p.observes)
+	}
+}
+
+// bothForms is a policy with every optional capability in map form, which
+// logs the calls it receives and answers from its arguments: a share equal to
+// the job's ID, horizons that add the first job's share or rate bound to now.
+// The dense* types below add the dense forms one capability at a time — shares
+// of ten times the slot, so the two forms' answers can be told apart.
+type bothForms struct{ calls []string }
+
+func (p *bothForms) Name() string { return "both" }
+
+func (p *bothForms) Assign(now, capacity float64, jobs []sched.JobView) sched.Assignment {
+	out := sched.Assignment{}
+	p.AssignInto(now, capacity, jobs, out)
+	return out
+}
+
+func (p *bothForms) AssignInto(now, capacity float64, jobs []sched.JobView, out sched.Assignment) {
+	p.calls = append(p.calls, "AssignInto")
+	clear(out)
+	for _, j := range jobs {
+		out[j.ID()] = float64(j.ID())
+	}
+}
+
+func (p *bothForms) Horizon(now float64, jobs []sched.JobView, alloc sched.Assignment) float64 {
+	p.calls = append(p.calls, "Horizon")
+	return now + alloc[jobs[0].ID()]
+}
+
+func (p *bothForms) Observe(now float64, jobs []sched.JobView) {
+	p.calls = append(p.calls, "Observe")
+}
+
+func (p *bothForms) ObserveHorizon(now float64, jobs []sched.JobView, rates sched.Assignment) float64 {
+	p.calls = append(p.calls, "ObserveHorizon")
+	return now + rates[jobs[0].ID()]
+}
+
+type denseAssign struct{ *bothForms }
+
+func (p denseAssign) AssignDense(now, capacity float64, jobs []sched.JobView, slots []int32, shares []float64) {
+	p.calls = append(p.calls, "AssignDense")
+	for i := range shares {
+		shares[i] = 10 * float64(slots[i])
+	}
+}
+
+type denseHint struct{ *bothForms }
+
+func (p denseHint) HorizonDense(now float64, jobs []sched.JobView, slots []int32, shares []float64) float64 {
+	p.calls = append(p.calls, "HorizonDense")
+	return now + shares[0]
+}
+
+type denseObserve struct{ *bothForms }
+
+func (p denseObserve) ObserveDense(now float64, jobs []sched.JobView, slots []int32) {
+	p.calls = append(p.calls, "ObserveDense")
+}
+
+func (p denseObserve) ObserveHorizonDense(now float64, jobs []sched.JobView, slots []int32, rates []float64) float64 {
+	p.calls = append(p.calls, "ObserveHorizonDense")
+	return now + rates[0]
+}
+
+// TestDriverDenseDispatch: a policy with the dense form of every capability
+// it has is driven through the dense forms alone over slotted views — the
+// share column is what AssignDense wrote, Horizon hands it back, Observe hands
+// over the rate column — and through the map forms alone over views added
+// without slots, as the live resource manager adds them. A policy with a
+// partial dense set (here: no DenseHinter beside its map-form Hinter; then no
+// DenseObserver beside its Observer) is driven map-only even over slotted
+// views: its map is read out into the share column, and the rate column is
+// filed under the job IDs for it.
+func TestDriverDenseDispatch(t *testing.T) {
+	full := func(p *bothForms) sched.Scheduler {
+		return struct {
+			*bothForms
+			denseAssign
+			denseHint
+			denseObserve
+		}{p, denseAssign{p}, denseHint{p}, denseObserve{p}}
+	}
+	noDenseHinter := func(p *bothForms) sched.Scheduler {
+		return struct {
+			*bothForms
+			denseAssign
+			denseObserve
+		}{p, denseAssign{p}, denseObserve{p}}
+	}
+	noDenseObserver := func(p *bothForms) sched.Scheduler {
+		return struct {
+			*bothForms
+			denseAssign
+			denseHint
+		}{p, denseAssign{p}, denseHint{p}}
+	}
+	denseCalls := []string{"AssignDense", "HorizonDense", "ObserveDense", "ObserveHorizonDense"}
+	mapCalls := []string{"AssignInto", "Horizon", "Observe", "ObserveHorizon"}
+	for _, tc := range []struct {
+		name    string
+		wrap    func(*bothForms) sched.Scheduler
+		slotted bool
+		want    []string
+		share   float64
+	}{
+		{"full dense set, slotted views", full, true, denseCalls, 30},
+		{"full dense set, views without slots", full, false, mapCalls, 7},
+		{"no DenseHinter", noDenseHinter, true, mapCalls, 7},
+		{"no DenseObserver", noDenseObserver, true, mapCalls, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &bothForms{}
+			d := substrate.NewDriver(tc.wrap(p))
+			var vs substrate.ViewSet
+			vs.Begin(false, true)
+			if tc.slotted {
+				vs.AddSlot(fakeView{id: 7}, 3)
+				vs.AddRate(2.5)
+			} else {
+				vs.Add(fakeView{id: 7})
+				vs.SetRate(7, 2.5)
+			}
+			shares := d.Shares(1, 4, &vs)
+			if len(shares) != 1 || shares[0] != tc.share {
+				t.Errorf("shares = %v, want [%v]", shares, tc.share)
+			}
+			if h := d.Horizon(1, &vs); h != 1+tc.share {
+				t.Errorf("Horizon = %v, want %v", h, 1+tc.share)
+			}
+			d.Observe(2, &vs)
+			if d.ObservationDue(4) || !d.ObservationDue(4.5) {
+				t.Error("the observation horizon is not now + the rate bound the policy was handed")
+			}
+			if !slices.Equal(p.calls, tc.want) {
+				t.Errorf("calls = %v, want %v", p.calls, tc.want)
+			}
+		})
+	}
+}
+
+// TestViewSetSlots: slots count up from zero, the most recently freed is
+// reissued first, and Reset rewinds the allocator for the next run.
+func TestViewSetSlots(t *testing.T) {
+	var vs substrate.ViewSet
+	for want := int32(0); want < 3; want++ {
+		if got := vs.TakeSlot(); got != want {
+			t.Fatalf("TakeSlot = %d, want %d", got, want)
+		}
+	}
+	vs.FreeSlot(0)
+	vs.FreeSlot(2)
+	if a, b, c := vs.TakeSlot(), vs.TakeSlot(), vs.TakeSlot(); a != 2 || b != 0 || c != 3 {
+		t.Fatalf("after freeing 0 then 2, TakeSlot gave %d, %d, %d; want 2, 0, 3", a, b, c)
+	}
+	vs.FreeSlot(1)
+	vs.Reset()
+	if got := vs.TakeSlot(); got != 0 {
+		t.Fatalf("TakeSlot after Reset = %d, want 0", got)
 	}
 }
 

@@ -3,28 +3,79 @@ package substrate
 import "lasmq/internal/sched"
 
 // ViewSet is the job-view registry a substrate refills every scheduling
-// round: the sched.JobView slice handed to the policy, plus two optional
-// side maps — each job's ready container demand (consumed by share
-// quantization) and an upper bound on each job's decision-metric growth rate
-// (consumed by sched.ObserveHinter horizon gating). All three reuse their
-// backing storage across rounds, which is what keeps the steady scheduling
-// path allocation-free. The demand map is the live resource manager's
-// (internal/yarn) alone: it feeds sched.Quantizer.QuantizeInto there, while
-// the task engine quantizes dense rows built from its own job state and
-// always calls Begin(false, ·).
+// round: the sched.JobView slice handed to the policy, plus what travels
+// with it. The simulators speak the dense round contract (see
+// internal/sched/dense.go): they take a slot for every job that becomes
+// schedulable (TakeSlot/FreeSlot), register views with AddSlot, and read the
+// policy's answer from the share column Driver.Shares fills — slots, shares
+// and the dense rate bounds (AddRate) are columns parallel to the views. The
+// two side maps are the older form: each job's ready container demand
+// (consumed by sched.Quantizer.QuantizeInto) and a metric-rate bound per job
+// ID (consumed by sched.ObserveHinter horizon gating). The demand map is the
+// live resource manager's (internal/yarn) alone; the rate map is what a
+// map-only policy is handed, filled by Driver.Observe from the rate column.
+// Everything reuses its backing storage across rounds, which is what keeps
+// the steady scheduling path allocation-free.
 type ViewSet struct {
 	views    []sched.JobView
 	demand   map[int]float64
 	rates    sched.Assignment
 	hasRates bool
+
+	// Dense columns, parallel to views. slots and rateCol are filled as views
+	// are added; shares is sized by Driver.Shares.
+	slots   []int32
+	shares  []float64
+	rateCol []float64
+
+	// The slot allocator: slots below issued have been handed out at least
+	// once, and free stacks the returned ones, so slots stay below the peak
+	// number of jobs holding one at once and the most recently freed is
+	// reissued first.
+	issued int32
+	free   []int32
 }
 
-// Begin starts a new round, clearing the view slice and whichever side maps
-// the round needs: withDemand for full rounds that quantize shares,
-// withRates for observation rounds feeding a horizon-hinting policy.
-// Untouched maps keep their (stale) contents and must not be read.
+// denseFloor is the smallest capacity a dense column or the slot free list
+// is grown to: a streamed run's live set starts at one job, and growing by
+// doubling from one would cost every fresh arena a dozen small allocations.
+const denseFloor = 64
+
+// grow returns s with room for at least n elements, keeping its contents and
+// growing geometrically from denseFloor.
+func grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, max(denseFloor, 2*cap(s), n)), s...)
+}
+
+// TakeSlot issues a slot for a job entering the schedulable set.
+func (vs *ViewSet) TakeSlot() int32 {
+	if n := len(vs.free); n > 0 {
+		slot := vs.free[n-1]
+		vs.free = vs.free[:n-1]
+		return slot
+	}
+	vs.issued++
+	return vs.issued - 1
+}
+
+// FreeSlot takes a slot back from a job that left the schedulable set. It may
+// be reissued at once — before the policy has run a round without the job.
+func (vs *ViewSet) FreeSlot(slot int32) {
+	vs.free = append(grow(vs.free, len(vs.free)+1), slot)
+}
+
+// Begin starts a new round, clearing the views, the dense columns and
+// whichever side maps the round needs: withDemand for full rounds that
+// quantize shares from the demand map, withRates for observation rounds
+// feeding a horizon-hinting policy. Untouched maps keep their (stale)
+// contents and must not be read.
 func (vs *ViewSet) Begin(withDemand, withRates bool) {
 	vs.views = vs.views[:0]
+	vs.slots = vs.slots[:0]
+	vs.rateCol = vs.rateCol[:0]
 	if withDemand {
 		if vs.demand == nil {
 			vs.demand = make(map[int]float64)
@@ -40,13 +91,27 @@ func (vs *ViewSet) Begin(withDemand, withRates bool) {
 	}
 }
 
-// Add registers one schedulable job's view for this round.
+// Add registers one schedulable job's view for this round, without a slot. A
+// round whose views carry no slots is driven through the policy's map forms.
 func (vs *ViewSet) Add(v sched.JobView) { vs.views = append(vs.views, v) }
+
+// AddSlot registers one schedulable job's view and the slot the job holds.
+func (vs *ViewSet) AddSlot(v sched.JobView, slot int32) {
+	vs.views = append(vs.views, v)
+	vs.slots = append(grow(vs.slots, len(vs.slots)+1), slot)
+}
+
+// AddRate records the metric-rate bound of the view just added
+// (Begin(·, true) rounds).
+func (vs *ViewSet) AddRate(r float64) {
+	vs.rateCol = append(grow(vs.rateCol, len(vs.rateCol)+1), r)
+}
 
 // SetDemand records a job's ready container demand (Begin(true, ·) rounds).
 func (vs *ViewSet) SetDemand(id int, d float64) { vs.demand[id] = d }
 
-// SetRate records a job's metric-rate bound (Begin(·, true) rounds).
+// SetRate records a job's metric-rate bound by ID (Begin(·, true) rounds),
+// the map form of AddRate.
 func (vs *ViewSet) SetRate(id int, r float64) { vs.rates[id] = r }
 
 // Len is the number of views registered this round.
@@ -65,12 +130,17 @@ func (vs *ViewSet) Rates() sched.Assignment { return vs.rates }
 func (vs *ViewSet) HasRates() bool { return vs.hasRates }
 
 // Reset empties the registry, dropping references into the caller's job
-// state while keeping the backing storage — a pooled substrate arena calls
-// this between runs so a recycled ViewSet cannot pin the previous workload.
+// state and rewinding the slot allocator while keeping the backing storage —
+// a pooled substrate arena calls this between runs so a recycled ViewSet
+// cannot pin the previous workload, and the next run's slots start at zero.
 func (vs *ViewSet) Reset() {
 	clear(vs.views)
 	vs.views = vs.views[:0]
+	vs.slots = vs.slots[:0]
+	vs.rateCol = vs.rateCol[:0]
 	clear(vs.demand)
 	clear(vs.rates)
 	vs.hasRates = false
+	vs.issued = 0
+	vs.free = vs.free[:0]
 }
