@@ -14,6 +14,9 @@ all: build vet test
 # cross-check (crosscheck).
 check: lint layering build vet test test-race bench-smoke probe-gate alloc-gate crosscheck
 
+# The four substrates that drive a policy through internal/substrate.
+SUBSTRATES = internal/engine internal/fluid internal/yarn internal/geo
+
 # Policy/kernel packages whose float-bearing maps the lint watches.
 LINT_PKGS = internal/sched internal/core internal/mlq internal/substrate internal/engine internal/fluid internal/trace internal/yarn
 
@@ -39,10 +42,13 @@ lint:
 # substrate must never import a simulator — that inversion (trace -> fluid)
 # is exactly what the substrate hoist removed, so keep it out for good. The
 # other greps keep deleted second paths deleted: fluid's materialised arrival
-# cursor, the engine's heap→ladder event-queue hybrid, and any map keyed by
-# job ID on the simulators' round path (they read shares and write rate bounds
-# by view index; only substrate.Driver touches a sched.Assignment, for the
-# policies that have no dense form).
+# cursor, the engine's heap→ladder event-queue hybrid, and the map side of
+# the round contract — no substrate indexes an `alloc[` map, and nothing
+# outside the policies (internal/sched, internal/core), substrate.Driver and
+# benchmark/ names a sched.Assignment, calls a map-form Assign/AssignInto or
+# quantizes from maps (api.go's public alias excepted). The last grep fences
+# the adapters that survive only because benchmark/replay.go times them
+# (ViewSet's demand map, Quantizer.QuantizeInto), as eventq.Ladder is fenced.
 layering:
 	@bad=$$(grep -rn '"lasmq/internal/fluid"' internal/trace --include='*.go'; true); \
 	if [ -n "$$bad" ]; then \
@@ -63,11 +69,21 @@ layering:
 			"eventq.Ladder is kept for benchmark/replay.go alone:"; \
 		echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(grep -rnE 'alloc\[|sched\.Assignment|\.SetRate\(' --include='*.go' \
-		internal/engine internal/fluid | grep -v '_test\.go:'; true); \
+	@bad=$$(grep -rn 'alloc\[' --include='*.go' $(SUBSTRATES) | grep -v '_test\.go:'; \
+		grep -rnE 'sched\.Assignment|\.Assign(Into)?\(|Quantize(Into)?\(' --include='*.go' . \
+		| grep -v '_test\.go:' | grep -v -e '^\./internal/sched/' -e '^\./internal/core/' \
+		-e '^\./internal/substrate/' -e '^\./benchmark/' -e '^\./api\.go:.*= sched\.Assignment$$'; true); \
 	if [ -n "$$bad" ]; then \
-		echo "layering: the simulators speak the dense round contract" \
-			"(Driver.Shares, ViewSet.AddSlot/AddRate), never a map keyed by job ID:"; \
+		echo "layering: only the policies, substrate.Driver and benchmark/ touch the map" \
+			"side of the round contract (use Driver.Shares, ViewSet.AddSlot/AddRate," \
+			"Quantizer.QuantizeRows):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE '\.SetDemand\(|\.Demand\(\)|QuantizeInto\(' --include='*.go' . | grep -v '_test\.go:' \
+		| grep -v -e '^\./internal/substrate/' -e '^\./internal/sched/' -e '^\./benchmark/'; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: ViewSet's demand map and Quantizer.QuantizeInto are kept for" \
+			"benchmark/replay.go alone; build sched.QuantRow rows instead:"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "layering: ok"

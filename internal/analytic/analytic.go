@@ -153,9 +153,6 @@ func mg1Grid(upper float64, points int) []float64 {
 // Rho returns the offered load lambda*E[S].
 func (m *MG1) Rho() float64 { return m.rho }
 
-// MeanService returns E[S].
-func (m *MG1) MeanService() float64 { return m.mean }
-
 // SecondMoment returns the numeric E[S^2].
 func (m *MG1) SecondMoment() float64 { return m.m2 }
 

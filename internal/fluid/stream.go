@@ -50,14 +50,6 @@ func (r *StreamResult) MeanResponseTime() float64 {
 	return r.SumResponse / float64(r.Jobs)
 }
 
-// MeanSlowdown is the average job slowdown; 0 with no jobs.
-func (r *StreamResult) MeanSlowdown() float64 {
-	if r.Jobs == 0 {
-		return 0
-	}
-	return r.SumSlowdown / float64(r.Jobs)
-}
-
 // validateSpec is the one place a job spec is checked: Run applies it to the
 // whole trace before anything runs, the arrival cursor to each streamed spec
 // as it is read.

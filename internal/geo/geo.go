@@ -16,15 +16,17 @@
 package geo
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"lasmq/internal/dist"
-	"sort"
-
 	"lasmq/internal/eventq"
 	"lasmq/internal/sched"
+	"lasmq/internal/substrate"
 )
 
 // PlacementPolicy decides where a task runs.
@@ -124,14 +126,14 @@ func (c *Config) validate() error {
 			return fmt.Errorf("geo: site %d has non-positive capacity %d", i, n)
 		}
 	}
-	if c.BaseBandwidth <= 0 {
-		return fmt.Errorf("geo: base bandwidth must be positive, got %v", c.BaseBandwidth)
+	if !(c.BaseBandwidth > 0) || math.IsInf(c.BaseBandwidth, 1) {
+		return fmt.Errorf("geo: base bandwidth must be positive and finite, got %v", c.BaseBandwidth)
 	}
-	if c.BandwidthSigma < 0 {
-		return fmt.Errorf("geo: bandwidth sigma must be >= 0, got %v", c.BandwidthSigma)
+	if !(c.BandwidthSigma >= 0) || math.IsInf(c.BandwidthSigma, 1) {
+		return fmt.Errorf("geo: bandwidth sigma must be finite and >= 0, got %v", c.BandwidthSigma)
 	}
-	if c.ResampleInterval <= 0 {
-		return fmt.Errorf("geo: resample interval must be positive, got %v", c.ResampleInterval)
+	if !(c.ResampleInterval > 0) || math.IsInf(c.ResampleInterval, 1) {
+		return fmt.Errorf("geo: resample interval must be positive and finite, got %v", c.ResampleInterval)
 	}
 	switch c.Placement {
 	case PlaceLocalityAware, PlaceBlind:
@@ -220,16 +222,12 @@ func (l *links) bandwidth(src, dst int, now float64) float64 {
 
 // --- Simulation ---
 
-type geoTask struct {
-	spec    TaskSpec
-	started bool
-	done    bool
-}
-
 type geoJob struct {
 	spec      JobSpec
 	seq       int
-	remaining int // tasks not yet completed
+	slot      int32 // the substrate.ViewSet slot held from arrival to completion
+	viewIdx   int   // index of this round's view, and so of the job's share
+	remaining int   // tasks not yet completed
 	pending   []int
 	usage     int
 	attained  float64 // container-seconds consumed by finished attempts
@@ -237,7 +235,11 @@ type geoJob struct {
 
 	remoteTasks  int
 	transferTime float64
-	tasks        []geoTask
+	completed    float64
+
+	// view is the job's sched.JobView adapter, re-stamped with the time each
+	// round, so collecting views allocates nothing.
+	view geoView
 }
 
 type geoView struct {
@@ -273,16 +275,24 @@ func (j *geoJob) attainedAt(now float64) float64 {
 	return j.attained + running
 }
 
+func compareJobID(a, b *geoJob) int { return cmp.Compare(a.spec.ID, b.spec.ID) }
+
 type geoEvent struct {
 	kind  int // 1 arrival, 2 task done
-	jobID int
+	gj    *geoJob
 	site  int
-	task  int
 	start float64
 }
 
+// launchCand is one job below its container target in a round.
+type launchCand struct {
+	gj     *geoJob
+	target int
+}
+
 // Run simulates the workload; job ordering comes from policy, task placement
-// from cfg.Placement.
+// from cfg.Placement. The policy is driven through the substrate kernel as on
+// the other substrates: a slot per live job, shares read by view index.
 func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -297,123 +307,123 @@ func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 		if len(s.Tasks) == 0 {
 			return nil, fmt.Errorf("geo: job %d has no tasks", s.ID)
 		}
-		if s.Arrival < 0 {
-			return nil, fmt.Errorf("geo: job %d has negative arrival", s.ID)
+		if !(s.Arrival >= 0) || math.IsInf(s.Arrival, 1) {
+			return nil, fmt.Errorf("geo: job %d arrival must be finite and >= 0, got %v", s.ID, s.Arrival)
 		}
 		if seen[s.ID] {
 			return nil, fmt.Errorf("geo: duplicate job ID %d", s.ID)
 		}
 		seen[s.ID] = true
 		for ti, t := range s.Tasks {
-			if t.Compute <= 0 {
-				return nil, fmt.Errorf("geo: job %d task %d has non-positive compute", s.ID, ti)
+			if !(t.Compute > 0) || math.IsInf(t.Compute, 1) {
+				return nil, fmt.Errorf("geo: job %d task %d compute must be positive and finite, got %v", s.ID, ti, t.Compute)
 			}
 			if t.DataSite < 0 || t.DataSite >= sites {
 				return nil, fmt.Errorf("geo: job %d task %d data site %d out of range", s.ID, ti, t.DataSite)
 			}
-			if t.DataSize < 0 {
-				return nil, fmt.Errorf("geo: job %d task %d has negative data size", s.ID, ti)
+			if !(t.DataSize >= 0) || math.IsInf(t.DataSize, 1) {
+				return nil, fmt.Errorf("geo: job %d task %d data size must be finite and >= 0, got %v", s.ID, ti, t.DataSize)
 			}
 		}
 	}
 
 	var (
 		queue    eventq.Queue[geoEvent]
-		jobs     = make(map[int]*geoJob, len(specs))
-		order    []int
+		jobs     = make([]geoJob, len(specs))
+		live     []*geoJob // arrived and unfinished, in arrival order
+		driver   = substrate.NewDriver(policy)
+		vs       substrate.ViewSet
+		quant    sched.Quantizer
+		idOrder  []*geoJob // scratch: live in ascending job ID
+		rows     []sched.QuantRow
+		cands    []launchCand
 		now      float64
 		nextSeq  int
 		freeOn   = append([]int(nil), cfg.SiteContainers...)
 		capacity int
 		net      = newLinks(&cfg)
 		res      = &Result{Scheduler: policy.Name(), Placement: cfg.Placement}
-		results  = make(map[int]JobResult, len(specs))
 		left     = len(specs)
 	)
 	for _, n := range cfg.SiteContainers {
 		capacity += n
 	}
 	for i := range specs {
-		gj := &geoJob{spec: specs[i], remaining: len(specs[i].Tasks)}
-		gj.tasks = make([]geoTask, len(specs[i].Tasks))
-		for ti := range specs[i].Tasks {
-			gj.tasks[ti] = geoTask{spec: specs[i].Tasks[ti]}
-			gj.pending = append(gj.pending, ti)
+		gj := &jobs[i]
+		*gj = geoJob{spec: specs[i], remaining: len(specs[i].Tasks), pending: make([]int, len(specs[i].Tasks))}
+		gj.view.j = gj
+		for ti := range gj.pending {
+			gj.pending[ti] = ti
 		}
-		jobs[specs[i].ID] = gj
-		queue.Push(specs[i].Arrival, geoEvent{kind: 1, jobID: specs[i].ID})
+		queue.Push(specs[i].Arrival, geoEvent{kind: 1, gj: gj})
+	}
+
+	launch := func(gj *geoJob) bool {
+		if len(gj.pending) == 0 {
+			return false
+		}
+		ti := gj.pending[0]
+		task := gj.spec.Tasks[ti]
+		site := pickSite(cfg.Placement, task, freeOn, net, now)
+		if site < 0 {
+			return false
+		}
+		gj.pending = gj.pending[1:]
+		freeOn[site]--
+		gj.usage++
+		gj.usageW += now
+
+		duration := task.Compute
+		if site != task.DataSite && task.DataSize > 0 {
+			transfer := task.DataSize / net.bandwidth(task.DataSite, site, now)
+			duration += transfer
+			gj.remoteTasks++
+			gj.transferTime += transfer
+		}
+		queue.Push(now+duration, geoEvent{kind: 2, gj: gj, site: site, start: now})
+		return true
 	}
 
 	schedule := func() {
-		views := make([]sched.JobView, 0, len(order))
-		demand := make(map[int]float64, len(order))
-		for _, id := range order {
-			gj := jobs[id]
-			if gj.remaining == 0 {
-				continue
-			}
-			v := &geoView{j: gj, now: now}
-			views = append(views, v)
-			demand[id] = v.ReadyDemand()
-		}
-		if len(views) == 0 {
+		if len(live) == 0 {
 			return
 		}
-		alloc := policy.Assign(now, float64(capacity), views)
-		targets := sched.Quantize(alloc, demand, capacity)
-
-		launch := func(gj *geoJob) bool {
-			if len(gj.pending) == 0 {
-				return false
-			}
-			ti := gj.pending[0]
-			task := &gj.tasks[ti]
-			site := pickSite(cfg.Placement, task.spec, freeOn, net, now)
-			if site < 0 {
-				return false
-			}
-			gj.pending = gj.pending[1:]
-			task.started = true
-			freeOn[site]--
-			gj.usage++
-			gj.usageW += now
-
-			duration := task.spec.Compute
-			if site != task.spec.DataSite && task.spec.DataSize > 0 {
-				transfer := task.spec.DataSize / net.bandwidth(task.spec.DataSite, site, now)
-				duration += transfer
-				gj.remoteTasks++
-				gj.transferTime += transfer
-			}
-			queue.Push(now+duration, geoEvent{
-				kind: 2, jobID: gj.spec.ID, site: site, task: ti, start: now,
-			})
-			return true
+		vs.Begin(false, false)
+		for i, gj := range live {
+			gj.viewIdx, gj.view.now = i, now
+			vs.AddSlot(&gj.view, gj.slot)
 		}
+		shares := driver.Shares(now, float64(capacity), &vs)
+
+		// Quantize the shares: one row per live job in ascending job ID, the
+		// order the share total is summed in (live is in arrival order).
+		ordered := live
+		if !slices.IsSortedFunc(ordered, compareJobID) {
+			ordered = append(idOrder[:0], live...)
+			slices.SortFunc(ordered, compareJobID)
+			idOrder = ordered
+		}
+		rows = rows[:0]
+		for _, gj := range ordered {
+			rows = append(rows, sched.QuantRow{ID: gj.spec.ID, Share: shares[gj.viewIdx], Demand: float64(len(gj.pending))})
+		}
+		quant.QuantizeRows(rows, capacity)
 
 		// Serve the largest allocation deficits first, so freed containers go
 		// to the policy's most-preferred jobs (as in the cluster engine).
-		type cand struct {
-			gj     *geoJob
-			target int
-		}
-		var cands []cand
-		for _, id := range order {
-			gj := jobs[id]
-			if gj.remaining == 0 {
-				continue
-			}
-			if t := targets[id]; t > gj.usage {
-				cands = append(cands, cand{gj: gj, target: t})
+		// Arrival sequences are unique, so the order is total and needs no
+		// stable sort.
+		cands = cands[:0]
+		for i, gj := range ordered {
+			if t := rows[i].Target; t > gj.usage {
+				cands = append(cands, launchCand{gj: gj, target: t})
 			}
 		}
-		sort.SliceStable(cands, func(i, j int) bool {
-			di := cands[i].target - cands[i].gj.usage
-			dj := cands[j].target - cands[j].gj.usage
-			if di != dj {
-				return di > dj
+		slices.SortFunc(cands, func(a, b launchCand) int {
+			if c := cmp.Compare(b.target-b.gj.usage, a.target-a.gj.usage); c != 0 {
+				return c
 			}
-			return cands[i].gj.seq < cands[j].gj.seq
+			return cmp.Compare(a.gj.seq, b.gj.seq)
 		})
 		for _, c := range cands {
 			for c.gj.usage < c.target {
@@ -426,11 +436,7 @@ func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 		progress := true
 		for progress {
 			progress = false
-			for _, id := range order {
-				gj := jobs[id]
-				if gj.remaining == 0 {
-					continue
-				}
+			for _, gj := range live {
 				if launch(gj) {
 					progress = true
 				}
@@ -444,16 +450,14 @@ func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("geo: deadlock at t=%v with %d unfinished jobs", now, left)
 		}
 		now = t
+		gj := ev.gj
 		switch ev.kind {
 		case 1:
-			gj := jobs[ev.jobID]
 			gj.seq = nextSeq
 			nextSeq++
-			order = append(order, ev.jobID)
+			gj.slot = vs.TakeSlot()
+			live = append(live, gj)
 		case 2:
-			gj := jobs[ev.jobID]
-			task := &gj.tasks[ev.task]
-			task.done = true
 			freeOn[ev.site]++
 			gj.usage--
 			gj.usageW -= ev.start
@@ -461,15 +465,10 @@ func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 			gj.remaining--
 			if gj.remaining == 0 {
 				left--
-				results[gj.spec.ID] = JobResult{
-					ID:           gj.spec.ID,
-					Name:         gj.spec.Name,
-					Arrival:      gj.spec.Arrival,
-					Completed:    now,
-					ResponseTime: now - gj.spec.Arrival,
-					RemoteTasks:  gj.remoteTasks,
-					TransferTime: gj.transferTime,
-				}
+				gj.completed = now
+				k := slices.Index(live, gj)
+				live = slices.Delete(live, k, k+1)
+				vs.FreeSlot(gj.slot)
 				if now > res.Makespan {
 					res.Makespan = now
 				}
@@ -478,8 +477,17 @@ func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 		schedule()
 	}
 
-	for i := range specs {
-		res.Jobs = append(res.Jobs, results[specs[i].ID])
+	for i := range jobs {
+		gj := &jobs[i]
+		res.Jobs = append(res.Jobs, JobResult{
+			ID:           gj.spec.ID,
+			Name:         gj.spec.Name,
+			Arrival:      gj.spec.Arrival,
+			Completed:    gj.completed,
+			ResponseTime: gj.completed - gj.spec.Arrival,
+			RemoteTasks:  gj.remoteTasks,
+			TransferTime: gj.transferTime,
+		})
 	}
 	return res, nil
 }

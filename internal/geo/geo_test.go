@@ -73,6 +73,53 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteRejected: every range check was written `x <= 0` or `x < 0`,
+// which NaN passes, and a NaN compute time, arrival or bandwidth came back as
+// Completed: NaN with a nil error. Each is an error naming the field.
+func TestNonFiniteRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	spec := func(mutate func(*JobSpec)) []JobSpec {
+		s := localJob(1, 0, 2, 1, 0, 1)
+		mutate(&s)
+		return []JobSpec{s}
+	}
+	tests := []struct {
+		name   string
+		specs  []JobSpec
+		mutate func(*Config)
+		want   string
+	}{
+		{name: "NaN bandwidth", mutate: func(c *Config) { c.BaseBandwidth = nan }, want: "base bandwidth"},
+		{name: "+Inf bandwidth", mutate: func(c *Config) { c.BaseBandwidth = inf }, want: "base bandwidth"},
+		{name: "NaN sigma", mutate: func(c *Config) { c.BandwidthSigma = nan }, want: "bandwidth sigma"},
+		{name: "+Inf sigma", mutate: func(c *Config) { c.BandwidthSigma = inf }, want: "bandwidth sigma"},
+		{name: "NaN resample", mutate: func(c *Config) { c.ResampleInterval = nan }, want: "resample interval"},
+		{name: "+Inf resample", mutate: func(c *Config) { c.ResampleInterval = inf }, want: "resample interval"},
+		{name: "NaN arrival", specs: spec(func(s *JobSpec) { s.Arrival = nan }), want: "arrival"},
+		{name: "+Inf arrival", specs: spec(func(s *JobSpec) { s.Arrival = inf }), want: "arrival"},
+		{name: "NaN compute", specs: spec(func(s *JobSpec) { s.Tasks[1].Compute = nan }), want: "task 1 compute"},
+		{name: "+Inf compute", specs: spec(func(s *JobSpec) { s.Tasks[1].Compute = inf }), want: "task 1 compute"},
+		{name: "NaN data size", specs: spec(func(s *JobSpec) { s.Tasks[0].DataSize = nan }), want: "task 0 data size"},
+		{name: "+Inf data size", specs: spec(func(s *JobSpec) { s.Tasks[0].DataSize = inf }), want: "task 0 data size"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			if tt.mutate != nil {
+				tt.mutate(&cfg)
+			}
+			specs := tt.specs
+			if specs == nil {
+				specs = spec(func(*JobSpec) {})
+			}
+			res, err := Run(specs, sched.NewFIFO(), cfg)
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("error = %v (result %+v), want one naming %q", err, res, tt.want)
+			}
+		})
+	}
+}
+
 func TestLocalExecutionNoTransfer(t *testing.T) {
 	cfg := constantLinks()
 	cfg.SiteContainers = []int{4, 4, 4}

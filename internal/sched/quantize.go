@@ -35,13 +35,6 @@ type qrem struct {
 	frac  float64
 }
 
-// Quantize is the allocating convenience wrapper around QuantizeInto; see
-// Quantizer for the semantics.
-func Quantize(alloc Assignment, demand map[int]float64, capacity int) map[int]int {
-	var qz Quantizer
-	return qz.QuantizeInto(alloc, demand, capacity)
-}
-
 // QuantizeRows sets every row's Target to its whole-container share, never
 // exceeding capacity, each row's Demand, or (in total) the sum of the
 // fractional shares rounded to the nearest whole container. The task-level
@@ -130,11 +123,13 @@ func (qz *Quantizer) QuantizeRows(rows []QuantRow, capacity int) {
 	}
 }
 
-// QuantizeInto is QuantizeRows behind maps, for callers that hold their
-// shares and demands that way (the live resource manager, the geo scheduler):
-// alloc's shares, capped by demand where it has an entry, come back as a map
-// of the positive targets. Map iteration order cannot reach the result: the
-// rows are sorted by job ID before the dense core sees them.
+// QuantizeInto is QuantizeRows behind maps: alloc's shares, capped by demand
+// where it has an entry, come back as a map of the positive targets. Map
+// iteration order cannot reach the result: the rows are sorted by job ID
+// before the dense core sees them. Every substrate builds rows itself; the
+// callers left are benchmark/replay.go's sched.quantize_ns replay and this
+// package's tests, which `make layering` enforces, and the method goes when
+// the replay does.
 func (qz *Quantizer) QuantizeInto(alloc Assignment, demand map[int]float64, capacity int) map[int]int {
 	rows := qz.rows[:0]
 	for id, x := range alloc { // range-ok: rows are sorted by ID immediately below

@@ -143,7 +143,7 @@ func checkQuantize(t *testing.T, alloc sched.Assignment, demand map[int]float64,
 	if limit := math.Min(float64(capacity), math.Round(shareTotal)); float64(sum) > limit {
 		t.Errorf("handed out %d containers, limit min(capacity %d, round(%v))", sum, capacity, shareTotal)
 	}
-	if front := sched.Quantize(alloc, demand, capacity); !maps.Equal(front, dense) {
+	if front := new(sched.Quantizer).QuantizeInto(alloc, demand, capacity); !maps.Equal(front, dense) {
 		t.Errorf("map front door %v, rows core %v", front, dense)
 	}
 	if withReference {
@@ -182,7 +182,7 @@ func TestQuantizeRowsMatchesReference(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkQuantize(t, tc.alloc, tc.demand, tc.capacity, true)
-			if got := sched.Quantize(tc.alloc, tc.demand, tc.capacity); !maps.Equal(got, tc.want) {
+			if got := new(sched.Quantizer).QuantizeInto(tc.alloc, tc.demand, tc.capacity); !maps.Equal(got, tc.want) {
 				t.Errorf("got %v, want %v", got, tc.want)
 			}
 		})
@@ -211,7 +211,7 @@ func TestQuantizeTerminatesOnHostileInput(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			done := make(chan map[int]int, 1)
-			go func() { done <- sched.Quantize(tc.alloc, nil, tc.capacity) }()
+			go func() { done <- new(sched.Quantizer).QuantizeInto(tc.alloc, nil, tc.capacity) }()
 			select {
 			case got := <-done:
 				if tc.want != nil && !maps.Equal(got, tc.want) {

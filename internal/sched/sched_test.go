@@ -211,7 +211,7 @@ func TestSRTFOrdersByRemaining(t *testing.T) {
 func TestQuantizeBasic(t *testing.T) {
 	alloc := sched.Assignment{1: 33.4, 2: 33.3, 3: 33.3}
 	demand := map[int]float64{1: 100, 2: 100, 3: 100}
-	q := sched.Quantize(alloc, demand, 100)
+	q := new(sched.Quantizer).QuantizeInto(alloc, demand, 100)
 	total := q[1] + q[2] + q[3]
 	if total != 100 {
 		t.Errorf("quantized total = %d, want 100 (%v)", total, q)
@@ -224,7 +224,7 @@ func TestQuantizeBasic(t *testing.T) {
 func TestQuantizeRespectsDemand(t *testing.T) {
 	alloc := sched.Assignment{1: 10.6}
 	demand := map[int]float64{1: 10}
-	q := sched.Quantize(alloc, demand, 100)
+	q := new(sched.Quantizer).QuantizeInto(alloc, demand, 100)
 	if q[1] != 10 {
 		t.Errorf("job 1 got %d, want demand cap 10", q[1])
 	}
@@ -233,7 +233,7 @@ func TestQuantizeRespectsDemand(t *testing.T) {
 func TestQuantizeDropsZero(t *testing.T) {
 	alloc := sched.Assignment{1: 0, 2: 5}
 	demand := map[int]float64{1: 10, 2: 10}
-	q := sched.Quantize(alloc, demand, 100)
+	q := new(sched.Quantizer).QuantizeInto(alloc, demand, 100)
 	if _, ok := q[1]; ok {
 		t.Error("zero share produced an entry")
 	}
@@ -361,14 +361,14 @@ func TestQuantizeBudgetCappedByCapacity(t *testing.T) {
 	// Fractional shares summing past capacity are clamped.
 	alloc := sched.Assignment{1: 60.7, 2: 60.7}
 	demand := map[int]float64{1: 100, 2: 100}
-	q := sched.Quantize(alloc, demand, 100)
+	q := new(sched.Quantizer).QuantizeInto(alloc, demand, 100)
 	if total := q[1] + q[2]; total > 100 {
 		t.Errorf("quantized total %d exceeds capacity", total)
 	}
 }
 
 func TestQuantizeEmpty(t *testing.T) {
-	if q := sched.Quantize(sched.Assignment{}, nil, 10); len(q) != 0 {
+	if q := new(sched.Quantizer).QuantizeInto(sched.Assignment{}, nil, 10); len(q) != 0 {
 		t.Errorf("empty allocation produced %v", q)
 	}
 }

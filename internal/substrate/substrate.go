@@ -1,11 +1,12 @@
-// Package substrate is the scheduling-substrate kernel shared by the three
+// Package substrate is the scheduling-substrate kernel shared by the four
 // YARN-like substrates of this reproduction: the task-level discrete-event
 // simulator (internal/engine), the event-driven fluid simulator
-// (internal/fluid), and the live concurrent mini-YARN (internal/yarn). The
-// paper's Fig. 4 architecture is one pluggable scheduler plugged into one
-// substrate; this package is the substrate-independent half of that plug —
-// everything a substrate needs to drive a sched.Scheduler correctly without
-// knowing how time, containers, or task execution work.
+// (internal/fluid), the live concurrent mini-YARN (internal/yarn), and the
+// geo-distributed simulator (internal/geo). The paper's Fig. 4 architecture
+// is one pluggable scheduler plugged into one substrate; this package is the
+// substrate-independent half of that plug — everything a substrate needs to
+// drive a sched.Scheduler correctly without knowing how time, containers, or
+// task execution work.
 //
 // The kernel owns four pieces:
 //
@@ -13,8 +14,7 @@
 //     admission sequence numbers, stuck-admission detection).
 //   - ViewSet: the scratch-reusing registry of scheduler-facing job views a
 //     substrate rebuilds each round, with the slot allocator and the slot,
-//     share and rate columns of the dense round contract, and the optional
-//     ready-demand and metric-rate-bound side maps of the map one.
+//     share and rate columns of the dense round contract.
 //   - Driver: the policy invocation loop — BufferedAssigner/Observer/
 //     ObserveHinter/Hinter capability dispatch in map or dense form,
 //     allocation-buffer reuse, and the observation-horizon gating that lets
@@ -119,9 +119,8 @@ func (d *Driver) SetProbe(p obs.Probe) {
 func (d *Driver) Name() string { return d.policy.Name() }
 
 // speaksDense reports whether a round over vs goes through the policy's dense
-// forms: the policy has them all, and the substrate added every view with its
-// slot. The live resource manager adds views without slots, so the same
-// policy takes its map forms there.
+// forms: the policy has them all, and every view was added with its slot, as
+// all four substrates add them.
 func (d *Driver) speaksDense(vs *ViewSet) bool {
 	return d.dense != nil && len(vs.slots) == len(vs.views)
 }
@@ -150,11 +149,11 @@ func (d *Driver) endRound(start time.Time) {
 	}
 }
 
-// Assign runs one full policy invocation in map form, going through
+// assign runs one full policy invocation in map form, going through
 // AssignInto when the policy supports buffered assignment. The returned
 // assignment aliases the driver's buffer for buffered policies and is valid
-// until the next Assign call.
-func (d *Driver) Assign(now, capacity float64, views []sched.JobView) sched.Assignment {
+// until the next call.
+func (d *Driver) assign(now, capacity float64, views []sched.JobView) sched.Assignment {
 	start := d.beginRound(now, len(views))
 	out := d.alloc
 	if d.buffered != nil {
@@ -167,16 +166,16 @@ func (d *Driver) Assign(now, capacity float64, views []sched.JobView) sched.Assi
 }
 
 // Shares runs one full policy invocation over the views in vs and returns
-// the share column: shares[i] belongs to vs.Views()[i], zero for a job the
-// policy did not serve. A dense policy over slotted views fills the column
-// itself; any other is invoked through Assign and its map read out once per
+// the share column: shares[i] belongs to the i-th view added, zero for a job
+// the policy did not serve. A dense policy over slotted views fills the column
+// itself; any other is invoked in map form and its map read out once per
 // view. The column is valid until the next Shares call, and Horizon reads
 // it.
 func (d *Driver) Shares(now, capacity float64, vs *ViewSet) []float64 {
 	vs.shares = grow(vs.shares[:0], len(vs.views))[:len(vs.views)]
 	shares := vs.shares
 	if !d.speaksDense(vs) {
-		d.last = d.Assign(now, capacity, vs.views)
+		d.last = d.assign(now, capacity, vs.views)
 		for i, v := range vs.views {
 			shares[i] = d.last[v.ID()]
 		}
@@ -224,9 +223,8 @@ func (d *Driver) ObservationDue(now float64) bool {
 // bounds, the next horizon is recorded and the dirty flag cleared, arming
 // ObservationDue's fast path.
 //
-// Rate bounds reach a dense policy as the column AddRate filled. A map-form
-// policy reads the rate map: what SetRate put there, or, when the substrate
-// filled the column instead, the column filed under the views' job IDs.
+// Rate bounds reach a dense policy as the column AddRate filled; for a
+// map-form policy the column is filed under the views' job IDs first.
 func (d *Driver) Observe(now float64, vs *ViewSet) {
 	if d.observer == nil || vs.Len() == 0 {
 		return
@@ -242,10 +240,8 @@ func (d *Driver) Observe(now float64, vs *ViewSet) {
 	}
 	d.observer.Observe(now, vs.views)
 	if rated {
-		if len(vs.rateCol) == len(vs.views) {
-			for i, v := range vs.views {
-				vs.rates[v.ID()] = vs.rateCol[i]
-			}
+		for i, v := range vs.views {
+			vs.rates[v.ID()] = vs.rateCol[i]
 		}
 		d.obsHorizon = d.obsHinter.ObserveHorizon(now, vs.views, vs.rates)
 		d.dirty = false

@@ -1,6 +1,7 @@
 package substrate_test
 
 import (
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -61,15 +62,18 @@ func (p *fakeObserver) Observe(now float64, jobs []sched.JobView) {
 	p.lastNow = now
 }
 
-// fakeHintObserver can bound its next state change.
+// fakeHintObserver can bound its next state change, and keeps a copy of the
+// rate bounds it was last handed.
 type fakeHintObserver struct {
 	fakeObserver
 	horizon      float64
 	horizonCalls int
+	lastRates    sched.Assignment
 }
 
 func (p *fakeHintObserver) ObserveHorizon(now float64, jobs []sched.JobView, rates sched.Assignment) float64 {
 	p.horizonCalls++
+	p.lastRates = maps.Clone(rates)
 	return p.horizon
 }
 
@@ -134,26 +138,34 @@ func TestQueueStuck(t *testing.T) {
 	}
 }
 
+// oneView is a round holding a single job's view and slot.
+func oneView(id int) *substrate.ViewSet {
+	var vs substrate.ViewSet
+	vs.Begin(false, false)
+	vs.AddSlot(fakeView{id: id}, 0)
+	return &vs
+}
+
 func TestDriverBufferedDispatch(t *testing.T) {
 	p := &fakeBuffered{}
 	d := substrate.NewDriver(p)
-	views := []sched.JobView{fakeView{id: 7}}
-	a1 := d.Assign(0, 4, views)
-	a2 := d.Assign(1, 4, views)
+	vs := oneView(7)
+	s1 := d.Shares(0, 4, vs)[0]
+	s2 := d.Shares(1, 4, vs)[0]
 	if p.intoCalls != 2 || p.assigns != 0 {
 		t.Fatalf("buffered dispatch: AssignInto called %d times, Assign %d; want 2, 0", p.intoCalls, p.assigns)
 	}
-	if a1[7] != 2 || a2[7] != 2 {
-		t.Fatalf("buffered shares = %v / %v, want 2", a1[7], a2[7])
+	if s1 != 2 || s2 != 2 {
+		t.Fatalf("buffered shares = %v / %v, want 2", s1, s2)
 	}
 }
 
 func TestDriverPlainDispatch(t *testing.T) {
 	p := &fakePolicy{}
 	d := substrate.NewDriver(p)
-	a := d.Assign(0, 4, []sched.JobView{fakeView{id: 3}})
-	if p.assigns != 1 || a[3] != 1 {
-		t.Fatalf("plain dispatch: assigns=%d alloc=%v", p.assigns, a)
+	shares := d.Shares(0, 4, oneView(3))
+	if p.assigns != 1 || shares[0] != 1 {
+		t.Fatalf("plain dispatch: assigns=%d shares=%v", p.assigns, shares)
 	}
 	if d.Observes() || d.NeedsRates() || d.ObservationDue(0) {
 		t.Fatal("stateless policy should need no observation")
@@ -176,7 +188,7 @@ func TestDriverObservationGating(t *testing.T) {
 	var vs substrate.ViewSet
 	vs.Begin(false, true)
 	vs.Add(fakeView{id: 1})
-	vs.SetRate(1, 2.5)
+	vs.AddRate(2.5)
 	d.Observe(10, &vs)
 	if p.observes != 1 || p.lastNow != 10 || p.horizonCalls != 1 {
 		t.Fatalf("observe with rates: observes=%d lastNow=%v horizonCalls=%d", p.observes, p.lastNow, p.horizonCalls)
@@ -308,11 +320,10 @@ func (p denseObserve) ObserveHorizonDense(now float64, jobs []sched.JobView, slo
 // it has is driven through the dense forms alone over slotted views — the
 // share column is what AssignDense wrote, Horizon hands it back, Observe hands
 // over the rate column — and through the map forms alone over views added
-// without slots, as the live resource manager adds them. A policy with a
-// partial dense set (here: no DenseHinter beside its map-form Hinter; then no
-// DenseObserver beside its Observer) is driven map-only even over slotted
-// views: its map is read out into the share column, and the rate column is
-// filed under the job IDs for it.
+// without slots. A policy with a partial dense set (here: no DenseHinter
+// beside its map-form Hinter; then no DenseObserver beside its Observer) is
+// driven map-only even over slotted views: its map is read out into the share
+// column, and the rate column is filed under the job IDs for it.
 func TestDriverDenseDispatch(t *testing.T) {
 	full := func(p *bothForms) sched.Scheduler {
 		return struct {
@@ -357,11 +368,10 @@ func TestDriverDenseDispatch(t *testing.T) {
 			vs.Begin(false, true)
 			if tc.slotted {
 				vs.AddSlot(fakeView{id: 7}, 3)
-				vs.AddRate(2.5)
 			} else {
 				vs.Add(fakeView{id: 7})
-				vs.SetRate(7, 2.5)
 			}
+			vs.AddRate(2.5)
 			shares := d.Shares(1, 4, &vs)
 			if len(shares) != 1 || shares[0] != tc.share {
 				t.Errorf("shares = %v, want [%v]", shares, tc.share)
@@ -402,17 +412,32 @@ func TestViewSetSlots(t *testing.T) {
 }
 
 func TestViewSetReuse(t *testing.T) {
+	p := &fakeHintObserver{}
+	d := substrate.NewDriver(p)
 	var vs substrate.ViewSet
 	vs.Begin(true, true)
 	vs.Add(fakeView{id: 1})
 	vs.SetDemand(1, 4)
-	vs.SetRate(1, 0.5)
-	if vs.Len() != 1 || vs.Demand()[1] != 4 || vs.Rates()[1] != 0.5 || !vs.HasRates() {
-		t.Fatalf("round 1 state wrong: len=%d demand=%v rates=%v", vs.Len(), vs.Demand(), vs.Rates())
+	vs.AddRate(0.5)
+	d.Observe(0, &vs)
+	if vs.Len() != 1 || vs.Demand()[1] != 4 || !maps.Equal(p.lastRates, sched.Assignment{1: 0.5}) {
+		t.Fatalf("round 1 state wrong: len=%d demand=%v rates=%v", vs.Len(), vs.Demand(), p.lastRates)
 	}
-	vs.Begin(true, false)
-	if vs.Len() != 0 || len(vs.Demand()) != 0 || vs.HasRates() {
-		t.Fatalf("Begin must clear requested maps: len=%d demand=%v hasRates=%v", vs.Len(), vs.Demand(), vs.HasRates())
+	vs.Begin(true, true)
+	if vs.Len() != 0 || len(vs.Demand()) != 0 {
+		t.Fatalf("Begin must clear the views and the demand map: len=%d demand=%v", vs.Len(), vs.Demand())
+	}
+	vs.Add(fakeView{id: 2})
+	vs.AddRate(0.25)
+	d.Observe(1, &vs)
+	if !maps.Equal(p.lastRates, sched.Assignment{2: 0.25}) {
+		t.Fatalf("a map-only policy was handed rates %v, want this round's bound alone", p.lastRates)
+	}
+	vs.Begin(false, false)
+	vs.Add(fakeView{id: 2})
+	d.Observe(2, &vs)
+	if p.horizonCalls != 2 {
+		t.Fatalf("a round begun without rates asked the policy for a horizon (%d calls, want 2)", p.horizonCalls)
 	}
 }
 

@@ -4,18 +4,17 @@ import "lasmq/internal/sched"
 
 // ViewSet is the job-view registry a substrate refills every scheduling
 // round: the sched.JobView slice handed to the policy, plus what travels
-// with it. The simulators speak the dense round contract (see
-// internal/sched/dense.go): they take a slot for every job that becomes
-// schedulable (TakeSlot/FreeSlot), register views with AddSlot, and read the
-// policy's answer from the share column Driver.Shares fills — slots, shares
-// and the dense rate bounds (AddRate) are columns parallel to the views. The
-// two side maps are the older form: each job's ready container demand
-// (consumed by sched.Quantizer.QuantizeInto) and a metric-rate bound per job
-// ID (consumed by sched.ObserveHinter horizon gating). The demand map is the
-// live resource manager's (internal/yarn) alone; the rate map is what a
-// map-only policy is handed, filled by Driver.Observe from the rate column.
-// Everything reuses its backing storage across rounds, which is what keeps
-// the steady scheduling path allocation-free.
+// with it. Every substrate speaks the dense round contract (see
+// internal/sched/dense.go): it takes a slot for every job that becomes
+// schedulable (TakeSlot/FreeSlot), registers views with AddSlot, and reads
+// the policy's answer from the share column Driver.Shares fills — slots,
+// shares and the rate bounds (AddRate) are columns parallel to the views. The
+// rate map is what Driver.Observe hands a map-only policy, filed from the
+// rate column. The ready-demand map (Begin(true, ·), SetDemand, Demand) and
+// the slotless Add have no product caller left: they are what
+// benchmark/replay.go's viewset replay times, fenced by `make layering` and
+// deleted with it. Everything reuses its backing storage across rounds, which
+// is what keeps the steady scheduling path allocation-free.
 type ViewSet struct {
 	views    []sched.JobView
 	demand   map[int]float64
@@ -67,11 +66,10 @@ func (vs *ViewSet) FreeSlot(slot int32) {
 	vs.free = append(grow(vs.free, len(vs.free)+1), slot)
 }
 
-// Begin starts a new round, clearing the views, the dense columns and
-// whichever side maps the round needs: withDemand for full rounds that
-// quantize shares from the demand map, withRates for observation rounds
-// feeding a horizon-hinting policy. Untouched maps keep their (stale)
-// contents and must not be read.
+// Begin starts a new round, clearing the views and the dense columns.
+// withRates marks an observation round feeding a horizon-hinting policy: the
+// substrate follows every AddSlot with an AddRate. withDemand clears the
+// ready-demand map for SetDemand (benchmark/replay.go only).
 func (vs *ViewSet) Begin(withDemand, withRates bool) {
 	vs.views = vs.views[:0]
 	vs.slots = vs.slots[:0]
@@ -92,7 +90,8 @@ func (vs *ViewSet) Begin(withDemand, withRates bool) {
 }
 
 // Add registers one schedulable job's view for this round, without a slot. A
-// round whose views carry no slots is driven through the policy's map forms.
+// round whose views carry no slots is driven through the policy's map forms
+// (benchmark/replay.go and the kernel's own tests).
 func (vs *ViewSet) Add(v sched.JobView) { vs.views = append(vs.views, v) }
 
 // AddSlot registers one schedulable job's view and the slot the job holds.
@@ -110,24 +109,11 @@ func (vs *ViewSet) AddRate(r float64) {
 // SetDemand records a job's ready container demand (Begin(true, ·) rounds).
 func (vs *ViewSet) SetDemand(id int, d float64) { vs.demand[id] = d }
 
-// SetRate records a job's metric-rate bound by ID (Begin(·, true) rounds),
-// the map form of AddRate.
-func (vs *ViewSet) SetRate(id int, r float64) { vs.rates[id] = r }
-
 // Len is the number of views registered this round.
 func (vs *ViewSet) Len() int { return len(vs.views) }
 
-// Views returns this round's view slice, valid until the next Begin.
-func (vs *ViewSet) Views() []sched.JobView { return vs.views }
-
 // Demand returns the ready-demand map filled since Begin(true, ·).
 func (vs *ViewSet) Demand() map[int]float64 { return vs.demand }
-
-// Rates returns the metric-rate-bound map filled since Begin(·, true).
-func (vs *ViewSet) Rates() sched.Assignment { return vs.rates }
-
-// HasRates reports whether this round carries rate bounds (Begin(·, true)).
-func (vs *ViewSet) HasRates() bool { return vs.hasRates }
 
 // Reset empties the registry, dropping references into the caller's job
 // state and rewinding the slot allocator while keeping the backing storage —

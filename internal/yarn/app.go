@@ -15,9 +15,10 @@ type application struct {
 	spec        job.Spec
 	submittedAt time.Time
 	admittedAt  time.Time
-	admitted    bool
-	started     bool // first attempt launched (telemetry only)
-	seq         int
+	started     bool  // first attempt launched (telemetry only)
+	seq         int   // admission sequence
+	slot        int32 // the substrate.ViewSet slot held from admission to completion
+	viewIdx     int   // index of this round's view, and so of the job's share
 
 	stages       []appStage
 	activeStages []int // unlocked, uncompleted stage indices, ascending
@@ -265,10 +266,13 @@ func (v *appView) Priority() int      { return v.app.spec.Priority }
 func (v *appView) Attained() float64  { return v.app.attained(v.now, v.scale) }
 func (v *appView) Estimated() float64 { return v.app.estimated(v.now, v.scale) }
 
-func (v *appView) ReadyDemand() float64 {
+func (v *appView) ReadyDemand() float64 { return v.app.readyDemand() }
+
+// readyDemand is the containers the application's ready tasks ask for.
+func (a *application) readyDemand() float64 {
 	total := 0
-	for _, si := range v.app.activeStages {
-		total += v.app.stages[si].readyContainers
+	for _, si := range a.activeStages {
+		total += a.stages[si].readyContainers
 	}
 	return float64(total)
 }

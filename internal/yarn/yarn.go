@@ -15,11 +15,12 @@
 package yarn
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -87,7 +88,7 @@ func (c *Config) validate() error {
 	if c.TimeScale <= 0 {
 		return fmt.Errorf("yarn: time scale must be positive, got %v", c.TimeScale)
 	}
-	if c.FailureProb < 0 || c.FailureProb >= 1 {
+	if !(c.FailureProb >= 0 && c.FailureProb < 1) {
 		return fmt.Errorf("yarn: failure probability must be in [0,1), got %v", c.FailureProb)
 	}
 	if c.HeartbeatInterval <= 0 {
@@ -382,9 +383,8 @@ func (n *nodeManager) run() {
 // the only goroutine touching applications, node free-counts and the
 // admission queue, so the design is lock-free by construction. Policies are
 // driven through the scheduling-substrate kernel — the same admission
-// module, view registry and capability dispatch (BufferedAssigner, Observer)
-// the simulators use — so stateful policies behave identically on the live
-// cluster.
+// module, slotted view registry and dense-or-map capability dispatch the
+// simulators use — so the live cluster runs the policy code they do.
 type resourceManager struct {
 	cluster *Cluster
 
@@ -393,16 +393,21 @@ type resourceManager struct {
 	drainRequests chan chan []JobReport
 	quit          chan struct{}
 
-	driver *substrate.Driver
-	adm    *substrate.Queue[*application]
-	vs     substrate.ViewSet
-	quant  sched.Quantizer
-	cands  []launchCand
-	probe  obs.Probe
+	driver  *substrate.Driver
+	adm     *substrate.Queue[*application]
+	vs      substrate.ViewSet
+	quant   sched.Quantizer
+	idOrder []*application // scratch: running in ascending job ID
+	rows    []sched.QuantRow
+	cands   []launchCand
+	probe   obs.Probe
 
+	// apps holds every unfinished application by ID, for completions to find
+	// theirs; running lists the admitted ones in admission order, and is what
+	// every round walks.
 	apps      map[int]*application
+	running   []*application
 	rng       *rand.Rand
-	order     []int
 	remaining int
 	freeOn    []int // free containers per node
 
@@ -474,7 +479,6 @@ func (rm *resourceManager) handleSubmission(sub submission) {
 	app.work = sub.work
 	app.locality = sub.locality
 	rm.apps[sub.spec.ID] = app
-	rm.order = append(rm.order, sub.spec.ID)
 	rm.adm.Push(app)
 	rm.remaining++
 	if rm.probe != nil {
@@ -484,9 +488,10 @@ func (rm *resourceManager) handleSubmission(sub submission) {
 
 func (rm *resourceManager) admit() {
 	rm.adm.Admit(func(app *application, seq int) {
-		app.admitted = true
 		app.admittedAt = time.Now()
 		app.seq = seq
+		app.slot = rm.vs.TakeSlot()
+		rm.running = append(rm.running, app)
 		if rm.probe != nil {
 			waited := float64(app.admittedAt.Sub(app.submittedAt)) / float64(rm.cluster.cfg.TimeScale)
 			rm.probe.JobAdmitted(rm.specTime(app.admittedAt), app.spec.ID, waited)
@@ -539,6 +544,9 @@ func (rm *resourceManager) finishApp(app *application) {
 		rm.probe.JobDone(rm.specTime(now), app.spec.ID, rm.reports[len(rm.reports)-1].Response)
 	}
 	delete(rm.apps, app.spec.ID)
+	k := slices.Index(rm.running, app)
+	rm.running = slices.Delete(rm.running, k, k+1)
+	rm.vs.FreeSlot(app.slot)
 	if rm.remaining == 0 {
 		for _, done := range rm.drainers {
 			done <- append([]JobReport(nil), rm.reports...)
@@ -560,7 +568,7 @@ func (rm *resourceManager) finishApp(app *application) {
 // cluster instead of silently missing those instants.
 func (rm *resourceManager) admitAndSchedule() {
 	rm.admit()
-	if rm.adm.Running() == 0 {
+	if len(rm.running) == 0 {
 		return
 	}
 	now := time.Now()
@@ -568,20 +576,11 @@ func (rm *resourceManager) admitAndSchedule() {
 	policyNow := float64(now.UnixNano()) / float64(scale)
 
 	ready := 0.0
-	rm.vs.Begin(true, false)
-	for _, id := range rm.order {
-		app, ok := rm.apps[id]
-		if !ok || !app.admitted {
-			continue
-		}
-		v := app.view(now, scale)
-		rm.vs.Add(v)
-		d := v.ReadyDemand()
-		rm.vs.SetDemand(id, d)
-		ready += d
-	}
-	if rm.vs.Len() == 0 {
-		return
+	rm.vs.Begin(false, false)
+	for i, app := range rm.running {
+		app.viewIdx = i
+		rm.vs.AddSlot(app.view(now, scale), app.slot)
+		ready += app.readyDemand()
 	}
 	if rm.totalFree() == 0 || ready == 0 {
 		if rm.probe != nil {
@@ -592,27 +591,38 @@ func (rm *resourceManager) admitAndSchedule() {
 	}
 
 	capacity := rm.cluster.cfg.Nodes * rm.cluster.cfg.ContainersPerNode
-	alloc := rm.driver.Assign(policyNow, float64(capacity), rm.vs.Views())
-	targets := rm.quant.QuantizeInto(alloc, rm.vs.Demand(), capacity)
+	shares := rm.driver.Shares(policyNow, float64(capacity), &rm.vs)
+
+	// Quantize the shares: one row per running application in ascending job
+	// ID, the order the share total is summed in (running is in admission
+	// order).
+	ordered := rm.running
+	if !slices.IsSortedFunc(ordered, compareAppID) {
+		ordered = append(rm.idOrder[:0], rm.running...)
+		slices.SortFunc(ordered, compareAppID)
+		rm.idOrder = ordered
+	}
+	rows := rm.rows[:0]
+	for _, app := range ordered {
+		rows = append(rows, sched.QuantRow{ID: app.spec.ID, Share: shares[app.viewIdx], Demand: app.readyDemand()})
+	}
+	rm.rows = rows
+	rm.quant.QuantizeRows(rows, capacity)
 
 	cands := rm.cands[:0]
-	for _, id := range rm.order {
-		app, ok := rm.apps[id]
-		if !ok || !app.admitted {
-			continue
-		}
-		if t := targets[id]; t > app.usage {
+	for i, app := range ordered {
+		if t := rows[i].Target; t > app.usage {
 			cands = append(cands, launchCand{app: app, target: t})
 		}
 	}
 	rm.cands = cands
-	sort.SliceStable(cands, func(i, j int) bool {
-		di := cands[i].target - cands[i].app.usage
-		dj := cands[j].target - cands[j].app.usage
-		if di != dj {
-			return di > dj
+	// Largest deficit first; admission sequences are unique, so the order is
+	// total and needs no stable sort.
+	slices.SortFunc(cands, func(a, b launchCand) int {
+		if c := cmp.Compare(b.target-b.app.usage, a.target-a.app.usage); c != 0 {
+			return c
 		}
-		return cands[i].app.seq < cands[j].app.seq
+		return cmp.Compare(a.app.seq, b.app.seq)
 	})
 
 	reserved := 0
@@ -637,17 +647,15 @@ func (rm *resourceManager) admitAndSchedule() {
 	progress := true
 	for progress && rm.totalFree() > reserved {
 		progress = false
-		for _, id := range rm.order {
-			app, ok := rm.apps[id]
-			if !ok || !app.admitted {
-				continue
-			}
+		for _, app := range rm.running {
 			if launched, _ := rm.launchNext(app, reserved); launched {
 				progress = true
 			}
 		}
 	}
 }
+
+func compareAppID(a, b *application) int { return cmp.Compare(a.spec.ID, b.spec.ID) }
 
 func (rm *resourceManager) totalFree() int {
 	total := 0
