@@ -72,6 +72,30 @@ func TestScheduleRoundNilProbeZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, st.schedule); avg != 0 {
 		t.Fatalf("streamed nil-probe scheduling round allocates %v allocs/op, want 0", avg)
 	}
+
+	// The round the workloads execute (see freedRound): an attempt ends, the
+	// round relaunches onto its container. For every sweep policy, streamed
+	// and materialised, it allocates nothing, and — the running set being the
+	// same 30 jobs throughout — registers no view again.
+	for _, tc := range benchPolicies {
+		for _, streamed := range []bool{false, true} {
+			s := newFreedSim(t, tc.mk(t), streamed)
+			for i := 0; i < 200; i++ {
+				freedRound(s) // grows the event queue, the attempt slab and the policy's scratch
+			}
+			rebuilds, attempts := s.viewRebuilds, s.attemptRecycled
+			if avg := testing.AllocsPerRun(100, func() { freedRound(s) }); avg != 0 {
+				t.Errorf("%s (streamed %v): freed1 round allocates %v allocs/op, want 0", tc.name, streamed, avg)
+			}
+			if s.viewRebuilds != rebuilds {
+				t.Errorf("%s (streamed %v): %d view registrations over rounds that left the running set alone, want 0",
+					tc.name, streamed, s.viewRebuilds-rebuilds)
+			}
+			if s.attemptRecycled == attempts {
+				t.Errorf("%s (streamed %v): the freed1 rounds launched nothing", tc.name, streamed)
+			}
+		}
+	}
 }
 
 // denseCounter is LAS_MQ with its dense calls counted: the embedded policy
@@ -111,5 +135,24 @@ func TestDenseRoundZeroAlloc(t *testing.T) {
 	}
 	if mq.assigns == 0 || mq.observes == 0 {
 		t.Fatalf("the rounds reached the policy through AssignDense %d times and ObserveDense %d times; want both > 0", mq.assigns, mq.observes)
+	}
+
+	// The same pair in the freed1 regime, incremental rounds on: a rated
+	// observation round between two executed rounds refills the rate column
+	// alone — nothing allocated, no view registered again.
+	mq = &denseCounter{LASMQ: benchLASMQ(t).(*core.LASMQ)}
+	s = newFreedSim(t, mq, true)
+	for i := 0; i < 200; i++ {
+		freedRound(s)
+		observe()
+	}
+	rebuilds := s.viewRebuilds
+	mq.assigns, mq.observes = 0, 0
+	if avg := testing.AllocsPerRun(100, func() { freedRound(s); observe() }); avg != 0 {
+		t.Fatalf("dense freed1 and observation rounds allocate %v allocs/op, want 0", avg)
+	}
+	if mq.assigns == 0 || mq.observes == 0 || s.viewRebuilds != rebuilds {
+		t.Fatalf("freed1: AssignDense %d times, ObserveDense %d times, %d view registrations; want > 0, > 0 and 0",
+			mq.assigns, mq.observes, s.viewRebuilds-rebuilds)
 	}
 }

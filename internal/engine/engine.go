@@ -238,10 +238,22 @@ type sim struct {
 	attemptRecycled int
 }
 
-// launchCand is one job below its container target in a scheduling round.
+// launchCand is one job below its container target in a scheduling round;
+// deficit is how far below, taken before the round launches anything.
 type launchCand struct {
-	js     *jobState
-	target int
+	js      *jobState
+	target  int
+	deficit int
+}
+
+// before is the order launch candidates are served in: the largest
+// allocation deficit first (the policy's most-preferred jobs), the earlier
+// admission on a tie. Admission sequences are unique, so the order is total.
+func (c *launchCand) before(o *launchCand) bool {
+	if c.deficit != o.deficit {
+		return c.deficit > o.deficit
+	}
+	return c.js.seq < o.js.seq
 }
 
 // specCand is one speculation candidate (a running, unduplicated task).
@@ -290,32 +302,9 @@ func (s *sim) run() error {
 		return err
 	}
 	for s.remaining > 0 || s.moreArrivals {
-		t, batch, ok := s.queue.PopBatch(s.batchBuf)
-		s.batchBuf = batch
-		if !ok {
-			return fmt.Errorf("engine: deadlock at t=%v with %d unfinished jobs", s.now, s.remaining)
+		if err := s.step(); err != nil {
+			return err
 		}
-		if t < s.now {
-			return fmt.Errorf("engine: time went backwards: %v -> %v", s.now, t)
-		}
-		s.busyIntegral += float64(s.usedSlots) * (t - s.now)
-		s.now = t
-		for _, ev := range batch {
-			switch ev.kind {
-			case evArrivals:
-				if err := s.drainArrivals(t); err != nil {
-					return err
-				}
-			case evAttemptDone:
-				// Attempt endings change usage and progress aggregates, so any
-				// previously computed observation horizon is stale.
-				s.driver.MarkDirty()
-				s.handleAttemptDone(ev.attempt)
-			}
-		}
-		s.admit()
-		s.schedule()
-		s.sample()
 	}
 	if s.probe != nil {
 		// All three values are functions of the simulated run alone, so the
@@ -323,6 +312,38 @@ func (s *sim) run() error {
 		// (killed copies whose completion events never drained).
 		s.probe.SlabStats(s.now, s.attemptLive, s.attemptPeak, s.attemptRecycled)
 	}
+	return nil
+}
+
+// step advances the run by one instant: every event due at the earliest
+// pending time, then admission, one scheduling round and the timeline sample.
+func (s *sim) step() error {
+	t, batch, ok := s.queue.PopBatch(s.batchBuf)
+	s.batchBuf = batch
+	if !ok {
+		return fmt.Errorf("engine: deadlock at t=%v with %d unfinished jobs", s.now, s.remaining)
+	}
+	if t < s.now {
+		return fmt.Errorf("engine: time went backwards: %v -> %v", s.now, t)
+	}
+	s.busyIntegral += float64(s.usedSlots) * (t - s.now)
+	s.now = t
+	for _, ev := range batch {
+		switch ev.kind {
+		case evArrivals:
+			if err := s.drainArrivals(t); err != nil {
+				return err
+			}
+		case evAttemptDone:
+			// Attempt endings change usage and progress aggregates, so any
+			// previously computed observation horizon is stale.
+			s.driver.MarkDirty()
+			s.handleAttemptDone(ev.attempt)
+		}
+	}
+	s.admit()
+	s.schedule()
+	s.sample()
 	return nil
 }
 
@@ -413,14 +434,15 @@ func (s *sim) admit() {
 		js.admittedAt = s.now
 		js.seq = seq
 		js.slot = s.vs.TakeSlot()
+		js.view.now = &s.now
 		// Jobs are admitted in arrival order and listed in jobSeq order, which
 		// differ in a materialized run: insert from the back by position.
 		k := len(s.running)
 		for k > 0 && s.running[k-1].pos > js.pos {
 			k--
 		}
-		s.running = slices.Insert(s.running, k, js)
-		s.readySlots += js.readyContainersTotal()
+		s.setRunning(slices.Insert(s.running, k, js))
+		s.readySlots += js.readyContainers
 		s.driver.MarkDirty() // the schedulable job set changed
 		if s.probe != nil {
 			s.probe.JobAdmitted(s.now, js.spec.ID, s.now-js.spec.Arrival)
@@ -489,7 +511,7 @@ func (s *sim) processAttemptDone(a *attempt) {
 		}
 		// Re-queue the task unless a sibling attempt is still running.
 		if task.runningAttempts == 0 && !task.done {
-			s.requeueTask(st, a.task)
+			s.requeueTask(js, st, a.task)
 		}
 		return
 	}
@@ -518,11 +540,12 @@ func (s *sim) processAttemptDone(a *attempt) {
 	}
 }
 
-func (s *sim) requeueTask(st *stageState, taskIdx int) {
+func (s *sim) requeueTask(js *jobState, st *stageState, taskIdx int) {
 	task := &st.tasks[taskIdx]
 	task.ready = true
 	st.pushReady(taskIdx)
 	st.readyContainers += task.spec.Containers
+	js.readyContainers += task.spec.Containers
 	s.readySlots += task.spec.Containers // requeues only happen to admitted jobs
 }
 
@@ -579,7 +602,7 @@ func (s *sim) completeStage(js *jobState, idx int) {
 	js.completed = true
 	js.completedAt = s.now
 	k := slices.Index(s.running, js)
-	s.running = slices.Delete(s.running, k, k+1)
+	s.setRunning(slices.Delete(s.running, k, k+1))
 	s.vs.FreeSlot(js.slot)
 	s.adm.Done()
 	s.remaining--
@@ -635,14 +658,8 @@ func (s *sim) schedule() {
 	// — the order the share total is summed in, whatever order the jobs were
 	// listed or arrived in. A job's share sits at its view's index; demand
 	// comes straight from job state.
-	ordered := s.running
-	if !slices.IsSortedFunc(ordered, compareJobID) {
-		ordered = append(s.idOrder[:0], s.running...)
-		slices.SortFunc(ordered, compareJobID)
-		s.idOrder = ordered
-	}
 	rows := s.rows[:0]
-	for _, js := range ordered {
+	for _, js := range s.idOrder {
 		rows = append(rows, sched.QuantRow{ID: js.spec.ID, Share: shares[js.viewIdx], Demand: js.readyDemand()})
 	}
 	s.rows = rows
@@ -656,31 +673,33 @@ func (s *sim) schedule() {
 	// reservation, 1-container map tasks of lower-priority jobs would snatch
 	// every freed container and starve multi-container tasks indefinitely.
 	cands := s.cands[:0]
-	for i, js := range ordered {
+	for i, js := range s.idOrder {
 		if t := rows[i].Target; t > js.usage {
-			cands = append(cands, launchCand{js: js, target: t})
+			cands = append(cands, launchCand{js: js, target: t, deficit: t - js.usage})
 		}
 	}
 	s.cands = cands
-	// The comparator is a total order (admission sequences are unique), so an
-	// unstable sort is deterministic. slices.SortFunc with a capture-free
-	// comparator keeps the round allocation free, unlike sort.Slice.
-	slices.SortFunc(cands, func(a, b launchCand) int {
-		da := a.target - a.js.usage
-		db := b.target - b.js.usage
-		if da != db {
-			if da > db {
-				return -1
-			}
-			return 1
-		}
-		if a.js.seq < b.js.seq {
-			return -1
-		}
-		return 1
-	})
+	// The candidates are served by repeated selection of the first in that
+	// order, not off a sorted list: a round typically enters with one
+	// container just freed and serves one or two of a dozen. Once
+	// usedSlots+reserved reaches the cluster size the rest cannot matter — no
+	// task fits (every task needs a container), and reserved is only ever
+	// compared against that same threshold, here, by the backfill and by
+	// speculate, so what later candidates would add to it changes nothing.
+	// Each candidate served costs one pass over those left, so the round pays
+	// for what it launches or reserves: at most a pass per free container.
 	reserved := 0
-	for _, c := range cands {
+	for len(cands) > 0 && s.usedSlots+reserved < s.cfg.Containers {
+		first := 0
+		for i := 1; i < len(cands); i++ {
+			if cands[i].before(&cands[first]) {
+				first = i
+			}
+		}
+		c := cands[first]
+		last := len(cands) - 1
+		cands[first] = cands[last]
+		cands = cands[:last]
 		for c.js.usage < c.target {
 			started, need := s.startNextReadyTask(c.js, reserved)
 			if started {
@@ -739,6 +758,7 @@ func (s *sim) startNextReadyTask(js *jobState, reserved int) (started bool, need
 			}
 			st.popReady()
 			st.readyContainers -= task.spec.Containers
+			js.readyContainers -= task.spec.Containers
 			s.readySlots -= task.spec.Containers
 			task.ready = false
 			s.launchAttempt(js, si, ti, false)
@@ -877,19 +897,33 @@ func (s *sim) speculate(reserved int) {
 	}
 }
 
-// collectViews rebuilds the kernel's view registry with the scheduler-facing
-// snapshots of the running jobs and their slots, reusing the per-job view
-// adapters and noting each job's index among the views. Observation rounds
-// for horizon-hinting policies request the per-job metric-rate bounds as well
-// (withRates). The registry's demand map stays unused: the engine quantizes
-// from job state (see schedule).
+// collectViews brings the kernel's view registry up to date for a round. The
+// registration — the running jobs' persistent view adapters and slots in
+// running order, each job's index among them, and the ascending-ID order the
+// quantizer's rows are laid out in — depends on the running set alone, so it
+// is rebuilt only after setRunning marked it stale; the views read the clock
+// through a pointer and need no re-stamping. Observation rounds for
+// horizon-hinting policies refill the per-job metric-rate bounds as well
+// (withRates), a column the registration does not depend on. The registry's
+// demand map stays unused: the engine quantizes from job state (see schedule).
 func (s *sim) collectViews(withRates bool) {
-	s.vs.Begin(false, withRates)
-	for i, js := range s.running {
-		js.view.now = s.now
-		js.viewIdx = i
-		s.vs.AddSlot(&js.view, js.slot)
-		if withRates {
+	if s.viewsStale {
+		s.viewsStale = false
+		s.viewRebuilds++
+		s.vs.Begin(false, s.driver.NeedsRates())
+		for i, js := range s.running {
+			js.viewIdx = i
+			s.vs.AddSlot(&js.view, js.slot)
+		}
+		s.idOrder = s.running
+		if !slices.IsSortedFunc(s.running, compareJobID) {
+			s.idScratch = append(s.idScratch[:0], s.running...)
+			slices.SortFunc(s.idScratch, compareJobID)
+			s.idOrder = s.idScratch
+		}
+	}
+	if withRates {
+		for _, js := range s.running {
 			s.vs.AddRate(s.metricRateBound(js))
 		}
 	}

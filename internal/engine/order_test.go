@@ -47,6 +47,22 @@ func orderSpecs(n int) []job.Spec {
 	return specs
 }
 
+// arrivalSorted returns a copy of specs stable-sorted by arrival, as a
+// streamed run must be fed them.
+func arrivalSorted(specs []job.Spec) []job.Spec {
+	sorted := slices.Clone(specs)
+	slices.SortStableFunc(sorted, func(a, b job.Spec) int {
+		switch {
+		case a.Arrival < b.Arrival:
+			return -1
+		case a.Arrival > b.Arrival:
+			return 1
+		}
+		return 0
+	})
+	return sorted
+}
+
 // orderDigest folds every per-job outcome (in ascending job ID) and the run
 // aggregates into one FNV-1a hash, floats by their bit patterns.
 func orderDigest(jobs []engine.JobResult, makespan, utilization float64, peak int) uint64 {
@@ -104,16 +120,7 @@ var orderGolden = map[string]uint64{
 // before the round was made dense, and to a FullReschedule run.
 func TestRoundOrderIndependentOfIDs(t *testing.T) {
 	specs := orderSpecs(60)
-	sorted := slices.Clone(specs)
-	slices.SortStableFunc(sorted, func(a, b job.Spec) int {
-		switch {
-		case a.Arrival < b.Arrival:
-			return -1
-		case a.Arrival > b.Arrival:
-			return 1
-		}
-		return 0
-	})
+	sorted := arrivalSorted(specs)
 	if slices.IsSortedFunc(sorted, func(a, b job.Spec) int { return a.ID - b.ID }) ||
 		slices.IsSortedFunc(sorted, func(a, b job.Spec) int { return b.ID - a.ID }) {
 		t.Fatal("arrival order is monotone in job ID: the workload no longer tests what it says")

@@ -152,6 +152,13 @@ type jobState struct {
 	stages       []stageState
 	activeStages []int // indices of unlocked, uncompleted stages, ascending
 	doneStages   int
+	// readyContainers is the number of containers needed by the ready
+	// (startable) tasks of the active stages: the sum of their stages'
+	// readyContainers, moved wherever one of those moves (activateStage,
+	// startNextReadyTask, requeueTask) instead of re-derived by walking the
+	// stages. A stage completes with nothing ready, so leaving the active list
+	// takes nothing out of the sum.
+	readyContainers int
 
 	// Whole-job service accounting, mirroring the per-stage aggregates.
 	finalizedService       float64
@@ -175,8 +182,9 @@ type jobState struct {
 	// slab).
 	rec *jobRecord
 
-	// view is the job's persistent sched.JobView adapter, re-stamped with the
-	// current time each round instead of allocated anew.
+	// view is the job's persistent sched.JobView adapter. It reads the sim's
+	// clock through a pointer (set at admission), so it is registered when the
+	// running set changes and never re-stamped.
 	view jobView
 }
 
@@ -188,6 +196,7 @@ func (js *jobState) activateStage(i int) {
 		st.tasks[ti].ready = true
 		st.pushReady(ti)
 		st.readyContainers += st.tasks[ti].spec.Containers
+		js.readyContainers += st.tasks[ti].spec.Containers
 	}
 	// Keep activeStages sorted ascending so task launch order is stable.
 	pos := len(js.activeStages)
@@ -231,20 +240,8 @@ func (js *jobState) estimated(now float64) float64 {
 	return est
 }
 
-// readyContainersTotal is the number of containers needed by the ready
-// (startable) tasks of the active stages.
-func (js *jobState) readyContainersTotal() int {
-	var total int
-	for _, i := range js.activeStages {
-		total += js.stages[i].readyContainers
-	}
-	return total
-}
-
-// readyDemand is readyContainersTotal as the scheduler-facing float.
-func (js *jobState) readyDemand() float64 {
-	return float64(js.readyContainersTotal())
-}
+// readyDemand is readyContainers as the scheduler-facing float.
+func (js *jobState) readyDemand() float64 { return float64(js.readyContainers) }
 
 // remainingDemand is the number of containers needed by all remaining tasks
 // of the job, including running ones (the paper's in-queue ordering key).
@@ -259,10 +256,11 @@ func (js *jobState) remainingDemand() float64 {
 	return float64(total)
 }
 
-// jobView adapts jobState to sched.JobView at a fixed instant.
+// jobView adapts jobState to sched.JobView at the sim's current instant: now
+// points at the sim's clock.
 type jobView struct {
 	js  *jobState
-	now float64
+	now *float64
 }
 
 var (
@@ -273,8 +271,8 @@ var (
 func (v *jobView) ID() int            { return v.js.spec.ID }
 func (v *jobView) Seq() int           { return v.js.seq }
 func (v *jobView) Priority() int      { return v.js.spec.Priority }
-func (v *jobView) Attained() float64  { return v.js.attained(v.now) }
-func (v *jobView) Estimated() float64 { return v.js.estimated(v.now) }
+func (v *jobView) Attained() float64  { return v.js.attained(*v.now) }
+func (v *jobView) Estimated() float64 { return v.js.estimated(*v.now) }
 func (v *jobView) ReadyDemand() float64 {
 	return v.js.readyDemand()
 }
@@ -283,7 +281,7 @@ func (v *jobView) RemainingDemand() float64 {
 }
 func (v *jobView) SizeHint() float64 { return v.js.spec.EffectiveSizeHint() }
 func (v *jobView) RemainingSizeHint() float64 {
-	rem := v.js.spec.EffectiveSizeHint() - v.js.attained(v.now)
+	rem := v.js.spec.EffectiveSizeHint() - v.js.attained(*v.now)
 	if rem < 0 {
 		return 0
 	}
@@ -293,7 +291,7 @@ func (v *jobView) RemainingSizeHint() float64 {
 // ExactRemaining implements sched.ExactSizer: the true remaining service
 // (total minus attained), independent of SizeHint perturbation.
 func (v *jobView) ExactRemaining() float64 {
-	rem := v.js.spec.TotalService() - v.js.attained(v.now)
+	rem := v.js.spec.TotalService() - v.js.attained(*v.now)
 	if rem < 0 {
 		return 0
 	}
@@ -343,10 +341,19 @@ type arena struct {
 	jobSeq []*jobState
 	// running is the admitted, unfinished jobs in jobSeq order (ascending
 	// jobState.pos) — exactly the jobs a scheduling round concerns. admit
-	// inserts, completeStage removes; view collection, the target scan, the
-	// work-conserving backfill and speculation walk it, so a round never
-	// touches the admission backlog or finished jobs.
+	// inserts, completeStage removes, both through setRunning; the backfill
+	// and speculation walk it, so a round never touches the admission backlog
+	// or finished jobs.
 	running []*jobState
+	// What a round derives from running alone, rebuilt by collectViews only
+	// after setRunning marked it stale: the view registry's views and slots
+	// and each job's viewIdx (running order), and idOrder, running in
+	// ascending job ID — running itself when it already is, else a sorted copy
+	// in idScratch. viewRebuilds counts the rebuilds, for the tests.
+	viewsStale   bool
+	idOrder      []*jobState
+	idScratch    []*jobState
+	viewRebuilds int
 	// pending is the materialized run's not-yet-arrived jobs, stable-sorted
 	// by arrival; the arrival cursor walks it (streaming runs pull from the
 	// source instead and leave it empty).
@@ -369,7 +376,6 @@ type arena struct {
 	batchBuf  []event
 	quant     sched.Quantizer
 	rows      []sched.QuantRow // one per running job, ascending ID
-	idOrder   []*jobState      // running sorted by ID, when it is not already
 	cands     []launchCand
 	specCands []specCand
 
@@ -545,8 +551,16 @@ func (a *arena) scrub() {
 	clear(a.pending)
 	a.pending = a.pending[:0]
 	clear(a.running)
-	a.running = a.running[:0]
-	clear(a.idOrder[:cap(a.idOrder)])
+	a.setRunning(a.running[:0])
+	a.idOrder = nil
+	clear(a.idScratch[:cap(a.idScratch)])
 	a.queue.Reset()
 	a.vs.Reset()
+}
+
+// setRunning is the one place running changes: whatever a round derives from
+// the running set alone (see viewsStale) is stale from here on.
+func (a *arena) setRunning(running []*jobState) {
+	a.running = running
+	a.viewsStale = true
 }

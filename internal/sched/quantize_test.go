@@ -189,10 +189,13 @@ func TestQuantizeRowsMatchesReference(t *testing.T) {
 	}
 }
 
-// TestQuantizeTerminatesOnHostileInput covers the inputs the pre-change
-// quantizer never returned from: a negative capacity (the trim loop found
-// nothing to decrement) and non-finite shares from a buggy policy (their
-// integer conversion is negative on amd64).
+// TestQuantizeTerminatesOnHostileInput covers the inputs earlier quantizers
+// never returned from, or returned nonsense for: a negative capacity (the
+// trim loop found nothing to decrement), non-finite shares from a buggy
+// policy (their integer conversion is negative on amd64), a finite share at
+// or beyond 2⁶³ (the same conversion: the row's target came back as
+// -9223372036854775807), and a share far above capacity (the trim took one
+// container per step: 53 s for 4e9).
 func TestQuantizeTerminatesOnHostileInput(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	for _, tc := range []struct {
@@ -208,6 +211,10 @@ func TestQuantizeTerminatesOnHostileInput(t *testing.T) {
 		{"NaN beside a positive share", sched.Assignment{1: nan, 2: 3}, 10, map[int]int{2: 3}},
 		{"-Inf share", sched.Assignment{1: math.Inf(-1), 2: 3}, 10, map[int]int{2: 3}},
 		{"share total overflows to +Inf", sched.Assignment{1: 1e308, 2: 1e308}, 10, nil},
+		{"share beyond 2^63", sched.Assignment{1: 1e19, 2: 3}, 10, map[int]int{1: 10}},
+		{"two shares beyond 2^63", sched.Assignment{1: 1e19, 2: 3, 3: 2e19}, 11, map[int]int{1: 5, 3: 6}},
+		{"share far above capacity", sched.Assignment{1: 4e9, 2: 3}, 10, map[int]int{1: 10}},
+		{"shares far above capacity", sched.Assignment{1: 4e9, 2: 3, 3: 4e9 + 1, 4: 4e9}, 10, map[int]int{1: 3, 3: 4, 4: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			done := make(chan map[int]int, 1)
@@ -217,8 +224,8 @@ func TestQuantizeTerminatesOnHostileInput(t *testing.T) {
 				if tc.want != nil && !maps.Equal(got, tc.want) {
 					t.Errorf("got %v, want %v", got, tc.want)
 				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("Quantize did not return")
+			case <-time.After(time.Second):
+				t.Fatal("Quantize did not return within a second")
 			}
 		})
 	}
@@ -228,8 +235,10 @@ func TestQuantizeTerminatesOnHostileInput(t *testing.T) {
 // 1 shares on a quarter grid (equal remainders, so the ID tie-break decides),
 // 2 shares scaled past capacity (the over-allocation trim path), 4 a third of
 // the demands absent, 8 a quarter of the shares zero or negative, 16 an
-// eighth of the shares +Inf, -Inf or NaN. IDs are distinct, non-contiguous
-// and in no order.
+// eighth of the shares +Inf, -Inf or NaN, 32 a quarter of the shares
+// ten to ten thousand times larger (far above capacity: the trim's
+// closed-form rotations, where the reference still steps one container at a
+// time). IDs are distinct, non-contiguous and in no order.
 func quantFuzzInput(seed int64, n uint8, capacity int16, mode uint8) (sched.Assignment, map[int]float64, int) {
 	rng := rand.New(rand.NewSource(seed))
 	alloc := make(sched.Assignment, n)
@@ -246,6 +255,9 @@ func quantFuzzInput(seed int64, n uint8, capacity int16, mode uint8) (sched.Assi
 		}
 		if mode&2 != 0 {
 			x *= 3
+		}
+		if mode&32 != 0 && rng.Intn(4) == 0 {
+			x *= math.Pow10(1 + rng.Intn(4))
 		}
 		if mode&8 != 0 && rng.Intn(4) == 0 {
 			x = -x * float64(rng.Intn(2))
@@ -273,6 +285,12 @@ func FuzzQuantizeRows(f *testing.F) {
 	f.Add(int64(7), uint8(12), int16(0), uint8(0))
 	f.Add(int64(8), uint8(0), int16(50), uint8(0))
 	f.Add(int64(9), uint8(1), int16(1), uint8(3))
+	// Added after the seeds above, which keep their numbers: every combination
+	// with the far-above-capacity bit.
+	for mode := uint8(32); mode < 64; mode++ {
+		f.Add(int64(mode)+1, uint8(26), int16(20), mode)
+		f.Add(int64(mode)+100, uint8(200), int16(120), mode)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, capacity int16, mode uint8) {
 		alloc, demand, containers := quantFuzzInput(seed, n, capacity, mode)
 		checkQuantize(t, alloc, demand, containers, mode&16 == 0)

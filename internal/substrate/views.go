@@ -3,8 +3,9 @@ package substrate
 import "lasmq/internal/sched"
 
 // ViewSet is the job-view registry a substrate refills every scheduling
-// round: the sched.JobView slice handed to the policy, plus what travels
-// with it. Every substrate speaks the dense round contract (see
+// round — or, when its views are persistent adapters over job state, whenever
+// the schedulable set changes: the sched.JobView slice handed to the policy,
+// plus what travels with it. Every substrate speaks the dense round contract (see
 // internal/sched/dense.go): it takes a slot for every job that becomes
 // schedulable (TakeSlot/FreeSlot), registers views with AddSlot, and reads
 // the policy's answer from the share column Driver.Shares fills — slots,
@@ -66,10 +67,11 @@ func (vs *ViewSet) FreeSlot(slot int32) {
 	vs.free = append(grow(vs.free, len(vs.free)+1), slot)
 }
 
-// Begin starts a new round, clearing the views and the dense columns.
-// withRates marks an observation round feeding a horizon-hinting policy: the
-// substrate follows every AddSlot with an AddRate. withDemand clears the
-// ready-demand map for SetDemand (benchmark/replay.go only).
+// Begin starts a new registration, clearing the views and the dense columns.
+// withRates says the rounds over it that feed a horizon-hinting policy's
+// observation carry rate bounds: one AddRate per view, in the order the views
+// were added. withDemand clears the ready-demand map for SetDemand
+// (benchmark/replay.go only).
 func (vs *ViewSet) Begin(withDemand, withRates bool) {
 	vs.views = vs.views[:0]
 	vs.slots = vs.slots[:0]
@@ -100,9 +102,15 @@ func (vs *ViewSet) AddSlot(v sched.JobView, slot int32) {
 	vs.slots = append(grow(vs.slots, len(vs.slots)+1), slot)
 }
 
-// AddRate records the metric-rate bound of the view just added
-// (Begin(·, true) rounds).
+// AddRate records the metric-rate bound of the next view that has none
+// (Begin(·, true) rounds), in the order the views were added. Once every view
+// has a bound, the next AddRate starts the column over: a substrate whose
+// registration outlives a round (the engine re-registers only when its
+// running set changes) refills the bounds alone, without a Begin.
 func (vs *ViewSet) AddRate(r float64) {
+	if len(vs.rateCol) == len(vs.views) {
+		vs.rateCol = vs.rateCol[:0]
+	}
 	vs.rateCol = append(grow(vs.rateCol, len(vs.rateCol)+1), r)
 }
 
