@@ -7,7 +7,6 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
-	"os"
 	"testing"
 
 	"lasmq/internal/core"
@@ -16,7 +15,7 @@ import (
 	"lasmq/internal/sched"
 )
 
-var updatePinned = flag.Bool("update-pinned", false, "rewrite testdata/launch_order.txt from the launches the engine makes now")
+var updatePinned = flag.Bool("update-pinned", false, "rewrite the testdata pins of the tests run from what the engine does now")
 
 // launchFold folds every TaskStart event, in the order the engine emits them,
 // into one FNV-1a hash: which attempt a round launches, and in which order
@@ -126,25 +125,5 @@ func TestLaunchOrderPinned(t *testing.T) {
 			}
 		}
 	}
-	const path = "testdata/launch_order.txt"
-	if *updatePinned {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got.Bytes(), want) {
-		return
-	}
-	gotLines, wantLines := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
-	for i := range min(len(gotLines), len(wantLines)) {
-		if !bytes.Equal(gotLines[i], wantLines[i]) {
-			t.Fatalf("line %d: got %q, pinned %q", i+1, gotLines[i], wantLines[i])
-		}
-	}
-	t.Fatalf("%d lines, pinned %d", len(gotLines), len(wantLines))
+	checkPinned(t, "testdata/launch_order.txt", got.Bytes())
 }
