@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"lasmq/internal/mlq"
@@ -66,24 +68,31 @@ func DefaultAdaptiveConfig() AdaptiveConfig {
 // the exponential ladder so the first threshold sits at the LowQuantile of
 // completed job sizes and the second-to-last queue's threshold at the
 // HighQuantile. Jobs are re-placed under the new ladder from their current
-// service metric.
+// attained service.
 type Adaptive struct {
 	cfg   AdaptiveConfig
-	inner *LASMQ
+	inner *LASMQ // driven through its dense forms
 
-	attained   map[int]float64 // last observed metric per live job
-	history    []float64       // completed-job sizes (sliding window)
+	recs       []adaptiveRec // by slot: the job holding it and its last attained service
+	epoch      uint32
+	history    []float64 // completed-job sizes (sliding window)
 	sinceRefit int
 	refits     int
 	totalSeen  int
-
-	// Scratch reused across rounds.
-	seen     map[int]bool
-	departed []int
+	departed   []adaptiveRec // scratch
+	maps       sched.MapForms
 
 	// probe, when non-nil, receives threshold-refit telemetry; queue events
 	// flow from the inner LAS_MQ, which shares the same probe.
 	probe obs.Probe
+}
+
+// adaptiveRec is Adaptive's record of the job holding a slot.
+type adaptiveRec struct {
+	id       int
+	attained float64 // at the last observation
+	epoch    uint32  // the observation that last saw the job
+	live     bool
 }
 
 var (
@@ -91,6 +100,9 @@ var (
 	_ sched.BufferedAssigner = (*Adaptive)(nil)
 	_ sched.Observer         = (*Adaptive)(nil)
 	_ sched.Hinter           = (*Adaptive)(nil)
+	_ sched.DenseAssigner    = (*Adaptive)(nil)
+	_ sched.DenseHinter      = (*Adaptive)(nil)
+	_ sched.DenseObserver    = (*Adaptive)(nil)
 	_ obs.ProbeSetter        = (*Adaptive)(nil)
 )
 
@@ -102,8 +114,12 @@ func NewAdaptive(cfg AdaptiveConfig) (*Adaptive, error) {
 	if cfg.RefitEvery < 1 {
 		return nil, fmt.Errorf("core: refit interval must be >= 1, got %d", cfg.RefitEvery)
 	}
-	if cfg.LowQuantile <= 0 || cfg.HighQuantile >= 1 || cfg.LowQuantile >= cfg.HighQuantile {
-		return nil, fmt.Errorf("core: need 0 < low quantile < high quantile < 1, got %v and %v",
+	// Written so that NaN fails: a NaN quantile indexes outside the history.
+	if !(cfg.LowQuantile > 0 && cfg.LowQuantile < 1) {
+		return nil, fmt.Errorf("core: LowQuantile must be in (0, 1), got %v", cfg.LowQuantile)
+	}
+	if !(cfg.HighQuantile > cfg.LowQuantile && cfg.HighQuantile < 1) {
+		return nil, fmt.Errorf("core: HighQuantile must be in (LowQuantile, 1) = (%v, 1), got %v",
 			cfg.LowQuantile, cfg.HighQuantile)
 	}
 	if cfg.MaxHistory < 0 {
@@ -120,12 +136,7 @@ func NewAdaptive(cfg AdaptiveConfig) (*Adaptive, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Adaptive{
-		cfg:      cfg,
-		inner:    inner,
-		attained: make(map[int]float64),
-		seen:     make(map[int]bool),
-	}, nil
+	return &Adaptive{cfg: cfg, inner: inner}, nil
 }
 
 // Name implements sched.Scheduler.
@@ -152,73 +163,89 @@ func (a *Adaptive) Thresholds() []float64 {
 	return out
 }
 
-// Assign implements sched.Scheduler: record completions, refit if due, then
-// delegate to the inner LAS_MQ.
-func (a *Adaptive) Assign(now float64, capacity float64, jobs []sched.JobView) sched.Assignment {
-	out := make(sched.Assignment, len(jobs))
-	a.AssignInto(now, capacity, jobs, out)
-	return out
+// Assign implements sched.Scheduler.
+func (a *Adaptive) Assign(now, capacity float64, jobs []sched.JobView) sched.Assignment {
+	return a.maps.Assign(a, now, capacity, jobs)
 }
 
-// AssignInto implements sched.BufferedAssigner: record completions, refit if
-// due, then delegate to the inner LAS_MQ.
+// AssignInto implements sched.BufferedAssigner.
 func (a *Adaptive) AssignInto(now float64, capacity float64, jobs []sched.JobView, out sched.Assignment) {
-	a.observe(jobs)
-	if a.dueForRefit() {
-		a.refit(now)
-	}
-	a.inner.AssignInto(now, capacity, jobs, out)
+	a.maps.AssignInto(a, now, capacity, jobs, out)
 }
 
-// Observe implements sched.Observer: exactly the state mutation AssignInto
-// performs, without computing an allocation. The Adaptive scheduler does NOT
-// implement sched.ObserveHinter: its completion-size history depends on
-// seeing every round's job view, so Observe itself must never be skipped.
-func (a *Adaptive) Observe(now float64, jobs []sched.JobView) {
-	a.observe(jobs)
-	if a.dueForRefit() {
-		a.refit(now)
-	}
-	a.inner.Observe(now, jobs)
-}
+// Observe implements sched.Observer.
+func (a *Adaptive) Observe(now float64, jobs []sched.JobView) { a.maps.Observe(a, now, jobs) }
 
-// Horizon implements sched.Hinter by delegation.
+// Horizon implements sched.Hinter.
 func (a *Adaptive) Horizon(now float64, jobs []sched.JobView, alloc sched.Assignment) float64 {
-	return a.inner.Horizon(now, jobs, alloc)
+	return a.maps.Horizon(a, now, jobs, alloc)
 }
 
-// observe tracks live jobs' service metrics; a job that disappears from the
-// view completed with (approximately) its last observed metric as size.
-// Departures are appended to the history in ascending job-ID order so the
-// sliding window's contents — and therefore the fitted ladder — do not
-// depend on map iteration order.
-func (a *Adaptive) observe(jobs []sched.JobView) {
-	seen := a.seen
-	clear(seen)
-	for _, j := range jobs {
-		seen[j.ID()] = true
-		a.attained[j.ID()] = j.Attained()
-	}
+// AssignDense implements sched.DenseAssigner: record completions, refit if
+// due, then delegate to the inner LAS_MQ.
+func (a *Adaptive) AssignDense(now, capacity float64, jobs []sched.JobView, slots []int32, shares []float64) {
+	a.observe(now, jobs, slots)
+	a.inner.AssignDense(now, capacity, jobs, slots, shares)
+}
+
+// ObserveDense implements sched.DenseObserver: exactly the state mutation
+// AssignDense performs, without computing an allocation.
+func (a *Adaptive) ObserveDense(now float64, jobs []sched.JobView, slots []int32) {
+	a.observe(now, jobs, slots)
+	a.inner.ObserveDense(now, jobs, slots)
+}
+
+// ObserveHorizonDense implements sched.DenseObserver: the completion-size
+// history must see every round's job view, so the answer is now.
+func (a *Adaptive) ObserveHorizonDense(now float64, _ []sched.JobView, _ []int32, _ []float64) float64 {
+	return now
+}
+
+// HorizonDense implements sched.DenseHinter by delegation.
+func (a *Adaptive) HorizonDense(now float64, jobs []sched.JobView, slots []int32, shares []float64) float64 {
+	return a.inner.HorizonDense(now, jobs, slots, shares)
+}
+
+// observe tracks live jobs' attained service by slot; a job no view names any
+// more (or whose slot another job holds) completed with its last attained
+// service as size. Sizes join the history in ascending job-ID order, so the
+// fitted ladder does not depend on the order jobs left in. Then it refits if
+// due.
+func (a *Adaptive) observe(now float64, jobs []sched.JobView, slots []int32) {
+	a.epoch++
 	departed := a.departed[:0]
-	for id := range a.attained { // range-ok: departed ids are sorted before use
-		if !seen[id] {
-			departed = append(departed, id)
+	for i, j := range jobs {
+		slot := int(slots[i])
+		if have := len(a.recs); slot >= have {
+			want := max(slot+1, len(jobs), 2*have, minSlotRecs)
+			a.recs = append(a.recs, make([]adaptiveRec, want-have)...)
+		}
+		if r := &a.recs[slot]; r.live && r.id != j.ID() {
+			departed = append(departed, *r) // reissued
+		}
+		a.recs[slot] = adaptiveRec{id: j.ID(), attained: j.Attained(), epoch: a.epoch, live: true}
+	}
+	for slot := range a.recs {
+		if r := &a.recs[slot]; r.live && r.epoch != a.epoch {
+			departed = append(departed, *r)
+			r.live = false
 		}
 	}
 	a.departed = departed
-	sort.Ints(departed)
-	for _, id := range departed {
-		size := a.attained[id]
-		delete(a.attained, id)
-		if size <= 0 {
+	slices.SortFunc(departed, func(x, y adaptiveRec) int { return cmp.Compare(x.id, y.id) })
+	for _, d := range departed {
+		if d.attained <= 0 {
 			continue
 		}
-		a.history = append(a.history, size)
+		a.history = append(a.history, d.attained)
 		if a.cfg.MaxHistory > 0 && len(a.history) > a.cfg.MaxHistory {
 			a.history = a.history[len(a.history)-a.cfg.MaxHistory:]
 		}
 		a.sinceRefit++
 		a.totalSeen++
+	}
+	if a.dueForRefit() {
+		a.refit(now)
 	}
 }
 
@@ -233,7 +260,7 @@ func (a *Adaptive) dueForRefit() bool {
 }
 
 // refit rebuilds the exponential ladder from the completion-size history and
-// re-places all tracked jobs under it.
+// has the inner scheduler re-place its jobs under it.
 func (a *Adaptive) refit(now float64) {
 	k := a.cfg.Queues
 	if k < 2 || len(a.history) == 0 {
@@ -261,11 +288,8 @@ func (a *Adaptive) refit(now float64) {
 	if err != nil {
 		return // keep the previous ladder; inputs were degenerate
 	}
-	// Re-place live jobs from their current metric (placement under a fresh
-	// ladder; the demote-only rule applies from here on). The wholesale
-	// re-placement invalidates the inner scheduler's incremental within-queue
-	// order, which it rebuilds on its next round.
-	a.inner.resetLevels(levels, a.attained)
+	// The inner scheduler's next sweep re-places this round's jobs.
+	a.inner.resetLevels(levels)
 	a.sinceRefit = 0
 	a.refits++
 	if a.probe != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"lasmq/internal/mlq"
 	"lasmq/internal/sched"
 )
 
@@ -100,7 +101,23 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots []int32, unm
 			r.live = false
 			s.nlive--
 		}
-		if !r.live {
+		if s.replace {
+			// Re-placement under a refitted ladder: placed from attained
+			// service, demoted from there, appended for restoreOrder to sort.
+			from := s.levels.Placement(j.Attained())
+			q := s.levels.Demote(from, m)
+			if r.live {
+				s.removeEntry(int(r.queue), r.key(), int(slot))
+			} else {
+				s.nlive++
+			}
+			*r = slotRec{id: id, seq: j.Seq(), demand: s.orderKey(j), queue: int32(q), live: true}
+			s.ordered[q] = append(s.ordered[q], ordEntry{demand: r.demand, seq: r.seq, id: int(slot)})
+			s.touched[q] = true
+			if q != from && s.probe != nil {
+				s.probe.QueueDemote(now, id, from, q, m)
+			}
+		} else if !r.live {
 			// Arrival: place from the top queue and binary-insert.
 			d, seq := s.orderKey(j), j.Seq()
 			q := s.levels.Demote(0, m)
@@ -156,6 +173,7 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots []int32, unm
 		}
 		s.ordered[q] = list[:kept]
 	}
+	s.replace = false
 	if len(s.exits) > 1 {
 		slices.SortFunc(s.exits, func(a, b exitRec) int { return cmp.Compare(a.id, b.id) })
 	}
@@ -164,6 +182,14 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots []int32, unm
 			s.probe.QueueExit(now, e.id, e.queue)
 		}
 	}
+}
+
+// resetLevels installs a freshly fitted threshold ladder; the next sweep
+// re-places every job under it (placement, not demote-only). Used by the
+// adaptive wrapper's refit.
+func (s *LASMQ) resetLevels(levels *mlq.Levels) {
+	s.levels = levels
+	s.replace = true
 }
 
 // ObserveDense implements sched.DenseObserver: Observe over slot records.

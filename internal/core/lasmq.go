@@ -92,25 +92,21 @@ type ordEntry struct {
 // demands actually inverted the order — round-over-round, queues mostly stay
 // sorted, so the steady path is O(live jobs) with no sorting at all.
 //
-// The scheduler speaks both forms of the round contract. The methods in this
-// file are the map form, keyed by job ID: what the adaptive wrapper, the
-// queue recorder, blends, the live resource manager and benchmark's tracer
-// call, and the oracle the dense form is tested against. dense.go holds the
-// dense form the simulators drive, which keeps the per-job record in an array
-// indexed by the substrate's slot. One instance runs on one of them.
+// The methods in this file are the map form of the round contract, keyed by
+// job ID: what benchmark's tracer calls, and the oracle the dense form
+// (dense.go, per-job records indexed by slot) is tested against. One instance
+// runs on one of them.
 type LASMQ struct {
 	cfg    Config
 	levels *mlq.Levels
 
 	// Persistent incremental state: tracked mirrors every live job's queue
 	// and ordering key, ordered holds each queue's (demand, seq)-sorted
-	// entries, touched flags queues whose members changed demand in place,
-	// and orderValid gates the full-rebuild path (cleared when queue
-	// membership changes wholesale, e.g. an adaptive refit).
-	tracked    map[int]trackRec
-	ordered    [][]ordEntry
-	touched    []bool
-	orderValid bool
+	// entries, and touched flags queues whose members changed demand in
+	// place.
+	tracked map[int]trackRec
+	ordered [][]ordEntry
+	touched []bool
 
 	// Scratch buffers reused across rounds to keep large simulations
 	// allocation-free on the hot path.
@@ -123,12 +119,14 @@ type LASMQ struct {
 	// remaining: one record per slot, the number of live ones, the sweep
 	// counter that stamps the records a sweep saw, and the departures a sweep
 	// found. dense is set by the first dense call and tells QueueOf and
-	// QueueSizes where to look.
-	recs  []slotRec
-	nlive int
-	epoch uint32
-	exits []exitRec
-	dense bool
+	// QueueSizes where to look; replace asks the next sweep to re-place every
+	// job under a refitted ladder (resetLevels).
+	recs    []slotRec
+	nlive   int
+	epoch   uint32
+	exits   []exitRec
+	dense   bool
+	replace bool
 
 	// probe, when non-nil, receives queue-trajectory telemetry (enter/
 	// demote/exit). Emissions never read back into scheduling decisions.
@@ -155,15 +153,14 @@ func New(cfg Config) (*LASMQ, error) {
 		return nil, fmt.Errorf("core: queue weight decay must be finite and >= 1, got %v", cfg.QueueWeightDecay)
 	}
 	return &LASMQ{
-		cfg:        cfg,
-		levels:     levels,
-		tracked:    make(map[int]trackRec),
-		ordered:    make([][]ordEntry, cfg.Queues),
-		touched:    make([]bool, cfg.Queues),
-		orderValid: true,
-		seen:       make(map[int]bool),
-		remaining:  make(map[int]float64),
-		weights:    make([]float64, cfg.Queues),
+		cfg:       cfg,
+		levels:    levels,
+		tracked:   make(map[int]trackRec),
+		ordered:   make([][]ordEntry, cfg.Queues),
+		touched:   make([]bool, cfg.Queues),
+		seen:      make(map[int]bool),
+		remaining: make(map[int]float64),
+		weights:   make([]float64, cfg.Queues),
 	}, nil
 }
 
@@ -207,20 +204,6 @@ func (s *LASMQ) QueueSizes() []int {
 		sizes[rec.queue]++
 	}
 	return sizes
-}
-
-// resetLevels installs a freshly fitted threshold ladder and re-places every
-// job in metrics under it (placement, not demote-only). Queue membership
-// changes wholesale, so the persistent within-queue order is invalidated and
-// rebuilt from the next round's views. Used by the adaptive wrapper's refit.
-func (s *LASMQ) resetLevels(levels *mlq.Levels, metrics map[int]float64) {
-	s.levels = levels
-	for id, metric := range metrics { // range-ok: independent per-key writes, no accumulation
-		rec := s.tracked[id]
-		rec.queue = levels.Placement(metric)
-		s.tracked[id] = rec
-	}
-	s.orderValid = false
 }
 
 // metric returns the service value used for demotion decisions.
@@ -368,10 +351,6 @@ func (s *LASMQ) AssignInto(now float64, capacity float64, jobs []sched.JobView, 
 // the queue dirty instead of re-sorting eagerly). Shared by Observe and
 // AssignInto so skipped rounds keep the persistent order exactly in sync.
 func (s *LASMQ) sweep(now float64, jobs []sched.JobView) {
-	if !s.orderValid {
-		s.rebuild(now, jobs)
-		return
-	}
 	seen := s.seen
 	clear(seen)
 	for _, j := range jobs {
@@ -429,53 +408,6 @@ func (s *LASMQ) sweep(now float64, jobs []sched.JobView) {
 			s.probe.QueueExit(now, id, rec.queue)
 		}
 	}
-}
-
-// rebuild reconstructs every queue's ordered list from scratch — the cold
-// path, taken after resetLevels invalidates the order wholesale.
-func (s *LASMQ) rebuild(now float64, jobs []sched.JobView) {
-	for i := range s.ordered {
-		s.ordered[i] = s.ordered[i][:0]
-		s.touched[i] = false
-	}
-	seen := s.seen
-	clear(seen)
-	for _, j := range jobs {
-		id := j.ID()
-		seen[id] = true
-		rec, known := s.tracked[id] // zero record places arrivals from the top queue
-		q := s.levels.Demote(rec.queue, s.metric(j))
-		d, seq := j.RemainingDemand(), j.Seq()
-		s.tracked[id] = trackRec{queue: q, demand: d, seq: seq}
-		s.ordered[q] = append(s.ordered[q], ordEntry{demand: d, seq: seq, id: id})
-		if s.probe != nil {
-			if !known {
-				s.probe.QueueEnter(now, id, q)
-			} else if q != rec.queue {
-				s.probe.QueueDemote(now, id, rec.queue, q, s.metric(j))
-			}
-		}
-	}
-	s.departed = s.departed[:0]
-	for id := range s.tracked { // range-ok: per-id collection, order restored by sort below
-		if !seen[id] {
-			s.departed = append(s.departed, id)
-		}
-	}
-	slices.Sort(s.departed)
-	for _, id := range s.departed {
-		rec := s.tracked[id]
-		delete(s.tracked, id)
-		if s.probe != nil {
-			s.probe.QueueExit(now, id, rec.queue)
-		}
-	}
-	for i := range s.ordered {
-		if !s.isSorted(s.ordered[i]) {
-			s.sortList(s.ordered[i])
-		}
-	}
-	s.orderValid = true
 }
 
 // restoreOrder re-checks the queues whose members changed demand in place

@@ -21,8 +21,9 @@ type QueueSample struct {
 // scheduler's obs.Probe and maintains the occupancy incrementally from
 // queue enter/demote/exit events, snapshotting at allocation rounds. It
 // forwards every optional scheduling capability of the inner LAS_MQ —
-// BufferedAssigner, Observer, ObserveHinter, Hinter — so wrapping the
-// policy neither breaks incremental-round replay nor changes results; a
+// BufferedAssigner, Observer, ObserveHinter, Hinter, in both forms of the
+// round contract — so wrapping the policy neither breaks incremental-round
+// replay nor changes results; a
 // probe attached from outside (obs.ProbeSetter) is chained after the
 // recorder's own bookkeeping.
 type QueueRecorder struct {
@@ -33,6 +34,7 @@ type QueueRecorder struct {
 
 	sizes   []int
 	samples []QueueSample
+	maps    sched.MapForms
 
 	// user is an externally attached probe (e.g. the substrate driver's);
 	// queue events are forwarded to it after the occupancy update. The
@@ -47,6 +49,9 @@ var (
 	_ sched.Observer         = (*QueueRecorder)(nil)
 	_ sched.ObserveHinter    = (*QueueRecorder)(nil)
 	_ sched.Hinter           = (*QueueRecorder)(nil)
+	_ sched.DenseAssigner    = (*QueueRecorder)(nil)
+	_ sched.DenseHinter      = (*QueueRecorder)(nil)
+	_ sched.DenseObserver    = (*QueueRecorder)(nil)
 	_ obs.ProbeSetter        = (*QueueRecorder)(nil)
 )
 
@@ -95,37 +100,52 @@ func (r *QueueRecorder) QueueExit(now float64, job, queue int) {
 	}
 }
 
-// Assign implements sched.Scheduler: delegate, then snapshot.
-func (r *QueueRecorder) Assign(now float64, capacity float64, jobs []sched.JobView) sched.Assignment {
-	out := make(sched.Assignment, len(jobs))
-	r.AssignInto(now, capacity, jobs, out)
-	return out
+// Assign implements sched.Scheduler.
+func (r *QueueRecorder) Assign(now, capacity float64, jobs []sched.JobView) sched.Assignment {
+	return r.maps.Assign(r, now, capacity, jobs)
 }
 
-// AssignInto implements sched.BufferedAssigner: delegate, then snapshot.
+// AssignInto implements sched.BufferedAssigner.
 func (r *QueueRecorder) AssignInto(now float64, capacity float64, jobs []sched.JobView, out sched.Assignment) {
-	r.inner.AssignInto(now, capacity, jobs, out)
+	r.maps.AssignInto(r, now, capacity, jobs, out)
+}
+
+// Observe implements sched.Observer.
+func (r *QueueRecorder) Observe(now float64, jobs []sched.JobView) { r.maps.Observe(r, now, jobs) }
+
+// ObserveHorizon implements sched.ObserveHinter.
+func (r *QueueRecorder) ObserveHorizon(now float64, jobs []sched.JobView, rates sched.Assignment) float64 {
+	return r.maps.ObserveHorizon(r, now, jobs, rates)
+}
+
+// Horizon implements sched.Hinter.
+func (r *QueueRecorder) Horizon(now float64, jobs []sched.JobView, alloc sched.Assignment) float64 {
+	return r.maps.Horizon(r, now, jobs, alloc)
+}
+
+// AssignDense implements sched.DenseAssigner: delegate, then snapshot.
+func (r *QueueRecorder) AssignDense(now, capacity float64, jobs []sched.JobView, slots []int32, shares []float64) {
+	r.inner.AssignDense(now, capacity, jobs, slots, shares)
 	if r.last < 0 || now >= r.last+r.every {
 		r.last = now
 		r.samples = append(r.samples, QueueSample{Time: now, Sizes: append([]int(nil), r.sizes...)})
 	}
 }
 
-// Observe implements sched.Observer by delegation, so skipped rounds keep
-// the inner scheduler's queue state (and this recorder's occupancy, via the
-// probe events the delegated sweep emits) in sync.
-func (r *QueueRecorder) Observe(now float64, jobs []sched.JobView) {
-	r.inner.Observe(now, jobs)
+// ObserveDense implements sched.DenseObserver by delegation, so skipped
+// rounds keep the queue state and the occupancy in sync.
+func (r *QueueRecorder) ObserveDense(now float64, jobs []sched.JobView, slots []int32) {
+	r.inner.ObserveDense(now, jobs, slots)
 }
 
-// ObserveHorizon implements sched.ObserveHinter by delegation.
-func (r *QueueRecorder) ObserveHorizon(now float64, jobs []sched.JobView, rates sched.Assignment) float64 {
-	return r.inner.ObserveHorizon(now, jobs, rates)
+// ObserveHorizonDense implements sched.DenseObserver by delegation.
+func (r *QueueRecorder) ObserveHorizonDense(now float64, jobs []sched.JobView, slots []int32, rates []float64) float64 {
+	return r.inner.ObserveHorizonDense(now, jobs, slots, rates)
 }
 
-// Horizon implements sched.Hinter by delegation.
-func (r *QueueRecorder) Horizon(now float64, jobs []sched.JobView, alloc sched.Assignment) float64 {
-	return r.inner.Horizon(now, jobs, alloc)
+// HorizonDense implements sched.DenseHinter by delegation.
+func (r *QueueRecorder) HorizonDense(now float64, jobs []sched.JobView, slots []int32, shares []float64) float64 {
+	return r.inner.HorizonDense(now, jobs, slots, shares)
 }
 
 // Samples returns the recorded snapshots in time order.

@@ -19,11 +19,18 @@ import (
 // any convex combination does too, and the blend stays work conserving when
 // both components are.
 type Blend struct {
-	primary   Scheduler
-	secondary Scheduler
-	theta     float64
+	parts  [2]blendPart // primary, secondary
+	theta  float64
+	ps, ss []float64 // scratch for the component share columns
+	maps   MapForms
+}
 
-	pa, sa Assignment // scratch for component allocations
+// blendPart is one component and its DenseForms, driven with the blend's slots.
+type blendPart struct {
+	Scheduler
+	assigner DenseAssigner
+	hinter   DenseHinter
+	observer DenseObserver
 }
 
 var (
@@ -32,6 +39,9 @@ var (
 	_ Observer         = (*Blend)(nil)
 	_ ObserveHinter    = (*Blend)(nil)
 	_ Hinter           = (*Blend)(nil)
+	_ DenseAssigner    = (*Blend)(nil)
+	_ DenseHinter      = (*Blend)(nil)
+	_ DenseObserver    = (*Blend)(nil)
 	_ obs.ProbeSetter  = (*Blend)(nil)
 )
 
@@ -41,15 +51,21 @@ func NewBlend(primary, secondary Scheduler, theta float64) (*Blend, error) {
 	if primary == nil || secondary == nil {
 		return nil, fmt.Errorf("sched: blend components must be non-nil")
 	}
-	if theta < 0 || theta > 1 {
+	// Written so that NaN fails: a NaN theta would make every share NaN.
+	if !(theta >= 0 && theta <= 1) {
 		return nil, fmt.Errorf("sched: blend theta must be in [0,1], got %v", theta)
 	}
-	return &Blend{primary: primary, secondary: secondary, theta: theta}, nil
+	return &Blend{parts: [2]blendPart{newBlendPart(primary), newBlendPart(secondary)}, theta: theta}, nil
+}
+
+func newBlendPart(p Scheduler) blendPart {
+	a, h, o, _ := DenseForms(p)
+	return blendPart{Scheduler: p, assigner: a, hinter: h, observer: o}
 }
 
 // Name implements Scheduler.
 func (b *Blend) Name() string {
-	return fmt.Sprintf("BLEND(%s,%s,%.2f)", b.primary.Name(), b.secondary.Name(), b.theta)
+	return fmt.Sprintf("BLEND(%s,%s,%.2f)", b.parts[0].Name(), b.parts[1].Name(), b.theta)
 }
 
 // Theta returns the blend parameter.
@@ -58,105 +74,92 @@ func (b *Blend) Theta() float64 { return b.theta }
 // SetProbe implements obs.ProbeSetter by forwarding the probe to both
 // components, so a blend wrapping LAS_MQ keeps demotion telemetry flowing.
 func (b *Blend) SetProbe(p obs.Probe) {
-	if ps, ok := b.primary.(obs.ProbeSetter); ok {
-		ps.SetProbe(p)
-	}
-	if ps, ok := b.secondary.(obs.ProbeSetter); ok {
-		ps.SetProbe(p)
+	for _, part := range b.parts {
+		if ps, ok := part.Scheduler.(obs.ProbeSetter); ok {
+			ps.SetProbe(p)
+		}
 	}
 }
 
 // Assign implements Scheduler.
-func (b *Blend) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
-	b.AssignInto(now, capacity, jobs, out)
-	return out
+func (b *Blend) Assign(now, capacity float64, jobs []JobView) Assignment {
+	return b.maps.Assign(b, now, capacity, jobs)
 }
 
-// AssignInto implements BufferedAssigner, reusing scratch maps for the
-// component allocations.
+// AssignInto implements BufferedAssigner.
 func (b *Blend) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	if b.theta == 0 {
-		assignInto(b.primary, now, capacity, jobs, out)
-		return
-	}
-	if b.theta == 1 {
-		assignInto(b.secondary, now, capacity, jobs, out)
-		return
-	}
-	if b.pa == nil {
-		b.pa = make(Assignment, len(jobs))
-		b.sa = make(Assignment, len(jobs))
-	}
-	assignInto(b.primary, now, capacity, jobs, b.pa)
-	assignInto(b.secondary, now, capacity, jobs, b.sa)
-	clearAssignment(out)
-	for id, x := range b.pa {
-		out[id] += (1 - b.theta) * x
-	}
-	for id, x := range b.sa {
-		out[id] += b.theta * x
-	}
+	b.maps.AssignInto(b, now, capacity, jobs, out)
 }
 
-// Observe implements Observer by forwarding to stateful components, so a
-// blend wrapping LAS_MQ keeps its queue state in sync even at instants the
-// engine skips a full scheduling round. A blend with theta strictly between
-// 0 and 1 invokes BOTH components' Assign each round, so both components'
-// state must advance.
-func (b *Blend) Observe(now float64, jobs []JobView) {
-	if o, ok := b.primary.(Observer); ok && b.theta < 1 {
-		o.Observe(now, jobs)
-	}
-	if o, ok := b.secondary.(Observer); ok && b.theta > 0 {
-		o.Observe(now, jobs)
-	}
-}
+// Observe implements Observer.
+func (b *Blend) Observe(now float64, jobs []JobView) { b.maps.Observe(b, now, jobs) }
 
-// ObserveHorizon implements ObserveHinter so that wrapping a horizon-
-// hinting policy (LAS_MQ) in a blend does not silently disable the
-// substrate's observation gating. The blend's horizon is the minimum over
-// its active components (primary when theta < 1, secondary when theta > 0):
-// a horizon-hinting component contributes its own horizon, a stateful
-// component without a hint forces `now` (it must be observed every round —
-// the conservative answer), and a stateless component never constrains.
+// ObserveHorizon implements ObserveHinter.
 func (b *Blend) ObserveHorizon(now float64, jobs []JobView, rates Assignment) float64 {
-	horizon := math.Inf(1)
-	if b.theta < 1 {
-		if t := componentObserveHorizon(b.primary, now, jobs, rates); t < horizon {
-			horizon = t
+	return b.maps.ObserveHorizon(b, now, jobs, rates)
+}
+
+// Horizon implements Hinter.
+func (b *Blend) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
+	return b.maps.Horizon(b, now, jobs, alloc)
+}
+
+// AssignDense implements DenseAssigner: each active component's share column,
+// mixed.
+func (b *Blend) AssignDense(now, capacity float64, jobs []JobView, slots []int32, shares []float64) {
+	if b.theta == 0 || b.theta == 1 {
+		b.parts[int(b.theta)].assigner.AssignDense(now, capacity, jobs, slots, shares)
+		return
+	}
+	ps, ss := sizeShares(&b.ps, len(jobs)), sizeShares(&b.ss, len(jobs))
+	b.parts[0].assigner.AssignDense(now, capacity, jobs, slots, ps)
+	b.parts[1].assigner.AssignDense(now, capacity, jobs, slots, ss)
+	for i := range shares {
+		shares[i] = (1-b.theta)*ps[i] + b.theta*ss[i]
+	}
+}
+
+// active reports whether component i's AssignDense runs: the primary's when
+// theta < 1, the secondary's when theta > 0.
+func (b *Blend) active(i int) bool { return (i == 0 && b.theta < 1) || (i == 1 && b.theta > 0) }
+
+// ObserveDense implements DenseObserver by forwarding to the active stateful
+// components, so a blend wrapping LAS_MQ keeps its queue state in sync even
+// at instants the engine skips a full scheduling round.
+func (b *Blend) ObserveDense(now float64, jobs []JobView, slots []int32) {
+	for i, part := range b.parts {
+		if part.observer != nil && b.active(i) {
+			part.observer.ObserveDense(now, jobs, slots)
 		}
 	}
-	if b.theta > 0 {
-		if t := componentObserveHorizon(b.secondary, now, jobs, rates); t < horizon {
+}
+
+// ObserveHorizonDense implements DenseObserver so that a blend over LAS_MQ
+// keeps the substrate's observation gating: the minimum over the active
+// observing components' horizons (now for one that cannot bound its own).
+func (b *Blend) ObserveHorizonDense(now float64, jobs []JobView, slots []int32, rates []float64) float64 {
+	horizon := math.Inf(1)
+	for i, part := range b.parts {
+		if part.observer == nil || !b.active(i) {
+			continue
+		}
+		if t := part.observer.ObserveHorizonDense(now, jobs, slots, rates); t < horizon {
 			horizon = t
 		}
 	}
 	return horizon
 }
 
-func componentObserveHorizon(c Scheduler, now float64, jobs []JobView, rates Assignment) float64 {
-	if h, ok := c.(ObserveHinter); ok {
-		return h.ObserveHorizon(now, jobs, rates)
-	}
-	if _, ok := c.(Observer); ok {
-		return now
-	}
-	return math.Inf(1)
-}
-
-// Horizon implements Hinter: the earliest change point of either component,
-// evaluated against the blended allocation (both components' horizons are
-// pure functions of the allocation they are given).
-func (b *Blend) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
+// HorizonDense implements DenseHinter: the earliest change point of either
+// component, evaluated against the blended shares (both components' horizons
+// are pure functions of the shares they are given).
+func (b *Blend) HorizonDense(now float64, jobs []JobView, slots []int32, shares []float64) float64 {
 	horizon := math.Inf(1)
-	if h, ok := b.primary.(Hinter); ok {
-		if t := h.Horizon(now, jobs, alloc); t < horizon {
-			horizon = t
+	for _, part := range b.parts {
+		if part.hinter == nil {
+			continue
 		}
-	}
-	if h, ok := b.secondary.(Hinter); ok {
-		if t := h.Horizon(now, jobs, alloc); t < horizon {
+		if t := part.hinter.HorizonDense(now, jobs, slots, shares); t < horizon {
 			horizon = t
 		}
 	}

@@ -74,6 +74,44 @@ func buildEntries(scratch *[]viewEntry, jobs []JobView, key func(JobView) float6
 	return entries
 }
 
+// carriedEntries returns the jobs' entries in the order the previous call
+// left *scratch in, recognising jobs by slot: departed jobs dropped, new ones
+// appended. Between two rounds few jobs overtake each other, so the caller's
+// sort repairs that in about one comparison per job; a reissued slot costs its
+// new owner a longer walk. at is the caller's slot -> view index scratch.
+func carriedEntries(scratch *[]viewEntry, at *[]int32, jobs []JobView, slots []int32, key func(JobView) float64) []viewEntry {
+	// pos[slot] is the view index + 1 of the slot's job, zeroed once written.
+	pos := *at
+	for i, slot := range slots {
+		if have := len(pos); int(slot) >= have {
+			want := max(int(slot)+1, len(jobs), 2*have, minEntries)
+			pos = append(make([]int32, 0, want), pos...)[:want]
+		}
+		pos[slot] = int32(i) + 1
+	}
+	*at = pos
+	entry := func(i int32) viewEntry {
+		return viewEntry{key: key(jobs[i]), seq: jobs[i].Seq(), idx: i, slot: slots[i]}
+	}
+	// Rewriting in place is safe: the write index never passes the read index.
+	entries := (*scratch)[:0]
+	for _, old := range *scratch {
+		if int(old.slot) < len(pos) && pos[old.slot] != 0 {
+			entries = append(entries, entry(pos[old.slot]-1))
+			pos[old.slot] = 0
+		}
+	}
+	entries = roomFor(entries, len(jobs))
+	for i, slot := range slots {
+		if pos[slot] != 0 {
+			entries = append(entries, entry(int32(i)))
+			pos[slot] = 0
+		}
+	}
+	*scratch = entries
+	return entries
+}
+
 // sortEntries orders entries by (key, seq) ascending. Sequence numbers are
 // unique, so the order is total and a stable sort is equivalent to any
 // correct sort. Up to insertionMax entries it is a straight insertion sort —
@@ -184,9 +222,15 @@ type fillEntry struct {
 // jobs by (key, Seq) and grant each min(demand, remaining capacity) in that
 // order, writing the shares by view index into the zeroed shares.
 func orderFill(scratch *[]viewEntry, capacity float64, jobs []JobView, key func(JobView) float64, shares []float64) {
-	clear(shares)
 	entries := buildEntries(scratch, jobs, key)
 	sortEntries(entries)
+	fillInOrder(entries, capacity, jobs, shares)
+}
+
+// fillInOrder grants each job min(demand, remaining capacity) in the order of
+// the sorted entries, writing the shares by view index into shares.
+func fillInOrder(entries []viewEntry, capacity float64, jobs []JobView, shares []float64) {
+	clear(shares)
 	for i := range entries {
 		if capacity <= 0 {
 			break
@@ -263,24 +307,4 @@ func weightedFill(scratch *[]fillEntry, capacity float64, jobs []JobView, weight
 	}
 	*scratch = active
 	fillActive(capacity, active, shares)
-}
-
-// clearAssignment empties out in place (policies clear their output buffer
-// at the top of AssignInto).
-func clearAssignment(out Assignment) {
-	clear(out)
-}
-
-// assignInto dispatches to p's AssignInto when implemented, otherwise
-// copies a fresh p.Assign result into out. Wrapper policies (Blend) use it
-// so arbitrary components keep working.
-func assignInto(p Scheduler, now, capacity float64, jobs []JobView, out Assignment) {
-	if ba, ok := p.(BufferedAssigner); ok {
-		ba.AssignInto(now, capacity, jobs, out)
-		return
-	}
-	clearAssignment(out)
-	for id, x := range p.Assign(now, capacity, jobs) {
-		out[id] = x
-	}
 }

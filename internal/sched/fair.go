@@ -8,8 +8,8 @@ package sched
 // The scheduler carries water-filling scratch, so one instance must not be
 // shared between concurrent simulation runs.
 type Fair struct {
-	fill   []fillEntry
-	shares []float64 // AssignInto's scratch for the dense core's answer
+	fill []fillEntry
+	maps MapForms
 }
 
 // NewFair returns the Fair baseline scheduler.
@@ -25,15 +25,13 @@ var (
 func (f *Fair) Name() string { return "FAIR" }
 
 // Assign implements Scheduler.
-func (f *Fair) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
-	f.AssignInto(now, capacity, jobs, out)
-	return out
+func (f *Fair) Assign(now, capacity float64, jobs []JobView) Assignment {
+	return f.maps.Assign(f, now, capacity, jobs)
 }
 
 // AssignInto implements BufferedAssigner.
 func (f *Fair) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	assignViaDense(f, &f.shares, now, capacity, jobs, out)
+	f.maps.AssignInto(f, now, capacity, jobs, out)
 }
 
 // AssignDense implements DenseAssigner.

@@ -9,7 +9,7 @@ package sched
 // between concurrent simulation runs.
 type FIFO struct {
 	entries []viewEntry
-	shares  []float64 // AssignInto's scratch for the dense core's answer
+	maps    MapForms
 }
 
 // NewFIFO returns the FIFO baseline scheduler.
@@ -25,15 +25,13 @@ var (
 func (f *FIFO) Name() string { return "FIFO" }
 
 // Assign implements Scheduler.
-func (f *FIFO) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
-	f.AssignInto(now, capacity, jobs, out)
-	return out
+func (f *FIFO) Assign(now, capacity float64, jobs []JobView) Assignment {
+	return f.maps.Assign(f, now, capacity, jobs)
 }
 
 // AssignInto implements BufferedAssigner.
 func (f *FIFO) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	assignViaDense(f, &f.shares, now, capacity, jobs, out)
+	f.maps.AssignInto(f, now, capacity, jobs, out)
 }
 
 // AssignDense implements DenseAssigner.

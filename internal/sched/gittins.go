@@ -28,7 +28,7 @@ type Gittins struct {
 	service dist.Service
 	table   *dist.GittinsTable
 	entries []viewEntry
-	shares  []float64 // scratch for orderFill's answer
+	maps    MapForms
 }
 
 // NewGittins returns the Gittins-index policy for the given service
@@ -46,6 +46,8 @@ var (
 	_ Scheduler        = (*Gittins)(nil)
 	_ BufferedAssigner = (*Gittins)(nil)
 	_ Hinter           = (*Gittins)(nil)
+	_ DenseAssigner    = (*Gittins)(nil)
+	_ DenseHinter      = (*Gittins)(nil)
 )
 
 // Name implements Scheduler.
@@ -60,34 +62,40 @@ func (g *Gittins) lazyTable() *dist.GittinsTable {
 }
 
 // Assign implements Scheduler.
-func (g *Gittins) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
-	g.AssignInto(now, capacity, jobs, out)
-	return out
+func (g *Gittins) Assign(now, capacity float64, jobs []JobView) Assignment {
+	return g.maps.Assign(g, now, capacity, jobs)
 }
 
-// AssignInto implements BufferedAssigner: jobs are served in decreasing
-// index order (the table guarantees the index is never NaN, so the negated
-// key totally orders with Seq as tie-break; an infinite index — a job past
-// the distribution's support or sitting on a completion atom — sorts first
-// and is driven to completion).
+// AssignInto implements BufferedAssigner.
 func (g *Gittins) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
+	g.maps.AssignInto(g, now, capacity, jobs, out)
+}
+
+// Horizon implements Hinter.
+func (g *Gittins) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
+	return g.maps.Horizon(g, now, jobs, alloc)
+}
+
+// AssignDense implements DenseAssigner: jobs are served in decreasing index
+// order (the table guarantees the index is never NaN, so the negated key
+// totally orders with Seq as tie-break; an infinite index — a job past the
+// distribution's support or sitting on a completion atom — sorts first and is
+// driven to completion).
+func (g *Gittins) AssignDense(now, capacity float64, jobs []JobView, _ []int32, shares []float64) {
 	table := g.lazyTable()
-	shares := sizeShares(&g.shares, len(jobs))
 	orderFill(&g.entries, capacity, jobs, func(j JobView) float64 {
 		return -table.Index(j.Attained())
 	}, shares)
-	sharesInto(jobs, shares, out)
 }
 
-// Horizon implements Hinter: the discretized index is constant between grid
-// levels, so the ranking can only change when a served job's attained
-// service crosses its next grid boundary.
-func (g *Gittins) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
+// HorizonDense implements DenseHinter: the discretized index is constant
+// between grid levels, so the ranking can only change when a served job's
+// attained service crosses its next grid boundary.
+func (g *Gittins) HorizonDense(now float64, jobs []JobView, _ []int32, shares []float64) float64 {
 	table := g.lazyTable()
 	horizon := math.Inf(1)
-	for _, j := range jobs {
-		rate := alloc[j.ID()]
+	for i, j := range jobs {
+		rate := shares[i]
 		if rate <= 0 {
 			continue
 		}

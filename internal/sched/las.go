@@ -14,11 +14,11 @@ import (
 // The scheduler carries sort and water-filling scratch, so one instance must
 // not be shared between concurrent simulation runs.
 type LAS struct {
-	entries []viewEntry // between rounds: the last round's order (see orderedEntries)
-	at      []int32     // orderedEntries' slot -> view index scratch
+	entries []viewEntry // between rounds: the last round's order (see carriedEntries)
+	at      []int32     // carriedEntries' scratch
 	fill    []fillEntry
 	levels  []float64
-	shares  []float64 // the map forms' scratch for the dense forms' slices
+	maps    MapForms
 }
 
 // NewLAS returns the LAS baseline scheduler.
@@ -42,15 +42,13 @@ const lasTieEps = 1e-6
 func (l *LAS) Name() string { return "LAS" }
 
 // Assign implements Scheduler.
-func (l *LAS) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
-	l.AssignInto(now, capacity, jobs, out)
-	return out
+func (l *LAS) Assign(now, capacity float64, jobs []JobView) Assignment {
+	return l.maps.Assign(l, now, capacity, jobs)
 }
 
 // AssignInto implements BufferedAssigner.
 func (l *LAS) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	assignViaDense(l, &l.shares, now, capacity, jobs, out)
+	l.maps.AssignInto(l, now, capacity, jobs, out)
 }
 
 // AssignDense implements DenseAssigner.
@@ -79,61 +77,25 @@ func (l *LAS) AssignDense(now, capacity float64, jobs []JobView, slots []int32, 
 	}
 }
 
-// orderedEntries returns the jobs' entries in (attained, seq) order. Between
-// two rounds few jobs overtake each other, so with slots to recognise the jobs
-// by, the entries are rebuilt in the order the last round left them in —
-// departed jobs dropped, new ones appended — and sortEntries repairs that in
-// about one comparison per job. The view order it would otherwise start from
-// is close to the reverse: views arrive oldest first, and the oldest jobs
-// have attained the most. A reissued slot puts its new owner where the old
-// one stood, which costs that one entry a longer walk and nothing else.
+// orderedEntries returns the jobs' entries in (attained, seq) order: with
+// slots, the order the last round left them in (carriedEntries) repaired by
+// sortEntries. The view order it would otherwise start from is close to the
+// reverse: views arrive oldest first, and the oldest jobs have attained the
+// most.
 func (l *LAS) orderedEntries(jobs []JobView, slots []int32) []viewEntry {
+	var entries []viewEntry
 	if slots == nil {
-		entries := buildEntries(&l.entries, jobs, JobView.Attained)
-		sortEntries(entries)
-		return entries
+		entries = buildEntries(&l.entries, jobs, JobView.Attained)
+	} else {
+		entries = carriedEntries(&l.entries, &l.at, jobs, slots, JobView.Attained)
 	}
-	// at[slot] is the view index + 1 of the job holding slot this round, and
-	// zero again once the job's entry is written.
-	at := l.at
-	for i, slot := range slots {
-		if have := len(at); int(slot) >= have {
-			want := max(int(slot)+1, len(jobs), 2*have, minEntries)
-			at = append(make([]int32, 0, want), at...)[:want]
-		}
-		at[slot] = int32(i) + 1
-	}
-	l.at = at
-	entry := func(i int32) viewEntry {
-		return viewEntry{key: jobs[i].Attained(), seq: jobs[i].Seq(), idx: i, slot: slots[i]}
-	}
-	// Rewriting in place is safe: the write index never passes the read index.
-	entries := l.entries[:0]
-	for _, old := range l.entries {
-		if int(old.slot) < len(at) && at[old.slot] != 0 {
-			entries = append(entries, entry(at[old.slot]-1))
-			at[old.slot] = 0
-		}
-	}
-	entries = roomFor(entries, len(jobs))
-	for i, slot := range slots {
-		if at[slot] != 0 {
-			entries = append(entries, entry(int32(i)))
-			at[slot] = 0
-		}
-	}
-	l.entries = entries
 	sortEntries(entries)
 	return entries
 }
 
-// Horizon implements Hinter: HorizonDense over the shares alloc holds.
+// Horizon implements Hinter.
 func (l *LAS) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
-	shares := sizeShares(&l.shares, len(jobs))
-	for i, j := range jobs {
-		shares[i] = alloc[j.ID()]
-	}
-	return l.HorizonDense(now, jobs, nil, shares)
+	return l.maps.Horizon(l, now, jobs, alloc)
 }
 
 // HorizonDense implements DenseHinter: the decision changes when a served

@@ -9,8 +9,8 @@ package sched
 // The scheduler carries water-filling scratch, so one instance must not be
 // shared between concurrent simulation runs.
 type PS struct {
-	fill   []fillEntry
-	shares []float64 // AssignInto's scratch for the dense core's answer
+	fill []fillEntry
+	maps MapForms
 }
 
 // NewPS returns the processor-sharing baseline scheduler.
@@ -26,15 +26,13 @@ var (
 func (p *PS) Name() string { return "PS" }
 
 // Assign implements Scheduler.
-func (p *PS) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
-	p.AssignInto(now, capacity, jobs, out)
-	return out
+func (p *PS) Assign(now, capacity float64, jobs []JobView) Assignment {
+	return p.maps.Assign(p, now, capacity, jobs)
 }
 
 // AssignInto implements BufferedAssigner.
 func (p *PS) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	assignViaDense(p, &p.shares, now, capacity, jobs, out)
+	p.maps.AssignInto(p, now, capacity, jobs, out)
 }
 
 // AssignDense implements DenseAssigner.

@@ -9,7 +9,7 @@ package sched
 // between concurrent simulation runs.
 type SJF struct {
 	entries []viewEntry
-	shares  []float64 // AssignInto's scratch for the dense core's answer
+	maps    MapForms
 }
 
 // NewSJF returns the SJF baseline scheduler.
@@ -25,15 +25,13 @@ var (
 func (s *SJF) Name() string { return "SJF" }
 
 // Assign implements Scheduler.
-func (s *SJF) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
-	s.AssignInto(now, capacity, jobs, out)
-	return out
+func (s *SJF) Assign(now, capacity float64, jobs []JobView) Assignment {
+	return s.maps.Assign(s, now, capacity, jobs)
 }
 
 // AssignInto implements BufferedAssigner.
 func (s *SJF) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	assignViaDense(s, &s.shares, now, capacity, jobs, out)
+	s.maps.AssignInto(s, now, capacity, jobs, out)
 }
 
 // AssignDense implements DenseAssigner.
@@ -48,7 +46,7 @@ func (s *SJF) AssignDense(now, capacity float64, jobs []JobView, _ []int32, shar
 // between concurrent simulation runs.
 type SRTF struct {
 	entries []viewEntry
-	shares  []float64 // AssignInto's scratch for the dense core's answer
+	maps    MapForms
 }
 
 // NewSRTF returns the SRTF baseline scheduler.
@@ -64,15 +62,13 @@ var (
 func (s *SRTF) Name() string { return "SRTF" }
 
 // Assign implements Scheduler.
-func (s *SRTF) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
-	s.AssignInto(now, capacity, jobs, out)
-	return out
+func (s *SRTF) Assign(now, capacity float64, jobs []JobView) Assignment {
+	return s.maps.Assign(s, now, capacity, jobs)
 }
 
 // AssignInto implements BufferedAssigner.
 func (s *SRTF) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	assignViaDense(s, &s.shares, now, capacity, jobs, out)
+	s.maps.AssignInto(s, now, capacity, jobs, out)
 }
 
 // AssignDense implements DenseAssigner.

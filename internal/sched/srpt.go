@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // ExactSizer is implemented by engine job views that can report the job's
 // exact remaining service (total minus attained), as opposed to the
@@ -22,251 +19,87 @@ func exactRemaining(j JobView) float64 {
 	return j.RemainingSizeHint()
 }
 
-// srptRec is SRPT's persistent record of one job: the sort key under which
-// its entry was last filed, used to binary-locate the entry on update and
-// removal.
-type srptRec struct {
-	rem float64
-	seq int
-}
-
-// srptEntry is one job in the persistent remaining-service order.
-type srptEntry struct {
-	rem float64
-	seq int
-	id  int
-}
-
 // SRPT is the preemptive shortest-remaining-processing-time baseline with
 // exact sizes — the clairvoyant optimum the paper's oblivious policies are
 // measured against. Unlike SRTF it reads exact remaining service through
 // ExactSizer, immune to hint perturbation.
 //
-// The remaining-service order is persistent across rounds (the PR 4
-// incremental sorted-list machinery): arrivals binary-insert, departures
-// binary-remove by their stored key, and in-place remaining-service decay —
-// which almost never inverts the order, since the jobs being served are
-// already the smallest — marks the list dirty for a single sortedness walk
-// instead of an eager re-sort.
+// The order is carried from round to round by slot and repaired by insertion:
+// only the served jobs, already the smallest, decay, so an arrival appended at
+// the end walks back past the jobs with more remaining service and no more.
 //
 // The scheduler carries persistent state, so one instance must not be shared
 // between concurrent simulation runs.
 type SRPT struct {
-	tracked  map[int]srptRec
-	ordered  []srptEntry
-	views    map[int]JobView
-	seen     map[int]bool
-	departed []int
-	dirty    bool
+	entries []viewEntry // between rounds: the last round's order
+	at      []int32     // carriedEntries' scratch
+	maps    MapForms    // the map forms
 }
 
 // NewSRPT returns the exact-SRPT baseline scheduler.
-func NewSRPT() *SRPT {
-	return &SRPT{
-		tracked: make(map[int]srptRec),
-		views:   make(map[int]JobView),
-		seen:    make(map[int]bool),
-	}
-}
+func NewSRPT() *SRPT { return &SRPT{} }
 
 var (
 	_ Scheduler        = (*SRPT)(nil)
 	_ BufferedAssigner = (*SRPT)(nil)
 	_ Hinter           = (*SRPT)(nil)
 	_ Observer         = (*SRPT)(nil)
+	_ DenseAssigner    = (*SRPT)(nil)
+	_ DenseHinter      = (*SRPT)(nil)
+	_ DenseObserver    = (*SRPT)(nil)
 )
 
 // Name implements Scheduler.
 func (s *SRPT) Name() string { return "SRPT" }
 
 // Assign implements Scheduler.
-func (s *SRPT) Assign(now float64, capacity float64, jobs []JobView) Assignment {
-	out := make(Assignment, len(jobs))
-	s.AssignInto(now, capacity, jobs, out)
-	return out
+func (s *SRPT) Assign(now, capacity float64, jobs []JobView) Assignment {
+	return s.maps.Assign(s, now, capacity, jobs)
 }
 
 // AssignInto implements BufferedAssigner.
 func (s *SRPT) AssignInto(now float64, capacity float64, jobs []JobView, out Assignment) {
-	clearAssignment(out)
-	s.sweep(jobs)
-	s.restoreOrder()
-	for i := range s.ordered {
-		if capacity <= 0 {
-			break
-		}
-		j := s.views[s.ordered[i].id]
-		d := j.ReadyDemand()
-		if d <= 0 {
-			continue
-		}
-		x := d
-		if capacity < x {
-			x = capacity
-		}
-		out[j.ID()] = x
-		capacity -= x
-	}
+	s.maps.AssignInto(s, now, capacity, jobs, out)
 }
 
-// Observe implements Observer: it keeps the persistent order in sync on
-// rounds where the engine skips the allocation.
-func (s *SRPT) Observe(now float64, jobs []JobView) {
-	s.sweep(jobs)
-	s.restoreOrder()
-}
+// Observe implements Observer.
+func (s *SRPT) Observe(now float64, jobs []JobView) { s.maps.Observe(s, now, jobs) }
 
-// sweep syncs the persistent order with the current views: binary insertion
-// of arrivals, removal of departures by stored key, and in-place refresh of
-// remaining service (deferring the rarely-needed re-sort to restoreOrder's
-// sortedness walk).
-func (s *SRPT) sweep(jobs []JobView) {
-	seen := s.seen
-	clear(seen)
-	clear(s.views)
-	for _, j := range jobs {
-		id := j.ID()
-		seen[id] = true
-		s.views[id] = j
-		rem := exactRemaining(j)
-		rec, ok := s.tracked[id]
-		if !ok {
-			seq := j.Seq()
-			s.insertEntry(srptEntry{rem: rem, seq: seq, id: id})
-			s.tracked[id] = srptRec{rem: rem, seq: seq}
-			continue
-		}
-		if rem != rec.rem {
-			if pos := s.findEntry(rec, id); pos >= 0 {
-				s.ordered[pos].rem = rem
-			}
-			s.dirty = true
-			rec.rem = rem
-			s.tracked[id] = rec
-		}
-	}
-	s.departed = s.departed[:0]
-	for id := range s.tracked { // range-ok: per-id collection, order restored by sort below
-		if !seen[id] {
-			s.departed = append(s.departed, id)
-		}
-	}
-	slices.Sort(s.departed) // deterministic removal order
-	for _, id := range s.departed {
-		s.removeEntry(s.tracked[id], id)
-		delete(s.tracked, id)
-	}
-}
-
-// restoreOrder re-checks the list when members changed remaining service in
-// place since the last round. One linear walk; the sort fallback fires only
-// when the decay actually inverted the order.
-func (s *SRPT) restoreOrder() {
-	if !s.dirty {
-		return
-	}
-	s.dirty = false
-	if !isSortedSRPT(s.ordered) {
-		slices.SortFunc(s.ordered, compareRemSeq)
-	}
-}
-
-// insertEntry binary-inserts e. Inserting into a dirty list may place e
-// imprecisely; restoreOrder repairs that before the order is ever read.
-func (s *SRPT) insertEntry(e srptEntry) {
-	list := s.ordered
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if srptLess(list[mid], e) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	list = append(list, srptEntry{})
-	copy(list[lo+1:], list[lo:])
-	list[lo] = e
-	s.ordered = list
-}
-
-// findEntry locates the job's entry by its stored key, falling back to a
-// linear scan when the list is dirty. Returns -1 if absent.
-func (s *SRPT) findEntry(rec srptRec, id int) int {
-	list := s.ordered
-	key := srptEntry{rem: rec.rem, seq: rec.seq, id: id}
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if srptLess(list[mid], key) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(list) && list[lo].id == id {
-		return lo
-	}
-	for i := range list {
-		if list[i].id == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// removeEntry deletes the job's entry from the ordered list.
-func (s *SRPT) removeEntry(rec srptRec, id int) {
-	if pos := s.findEntry(rec, id); pos >= 0 {
-		list := s.ordered
-		copy(list[pos:], list[pos+1:])
-		s.ordered = list[:len(list)-1]
-	}
-}
-
-// srptLess orders jobs by (remaining service, seq) ascending; sequence
-// numbers are unique so the order is total.
-func srptLess(a, b srptEntry) bool {
-	if a.rem != b.rem {
-		return a.rem < b.rem
-	}
-	return a.seq < b.seq
-}
-
-func isSortedSRPT(list []srptEntry) bool {
-	for i := 1; i < len(list); i++ {
-		if srptLess(list[i], list[i-1]) {
-			return false
-		}
-	}
-	return true
-}
-
-func compareRemSeq(a, b srptEntry) int {
-	if a.rem != b.rem {
-		if a.rem < b.rem {
-			return -1
-		}
-		return 1
-	}
-	if a.seq < b.seq {
-		return -1
-	}
-	return 1
-}
-
-// Horizon implements Hinter: under linear remaining-service decay the first
-// order inversion always occurs between entries adjacent in the current
-// order, when a faster-draining later entry catches a slower earlier one.
+// Horizon implements Hinter.
 func (s *SRPT) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
+	return s.maps.Horizon(s, now, jobs, alloc)
+}
+
+// AssignDense implements DenseAssigner: every job with ready demand takes
+// min(demand, remaining capacity) in (remaining service, seq) order.
+func (s *SRPT) AssignDense(now, capacity float64, jobs []JobView, slots []int32, shares []float64) {
+	entries := carriedEntries(&s.entries, &s.at, jobs, slots, exactRemaining)
+	insertionSortEntries(entries)
+	fillInOrder(entries, capacity, jobs, shares)
+}
+
+// ObserveDense implements DenseObserver: nothing to replay, as the carried
+// order is only where the next round's repair starts.
+func (s *SRPT) ObserveDense(float64, []JobView, []int32) {}
+
+// ObserveHorizonDense implements DenseObserver: SRPT cannot bound it, so now.
+func (s *SRPT) ObserveHorizonDense(now float64, _ []JobView, _ []int32, _ []float64) float64 {
+	return now
+}
+
+// HorizonDense implements DenseHinter: under linear remaining-service decay
+// the first order inversion always occurs between entries adjacent in the
+// order the last AssignDense served, when a faster-draining later entry
+// catches a slower earlier one.
+func (s *SRPT) HorizonDense(now float64, _ []JobView, _ []int32, shares []float64) float64 {
 	horizon := math.Inf(1)
-	for i := 1; i < len(s.ordered); i++ {
-		a, b := &s.ordered[i-1], &s.ordered[i]
-		ra, rb := alloc[a.id], alloc[b.id]
+	for i := 1; i < len(s.entries); i++ {
+		a, b := &s.entries[i-1], &s.entries[i]
+		ra, rb := shares[a.idx], shares[b.idx]
 		if rb <= ra {
 			continue
 		}
-		dt := (b.rem - a.rem) / (rb - ra)
+		dt := (b.key - a.key) / (rb - ra)
 		if t := now + dt; t > now && t < horizon {
 			horizon = t
 		}

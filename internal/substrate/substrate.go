@@ -15,10 +15,10 @@
 //   - ViewSet: the scratch-reusing registry of scheduler-facing job views a
 //     substrate rebuilds each round, with the slot allocator and the slot,
 //     share and rate columns of the dense round contract.
-//   - Driver: the policy invocation loop — BufferedAssigner/Observer/
-//     ObserveHinter/Hinter capability dispatch in map or dense form,
-//     allocation-buffer reuse, and the observation-horizon gating that lets
-//     substrates skip dead rounds without desynchronizing stateful policies.
+//   - Driver: the policy invocation loop — the policy's capabilities
+//     resolved once into dense forms, and the observation-horizon gating that
+//     lets substrates skip dead rounds without desynchronizing stateful
+//     policies.
 //   - Result: the response-time/slowdown/per-bin accumulator behind every
 //     substrate's result type.
 //
@@ -38,27 +38,20 @@ import (
 )
 
 // Driver drives one sched.Scheduler on behalf of a substrate. It resolves
-// the policy's optional capabilities once at construction, owns the reused
-// allocation buffer for buffered policies, and tracks the observation
-// horizon that bounds when a skipped round must replay the policy's state
-// mutation. A Driver (like the policy it wraps) is not safe for concurrent
-// use: each run drives it from a single scheduling loop.
+// the forms it drives the policy through once, at construction
+// (sched.DenseForms: the policy's own dense forms, or the map→dense adapter
+// for a policy without them), and tracks the observation horizon that bounds
+// when a skipped round must replay the policy's state mutation. A Driver
+// (like the policy it wraps) is not safe for concurrent use: each run drives
+// it from a single scheduling loop.
 type Driver struct {
-	policy    sched.Scheduler
-	buffered  sched.BufferedAssigner
-	observer  sched.Observer
-	obsHinter sched.ObserveHinter
-	hinter    sched.Hinter
-	alloc     sched.Assignment
-	// The dense forms of the capabilities above. dense is nil unless the
-	// policy has the dense form of everything it has in map form; when it is
-	// non-nil, rounds over a slotted ViewSet never call a map form.
-	dense        sched.DenseAssigner
-	denseHinter  sched.DenseHinter
-	denseObserve sched.DenseObserver
-	// last is the assignment the latest map-form round returned, which that
-	// round's Horizon call hands back to the policy.
-	last  sched.Assignment
+	policy   sched.Scheduler
+	assigner sched.DenseAssigner
+	hinter   sched.DenseHinter   // nil: the policy publishes no change points
+	observer sched.DenseObserver // nil: the policy is stateless
+	// rated says the observer bounds its next state change, so rate bounds
+	// are worth computing.
+	rated bool
 	probe obs.Probe
 	// latency receives the wall-clock seconds each round spends inside the
 	// policy, resolved once at SetProbe. It is a side-channel, not a Probe
@@ -75,31 +68,9 @@ type Driver struct {
 // NewDriver wraps a fresh policy instance for one run.
 func NewDriver(policy sched.Scheduler) *Driver {
 	d := &Driver{policy: policy, dirty: true}
-	if b, ok := policy.(sched.BufferedAssigner); ok {
-		d.buffered = b
-		d.alloc = make(sched.Assignment)
-	}
-	if o, ok := policy.(sched.Observer); ok {
-		d.observer = o
-	}
-	if h, ok := policy.(sched.ObserveHinter); ok {
-		d.obsHinter = h
-	}
-	if h, ok := policy.(sched.Hinter); ok {
-		d.hinter = h
-	}
-	if a, ok := policy.(sched.DenseAssigner); ok {
-		h, hasHinter := policy.(sched.DenseHinter)
-		o, hasObserver := policy.(sched.DenseObserver)
-		if (d.hinter == nil || hasHinter) && (d.observer == nil || hasObserver) {
-			d.dense, d.denseHinter, d.denseObserve = a, h, o
-		}
-	}
+	d.assigner, d.hinter, d.observer, d.rated = sched.DenseForms(policy)
 	return d
 }
-
-// Policy returns the wrapped scheduler.
-func (d *Driver) Policy() sched.Scheduler { return d.policy }
 
 // SetProbe attaches a telemetry probe to the driver and, when the policy
 // (or a wrapper around it) emits its own events, forwards the probe through
@@ -118,73 +89,27 @@ func (d *Driver) SetProbe(p obs.Probe) {
 // Name reports the policy name for results.
 func (d *Driver) Name() string { return d.policy.Name() }
 
-// speaksDense reports whether a round over vs goes through the policy's dense
-// forms: the policy has them all, and every view was added with its slot, as
-// all four substrates add them.
-func (d *Driver) speaksDense(vs *ViewSet) bool {
-	return d.dense != nil && len(vs.slots) == len(vs.views)
-}
-
-// beginRound is the bookkeeping every full policy invocation starts with: a
-// full invocation mutates stateful policies, so it invalidates any previously
-// computed observation horizon, and it is the RoundExecuted event. The
-// returned time is read only when a histogram sink is listening — unprobed
-// runs never touch the clock.
-func (d *Driver) beginRound(now float64, views int) (start time.Time) {
+// Shares runs one full policy invocation over the views in vs and returns
+// the share column: shares[i] belongs to the i-th view added, zero for a job
+// the policy did not serve, valid until the next Shares call. Views without
+// a slot (ViewSet.Add) suit only a policy that keeps no per-job state. The
+// round invalidates the observation horizon, is the RoundExecuted event, and
+// reads the wall clock only for a listening histogram sink.
+func (d *Driver) Shares(now, capacity float64, vs *ViewSet) []float64 {
+	vs.shares = grow(vs.shares[:0], len(vs.views))[:len(vs.views)]
 	d.dirty = true
 	if d.probe != nil {
-		d.probe.RoundExecuted(now, views)
+		d.probe.RoundExecuted(now, len(vs.views))
 	}
+	var start time.Time
 	if d.latency != nil {
 		start = time.Now()
 	}
-	return start
-}
-
-// endRound feeds the round-latency histogram the wall-clock time since
-// beginRound: the policy invocation alone.
-func (d *Driver) endRound(start time.Time) {
+	d.assigner.AssignDense(now, capacity, vs.views, vs.slots, vs.shares)
 	if d.latency != nil {
 		d.latency.ObserveRoundLatency(time.Since(start).Seconds())
 	}
-}
-
-// assign runs one full policy invocation in map form, going through
-// AssignInto when the policy supports buffered assignment. The returned
-// assignment aliases the driver's buffer for buffered policies and is valid
-// until the next call.
-func (d *Driver) assign(now, capacity float64, views []sched.JobView) sched.Assignment {
-	start := d.beginRound(now, len(views))
-	out := d.alloc
-	if d.buffered != nil {
-		d.buffered.AssignInto(now, capacity, views, out)
-	} else {
-		out = d.policy.Assign(now, capacity, views)
-	}
-	d.endRound(start)
-	return out
-}
-
-// Shares runs one full policy invocation over the views in vs and returns
-// the share column: shares[i] belongs to the i-th view added, zero for a job
-// the policy did not serve. A dense policy over slotted views fills the column
-// itself; any other is invoked in map form and its map read out once per
-// view. The column is valid until the next Shares call, and Horizon reads
-// it.
-func (d *Driver) Shares(now, capacity float64, vs *ViewSet) []float64 {
-	vs.shares = grow(vs.shares[:0], len(vs.views))[:len(vs.views)]
-	shares := vs.shares
-	if !d.speaksDense(vs) {
-		d.last = d.assign(now, capacity, vs.views)
-		for i, v := range vs.views {
-			shares[i] = d.last[v.ID()]
-		}
-		return shares
-	}
-	start := d.beginRound(now, len(vs.views))
-	d.dense.AssignDense(now, capacity, vs.views, vs.slots, shares)
-	d.endRound(start)
-	return shares
+	return vs.shares
 }
 
 // MarkDirty invalidates the observation horizon. Substrates call it whenever
@@ -192,15 +117,15 @@ func (d *Driver) Shares(now, capacity float64, vs *ViewSet) []float64 {
 // an attempt ends, a job is admitted — so the next skipped round re-observes.
 func (d *Driver) MarkDirty() { d.dirty = true }
 
-// Observes reports whether the policy is stateful (implements
-// sched.Observer) and therefore needs skipped rounds replayed at all.
+// Observes reports whether the policy is stateful (a sched.Observer) and
+// therefore needs skipped rounds replayed at all.
 func (d *Driver) Observes() bool { return d.observer != nil }
 
 // NeedsRates reports whether Observe can exploit per-job metric-rate bounds
-// (the policy implements sched.ObserveHinter); substrates that can compute
-// bounds should fill them into the ViewSet so observation calls are gated by
-// the horizon instead of firing every skipped round.
-func (d *Driver) NeedsRates() bool { return d.obsHinter != nil }
+// (the policy is a sched.ObserveHinter); substrates that can compute bounds
+// should fill them into the ViewSet so observation calls are gated by the
+// horizon instead of firing every skipped round.
+func (d *Driver) NeedsRates() bool { return d.rated }
 
 // ObservationDue reports whether a skipped round at time now must replay the
 // policy's state mutation via Observe. Stateless policies never need it; for
@@ -210,10 +135,7 @@ func (d *Driver) ObservationDue(now float64) bool {
 	if d.observer == nil {
 		return false
 	}
-	if d.obsHinter != nil && !d.dirty && now < d.obsHorizon {
-		return false
-	}
-	return true
+	return d.dirty || !(now < d.obsHorizon)
 }
 
 // Observe replays the policy's per-round state mutation for a skipped round
@@ -222,42 +144,24 @@ func (d *Driver) ObservationDue(now float64) bool {
 // rounds must match. When the policy hints horizons and vs carries rate
 // bounds, the next horizon is recorded and the dirty flag cleared, arming
 // ObservationDue's fast path.
-//
-// Rate bounds reach a dense policy as the column AddRate filled; for a
-// map-form policy the column is filed under the views' job IDs first.
 func (d *Driver) Observe(now float64, vs *ViewSet) {
 	if d.observer == nil || vs.Len() == 0 {
 		return
 	}
-	rated := d.obsHinter != nil && vs.hasRates
-	if d.speaksDense(vs) {
-		d.denseObserve.ObserveDense(now, vs.views, vs.slots)
-		if rated {
-			d.obsHorizon = d.denseObserve.ObserveHorizonDense(now, vs.views, vs.slots, vs.rateCol)
-			d.dirty = false
-		}
-		return
-	}
-	d.observer.Observe(now, vs.views)
-	if rated {
-		for i, v := range vs.views {
-			vs.rates[v.ID()] = vs.rateCol[i]
-		}
-		d.obsHorizon = d.obsHinter.ObserveHorizon(now, vs.views, vs.rates)
+	d.observer.ObserveDense(now, vs.views, vs.slots)
+	if d.rated && vs.hasRates {
+		d.obsHorizon = d.observer.ObserveHorizonDense(now, vs.views, vs.slots, vs.rateCol)
 		d.dirty = false
 	}
 }
 
 // Horizon returns the earliest time strictly after now at which the policy's
 // decision could change given the shares the latest Shares call over vs
-// returned, or +Inf when the policy publishes no change points (does not
-// implement sched.Hinter).
+// returned, or +Inf when the policy publishes no change points (is no
+// sched.Hinter).
 func (d *Driver) Horizon(now float64, vs *ViewSet) float64 {
 	if d.hinter == nil {
 		return math.Inf(1)
 	}
-	if d.speaksDense(vs) {
-		return d.denseHinter.HorizonDense(now, vs.views, vs.slots, vs.shares)
-	}
-	return d.hinter.Horizon(now, vs.views, d.last)
+	return d.hinter.HorizonDense(now, vs.views, vs.slots, vs.shares)
 }

@@ -316,14 +316,14 @@ func (p denseObserve) ObserveHorizonDense(now float64, jobs []sched.JobView, slo
 	return now + rates[0]
 }
 
-// TestDriverDenseDispatch: a policy with the dense form of every capability
-// it has is driven through the dense forms alone over slotted views — the
+// TestDriverDenseDispatch: the Driver has one path, the dense forms. A policy
+// with the dense form of every capability it has answers them itself — the
 // share column is what AssignDense wrote, Horizon hands it back, Observe hands
-// over the rate column — and through the map forms alone over views added
-// without slots. A policy with a partial dense set (here: no DenseHinter
-// beside its map-form Hinter; then no DenseObserver beside its Observer) is
-// driven map-only even over slotted views: its map is read out into the share
-// column, and the rate column is filed under the job IDs for it.
+// over the rate column. A policy with a partial dense set (no DenseHinter
+// beside its map-form Hinter; no DenseObserver beside its Observer; no
+// DenseAssigner at all) runs entirely through its map forms behind the one
+// map→dense adapter: its map is read out into the share column, the same map
+// is handed back to Horizon, and the rate column is filed under the job IDs.
 func TestDriverDenseDispatch(t *testing.T) {
 	full := func(p *bothForms) sched.Scheduler {
 		return struct {
@@ -347,30 +347,26 @@ func TestDriverDenseDispatch(t *testing.T) {
 			denseHint
 		}{p, denseAssign{p}, denseHint{p}}
 	}
+	mapOnly := func(p *bothForms) sched.Scheduler { return p }
 	denseCalls := []string{"AssignDense", "HorizonDense", "ObserveDense", "ObserveHorizonDense"}
 	mapCalls := []string{"AssignInto", "Horizon", "Observe", "ObserveHorizon"}
 	for _, tc := range []struct {
-		name    string
-		wrap    func(*bothForms) sched.Scheduler
-		slotted bool
-		want    []string
-		share   float64
+		name  string
+		wrap  func(*bothForms) sched.Scheduler
+		want  []string
+		share float64
 	}{
-		{"full dense set, slotted views", full, true, denseCalls, 30},
-		{"full dense set, views without slots", full, false, mapCalls, 7},
-		{"no DenseHinter", noDenseHinter, true, mapCalls, 7},
-		{"no DenseObserver", noDenseObserver, true, mapCalls, 7},
+		{"full dense set, slotted views", full, denseCalls, 30},
+		{"no DenseHinter", noDenseHinter, mapCalls, 7},
+		{"no DenseObserver", noDenseObserver, mapCalls, 7},
+		{"map forms only", mapOnly, mapCalls, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := &bothForms{}
 			d := substrate.NewDriver(tc.wrap(p))
 			var vs substrate.ViewSet
 			vs.Begin(false, true)
-			if tc.slotted {
-				vs.AddSlot(fakeView{id: 7}, 3)
-			} else {
-				vs.Add(fakeView{id: 7})
-			}
+			vs.AddSlot(fakeView{id: 7}, 3)
 			vs.AddRate(2.5)
 			shares := d.Shares(1, 4, &vs)
 			if len(shares) != 1 || shares[0] != tc.share {

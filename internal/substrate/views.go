@@ -10,8 +10,7 @@ import "lasmq/internal/sched"
 // schedulable (TakeSlot/FreeSlot), registers views with AddSlot, and reads
 // the policy's answer from the share column Driver.Shares fills — slots,
 // shares and the rate bounds (AddRate) are columns parallel to the views. The
-// rate map is what Driver.Observe hands a map-only policy, filed from the
-// rate column. The ready-demand map (Begin(true, ·), SetDemand, Demand) and
+// ready-demand map (Begin(true, ·), SetDemand, Demand) and
 // the slotless Add have no product caller left: they are what
 // benchmark/replay.go's viewset replay times, fenced by `make layering` and
 // deleted with it. Everything reuses its backing storage across rounds, which
@@ -19,7 +18,6 @@ import "lasmq/internal/sched"
 type ViewSet struct {
 	views    []sched.JobView
 	demand   map[int]float64
-	rates    sched.Assignment
 	hasRates bool
 
 	// Dense columns, parallel to views. slots and rateCol are filled as views
@@ -83,17 +81,11 @@ func (vs *ViewSet) Begin(withDemand, withRates bool) {
 		clear(vs.demand)
 	}
 	vs.hasRates = withRates
-	if withRates {
-		if vs.rates == nil {
-			vs.rates = make(sched.Assignment)
-		}
-		clear(vs.rates)
-	}
 }
 
-// Add registers one schedulable job's view for this round, without a slot. A
-// round whose views carry no slots is driven through the policy's map forms
-// (benchmark/replay.go and the kernel's own tests).
+// Add registers one schedulable job's view for this round, without a slot
+// (benchmark/replay.go). Only a policy that keeps no per-job state can be
+// driven over views without slots.
 func (vs *ViewSet) Add(v sched.JobView) { vs.views = append(vs.views, v) }
 
 // AddSlot registers one schedulable job's view and the slot the job holds.
@@ -133,7 +125,6 @@ func (vs *ViewSet) Reset() {
 	vs.slots = vs.slots[:0]
 	vs.rateCol = vs.rateCol[:0]
 	clear(vs.demand)
-	clear(vs.rates)
 	vs.hasRates = false
 	vs.issued = 0
 	vs.free = vs.free[:0]
