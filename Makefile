@@ -43,11 +43,14 @@ lint:
 # is exactly what the substrate hoist removed, so keep it out for good. The
 # other greps keep deleted second paths deleted: fluid's materialised arrival
 # cursor, the engine's heap→ladder event-queue hybrid, and the map side of
-# the round contract — no substrate indexes an `alloc[` map, and nothing
-# outside the policies (internal/sched, internal/core), substrate.Driver and
-# benchmark/ names a sched.Assignment, calls a map-form Assign/AssignInto or
-# quantizes from maps (api.go's public alias excepted). The last grep fences
-# the adapters that survive only because benchmark/replay.go times them
+# the round contract — no substrate indexes an `alloc[` map, nothing outside
+# the policies (internal/sched, internal/core) and benchmark/ names a
+# sched.Assignment, calls a map-form Assign/AssignInto or quantizes from maps
+# (api.go's public alias excepted), substrate.Driver names no map-form
+# interface (it drives every policy through sched.DenseForms), and no policy
+# ported onto the dense contract keeps a map (SRPT, Gittins, Blend, Adaptive,
+# QueueRecorder; LAS_MQ's map form is the dense form's oracle). The last grep
+# fences the adapters that survive only because benchmark/replay.go times them
 # (ViewSet's demand map, Quantizer.QuantizeInto), as eventq.Ladder is fenced.
 layering:
 	@bad=$$(grep -rn '"lasmq/internal/fluid"' internal/trace --include='*.go'; true); \
@@ -72,11 +75,24 @@ layering:
 	@bad=$$(grep -rn 'alloc\[' --include='*.go' $(SUBSTRATES) | grep -v '_test\.go:'; \
 		grep -rnE 'sched\.Assignment|\.Assign(Into)?\(|Quantize(Into)?\(' --include='*.go' . \
 		| grep -v '_test\.go:' | grep -v -e '^\./internal/sched/' -e '^\./internal/core/' \
-		-e '^\./internal/substrate/' -e '^\./benchmark/' -e '^\./api\.go:.*= sched\.Assignment$$'; true); \
+		-e '^\./benchmark/' -e '^\./api\.go:.*= sched\.Assignment$$'; true); \
 	if [ -n "$$bad" ]; then \
-		echo "layering: only the policies, substrate.Driver and benchmark/ touch the map" \
-			"side of the round contract (use Driver.Shares, ViewSet.AddSlot/AddRate," \
-			"Quantizer.QuantizeRows):"; \
+		echo "layering: only the policies and benchmark/ touch the map side of the round" \
+			"contract (use Driver.Shares, ViewSet.AddSlot/AddRate, Quantizer.QuantizeRows):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -nE 'sched\.(Assignment|BufferedAssigner|Hinter|Observer|ObserveHinter)\b' \
+		internal/substrate/substrate.go; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: substrate.Driver drives policies through sched.DenseForms and" \
+			"names no map-form interface:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -n 'map\[int\]' internal/sched/srpt.go internal/sched/gittins.go \
+		internal/sched/blend.go internal/core/adaptive.go internal/core/recorder.go; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: the policies ported onto the dense contract keep per-job state by" \
+			"slot, never in a map keyed by job ID (their map forms are sched.MapForms):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rnE '\.SetDemand\(|\.Demand\(\)|QuantizeInto\(' --include='*.go' . | grep -v '_test\.go:' \

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"lasmq/internal/core"
@@ -38,6 +39,19 @@ func TestNewAdaptiveValidation(t *testing.T) {
 		mutate(&cfg)
 		if _, err := core.NewAdaptive(cfg); err == nil {
 			t.Errorf("mutation %d: expected validation error", i)
+		}
+	}
+	// NaN fails every comparison, so a check written as "reject if out of
+	// range" lets it through, and the first refit indexes the history at
+	// MinInt64. The error names the field.
+	for field, mutate := range map[string]func(*core.AdaptiveConfig){
+		"LowQuantile":  func(c *core.AdaptiveConfig) { c.LowQuantile = math.NaN() },
+		"HighQuantile": func(c *core.AdaptiveConfig) { c.HighQuantile = math.NaN() },
+	} {
+		cfg := core.DefaultAdaptiveConfig()
+		mutate(&cfg)
+		if _, err := core.NewAdaptive(cfg); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("NaN %s: got error %v, want one naming the field", field, err)
 		}
 	}
 }

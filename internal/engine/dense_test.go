@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lasmq/internal/engine"
@@ -14,12 +15,15 @@ import (
 
 // TestDenseMatchesMapOnly is the dense round contract's gate on the engine: a
 // policy driven through its dense forms and the same policy with those forms
-// hidden (schedtest.MapOnly, so substrate.Driver takes the maps) must produce
-// DeepEqual results and byte-identical JSONL probe streams — every round
-// executed, skipped or observed at the same instant, every queue event in the
-// same order — over the incremental differential's whole matrix: 9 policies ×
-// 6 noise configurations × 3 seeds. For Adaptive and Blend, which have no
-// dense forms, both sides take the maps and the comparison checks the wrapper.
+// hidden (schedtest.MapOnly, so substrate.Driver drives its map forms through
+// the map→dense adapter) must produce DeepEqual results and byte-identical
+// JSONL probe streams — every round executed, skipped or observed at the same
+// instant, every queue event in the same order — over the incremental
+// differential's whole matrix: every policy and wrapper × 6 noise
+// configurations × 3 seeds. For the policies whose map forms are MapForms
+// over their dense forms, this holds job-ID-issued slots against the
+// engine's; TestProbeStreamPinned holds both against the map implementations
+// they replaced.
 func TestDenseMatchesMapOnly(t *testing.T) {
 	configs := diffConfigs()
 	for pname, mk := range diffPolicies(t) {
@@ -64,11 +68,12 @@ func TestDenseMatchesMapOnly(t *testing.T) {
 
 // TestDenseMatchesMapOnlySharded is the same gate on RunSharded: streamed
 // runs recycle job records and slots as jobs complete, four shards each with
-// its own driver, view registry and policy, chaos on.
+// its own driver, view registry and policy, chaos on — for the sharded
+// suite's policies and the stateful ones whose map forms issue their own slots.
 func TestDenseMatchesMapOnlySharded(t *testing.T) {
 	policies := diffPolicies(t)
 	specs := diffWorkload(7, 240)
-	for _, name := range shardPolicyNames {
+	for _, name := range append(slices.Clone(shardPolicyNames), "SRPT", "Adaptive", "Blend", "QueueRecorder") {
 		run := func(wrap func(sched.Scheduler) sched.Scheduler) (*engine.StreamResult, []byte) {
 			var log bytes.Buffer
 			sink := obs.NewJSONL(&log)

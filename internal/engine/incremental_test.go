@@ -13,10 +13,11 @@ import (
 )
 
 // diffPolicies builds every scheduler family the engine supports, covering
-// stateless policies (no Observer), LAS_MQ in both metric modes
-// (ObserveHinter with the stage-aware and the plain-attained metric), the
-// adaptive wrapper (Observer but deliberately no ObserveHinter), and a blend
-// whose Observe must forward to exactly the components its Assign invokes.
+// stateless policies (no Observer), SRPT (Observer, no ObserveHinter), LAS_MQ
+// in both metric modes (ObserveHinter with the stage-aware and the
+// plain-attained metric), the adaptive wrapper (Observer but deliberately no
+// ObserveHinter), a blend whose Observe must forward to exactly the
+// components its Assign invokes, and the queue recorder.
 func diffPolicies(t *testing.T) map[string]func() sched.Scheduler {
 	t.Helper()
 	mustLASMQ := func(cfg core.Config) *core.LASMQ {
@@ -27,11 +28,17 @@ func diffPolicies(t *testing.T) map[string]func() sched.Scheduler {
 		return s
 	}
 	return map[string]func() sched.Scheduler{
-		"FIFO": func() sched.Scheduler { return sched.NewFIFO() },
-		"Fair": func() sched.Scheduler { return sched.NewFair() },
-		"LAS":  func() sched.Scheduler { return sched.NewLAS() },
-		"SJF":  func() sched.Scheduler { return sched.NewSJF() },
-		"SRTF": func() sched.Scheduler { return sched.NewSRTF() },
+		"FIFO":    func() sched.Scheduler { return sched.NewFIFO() },
+		"Fair":    func() sched.Scheduler { return sched.NewFair() },
+		"PS":      func() sched.Scheduler { return sched.NewPS() },
+		"LAS":     func() sched.Scheduler { return sched.NewLAS() },
+		"SJF":     func() sched.Scheduler { return sched.NewSJF() },
+		"SRTF":    func() sched.Scheduler { return sched.NewSRTF() },
+		"SRPT":    func() sched.Scheduler { return sched.NewSRPT() },
+		"Gittins": func() sched.Scheduler { return sched.NewGittins(pinnedGittinsModel(t)) },
+		"QueueRecorder": func() sched.Scheduler {
+			return core.NewQueueRecorder(mustLASMQ(core.DefaultConfig()), 0)
+		},
 		"LASMQ-stageaware": func() sched.Scheduler {
 			return mustLASMQ(core.DefaultConfig())
 		},

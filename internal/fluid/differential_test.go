@@ -273,16 +273,31 @@ func TestStridedPartition(t *testing.T) {
 	}
 }
 
+// densePolicies extends diffPolicies to every policy and wrapper: the
+// pinned ones (SRPT, Gittins, Adaptive, Blend, QueueRecorder) and PS, SJF and
+// SRTF.
+func densePolicies(t *testing.T) map[string]func() (sched.Scheduler, error) {
+	out := diffPolicies(t)
+	for _, p := range pinnedPolicies(t) {
+		out[p.name] = p.new
+	}
+	out["PS"] = func() (sched.Scheduler, error) { return sched.NewPS(), nil }
+	out["SJF"] = func() (sched.Scheduler, error) { return sched.NewSJF(), nil }
+	out["SRTF"] = func() (sched.Scheduler, error) { return sched.NewSRTF(), nil }
+	return out
+}
+
 // TestDenseMatchesMapOnly is the dense round contract's gate on the fluid
 // simulator: a policy driven through its dense forms and the same policy with
-// those forms hidden (schedtest.MapOnly, so substrate.Driver takes the maps)
-// must produce DeepEqual results and byte-identical JSONL probe streams, over
-// the suite's 3 seeds × 4 policies. Jobs here complete, and their slots are
-// reissued, thousands of times a run.
+// those forms hidden (schedtest.MapOnly, so substrate.Driver drives its map
+// forms through the map→dense adapter) must produce DeepEqual results and
+// byte-identical JSONL probe streams, over 3 seeds × every policy and
+// wrapper. Jobs here complete, and their slots are reissued, thousands of
+// times a run.
 func TestDenseMatchesMapOnly(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		specs, tcfg := diffTrace(t, seed)
-		for name, newPolicy := range diffPolicies(t) {
+		for name, newPolicy := range densePolicies(t) {
 			t.Run(fmt.Sprintf("seed%d/%s", seed, name), func(t *testing.T) {
 				run := func(wrap func(sched.Scheduler) sched.Scheduler) (*fluid.Result, []byte) {
 					p, err := newPolicy()

@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"lasmq/internal/sched"
@@ -19,6 +20,9 @@ func TestNewBlendValidation(t *testing.T) {
 	}
 	if _, err := sched.NewBlend(sched.NewLAS(), sched.NewFair(), 1.1); err == nil {
 		t.Error("expected error for theta > 1")
+	}
+	if _, err := sched.NewBlend(sched.NewFIFO(), sched.NewFair(), math.NaN()); err == nil || !strings.Contains(err.Error(), "theta") {
+		t.Errorf("NaN theta: got error %v, want one naming theta", err)
 	}
 }
 

@@ -41,7 +41,7 @@ type ObserveHinter interface {
 // sort concrete data instead of making interface calls inside a
 // reflection-based comparator. idx is the job's position in the round's view
 // slice, which is also where its share goes; slot is the job's slot where a
-// policy carries entries from one round to the next (LAS), unset elsewhere.
+// policy carries its entries from round to round (LAS, SRPT), unset elsewhere.
 type viewEntry struct {
 	key  float64
 	seq  int

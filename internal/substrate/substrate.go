@@ -117,12 +117,12 @@ func (d *Driver) Shares(now, capacity float64, vs *ViewSet) []float64 {
 // an attempt ends, a job is admitted — so the next skipped round re-observes.
 func (d *Driver) MarkDirty() { d.dirty = true }
 
-// Observes reports whether the policy is stateful (a sched.Observer) and
+// Observes reports whether the policy is stateful (it observes) and
 // therefore needs skipped rounds replayed at all.
 func (d *Driver) Observes() bool { return d.observer != nil }
 
 // NeedsRates reports whether Observe can exploit per-job metric-rate bounds
-// (the policy is a sched.ObserveHinter); substrates that can compute bounds
+// (the policy bounds its observations); substrates that can compute bounds
 // should fill them into the ViewSet so observation calls are gated by the
 // horizon instead of firing every skipped round.
 func (d *Driver) NeedsRates() bool { return d.rated }
@@ -157,8 +157,7 @@ func (d *Driver) Observe(now float64, vs *ViewSet) {
 
 // Horizon returns the earliest time strictly after now at which the policy's
 // decision could change given the shares the latest Shares call over vs
-// returned, or +Inf when the policy publishes no change points (is no
-// sched.Hinter).
+// returned, or +Inf when the policy publishes no change points.
 func (d *Driver) Horizon(now float64, vs *ViewSet) float64 {
 	if d.hinter == nil {
 		return math.Inf(1)
