@@ -41,8 +41,9 @@ lint:
 # internal/substrate, and internal/trace aliases them from there. The trace
 # substrate must never import a simulator — that inversion (trace -> fluid)
 # is exactly what the substrate hoist removed, so keep it out for good. The
-# other greps keep deleted second paths deleted: fluid's materialised arrival
-# cursor, the engine's heap→ladder event-queue hybrid, and the map side of
+# other greps keep deleted second paths deleted: the simulators' materialised
+# arrival cursor and the engine's materialised job layout (arena.build, its
+# attempt-room split), the engine's heap→ladder event-queue hybrid, and the map side of
 # the round contract — no substrate indexes an `alloc[` map, nothing outside
 # the policies (internal/sched, internal/core) and benchmark/ names a
 # sched.Assignment, calls a map-form Assign/AssignInto or quantizes from maps
@@ -59,10 +60,12 @@ layering:
 			"(alias streaming types from internal/substrate instead):"; \
 		echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(grep -rn 'SliceCursor' internal/fluid; true); \
+	@bad=$$(grep -rn 'SliceCursor' internal/fluid internal/engine internal/substrate; \
+		grep -rnE 'materializedAttemptRoom|func \(a \*arena\) build\(' --include='*.go' internal/engine \
+		| grep -v '_test\.go:'; true); \
 	if [ -n "$$bad" ]; then \
-		echo "layering: internal/fluid has one arrival path, the StreamCursor" \
-			"(fluid.Run is a collector over RunStream):"; \
+		echo "layering: each simulator has one arrival path, the StreamCursor, and the engine" \
+			"one job layout, built at admission (fluid.Run and engine.Run are collectors):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn 'eventq\.Ladder' --include='*.go' . | grep -v '_test\.go:' \
@@ -159,9 +162,12 @@ probe-gate:
 # Streamed runs allocate per run, never per job: fluid.RunStream,
 # engine.RunStream and engine.RunSharded (K = 4, chaos on) over the Facebook
 # source at N and 2N jobs may differ by at most 0.02 (fluid) / 0.25 (engine)
-# heap objects per extra job. -count=1 for the same reason as probe-gate.
+# heap objects per extra job. And the engine's task state is bounded by
+# admission, not the backlog: N jobs queued behind a cap of k hold at most k
+# records in engine.Run and engine.RunStream, at N = 50 and 500
+# (TestRecordsBoundedByAdmission). -count=1 for the same reason as probe-gate.
 alloc-gate:
-	$(GO) test -run '^TestStreamMarginalAllocs$$' -count=1 ./internal/fluid ./internal/engine
+	$(GO) test -run '^(TestStreamMarginalAllocs|TestRecordsBoundedByAdmission)$$' -count=1 ./internal/fluid ./internal/engine
 
 # Analytic M/M/1 cross-check: drive the fluid and engine substrates with
 # M/M/1 workloads at rho in {0.5, 0.7, 0.9} and assert FIFO/PS/SRPT/LAS

@@ -63,7 +63,7 @@ func TestScheduleRoundNilProbeZeroAlloc(t *testing.T) {
 	// run, 170 wait, and the round must neither walk nor pay for the backlog.
 	cfg := DefaultConfig()
 	cfg.FullReschedule = true
-	st, _ := newStreamSim(SliceSource(benchSpecs(200)), benchLASMQ(t), cfg, nil)
+	st := testSim(benchSpecs(200), benchLASMQ(t), cfg, true)
 	saturate(t, st)
 	if st.adm.Waiting() != 200-cfg.MaxRunningJobs || len(st.running) != cfg.MaxRunningJobs {
 		t.Fatalf("streamed bench sim: %d waiting, %d running, want %d and %d",
@@ -83,7 +83,7 @@ func TestScheduleRoundNilProbeZeroAlloc(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				freedRound(s) // grows the event queue, the attempt slab and the policy's scratch
 			}
-			rebuilds, attempts := s.viewRebuilds, s.attemptRecycled
+			rebuilds, attempts := s.viewRebuilds, s.attemptSlab.Recycled
 			if avg := testing.AllocsPerRun(100, func() { freedRound(s) }); avg != 0 {
 				t.Errorf("%s (streamed %v): freed1 round allocates %v allocs/op, want 0", tc.name, streamed, avg)
 			}
@@ -91,7 +91,7 @@ func TestScheduleRoundNilProbeZeroAlloc(t *testing.T) {
 				t.Errorf("%s (streamed %v): %d view registrations over rounds that left the running set alone, want 0",
 					tc.name, streamed, s.viewRebuilds-rebuilds)
 			}
-			if s.attemptRecycled == attempts {
+			if s.attemptSlab.Recycled == attempts {
 				t.Errorf("%s (streamed %v): the freed1 rounds launched nothing", tc.name, streamed)
 			}
 		}

@@ -11,6 +11,7 @@ package engine
 // benchmark/.
 
 import (
+	"math"
 	"testing"
 
 	"lasmq/internal/core"
@@ -50,14 +51,27 @@ func newBenchSim(tb testing.TB, policy sched.Scheduler, probe obs.Probe) *sim {
 	cfg.MaxRunningJobs = 0
 	cfg.FullReschedule = true
 	cfg.Probe = probe
-	return saturate(tb, newSim(benchSpecs(200), policy, cfg))
+	return saturate(tb, testSim(benchSpecs(200), policy, cfg, false))
+}
+
+// testSim wires a sim over specs as Run does (streamed false) or as RunStream
+// does over a SliceSource (streamed true), without a result collector. The
+// caller runs or steps it, then releases it.
+func testSim(specs []job.Spec, policy sched.Scheduler, cfg Config, streamed bool) *sim {
+	s := newSim(policy, cfg, nil)
+	if streamed {
+		s.feedSource(SliceSource(specs))
+	} else {
+		s.feedSpecs(specs)
+	}
+	return s
 }
 
 // saturate runs the sim's first step — the t=0 arrivals, admission up to the
 // cap, and the one round that fills the cluster.
 func saturate(tb testing.TB, s *sim) *sim {
 	tb.Helper()
-	if err := s.armArrivals(); err != nil {
+	if err := s.drainArrivals(math.Inf(-1)); err != nil {
 		tb.Fatal(err)
 	}
 	if err := s.step(); err != nil {
@@ -76,13 +90,7 @@ func saturate(tb testing.TB, s *sim) *sim {
 func newFreedSim(tb testing.TB, policy sched.Scheduler, streamed bool) *sim {
 	tb.Helper()
 	cfg := DefaultConfig()
-	var s *sim
-	if streamed {
-		s, _ = newStreamSim(SliceSource(benchSpecs(200)), policy, cfg, nil)
-	} else {
-		s = newSim(benchSpecs(200), policy, cfg)
-	}
-	saturate(tb, s)
+	s := saturate(tb, testSim(benchSpecs(200), policy, cfg, streamed))
 	if s.adm.Waiting() != 200-cfg.MaxRunningJobs || len(s.running) != cfg.MaxRunningJobs {
 		tb.Fatalf("freed1 sim: %d waiting, %d running, want %d and %d",
 			s.adm.Waiting(), len(s.running), 200-cfg.MaxRunningJobs, cfg.MaxRunningJobs)

@@ -449,6 +449,38 @@ func TestNonFiniteConfigRejected(t *testing.T) {
 	}
 }
 
+// TestNonFiniteSpecRejected: a NaN or infinite arrival, task duration or size
+// hint in one of three jobs is an error naming the field through Run and
+// RunStream alike, never a NaN or infinite mean response.
+func TestNonFiniteSpecRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tests := []struct {
+		name   string
+		mutate func(*job.Spec)
+		want   string
+	}{
+		{"NaN arrival", func(s *job.Spec) { s.Arrival = nan }, "non-finite arrival"},
+		{"+Inf arrival", func(s *job.Spec) { s.Arrival = inf }, "non-finite arrival"},
+		{"NaN duration", func(s *job.Spec) { s.Stages[0].Tasks[0].Duration = nan }, "non-finite duration"},
+		{"+Inf duration", func(s *job.Spec) { s.Stages[0].Tasks[0].Duration = inf }, "non-finite duration"},
+		{"NaN size hint", func(s *job.Spec) { s.SizeHint = nan }, "non-finite size hint"},
+		{"+Inf size hint", func(s *job.Spec) { s.SizeHint = inf }, "non-finite size hint"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			specs := []job.Spec{uniformJob(1, 0, 2, 2), uniformJob(2, 1, 2, 2), uniformJob(3, 2, 2, 2)}
+			tt.mutate(&specs[2])
+			_, runErr := engine.Run(specs, sched.NewFIFO(), smallConfig(4))
+			_, streamErr := engine.RunStream(engine.SliceSource(specs), sched.NewFIFO(), smallConfig(4), nil)
+			for entry, err := range map[string]error{"Run": runErr, "RunStream": streamErr} {
+				if err == nil || !strings.Contains(err.Error(), tt.want) {
+					t.Errorf("%s error = %v, want one naming %q", entry, err, tt.want)
+				}
+			}
+		})
+	}
+}
+
 func TestAllSchedulersCompleteMixedWorkload(t *testing.T) {
 	mkSpecs := func() []job.Spec {
 		return []job.Spec{

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -112,13 +113,8 @@ func TestMaintainedRoundState(t *testing.T) {
 			t.Fatal(err)
 		}
 		policy := &roundRecorder{LASMQ: lasmq}
-		var s *sim
-		if streamed {
-			s, _ = newStreamSim(SliceSource(specs), policy, cfg, nil)
-		} else {
-			s = newSim(specs, policy, cfg)
-		}
-		if err := s.armArrivals(); err != nil {
+		s := testSim(specs, policy, cfg, streamed)
+		if err := s.drainArrivals(math.Inf(-1)); err != nil {
 			t.Fatal(err)
 		}
 		steps, policyRounds, ratedRounds, cachedRounds, unsortedRounds := 0, 0, 0, 0, 0

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lasmq/internal/core"
+	"lasmq/internal/sched"
 	"lasmq/internal/workload"
 )
 
@@ -77,23 +78,54 @@ func TestAttemptRecyclingBoundsSlab(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	s := newSim(specs, mq, cfg)
+	s := testSim(specs, mq, cfg, false)
 	defer s.release()
 	if err := s.run(); err != nil {
 		t.Fatal(err)
 	}
-	launched := len(s.attempts) + s.attemptRecycled
+	launched := len(s.attempts) + s.attemptSlab.Recycled
 	if launched < 1000 {
 		t.Fatalf("workload too small to exercise recycling: %d attempts", launched)
 	}
-	if len(s.attempts) != s.attemptPeak {
-		t.Errorf("slab length %d != peak in-flight %d", len(s.attempts), s.attemptPeak)
+	if len(s.attempts) != s.attemptSlab.Peak {
+		t.Errorf("slab length %d != peak in-flight %d", len(s.attempts), s.attemptSlab.Peak)
 	}
-	if s.attemptPeak*4 > s.attemptRecycled {
+	if s.attemptSlab.Peak*4 > s.attemptSlab.Recycled {
 		t.Errorf("peak %d not far below recycled %d: slab not bounded by in-flight attempts",
-			s.attemptPeak, s.attemptRecycled)
+			s.attemptSlab.Peak, s.attemptSlab.Recycled)
 	}
-	if s.attemptLive != 0 {
-		t.Errorf("%d attempts still live after a clean run", s.attemptLive)
+	if s.attemptSlab.Live != 0 {
+		t.Errorf("%d attempts still live after a clean run", s.attemptSlab.Live)
+	}
+}
+
+// TestRecordsBoundedByAdmission pins where task state is built: at
+// admission, not at arrival. N jobs arrive at t = 0 behind an admission cap
+// of k with no speculation (so no completed job waits for a killed copy to
+// drain), and at most k task-state records are ever live — for RunStream, by
+// its reported pool stats, and for Run, by the pool's own — however deep the
+// backlog. Built at arrival, the peak would read N.
+func TestRecordsBoundedByAdmission(t *testing.T) {
+	const k = 4
+	cfg := DefaultConfig()
+	cfg.MaxRunningJobs = k
+	for _, n := range []int{50, 500} {
+		specs := benchSpecs(n)
+		res, err := RunStream(SliceSource(specs), sched.NewFair(), cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Jobs != n || res.Slab.Peak > k {
+			t.Errorf("RunStream, %d jobs: %d completed, record peak %d, want %d and <= %d", n, res.Jobs, res.Slab.Peak, n, k)
+		}
+
+		s := testSim(specs, sched.NewFair(), cfg, false)
+		if err := s.run(); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.records.Stats(); st.Peak > k || st.Live != 0 {
+			t.Errorf("Run, %d jobs: record peak %d, %d live at exit, want <= %d and 0", n, st.Peak, st.Live, k)
+		}
+		s.release()
 	}
 }

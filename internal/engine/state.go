@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"slices"
 	"sync"
 
 	"lasmq/internal/eventq"
@@ -47,7 +46,6 @@ type taskState struct {
 // stageState tracks one stage, with O(1) aggregates for service accounting
 // and stage progress (the paper's stage-awareness inputs).
 type stageState struct {
-	spec  *job.StageSpec
 	tasks []taskState
 	// Ready-task queue: the live entries are readyIdx[readyHead:]. Dequeuing
 	// advances readyHead instead of re-slicing so the backing array is not
@@ -131,18 +129,17 @@ func (st *stageState) progress(now float64) float64 {
 	return p
 }
 
-// jobState is the runtime state of one job. Job states live in the arena's
-// fixed-length slab, so pointers to them are stable for the whole run.
+// jobState is the runtime state of one admitted job. It lives in a pooled
+// jobRecord, whose chunked pool keeps pointers to it stable until the record
+// is released.
 type jobState struct {
 	spec *job.Spec
 
-	arrived     bool
-	admitted    bool
 	completed   bool
 	admittedAt  float64
 	completedAt float64
 	seq         int // admission sequence
-	pos         int // position in jobSeq order (see arena.running)
+	pos         int // workload position (see pendingJob.pos and arena.running)
 	// slot is the view registry's handle for the job, held from admission to
 	// completion; viewIdx is the job's index among the current round's views,
 	// where the policy's share for it is read.
@@ -171,15 +168,13 @@ type jobState struct {
 	speculative int
 
 	// pendingEvents counts attempt-completion events still in the queue for
-	// this job (each launch pushes exactly one). A streaming run recycles the
-	// job's record only when the job has completed AND this reaches zero —
-	// killed copies' events still index into the job's task state when they
-	// fire, so the record must outlive them.
+	// this job (each launch pushes exactly one). The run recycles the job's
+	// record only when the job has completed AND this reaches zero — killed
+	// copies' events still index into the job's task state when they fire,
+	// so the record must outlive them.
 	pendingEvents int
 
-	// rec points back to the streaming run's pooled record holding this
-	// state (nil in materialized runs, whose jobStates live in the arena
-	// slab).
+	// rec points back to the pooled record holding this state.
 	rec *jobRecord
 
 	// view is the job's persistent sched.JobView adapter. It reads the sim's
@@ -305,45 +300,152 @@ func (v *jobView) ExactRemaining() float64 {
 // byte-identical results.
 var attemptRecycling = true
 
-// arena is the slab-allocated simulation state: jobs, stages, tasks and
-// attempts live in flat, index-addressed slices partitioned into
-// per-job/per-stage subslices, and every piece of round-local scratch keeps
-// its backing storage. Arenas are pooled, so repeated runs — the replication
-// engine fanning one experiment over many seeds, a benchmark loop — reuse
-// one arena per worker instead of re-allocating the per-run state from
-// scratch (the former per-run `make` storm).
+// jobRecord is one admitted job's pooled task state: the jobState and the
+// slabs its stage, task and index lists are carved from. A job takes a record
+// at admission and returns it, with its pending entry, once it has completed
+// and its last attempt event has drained (see jobState.pendingEvents), so the
+// records live at once are bounded by the admission cap plus the completed
+// jobs still draining killed copies, whatever the backlog.
+type jobRecord struct {
+	js     jobState
+	entry  *pendingJob // the job's backlog entry, whose spec js.spec is
+	stages []stageState
+	tasks  []taskState
+	ints   []int // index-list backing (activeStages, attemptIDs, readyIdx, dependents)
+}
+
+// resetJobRecord is the record pool's Reset hook, run as records are returned
+// (and on every record when the arena is scrubbed). The job state is the only
+// part that references a spec; the slabs keep their backing capacity and are
+// re-zeroed to the next job's sizes when it is built.
+func resetJobRecord(r *jobRecord) {
+	r.js = jobState{}
+	r.entry = nil
+}
+
+// jobShape is the storage a job's task state takes: its stage and task
+// records, and the ints of its index lists — the active-stage list, the
+// stages' ready queues and dependent lists, and two attempt IDs per task.
+// With attemptRecycling a task holds at most two live attempts, a primary or
+// retry plus one speculative copy, so attemptIDs never spills to the heap.
+type jobShape struct{ stages, tasks, ints int }
+
+func shapeOf(spec *job.Spec) jobShape {
+	ns, nt, edges := len(spec.Stages), 0, 0
+	for si := range spec.Stages {
+		nt += len(spec.Stages[si].Tasks)
+		edges += len(spec.Deps(si))
+	}
+	return jobShape{stages: ns, tasks: nt, ints: ns + nt + edges + 2*nt}
+}
+
+// growSlab is substrate.GrowSlab, except that a slab it has to reallocate
+// gets room for at least room entries. A Run knows its largest job before the
+// first admission; carving every fresh record at that size keeps a record
+// from regrowing each time a larger job lands on it.
+func growSlab[T any](s []T, n, room int) []T {
+	if cap(s) < n {
+		s = make([]T, 0, max(n, room))
+	}
+	return substrate.GrowSlab(s, n)
+}
+
+// build lays an admitted job's task state out over the record, with fresh
+// slabs sized for room (see growSlab). Subslices are carved with their
+// capacity pinned (three-index slices), so an append can never overwrite a
+// neighbor, and growSlab re-zeroes every slab, so a recycled record's stale
+// contents are never observed.
+func (r *jobRecord) build(p *pendingJob, room jobShape) *jobState {
+	spec := p.spec
+	shape := shapeOf(spec)
+	r.entry = p
+	r.stages = growSlab(r.stages, shape.stages, room.stages)
+	r.tasks = growSlab(r.tasks, shape.tasks, room.tasks)
+	r.ints = growSlab(r.ints, shape.ints, room.ints)
+	intOff := 0
+	carve := func(n int) []int {
+		b := r.ints[intOff : intOff : intOff+n]
+		intOff += n
+		return b
+	}
+
+	js := &r.js
+	js.rec = r
+	js.spec = spec
+	js.pos = p.pos
+	js.view.js = js
+	js.stages = r.stages
+	js.activeStages = carve(len(spec.Stages))
+	taskOff := 0
+	for si := range spec.Stages {
+		st := &js.stages[si]
+		specs := spec.Stages[si].Tasks
+		nt := len(specs)
+		st.tasks = r.tasks[taskOff : taskOff+nt : taskOff+nt]
+		taskOff += nt
+		for ti := range specs {
+			task := &st.tasks[ti]
+			task.spec = specs[ti]
+			task.attemptIDs = carve(2)
+			st.totalContainers += task.spec.Containers
+		}
+		st.readyIdx = carve(nt)
+		for _, dep := range spec.Deps(si) {
+			st.remainingDeps++
+			js.stages[dep].fanOut++
+		}
+	}
+	// Dependent lists: counted above, carved to size here, then filled in the
+	// same stage order an append per edge would have produced.
+	for si := range js.stages {
+		js.stages[si].dependents = carve(js.stages[si].fanOut)
+	}
+	for si := range spec.Stages {
+		for _, dep := range spec.Deps(si) {
+			js.stages[dep].dependents = append(js.stages[dep].dependents, si)
+		}
+	}
+	// Root stages (no dependencies) are ready from admission on.
+	for si := range js.stages {
+		if js.stages[si].remainingDeps == 0 {
+			js.activateStage(si)
+		}
+	}
+	return js
+}
+
+// arena is the run state that outlives a run: the job-record and
+// pending-entry pools, the attempt slab, the event queue, the view registry
+// and the round-local scratch all keep their backing storage. Arenas are
+// pooled, so repeated runs on one worker — the policies of a sweep, the seeds
+// of a replication, the shards one worker advances — reuse one arena instead
+// of re-allocating the per-run state from scratch.
 type arena struct {
-	jobs   []jobState
-	stages []stageState // flat; jobState.stages are full-capacity subslices
-	tasks  []taskState  // flat; stageState.tasks are full-capacity subslices
-	// ints backs the small per-stage/per-task index lists (ready queues,
-	// active-stage and dependent-stage lists, the one-attempt common case of
-	// attemptIDs). Each carve is a zero-length, capacity-bounded subslice:
-	// appends fill it in place and a rare overflow (a task's second live
-	// attempt in a materialized run) spills to the heap safely.
-	ints     []int
+	// records and entries pool the admitted jobs' task state and the arrived
+	// jobs' backlog entries. The records one run grew (three slabs each, sized
+	// by the largest job the record has held) serve the next run on this
+	// arena as they are. scrub rewinds both.
+	records substrate.SlabPool[jobRecord]
+	entries substrate.SlabPool[pendingJob]
+	// order is a Run's workload in arrival order (see feedSpecs).
+	order []jobRef
+
 	attempts []attempt // value slab; grows by append during the run
 	// freeAttempts lists recycled attempt slots (see attemptRecycling); an
 	// ended attempt's slot joins it when the attempt's own completion event
 	// fires, the one moment no pending event references the slot.
 	freeAttempts []int
 
-	// byID indexes a streaming run's live jobs, for its duplicate-live-ID
-	// check alone; a materialized run validates IDs up front and leaves it
-	// empty. Nothing on the event or round path reads it.
-	byID map[int]*jobState
-	// jobSeq is the deterministic iteration order of job states: workload
-	// order in a materialized run, which lists every job here for the whole
-	// run; arrival order in a streaming run, which keeps no list and stamps
-	// jobState.pos from an arrival counter instead. When a streaming source
-	// is sorted by arrival — which RunStream requires — the two orders
-	// coincide, one of the ingredients of the Run/RunStream byte-identity.
-	jobSeq []*jobState
-	// running is the admitted, unfinished jobs in jobSeq order (ascending
-	// jobState.pos) — exactly the jobs a scheduling round concerns. admit
-	// inserts, completeStage removes, both through setRunning; the backfill
-	// and speculation walk it, so a round never touches the admission backlog
-	// or finished jobs.
+	// liveIDs holds the IDs of the jobs from arrival to release, for the
+	// duplicate-live-ID check alone (a Run's IDs are checked unique up front,
+	// so there it never fires). Nothing on the event or round path reads it.
+	liveIDs map[int]struct{}
+	// running is the admitted, unfinished jobs in ascending jobState.pos —
+	// workload order in a Run, arrival order in a RunStream, which coincide
+	// when the workload is sorted by arrival (one of the ingredients of the
+	// Run/RunStream byte-identity). admit inserts, completeStage removes, both
+	// through setRunning; the backfill and speculation walk it, so a round
+	// never touches the admission backlog or finished jobs.
 	running []*jobState
 	// What a round derives from running alone, rebuilt by collectViews only
 	// after setRunning marked it stale: the view registry's views and slots
@@ -354,17 +456,6 @@ type arena struct {
 	idOrder      []*jobState
 	idScratch    []*jobState
 	viewRebuilds int
-	// pending is the materialized run's not-yet-arrived jobs, stable-sorted
-	// by arrival; the arrival cursor walks it (streaming runs pull from the
-	// source instead and leave it empty).
-	pending []*jobState
-
-	// records pools the streaming runs' per-job records. It lives here, not
-	// in the run, so that the records one run grew (five slabs each, sized by
-	// the largest job the record has held) serve the next run on this arena
-	// as they are: the policies of a sweep, the seeds of a replication, the
-	// shards one worker advances. scrub rewinds it.
-	records substrate.SlabPool[jobRecord]
 
 	// queue is the pending-event heap. PopBatch drains every event sharing the
 	// earliest timestamp, so a burst of simultaneous completions triggers a
@@ -384,178 +475,33 @@ type arena struct {
 
 // arenaPool recycles simulation arenas across runs; each concurrent worker
 // effectively owns one.
-var arenaPool = sync.Pool{New: func() any { return new(arena) }}
-
-// build lays the workload out in the arena's slabs. Subslices are carved
-// with their capacity pinned (three-index slices), so a neighbor can never
-// be overwritten by an append.
-func (a *arena) build(specs []job.Spec) {
-	nStages, nTasks, nEdges := 0, 0, 0
-	for i := range specs {
-		nStages += len(specs[i].Stages)
-		for si := range specs[i].Stages {
-			nTasks += len(specs[i].Stages[si].Tasks)
-			nEdges += len(specs[i].Deps(si))
-		}
-	}
-	a.jobs = substrate.GrowSlab(a.jobs, len(specs))
-	a.stages = substrate.GrowSlab(a.stages, nStages)
-	a.tasks = substrate.GrowSlab(a.tasks, nTasks)
-	a.ints = substrate.GrowSlab(a.ints, jobInts(nStages, nTasks, nEdges, materializedAttemptRoom))
-	if attemptRecycling {
-		// Recycling bounds the slab by peak in-flight attempts; let it grow
-		// on demand instead of pre-sizing for one attempt per task.
-		a.attempts = a.attempts[:0]
-	} else if cap(a.attempts) < nTasks {
-		a.attempts = make([]attempt, 0, nTasks)
-	} else {
-		a.attempts = a.attempts[:0]
-	}
-	a.freeAttempts = a.freeAttempts[:0]
-	a.jobSeq = a.jobSeq[:0]
-	a.pending = a.pending[:0]
-	a.queue.Reset()
-	a.timeline = a.timeline[:0]
-
-	stageOff, taskOff, intOff := 0, 0, 0
-	carve := func(n int) []int {
-		b := a.ints[intOff : intOff : intOff+n]
-		intOff += n
-		return b
-	}
-	for i := range specs {
-		spec := &specs[i]
-		js := &a.jobs[i]
-		ns := len(spec.Stages)
-		nt := 0
-		for si := range spec.Stages {
-			nt += len(spec.Stages[si].Tasks)
-		}
-		stages := a.stages[stageOff : stageOff+ns : stageOff+ns]
-		stageOff += ns
-		tasks := a.tasks[taskOff : taskOff+nt : taskOff+nt]
-		taskOff += nt
-		buildJobState(js, spec, stages, tasks, carve, materializedAttemptRoom)
-		js.pos = i
-		a.jobSeq = append(a.jobSeq, js)
-		a.pending = append(a.pending, js)
-	}
-	slices.SortStableFunc(a.pending, func(x, y *jobState) int {
-		if x.spec.Arrival < y.spec.Arrival {
-			return -1
-		}
-		if x.spec.Arrival > y.spec.Arrival {
-			return 1
-		}
-		return 0
-	})
-}
-
-// Attempt IDs carved per task. With attemptRecycling a task holds at most
-// two live attempts — a primary or retry plus one speculative copy — so two
-// slots mean attemptIDs never spills to the heap. A pooled streaming record
-// pays for the second slot once and every later job reuses it; the
-// materialized arena would pay it for every task of the workload on every
-// run, so there a task keeps one slot and the rare second attempt spills.
-const (
-	materializedAttemptRoom = 1
-	streamedAttemptRoom     = 2
-)
-
-// jobInts is the int-slab room buildJobState carves for one job (or, summed,
-// a workload) of ns stages, nt tasks and edges stage dependencies: the
-// active-stage list, the stages' ready queues and dependent lists, and
-// attemptRoom attempt IDs per task.
-func jobInts(ns, nt, edges, attemptRoom int) int { return ns + nt + edges + attemptRoom*nt }
-
-// buildJobState wires one job's runtime state over caller-provided storage:
-// stages and tasks are exact-capacity zeroed slices for this job's
-// stage/task records, and carve hands out zero-length capacity-pinned int
-// slices for the index lists, jobInts(...) in total. Shared by the
-// materialized arena layout and the streaming per-job pooled records.
-func buildJobState(js *jobState, spec *job.Spec, stages []stageState, tasks []taskState, carve func(int) []int, attemptRoom int) {
-	js.spec = spec
-	js.view.js = js
-	js.stages = stages
-	js.activeStages = carve(len(spec.Stages))
-	taskOff := 0
-	for si := range spec.Stages {
-		st := &js.stages[si]
-		st.spec = &spec.Stages[si]
-		nt := len(st.spec.Tasks)
-		st.tasks = tasks[taskOff : taskOff+nt : taskOff+nt]
-		taskOff += nt
-		for ti := range st.spec.Tasks {
-			task := &st.tasks[ti]
-			task.spec = st.spec.Tasks[ti]
-			task.attemptIDs = carve(attemptRoom)
-			st.totalContainers += task.spec.Containers
-		}
-		st.readyIdx = carve(nt)
-		for _, dep := range spec.Deps(si) {
-			st.remainingDeps++
-			js.stages[dep].fanOut++
-		}
-	}
-	// Dependent lists: counted above, carved to size here, then filled in the
-	// same stage order an append per edge would have produced.
-	for si := range js.stages {
-		js.stages[si].dependents = carve(js.stages[si].fanOut)
-	}
-	for si := range spec.Stages {
-		for _, dep := range spec.Deps(si) {
-			js.stages[dep].dependents = append(js.stages[dep].dependents, si)
-		}
-	}
-	// Root stages (no dependencies) are ready once the job is admitted.
-	for si := range js.stages {
-		if js.stages[si].remainingDeps == 0 {
-			js.activateStage(si)
-		}
-	}
-}
-
-// buildStream resets the arena for a streaming run: job records come from
-// the arena's free-list pool rather than the jobs/stages/tasks slabs, so
-// only the live-job index, the pointer lists, the event queue and the
-// scratch are prepared (with backing storage kept, as in build).
-func (a *arena) buildStream() {
+var arenaPool = sync.Pool{New: func() any {
+	a := &arena{liveIDs: make(map[int]struct{}, 64)}
 	a.records.Reset = resetJobRecord
+	a.entries.Reset = resetPending
+	return a
+}}
+
+// scrub readies the arena for its next run: it takes back every record and
+// entry the run still held (the reset hooks drop their references into
+// caller-owned specs, so a pooled arena cannot pin a workload after its run),
+// drops the job pointers the attempt slab and the round scratch hold, and
+// empties the event queue, the view registry and the per-run lists.
+func (a *arena) scrub() {
+	a.records.Rewind()
+	a.entries.Rewind()
+	clear(a.order)
+	clear(a.attempts)
 	a.attempts = a.attempts[:0]
 	a.freeAttempts = a.freeAttempts[:0]
-	if a.byID == nil {
-		a.byID = make(map[int]*jobState, 64)
-	} else {
-		clear(a.byID)
-	}
-	a.jobSeq = a.jobSeq[:0]
-	a.pending = a.pending[:0]
-	a.queue.Reset()
-	a.timeline = a.timeline[:0]
-}
-
-// scrub zeroes the slabs that hold references into caller-owned memory (the
-// job specs), so a pooled arena cannot pin a workload after its run, takes
-// back every job record the run still held, drops the job pointers the
-// attempt slab and the round scratch hold, and empties the event queue and
-// view registry.
-func (a *arena) scrub() {
-	clear(a.jobs)
-	clear(a.stages)
-	clear(a.tasks)
-	clear(a.attempts)
-	a.records.Rewind()
-	clear(a.byID)
-	clear(a.jobSeq)
-	a.jobSeq = a.jobSeq[:0]
-	clear(a.pending)
-	a.pending = a.pending[:0]
+	clear(a.liveIDs)
 	clear(a.running)
 	a.setRunning(a.running[:0])
 	a.idOrder = nil
 	clear(a.idScratch[:cap(a.idScratch)])
 	a.queue.Reset()
 	a.vs.Reset()
+	a.timeline = a.timeline[:0]
 }
 
 // setRunning is the one place running changes: whatever a round derives from

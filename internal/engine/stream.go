@@ -1,10 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
-	"lasmq/internal/dist"
 	"lasmq/internal/job"
 	"lasmq/internal/sched"
 	"lasmq/internal/substrate"
@@ -23,30 +24,30 @@ type Source = substrate.Stream[job.Spec]
 // order (the caller must have sorted it by arrival).
 func SliceSource(specs []job.Spec) Source { return substrate.SliceStream(specs) }
 
-// arrivalCursor feeds the run loop its arrival stream: Peek reports the next
-// arrival time (or that the stream is exhausted, or a source error), and Pop
-// consumes the peeked job. Run walks the arena's pre-sorted pending list
-// (substrate.SliceCursor); RunStream pulls specs from a Source and
-// materializes pooled job records on demand (substrate.StreamCursor via
-// recordCursor).
-type arrivalCursor = substrate.Cursor[jobState]
+// jobRef is a job's spec and its workload position, which orders the running
+// list: what the run's arrival cursor streams, and the head of every pending
+// entry.
+type jobRef struct {
+	spec *job.Spec
+	pos  int
+}
 
-// jobRecord is one streaming job's pooled storage: a deep-owned copy of the
-// spec (sources may reuse their buffers, and the job's view reads
-// spec.Stages — TotalService — for the job's whole lifetime), plus the
-// runtime state the arena slabs hold in a materialized run. Records recycle
-// through a substrate.SlabPool, so a run's heap is bounded by the peak
-// number of live jobs rather than the stream length.
-type jobRecord struct {
-	spec       job.Spec
-	specStages []job.StageSpec // backing for spec.Stages
-	specTasks  []job.TaskSpec  // backing for all stages' Tasks
-	specInts   []int           // backing for non-empty DependsOn lists
+// refArrival is the arrival cursor's Arrival hook.
+func refArrival(r *jobRef) float64 { return r.spec.Arrival }
 
-	js     jobState
-	stages []stageState
-	tasks  []taskState
-	ints   []int // index-list backing (activeStages, attemptIDs, readyIdx, dependents)
+// pendingJob is an arrived job's entry in the admission backlog. A Run's
+// entry points at the caller's spec in place; a RunStream's deep-copies it
+// into the entry's own backings, because a source may reuse its buffers and
+// the job's view reads spec.Stages (TotalService) for the job's whole
+// lifetime. The entry outlives admission for that reason: it returns to its
+// pool with the job's record.
+type pendingJob struct {
+	jobRef
+
+	own       job.Spec
+	ownStages []job.StageSpec // backing for own.Stages
+	ownTasks  []job.TaskSpec  // backing for all stages' Tasks
+	ownDeps   []int           // backing for non-empty DependsOn lists
 }
 
 // emptyDeps marks explicit root stages in deep-copied specs: job.Spec.Deps
@@ -55,32 +56,27 @@ type jobRecord struct {
 // empty-but-non-nil without carving zero-length slices that compare nil.
 var emptyDeps = []int{}
 
-// fillJobRecord materializes a pooled record from a streamed spec: deep-copy
-// the spec into the record's own backings, then wire the runtime state over
-// them exactly as the materialized arena layout does (buildJobState). The
-// GrowSlab calls re-zero each slab to this job's sizes, so a recycled
-// record's stale contents are never observed.
-func fillJobRecord(r *jobRecord, spec *job.Spec) {
-	ns := len(spec.Stages)
-	nt, nd, edges := 0, 0, 0
+// copySpec points the entry at a deep copy of spec in its own backings. The
+// GrowSlab calls re-zero each backing to this spec's sizes, so a recycled
+// entry's stale contents are never observed.
+func (p *pendingJob) copySpec(spec *job.Spec) {
+	ns, nt, nd := len(spec.Stages), 0, 0
 	for si := range spec.Stages {
 		nt += len(spec.Stages[si].Tasks)
 		nd += len(spec.Stages[si].DependsOn)
-		edges += len(spec.Deps(si))
 	}
-
-	r.spec = *spec
-	r.specStages = substrate.GrowSlab(r.specStages, ns)
-	r.specTasks = substrate.GrowSlab(r.specTasks, nt)
-	r.specInts = substrate.GrowSlab(r.specInts, nd)
+	p.own = *spec
+	p.ownStages = substrate.GrowSlab(p.ownStages, ns)
+	p.ownTasks = substrate.GrowSlab(p.ownTasks, nt)
+	p.ownDeps = substrate.GrowSlab(p.ownDeps, nd)
 	taskOff, depOff := 0, 0
 	for si := range spec.Stages {
 		src := &spec.Stages[si]
-		dst := &r.specStages[si]
+		dst := &p.ownStages[si]
 		*dst = *src
 		k := len(src.Tasks)
-		copy(r.specTasks[taskOff:taskOff+k], src.Tasks)
-		dst.Tasks = r.specTasks[taskOff : taskOff+k : taskOff+k]
+		copy(p.ownTasks[taskOff:taskOff+k], src.Tasks)
+		dst.Tasks = p.ownTasks[taskOff : taskOff+k : taskOff+k]
 		taskOff += k
 		switch {
 		case src.DependsOn == nil:
@@ -89,53 +85,96 @@ func fillJobRecord(r *jobRecord, spec *job.Spec) {
 			dst.DependsOn = emptyDeps
 		default:
 			d := len(src.DependsOn)
-			copy(r.specInts[depOff:depOff+d], src.DependsOn)
-			dst.DependsOn = r.specInts[depOff : depOff+d : depOff+d]
+			copy(p.ownDeps[depOff:depOff+d], src.DependsOn)
+			dst.DependsOn = p.ownDeps[depOff : depOff+d : depOff+d]
 			depOff += d
 		}
 	}
-	r.spec.Stages = r.specStages[:ns:ns]
+	p.own.Stages = p.ownStages[:ns:ns]
+	p.spec = &p.own
+}
 
-	r.stages = substrate.GrowSlab(r.stages, ns)
-	r.tasks = substrate.GrowSlab(r.tasks, nt)
-	r.ints = substrate.GrowSlab(r.ints, jobInts(ns, nt, edges, streamedAttemptRoom))
-	intOff := 0
-	carve := func(n int) []int {
-		b := r.ints[intOff : intOff : intOff+n]
-		intOff += n
-		return b
+// resetPending is the entry pool's Reset hook, run as entries are returned
+// (and on every entry when the arena is scrubbed): it drops the spec pointer
+// and clears the copied job and stage names — the only caller memory a
+// parked entry can reference — keeping every backing's capacity.
+func resetPending(p *pendingJob) {
+	p.spec = nil
+	p.own = job.Spec{}
+	clear(p.ownStages)
+}
+
+// feedSpecs points the arrival cursor at a validated workload: a reference to
+// each spec and its index, stable-sorted by arrival when the slice is not
+// already in arrival order, so each pending entry references its spec in
+// place and carries its position in specs. Fresh record slabs are sized for
+// the workload's largest job (see growSlab). It returns the workload's task
+// count.
+func (s *sim) feedSpecs(specs []job.Spec) (tasks int) {
+	order := substrate.GrowSlab(s.order, len(specs))
+	sorted := true
+	for i := range specs {
+		order[i] = jobRef{spec: &specs[i], pos: i}
+		shape := shapeOf(&specs[i])
+		s.room = jobShape{
+			stages: max(s.room.stages, shape.stages),
+			tasks:  max(s.room.tasks, shape.tasks),
+			ints:   max(s.room.ints, shape.ints),
+		}
+		tasks += shape.tasks
+		if i > 0 && specs[i].Arrival < specs[i-1].Arrival {
+			sorted = false
+		}
 	}
-	buildJobState(&r.js, &r.spec, r.stages[:ns:ns], r.tasks[:nt:nt], carve, streamedAttemptRoom)
-	r.js.rec = r
+	if !sorted {
+		slices.SortStableFunc(order, func(a, b jobRef) int { return cmp.Compare(a.spec.Arrival, b.spec.Arrival) })
+	}
+	s.order = order
+	s.cur.Src = substrate.SliceStream(order)
+	s.cur.Fill = func(p *pendingJob, r *jobRef) { p.jobRef = *r }
+	return tasks
 }
 
-// resetJobRecord is the job pool's Reset hook, run as records are returned
-// (and on every record when the arena is scrubbed): it zeroes the per-run
-// scalar state and the copied stage specs — the only places a parked record
-// references caller memory, the job's and the stages' names — while keeping
-// every slice's backing capacity (fillJobRecord re-zeroes the slabs to the
-// next job's exact sizes via GrowSlab, so stale slice contents are never
-// observed).
-func resetJobRecord(r *jobRecord) {
-	r.spec = job.Spec{}
-	clear(r.specStages)
-	r.js = jobState{}
+// feedSource points the arrival cursor at a Source: each spec is read and
+// validated one ahead (validateStreamRef), then deep-copied into its pending
+// entry.
+func (s *sim) feedSource(src Source) {
+	s.cur.Src = &sourceRefs{src: src}
+	s.cur.Validate = validateStreamRef
+	s.cur.Wrap = func(err error) error { return fmt.Errorf("engine: source: %w", err) }
+	s.cur.Fill = func(p *pendingJob, r *jobRef) {
+		p.pos = r.pos
+		p.copySpec(r.spec)
+	}
 }
 
-// recordCursor adapts the kernel's StreamCursor (which pools jobRecords) to
-// the run loop's jobState cursor.
-type recordCursor struct {
-	c substrate.StreamCursor[job.Spec, jobRecord]
+// sourceRefs streams a Source as jobRefs in arrival order: each reference
+// points at the spec just read, held in the adapter's one-spec buffer. The
+// cursor reads the next spec only after the job's entry has deep-copied this
+// one, so the buffer is never overwritten while a reference to it is live.
+type sourceRefs struct {
+	src     Source
+	spec    job.Spec
+	arrived int
 }
 
-func (rc *recordCursor) Peek() (float64, bool, error) { return rc.c.Peek() }
-func (rc *recordCursor) Pop() *jobState               { return &rc.c.Pop().js }
+func (r *sourceRefs) Next() (jobRef, bool, error) {
+	var ok bool
+	var err error
+	r.spec, ok, err = r.src.Next()
+	if !ok || err != nil {
+		return jobRef{}, false, err
+	}
+	r.arrived++
+	return jobRef{spec: &r.spec, pos: r.arrived - 1}, true, nil
+}
 
-// validateStreamSpec checks one streamed spec before the run admits it: the
+// validateStreamRef checks one streamed spec before the run admits it: the
 // same per-spec validation Run applies up front, plus the nondecreasing-
 // order contract a streaming run must enforce on the fly (prev is the
 // previously yielded arrival, meaningful when n > 0).
-func validateStreamSpec(n int, prev float64, s *job.Spec) error {
+func validateStreamRef(n int, prev float64, r *jobRef) error {
+	s := r.spec
 	if err := s.Validate(); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
@@ -144,20 +183,6 @@ func validateStreamSpec(n int, prev float64, s *job.Spec) error {
 			s.ID, s.Arrival, prev)
 	}
 	return nil
-}
-
-// sourceCursor instantiates the substrate kernel's StreamCursor for the
-// engine: Peek reads one spec ahead (validating it), Pop deep-copies it into
-// a pooled record.
-func sourceCursor(src Source, pool *substrate.SlabPool[jobRecord]) arrivalCursor {
-	return &recordCursor{c: substrate.StreamCursor[job.Spec, jobRecord]{
-		Src:      src,
-		Pool:     pool,
-		Arrival:  func(s *job.Spec) float64 { return s.Arrival },
-		Validate: validateStreamSpec,
-		Wrap:     func(err error) error { return fmt.Errorf("engine: source: %w", err) },
-		Fill:     fillJobRecord,
-	}}
 }
 
 // StreamResult reports a streaming engine run. Unlike Result it holds no
@@ -228,8 +253,21 @@ func RunStream(src Source, policy sched.Scheduler, cfg Config, each func(JobResu
 	if src == nil {
 		return nil, errors.New("engine: nil source")
 	}
-	s, out := newStreamSim(src, policy, cfg, each)
+	out := &StreamResult{}
+	cfg.SampleInterval = 0 // no timeline is kept
+	s := newSim(policy, cfg, func(_ *jobState, jr JobResult) {
+		out.Jobs++
+		out.SumResponse += jr.ResponseTime
+		out.SumService += jr.Service
+		out.Attempts += jr.Attempts
+		out.Failures += jr.Failures
+		out.Speculative += jr.Speculative
+		if each != nil {
+			each(jr)
+		}
+	})
 	defer s.release()
+	s.feedSource(src)
 	if err := s.run(); err != nil {
 		return nil, err
 	}
@@ -240,12 +278,8 @@ func RunStream(src Source, policy sched.Scheduler, cfg Config, each func(JobResu
 		out.Utilization = out.Busy / (s.makespan * float64(s.cfg.Containers))
 	}
 	out.PeakUsage = s.peakUsage
-	out.Slab = s.pool.Stats()
-	out.AttemptSlab = substrate.SlabStats{
-		Live:     s.attemptLive,
-		Peak:     s.attemptPeak,
-		Recycled: s.attemptRecycled,
-	}
+	out.Slab = s.records.Stats()
+	out.AttemptSlab = s.attemptSlab
 	if s.probe != nil {
 		// The job-record pool's stats, after run() has emitted the attempt
 		// slab's: both are functions of the simulated run alone, so the
@@ -253,37 +287,4 @@ func RunStream(src Source, policy sched.Scheduler, cfg Config, each func(JobResu
 		s.probe.SlabStats(s.now, out.Slab.Live, out.Slab.Peak, out.Slab.Recycled)
 	}
 	return out, nil
-}
-
-// newStreamSim wires a streaming sim over a pooled arena, and the result its
-// finish hook accumulates into. The caller releases the sim.
-func newStreamSim(src Source, policy sched.Scheduler, cfg Config, each func(JobResult)) (*sim, *StreamResult) {
-	ar := arenaPool.Get().(*arena)
-	ar.buildStream()
-	pool := &ar.records
-	out := &StreamResult{}
-	s := &sim{
-		cfg:       cfg,
-		probe:     cfg.Probe,
-		driver:    substrate.NewDriver(policy),
-		adm:       substrate.NewQueue[*jobState](cfg.MaxRunningJobs),
-		rng:       dist.New(cfg.Seed),
-		arena:     ar,
-		streaming: true,
-		pool:      pool,
-		cur:       sourceCursor(src, pool),
-	}
-	s.finish = func(js *jobState, jr JobResult) {
-		out.Jobs++
-		out.SumResponse += jr.ResponseTime
-		out.SumService += jr.Service
-		out.Attempts += jr.Attempts
-		out.Failures += jr.Failures
-		out.Speculative += jr.Speculative
-		if each != nil {
-			each(jr)
-		}
-	}
-	s.driver.SetProbe(cfg.Probe)
-	return s, out
 }

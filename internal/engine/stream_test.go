@@ -150,10 +150,12 @@ func TestEngineRunStreamSourceError(t *testing.T) {
 	}
 }
 
-// TestEngineRunStreamDeepCopiesSpecs guards the record pool's ownership
-// contract: a source that reuses one spec buffer across Next calls must
-// still stream correctly, because the run deep-copies each spec (stages,
-// tasks and dependency lists) into the pooled record.
+// TestEngineRunStreamDeepCopiesSpecs guards the pending entries' ownership
+// contract: a source that reuses its stage, task and dependency-list buffers
+// across Next calls must still stream correctly, because the run deep-copies
+// each spec into the job's pending entry. The admission cap binds, so specs
+// wait in the backlog while later Next calls overwrite the buffers: a shallow
+// copy would build their task state from another job's tasks.
 func TestEngineRunStreamDeepCopiesSpecs(t *testing.T) {
 	const n = 40
 	specs := diffWorkload(9, n)
@@ -166,18 +168,42 @@ func TestEngineRunStreamDeepCopiesSpecs(t *testing.T) {
 		want[jr.ID] = jr
 	}
 
-	// bufferReusingSource hands out every spec through the same scratch
-	// variable, scribbling over the previous job's stages each time.
-	scratch := new(job.Spec)
+	// The source hands out every spec over the same three buffers, sized for
+	// the largest job, scribbling over the previous job's stages, tasks and
+	// dependency lists each time.
+	var nStages, nTasks, nDeps int
+	for _, spec := range specs {
+		nStages = max(nStages, len(spec.Stages))
+		nTasks = max(nTasks, spec.TotalTasks())
+		d := 0
+		for _, st := range spec.Stages {
+			d += len(st.DependsOn)
+		}
+		nDeps = max(nDeps, d)
+	}
+	stages := make([]job.StageSpec, nStages)
+	tasks := make([]job.TaskSpec, nTasks)
+	deps := make([]int, nDeps)
 	i := 0
 	src := sourceFunc(func() (job.Spec, bool, error) {
 		if i >= len(specs) {
 			return job.Spec{}, false, nil
 		}
-		*scratch = specs[i]
-		scratch.Stages = append([]job.StageSpec(nil), specs[i].Stages...)
+		spec := specs[i]
 		i++
-		return *scratch, true, nil
+		taskOff, depOff := 0, 0
+		for si, st := range spec.Stages {
+			tasks := tasks[taskOff : taskOff+copy(tasks[taskOff:], st.Tasks)]
+			taskOff += len(tasks)
+			var dependsOn []int
+			if st.DependsOn != nil {
+				dependsOn = deps[depOff : depOff+copy(deps[depOff:], st.DependsOn)]
+				depOff += len(dependsOn)
+			}
+			stages[si] = job.StageSpec{Name: st.Name, Tasks: tasks, DependsOn: dependsOn}
+		}
+		spec.Stages = stages[:len(spec.Stages)]
+		return spec, true, nil
 	})
 	got := make(map[int]engine.JobResult, n)
 	if _, err := engine.RunStream(src, sched.NewLAS(), streamChaosConfig(9),

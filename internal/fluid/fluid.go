@@ -209,6 +209,7 @@ func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Jobs: make([]JobResult, len(specs))}
+	res.Reserve(len(specs))
 	// Slowdown is fluid-derived state, not a probe event, so it reaches the
 	// histogram sink through its side-channel, at each completion.
 	hist := obs.FindHistograms(cfg.Probe)

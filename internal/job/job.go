@@ -9,7 +9,10 @@
 // concurrently, exactly as Spark schedules independent RDD lineage branches.
 package job
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // TaskSpec describes one task of a stage.
 type TaskSpec struct {
@@ -105,10 +108,21 @@ func (s *Spec) EffectiveSizeHint() float64 {
 	return s.TotalService()
 }
 
-// Validate checks that the spec can be simulated.
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// Validate checks that the spec can be simulated. Non-finite inputs are
+// rejected by name: a NaN arrival or duration would otherwise run to a NaN
+// or infinite answer without an error.
 func (s *Spec) Validate() error {
+	if !finite(s.Arrival) {
+		return fmt.Errorf("job %d: non-finite arrival %v", s.ID, s.Arrival)
+	}
 	if s.Arrival < 0 {
 		return fmt.Errorf("job %d: negative arrival %v", s.ID, s.Arrival)
+	}
+	if !finite(s.SizeHint) {
+		return fmt.Errorf("job %d: non-finite size hint %v", s.ID, s.SizeHint)
 	}
 	if len(s.Stages) == 0 {
 		return fmt.Errorf("job %d: no stages", s.ID)
@@ -119,6 +133,10 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("job %d stage %d (%s): no tasks", s.ID, si, st.Name)
 		}
 		for ti, task := range st.Tasks {
+			if !finite(task.Duration) {
+				return fmt.Errorf("job %d stage %d task %d: non-finite duration %v",
+					s.ID, si, ti, task.Duration)
+			}
 			if task.Duration <= 0 {
 				return fmt.Errorf("job %d stage %d task %d: non-positive duration %v",
 					s.ID, si, ti, task.Duration)

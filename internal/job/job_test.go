@@ -2,6 +2,7 @@ package job
 
 import (
 	"fmt"
+	"math"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -64,10 +65,18 @@ func TestValidate(t *testing.T) {
 	}{
 		{name: "valid", mutate: func(s *Spec) {}},
 		{name: "negative arrival", mutate: func(s *Spec) { s.Arrival = -1 }, wantErr: "negative arrival"},
+		{name: "NaN arrival", mutate: func(s *Spec) { s.Arrival = math.NaN() }, wantErr: "non-finite arrival"},
+		{name: "+Inf arrival", mutate: func(s *Spec) { s.Arrival = math.Inf(1) }, wantErr: "non-finite arrival"},
+		{name: "NaN size hint", mutate: func(s *Spec) { s.SizeHint = math.NaN() }, wantErr: "non-finite size hint"},
+		{name: "+Inf size hint", mutate: func(s *Spec) { s.SizeHint = math.Inf(1) }, wantErr: "non-finite size hint"},
+		{name: "-Inf size hint", mutate: func(s *Spec) { s.SizeHint = math.Inf(-1) }, wantErr: "non-finite size hint"},
 		{name: "no stages", mutate: func(s *Spec) { s.Stages = nil }, wantErr: "no stages"},
 		{name: "empty stage", mutate: func(s *Spec) { s.Stages[0].Tasks = nil }, wantErr: "no tasks"},
 		{name: "zero duration", mutate: func(s *Spec) { s.Stages[0].Tasks[0].Duration = 0 }, wantErr: "non-positive duration"},
 		{name: "negative duration", mutate: func(s *Spec) { s.Stages[0].Tasks[0].Duration = -5 }, wantErr: "non-positive duration"},
+		{name: "NaN duration", mutate: func(s *Spec) { s.Stages[1].Tasks[0].Duration = math.NaN() }, wantErr: "task 0: non-finite duration"},
+		{name: "+Inf duration", mutate: func(s *Spec) { s.Stages[0].Tasks[1].Duration = math.Inf(1) }, wantErr: "task 1: non-finite duration"},
+		{name: "-Inf duration", mutate: func(s *Spec) { s.Stages[0].Tasks[0].Duration = math.Inf(-1) }, wantErr: "non-finite duration"},
 		{name: "zero containers", mutate: func(s *Spec) { s.Stages[1].Tasks[0].Containers = 0 }, wantErr: "non-positive containers"},
 	}
 	for _, tt := range tests {

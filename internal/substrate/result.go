@@ -1,6 +1,10 @@
 package substrate
 
-import "lasmq/internal/obs"
+import (
+	"slices"
+
+	"lasmq/internal/obs"
+)
 
 // Result is the run-outcome accumulator embedded in every substrate's
 // result type, deduplicating the response-time/slowdown/per-bin method sets
@@ -38,6 +42,15 @@ func (r *Result) FoldCounters(probe obs.Probe) {
 	}
 }
 
+// Reserve presizes the accumulator for n jobs, so a collector that records
+// a whole run appends without growing. The slowdown column takes the same
+// room on its first RecordSlowdown, so a substrate that records none pays
+// nothing for it.
+func (r *Result) Reserve(n int) {
+	r.bins = slices.Grow(r.bins, n)
+	r.responses = slices.Grow(r.responses, n)
+}
+
 // Record appends one finished job's Table-I bin (0 when the workload has no
 // bins) and response time, in reporting order.
 func (r *Result) Record(bin int, response float64) {
@@ -48,7 +61,12 @@ func (r *Result) Record(bin int, response float64) {
 // RecordSlowdown appends one finished job's slowdown (response over isolated
 // runtime), in reporting order. Substrates that cannot compute an isolated
 // baseline record none.
-func (r *Result) RecordSlowdown(s float64) { r.slowdowns = append(r.slowdowns, s) }
+func (r *Result) RecordSlowdown(s float64) {
+	if r.slowdowns == nil {
+		r.slowdowns = make([]float64, 0, cap(r.responses))
+	}
+	r.slowdowns = append(r.slowdowns, s)
+}
 
 // Count is the number of recorded jobs.
 func (r *Result) Count() int { return len(r.responses) }

@@ -1,14 +1,13 @@
 // Streaming kernel: the substrate-neutral machinery both simulators stream
 // traces through. A Stream yields one item at a time in nondecreasing arrival
 // order; a StreamCursor adapts it, backed by a SlabPool, to a run loop's
-// peek/pop arrival split. The fluid simulator has that one cursor (its
-// materialized Run streams the slice); the task engine also walks a
-// pre-materialized record list (SliceCursor) behind the Cursor interface,
-// because deep-copying every job into a pooled record doubles what its
-// materialized Run allocates. The contract moved here from internal/fluid so the
-// trace substrate no longer has to import a simulator for the JobSpec type:
-// fluid and trace alias Source/JobSpec from this package, and the task-level
-// engine instantiates the same generics over job.Spec.
+// peek/pop arrival split. Each simulator has one run loop fed by one such
+// cursor, and its Run is a collector over that loop: fluid streams the slice
+// itself, the task engine references to the slice's specs in arrival order.
+// The contract moved here from internal/fluid so the trace substrate no
+// longer has to import a simulator for the JobSpec type: fluid and trace
+// alias Source/JobSpec from this package, and the task-level engine
+// instantiates the same generics over its own job references.
 package substrate
 
 // Stream yields the items of a trace one at a time in nondecreasing arrival
@@ -94,48 +93,10 @@ func (s *stridedStream[S]) Next() (S, bool, error) {
 	}
 }
 
-// Cursor feeds the task engine's run loop its arrival stream: Peek reports
+// StreamCursor adapts a Stream to a run loop's arrival split: Peek reports
 // the next arrival time (or that the stream is exhausted, or a source error),
-// and Pop consumes the peeked record. The engine's materialized run walks its
-// pre-sorted record list (SliceCursor); its streaming run pulls specs from a
-// Stream and materializes records from a free-list pool on demand
-// (StreamCursor). Both feed one event loop, so the operations — and their
-// floating-point order — are identical, which is what makes the engine's
-// streaming-versus-materialized differential byte-exact.
-type Cursor[R any] interface {
-	Peek() (arrival float64, ok bool, err error)
-	Pop() *R
-}
-
-// SliceCursor walks the engine's materialized record list, pre-sorted by
-// arrival.
-type SliceCursor[R any] struct {
-	// List is the pre-sorted record list (stable on trace order).
-	List []*R
-	// Arrival extracts a record's arrival time.
-	Arrival func(*R) float64
-
-	i int
-}
-
-// Peek reports the next record's arrival time, or exhaustion.
-func (c *SliceCursor[R]) Peek() (float64, bool, error) {
-	if c.i >= len(c.List) {
-		return 0, false, nil
-	}
-	return c.Arrival(c.List[c.i]), true, nil
-}
-
-// Pop consumes the peeked record.
-func (c *SliceCursor[R]) Pop() *R {
-	x := c.List[c.i]
-	c.i++
-	return x
-}
-
-// StreamCursor adapts a Stream to the arrival-cursor contract: Peek reads one
-// spec ahead (validating it), Pop materializes the run's record from the
-// free-list pool via the Fill hook. Completed records return to the pool
+// reading and validating one spec ahead; Pop materializes the run's record
+// from the free-list pool via the Fill hook. Completed records return to the pool
 // through the consuming run's completion path, so run state is bounded by the
 // peak number of live records, not the stream length.
 type StreamCursor[S, R any] struct {

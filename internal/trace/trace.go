@@ -72,29 +72,30 @@ func (c *FacebookConfig) validate() error {
 	if c.Jobs <= 0 {
 		return fmt.Errorf("trace: jobs must be positive, got %d", c.Jobs)
 	}
-	if c.Load <= 0 || c.Load >= 2 {
+	// Every float check is written so that NaN fails it.
+	if !(c.Load > 0 && c.Load < 2) {
 		return fmt.Errorf("trace: load must be in (0,2), got %v", c.Load)
 	}
-	if c.Capacity <= 0 {
-		return fmt.Errorf("trace: capacity must be positive, got %v", c.Capacity)
+	if !positive(c.Capacity) {
+		return fmt.Errorf("trace: capacity must be finite and positive, got %v", c.Capacity)
 	}
-	if c.MeanSize <= 0 {
-		return fmt.Errorf("trace: mean size must be positive, got %v", c.MeanSize)
+	if !positive(c.MeanSize) {
+		return fmt.Errorf("trace: mean size must be finite and positive, got %v", c.MeanSize)
 	}
-	if c.Sigma < 0 {
-		return fmt.Errorf("trace: sigma must be >= 0, got %v", c.Sigma)
+	if !(c.Sigma >= 0) || math.IsInf(c.Sigma, 1) {
+		return fmt.Errorf("trace: sigma must be finite and >= 0, got %v", c.Sigma)
 	}
-	if c.TailFraction < 0 || c.TailFraction > 1 {
+	if !(c.TailFraction >= 0 && c.TailFraction <= 1) {
 		return fmt.Errorf("trace: tail fraction must be in [0,1], got %v", c.TailFraction)
 	}
-	if c.TailFraction > 0 && c.TailAlpha <= 0 {
-		return fmt.Errorf("trace: tail alpha must be positive, got %v", c.TailAlpha)
+	if c.TailFraction > 0 && !positive(c.TailAlpha) {
+		return fmt.Errorf("trace: tail alpha must be finite and positive, got %v", c.TailAlpha)
 	}
-	if c.MaxSize <= 0 {
-		return fmt.Errorf("trace: max size must be positive, got %v", c.MaxSize)
+	if !positive(c.MaxSize) {
+		return fmt.Errorf("trace: max size must be finite and positive, got %v", c.MaxSize)
 	}
-	if c.WidthTaskDuration <= 0 {
-		return fmt.Errorf("trace: width task duration must be positive, got %v", c.WidthTaskDuration)
+	if !positive(c.WidthTaskDuration) {
+		return fmt.Errorf("trace: width task duration must be finite and positive, got %v", c.WidthTaskDuration)
 	}
 	return nil
 }
@@ -161,8 +162,8 @@ func Uniform(n int, size float64, seed int64) ([]JobSpec, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("trace: jobs must be positive, got %d", n)
 	}
-	if size <= 0 {
-		return nil, fmt.Errorf("trace: size must be positive, got %v", size)
+	if !positive(size) {
+		return nil, fmt.Errorf("trace: size must be finite and positive, got %v", size)
 	}
 	_ = seed // retained for API stability; the uniform trace is deterministic
 	specs := make([]JobSpec, n)
@@ -214,6 +215,9 @@ func ReadCSV(r io.Reader) ([]JobSpec, error) {
 	}
 	return Collect(src)
 }
+
+// positive reports whether x is finite and > 0; NaN is not.
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // validateSpec rejects trace rows no simulator run could make sense of:
 // non-finite or negative arrivals, non-positive or non-finite sizes and

@@ -136,6 +136,29 @@ func TestFacebookValidation(t *testing.T) {
 			t.Errorf("mutation %d: expected validation error", i)
 		}
 	}
+
+	// NaN and +Inf fail every float check, with an error naming the field.
+	for _, tc := range []struct {
+		field  string
+		mutate func(*FacebookConfig, float64)
+	}{
+		{"load", func(c *FacebookConfig, x float64) { c.Load = x }},
+		{"capacity", func(c *FacebookConfig, x float64) { c.Capacity = x }},
+		{"mean size", func(c *FacebookConfig, x float64) { c.MeanSize = x }},
+		{"sigma", func(c *FacebookConfig, x float64) { c.Sigma = x }},
+		{"tail fraction", func(c *FacebookConfig, x float64) { c.TailFraction = x }},
+		{"tail alpha", func(c *FacebookConfig, x float64) { c.TailAlpha = x }},
+		{"max size", func(c *FacebookConfig, x float64) { c.MaxSize = x }},
+		{"width task duration", func(c *FacebookConfig, x float64) { c.WidthTaskDuration = x }},
+	} {
+		for _, x := range []float64{math.NaN(), math.Inf(1)} {
+			cfg := DefaultFacebookConfig()
+			tc.mutate(&cfg, x)
+			if _, err := NewFacebookSource(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s = %v: got %v, want an error naming the field", tc.field, x, err)
+			}
+		}
+	}
 }
 
 func TestUniform(t *testing.T) {
@@ -156,6 +179,11 @@ func TestUniform(t *testing.T) {
 	}
 	if _, err := Uniform(1, 0, 1); err == nil {
 		t.Error("expected error for zero size")
+	}
+	for _, size := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := Uniform(1, size, 1); err == nil || !strings.Contains(err.Error(), "size") {
+			t.Errorf("size %v: got %v, want an error naming the size", size, err)
+		}
 	}
 }
 

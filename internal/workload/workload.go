@@ -81,18 +81,25 @@ func Generate(cfg Config) ([]job.Spec, error) {
 
 // GenerateMix is Generate for a custom job mix.
 func GenerateMix(types []JobType, cfg Config) ([]job.Spec, error) {
-	if cfg.MeanInterval <= 0 {
-		return nil, fmt.Errorf("workload: mean interval must be positive, got %v", cfg.MeanInterval)
+	// Every float check is written so that NaN fails it.
+	if !(cfg.MeanInterval > 0) || math.IsInf(cfg.MeanInterval, 1) {
+		return nil, fmt.Errorf("workload: mean interval must be finite and positive, got %v", cfg.MeanInterval)
 	}
-	if cfg.DurationSigma < 0 {
-		return nil, fmt.Errorf("workload: duration sigma must be >= 0, got %v", cfg.DurationSigma)
+	if !(cfg.DurationSigma >= 0) || math.IsInf(cfg.DurationSigma, 1) {
+		return nil, fmt.Errorf("workload: duration sigma must be finite and >= 0, got %v", cfg.DurationSigma)
+	}
+	if math.IsNaN(cfg.SizeErrorFactor) || math.IsInf(cfg.SizeErrorFactor, 0) {
+		return nil, fmt.Errorf("workload: size error factor must be finite, got %v", cfg.SizeErrorFactor)
 	}
 	for _, jt := range types {
 		if jt.Maps <= 0 || jt.Reduces < 0 || jt.Count < 0 {
 			return nil, fmt.Errorf("workload: invalid type %q", jt.Name)
 		}
-		if jt.MapMean <= 0 || (jt.Reduces > 0 && jt.ReduceMean <= 0) {
-			return nil, fmt.Errorf("workload: type %q has non-positive task means", jt.Name)
+		if !(jt.MapMean > 0) || math.IsInf(jt.MapMean, 1) {
+			return nil, fmt.Errorf("workload: type %q: map mean must be finite and positive, got %v", jt.Name, jt.MapMean)
+		}
+		if jt.Reduces > 0 && (!(jt.ReduceMean > 0) || math.IsInf(jt.ReduceMean, 1)) {
+			return nil, fmt.Errorf("workload: type %q: reduce mean must be finite and positive, got %v", jt.Name, jt.ReduceMean)
 		}
 	}
 

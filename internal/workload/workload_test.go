@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"lasmq/internal/job"
@@ -234,5 +235,33 @@ func TestGenerateValidation(t *testing.T) {
 	bad = []JobType{{Name: "x", Maps: 1, Reduces: 1, Count: 1, MapMean: 1, ReduceMean: 0}}
 	if _, err := GenerateMix(bad, DefaultConfig()); err == nil {
 		t.Error("expected error for zero reduce mean")
+	}
+
+	// Non-finite values fail too, with an error naming the field.
+	nan, inf := math.NaN(), math.Inf(1)
+	mix := func(mapMean, reduceMean float64) []JobType {
+		return []JobType{{Name: "x", Maps: 2, Reduces: 1, Count: 3, MapMean: mapMean, ReduceMean: reduceMean}}
+	}
+	for _, tc := range []struct {
+		name  string
+		types []JobType
+		cfg   func(*Config)
+		field string
+	}{
+		{"NaN interval", TableI(), func(c *Config) { c.MeanInterval = nan }, "mean interval"},
+		{"+Inf interval", TableI(), func(c *Config) { c.MeanInterval = inf }, "mean interval"},
+		{"NaN sigma", TableI(), func(c *Config) { c.DurationSigma = nan }, "duration sigma"},
+		{"+Inf sigma", TableI(), func(c *Config) { c.DurationSigma = inf }, "duration sigma"},
+		{"NaN size error", TableI(), func(c *Config) { c.SizeErrorFactor = nan }, "size error factor"},
+		{"+Inf size error", TableI(), func(c *Config) { c.SizeErrorFactor = inf }, "size error factor"},
+		{"NaN map mean", mix(nan, 1), func(*Config) {}, "map mean"},
+		{"+Inf map mean", mix(inf, 1), func(*Config) {}, "map mean"},
+		{"NaN reduce mean", mix(1, nan), func(*Config) {}, "reduce mean"},
+	} {
+		cfg := DefaultConfig()
+		tc.cfg(&cfg)
+		if _, err := GenerateMix(tc.types, cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.field)
+		}
 	}
 }
