@@ -47,3 +47,26 @@ func TestAdmissionLimitEdgeCasesFluid(t *testing.T) {
 			unlimited.MeanResponseTime(), above.MeanResponseTime())
 	}
 }
+
+// TestFinishedAtAdmissionCompletesUnserved guards the round's advance: a job
+// that is finished when it is admitted (edgeTrace's 1e-10 job) completes at
+// the end of the first round after its admission even though FIFO gives it
+// no share, with and without an admission cap.
+func TestFinishedAtAdmissionCompletesUnserved(t *testing.T) {
+	for _, tc := range []struct {
+		limit int
+		want  float64 // the end of the first round after job 3's admission
+	}{
+		{0, 2},  // admitted at t = 1; job 1 completes at t = 2
+		{2, 12}, // admitted at t = 2, when job 1 leaves; job 2 completes at t = 12
+	} {
+		cfg := fluid.Config{Capacity: 10, TaskDuration: 1, MaxRunningJobs: tc.limit}
+		res, err := fluid.Run(edgeTrace(), sched.NewFIFO(), cfg)
+		if err != nil {
+			t.Fatalf("limit %d: %v", tc.limit, err)
+		}
+		if got := res.Jobs[2].Completed; got != tc.want {
+			t.Errorf("limit %d: job 3 completed at %v, want %v", tc.limit, got, tc.want)
+		}
+	}
+}

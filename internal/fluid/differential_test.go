@@ -273,17 +273,12 @@ func TestStridedPartition(t *testing.T) {
 	}
 }
 
-// densePolicies extends diffPolicies to every policy and wrapper: the
-// pinned ones (SRPT, Gittins, Adaptive, Blend, QueueRecorder) and PS, SJF and
-// SRTF.
+// densePolicies is pinnedPolicies by name: every policy and wrapper.
 func densePolicies(t *testing.T) map[string]func() (sched.Scheduler, error) {
-	out := diffPolicies(t)
+	out := make(map[string]func() (sched.Scheduler, error))
 	for _, p := range pinnedPolicies(t) {
 		out[p.name] = p.new
 	}
-	out["PS"] = func() (sched.Scheduler, error) { return sched.NewPS(), nil }
-	out["SJF"] = func() (sched.Scheduler, error) { return sched.NewSJF(), nil }
-	out["SRTF"] = func() (sched.Scheduler, error) { return sched.NewSRTF(), nil }
 	return out
 }
 
