@@ -53,6 +53,10 @@ lint:
 # QueueRecorder; LAS_MQ's map form is the dense form's oracle). The last grep
 # fences the adapters that survive only because benchmark/replay.go times them
 # (ViewSet's demand map, Quantizer.QuantizeInto), as eventq.Ladder is fenced.
+# The last two keep a fluid round paying for what it serves: LAS_MQ's dense
+# form has one sweep, driven by the change log, and the fluid simulator
+# registers its views (ViewSet.Begin) only in the rebuild that follows a
+# change to its active set.
 layering:
 	@bad=$$(grep -rn '"lasmq/internal/fluid"' internal/trace --include='*.go'; true); \
 	if [ -n "$$bad" ]; then \
@@ -104,6 +108,17 @@ layering:
 		echo "layering: ViewSet's demand map and Quantizer.QuantizeInto are kept for" \
 			"benchmark/replay.go alone; build sched.QuantRow rows instead:"; \
 		echo "$$bad"; exit 1; \
+	fi
+	@n=$$(grep -c 'func (s \*LASMQ) sweep' internal/core/dense.go); \
+	if [ "$$n" != 1 ]; then \
+		echo "layering: internal/core/dense.go holds one LAS_MQ sweep, driven by the" \
+			"change log; found $$n"; exit 1; \
+	fi
+	@n=$$(grep -c '\.Begin(' internal/fluid/fluid.go); \
+	rebuild=$$(grep -B2 '\.Begin(' internal/fluid/fluid.go | grep -c 'if s\.stale {'); \
+	if [ "$$n" != 1 ] || [ "$$rebuild" != 1 ]; then \
+		echo "layering: the fluid simulator registers its views only in the rebuild" \
+			"under 'if s.stale {' (found $$n Begin calls, $$rebuild in the rebuild)"; exit 1; \
 	fi
 	@echo "layering: ok"
 

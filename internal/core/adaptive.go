@@ -74,8 +74,7 @@ type Adaptive struct {
 	inner *LASMQ // driven through its dense forms
 
 	recs       []adaptiveRec // by slot: the job holding it and its last attained service
-	epoch      uint32
-	history    []float64 // completed-job sizes (sliding window)
+	history    []float64     // completed-job sizes (sliding window)
 	sinceRefit int
 	refits     int
 	totalSeen  int
@@ -90,8 +89,7 @@ type Adaptive struct {
 // adaptiveRec is Adaptive's record of the job holding a slot.
 type adaptiveRec struct {
 	id       int
-	attained float64 // at the last observation
-	epoch    uint32  // the observation that last saw the job
+	attained float64 // when the change log last named the job
 	live     bool
 }
 
@@ -183,16 +181,16 @@ func (a *Adaptive) Horizon(now float64, jobs []sched.JobView, alloc sched.Assign
 
 // AssignDense implements sched.DenseAssigner: record completions, refit if
 // due, then delegate to the inner LAS_MQ.
-func (a *Adaptive) AssignDense(now, capacity float64, jobs []sched.JobView, slots []int32, shares []float64) {
-	a.observe(now, jobs, slots)
-	a.inner.AssignDense(now, capacity, jobs, slots, shares)
+func (a *Adaptive) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares []float64) {
+	a.observe(now, jobs, slots, changed, freed)
+	a.inner.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
 }
 
 // ObserveDense implements sched.DenseObserver: exactly the state mutation
 // AssignDense performs, without computing an allocation.
-func (a *Adaptive) ObserveDense(now float64, jobs []sched.JobView, slots []int32) {
-	a.observe(now, jobs, slots)
-	a.inner.ObserveDense(now, jobs, slots)
+func (a *Adaptive) ObserveDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
+	a.observe(now, jobs, slots, changed, freed)
+	a.inner.ObserveDense(now, jobs, slots, changed, freed)
 }
 
 // ObserveHorizonDense implements sched.DenseObserver: the completion-size
@@ -206,30 +204,35 @@ func (a *Adaptive) HorizonDense(now float64, jobs []sched.JobView, slots []int32
 	return a.inner.HorizonDense(now, jobs, slots, shares)
 }
 
-// observe tracks live jobs' attained service by slot; a job no view names any
-// more (or whose slot another job holds) completed with its last attained
-// service as size. Sizes join the history in ascending job-ID order, so the
-// fitted ladder does not depend on the order jobs left in. Then it refits if
-// due.
-func (a *Adaptive) observe(now float64, jobs []sched.JobView, slots []int32) {
-	a.epoch++
+// observe keeps each live job's attained service by slot from the change
+// log (see internal/sched/dense.go): a job whose slot was freed left with the
+// attained service of the last call that saw it as its size — the last call
+// whose log named it, as a job no later log names received no service since.
+// Sizes join the history in ascending job-ID order, so the fitted ladder does
+// not depend on the order jobs left in. Then it refits if due.
+func (a *Adaptive) observe(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
 	departed := a.departed[:0]
-	for i, j := range jobs {
+	for _, slot := range freed {
+		if int(slot) < len(a.recs) && a.recs[slot].live {
+			departed = append(departed, a.recs[slot])
+			a.recs[slot].live = false
+		}
+	}
+	n := len(changed)
+	if changed == nil {
+		n = len(jobs)
+	}
+	for k := 0; k < n; k++ {
+		i := k
+		if changed != nil {
+			i = int(changed[k])
+		}
 		slot := int(slots[i])
 		if have := len(a.recs); slot >= have {
 			want := max(slot+1, len(jobs), 2*have, minSlotRecs)
 			a.recs = append(a.recs, make([]adaptiveRec, want-have)...)
 		}
-		if r := &a.recs[slot]; r.live && r.id != j.ID() {
-			departed = append(departed, *r) // reissued
-		}
-		a.recs[slot] = adaptiveRec{id: j.ID(), attained: j.Attained(), epoch: a.epoch, live: true}
-	}
-	for slot := range a.recs {
-		if r := &a.recs[slot]; r.live && r.epoch != a.epoch {
-			departed = append(departed, *r)
-			r.live = false
-		}
+		a.recs[slot] = adaptiveRec{id: jobs[i].ID(), attained: jobs[i].Attained(), live: true}
 	}
 	a.departed = departed
 	slices.SortFunc(departed, func(x, y adaptiveRec) int { return cmp.Compare(x.id, y.id) })

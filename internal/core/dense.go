@@ -22,14 +22,16 @@ import (
 // slotRec is the dense path's record of the job holding a slot: what the map
 // path spreads over tracked, seen and remaining.
 type slotRec struct {
-	id     int     // the owner; a view with another ID means the slot was reissued
+	id     int     // the owner
 	seq    int     // with demand, the key the job's ordered-list entry is filed under
 	demand float64 // read only under OrderByDemand, like trackRec.demand
-	unmet  float64 // unmet ready demand: AssignDense's scratch
-	epoch  uint32  // the sweep that last saw the job
-	view   int32   // the job's index among that sweep's views
-	queue  int32
-	live   bool
+	// unmet is the job's ready demand when the log last named it, less what
+	// AssignDense granted since: serve decrements only a job it gives a
+	// nonzero share, and the next call's log names that job again.
+	unmet float64
+	view  int32 // the job's index among the latest call's views
+	queue int32
+	live  bool
 }
 
 // exitRec is one departure of a sweep, held until the exits can be emitted
@@ -74,18 +76,40 @@ func (s *LASMQ) orderKey(j sched.JobView) float64 {
 	return 0
 }
 
-// sweepDense is sweep over slot records: demote-only queue updates, binary
-// insertion of arrivals and demoted jobs, in-place demand refresh, and removal
-// of departed jobs — a job departs when a sweep does not see it, or sees its
-// slot under another job's ID. Arrivals and demotions are emitted in view
-// order, exits after them in job-ID order, as sweep does. With unmet set the
-// walk also notes every job's ready demand for AssignDense.
-func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots []int32, unmet bool) {
+// sweepDense is sweep over slot records, driven by the change log (see
+// internal/sched/dense.go) in four steps: departures, from the freed slots;
+// the changed views, in view order — arrival and binary insertion,
+// demote-only queue update, in-place demand refresh, the unmet reset and the
+// view index; a flat re-stamp of every record's view index from the slot
+// column, when a job arrived or left and so the views may have moved; and
+// the exits, emitted after the arrivals and demotions in job-ID order, as
+// sweep does. Every view counts as changed when the log says so (changed is
+// nil) and after a refit, which re-places every job.
+func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
 	s.dense = true
-	s.epoch++
 	s.exits = s.exits[:0]
-	for i, j := range jobs {
-		slot := slots[i]
+	for _, slot := range freed {
+		if int(slot) >= len(s.recs) {
+			continue // left before any sweep saw it
+		}
+		if r := &s.recs[slot]; r.live {
+			s.removeEntry(int(r.queue), r.key(), int(slot))
+			s.exits = append(s.exits, exitRec{r.id, int(r.queue)})
+			r.live = false
+		}
+	}
+	all := changed == nil || s.replace
+	moved := len(freed) > 0
+	n := len(changed)
+	if all {
+		n = len(jobs)
+	}
+	for k := 0; k < n; k++ {
+		i := k
+		if !all {
+			i = int(changed[k])
+		}
+		j, slot := jobs[i], slots[i]
 		if have := len(s.recs); int(slot) >= have {
 			// Sized from the first round's view count, then geometrically.
 			want := max(int(slot)+1, len(jobs), 2*have, minSlotRecs)
@@ -94,13 +118,6 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots []int32, unm
 		r := &s.recs[slot]
 		id := j.ID()
 		m := s.metric(j)
-		if r.live && r.id != id {
-			// Reissued before a sweep ran without its previous owner.
-			s.removeEntry(int(r.queue), r.key(), int(slot))
-			s.exits = append(s.exits, exitRec{r.id, int(r.queue)})
-			r.live = false
-			s.nlive--
-		}
 		if s.replace {
 			// Re-placement under a refitted ladder: placed from attained
 			// service, demoted from there, appended for restoreOrder to sort.
@@ -108,8 +125,6 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots []int32, unm
 			q := s.levels.Demote(from, m)
 			if r.live {
 				s.removeEntry(int(r.queue), r.key(), int(slot))
-			} else {
-				s.nlive++
 			}
 			*r = slotRec{id: id, seq: j.Seq(), demand: s.orderKey(j), queue: int32(q), live: true}
 			s.ordered[q] = append(s.ordered[q], ordEntry{demand: r.demand, seq: r.seq, id: int(slot)})
@@ -123,7 +138,7 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots []int32, unm
 			q := s.levels.Demote(0, m)
 			s.insertEntry(q, ordEntry{demand: d, seq: seq, id: int(slot)})
 			*r = slotRec{id: id, seq: seq, demand: d, queue: int32(q), live: true}
-			s.nlive++
+			moved = true
 			if s.probe != nil {
 				s.probe.QueueEnter(now, id, q)
 			}
@@ -147,31 +162,16 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots []int32, unm
 				r.demand = d
 			}
 		}
-		r.epoch, r.view = s.epoch, int32(i)
-		if unmet {
-			r.unmet = 0
-			if d := j.ReadyDemand(); d > 0 {
-				r.unmet = d
-			}
+		r.unmet = 0
+		if d := j.ReadyDemand(); d > 0 {
+			r.unmet = d
 		}
+		r.view = int32(i)
 	}
-	// Every view has a live record stamped with this epoch, so records and
-	// views differ in number only when some record was not seen: drop those,
-	// keeping each list's order.
-	for q := 0; q < len(s.ordered) && s.nlive != len(jobs); q++ {
-		list := s.ordered[q]
-		kept := 0
-		for _, e := range list {
-			if r := &s.recs[e.id]; r.epoch != s.epoch {
-				s.exits = append(s.exits, exitRec{r.id, q})
-				r.live = false
-				s.nlive--
-				continue
-			}
-			list[kept] = e
-			kept++
+	if moved && !all {
+		for i, slot := range slots {
+			s.recs[slot].view = int32(i)
 		}
-		s.ordered[q] = list[:kept]
 	}
 	s.replace = false
 	if len(s.exits) > 1 {
@@ -185,16 +185,16 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots []int32, unm
 }
 
 // resetLevels installs a freshly fitted threshold ladder; the next sweep
-// re-places every job under it (placement, not demote-only). Used by the
-// adaptive wrapper's refit.
+// re-places every job under it (placement, not demote-only), as though the
+// log named every view. Used by the adaptive wrapper's refit.
 func (s *LASMQ) resetLevels(levels *mlq.Levels) {
 	s.levels = levels
 	s.replace = true
 }
 
 // ObserveDense implements sched.DenseObserver: Observe over slot records.
-func (s *LASMQ) ObserveDense(now float64, jobs []sched.JobView, slots []int32) {
-	s.sweepDense(now, jobs, slots, false)
+func (s *LASMQ) ObserveDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
+	s.sweepDense(now, jobs, slots, changed, freed)
 }
 
 // ObserveHorizonDense implements sched.DenseObserver: ObserveHorizon with the
@@ -231,9 +231,9 @@ func (s *LASMQ) ObserveHorizonDense(now float64, jobs []sched.JobView, slots []i
 // AssignDense implements sched.DenseAssigner: AssignInto over slot records,
 // operation for operation — the same budgets, the same min(budget, unmet)
 // grants in queue order, the same leftover spill.
-func (s *LASMQ) AssignDense(now, capacity float64, jobs []sched.JobView, slots []int32, shares []float64) {
+func (s *LASMQ) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares []float64) {
 	k := s.levels.Queues()
-	s.sweepDense(now, jobs, slots, true)
+	s.sweepDense(now, jobs, slots, changed, freed)
 	s.restoreOrder()
 
 	// Algorithm 2 line 1: split capacity across non-empty queues by weight.

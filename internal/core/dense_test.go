@@ -68,6 +68,7 @@ func TestDenseSlotLifetime(t *testing.T) {
 				usedIDs := map[int]bool{}
 				nextSeq := 0
 				freed := map[int32]bool{} // slots freed since the last round
+				var freedLog []int32      // the same, as the change log hands them over
 				reissued, unseen := 0, 0
 				arrive := func() {
 					id := rng.Intn(1 << 20)
@@ -89,6 +90,7 @@ func TestDenseSlotLifetime(t *testing.T) {
 				depart := func(k int) {
 					vs.FreeSlot(live[k].slot)
 					freed[live[k].slot] = true
+					freedLog = append(freedLog, live[k].slot)
 					gone = append(gone, live[k].view.JobID)
 					live = slices.Delete(live, k, k+1)
 				}
@@ -98,6 +100,7 @@ func TestDenseSlotLifetime(t *testing.T) {
 					// Departures first, so that this gap's arrivals reuse their
 					// slots; then a job the policy never sees.
 					clear(freed)
+					freedLog = freedLog[:0]
 					for n := rng.Intn(3); n > 0 && len(live) > 0; n-- {
 						depart(rng.Intn(len(live)))
 					}
@@ -139,7 +142,7 @@ func TestDenseSlotLifetime(t *testing.T) {
 
 					var hDense, hMap float64
 					if rng.Intn(3) == 0 {
-						dense.ObserveDense(now, views, slots)
+						dense.ObserveDense(now, views, slots, nil, freedLog)
 						mapped.Observe(now, views)
 						hDense = dense.ObserveHorizonDense(now, views, slots, rateCol)
 						hMap = mapped.ObserveHorizon(now, views, rates)
@@ -150,7 +153,7 @@ func TestDenseSlotLifetime(t *testing.T) {
 							shares[i] = math.NaN() // AssignDense must overwrite every element
 						}
 						alloc := sched.Assignment{}
-						dense.AssignDense(now, capacity, views, slots, shares)
+						dense.AssignDense(now, capacity, views, slots, nil, freedLog, shares)
 						mapped.AssignInto(now, capacity, views, alloc)
 						served := 0
 						for i, j := range live {
@@ -210,20 +213,43 @@ func steadyRound(n int) (views []sched.JobView, slots []int32) {
 }
 
 // TestDenseRoundZeroAlloc: once the first round has sized the slot records,
-// a steady dense LAS_MQ round — sweep, order check, shares, horizon — over
-// 1,000 views allocates nothing.
+// a steady dense LAS_MQ round over 1,000 views allocates nothing — one whose
+// log counts every view changed (sweep, order check, shares, horizon,
+// observation), and one whose log names only the views served last round and
+// a departure whose slot an arrival takes, as the fluid simulator's rounds do.
 func TestDenseRoundZeroAlloc(t *testing.T) {
 	mq := newLASMQ(t, nil)
 	views, slots := steadyRound(1000)
 	shares := make([]float64, len(views))
-	round := func() {
-		mq.AssignDense(1, 120, views, slots, shares)
+	full := func() {
+		mq.AssignDense(1, 120, views, slots, nil, nil, shares)
 		mq.HorizonDense(1, views, slots, shares)
-		mq.ObserveDense(1, views, slots)
+		mq.ObserveDense(1, views, slots, nil, nil)
 	}
-	round()
-	if avg := testing.AllocsPerRun(50, round); avg != 0 {
+	full()
+	if avg := testing.AllocsPerRun(50, full); avg != 0 {
 		t.Fatalf("steady dense round allocates %v allocs/op, want 0", avg)
+	}
+
+	// View 0's slot passes back and forth between two jobs.
+	swap := [2]sched.JobView{views[0], &schedtest.FakeJob{JobID: -1, JobSeq: 1 << 20, JobPriority: 1, ReadyVal: 2, RemainingVal: 1}}
+	changed, freed := make([]int32, 0, len(views)), []int32{slots[0]}
+	turn := 0
+	declared := func() {
+		turn++
+		views[0] = swap[turn%2]
+		changed = append(changed[:0], 0)
+		for i := 1; i < len(shares); i++ {
+			if shares[i] != 0 {
+				changed = append(changed, int32(i))
+			}
+		}
+		mq.AssignDense(2, 120, views, slots, changed, freed, shares)
+		mq.HorizonDense(2, views, slots, shares)
+	}
+	declared()
+	if avg := testing.AllocsPerRun(50, declared); avg != 0 {
+		t.Fatalf("dense round over a declared log allocates %v allocs/op, want 0", avg)
 	}
 }
 
@@ -256,7 +282,7 @@ func BenchmarkLASMQRound(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mq.AssignDense(1, 120, views, slots, shares)
+				mq.AssignDense(1, 120, views, slots, nil, nil, shares)
 				mq.HorizonDense(1, views, slots, shares)
 			}
 		})

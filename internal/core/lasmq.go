@@ -116,14 +116,11 @@ type LASMQ struct {
 	departed  []int
 
 	// The dense path's state (dense.go), in place of tracked, seen and
-	// remaining: one record per slot, the number of live ones, the sweep
-	// counter that stamps the records a sweep saw, and the departures a sweep
-	// found. dense is set by the first dense call and tells QueueOf and
-	// QueueSizes where to look; replace asks the next sweep to re-place every
-	// job under a refitted ladder (resetLevels).
+	// remaining: one record per slot and the departures a sweep found. dense
+	// is set by the first dense call and tells QueueOf and QueueSizes where to
+	// look; replace asks the next sweep to re-place every job under a refitted
+	// ladder (resetLevels).
 	recs    []slotRec
-	nlive   int
-	epoch   uint32
 	exits   []exitRec
 	dense   bool
 	replace bool

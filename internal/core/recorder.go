@@ -124,8 +124,8 @@ func (r *QueueRecorder) Horizon(now float64, jobs []sched.JobView, alloc sched.A
 }
 
 // AssignDense implements sched.DenseAssigner: delegate, then snapshot.
-func (r *QueueRecorder) AssignDense(now, capacity float64, jobs []sched.JobView, slots []int32, shares []float64) {
-	r.inner.AssignDense(now, capacity, jobs, slots, shares)
+func (r *QueueRecorder) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares []float64) {
+	r.inner.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
 	if r.last < 0 || now >= r.last+r.every {
 		r.last = now
 		r.samples = append(r.samples, QueueSample{Time: now, Sizes: append([]int(nil), r.sizes...)})
@@ -134,8 +134,8 @@ func (r *QueueRecorder) AssignDense(now, capacity float64, jobs []sched.JobView,
 
 // ObserveDense implements sched.DenseObserver by delegation, so skipped
 // rounds keep the queue state and the occupancy in sync.
-func (r *QueueRecorder) ObserveDense(now float64, jobs []sched.JobView, slots []int32) {
-	r.inner.ObserveDense(now, jobs, slots)
+func (r *QueueRecorder) ObserveDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
+	r.inner.ObserveDense(now, jobs, slots, changed, freed)
 }
 
 // ObserveHorizonDense implements sched.DenseObserver by delegation.

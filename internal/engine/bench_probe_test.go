@@ -106,14 +106,14 @@ type denseCounter struct {
 	assigns, observes int
 }
 
-func (c *denseCounter) AssignDense(now, capacity float64, jobs []sched.JobView, slots []int32, shares []float64) {
+func (c *denseCounter) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares []float64) {
 	c.assigns++
-	c.LASMQ.AssignDense(now, capacity, jobs, slots, shares)
+	c.LASMQ.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
 }
 
-func (c *denseCounter) ObserveDense(now float64, jobs []sched.JobView, slots []int32) {
+func (c *denseCounter) ObserveDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
 	c.observes++
-	c.LASMQ.ObserveDense(now, jobs, slots)
+	c.LASMQ.ObserveDense(now, jobs, slots, changed, freed)
 }
 
 // TestDenseRoundZeroAlloc pins the dense round contract on the engine: a

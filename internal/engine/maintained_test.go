@@ -71,14 +71,14 @@ func (p *roundRecorder) record(jobs []sched.JobView, slots []int32) {
 	p.slots = append(p.slots[:0], slots...)
 }
 
-func (p *roundRecorder) AssignDense(now, capacity float64, jobs []sched.JobView, slots []int32, shares []float64) {
+func (p *roundRecorder) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares []float64) {
 	p.record(jobs, slots)
-	p.LASMQ.AssignDense(now, capacity, jobs, slots, shares)
+	p.LASMQ.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
 }
 
-func (p *roundRecorder) ObserveDense(now float64, jobs []sched.JobView, slots []int32) {
+func (p *roundRecorder) ObserveDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
 	p.record(jobs, slots)
-	p.LASMQ.ObserveDense(now, jobs, slots)
+	p.LASMQ.ObserveDense(now, jobs, slots, changed, freed)
 }
 
 func (p *roundRecorder) ObserveHorizonDense(now float64, jobs []sched.JobView, slots []int32, rates []float64) float64 {

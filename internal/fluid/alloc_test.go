@@ -47,7 +47,9 @@ func streamMallocs(t *testing.T, policy string, jobs int) uint64 {
 // never on how many jobs stream through it. Fixed costs cancel in the
 // difference between a run at 2N jobs and one at N, so the gate is on the
 // marginal objects per job — a per-run cost cannot hide a per-job one, and a
-// per-job one cannot hide behind a long trace's small average. The collector
+// per-job one cannot hide behind a long trace's small average. Each round's
+// served-job list and the view registry's change log live in the pooled
+// arena, so a round that grew either per job would show here. The collector
 // is off and the test holds one P for the measurement (as
 // testing.AllocsPerRun does) so that the pooled arena is certain to survive
 // from the warm-up into both measured runs: sync.Pool drops its contents

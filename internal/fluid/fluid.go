@@ -97,7 +97,8 @@ type Result struct {
 type fluidJob struct {
 	spec     JobSpec
 	seq      int
-	slot     int32 // the view registry's handle for this job, held while active
+	slot     int32 // the view registry's handle for this job, held while active; -1 once done
+	idx      int32 // the job's index among the registered views
 	attained float64
 	rate     float64
 	view     jobView // embedded adapter, reused across rounds
@@ -239,15 +240,20 @@ func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 }
 
 // arena is the run state that outlives a run: the job-record pool, the
-// active-job list and the view registry keep their backing storage. Arenas
-// are pooled, so repeated runs on one worker — the policies of a sweep, the
-// seeds of a replication, the shards one worker advances — reuse the records
-// earlier runs carved instead of allocating one per live job per run.
+// active-job and served-job lists and the view registry keep their backing
+// storage, the lists grown from substrate.Grow's floor. Arenas are pooled, so
+// repeated runs on one worker — the policies of a sweep, the seeds of a
+// replication, the shards one worker advances — reuse the records earlier
+// runs carved instead of allocating one per live job per run.
 type arena struct {
 	// jobs recycles the fluidJob records: a run holds only the jobs that are
 	// live at once. scrub rewinds it, so each run reads a fresh pool's Stats.
 	jobs   substrate.SlabPool[fluidJob]
 	active []*fluidJob
+	// served lists, in view order, the jobs a round visits — those the policy
+	// served and those admitted since the previous round — and, once the
+	// round has advanced, those of them it served that are still active.
+	served []*fluidJob
 	vs     substrate.ViewSet
 }
 
@@ -260,6 +266,8 @@ func (a *arena) scrub() {
 	a.jobs.Rewind()
 	clear(a.active)
 	a.active = a.active[:0]
+	clear(a.served)
+	a.served = a.served[:0]
 	a.vs.Reset()
 }
 
@@ -281,6 +289,12 @@ type sim struct {
 	each func(JobResult) // per-completion sink, may be nil
 	out  *StreamResult   // accumulated in place as the run advances
 	now  float64
+
+	// stale says the active set changed since the views were registered;
+	// fresh counts the jobs admitted since the previous round, the tail of
+	// the active list.
+	stale bool
+	fresh int
 }
 
 // newSim wires a run over a pooled arena. The caller must stream (or
@@ -347,7 +361,9 @@ func (s *sim) admit() {
 	s.adm.Admit(func(j *fluidJob, seq int) {
 		j.seq = seq
 		j.slot = s.vs.TakeSlot()
-		s.active = append(s.active, j)
+		s.active = append(substrate.Grow(s.active, len(s.active)+1), j)
+		s.stale = true
+		s.fresh++
 		if s.probe != nil {
 			s.probe.JobAdmitted(s.now, j.spec.ID, math.Max(0, s.now-j.spec.Arrival))
 		}
@@ -393,21 +409,49 @@ func (s *sim) run() error {
 			continue
 		}
 
-		// Build views and ask the policy for shares through the kernel driver:
-		// shares[i] is the share of s.active[i].
-		s.vs.Begin(false, false)
-		for _, j := range s.active {
-			s.vs.AddSlot(&j.view, j.slot)
+		// Register the views when the active set changed, and tell the policy
+		// which jobs moved since its previous call: those served last round,
+		// then those admitted since, the tail of the active list. A job the
+		// policy did not serve kept its attained service and demands.
+		if s.stale {
+			s.stale = false
+			s.vs.Begin(false, false)
+			for i, j := range s.active {
+				j.idx = int32(i)
+				s.vs.AddSlot(&j.view, j.slot)
+			}
 		}
+		for _, j := range s.served {
+			s.vs.MarkChanged(int(j.idx))
+		}
+		first := len(s.active) - s.fresh
+		for i := first; i < len(s.active); i++ {
+			s.vs.MarkChanged(i)
+		}
+		s.fresh = 0
+		// shares[i] is the share of s.active[i].
 		shares := s.driver.Shares(s.now, capacity, &s.vs)
 		out.Rounds++
 
-		// Apply rates (defensively capped by width).
-		for i, j := range s.active {
-			j.rate = math.Min(shares[i], j.spec.Width)
+		// One flat scan of the share column finds the jobs this round visits,
+		// in view order: those with a share, and those just admitted, which
+		// may be finished on arrival. Rates are defensively capped by width.
+		// Every other job adds x + 0·dt to its attained service and nothing
+		// to Delivered, so skipping it changes no bits.
+		visit := substrate.Grow(s.served[:0], len(s.active)-first+1)
+		for i, x := range shares {
+			if x == 0 && i < first {
+				continue
+			}
+			j := s.active[i]
+			if math.IsNaN(x) {
+				return fmt.Errorf("fluid: %s gave job %d a NaN share at t=%v", s.driver.Name(), j.spec.ID, s.now)
+			}
+			j.rate = math.Min(x, j.spec.Width)
 			if j.rate < 0 {
 				j.rate = 0
 			}
+			visit = append(visit, j)
 		}
 
 		// Next event: arrival, earliest completion, policy horizon, step cap.
@@ -417,7 +461,7 @@ func (s *sim) run() error {
 		} else if ok {
 			next = t
 		}
-		for _, j := range s.active {
+		for _, j := range visit {
 			if j.rate > 0 {
 				if t := s.now + j.remaining()/j.rate; t < next {
 					next = t
@@ -439,18 +483,22 @@ func (s *sim) run() error {
 				s.now, len(s.active), total)
 		}
 
-		// Advance time and service.
+		// Advance time and service; the served jobs that stay active are the
+		// ones the next round tells the policy about.
 		dt := next - s.now
 		s.now = next
-		live := s.active[:0]
-		for _, j := range s.active {
+		served := visit[:0]
+		done := false
+		for _, j := range visit {
 			out.Delivered += j.rate * dt
 			j.attained += j.rate * dt
 			if j.attained > j.spec.Size {
 				j.attained = j.spec.Size
 			}
 			if !j.finished() {
-				live = append(live, j)
+				if shares[j.idx] != 0 {
+					served = append(served, j)
+				}
 				continue
 			}
 			s.adm.Done()
@@ -478,9 +526,22 @@ func (s *sim) run() error {
 				s.each(jr)
 			}
 			s.vs.FreeSlot(j.slot)
-			s.jobs.Put(j)
+			j.slot = -1
+			done = true
 		}
-		s.active = live
+		s.served = served
+		if done {
+			live := s.active[:0]
+			for _, j := range s.active {
+				if j.slot < 0 {
+					s.jobs.Put(j)
+					continue
+				}
+				live = append(live, j)
+			}
+			s.active = live
+			s.stale = true
+		}
 	}
 	return nil
 }

@@ -106,14 +106,14 @@ func (b *Blend) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
 
 // AssignDense implements DenseAssigner: each active component's share column,
 // mixed.
-func (b *Blend) AssignDense(now, capacity float64, jobs []JobView, slots []int32, shares []float64) {
+func (b *Blend) AssignDense(now, capacity float64, jobs []JobView, slots, changed, freed []int32, shares []float64) {
 	if b.theta == 0 || b.theta == 1 {
-		b.parts[int(b.theta)].assigner.AssignDense(now, capacity, jobs, slots, shares)
+		b.parts[int(b.theta)].assigner.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
 		return
 	}
 	ps, ss := sizeShares(&b.ps, len(jobs)), sizeShares(&b.ss, len(jobs))
-	b.parts[0].assigner.AssignDense(now, capacity, jobs, slots, ps)
-	b.parts[1].assigner.AssignDense(now, capacity, jobs, slots, ss)
+	b.parts[0].assigner.AssignDense(now, capacity, jobs, slots, changed, freed, ps)
+	b.parts[1].assigner.AssignDense(now, capacity, jobs, slots, changed, freed, ss)
 	for i := range shares {
 		shares[i] = (1-b.theta)*ps[i] + b.theta*ss[i]
 	}
@@ -126,10 +126,10 @@ func (b *Blend) active(i int) bool { return (i == 0 && b.theta < 1) || (i == 1 &
 // ObserveDense implements DenseObserver by forwarding to the active stateful
 // components, so a blend wrapping LAS_MQ keeps its queue state in sync even
 // at instants the engine skips a full scheduling round.
-func (b *Blend) ObserveDense(now float64, jobs []JobView, slots []int32) {
+func (b *Blend) ObserveDense(now float64, jobs []JobView, slots, changed, freed []int32) {
 	for i, part := range b.parts {
 		if part.observer != nil && b.active(i) {
-			part.observer.ObserveDense(now, jobs, slots)
+			part.observer.ObserveDense(now, jobs, slots, changed, freed)
 		}
 	}
 }

@@ -11,11 +11,27 @@ package sched
 // schedulable and takes back when the job leaves: unique among the views of
 // one round, below the peak number of schedulable jobs, and recycled. A
 // stateful policy keeps its per-job record in an array indexed by slot, so no
-// round hashes an ID. A slot may be reissued before the policy has run a
-// round without its previous owner: the policy must compare the record's job
-// ID with the view's and treat a mismatch as the old owner leaving and the
-// new one arriving. Stateless policies ignore slots, and callers that have
+// round hashes an ID. Stateless policies ignore slots, and callers that have
 // none pass nil.
+//
+// With each AssignDense and ObserveDense call comes the change log: what
+// moved since the policy's previous AssignDense or ObserveDense call.
+//
+//   - changed lists, ascending, the indices of the views whose metric or
+//     demand inputs may have moved: every job that arrived since, and every
+//     job the latest AssignDense granted a nonzero share, which has been
+//     served since. A view it does not name keeps its attained service,
+//     estimate and demands. nil means every view.
+//   - freed lists the slots taken back since, in the order they were freed.
+//     A slot may be reissued before the policy has run a round without its
+//     previous owner, so a slot in freed may also belong to a view in
+//     changed, a new job.
+//
+// A stateful policy keeps its records current from the log alone: departures
+// from freed, arrivals and moves from changed; stateless policies ignore it. A
+// substrate that cannot say what changed passes nil changed, which costs the
+// policy a pass over every view; one that passes a list keeps its views in the
+// order of the previous call unless a job arrived or left since.
 //
 // Every policy here and in internal/core answers densely, its map forms
 // MapForms over the dense ones; substrate.Driver drives any policy through
@@ -25,7 +41,7 @@ package sched
 // every element of shares (len(jobs); zero for an unserved job) with exactly
 // the share AssignInto would file under that job's ID.
 type DenseAssigner interface {
-	AssignDense(now, capacity float64, jobs []JobView, slots []int32, shares []float64)
+	AssignDense(now, capacity float64, jobs []JobView, slots, changed, freed []int32, shares []float64)
 }
 
 // DenseHinter is the dense form of Hinter: shares is the slice AssignDense
@@ -38,7 +54,7 @@ type DenseHinter interface {
 // bounds the growth rate of jobs[i]'s decision metric. An Observer that is no
 // ObserveHinter answers ObserveHorizonDense with now: it cannot be bounded.
 type DenseObserver interface {
-	ObserveDense(now float64, jobs []JobView, slots []int32)
+	ObserveDense(now float64, jobs []JobView, slots, changed, freed []int32)
 	ObserveHorizonDense(now float64, jobs []JobView, slots []int32, rates []float64) float64
 }
 
@@ -92,7 +108,7 @@ func newMapAdapter(p Scheduler) *mapAdapter {
 
 // AssignDense runs one map-form round — AssignInto into the adapter's buffer,
 // or Assign — and reads the assignment out once per view.
-func (m *mapAdapter) AssignDense(now, capacity float64, jobs []JobView, _ []int32, shares []float64) {
+func (m *mapAdapter) AssignDense(now, capacity float64, jobs []JobView, _, _, _ []int32, shares []float64) {
 	if m.buffered != nil {
 		m.buffered.AssignInto(now, capacity, jobs, m.alloc)
 		m.last = m.alloc
@@ -118,7 +134,7 @@ func (m *mapAdapter) HorizonDense(now float64, jobs []JobView, _ []int32, shares
 }
 
 // ObserveDense calls the map-form Observe.
-func (m *mapAdapter) ObserveDense(now float64, jobs []JobView, _ []int32) {
+func (m *mapAdapter) ObserveDense(now float64, jobs []JobView, _, _, _ []int32) {
 	m.observer.Observe(now, jobs)
 }
 
@@ -145,6 +161,9 @@ type MapForms struct {
 	held   []slotHold
 	call   uint64
 	free   []int32
+	// gone logs the slots freed since p's previous AssignDense or
+	// ObserveDense call: the log's freed list (changed is always nil).
+	gone []int32
 }
 
 type slotHold struct {
@@ -177,6 +196,7 @@ func (m *MapForms) slotsFor(p any, jobs []JobView) []int32 {
 			delete(m.slotOf, h.id)
 			m.held[slot].call = 0
 			m.free = append(m.free, int32(slot))
+			m.gone = append(m.gone, int32(slot))
 		}
 	}
 	for i, j := range jobs {
@@ -216,7 +236,9 @@ func (m *MapForms) Assign(p DenseAssigner, now, capacity float64, jobs []JobView
 // shares filed under their job IDs.
 func (m *MapForms) AssignInto(p DenseAssigner, now, capacity float64, jobs []JobView, out Assignment) {
 	shares := sizeShares(&m.col, len(jobs))
-	p.AssignDense(now, capacity, jobs, m.slotsFor(p, jobs), shares)
+	slots := m.slotsFor(p, jobs)
+	p.AssignDense(now, capacity, jobs, slots, nil, m.gone, shares)
+	m.gone = m.gone[:0]
 	sharesInto(jobs, shares, out)
 }
 
@@ -227,7 +249,9 @@ func (m *MapForms) Horizon(p DenseHinter, now float64, jobs []JobView, alloc Ass
 
 // Observe is p's map-form Observe.
 func (m *MapForms) Observe(p DenseObserver, now float64, jobs []JobView) {
-	p.ObserveDense(now, jobs, m.slotsFor(p, jobs))
+	slots := m.slotsFor(p, jobs)
+	p.ObserveDense(now, jobs, slots, nil, m.gone)
+	m.gone = m.gone[:0]
 }
 
 // ObserveHorizon is p's map-form ObserveHorizon.

@@ -35,7 +35,7 @@ func (f *Fair) AssignInto(now float64, capacity float64, jobs []JobView, out Ass
 }
 
 // AssignDense implements DenseAssigner.
-func (f *Fair) AssignDense(now, capacity float64, jobs []JobView, _ []int32, shares []float64) {
+func (f *Fair) AssignDense(now, capacity float64, jobs []JobView, _, _, _ []int32, shares []float64) {
 	weightedFill(&f.fill, capacity, jobs, func(j JobView) float64 {
 		p := j.Priority()
 		if p <= 0 {

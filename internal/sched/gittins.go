@@ -81,7 +81,7 @@ func (g *Gittins) Horizon(now float64, jobs []JobView, alloc Assignment) float64
 // totally orders with Seq as tie-break; an infinite index — a job past the
 // distribution's support or sitting on a completion atom — sorts first and is
 // driven to completion).
-func (g *Gittins) AssignDense(now, capacity float64, jobs []JobView, _ []int32, shares []float64) {
+func (g *Gittins) AssignDense(now, capacity float64, jobs []JobView, _, _, _ []int32, shares []float64) {
 	table := g.lazyTable()
 	orderFill(&g.entries, capacity, jobs, func(j JobView) float64 {
 		return -table.Index(j.Attained())

@@ -52,7 +52,7 @@ func (l *LAS) AssignInto(now float64, capacity float64, jobs []JobView, out Assi
 }
 
 // AssignDense implements DenseAssigner.
-func (l *LAS) AssignDense(now, capacity float64, jobs []JobView, slots []int32, shares []float64) {
+func (l *LAS) AssignDense(now, capacity float64, jobs []JobView, slots, _, _ []int32, shares []float64) {
 	clear(shares)
 	entries := l.orderedEntries(jobs, slots)
 	i := 0

@@ -17,11 +17,11 @@ import (
 // slots) that records the slot column of every call.
 type slotSpy struct{ calls [][]int32 }
 
-func (s *slotSpy) AssignDense(_, _ float64, _ []sched.JobView, slots []int32, shares []float64) {
+func (s *slotSpy) AssignDense(_, _ float64, _ []sched.JobView, slots, _, _ []int32, shares []float64) {
 	clear(shares)
 	s.calls = append(s.calls, append([]int32(nil), slots...))
 }
-func (s *slotSpy) ObserveDense(float64, []sched.JobView, []int32) {}
+func (s *slotSpy) ObserveDense(float64, []sched.JobView, []int32, []int32, []int32) {}
 func (s *slotSpy) ObserveHorizonDense(now float64, _ []sched.JobView, _ []int32, _ []float64) float64 {
 	return now
 }
@@ -136,10 +136,12 @@ func runSlotRounds(t *testing.T, p sched.Scheduler, dense bool) ([]string, []byt
 		for _, id := range ids {
 			named[id] = true
 		}
+		var freed []int32 // the change log's freed list
 		for id := range live {
 			if !named[id] {
 				delete(live, id)
 				vs.FreeSlot(slotOf[id])
+				freed = append(freed, slotOf[id])
 			}
 		}
 		jobs := make([]sched.JobView, len(ids))
@@ -157,9 +159,9 @@ func runSlotRounds(t *testing.T, p sched.Scheduler, dense bool) ([]string, []byt
 		shares := make(sched.Assignment)
 		var horizon float64
 		if dense {
-			observer.ObserveDense(now, jobs, slots)
+			observer.ObserveDense(now, jobs, slots, nil, freed)
 			col := make([]float64, len(jobs))
-			assigner.AssignDense(now, 3, jobs, slots, col)
+			assigner.AssignDense(now, 3, jobs, slots, nil, nil, col)
 			for i, x := range col {
 				if x != 0 {
 					shares[jobs[i].ID()] = x

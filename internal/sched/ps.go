@@ -36,6 +36,6 @@ func (p *PS) AssignInto(now float64, capacity float64, jobs []JobView, out Assig
 }
 
 // AssignDense implements DenseAssigner.
-func (p *PS) AssignDense(now, capacity float64, jobs []JobView, _ []int32, shares []float64) {
+func (p *PS) AssignDense(now, capacity float64, jobs []JobView, _, _, _ []int32, shares []float64) {
 	weightedFill(&p.fill, capacity, jobs, func(JobView) float64 { return 1 }, shares)
 }

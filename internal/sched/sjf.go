@@ -35,7 +35,7 @@ func (s *SJF) AssignInto(now float64, capacity float64, jobs []JobView, out Assi
 }
 
 // AssignDense implements DenseAssigner.
-func (s *SJF) AssignDense(now, capacity float64, jobs []JobView, _ []int32, shares []float64) {
+func (s *SJF) AssignDense(now, capacity float64, jobs []JobView, _, _, _ []int32, shares []float64) {
 	orderFill(&s.entries, capacity, jobs, JobView.SizeHint, shares)
 }
 
@@ -72,6 +72,6 @@ func (s *SRTF) AssignInto(now float64, capacity float64, jobs []JobView, out Ass
 }
 
 // AssignDense implements DenseAssigner.
-func (s *SRTF) AssignDense(now, capacity float64, jobs []JobView, _ []int32, shares []float64) {
+func (s *SRTF) AssignDense(now, capacity float64, jobs []JobView, _, _, _ []int32, shares []float64) {
 	orderFill(&s.entries, capacity, jobs, JobView.RemainingSizeHint, shares)
 }

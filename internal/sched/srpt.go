@@ -72,7 +72,7 @@ func (s *SRPT) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
 
 // AssignDense implements DenseAssigner: every job with ready demand takes
 // min(demand, remaining capacity) in (remaining service, seq) order.
-func (s *SRPT) AssignDense(now, capacity float64, jobs []JobView, slots []int32, shares []float64) {
+func (s *SRPT) AssignDense(now, capacity float64, jobs []JobView, slots, _, _ []int32, shares []float64) {
 	entries := carriedEntries(&s.entries, &s.at, jobs, slots, exactRemaining)
 	insertionSortEntries(entries)
 	fillInOrder(entries, capacity, jobs, shares)
@@ -80,7 +80,7 @@ func (s *SRPT) AssignDense(now, capacity float64, jobs []JobView, slots []int32,
 
 // ObserveDense implements DenseObserver: nothing to replay, as the carried
 // order is only where the next round's repair starts.
-func (s *SRPT) ObserveDense(float64, []JobView, []int32) {}
+func (s *SRPT) ObserveDense(float64, []JobView, []int32, []int32, []int32) {}
 
 // ObserveHorizonDense implements DenseObserver: SRPT cannot bound it, so now.
 func (s *SRPT) ObserveHorizonDense(now float64, _ []JobView, _ []int32, _ []float64) float64 {

@@ -89,14 +89,15 @@ func (d *Driver) SetProbe(p obs.Probe) {
 // Name reports the policy name for results.
 func (d *Driver) Name() string { return d.policy.Name() }
 
-// Shares runs one full policy invocation over the views in vs and returns
-// the share column: shares[i] belongs to the i-th view added, zero for a job
-// the policy did not serve, valid until the next Shares call. Views without
-// a slot (ViewSet.Add) suit only a policy that keeps no per-job state. The
-// round invalidates the observation horizon, is the RoundExecuted event, and
-// reads the wall clock only for a listening histogram sink.
+// Shares runs one full policy invocation over the views in vs, handing the
+// policy vs's change log and clearing it, and returns the share column:
+// shares[i] belongs to the i-th view added, zero for a job the policy did not
+// serve, valid until the next Shares call. Views without a slot
+// (ViewSet.Add) suit only a policy that keeps no per-job state. The round
+// invalidates the observation horizon, is the RoundExecuted event, and reads
+// the wall clock only for a listening histogram sink.
 func (d *Driver) Shares(now, capacity float64, vs *ViewSet) []float64 {
-	vs.shares = grow(vs.shares[:0], len(vs.views))[:len(vs.views)]
+	vs.shares = Grow(vs.shares[:0], len(vs.views))[:len(vs.views)]
 	d.dirty = true
 	if d.probe != nil {
 		d.probe.RoundExecuted(now, len(vs.views))
@@ -105,7 +106,9 @@ func (d *Driver) Shares(now, capacity float64, vs *ViewSet) []float64 {
 	if d.latency != nil {
 		start = time.Now()
 	}
-	d.assigner.AssignDense(now, capacity, vs.views, vs.slots, vs.shares)
+	changed, freed := vs.log()
+	d.assigner.AssignDense(now, capacity, vs.views, vs.slots, changed, freed, vs.shares)
+	vs.clearLog()
 	if d.latency != nil {
 		d.latency.ObserveRoundLatency(time.Since(start).Seconds())
 	}
@@ -139,7 +142,8 @@ func (d *Driver) ObservationDue(now float64) bool {
 }
 
 // Observe replays the policy's per-round state mutation for a skipped round
-// over the views in vs. An empty view set is a no-op: a full round returns
+// over the views in vs, handing the policy vs's change log and clearing it.
+// An empty view set is a no-op that keeps the log: a full round returns
 // before invoking the policy when there is nothing to schedule, and skipped
 // rounds must match. When the policy hints horizons and vs carries rate
 // bounds, the next horizon is recorded and the dirty flag cleared, arming
@@ -148,7 +152,9 @@ func (d *Driver) Observe(now float64, vs *ViewSet) {
 	if d.observer == nil || vs.Len() == 0 {
 		return
 	}
-	d.observer.ObserveDense(now, vs.views, vs.slots)
+	changed, freed := vs.log()
+	d.observer.ObserveDense(now, vs.views, vs.slots, changed, freed)
+	vs.clearLog()
 	if d.rated && vs.hasRates {
 		d.obsHorizon = d.observer.ObserveHorizonDense(now, vs.views, vs.slots, vs.rateCol)
 		d.dirty = false

@@ -3,6 +3,7 @@ package substrate_test
 import (
 	"maps"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -291,7 +292,7 @@ func (p *bothForms) ObserveHorizon(now float64, jobs []sched.JobView, rates sche
 
 type denseAssign struct{ *bothForms }
 
-func (p denseAssign) AssignDense(now, capacity float64, jobs []sched.JobView, slots []int32, shares []float64) {
+func (p denseAssign) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares []float64) {
 	p.calls = append(p.calls, "AssignDense")
 	for i := range shares {
 		shares[i] = 10 * float64(slots[i])
@@ -307,7 +308,7 @@ func (p denseHint) HorizonDense(now float64, jobs []sched.JobView, slots []int32
 
 type denseObserve struct{ *bothForms }
 
-func (p denseObserve) ObserveDense(now float64, jobs []sched.JobView, slots []int32) {
+func (p denseObserve) ObserveDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
 	p.calls = append(p.calls, "ObserveDense")
 }
 
@@ -404,6 +405,81 @@ func TestViewSetSlots(t *testing.T) {
 	vs.Reset()
 	if got := vs.TakeSlot(); got != 0 {
 		t.Fatalf("TakeSlot after Reset = %d, want 0", got)
+	}
+}
+
+// logSpy is a stateful dense policy that records the change log of each
+// call: changed (nil when every view counts as changed) and freed.
+type logSpy struct {
+	changed [][]int32
+	freed   [][]int32
+}
+
+func (p *logSpy) Name() string { return "logspy" }
+func (p *logSpy) Assign(float64, float64, []sched.JobView) sched.Assignment {
+	panic("the driver calls the dense forms")
+}
+func (p *logSpy) Observe(float64, []sched.JobView) { panic("the driver calls the dense forms") }
+func (p *logSpy) record(changed, freed []int32) {
+	if changed != nil {
+		changed = append([]int32{}, changed...)
+	}
+	p.changed = append(p.changed, changed)
+	p.freed = append(p.freed, append([]int32{}, freed...))
+}
+func (p *logSpy) AssignDense(_, _ float64, _ []sched.JobView, _, changed, freed []int32, shares []float64) {
+	clear(shares)
+	p.record(changed, freed)
+}
+func (p *logSpy) ObserveDense(_ float64, _ []sched.JobView, _, changed, freed []int32) {
+	p.record(changed, freed)
+}
+func (p *logSpy) ObserveHorizonDense(now float64, _ []sched.JobView, _ []int32, _ []float64) float64 {
+	return now
+}
+
+// TestViewSetChangeLog: the driver hands the policy the slots freed since its
+// previous call and, once the substrate marks views, the views marked since
+// — every view until then — and clears the log; Begin drops the marks, an
+// empty round keeps the log for the next call, and Reset forgets the marking.
+func TestViewSetChangeLog(t *testing.T) {
+	p := &logSpy{}
+	d := substrate.NewDriver(p)
+	var vs substrate.ViewSet
+	register := func(ids ...int) {
+		vs.Begin(false, false)
+		for _, id := range ids {
+			vs.AddSlot(fakeView{id: id}, int32(id))
+		}
+	}
+	for range 3 {
+		vs.TakeSlot()
+	}
+	register(0, 1, 2)
+	d.Shares(0, 1, &vs) // nothing marked: every view
+	vs.FreeSlot(1)
+	register(0, 2)
+	d.Observe(1, &vs) // nothing marked: every view, and slot 1
+	vs.MarkChanged(1)
+	d.Shares(2, 1, &vs) // view 1 alone
+	d.Shares(3, 1, &vs) // nothing changed
+	vs.FreeSlot(2)
+	vs.MarkChanged(0) // dropped by the Begin below
+	register(0)
+	vs.MarkChanged(0)
+	register()
+	d.Observe(4, &vs) // no views: the policy is not called, the log waits
+	register(0)
+	vs.MarkChanged(0)
+	d.Shares(5, 1, &vs) // view 0, and slot 2
+	vs.Reset()
+	vs.TakeSlot()
+	register(0)
+	d.Shares(6, 1, &vs) // a fresh run: every view again
+	wantChanged := [][]int32{nil, nil, {1}, {}, {0}, nil}
+	wantFreed := [][]int32{{}, {1}, {}, {}, {2}, {}}
+	if !reflect.DeepEqual(p.changed, wantChanged) || !reflect.DeepEqual(p.freed, wantFreed) {
+		t.Fatalf("the policy was handed changed %#v and freed %v; want %#v and %v", p.changed, p.freed, wantChanged, wantFreed)
 	}
 }
 

@@ -2,19 +2,29 @@ package substrate
 
 import "lasmq/internal/sched"
 
-// ViewSet is the job-view registry a substrate refills every scheduling
-// round — or, when its views are persistent adapters over job state, whenever
-// the schedulable set changes: the sched.JobView slice handed to the policy,
-// plus what travels with it. Every substrate speaks the dense round contract (see
-// internal/sched/dense.go): it takes a slot for every job that becomes
-// schedulable (TakeSlot/FreeSlot), registers views with AddSlot, and reads
-// the policy's answer from the share column Driver.Shares fills — slots,
-// shares and the rate bounds (AddRate) are columns parallel to the views. The
-// ready-demand map (Begin(true, ·), SetDemand, Demand) and
-// the slotless Add have no product caller left: they are what
-// benchmark/replay.go's viewset replay times, fenced by `make layering` and
-// deleted with it. Everything reuses its backing storage across rounds, which
-// is what keeps the steady scheduling path allocation-free.
+// ViewSet is the job-view registry a substrate fills whenever the
+// schedulable set changes — every round, or, when its views are persistent
+// adapters over job state, only at arrivals and departures: the
+// sched.JobView slice handed to the policy, plus what travels with it. Every
+// substrate speaks the dense round contract (see internal/sched/dense.go): it
+// takes a slot for every job that becomes schedulable (TakeSlot/FreeSlot),
+// registers views with AddSlot, and reads the policy's answer from the share
+// column Driver.Shares fills — slots, shares and the rate bounds (AddRate)
+// are columns parallel to the views.
+//
+// The ViewSet also keeps the contract's change log, which Driver.Shares and
+// Driver.Observe hand to the policy and then clear: FreeSlot logs the freed
+// slot, and MarkChanged the index of a view whose inputs may have moved. A
+// substrate that never marks a view — the engine, yarn and geo, whose every
+// view moves between calls — has every view counted as changed at every
+// call; the fluid simulator marks the jobs it served and those it admitted,
+// and the views it does not mark count as unchanged.
+//
+// The ready-demand map (Begin(true, ·), SetDemand, Demand) and the slotless
+// Add have no product caller left: they are what benchmark/replay.go's
+// viewset replay times, fenced by `make layering` and deleted with it.
+// Everything reuses its backing storage across rounds, which is what keeps
+// the steady scheduling path allocation-free.
 type ViewSet struct {
 	views    []sched.JobView
 	demand   map[int]float64
@@ -32,16 +42,25 @@ type ViewSet struct {
 	// reissued first.
 	issued int32
 	free   []int32
+
+	// The change log since the policy's previous call: the views marked
+	// changed, ascending, and the slots freed, in order. declared says the
+	// substrate marks views, so an unmarked one has not changed.
+	changed  []int32
+	freed    []int32
+	declared bool
 }
 
-// denseFloor is the smallest capacity a dense column or the slot free list
-// is grown to: a streamed run's live set starts at one job, and growing by
-// doubling from one would cost every fresh arena a dozen small allocations.
+// denseFloor is the smallest capacity a dense column, the slot free list or
+// the change log is grown to: a streamed run's live set starts at one job,
+// and growing by doubling from one would cost every fresh arena a dozen small
+// allocations.
 const denseFloor = 64
 
-// grow returns s with room for at least n elements, keeping its contents and
-// growing geometrically from denseFloor.
-func grow[T any](s []T, n int) []T {
+// Grow returns s with room for at least n elements, keeping its contents and
+// growing geometrically from denseFloor. The fluid simulator grows its job
+// lists with it too.
+func Grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s
 	}
@@ -59,13 +78,43 @@ func (vs *ViewSet) TakeSlot() int32 {
 	return vs.issued - 1
 }
 
-// FreeSlot takes a slot back from a job that left the schedulable set. It may
-// be reissued at once — before the policy has run a round without the job.
+// FreeSlot takes a slot back from a job that left the schedulable set and
+// logs it for the policy. It may be reissued at once — before the policy has
+// run a round without the job.
 func (vs *ViewSet) FreeSlot(slot int32) {
-	vs.free = append(grow(vs.free, len(vs.free)+1), slot)
+	vs.free = append(Grow(vs.free, len(vs.free)+1), slot)
+	vs.freed = append(Grow(vs.freed, len(vs.freed)+1), slot)
 }
 
-// Begin starts a new registration, clearing the views and the dense columns.
+// MarkChanged logs that the inputs of the i-th view registered — its
+// attained service, estimate or demands — may have moved since the policy's
+// previous call, or that the job is new to it. From its first mark on, a
+// substrate must mark every such view before each call, once, in ascending
+// order, after the registration they index: a view it does not mark is one
+// the policy skips. It keeps its views in the order of the previous call
+// unless a job arrived or left (see internal/sched/dense.go).
+func (vs *ViewSet) MarkChanged(i int) {
+	vs.declared = true
+	vs.changed = append(Grow(vs.changed, len(vs.changed)+1), int32(i))
+}
+
+// log returns the change log in the form the dense contract takes it: nil
+// changed until the substrate marks views.
+func (vs *ViewSet) log() (changed, freed []int32) {
+	if vs.declared {
+		changed = vs.changed
+	}
+	return changed, vs.freed
+}
+
+// clearLog empties the change log once the policy has been handed it.
+func (vs *ViewSet) clearLog() {
+	vs.changed = vs.changed[:0]
+	vs.freed = vs.freed[:0]
+}
+
+// Begin starts a new registration, clearing the views, the dense columns and
+// the marks, which index the views.
 // withRates says the rounds over it that feed a horizon-hinting policy's
 // observation carry rate bounds: one AddRate per view, in the order the views
 // were added. withDemand clears the ready-demand map for SetDemand
@@ -74,6 +123,7 @@ func (vs *ViewSet) Begin(withDemand, withRates bool) {
 	vs.views = vs.views[:0]
 	vs.slots = vs.slots[:0]
 	vs.rateCol = vs.rateCol[:0]
+	vs.changed = vs.changed[:0]
 	if withDemand {
 		if vs.demand == nil {
 			vs.demand = make(map[int]float64)
@@ -90,8 +140,8 @@ func (vs *ViewSet) Add(v sched.JobView) { vs.views = append(vs.views, v) }
 
 // AddSlot registers one schedulable job's view and the slot the job holds.
 func (vs *ViewSet) AddSlot(v sched.JobView, slot int32) {
-	vs.views = append(vs.views, v)
-	vs.slots = append(grow(vs.slots, len(vs.slots)+1), slot)
+	vs.views = append(Grow(vs.views, len(vs.views)+1), v)
+	vs.slots = append(Grow(vs.slots, len(vs.slots)+1), slot)
 }
 
 // AddRate records the metric-rate bound of the next view that has none
@@ -103,7 +153,7 @@ func (vs *ViewSet) AddRate(r float64) {
 	if len(vs.rateCol) == len(vs.views) {
 		vs.rateCol = vs.rateCol[:0]
 	}
-	vs.rateCol = append(grow(vs.rateCol, len(vs.rateCol)+1), r)
+	vs.rateCol = append(Grow(vs.rateCol, len(vs.rateCol)+1), r)
 }
 
 // SetDemand records a job's ready container demand (Begin(true, ·) rounds).
@@ -128,4 +178,6 @@ func (vs *ViewSet) Reset() {
 	vs.hasRates = false
 	vs.issued = 0
 	vs.free = vs.free[:0]
+	vs.clearLog()
+	vs.declared = false
 }

@@ -43,16 +43,16 @@ func (p *countingLASMQ) Observe(now float64, jobs []sched.JobView) {
 	p.LASMQ.Observe(now, jobs)
 }
 
-func (p *countingLASMQ) AssignDense(now, capacity float64, jobs []sched.JobView, slots []int32, shares []float64) {
+func (p *countingLASMQ) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares []float64) {
 	p.assignDense++
 	p.maxViews = max(p.maxViews, len(jobs))
-	p.LASMQ.AssignDense(now, capacity, jobs, slots, shares)
+	p.LASMQ.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
 }
 
-func (p *countingLASMQ) ObserveDense(now float64, jobs []sched.JobView, slots []int32) {
+func (p *countingLASMQ) ObserveDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
 	p.observeDense++
 	p.maxViews = max(p.maxViews, len(jobs))
-	p.LASMQ.ObserveDense(now, jobs, slots)
+	p.LASMQ.ObserveDense(now, jobs, slots, changed, freed)
 }
 
 // TestLASMQDrivenDenseLive: the live RM speaks the dense round contract, so a
