@@ -358,10 +358,15 @@ func (s *sim) stream() (*StreamResult, error) {
 // admit releases waiting jobs while the admission limit allows; released
 // jobs join the active set with their kernel-issued sequence number.
 func (s *sim) admit() {
+	n := s.adm.Waiting()
+	if limit := s.cfg.MaxRunningJobs; limit > 0 {
+		n = min(n, limit-s.adm.Running())
+	}
+	s.active = substrate.Grow(s.active, len(s.active)+n)
 	s.adm.Admit(func(j *fluidJob, seq int) {
 		j.seq = seq
 		j.slot = s.vs.TakeSlot()
-		s.active = append(substrate.Grow(s.active, len(s.active)+1), j)
+		s.active = append(s.active, j)
 		s.stale = true
 		s.fresh++
 		if s.probe != nil {
@@ -416,6 +421,7 @@ func (s *sim) run() error {
 		if s.stale {
 			s.stale = false
 			s.vs.Begin(false, false)
+			s.vs.Reserve(len(s.active))
 			for i, j := range s.active {
 				j.idx = int32(i)
 				s.vs.AddSlot(&j.view, j.slot)

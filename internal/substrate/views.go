@@ -1,6 +1,10 @@
 package substrate
 
-import "lasmq/internal/sched"
+import (
+	"slices"
+
+	"lasmq/internal/sched"
+)
 
 // ViewSet is the job-view registry a substrate fills whenever the
 // schedulable set changes — every round, or, when its views are persistent
@@ -57,14 +61,17 @@ type ViewSet struct {
 // allocations.
 const denseFloor = 64
 
-// Grow returns s with room for at least n elements, keeping its contents and
-// growing geometrically from denseFloor. The fluid simulator grows its job
-// lists with it too.
+// Grow returns s with room for at least n elements, keeping its contents:
+// at least denseFloor, then as append grows a slice (doubling while small, by
+// a quarter once large). The fluid simulator grows its job lists with it too.
 func Grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s
 	}
-	return append(make([]T, 0, max(denseFloor, 2*cap(s), n)), s...)
+	if cap(s) < denseFloor {
+		return append(make([]T, 0, max(denseFloor, n)), s...)
+	}
+	return slices.Grow(s, n-len(s))
 }
 
 // TakeSlot issues a slot for a job entering the schedulable set.
@@ -95,7 +102,10 @@ func (vs *ViewSet) FreeSlot(slot int32) {
 // unless a job arrived or left (see internal/sched/dense.go).
 func (vs *ViewSet) MarkChanged(i int) {
 	vs.declared = true
-	vs.changed = append(Grow(vs.changed, len(vs.changed)+1), int32(i))
+	if len(vs.changed) == cap(vs.changed) {
+		vs.changed = Grow(vs.changed, len(vs.views)) // there are no more marks than views
+	}
+	vs.changed = append(vs.changed, int32(i))
 }
 
 // log returns the change log in the form the dense contract takes it: nil
@@ -131,6 +141,14 @@ func (vs *ViewSet) Begin(withDemand, withRates bool) {
 		clear(vs.demand)
 	}
 	vs.hasRates = withRates
+}
+
+// Reserve makes room for n views in the registration just begun, so a
+// substrate that knows how many views it will add grows each column at most
+// once.
+func (vs *ViewSet) Reserve(n int) {
+	vs.views = Grow(vs.views, n)
+	vs.slots = Grow(vs.slots, n)
 }
 
 // Add registers one schedulable job's view for this round, without a slot
