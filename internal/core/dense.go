@@ -89,10 +89,9 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, fr
 	s.dense = true
 	s.exits = s.exits[:0]
 	for _, slot := range freed {
-		if int(slot) >= len(s.recs) {
-			continue // left before any sweep saw it
-		}
-		if r := &s.recs[slot]; r.live {
+		// A slot without a live record left before any sweep saw its job.
+		if int(slot) < len(s.recs) && s.recs[slot].live {
+			r := &s.recs[slot]
 			s.removeEntry(int(r.queue), r.key(), int(slot))
 			s.exits = append(s.exits, exitRec{r.id, int(r.queue)})
 			r.live = false

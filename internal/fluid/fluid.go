@@ -358,6 +358,8 @@ func (s *sim) stream() (*StreamResult, error) {
 // admit releases waiting jobs while the admission limit allows; released
 // jobs join the active set with their kernel-issued sequence number.
 func (s *sim) admit() {
+	// Room for every job the queue can release now: a batch arrival grows the
+	// active list once.
 	n := s.adm.Waiting()
 	if limit := s.cfg.MaxRunningJobs; limit > 0 {
 		n = min(n, limit-s.adm.Running())
