@@ -1,10 +1,6 @@
 package substrate
 
-import (
-	"slices"
-
-	"lasmq/internal/sched"
-)
+import "lasmq/internal/sched"
 
 // ViewSet is the job-view registry a substrate fills whenever the
 // schedulable set changes — every round, or, when its views are persistent
@@ -71,7 +67,7 @@ func Grow[T any](s []T, n int) []T {
 	if cap(s) < denseFloor {
 		return append(make([]T, 0, max(denseFloor, n)), s...)
 	}
-	return slices.Grow(s, n-len(s))
+	return append(s[:cap(s)], make([]T, n-cap(s))...)[:len(s)]
 }
 
 // TakeSlot issues a slot for a job entering the schedulable set.
@@ -158,7 +154,7 @@ func (vs *ViewSet) Add(v sched.JobView) { vs.views = append(vs.views, v) }
 
 // AddSlot registers one schedulable job's view and the slot the job holds.
 func (vs *ViewSet) AddSlot(v sched.JobView, slot int32) {
-	vs.views = append(Grow(vs.views, len(vs.views)+1), v)
+	vs.views = append(vs.views, v)
 	vs.slots = append(Grow(vs.slots, len(vs.slots)+1), slot)
 }
 
