@@ -53,10 +53,12 @@ lint:
 # QueueRecorder; LAS_MQ's map form is the dense form's oracle). The last grep
 # fences the adapters that survive only because benchmark/replay.go times them
 # (ViewSet's demand map, Quantizer.QuantizeInto), as eventq.Ladder is fenced.
-# The last two keep a fluid round paying for what it serves: LAS_MQ's dense
-# form has one sweep, driven by the change log, and the fluid simulator
-# registers its views (ViewSet.Begin) only in the rebuild that follows a
-# change to its active set.
+# The last four keep a fluid round paying for what it serves: LAS_MQ's dense
+# form has one sweep, driven by the change log; the fluid simulator never
+# re-registers its views (no ViewSet.Begin, one AddSlot, at admission: it
+# edits one registration, cutting completed jobs out); it finds the jobs a
+# round serves in the sparse answer's served list, never by ranging over the
+# share column; and LAS_MQ's HorizonDense walks that list, not the views.
 layering:
 	@bad=$$(grep -rn '"lasmq/internal/fluid"' internal/trace --include='*.go'; true); \
 	if [ -n "$$bad" ]; then \
@@ -115,10 +117,18 @@ layering:
 			"change log; found $$n"; exit 1; \
 	fi
 	@n=$$(grep -c '\.Begin(' internal/fluid/fluid.go); \
-	rebuild=$$(grep -B2 '\.Begin(' internal/fluid/fluid.go | grep -c 'if s\.stale {'); \
-	if [ "$$n" != 1 ] || [ "$$rebuild" != 1 ]; then \
-		echo "layering: the fluid simulator registers its views only in the rebuild" \
-			"under 'if s.stale {' (found $$n Begin calls, $$rebuild in the rebuild)"; exit 1; \
+	adds=$$(grep -c 'AddSlot(' internal/fluid/fluid.go); \
+	if [ "$$n" != 0 ] || [ "$$adds" != 1 ]; then \
+		echo "layering: the fluid simulator edits one registration — AddSlot at admission," \
+			"ViewSet.Cut at completion — and never rebuilds it (found $$n Begin calls," \
+			"$$adds AddSlot calls; want 0 and 1)"; exit 1; \
+	fi
+	@bad=$$(grep -nE 'range +shares\b' internal/fluid/fluid.go; \
+		awk '/^func \(s \*LASMQ\) HorizonDense\(/,/^}/' internal/core/dense.go | grep -n 'range jobs'; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: a fluid round reads the sparse answer's served list: fluid.go ranges" \
+			"over no share column, and LAS_MQ's HorizonDense walks no view list:"; \
+		echo "$$bad"; exit 1; \
 	fi
 	@echo "layering: ok"
 

@@ -215,7 +215,7 @@ func runReplicated(out io.Writer, opts experiments.Options, ropts runner.Options
 	if err != nil {
 		return err
 	}
-	ropts = ropts.Defaults()
+	ropts, _ = ropts.Defaults() // runner.Run accepted them
 	fmt.Fprintf(out, "== Replicated run: %d experiment(s) x %d seed(s) (base seed %d, %d workers) ==\n\n",
 		len(exps), ropts.Seeds, ropts.BaseSeed, ropts.Workers)
 	for i := range report.Aggregates {

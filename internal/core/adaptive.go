@@ -181,7 +181,7 @@ func (a *Adaptive) Horizon(now float64, jobs []sched.JobView, alloc sched.Assign
 
 // AssignDense implements sched.DenseAssigner: record completions, refit if
 // due, then delegate to the inner LAS_MQ.
-func (a *Adaptive) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares []float64) {
+func (a *Adaptive) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
 	a.observe(now, jobs, slots, changed, freed)
 	a.inner.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
 }
@@ -200,7 +200,7 @@ func (a *Adaptive) ObserveHorizonDense(now float64, _ []sched.JobView, _ []int32
 }
 
 // HorizonDense implements sched.DenseHinter by delegation.
-func (a *Adaptive) HorizonDense(now float64, jobs []sched.JobView, slots []int32, shares []float64) float64 {
+func (a *Adaptive) HorizonDense(now float64, jobs []sched.JobView, slots []int32, shares *sched.Shares) float64 {
 	return a.inner.HorizonDense(now, jobs, slots, shares)
 }
 

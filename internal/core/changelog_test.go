@@ -100,6 +100,7 @@ func TestChangedSlotSweepMatchesFullSweep(t *testing.T) {
 				var vs substrate.ViewSet // the slot allocator
 				var live []*logJob
 				var freed []int32 // the log's freed list
+				var shares [2]sched.Shares
 				usedIDs := map[int]bool{}
 				gone := []int{-1}
 				seq := 0
@@ -171,24 +172,25 @@ func TestChangedSlotSweepMatchesFullSweep(t *testing.T) {
 						declared.ObserveDense(now, views, slots, changed, freed)
 					} else {
 						capacity := 1 + rng.Float64()*6
-						var shares [2][]float64
 						for k := range shares {
-							shares[k] = make([]float64, len(views))
-							for i := range shares[k] {
-								shares[k][i] = math.NaN() // AssignDense must overwrite every element
-							}
+							shares[k].Reset(len(views)) // clears the previous round's grants alone
 						}
-						full.AssignDense(now, capacity, views, slots, nil, freed, shares[0])
-						declared.AssignDense(now, capacity, views, slots, changed, freed, shares[1])
+						full.AssignDense(now, capacity, views, slots, nil, freed, &shares[0])
+						declared.AssignDense(now, capacity, views, slots, changed, freed, &shares[1])
 						for i, j := range live {
-							if math.Float64bits(shares[0][i]) != math.Float64bits(shares[1][i]) {
+							x, y := shares[0].Col()[i], shares[1].Col()[i]
+							if math.Float64bits(x) != math.Float64bits(y) {
 								t.Fatalf("round %d: job %d gets %v from the full log, %v from the declared one",
-									round, j.view.JobID, shares[0][i], shares[1][i])
+									round, j.view.JobID, x, y)
 							}
-							j.rate = shares[1][i]
+							j.rate = y
 						}
-						hFull := full.HorizonDense(now, views, slots, shares[0])
-						hDecl := declared.HorizonDense(now, views, slots, shares[1])
+						if !slices.Equal(shares[0].Served(), shares[1].Served()) {
+							t.Fatalf("round %d: served %v from the full log, %v from the declared one",
+								round, shares[0].Served(), shares[1].Served())
+						}
+						hFull := full.HorizonDense(now, views, slots, &shares[0])
+						hDecl := declared.HorizonDense(now, views, slots, &shares[1])
 						if hFull != hDecl {
 							t.Fatalf("round %d: horizon %v from the full log, %v from the declared one", round, hFull, hDecl)
 						}

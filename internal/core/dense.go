@@ -12,8 +12,8 @@ import (
 // This file is LAS_MQ's dense form (see internal/sched/dense.go): the same
 // Algorithm 1 and 2 as the map-form methods in lasmq.go, with the per-job
 // record kept in an array indexed by the substrate's slot instead of three
-// maps keyed by job ID, and the shares written into a slice parallel to the
-// views. It shares the per-queue ordered lists, their entry helpers and
+// maps keyed by job ID, and the grants added to the sparse answer by view
+// index. It shares the per-queue ordered lists, their entry helpers and
 // restoreOrder with the map form — on this path an ordEntry's id field holds
 // the job's slot — and must make the same decisions, emit the same probe
 // events in the same order, and answer QueueOf/QueueSizes alike: the map form
@@ -126,7 +126,7 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, fr
 				s.removeEntry(int(r.queue), r.key(), int(slot))
 			}
 			*r = slotRec{id: id, seq: j.Seq(), demand: s.orderKey(j), queue: int32(q), live: true}
-			s.ordered[q] = append(s.ordered[q], ordEntry{demand: r.demand, seq: r.seq, id: int(slot)})
+			s.push(q, ordEntry{demand: r.demand, seq: r.seq, id: int(slot)})
 			s.touched[q] = true
 			if q != from && s.probe != nil {
 				s.probe.QueueDemote(now, id, from, q, m)
@@ -230,7 +230,7 @@ func (s *LASMQ) ObserveHorizonDense(now float64, jobs []sched.JobView, slots []i
 // AssignDense implements sched.DenseAssigner: AssignInto over slot records,
 // operation for operation — the same budgets, the same min(budget, unmet)
 // grants in queue order, the same leftover spill.
-func (s *LASMQ) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares []float64) {
+func (s *LASMQ) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
 	k := s.levels.Queues()
 	s.sweepDense(now, jobs, slots, changed, freed)
 	s.restoreOrder()
@@ -247,7 +247,6 @@ func (s *LASMQ) AssignDense(now, capacity float64, jobs []sched.JobView, slots, 
 		}
 		w /= s.cfg.QueueWeightDecay
 	}
-	clear(shares)
 	if totalWeight == 0 {
 		return
 	}
@@ -266,7 +265,7 @@ func (s *LASMQ) AssignDense(now, capacity float64, jobs []sched.JobView, slots, 
 
 // serve grants amount to the list's jobs with unmet demand, one by one in
 // list order, until no more than floor is left, and returns what is left.
-func (s *LASMQ) serve(list []ordEntry, amount, floor float64, shares []float64) float64 {
+func (s *LASMQ) serve(list []ordEntry, amount, floor float64, shares *sched.Shares) float64 {
 	for _, e := range list {
 		if amount <= floor {
 			break
@@ -277,22 +276,25 @@ func (s *LASMQ) serve(list []ordEntry, amount, floor float64, shares []float64) 
 		}
 		// The builtin min treats NaN and signed zeros as math.Min does.
 		x := min(amount, r.unmet)
-		shares[r.view] += x
+		shares.Add(int(r.view), x)
 		r.unmet -= x
 		amount -= x
 	}
 	return amount
 }
 
-// HorizonDense implements sched.DenseHinter: Horizon with the shares in a
-// slice parallel to the views.
-func (s *LASMQ) HorizonDense(now float64, jobs []sched.JobView, slots []int32, shares []float64) float64 {
+// HorizonDense implements sched.DenseHinter: Horizon over the served views
+// alone, in view order — only they gain service, and an unserved job is one
+// Horizon skips.
+func (s *LASMQ) HorizonDense(now float64, jobs []sched.JobView, slots []int32, shares *sched.Shares) float64 {
 	horizon := math.Inf(1)
-	for i, j := range jobs {
-		rate := shares[i]
+	col := shares.Col()
+	for _, i := range shares.Served() {
+		rate := col[i]
 		if rate <= 0 {
 			continue
 		}
+		j := jobs[i]
 		r := s.recOf(slots[i], j)
 		if r == nil {
 			continue

@@ -69,6 +69,7 @@ func TestDenseSlotLifetime(t *testing.T) {
 				nextSeq := 0
 				freed := map[int32]bool{} // slots freed since the last round
 				var freedLog []int32      // the same, as the change log hands them over
+				var shares sched.Shares   // reused, so each round clears the last one's grants
 				reissued, unseen := 0, 0
 				arrive := func() {
 					id := rng.Intn(1 << 20)
@@ -148,26 +149,19 @@ func TestDenseSlotLifetime(t *testing.T) {
 						hMap = mapped.ObserveHorizon(now, views, rates)
 					} else {
 						capacity := 1 + rng.Float64()*10
-						shares := make([]float64, len(live))
-						for i := range shares {
-							shares[i] = math.NaN() // AssignDense must overwrite every element
-						}
+						shares.Reset(len(live))
 						alloc := sched.Assignment{}
-						dense.AssignDense(now, capacity, views, slots, nil, freedLog, shares)
+						dense.AssignDense(now, capacity, views, slots, nil, freedLog, &shares)
 						mapped.AssignInto(now, capacity, views, alloc)
-						served := 0
 						for i, j := range live {
-							if shares[i] != alloc[j.view.JobID] {
-								t.Fatalf("round %d: job %d gets %v densely, %v by map", round, j.view.JobID, shares[i], alloc[j.view.JobID])
-							}
-							if shares[i] != 0 {
-								served++
+							if x := shares.Col()[i]; x != alloc[j.view.JobID] {
+								t.Fatalf("round %d: job %d gets %v densely, %v by map", round, j.view.JobID, x, alloc[j.view.JobID])
 							}
 						}
-						if served != len(alloc) {
+						if served := len(shares.Served()); served != len(alloc) {
 							t.Fatalf("round %d: %d jobs served densely, the map holds %d", round, served, len(alloc))
 						}
-						hDense = dense.HorizonDense(now, views, slots, shares)
+						hDense = dense.HorizonDense(now, views, slots, &shares)
 						hMap = mapped.Horizon(now, views, alloc)
 					}
 					if hDense != hMap {
@@ -214,16 +208,19 @@ func steadyRound(n int) (views []sched.JobView, slots []int32) {
 
 // TestDenseRoundZeroAlloc: once the first round has sized the slot records,
 // a steady dense LAS_MQ round over 1,000 views allocates nothing — one whose
-// log counts every view changed (sweep, order check, shares, horizon,
-// observation), and one whose log names only the views served last round and
-// a departure whose slot an arrival takes, as the fluid simulator's rounds do.
+// log counts every view changed (sweep, order check, sparse answer, horizon,
+// observation), one whose log names only the views served last round and a
+// departure whose slot an arrival takes, and one driven through
+// substrate.Driver over a registration edited as the fluid simulator edits
+// it.
 func TestDenseRoundZeroAlloc(t *testing.T) {
 	mq := newLASMQ(t, nil)
 	views, slots := steadyRound(1000)
-	shares := make([]float64, len(views))
+	var shares sched.Shares
 	full := func() {
-		mq.AssignDense(1, 120, views, slots, nil, nil, shares)
-		mq.HorizonDense(1, views, slots, shares)
+		shares.Reset(len(views))
+		mq.AssignDense(1, 120, views, slots, nil, nil, &shares)
+		mq.HorizonDense(1, views, slots, &shares)
 		mq.ObserveDense(1, views, slots, nil, nil)
 	}
 	full()
@@ -239,17 +236,67 @@ func TestDenseRoundZeroAlloc(t *testing.T) {
 		turn++
 		views[0] = swap[turn%2]
 		changed = append(changed[:0], 0)
-		for i := 1; i < len(shares); i++ {
-			if shares[i] != 0 {
-				changed = append(changed, int32(i))
+		for _, i := range shares.Served() {
+			if i != 0 {
+				changed = append(changed, i)
 			}
 		}
-		mq.AssignDense(2, 120, views, slots, changed, freed, shares)
-		mq.HorizonDense(2, views, slots, shares)
+		shares.Reset(len(views))
+		mq.AssignDense(2, 120, views, slots, changed, freed, &shares)
+		mq.HorizonDense(2, views, slots, &shares)
 	}
 	declared()
 	if avg := testing.AllocsPerRun(50, declared); avg != 0 {
 		t.Fatalf("dense round over a declared log allocates %v allocs/op, want 0", avg)
+	}
+
+	// The fluid simulator's shape, through a driver: one registration edited
+	// and never rebuilt — each round the oldest job leaves (FreeSlot, Cut)
+	// and a new one takes its slot behind the others — with the views served
+	// last round and the new one marked, and the horizon read off the sparse
+	// answer. ring[(head+k)%n] is the k-th view; a leaving job's record comes
+	// back as the new one.
+	d := substrate.NewDriver(newLASMQ(t, nil))
+	var vs substrate.ViewSet
+	ring, _ := steadyRound(1000)
+	n := len(ring)
+	slotOf := make([]int32, n)
+	for k, j := range ring {
+		slotOf[k] = vs.TakeSlot()
+		vs.AddSlot(j, slotOf[k])
+	}
+	head, next := 0, n
+	first, served, rounds, servedViews := []int32{0}, make([]int32, 0, n), 0, 0
+	edited := func() {
+		vs.FreeSlot(slotOf[head])
+		vs.Cut(first)
+		j := ring[head].(*schedtest.FakeJob)
+		next++
+		j.JobID, j.JobSeq, j.AttainedVal, j.EstimatedVal = next, next, 0, 0
+		slotOf[head] = vs.TakeSlot()
+		vs.AddSlot(j, slotOf[head])
+		head = (head + 1) % n
+		for _, i := range served {
+			if i > 0 {
+				vs.MarkChanged(int(i - 1))
+			}
+		}
+		vs.MarkChanged(n - 1)
+		d.Shares(float64(next), 120, &vs)
+		list := vs.Served()
+		d.Horizon(float64(next), &vs)
+		served = append(served[:0], list...)
+		rounds++
+		servedViews += len(list)
+	}
+	for range 20 {
+		edited()
+	}
+	if avg := testing.AllocsPerRun(50, edited); avg != 0 {
+		t.Fatalf("a driven round over an edited registration allocates %v allocs/op, want 0", avg)
+	}
+	if servedViews < rounds {
+		t.Fatalf("%d rounds served %d views", rounds, servedViews)
 	}
 }
 
@@ -278,12 +325,13 @@ func BenchmarkLASMQRound(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			shares := make([]float64, n)
+			var shares sched.Shares
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mq.AssignDense(1, 120, views, slots, nil, nil, shares)
-				mq.HorizonDense(1, views, slots, shares)
+				shares.Reset(n)
+				mq.AssignDense(1, 120, views, slots, nil, nil, &shares)
+				mq.HorizonDense(1, views, slots, &shares)
 			}
 		})
 	}

@@ -103,9 +103,13 @@ type LASMQ struct {
 	// Persistent incremental state: tracked mirrors every live job's queue
 	// and ordering key, ordered holds each queue's (demand, seq)-sorted
 	// entries, and touched flags queues whose members changed demand in
-	// place.
+	// place. ordered[q] is a window on the array base[q] spans: removeEntry
+	// closes the gap from the shorter side, moving the window's head when
+	// that is the side before the entry, and push slides the window back to
+	// the array's start when an append meets the array's end.
 	tracked map[int]trackRec
 	ordered [][]ordEntry
+	base    [][]ordEntry
 	touched []bool
 
 	// Scratch buffers reused across rounds to keep large simulations
@@ -149,11 +153,13 @@ func New(cfg Config) (*LASMQ, error) {
 	if !(cfg.QueueWeightDecay >= 1) || math.IsInf(cfg.QueueWeightDecay, 1) {
 		return nil, fmt.Errorf("core: queue weight decay must be finite and >= 1, got %v", cfg.QueueWeightDecay)
 	}
+	lists := make([][]ordEntry, 2*cfg.Queues)
 	return &LASMQ{
 		cfg:       cfg,
 		levels:    levels,
 		tracked:   make(map[int]trackRec),
-		ordered:   make([][]ordEntry, cfg.Queues),
+		ordered:   lists[:cfg.Queues:cfg.Queues],
+		base:      lists[cfg.Queues:],
 		touched:   make([]bool, cfg.Queues),
 		seen:      make(map[int]bool),
 		remaining: make(map[int]float64),
@@ -436,10 +442,31 @@ func (s *LASMQ) insertEntry(q int, e ordEntry) {
 			hi = mid
 		}
 	}
-	list = append(list, ordEntry{})
+	list = s.push(q, e)
 	copy(list[lo+1:], list[lo:])
 	list[lo] = e
+}
+
+// push appends e to queue q's ordered list and returns the list. When the
+// list's window meets the end of its array after removeEntry moved its head,
+// the window slides back to the array's start in place, so the array grows
+// only when the queue fills it — from minQueueList entries, then as append
+// grows a slice.
+func (s *LASMQ) push(q int, e ordEntry) []ordEntry {
+	list := s.ordered[q]
+	if len(list) == cap(list) {
+		if base := s.base[q]; cap(base) > cap(list) {
+			list = base[:copy(base, list)]
+		} else {
+			list = slices.Grow(list, minQueueList)
+		}
+	}
+	list = append(list, e)
+	if cap(list) > cap(s.base[q]) {
+		s.base[q] = list[:cap(list)] // a fresh array
+	}
 	s.ordered[q] = list
+	return list
 }
 
 // findEntry locates the job's entry in queue q by its stored key, falling
@@ -467,14 +494,33 @@ func (s *LASMQ) findEntry(q int, rec trackRec, id int) int {
 	return -1
 }
 
-// removeEntry deletes the job's entry from queue q's ordered list.
+// removeEntry deletes the job's entry from queue q's ordered list, moving
+// the entries on the shorter side of it: those before it one place back,
+// past the window's head, or those after it one place forward. A demotion
+// takes the job from near the head of its queue, which then costs no move.
 func (s *LASMQ) removeEntry(q int, rec trackRec, id int) {
-	if pos := s.findEntry(q, rec, id); pos >= 0 {
-		list := s.ordered[q]
-		copy(list[pos:], list[pos+1:])
-		s.ordered[q] = list[:len(list)-1]
+	pos := s.findEntry(q, rec, id)
+	if pos < 0 {
+		return
 	}
+	list := s.ordered[q]
+	if pos < len(list)/2 {
+		copy(list[1:], list[:pos])
+		list = list[1:]
+	} else {
+		copy(list[pos:], list[pos+1:])
+		list = list[:len(list)-1]
+	}
+	if len(list) == 0 {
+		list = s.base[q][:0]
+	}
+	s.ordered[q] = list
 }
+
+// minQueueList is the smallest array a queue's ordered list is grown to: a
+// run's queues fill one job at a time, and doubling up from one would cost
+// each queue several small allocations.
+const minQueueList = 16
 
 // entryLess orders jobs within one queue (Algorithm 1 line 10). Sequence
 // numbers are unique, making the order total (stability is irrelevant).

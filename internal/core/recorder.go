@@ -124,7 +124,7 @@ func (r *QueueRecorder) Horizon(now float64, jobs []sched.JobView, alloc sched.A
 }
 
 // AssignDense implements sched.DenseAssigner: delegate, then snapshot.
-func (r *QueueRecorder) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares []float64) {
+func (r *QueueRecorder) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
 	r.inner.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
 	if r.last < 0 || now >= r.last+r.every {
 		r.last = now
@@ -144,7 +144,7 @@ func (r *QueueRecorder) ObserveHorizonDense(now float64, jobs []sched.JobView, s
 }
 
 // HorizonDense implements sched.DenseHinter by delegation.
-func (r *QueueRecorder) HorizonDense(now float64, jobs []sched.JobView, slots []int32, shares []float64) float64 {
+func (r *QueueRecorder) HorizonDense(now float64, jobs []sched.JobView, slots []int32, shares *sched.Shares) float64 {
 	return r.inner.HorizonDense(now, jobs, slots, shares)
 }
 

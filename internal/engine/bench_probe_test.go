@@ -11,6 +11,7 @@ import (
 	"lasmq/internal/core"
 	"lasmq/internal/obs"
 	"lasmq/internal/sched"
+	"lasmq/internal/sched/schedtest"
 )
 
 func benchLASMQ(tb testing.TB) sched.Scheduler {
@@ -103,12 +104,17 @@ func TestScheduleRoundNilProbeZeroAlloc(t *testing.T) {
 // densely, and the overrides show that it did.
 type denseCounter struct {
 	*core.LASMQ
-	assigns, observes int
+	assigns, observes, served int
+	broken                    error // the first answer that broke the sparse contract
 }
 
-func (c *denseCounter) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares []float64) {
+func (c *denseCounter) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
 	c.assigns++
 	c.LASMQ.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
+	c.served += len(shares.Served())
+	if err := schedtest.AnswerError(len(jobs), shares); err != nil && c.broken == nil {
+		c.broken = err
+	}
 }
 
 func (c *denseCounter) ObserveDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
@@ -117,10 +123,10 @@ func (c *denseCounter) ObserveDense(now float64, jobs []sched.JobView, slots, ch
 }
 
 // TestDenseRoundZeroAlloc pins the dense round contract on the engine: a
-// steady executed round (views with slots, LAS_MQ's shares read by view
-// index, dense quantizer rows) and a steady observation round (the rate
-// column) allocate nothing, and both reach the policy through its dense
-// forms.
+// steady executed round (views with slots, LAS_MQ's sparse answer read by
+// view index, dense quantizer rows) and a steady observation round (the rate
+// column) allocate nothing, both reach the policy through its dense forms,
+// and every answer serves some views and keeps the sparse contract.
 func TestDenseRoundZeroAlloc(t *testing.T) {
 	mq := &denseCounter{LASMQ: benchLASMQ(t).(*core.LASMQ)}
 	s := newBenchSim(t, mq, nil)
@@ -133,8 +139,9 @@ func TestDenseRoundZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { s.schedule(); observe() }); avg != 0 {
 		t.Fatalf("dense scheduling and observation rounds allocate %v allocs/op, want 0", avg)
 	}
-	if mq.assigns == 0 || mq.observes == 0 {
-		t.Fatalf("the rounds reached the policy through AssignDense %d times and ObserveDense %d times; want both > 0", mq.assigns, mq.observes)
+	if mq.assigns == 0 || mq.observes == 0 || mq.served == 0 || mq.broken != nil {
+		t.Fatalf("the rounds reached the policy through AssignDense %d times and ObserveDense %d times, serving %d views (%v); want > 0, > 0, > 0 and no error",
+			mq.assigns, mq.observes, mq.served, mq.broken)
 	}
 
 	// The same pair in the freed1 regime, incremental rounds on: a rated
@@ -151,8 +158,8 @@ func TestDenseRoundZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { freedRound(s); observe() }); avg != 0 {
 		t.Fatalf("dense freed1 and observation rounds allocate %v allocs/op, want 0", avg)
 	}
-	if mq.assigns == 0 || mq.observes == 0 || s.viewRebuilds != rebuilds {
-		t.Fatalf("freed1: AssignDense %d times, ObserveDense %d times, %d view registrations; want > 0, > 0 and 0",
-			mq.assigns, mq.observes, s.viewRebuilds-rebuilds)
+	if mq.assigns == 0 || mq.observes == 0 || s.viewRebuilds != rebuilds || mq.served == 0 || mq.broken != nil {
+		t.Fatalf("freed1: AssignDense %d times, ObserveDense %d times, %d view registrations, %d views served (%v); want > 0, > 0, 0, > 0 and no error",
+			mq.assigns, mq.observes, s.viewRebuilds-rebuilds, mq.served, mq.broken)
 	}
 }

@@ -71,7 +71,7 @@ func (p *roundRecorder) record(jobs []sched.JobView, slots []int32) {
 	p.slots = append(p.slots[:0], slots...)
 }
 
-func (p *roundRecorder) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares []float64) {
+func (p *roundRecorder) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
 	p.record(jobs, slots)
 	p.LASMQ.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
 }

@@ -54,12 +54,17 @@ type Experiment struct {
 	PerShard   bool
 }
 
-// Capacity returns the row's total container count at opts.
+// Capacity returns the row's total container count at opts: 0 for a
+// per-shard row at invalid opts, on which its run fails.
 func (e Experiment) Capacity(opts Options) int {
-	if e.PerShard {
-		return e.Containers * opts.Defaults().Shards
+	if !e.PerShard {
+		return e.Containers
 	}
-	return e.Containers
+	o, err := opts.Defaults()
+	if err != nil {
+		return 0
+	}
+	return e.Containers * o.Shards
 }
 
 // report adapts a typed experiment runner to the catalog's Run signature.
@@ -165,9 +170,9 @@ func Select(name string) ([]Experiment, error) {
 // scale knobs (TraceJobs, UniformJobs, ScaleJobs, Shards) apply to every
 // entry and are folded into the cache fingerprint; Options.Seed and
 // Options.Repeats are ignored — the runner owns seeding, and each replication
-// is one repeat.
+// is one repeat. At invalid Options every entry's Run returns the error.
 func Registry(opts Options) []runner.Experiment {
-	opts = opts.Defaults()
+	opts, invalid := opts.Defaults()
 	// ShardWorkers is execution parallelism only and Probe observation only
 	// (results are identical for any value), so both are deliberately absent
 	// from the fingerprint.
@@ -182,6 +187,9 @@ func Registry(opts Options) []runner.Experiment {
 			Name:        e.Name,
 			Fingerprint: fp,
 			Run: func(seed int64) (*runner.Sample, error) {
+				if invalid != nil {
+					return nil, invalid
+				}
 				o := opts
 				o.Seed = seed
 				o.Repeats = 1
@@ -199,6 +207,9 @@ func Registry(opts Options) []runner.Experiment {
 // SelectRegistry filters the registry down to the named experiments,
 // preserving registration order; an empty names list selects everything.
 func SelectRegistry(opts Options, names ...string) ([]runner.Experiment, error) {
+	if _, err := opts.Defaults(); err != nil {
+		return nil, err
+	}
 	all := Registry(opts)
 	if len(names) == 0 {
 		return all, nil

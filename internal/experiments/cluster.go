@@ -55,7 +55,10 @@ func Fig6(opts Options) (*ClusterResult, error) {
 // RunCluster runs the Table I workload at the given mean arrival interval
 // under all four policies.
 func RunCluster(meanInterval float64, opts Options) (*ClusterResult, error) {
-	opts = opts.Defaults()
+	opts, err := opts.Defaults()
+	if err != nil {
+		return nil, err
+	}
 	res := &ClusterResult{
 		MeanInterval: meanInterval,
 		ByPolicy:     make(map[string]*PolicyStats, len(PolicyOrder)),
@@ -202,7 +205,10 @@ type Fig3Result struct {
 // Fig3 reproduces the design-option comparison (paper Fig. 3): 100 jobs,
 // Poisson arrivals with a 50-second mean interval, normalized over Fair.
 func Fig3(opts Options) (*Fig3Result, error) {
-	opts = opts.Defaults()
+	opts, err := opts.Defaults()
+	if err != nil {
+		return nil, err
+	}
 	variants := []struct {
 		stageAware bool
 		ordering   bool

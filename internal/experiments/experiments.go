@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"lasmq/internal/core"
@@ -25,7 +26,8 @@ const (
 // PolicyOrder is the canonical reporting order.
 var PolicyOrder = []string{PolicyLASMQ, PolicyLAS, PolicyFair, PolicyFIFO}
 
-// Options tune experiment scale; the zero value is replaced by Defaults.
+// Options tune experiment scale; a zero field takes its default (Defaults),
+// and a negative count is an error.
 type Options struct {
 	// Seed drives workload/trace synthesis. Runs with the same seed are
 	// bit-for-bit reproducible.
@@ -62,21 +64,33 @@ type Options struct {
 	Probe obs.Probe
 }
 
-// Defaults fills unset fields with paper-scale values.
-func (o Options) Defaults() Options {
-	if o.Repeats <= 0 {
+// Defaults fills unset fields with paper-scale values, and rejects a
+// negative count with an error naming the field.
+func (o Options) Defaults() (Options, error) {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"Repeats", o.Repeats}, {"TraceJobs", o.TraceJobs}, {"UniformJobs", o.UniformJobs},
+		{"ScaleJobs", o.ScaleJobs}, {"Shards", o.Shards}, {"ShardWorkers", o.ShardWorkers},
+	} {
+		if f.n < 0 {
+			return o, fmt.Errorf("experiments: Options.%s must be >= 0 (0 = default), got %d", f.name, f.n)
+		}
+	}
+	if o.Repeats == 0 {
 		o.Repeats = 1
 	}
-	if o.TraceJobs <= 0 {
+	if o.TraceJobs == 0 {
 		o.TraceJobs = 24443
 	}
-	if o.UniformJobs <= 0 {
+	if o.UniformJobs == 0 {
 		o.UniformJobs = 10000
 	}
-	if o.Shards <= 0 {
+	if o.Shards == 0 {
 		o.Shards = 8
 	}
-	return o
+	return o, nil
 }
 
 // fullReschedule is the hook TestIncrementalMatchesFullAcrossRegistry flips

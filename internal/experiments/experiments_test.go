@@ -13,13 +13,46 @@ func smallOpts() Options {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.Defaults()
-	if o.Repeats != 1 || o.TraceJobs != 24443 || o.UniformJobs != 10000 {
-		t.Errorf("defaults = %+v", o)
+	o, err := Options{}.Defaults()
+	if err != nil || o.Repeats != 1 || o.TraceJobs != 24443 || o.UniformJobs != 10000 || o.Shards != 8 {
+		t.Errorf("defaults = %+v, %v", o, err)
 	}
-	o = Options{Repeats: 3, TraceJobs: 5, UniformJobs: 6}.Defaults()
-	if o.Repeats != 3 || o.TraceJobs != 5 || o.UniformJobs != 6 {
-		t.Errorf("explicit options overwritten: %+v", o)
+	o, err = Options{Repeats: 3, TraceJobs: 5, UniformJobs: 6}.Defaults()
+	if err != nil || o.Repeats != 3 || o.TraceJobs != 5 || o.UniformJobs != 6 {
+		t.Errorf("explicit options overwritten: %+v, %v", o, err)
+	}
+}
+
+// TestOptionsRejectNegative: a negative count is an error naming its field,
+// from Defaults, from an experiment and from the registry; zero is the
+// default.
+func TestOptionsRejectNegative(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Options)
+	}{
+		{"Repeats", func(o *Options) { o.Repeats = -1 }},
+		{"TraceJobs", func(o *Options) { o.TraceJobs = -1 }},
+		{"UniformJobs", func(o *Options) { o.UniformJobs = -2 }},
+		{"ScaleJobs", func(o *Options) { o.ScaleJobs = -1 }},
+		{"Shards", func(o *Options) { o.Shards = -8 }},
+		{"ShardWorkers", func(o *Options) { o.ShardWorkers = -1 }},
+	} {
+		o := smallOpts()
+		tc.set(&o)
+		_, err := o.Defaults()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Defaults error %v does not name the field", tc.field, err)
+		}
+		if _, err := Fig7Uniform(o); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Fig7Uniform error %v does not name the field", tc.field, err)
+		}
+		if _, err := SelectRegistry(o); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: SelectRegistry error %v does not name the field", tc.field, err)
+		}
+		if _, err := Registry(o)[0].Run(1); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: a registry entry's error %v does not name the field", tc.field, err)
+		}
 	}
 }
 

@@ -32,7 +32,10 @@ type AdaptiveResult struct {
 
 // Adaptive runs the adaptive-threshold experiment.
 func Adaptive(opts Options) (*AdaptiveResult, error) {
-	opts = opts.Defaults()
+	opts, err := opts.Defaults()
+	if err != nil {
+		return nil, err
+	}
 	tcfg := trace.DefaultFacebookConfig()
 	tcfg.Jobs = opts.TraceJobs
 	tcfg.Seed = opts.Seed
@@ -122,7 +125,10 @@ type TradeoffCurve []TradeoffPoint
 // Tradeoff sweeps the LAS_MQ/Fair blend parameter on the Table I workload
 // (the paper's future-work item 2).
 func Tradeoff(opts Options) (TradeoffCurve, error) {
-	opts = opts.Defaults()
+	opts, err := opts.Defaults()
+	if err != nil {
+		return nil, err
+	}
 	wcfg := workload.DefaultConfig()
 	wcfg.MeanInterval = 50
 	wcfg.Seed = opts.Seed
@@ -192,7 +198,10 @@ type GeoResult struct {
 // Geo runs the geo-distributed experiment: three sites, slow variable WAN, a
 // contended mix of interactive queries and heavy scans.
 func Geo(opts Options) (*GeoResult, error) {
-	opts = opts.Defaults()
+	opts, err := opts.Defaults()
+	if err != nil {
+		return nil, err
+	}
 	r := dist.New(opts.Seed)
 	var specs []geo.JobSpec
 	arrival := 0.0

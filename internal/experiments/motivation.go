@@ -108,7 +108,10 @@ type SJFErrorResult struct {
 // the Table I workload at the 50-second interval with SJF under increasing
 // size-estimate error.
 func MotivationSJFError(opts Options) (*SJFErrorResult, error) {
-	opts = opts.Defaults()
+	opts, err := opts.Defaults()
+	if err != nil {
+		return nil, err
+	}
 	res := &SJFErrorResult{SJF: make(map[float64]float64)}
 	factors := []float64{1, 2, 5, 10, 100}
 
@@ -194,7 +197,10 @@ type WeightsResult map[float64]float64
 // AblationWeights sweeps the cross-queue weight decay (a parameter the paper
 // leaves unspecified) on the Table I workload, normalized over Fair.
 func AblationWeights(opts Options) (WeightsResult, error) {
-	opts = opts.Defaults()
+	opts, err := opts.Defaults()
+	if err != nil {
+		return nil, err
+	}
 	res := make(WeightsResult)
 	for rep := 0; rep < opts.Repeats; rep++ {
 		wcfg := workload.DefaultConfig()

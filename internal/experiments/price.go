@@ -172,7 +172,10 @@ func PriceGittinsModel(types []workload.JobType) (dist.Service, error) {
 // simulation one (k = 10 FIFO queues, default weight decay) with the
 // cluster-isolating thresholds above.
 func PriceOfObliviousness(opts Options) (*PriceResult, error) {
-	opts = opts.Defaults()
+	opts, err := opts.Defaults()
+	if err != nil {
+		return nil, err
+	}
 	types := workload.TableI()
 	specs, err := priceTrace(types, opts.Seed)
 	if err != nil {

@@ -73,7 +73,10 @@ func engineScaleLASMQConfig() core.Config {
 
 // run executes the tier at opts.
 func (t scaleTier) run(opts Options) (*TraceResult, error) {
-	opts = opts.Defaults()
+	opts, err := opts.Defaults()
+	if err != nil {
+		return nil, err
+	}
 	jobs := t.jobs
 	if opts.ScaleJobs > 0 {
 		jobs = opts.ScaleJobs

@@ -33,7 +33,10 @@ type TraceResult struct {
 // alpha0 = 1, step = 10). Expected shape: LAS best, LAS_MQ close behind
 // (~30% better than Fair), FIFO catastrophically worse.
 func Fig7HeavyTailed(opts Options) (*TraceResult, error) {
-	opts = opts.Defaults()
+	opts, err := opts.Defaults()
+	if err != nil {
+		return nil, err
+	}
 	specs, fcfg, err := facebookTrace(opts, opts.TraceJobs)
 	if err != nil {
 		return nil, err
@@ -46,7 +49,10 @@ func Fig7HeavyTailed(opts Options) (*TraceResult, error) {
 // about half the average response time of Fair and LAS, which both collapse
 // to processor sharing.
 func Fig7Uniform(opts Options) (*TraceResult, error) {
-	opts = opts.Defaults()
+	opts, err := opts.Defaults()
+	if err != nil {
+		return nil, err
+	}
 	specs, err := trace.Uniform(opts.UniformJobs, 10000, opts.Seed)
 	if err != nil {
 		return nil, err
@@ -160,7 +166,10 @@ type Fig8QueuesResult struct {
 // heavy-tailed trace with alpha0 = 1, step = 10 (paper Fig. 8a). Expected
 // shape: improves with k and beats Fair from k = 5 on.
 func Fig8Queues(opts Options) (*Fig8QueuesResult, error) {
-	opts = opts.Defaults()
+	opts, err := opts.Defaults()
+	if err != nil {
+		return nil, err
+	}
 	specs, fcfg, fairMean, err := fig8Setup(opts)
 	if err != nil {
 		return nil, err
@@ -211,7 +220,10 @@ type Fig8ThresholdsResult struct {
 // over non-empty queues, the first queue (which holds every job smaller
 // than 10) receives ample capacity and never congests; see EXPERIMENTS.md.
 func Fig8Thresholds(opts Options) (*Fig8ThresholdsResult, error) {
-	opts = opts.Defaults()
+	opts, err := opts.Defaults()
+	if err != nil {
+		return nil, err
+	}
 	specs, fcfg, fairMean, err := fig8Setup(opts)
 	if err != nil {
 		return nil, err

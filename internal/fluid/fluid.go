@@ -97,8 +97,7 @@ type Result struct {
 type fluidJob struct {
 	spec     JobSpec
 	seq      int
-	slot     int32 // the view registry's handle for this job, held while active; -1 once done
-	idx      int32 // the job's index among the registered views
+	slot     int32 // the view registry's handle for this job, held while active
 	attained float64
 	rate     float64
 	view     jobView // embedded adapter, reused across rounds
@@ -240,21 +239,25 @@ func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 }
 
 // arena is the run state that outlives a run: the job-record pool, the
-// active-job and served-job lists and the view registry keep their backing
-// storage, the lists grown from substrate.Grow's floor. Arenas are pooled, so
-// repeated runs on one worker — the policies of a sweep, the seeds of a
-// replication, the shards one worker advances — reuse the records earlier
-// runs carved instead of allocating one per live job per run.
+// active-job, served-view and completed-view lists and the view registry keep
+// their backing storage, the lists grown from substrate.Grow's floor. Arenas
+// are pooled, so repeated runs on one worker — the policies of a sweep, the
+// seeds of a replication, the shards one worker advances — reuse the records
+// earlier runs carved instead of allocating one per live job per run.
 type arena struct {
 	// jobs recycles the fluidJob records: a run holds only the jobs that are
 	// live at once. scrub rewinds it, so each run reads a fresh pool's Stats.
-	jobs   substrate.SlabPool[fluidJob]
+	jobs substrate.SlabPool[fluidJob]
+	// active lists the admitted jobs that have not completed, in admission
+	// order; vs registers their views in the same order, so the i-th view is
+	// active[i]'s.
 	active []*fluidJob
-	// served lists, in view order, the jobs a round visits — those the policy
+	// served lists, ascending, the views a round visits — those the policy
 	// served and those admitted since the previous round — and, once the
-	// round has advanced, those of them it served that are still active.
-	served []*fluidJob
-	vs     substrate.ViewSet
+	// round has advanced, those of them it served that are still active,
+	// re-indexed past the completed views, which gone lists.
+	served, gone []int32
+	vs           substrate.ViewSet
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
@@ -266,8 +269,8 @@ func (a *arena) scrub() {
 	a.jobs.Rewind()
 	clear(a.active)
 	a.active = a.active[:0]
-	clear(a.served)
 	a.served = a.served[:0]
+	a.gone = a.gone[:0]
 	a.vs.Reset()
 }
 
@@ -290,10 +293,8 @@ type sim struct {
 	out  *StreamResult   // accumulated in place as the run advances
 	now  float64
 
-	// stale says the active set changed since the views were registered;
 	// fresh counts the jobs admitted since the previous round, the tail of
 	// the active list.
-	stale bool
 	fresh int
 }
 
@@ -356,20 +357,22 @@ func (s *sim) stream() (*StreamResult, error) {
 }
 
 // admit releases waiting jobs while the admission limit allows; released
-// jobs join the active set with their kernel-issued sequence number.
+// jobs join the active set with their kernel-issued sequence number, and
+// their views the registration, behind the others.
 func (s *sim) admit() {
 	// Room for every job the queue can release now: a batch arrival grows the
-	// active list once.
+	// active list and the registration once.
 	n := s.adm.Waiting()
 	if limit := s.cfg.MaxRunningJobs; limit > 0 {
 		n = min(n, limit-s.adm.Running())
 	}
 	s.active = substrate.Grow(s.active, len(s.active)+n)
+	s.vs.Reserve(len(s.active) + n)
 	s.adm.Admit(func(j *fluidJob, seq int) {
 		j.seq = seq
 		j.slot = s.vs.TakeSlot()
 		s.active = append(s.active, j)
-		s.stale = true
+		s.vs.AddSlot(&j.view, j.slot)
 		s.fresh++
 		if s.probe != nil {
 			s.probe.JobAdmitted(s.now, j.spec.ID, math.Max(0, s.now-j.spec.Arrival))
@@ -416,42 +419,39 @@ func (s *sim) run() error {
 			continue
 		}
 
-		// Register the views when the active set changed, and tell the policy
-		// which jobs moved since its previous call: those served last round,
-		// then those admitted since, the tail of the active list. A job the
-		// policy did not serve kept its attained service and demands.
-		if s.stale {
-			s.stale = false
-			s.vs.Begin(false, false)
-			s.vs.Reserve(len(s.active))
-			for i, j := range s.active {
-				j.idx = int32(i)
-				s.vs.AddSlot(&j.view, j.slot)
-			}
-		}
-		for _, j := range s.served {
-			s.vs.MarkChanged(int(j.idx))
+		// Tell the policy which jobs moved since its previous call: those it
+		// served, then those admitted since, the tail of the active list. A
+		// job the policy did not serve kept its attained service and demands.
+		for _, i := range s.served {
+			s.vs.MarkChanged(int(i))
 		}
 		first := len(s.active) - s.fresh
 		for i := first; i < len(s.active); i++ {
 			s.vs.MarkChanged(i)
 		}
 		s.fresh = 0
-		// shares[i] is the share of s.active[i].
+		// shares[i] is the share of s.active[i]; served lists the nonzero ones.
 		shares := s.driver.Shares(s.now, capacity, &s.vs)
+		served := s.vs.Served()
 		out.Rounds++
 
-		// One flat scan of the share column finds the jobs this round visits,
-		// in view order: those with a share, and those just admitted, which
-		// may be finished on arrival. Rates are defensively capped by width.
+		// The round visits, in view order, the jobs with a share and those
+		// just admitted, which may be finished on arrival: the served list
+		// below first, then the tail. Rates are defensively capped by width.
 		// Every other job adds x + 0·dt to its attained service and nothing
 		// to Delivered, so skipping it changes no bits.
-		visit := substrate.Grow(s.served[:0], len(s.active)-first+1)
-		for i, x := range shares {
-			if x == 0 && i < first {
-				continue
+		visit := substrate.Grow(s.served[:0], min(len(served), first)+len(s.active)-first)
+		for _, i := range served {
+			if int(i) >= first {
+				break
 			}
-			j := s.active[i]
+			visit = append(visit, i)
+		}
+		for i := first; i < len(s.active); i++ {
+			visit = append(visit, int32(i))
+		}
+		for _, i := range visit {
+			j, x := s.active[i], shares[i]
 			if math.IsNaN(x) {
 				return fmt.Errorf("fluid: %s gave job %d a NaN share at t=%v", s.driver.Name(), j.spec.ID, s.now)
 			}
@@ -459,7 +459,6 @@ func (s *sim) run() error {
 			if j.rate < 0 {
 				j.rate = 0
 			}
-			visit = append(visit, j)
 		}
 
 		// Next event: arrival, earliest completion, policy horizon, step cap.
@@ -469,8 +468,8 @@ func (s *sim) run() error {
 		} else if ok {
 			next = t
 		}
-		for _, j := range visit {
-			if j.rate > 0 {
+		for _, i := range visit {
+			if j := s.active[i]; j.rate > 0 {
 				if t := s.now + j.remaining()/j.rate; t < next {
 					next = t
 				}
@@ -484,8 +483,8 @@ func (s *sim) run() error {
 		}
 		if math.IsInf(next, 1) || next <= s.now {
 			var total float64
-			for _, x := range shares {
-				total += x
+			for _, i := range served {
+				total += shares[i]
 			}
 			return fmt.Errorf("fluid: no progress at t=%v with %d active jobs (total rate %v)",
 				s.now, len(s.active), total)
@@ -495,17 +494,17 @@ func (s *sim) run() error {
 		// ones the next round tells the policy about.
 		dt := next - s.now
 		s.now = next
-		served := visit[:0]
-		done := false
-		for _, j := range visit {
+		kept, gone := visit[:0], substrate.Grow(s.gone[:0], len(visit))
+		for _, i := range visit {
+			j := s.active[i]
 			out.Delivered += j.rate * dt
 			j.attained += j.rate * dt
 			if j.attained > j.spec.Size {
 				j.attained = j.spec.Size
 			}
 			if !j.finished() {
-				if shares[j.idx] != 0 {
-					served = append(served, j)
+				if shares[i] != 0 {
+					kept = append(kept, i)
 				}
 				continue
 			}
@@ -534,21 +533,22 @@ func (s *sim) run() error {
 				s.each(jr)
 			}
 			s.vs.FreeSlot(j.slot)
-			j.slot = -1
-			done = true
+			s.jobs.Put(j)
+			gone = append(gone, i)
 		}
-		s.served = served
-		if done {
-			live := s.active[:0]
-			for _, j := range s.active {
-				if j.slot < 0 {
-					s.jobs.Put(j)
-					continue
+		// Cut the completed jobs out of the active list and the registration,
+		// keeping the rest in order, and re-index the served ones past them.
+		s.served, s.gone = kept, gone
+		if len(gone) > 0 {
+			s.active = substrate.Cut(s.active, gone)
+			s.vs.Cut(gone)
+			k := 0
+			for n, i := range kept {
+				for k < len(gone) && gone[k] < i {
+					k++
 				}
-				live = append(live, j)
+				kept[n] = i - int32(k)
 			}
-			s.active = live
-			s.stale = true
 		}
 	}
 	return nil

@@ -23,12 +23,16 @@ type fakeShares struct {
 
 func (p fakeShares) Name() string { return "FAKE" }
 
-func (p fakeShares) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares []float64) {
-	p.FIFO.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
+func (p fakeShares) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
+	var fifo sched.Shares
+	fifo.Reset(len(jobs))
+	p.FIFO.AssignDense(now, capacity, jobs, slots, changed, freed, &fifo)
 	for i, j := range jobs {
+		x := fifo.Col()[i]
 		if j.ID() == p.job && now >= p.from && now < p.until {
-			shares[i] = p.share
+			x = p.share
 		}
+		shares.Add(i, x)
 	}
 }
 

@@ -52,29 +52,36 @@ type Experiment struct {
 // Options tune a replicated run.
 type Options struct {
 	// Seeds is the number of replications; seed values are
-	// BaseSeed .. BaseSeed+Seeds-1. Default 1.
+	// BaseSeed .. BaseSeed+Seeds-1. 0 means the default, 1.
 	Seeds int
 	// BaseSeed is the first seed. Default 1.
 	BaseSeed int64
-	// Workers bounds the worker pool. Default GOMAXPROCS.
+	// Workers bounds the worker pool. 0 means the default, GOMAXPROCS.
 	Workers int
 	// CacheDir, when non-empty, enables the content-addressed result cache
 	// (one JSON file per (experiment, fingerprint, seed) cell).
 	CacheDir string
 }
 
-// Defaults fills unset fields.
-func (o Options) Defaults() Options {
-	if o.Seeds <= 0 {
+// Defaults fills unset fields, and rejects a negative count with an error
+// naming the field.
+func (o Options) Defaults() (Options, error) {
+	if o.Seeds < 0 {
+		return o, fmt.Errorf("runner: Seeds must be >= 0 (0 = 1 seed), got %d", o.Seeds)
+	}
+	if o.Workers < 0 {
+		return o, fmt.Errorf("runner: Workers must be >= 0 (0 = GOMAXPROCS), got %d", o.Workers)
+	}
+	if o.Seeds == 0 {
 		o.Seeds = 1
 	}
 	if o.BaseSeed == 0 {
 		o.BaseSeed = 1
 	}
-	if o.Workers <= 0 {
+	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	return o
+	return o, nil
 }
 
 // AggregateCell is one metric cell merged across all seeds.
@@ -137,7 +144,10 @@ type cellJob struct {
 // indexed by (experiment, seed) before aggregation, so worker count and
 // completion order never change the report.
 func Run(exps []Experiment, opts Options) (*Report, error) {
-	opts = opts.Defaults()
+	opts, err := opts.Defaults()
+	if err != nil {
+		return nil, err
+	}
 	if len(exps) == 0 {
 		return nil, fmt.Errorf("runner: no experiments registered")
 	}

@@ -207,6 +207,39 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestOptionsRejectNegative: a negative Seeds or Workers is an error naming
+// the field, from Defaults and from Run, which runs nothing; zero is the
+// default.
+func TestOptionsRejectNegative(t *testing.T) {
+	for _, tc := range []struct {
+		opts  Options
+		field string
+	}{
+		{Options{Seeds: -1}, "Seeds"},
+		{Options{Workers: -2}, "Workers"},
+		{Options{Seeds: 2, Workers: -1}, "Workers"},
+		{Options{}, ""},
+	} {
+		var calls atomic.Int64
+		_, runErr := Run([]Experiment{fakeExperiment("x", 0, &calls)}, tc.opts)
+		o, err := tc.opts.Defaults()
+		if tc.field == "" {
+			if err != nil || runErr != nil || o.Seeds != 1 || o.Workers < 1 || calls.Load() != 1 {
+				t.Errorf("zero options: %+v, %v, %v after %d runs; want the defaults", o, err, runErr, calls.Load())
+			}
+			continue
+		}
+		for _, e := range []error{err, runErr} {
+			if e == nil || !strings.Contains(e.Error(), tc.field) {
+				t.Errorf("%+v: error %v does not name %s", tc.opts, e, tc.field)
+			}
+		}
+		if calls.Load() != 0 {
+			t.Errorf("%+v: Run ran the experiment %d times", tc.opts, calls.Load())
+		}
+	}
+}
+
 func TestMergeRejectsMismatchedCells(t *testing.T) {
 	shifty := Experiment{
 		Name: "shifty",

@@ -21,7 +21,7 @@ import (
 type Blend struct {
 	parts  [2]blendPart // primary, secondary
 	theta  float64
-	ps, ss []float64 // scratch for the component share columns
+	ps, ss Shares // the components' answers
 	maps   MapForms
 }
 
@@ -104,18 +104,33 @@ func (b *Blend) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
 	return b.maps.Horizon(b, now, jobs, alloc)
 }
 
-// AssignDense implements DenseAssigner: each active component's share column,
-// mixed.
-func (b *Blend) AssignDense(now, capacity float64, jobs []JobView, slots, changed, freed []int32, shares []float64) {
+// AssignDense implements DenseAssigner: each active component's answer,
+// mixed over the views either serves, in view order (elsewhere both are 0).
+func (b *Blend) AssignDense(now, capacity float64, jobs []JobView, slots, changed, freed []int32, shares *Shares) {
 	if b.theta == 0 || b.theta == 1 {
 		b.parts[int(b.theta)].assigner.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
 		return
 	}
-	ps, ss := sizeShares(&b.ps, len(jobs)), sizeShares(&b.ss, len(jobs))
-	b.parts[0].assigner.AssignDense(now, capacity, jobs, slots, changed, freed, ps)
-	b.parts[1].assigner.AssignDense(now, capacity, jobs, slots, changed, freed, ss)
-	for i := range shares {
-		shares[i] = (1-b.theta)*ps[i] + b.theta*ss[i]
+	b.ps.Reset(len(jobs))
+	b.ss.Reset(len(jobs))
+	b.parts[0].assigner.AssignDense(now, capacity, jobs, slots, changed, freed, &b.ps)
+	b.parts[1].assigner.AssignDense(now, capacity, jobs, slots, changed, freed, &b.ss)
+	pc, sc := b.ps.Col(), b.ss.Col()
+	p, s := b.ps.Served(), b.ss.Served()
+	for len(p) > 0 || len(s) > 0 {
+		var i int32
+		if len(s) == 0 || (len(p) > 0 && p[0] <= s[0]) {
+			i = p[0]
+		} else {
+			i = s[0]
+		}
+		if len(p) > 0 && p[0] == i {
+			p = p[1:]
+		}
+		if len(s) > 0 && s[0] == i {
+			s = s[1:]
+		}
+		shares.Add(int(i), (1-b.theta)*pc[i]+b.theta*sc[i])
 	}
 }
 
@@ -153,7 +168,7 @@ func (b *Blend) ObserveHorizonDense(now float64, jobs []JobView, slots []int32, 
 // HorizonDense implements DenseHinter: the earliest change point of either
 // component, evaluated against the blended shares (both components' horizons
 // are pure functions of the shares they are given).
-func (b *Blend) HorizonDense(now float64, jobs []JobView, slots []int32, shares []float64) float64 {
+func (b *Blend) HorizonDense(now float64, jobs []JobView, slots []int32, shares *Shares) float64 {
 	horizon := math.Inf(1)
 	for _, part := range b.parts {
 		if part.hinter == nil {

@@ -220,17 +220,16 @@ type fillEntry struct {
 
 // orderFill is the dense core of the serve-in-key-order policies: sort the
 // jobs by (key, Seq) and grant each min(demand, remaining capacity) in that
-// order, writing the shares by view index into the zeroed shares.
-func orderFill(scratch *[]viewEntry, capacity float64, jobs []JobView, key func(JobView) float64, shares []float64) {
+// order, adding the grants to shares by view index.
+func orderFill(scratch *[]viewEntry, capacity float64, jobs []JobView, key func(JobView) float64, shares *Shares) {
 	entries := buildEntries(scratch, jobs, key)
 	sortEntries(entries)
 	fillInOrder(entries, capacity, jobs, shares)
 }
 
 // fillInOrder grants each job min(demand, remaining capacity) in the order of
-// the sorted entries, writing the shares by view index into shares.
-func fillInOrder(entries []viewEntry, capacity float64, jobs []JobView, shares []float64) {
-	clear(shares)
+// the sorted entries, adding the grants to shares by view index.
+func fillInOrder(entries []viewEntry, capacity float64, jobs []JobView, shares *Shares) {
 	for i := range entries {
 		if capacity <= 0 {
 			break
@@ -243,7 +242,7 @@ func fillInOrder(entries []viewEntry, capacity float64, jobs []JobView, shares [
 		if capacity < x {
 			x = capacity
 		}
-		shares[entries[i].idx] = x
+		shares.Add(int(entries[i].idx), x)
 		capacity -= x
 	}
 }
@@ -252,7 +251,7 @@ func fillInOrder(entries []viewEntry, capacity float64, jobs []JobView, shares [
 // water filling) over the active entries, compacting the slice in place as
 // jobs saturate. Shares are added into out by view index; the return value
 // is the total granted, accumulated in deterministic entry order.
-func fillActive(capacity float64, active []fillEntry, out []float64) float64 {
+func fillActive(capacity float64, active []fillEntry, out *Shares) float64 {
 	const eps = 1e-12
 	var granted float64
 	for capacity > eps && len(active) > 0 {
@@ -268,7 +267,7 @@ func fillActive(capacity float64, active []fillEntry, out []float64) float64 {
 			e := active[i]
 			share := perWeight * e.weight
 			if e.demand <= share+eps {
-				out[e.idx] += e.demand
+				out.Add(int(e.idx), e.demand)
 				capacity -= e.demand
 				granted += e.demand
 				saturated = true
@@ -281,7 +280,7 @@ func fillActive(capacity float64, active []fillEntry, out []float64) float64 {
 			// No bottlenecked jobs: everyone takes the proportional share.
 			for i := range active {
 				x := perWeight * active[i].weight
-				out[active[i].idx] += x
+				out.Add(int(active[i].idx), x)
 				granted += x
 			}
 			return granted
@@ -292,11 +291,10 @@ func fillActive(capacity float64, active []fillEntry, out []float64) float64 {
 }
 
 // weightedFill is the dense core of the sharing policies: fillActive over
-// the jobs with positive demand and weight, into the zeroed shares, reusing
-// scratch for the active set.
-func weightedFill(scratch *[]fillEntry, capacity float64, jobs []JobView, weight func(JobView) float64, shares []float64) {
-	clear(shares)
-	active := (*scratch)[:0]
+// the jobs with positive demand and weight, into shares, reusing scratch for
+// the active set.
+func weightedFill(scratch *[]fillEntry, capacity float64, jobs []JobView, weight func(JobView) float64, shares *Shares) {
+	active := slices.Grow((*scratch)[:0], len(jobs)) // grown once, not by doubling
 	for i, j := range jobs {
 		d := j.ReadyDemand()
 		w := weight(j)

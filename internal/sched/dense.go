@@ -1,11 +1,14 @@
 package sched
 
+import "slices"
+
 // The dense round contract is the second form of the optional capabilities
 // in buffered.go: the same questions, asked and answered over slices parallel
 // to the views instead of maps keyed by job ID. A substrate that issues slots
-// (substrate.ViewSet.TakeSlot) hands the policy three parallel slices each
-// round — jobs[i] is a view, slots[i] the job's slot, and shares[i] (or
-// rates[i]) the number that the map forms file under jobs[i].ID().
+// (substrate.ViewSet.TakeSlot) hands the policy two parallel slices each
+// round — jobs[i] is a view, slots[i] the job's slot — and takes back a
+// sparse answer: Shares, a column whose element i is the share the map forms
+// file under jobs[i].ID(), zero except at the views it lists as served.
 //
 // A slot is a small integer the substrate gives a job when it becomes
 // schedulable and takes back when the job leaves: unique among the views of
@@ -13,6 +16,13 @@ package sched
 // stateful policy keeps its per-job record in an array indexed by slot, so no
 // round hashes an ID. Stateless policies ignore slots, and callers that have
 // none pass nil.
+//
+// The answer is the substrate's storage (substrate.ViewSet holds it). Reset
+// clears the previous round's grants, AssignDense adds each grant by view
+// index (Shares.Add), and Served lists the views granted a nonzero share,
+// strictly ascending. A round therefore costs what it serves: a reader that
+// wants the served jobs walks the list, and one that indexes the column by
+// view (the engine, yarn, geo) reads zero for every other view.
 //
 // With each AssignDense and ObserveDense call comes the change log: what
 // moved since the policy's previous AssignDense or ObserveDense call.
@@ -37,17 +47,18 @@ package sched
 // MapForms over the dense ones; substrate.Driver drives any policy through
 // DenseForms. One policy instance is driven through one form for a whole run.
 
-// DenseAssigner is the dense form of BufferedAssigner: AssignDense writes
-// every element of shares (len(jobs); zero for an unserved job) with exactly
-// the share AssignInto would file under that job's ID.
+// DenseAssigner is the dense form of BufferedAssigner: AssignDense adds to
+// shares, which arrives empty and sized for len(jobs) views, exactly the
+// nonzero shares AssignInto would file under the jobs' IDs.
 type DenseAssigner interface {
-	AssignDense(now, capacity float64, jobs []JobView, slots, changed, freed []int32, shares []float64)
+	AssignDense(now, capacity float64, jobs []JobView, slots, changed, freed []int32, shares *Shares)
 }
 
-// DenseHinter is the dense form of Hinter: shares is the slice AssignDense
-// just filled for the same jobs and slots.
+// DenseHinter is the dense form of Hinter: shares is the answer AssignDense
+// just gave for the same jobs and slots, and the served views are the only
+// ones whose service grows.
 type DenseHinter interface {
-	HorizonDense(now float64, jobs []JobView, slots []int32, shares []float64) float64
+	HorizonDense(now float64, jobs []JobView, slots []int32, shares *Shares) float64
 }
 
 // DenseObserver is the dense form of Observer and ObserveHinter: rates[i]
@@ -56,6 +67,98 @@ type DenseHinter interface {
 type DenseObserver interface {
 	ObserveDense(now float64, jobs []JobView, slots, changed, freed []int32)
 	ObserveHorizonDense(now float64, jobs []JobView, slots []int32, rates []float64) float64
+}
+
+// Shares is one round's sparse answer: a share column parallel to the views
+// that is zero except at the served views, and the list of those. The zero
+// value is an empty answer over no views.
+//
+// The list costs each served view an entry, and only a reader of the list
+// needs it: an answer keeps it from the first Served call on, so one read by
+// view index alone (the engine's, yarn's, geo's) stays a plain column that
+// Reset clears whole.
+type Shares struct {
+	col []float64
+	// served lists, once sparse, every view whose share turned nonzero since
+	// the last Reset, in the order the grants came; Served puts it in order.
+	served []int32
+	sparse bool
+}
+
+// shareFloor is the smallest capacity the column is grown to,
+// substrate.Grow's floor: a streamed run's live set starts at one job.
+const shareFloor = 64
+
+// Reset clears the previous round's grants — a sparse answer those it lists,
+// and nothing else — and sizes the column for n views.
+func (s *Shares) Reset(n int) {
+	if s.sparse {
+		for _, i := range s.served {
+			s.col[i] = 0
+		}
+		s.served = s.served[:0]
+	} else {
+		clear(s.col)
+	}
+	if cap(s.col) < n {
+		s.col = make([]float64, max(n, 2*cap(s.col), shareFloor))
+	}
+	s.col = s.col[:n]
+}
+
+// Add grants view i the share x on top of what the round has granted it so
+// far. A grant of zero lists an unserved view to no purpose; Served drops it.
+func (s *Shares) Add(i int, x float64) {
+	if s.sparse && s.col[i] == 0 {
+		s.list(i)
+	}
+	s.col[i] += x
+}
+
+// list appends view i to the served list, growing it once to the column's
+// capacity, which bounds it. It stays out of line so that Add, on the path of
+// every grant, inlines.
+//
+//go:noinline
+func (s *Shares) list(i int) {
+	if len(s.served) == cap(s.served) {
+		s.served = slices.Grow(s.served, cap(s.col))
+	}
+	s.served = append(s.served, int32(i))
+}
+
+// Col is the share column: Col()[i] is view i's share, zero when unserved.
+func (s *Shares) Col() []float64 { return s.col }
+
+// Served lists, strictly ascending, the views with a nonzero share, valid
+// until the next Reset. Grants come in the policy's order (LAS_MQ's is queue
+// order), so a list out of view order, or naming a share a later grant
+// cancelled, is sorted and filtered here, once. The first call on an answer
+// finds the served views in the column instead, and makes the answer sparse.
+func (s *Shares) Served() []int32 {
+	if !s.sparse {
+		s.sparse = true
+		for i, x := range s.col {
+			if x != 0 {
+				s.list(i)
+			}
+		}
+		return s.served
+	}
+	for k, i := range s.served {
+		if s.col[i] == 0 || k > 0 && i <= s.served[k-1] {
+			slices.Sort(s.served)
+			keep := s.served[:0]
+			for _, i := range s.served {
+				if s.col[i] != 0 && (len(keep) == 0 || i != keep[len(keep)-1]) {
+					keep = append(keep, i)
+				}
+			}
+			s.served = keep
+			break
+		}
+	}
+	return s.served
 }
 
 // DenseForms returns p's assigner, hinter (nil unless p is a Hinter),
@@ -84,8 +187,7 @@ func DenseForms(p Scheduler) (DenseAssigner, DenseHinter, DenseObserver, bool) {
 }
 
 // mapAdapter answers the dense forms through a policy's map forms. alloc is
-// the buffer AssignInto fills, last the latest round's assignment, col a
-// column filed under job IDs.
+// the buffer AssignInto fills, col a column filed under job IDs.
 type mapAdapter struct {
 	Scheduler
 	buffered  BufferedAssigner
@@ -93,8 +195,7 @@ type mapAdapter struct {
 	observer  Observer
 	obsHinter ObserveHinter
 
-	alloc, last, col Assignment
-	filled           []float64 // the share column the latest AssignDense wrote from last
+	alloc, col Assignment
 }
 
 func newMapAdapter(p Scheduler) *mapAdapter {
@@ -108,29 +209,25 @@ func newMapAdapter(p Scheduler) *mapAdapter {
 
 // AssignDense runs one map-form round — AssignInto into the adapter's buffer,
 // or Assign — and reads the assignment out once per view.
-func (m *mapAdapter) AssignDense(now, capacity float64, jobs []JobView, _, _, _ []int32, shares []float64) {
+func (m *mapAdapter) AssignDense(now, capacity float64, jobs []JobView, _, _, _ []int32, shares *Shares) {
+	alloc := m.alloc
 	if m.buffered != nil {
-		m.buffered.AssignInto(now, capacity, jobs, m.alloc)
-		m.last = m.alloc
+		m.buffered.AssignInto(now, capacity, jobs, alloc)
 	} else {
-		m.last = m.Assign(now, capacity, jobs)
+		alloc = m.Assign(now, capacity, jobs)
 	}
 	for i, j := range jobs {
-		shares[i] = m.last[j.ID()]
+		if x := alloc[j.ID()]; x != 0 {
+			shares.Add(i, x)
+		}
 	}
-	m.filled = shares
 }
 
-// HorizonDense hands the map-form Horizon the assignment shares came from:
-// the latest round's own when shares is the column AssignDense filled from
-// it, otherwise shares filed under the views' job IDs (a blend's mix).
-func (m *mapAdapter) HorizonDense(now float64, jobs []JobView, _ []int32, shares []float64) float64 {
-	alloc := m.last
-	if len(shares) == 0 || len(shares) != len(m.filled) || &shares[0] != &m.filled[0] {
-		alloc = m.col
-		sharesInto(jobs, shares, alloc)
-	}
-	return m.hinter.Horizon(now, jobs, alloc)
+// HorizonDense files the served shares under their job IDs for the map-form
+// Horizon.
+func (m *mapAdapter) HorizonDense(now float64, jobs []JobView, _ []int32, shares *Shares) float64 {
+	sharesInto(jobs, shares, m.col)
+	return m.hinter.Horizon(now, jobs, m.col)
 }
 
 // ObserveDense calls the map-form Observe.
@@ -144,7 +241,12 @@ func (m *mapAdapter) ObserveHorizonDense(now float64, jobs []JobView, _ []int32,
 	if m.obsHinter == nil {
 		return now
 	}
-	sharesInto(jobs, rates, m.col)
+	clear(m.col)
+	for i, j := range jobs {
+		if x := rates[i]; x != 0 {
+			m.col[j.ID()] = x
+		}
+	}
 	return m.obsHinter.ObserveHorizon(now, jobs, m.col)
 }
 
@@ -153,8 +255,9 @@ func (m *mapAdapter) ObserveHorizonDense(now float64, jobs []JobView, _ []int32,
 // DenseObserver) gets slots issued by job ID: a job keeps its slot while
 // consecutive calls name it. One MapForms serves one policy.
 type MapForms struct {
-	col   []float64
-	slots []int32
+	shares Shares
+	rates  []float64
+	slots  []int32
 	// held[slot] is the job holding slot and the call that last named it (0:
 	// free, and stacked on free).
 	slotOf map[int]int32
@@ -216,13 +319,16 @@ func (m *MapForms) slotsFor(p any, jobs []JobView) []int32 {
 	return slots
 }
 
-// column reads the values alloc files under the views' job IDs into a column.
-func (m *MapForms) column(jobs []JobView, alloc Assignment) []float64 {
-	col := sizeShares(&m.col, len(jobs))
+// answer reads the shares alloc files under the views' job IDs into m's
+// answer.
+func (m *MapForms) answer(jobs []JobView, alloc Assignment) *Shares {
+	m.shares.Reset(len(jobs))
 	for i, j := range jobs {
-		col[i] = alloc[j.ID()]
+		if x := alloc[j.ID()]; x != 0 {
+			m.shares.Add(i, x)
+		}
 	}
-	return col
+	return &m.shares
 }
 
 // Assign is p's map-form Assign: AssignInto into a fresh assignment.
@@ -232,19 +338,19 @@ func (m *MapForms) Assign(p DenseAssigner, now, capacity float64, jobs []JobView
 	return out
 }
 
-// AssignInto is p's map-form AssignInto: the dense form, then its nonzero
+// AssignInto is p's map-form AssignInto: the dense form, then its served
 // shares filed under their job IDs.
 func (m *MapForms) AssignInto(p DenseAssigner, now, capacity float64, jobs []JobView, out Assignment) {
-	shares := sizeShares(&m.col, len(jobs))
+	m.shares.Reset(len(jobs))
 	slots := m.slotsFor(p, jobs)
-	p.AssignDense(now, capacity, jobs, slots, nil, m.gone, shares)
+	p.AssignDense(now, capacity, jobs, slots, nil, m.gone, &m.shares)
 	m.gone = m.gone[:0]
-	sharesInto(jobs, shares, out)
+	sharesInto(jobs, &m.shares, out)
 }
 
 // Horizon is p's map-form Horizon.
 func (m *MapForms) Horizon(p DenseHinter, now float64, jobs []JobView, alloc Assignment) float64 {
-	return p.HorizonDense(now, jobs, m.slotsFor(p, jobs), m.column(jobs, alloc))
+	return p.HorizonDense(now, jobs, m.slotsFor(p, jobs), m.answer(jobs, alloc))
 }
 
 // Observe is p's map-form Observe.
@@ -256,24 +362,20 @@ func (m *MapForms) Observe(p DenseObserver, now float64, jobs []JobView) {
 
 // ObserveHorizon is p's map-form ObserveHorizon.
 func (m *MapForms) ObserveHorizon(p DenseObserver, now float64, jobs []JobView, rates Assignment) float64 {
-	return p.ObserveHorizonDense(now, jobs, m.slotsFor(p, jobs), m.column(jobs, rates))
-}
-
-// sizeShares returns *scratch resized to n, reusing its backing array.
-func sizeShares(scratch *[]float64, n int) []float64 {
-	if cap(*scratch) < n {
-		*scratch = make([]float64, n)
+	col := m.rates[:0]
+	for _, j := range jobs {
+		col = append(col, rates[j.ID()])
 	}
-	return (*scratch)[:n]
+	m.rates = col
+	return p.ObserveHorizonDense(now, jobs, m.slotsFor(p, jobs), col)
 }
 
-// sharesInto empties out and files the nonzero values under their job IDs —
+// sharesInto empties out and files the served shares under their job IDs —
 // the map forms never filed a zero share.
-func sharesInto(jobs []JobView, shares []float64, out Assignment) {
+func sharesInto(jobs []JobView, shares *Shares, out Assignment) {
 	clear(out)
-	for i, x := range shares {
-		if x != 0 {
-			out[jobs[i].ID()] = x
-		}
+	col := shares.Col()
+	for _, i := range shares.Served() {
+		out[jobs[i].ID()] = col[i]
 	}
 }

@@ -35,6 +35,6 @@ func (f *FIFO) AssignInto(now float64, capacity float64, jobs []JobView, out Ass
 }
 
 // AssignDense implements DenseAssigner.
-func (f *FIFO) AssignDense(now, capacity float64, jobs []JobView, _, _, _ []int32, shares []float64) {
+func (f *FIFO) AssignDense(now, capacity float64, jobs []JobView, _, _, _ []int32, shares *Shares) {
 	orderFill(&f.entries, capacity, jobs, func(j JobView) float64 { return float64(j.Seq()) }, shares)
 }

@@ -81,7 +81,7 @@ func (g *Gittins) Horizon(now float64, jobs []JobView, alloc Assignment) float64
 // totally orders with Seq as tie-break; an infinite index — a job past the
 // distribution's support or sitting on a completion atom — sorts first and is
 // driven to completion).
-func (g *Gittins) AssignDense(now, capacity float64, jobs []JobView, _, _, _ []int32, shares []float64) {
+func (g *Gittins) AssignDense(now, capacity float64, jobs []JobView, _, _, _ []int32, shares *Shares) {
 	table := g.lazyTable()
 	orderFill(&g.entries, capacity, jobs, func(j JobView) float64 {
 		return -table.Index(j.Attained())
@@ -91,14 +91,16 @@ func (g *Gittins) AssignDense(now, capacity float64, jobs []JobView, _, _, _ []i
 // HorizonDense implements DenseHinter: the discretized index is constant
 // between grid levels, so the ranking can only change when a served job's
 // attained service crosses its next grid boundary.
-func (g *Gittins) HorizonDense(now float64, jobs []JobView, _ []int32, shares []float64) float64 {
+func (g *Gittins) HorizonDense(now float64, jobs []JobView, _ []int32, shares *Shares) float64 {
 	table := g.lazyTable()
 	horizon := math.Inf(1)
-	for i, j := range jobs {
-		rate := shares[i]
+	col := shares.Col()
+	for _, i := range shares.Served() {
+		rate := col[i]
 		if rate <= 0 {
 			continue
 		}
+		j := jobs[i]
 		b := table.NextBoundary(j.Attained())
 		if math.IsInf(b, 1) {
 			continue

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -52,8 +53,7 @@ func (l *LAS) AssignInto(now float64, capacity float64, jobs []JobView, out Assi
 }
 
 // AssignDense implements DenseAssigner.
-func (l *LAS) AssignDense(now, capacity float64, jobs []JobView, slots, _, _ []int32, shares []float64) {
-	clear(shares)
+func (l *LAS) AssignDense(now, capacity float64, jobs []JobView, slots, _, _ []int32, shares *Shares) {
 	entries := l.orderedEntries(jobs, slots)
 	i := 0
 	for i < len(entries) && capacity > 0 {
@@ -65,7 +65,7 @@ func (l *LAS) AssignDense(now, capacity float64, jobs []JobView, slots, _, _ []i
 		// Evenly share remaining capacity within the group, capped by demand
 		// (unweighted max-min). Grants and the capacity they consume are
 		// accumulated in group order, keeping the result deterministic.
-		active := l.fill[:0]
+		active := slices.Grow(l.fill[:0], groupEnd-i)
 		for _, e := range entries[i:groupEnd] {
 			if d := jobs[e.idx].ReadyDemand(); d > 0 {
 				active = append(active, fillEntry{idx: e.idx, demand: d, weight: 1})
@@ -101,10 +101,10 @@ func (l *LAS) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
 // HorizonDense implements DenseHinter: the decision changes when a served
 // job's attained service catches up with the attained service of a job that
 // is currently ahead of it.
-func (l *LAS) HorizonDense(now float64, jobs []JobView, _ []int32, shares []float64) float64 {
+func (l *LAS) HorizonDense(now float64, jobs []JobView, _ []int32, shares *Shares) float64 {
 	// Collect attained levels of all jobs, and find for each served job the
 	// next level strictly above its own.
-	levels := l.levels[:0]
+	levels := slices.Grow(l.levels[:0], len(jobs))
 	for _, j := range jobs {
 		levels = append(levels, j.Attained())
 	}
@@ -112,12 +112,13 @@ func (l *LAS) HorizonDense(now float64, jobs []JobView, _ []int32, shares []floa
 	sort.Float64s(levels)
 
 	horizon := math.Inf(1)
-	for i, j := range jobs {
-		rate := shares[i]
+	col := shares.Col()
+	for _, i := range shares.Served() {
+		rate := col[i]
 		if rate <= 0 {
 			continue
 		}
-		a := j.Attained()
+		a := jobs[i].Attained()
 		// Next attained level strictly above a (beyond the tie tolerance).
 		idx := sort.SearchFloat64s(levels, a+lasTieEps)
 		if idx >= len(levels) {

@@ -17,8 +17,7 @@ import (
 // slots) that records the slot column of every call.
 type slotSpy struct{ calls [][]int32 }
 
-func (s *slotSpy) AssignDense(_, _ float64, _ []sched.JobView, slots, _, _ []int32, shares []float64) {
-	clear(shares)
+func (s *slotSpy) AssignDense(_, _ float64, _ []sched.JobView, slots, _, _ []int32, _ *sched.Shares) {
 	s.calls = append(s.calls, append([]int32(nil), slots...))
 }
 func (s *slotSpy) ObserveDense(float64, []sched.JobView, []int32, []int32, []int32) {}
@@ -160,14 +159,13 @@ func runSlotRounds(t *testing.T, p sched.Scheduler, dense bool) ([]string, []byt
 		var horizon float64
 		if dense {
 			observer.ObserveDense(now, jobs, slots, nil, freed)
-			col := make([]float64, len(jobs))
-			assigner.AssignDense(now, 3, jobs, slots, nil, nil, col)
-			for i, x := range col {
-				if x != 0 {
-					shares[jobs[i].ID()] = x
-				}
+			var ans sched.Shares
+			ans.Reset(len(jobs))
+			assigner.AssignDense(now, 3, jobs, slots, nil, nil, &ans)
+			for _, i := range ans.Served() {
+				shares[jobs[i].ID()] = ans.Col()[i]
 			}
-			horizon = hinter.HorizonDense(now, jobs, slots, col)
+			horizon = hinter.HorizonDense(now, jobs, slots, &ans)
 		} else {
 			p.(sched.Observer).Observe(now, jobs)
 			p.(sched.BufferedAssigner).AssignInto(now, 3, jobs, shares)

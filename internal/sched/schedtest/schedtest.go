@@ -1,5 +1,6 @@
 // Package schedtest provides a fake sched.JobView for tests of scheduling
-// policies and engines, and MapOnly, which hides a policy's dense forms.
+// policies and engines, MapOnly, which hides a policy's dense forms, and
+// Watch, which shows a test every answer a policy gives.
 package schedtest
 
 import (
@@ -141,3 +142,110 @@ func (m mapObserveHinter) ObserveHorizon(now float64, jobs []sched.JobView, rate
 type mapProbed struct{ *mapOnly }
 
 func (m mapProbed) SetProbe(p obs.Probe) { m.inner.(obs.ProbeSetter).SetProbe(p) }
+
+// Watch returns p behind a wrapper that drives p's dense forms — p's own, or
+// for a map-only p the map adapter sched.DenseForms builds — and hands check
+// each round's views and answer as AssignDense leaves it: the answer
+// substrate.Driver.Shares and ViewSet.Served read. The wrapper has every dense form and
+// exactly p's map-form capabilities (forwarded to p), which decide what
+// sched.DenseForms resolves; so a substrate drives it as it drives p, and a
+// run with Watch(p) equals the run with p bit for bit. Like MapOnly, it
+// panics on a capability set no policy here has.
+func Watch(p sched.Scheduler, check func(jobs []sched.JobView, shares *sched.Shares)) sched.Scheduler {
+	m, w := &mapOnly{p}, &watchDense{check: check}
+	w.a, w.h, w.o, _ = sched.DenseForms(p)
+	_, obsHinter := p.(sched.ObserveHinter)
+	_, probed := p.(obs.ProbeSetter)
+	type caps struct{ hinter, observer, obsHinter, probed bool }
+	switch (caps{w.h != nil, w.o != nil, obsHinter, probed}) {
+	case caps{}: // FIFO, FAIR, PS, SJF, SRTF
+		return struct {
+			*mapOnly
+			*watchDense
+		}{m, w}
+	case caps{hinter: true}: // LAS, GITTINS
+		return struct {
+			*mapOnly
+			*watchDense
+			mapHinter
+		}{m, w, mapHinter{m}}
+	case caps{hinter: true, observer: true}: // SRPT
+		return struct {
+			*mapOnly
+			*watchDense
+			mapHinter
+			mapObserver
+		}{m, w, mapHinter{m}, mapObserver{m}}
+	case caps{hinter: true, observer: true, probed: true}: // core.Adaptive
+		return struct {
+			*mapOnly
+			*watchDense
+			mapHinter
+			mapObserver
+			mapProbed
+		}{m, w, mapHinter{m}, mapObserver{m}, mapProbed{m}}
+	case caps{true, true, true, true}: // LAS_MQ, sched.Blend, core.QueueRecorder
+		return struct {
+			*mapOnly
+			*watchDense
+			mapHinter
+			mapObserveHinter
+			mapProbed
+		}{m, w, mapHinter{m}, mapObserveHinter{mapObserver{m}}, mapProbed{m}}
+	}
+	panic(fmt.Sprintf("schedtest.Watch: %s has a capability set no wrapper forwards exactly", p.Name()))
+}
+
+// watchDense is Watch's dense forms: p's, with check called on each answer.
+type watchDense struct {
+	a     sched.DenseAssigner
+	h     sched.DenseHinter
+	o     sched.DenseObserver
+	check func([]sched.JobView, *sched.Shares)
+}
+
+func (w *watchDense) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
+	w.a.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
+	w.check(jobs, shares)
+}
+
+func (w *watchDense) HorizonDense(now float64, jobs []sched.JobView, slots []int32, shares *sched.Shares) float64 {
+	return w.h.HorizonDense(now, jobs, slots, shares)
+}
+
+func (w *watchDense) ObserveDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
+	w.o.ObserveDense(now, jobs, slots, changed, freed)
+}
+
+func (w *watchDense) ObserveHorizonDense(now float64, jobs []sched.JobView, slots []int32, rates []float64) float64 {
+	return w.o.ObserveHorizonDense(now, jobs, slots, rates)
+}
+
+// AnswerError reports how an answer over n views breaks the sparse contract,
+// or nil: its column must have n entries, its served list must be strictly
+// ascending and name exactly the views whose share is nonzero, and every
+// other share must be zero.
+func AnswerError(n int, shares *sched.Shares) error {
+	col, served := shares.Col(), shares.Served()
+	if len(col) != n {
+		return fmt.Errorf("the column holds %d shares for %d views", len(col), n)
+	}
+	for k, i := range served {
+		if k > 0 && i <= served[k-1] {
+			return fmt.Errorf("served list %v is not strictly ascending", served)
+		}
+		if i < 0 || int(i) >= n || col[i] == 0 {
+			return fmt.Errorf("served list names view %d, whose share is not a nonzero one of %d", i, n)
+		}
+	}
+	nonzero := 0
+	for _, x := range col {
+		if x != 0 {
+			nonzero++
+		}
+	}
+	if nonzero != len(served) {
+		return fmt.Errorf("%d views hold a nonzero share, the served list names %d", nonzero, len(served))
+	}
+	return nil
+}

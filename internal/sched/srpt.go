@@ -72,7 +72,7 @@ func (s *SRPT) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
 
 // AssignDense implements DenseAssigner: every job with ready demand takes
 // min(demand, remaining capacity) in (remaining service, seq) order.
-func (s *SRPT) AssignDense(now, capacity float64, jobs []JobView, slots, _, _ []int32, shares []float64) {
+func (s *SRPT) AssignDense(now, capacity float64, jobs []JobView, slots, _, _ []int32, shares *Shares) {
 	entries := carriedEntries(&s.entries, &s.at, jobs, slots, exactRemaining)
 	insertionSortEntries(entries)
 	fillInOrder(entries, capacity, jobs, shares)
@@ -91,11 +91,12 @@ func (s *SRPT) ObserveHorizonDense(now float64, _ []JobView, _ []int32, _ []floa
 // the first order inversion always occurs between entries adjacent in the
 // order the last AssignDense served, when a faster-draining later entry
 // catches a slower earlier one.
-func (s *SRPT) HorizonDense(now float64, _ []JobView, _ []int32, shares []float64) float64 {
+func (s *SRPT) HorizonDense(now float64, _ []JobView, _ []int32, shares *Shares) float64 {
 	horizon := math.Inf(1)
+	col := shares.Col()
 	for i := 1; i < len(s.entries); i++ {
 		a, b := &s.entries[i-1], &s.entries[i]
-		ra, rb := shares[a.idx], shares[b.idx]
+		ra, rb := col[a.idx], col[b.idx]
 		if rb <= ra {
 			continue
 		}

@@ -12,9 +12,9 @@
 //
 //   - Queue: the job-admission module (FIFO waiting queue, running-job cap,
 //     admission sequence numbers, stuck-admission detection).
-//   - ViewSet: the scratch-reusing registry of scheduler-facing job views a
-//     substrate rebuilds each round, with the slot allocator and the slot,
-//     share and rate columns of the dense round contract.
+//   - ViewSet: the scratch-reusing registry of scheduler-facing job views,
+//     with the slot allocator, the slot and rate columns of the dense round
+//     contract, and the sparse share answer the policy fills.
 //   - Driver: the policy invocation loop — the policy's capabilities
 //     resolved once into dense forms, and the observation-horizon gating that
 //     lets substrates skip dead rounds without desynchronizing stateful
@@ -90,14 +90,15 @@ func (d *Driver) SetProbe(p obs.Probe) {
 func (d *Driver) Name() string { return d.policy.Name() }
 
 // Shares runs one full policy invocation over the views in vs, handing the
-// policy vs's change log and clearing it, and returns the share column:
-// shares[i] belongs to the i-th view added, zero for a job the policy did not
-// serve, valid until the next Shares call. Views without a slot
-// (ViewSet.Add) suit only a policy that keeps no per-job state. The round
-// invalidates the observation horizon, is the RoundExecuted event, and reads
-// the wall clock only for a listening histogram sink.
+// policy vs's change log and clearing it, and returns the answer's share
+// column, valid until the next Shares call: shares[i] belongs to the i-th
+// view registered, zero for a job the policy did not serve. vs.Served lists
+// the served views. Clearing the previous answer costs what it served. Views
+// without a slot (ViewSet.Add) suit only a policy that keeps no per-job
+// state. The round invalidates the observation horizon, is the RoundExecuted
+// event, and reads the wall clock only for a listening histogram sink.
 func (d *Driver) Shares(now, capacity float64, vs *ViewSet) []float64 {
-	vs.shares = Grow(vs.shares[:0], len(vs.views))[:len(vs.views)]
+	vs.shares.Reset(len(vs.views))
 	d.dirty = true
 	if d.probe != nil {
 		d.probe.RoundExecuted(now, len(vs.views))
@@ -107,12 +108,12 @@ func (d *Driver) Shares(now, capacity float64, vs *ViewSet) []float64 {
 		start = time.Now()
 	}
 	changed, freed := vs.log()
-	d.assigner.AssignDense(now, capacity, vs.views, vs.slots, changed, freed, vs.shares)
+	d.assigner.AssignDense(now, capacity, vs.views, vs.slots, changed, freed, &vs.shares)
 	vs.clearLog()
 	if d.latency != nil {
 		d.latency.ObserveRoundLatency(time.Since(start).Seconds())
 	}
-	return vs.shares
+	return vs.shares.Col()
 }
 
 // MarkDirty invalidates the observation horizon. Substrates call it whenever
@@ -162,11 +163,11 @@ func (d *Driver) Observe(now float64, vs *ViewSet) {
 }
 
 // Horizon returns the earliest time strictly after now at which the policy's
-// decision could change given the shares the latest Shares call over vs
+// decision could change given the answer the latest Shares call over vs
 // returned, or +Inf when the policy publishes no change points.
 func (d *Driver) Horizon(now float64, vs *ViewSet) float64 {
 	if d.hinter == nil {
 		return math.Inf(1)
 	}
-	return d.hinter.HorizonDense(now, vs.views, vs.slots, vs.shares)
+	return d.hinter.HorizonDense(now, vs.views, vs.slots, &vs.shares)
 }

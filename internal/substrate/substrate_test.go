@@ -292,18 +292,18 @@ func (p *bothForms) ObserveHorizon(now float64, jobs []sched.JobView, rates sche
 
 type denseAssign struct{ *bothForms }
 
-func (p denseAssign) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares []float64) {
+func (p denseAssign) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
 	p.calls = append(p.calls, "AssignDense")
-	for i := range shares {
-		shares[i] = 10 * float64(slots[i])
+	for i := range jobs {
+		shares.Add(i, 10*float64(slots[i]))
 	}
 }
 
 type denseHint struct{ *bothForms }
 
-func (p denseHint) HorizonDense(now float64, jobs []sched.JobView, slots []int32, shares []float64) float64 {
+func (p denseHint) HorizonDense(now float64, jobs []sched.JobView, slots []int32, shares *sched.Shares) float64 {
 	p.calls = append(p.calls, "HorizonDense")
-	return now + shares[0]
+	return now + shares.Col()[0]
 }
 
 type denseObserve struct{ *bothForms }
@@ -408,11 +408,13 @@ func TestViewSetSlots(t *testing.T) {
 	}
 }
 
-// logSpy is a stateful dense policy that records the change log of each
-// call: changed (nil when every view counts as changed) and freed.
+// logSpy is a stateful dense policy that records the change log and the slot
+// column of each call, and grants each view the log names (every view, when
+// changed is nil) its slot + 1, in descending view order.
 type logSpy struct {
 	changed [][]int32
 	freed   [][]int32
+	slots   [][]int32
 }
 
 func (p *logSpy) Name() string { return "logspy" }
@@ -420,19 +422,30 @@ func (p *logSpy) Assign(float64, float64, []sched.JobView) sched.Assignment {
 	panic("the driver calls the dense forms")
 }
 func (p *logSpy) Observe(float64, []sched.JobView) { panic("the driver calls the dense forms") }
-func (p *logSpy) record(changed, freed []int32) {
+func (p *logSpy) record(slots, changed, freed []int32) {
 	if changed != nil {
 		changed = append([]int32{}, changed...)
 	}
 	p.changed = append(p.changed, changed)
 	p.freed = append(p.freed, append([]int32{}, freed...))
+	p.slots = append(p.slots, append([]int32{}, slots...))
 }
-func (p *logSpy) AssignDense(_, _ float64, _ []sched.JobView, _, changed, freed []int32, shares []float64) {
-	clear(shares)
-	p.record(changed, freed)
+func (p *logSpy) AssignDense(_, _ float64, _ []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
+	p.record(slots, changed, freed)
+	n := len(changed)
+	if changed == nil {
+		n = len(slots)
+	}
+	for k := n - 1; k >= 0; k-- {
+		i := k
+		if changed != nil {
+			i = int(changed[k])
+		}
+		shares.Add(i, float64(slots[i]+1))
+	}
 }
-func (p *logSpy) ObserveDense(_ float64, _ []sched.JobView, _, changed, freed []int32) {
-	p.record(changed, freed)
+func (p *logSpy) ObserveDense(_ float64, _ []sched.JobView, slots, changed, freed []int32) {
+	p.record(slots, changed, freed)
 }
 func (p *logSpy) ObserveHorizonDense(now float64, _ []sched.JobView, _ []int32, _ []float64) float64 {
 	return now
@@ -442,10 +455,28 @@ func (p *logSpy) ObserveHorizonDense(now float64, _ []sched.JobView, _ []int32, 
 // previous call and, once the substrate marks views, the views marked since
 // — every view until then — and clears the log; Begin drops the marks, an
 // empty round keeps the log for the next call, and Reset forgets the marking.
+// A registration edited in place — views added behind the others without a
+// Begin, and cut out (ViewSet.Cut) keeping the rest in order — reaches the
+// policy as the edits left it. Every answer lists, ascending, exactly the
+// views the policy granted a share, whatever order it granted them in, and
+// its column is zero elsewhere: the previous answer's grants are cleared.
 func TestViewSetChangeLog(t *testing.T) {
 	p := &logSpy{}
 	d := substrate.NewDriver(p)
 	var vs substrate.ViewSet
+	var served [][]int32
+	shares := func(now float64) {
+		col, list := d.Shares(now, 1, &vs), vs.Served()
+		served = append(served, append([]int32{}, list...))
+		for i, x := range col {
+			if granted := slices.Contains(list, int32(i)); granted != (x != 0) || granted && x != float64(p.slots[len(p.slots)-1][i]+1) {
+				t.Fatalf("call at %v: share %v of view %d does not match the served list %v", now, x, i, list)
+			}
+		}
+		if len(col) != vs.Len() || !slices.IsSorted(list) || len(slices.Compact(slices.Clone(list))) != len(list) {
+			t.Fatalf("call at %v: %d shares for %d views, served %v", now, len(col), vs.Len(), list)
+		}
+	}
 	register := func(ids ...int) {
 		vs.Begin(false, false)
 		for _, id := range ids {
@@ -456,13 +487,13 @@ func TestViewSetChangeLog(t *testing.T) {
 		vs.TakeSlot()
 	}
 	register(0, 1, 2)
-	d.Shares(0, 1, &vs) // nothing marked: every view
+	shares(0) // nothing marked: every view
 	vs.FreeSlot(1)
 	register(0, 2)
 	d.Observe(1, &vs) // nothing marked: every view, and slot 1
 	vs.MarkChanged(1)
-	d.Shares(2, 1, &vs) // view 1 alone
-	d.Shares(3, 1, &vs) // nothing changed
+	shares(2) // view 1 alone
+	shares(3) // nothing changed
 	vs.FreeSlot(2)
 	vs.MarkChanged(0) // dropped by the Begin below
 	register(0)
@@ -471,15 +502,39 @@ func TestViewSetChangeLog(t *testing.T) {
 	d.Observe(4, &vs) // no views: the policy is not called, the log waits
 	register(0)
 	vs.MarkChanged(0)
-	d.Shares(5, 1, &vs) // view 0, and slot 2
+	shares(5) // view 0, and slot 2
+
+	// Edits: two views join behind view 0 and are marked; then the middle one
+	// leaves, cut out with its slot; then one more joins.
+	for range 2 {
+		slot := vs.TakeSlot()
+		vs.AddSlot(fakeView{id: int(slot)}, slot)
+	}
+	vs.MarkChanged(1)
+	vs.MarkChanged(2)
+	shares(6) // views 1 and 2, slots 2 and 1
+	vs.FreeSlot(2)
+	vs.Cut([]int32{1})
+	vs.MarkChanged(1)
+	shares(7) // view 1, which holds slot 1 now, and slot 2
+	slot := vs.TakeSlot()
+	vs.AddSlot(fakeView{id: int(slot)}, slot)
+	vs.Cut([]int32{0})
+	vs.MarkChanged(1)
+	shares(8) // view 1, slot 2 again: the first view is cut without a FreeSlot
 	vs.Reset()
 	vs.TakeSlot()
 	register(0)
-	d.Shares(6, 1, &vs) // a fresh run: every view again
-	wantChanged := [][]int32{nil, nil, {1}, {}, {0}, nil}
-	wantFreed := [][]int32{{}, {1}, {}, {}, {2}, {}}
+	shares(9) // a fresh run: every view again
+	wantChanged := [][]int32{nil, nil, {1}, {}, {0}, {1, 2}, {1}, {1}, nil}
+	wantFreed := [][]int32{{}, {1}, {}, {}, {2}, {}, {2}, {}, {}}
+	wantSlots := [][]int32{{0, 1, 2}, {0, 2}, {0, 2}, {0, 2}, {0}, {0, 2, 1}, {0, 1}, {1, 2}, {0}}
+	wantServed := [][]int32{{0, 1, 2}, {1}, {}, {0}, {1, 2}, {1}, {1}, {0}}
 	if !reflect.DeepEqual(p.changed, wantChanged) || !reflect.DeepEqual(p.freed, wantFreed) {
 		t.Fatalf("the policy was handed changed %#v and freed %v; want %#v and %v", p.changed, p.freed, wantChanged, wantFreed)
+	}
+	if !reflect.DeepEqual(p.slots, wantSlots) || !reflect.DeepEqual(served, wantServed) {
+		t.Fatalf("the policy was handed slots %v and served %v; want %v and %v", p.slots, served, wantSlots, wantServed)
 	}
 }
 
@@ -540,5 +595,26 @@ func TestResultAccumulator(t *testing.T) {
 	r.ResponseTimes()[0] = -1
 	if got := r.MeanResponseTime(); got != 20 {
 		t.Fatalf("mean after external mutation = %v, want 20", got)
+	}
+}
+
+// TestCut: Cut drops the elements at the listed indices and keeps the rest in
+// order, zeroing the vacated tail.
+func TestCut(t *testing.T) {
+	for _, tc := range []struct {
+		gone []int32
+		want []int
+	}{
+		{nil, []int{0, 1, 2, 3, 4, 5}},
+		{[]int32{0}, []int{1, 2, 3, 4, 5}},
+		{[]int32{5}, []int{0, 1, 2, 3, 4}},
+		{[]int32{1, 2, 4}, []int{0, 3, 5}},
+		{[]int32{0, 1, 2, 3, 4, 5}, []int{}},
+	} {
+		s := []int{0, 1, 2, 3, 4, 5}
+		got := substrate.Cut(s, tc.gone)
+		if !slices.Equal(got, tc.want) || slices.ContainsFunc(s[len(got):], func(x int) bool { return x != 0 }) {
+			t.Errorf("Cut(%v) = %v, backing %v; want %v and a zeroed tail", tc.gone, got, s, tc.want)
+		}
 	}
 }

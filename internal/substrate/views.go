@@ -2,15 +2,17 @@ package substrate
 
 import "lasmq/internal/sched"
 
-// ViewSet is the job-view registry a substrate fills whenever the
-// schedulable set changes — every round, or, when its views are persistent
-// adapters over job state, only at arrivals and departures: the
-// sched.JobView slice handed to the policy, plus what travels with it. Every
-// substrate speaks the dense round contract (see internal/sched/dense.go): it
-// takes a slot for every job that becomes schedulable (TakeSlot/FreeSlot),
-// registers views with AddSlot, and reads the policy's answer from the share
-// column Driver.Shares fills — slots, shares and the rate bounds (AddRate)
-// are columns parallel to the views.
+// ViewSet is the job-view registry a substrate keeps of its schedulable set:
+// the sched.JobView slice handed to the policy, plus what travels with it.
+// Every substrate speaks the dense round contract (see
+// internal/sched/dense.go): it takes a slot for every job that becomes
+// schedulable (TakeSlot/FreeSlot), registers views with AddSlot, and reads
+// the policy's sparse answer: Driver.Shares returns its share column and
+// Served its served views — slots and the rate bounds (AddRate) are columns
+// parallel to the views, and so is the share column. A substrate registers
+// anew (Begin, then AddSlot per view) whenever its set changes, or edits one
+// registration as it goes: AddSlot as a job is admitted, Cut as jobs leave
+// (the fluid simulator).
 //
 // The ViewSet also keeps the contract's change log, which Driver.Shares and
 // Driver.Observe hand to the policy and then clear: FreeSlot logs the freed
@@ -30,11 +32,11 @@ type ViewSet struct {
 	demand   map[int]float64
 	hasRates bool
 
-	// Dense columns, parallel to views. slots and rateCol are filled as views
-	// are added; shares is sized by Driver.Shares.
+	// Dense columns, parallel to views, filled as views are added, and the
+	// answer Driver.Shares has the policy fill.
 	slots   []int32
-	shares  []float64
 	rateCol []float64
+	shares  sched.Shares
 
 	// The slot allocator: slots below issued have been handed out at least
 	// once, and free stacks the returned ones, so slots stay below the peak
@@ -156,6 +158,41 @@ func (vs *ViewSet) Add(v sched.JobView) { vs.views = append(vs.views, v) }
 func (vs *ViewSet) AddSlot(v sched.JobView, slot int32) {
 	vs.views = append(vs.views, v)
 	vs.slots = append(Grow(vs.slots, len(vs.slots)+1), slot)
+}
+
+// Served lists, strictly ascending, the views the latest Driver.Shares over vs
+// gave a nonzero share. The answer keeps the list from its first read on, so
+// a substrate that reads only the column never pays for it.
+func (vs *ViewSet) Served() []int32 { return vs.shares.Served() }
+
+// Cut removes the views at the indices gone lists, strictly ascending,
+// keeping the others and their slots in order: the edit that spares a
+// substrate whose set loses a few jobs re-registering the rest. The rate
+// bounds start over (AddRate). Cut between rounds, before marking views, as
+// the marks index the views.
+func (vs *ViewSet) Cut(gone []int32) {
+	vs.views = Cut(vs.views, gone)
+	vs.slots = Cut(vs.slots, gone)
+	vs.rateCol = vs.rateCol[:0]
+}
+
+// Cut removes from s the elements at the indices gone lists, strictly
+// ascending, keeping the others in order: each run between two removed
+// elements moves in one copy. The vacated tail is zeroed so it pins nothing.
+func Cut[T any](s []T, gone []int32) []T {
+	if len(gone) == 0 {
+		return s
+	}
+	w := int(gone[0])
+	for k, g := range gone {
+		end := len(s)
+		if k+1 < len(gone) {
+			end = int(gone[k+1])
+		}
+		w += copy(s[w:], s[g+1:end])
+	}
+	clear(s[w:])
+	return s[:w]
 }
 
 // AddRate records the metric-rate bound of the next view that has none

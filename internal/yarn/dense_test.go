@@ -43,7 +43,7 @@ func (p *countingLASMQ) Observe(now float64, jobs []sched.JobView) {
 	p.LASMQ.Observe(now, jobs)
 }
 
-func (p *countingLASMQ) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares []float64) {
+func (p *countingLASMQ) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
 	p.assignDense++
 	p.maxViews = max(p.maxViews, len(jobs))
 	p.LASMQ.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
