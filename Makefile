@@ -59,6 +59,9 @@ lint:
 # edits one registration, cutting completed jobs out); it finds the jobs a
 # round serves in the sparse answer's served list, never by ranging over the
 # share column; and LAS_MQ's HorizonDense walks that list, not the views.
+# The last fence keeps FIFO's slotted round a walk of its queue from the head:
+# fifo.go builds, sorts and fills no per-view entries, and calls orderFill
+# once, in the slotless branch (`if slots == nil`) the map forms take.
 layering:
 	@bad=$$(grep -rn '"lasmq/internal/fluid"' internal/trace --include='*.go'; true); \
 	if [ -n "$$bad" ]; then \
@@ -130,6 +133,16 @@ layering:
 			"over no share column, and LAS_MQ's HorizonDense walks no view list:"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@n=$$(grep -c 'orderFill(' internal/sched/fifo.go); \
+	guarded=$$(grep -B1 'orderFill(' internal/sched/fifo.go | grep -c 'if slots == nil {'); \
+	bad=$$(grep -nE '(buildEntries|carriedEntries|sortEntries|firstEntries|fillInOrder)\(|viewEntry\{' \
+		internal/sched/fifo.go; true); \
+	if [ "$$n" != 1 ] || [ "$$guarded" != 1 ] || [ -n "$$bad" ]; then \
+		echo "layering: FIFO's slotted round walks its queue and builds no per-view entries:" \
+			"one orderFill call, in the slotless branch (found $$n, $$guarded of them under" \
+			"'if slots == nil {')"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@echo "layering: ok"
 
 build:
@@ -175,8 +188,10 @@ bench-smoke:
 # with a nil probe may not allocate (testing.AllocsPerRun == 0), and neither
 # may recording one flight-recorder ring event or one histogram observation.
 # The same holds for the dense round contract: a steady LAS_MQ round over
-# 1,000 slotted views, and an engine round and observation round driven
-# through the dense forms, allocate nothing (TestDenseRoundZeroAlloc).
+# 1,000 slotted views, a LAS_MQ and a FIFO round driven over 1,000 views
+# registered and logged as the fluid simulator does, and an engine round and
+# observation round driven through the dense forms, allocate nothing
+# (TestDenseRoundZeroAlloc).
 # Run -count=1 so a cached pass cannot mask a regression introduced by an
 # unrelated package.
 probe-gate:

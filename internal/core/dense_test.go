@@ -212,7 +212,8 @@ func steadyRound(n int) (views []sched.JobView, slots []int32) {
 // observation), one whose log names only the views served last round and a
 // departure whose slot an arrival takes, and one driven through
 // substrate.Driver over a registration edited as the fluid simulator edits
-// it.
+// it; and a FIFO round driven over that registration, its queue kept from the
+// same declared log.
 func TestDenseRoundZeroAlloc(t *testing.T) {
 	mq := newLASMQ(t, nil)
 	views, slots := steadyRound(1000)
@@ -250,53 +251,56 @@ func TestDenseRoundZeroAlloc(t *testing.T) {
 		t.Fatalf("dense round over a declared log allocates %v allocs/op, want 0", avg)
 	}
 
-	// The fluid simulator's shape, through a driver: one registration edited
-	// and never rebuilt — each round the oldest job leaves (FreeSlot, Cut)
-	// and a new one takes its slot behind the others — with the views served
-	// last round and the new one marked, and the horizon read off the sparse
-	// answer. ring[(head+k)%n] is the k-th view; a leaving job's record comes
-	// back as the new one.
-	d := substrate.NewDriver(newLASMQ(t, nil))
-	var vs substrate.ViewSet
-	ring, _ := steadyRound(1000)
-	n := len(ring)
-	slotOf := make([]int32, n)
-	for k, j := range ring {
-		slotOf[k] = vs.TakeSlot()
-		vs.AddSlot(j, slotOf[k])
-	}
-	head, next := 0, n
-	first, served, rounds, servedViews := []int32{0}, make([]int32, 0, n), 0, 0
-	edited := func() {
-		vs.FreeSlot(slotOf[head])
-		vs.Cut(first)
-		j := ring[head].(*schedtest.FakeJob)
-		next++
-		j.JobID, j.JobSeq, j.AttainedVal, j.EstimatedVal = next, next, 0, 0
-		slotOf[head] = vs.TakeSlot()
-		vs.AddSlot(j, slotOf[head])
-		head = (head + 1) % n
-		for _, i := range served {
-			if i > 0 {
-				vs.MarkChanged(int(i - 1))
-			}
+	// The fluid simulator's shape, through a driver, for LAS_MQ and for FIFO,
+	// whose queue follows the same log: one registration edited and never
+	// rebuilt — each round the oldest job leaves (FreeSlot, Cut) and a new one
+	// takes its slot behind the others — with the views served last round and
+	// the new one marked, and the horizon read off the sparse answer.
+	// ring[(head+k)%n] is the k-th view; a leaving job's record comes back as
+	// the new one.
+	for _, p := range []sched.Scheduler{newLASMQ(t, nil), sched.NewFIFO()} {
+		d := substrate.NewDriver(p)
+		var vs substrate.ViewSet
+		ring, _ := steadyRound(1000)
+		n := len(ring)
+		slotOf := make([]int32, n)
+		for k, j := range ring {
+			slotOf[k] = vs.TakeSlot()
+			vs.AddSlot(j, slotOf[k])
 		}
-		vs.MarkChanged(n - 1)
-		d.Shares(float64(next), 120, &vs)
-		list := vs.Served()
-		d.Horizon(float64(next), &vs)
-		served = append(served[:0], list...)
-		rounds++
-		servedViews += len(list)
-	}
-	for range 20 {
-		edited()
-	}
-	if avg := testing.AllocsPerRun(50, edited); avg != 0 {
-		t.Fatalf("a driven round over an edited registration allocates %v allocs/op, want 0", avg)
-	}
-	if servedViews < rounds {
-		t.Fatalf("%d rounds served %d views", rounds, servedViews)
+		head, next := 0, n
+		first, served, rounds, servedViews := []int32{0}, make([]int32, 0, n), 0, 0
+		edited := func() {
+			vs.FreeSlot(slotOf[head])
+			vs.Cut(first)
+			j := ring[head].(*schedtest.FakeJob)
+			next++
+			j.JobID, j.JobSeq, j.AttainedVal, j.EstimatedVal = next, next, 0, 0
+			slotOf[head] = vs.TakeSlot()
+			vs.AddSlot(j, slotOf[head])
+			head = (head + 1) % n
+			for _, i := range served {
+				if i > 0 {
+					vs.MarkChanged(int(i - 1))
+				}
+			}
+			vs.MarkChanged(n - 1)
+			d.Shares(float64(next), 120, &vs)
+			list := vs.Served()
+			d.Horizon(float64(next), &vs)
+			served = append(served[:0], list...)
+			rounds++
+			servedViews += len(list)
+		}
+		for range 20 {
+			edited()
+		}
+		if avg := testing.AllocsPerRun(50, edited); avg != 0 {
+			t.Fatalf("%s: a driven round over an edited registration allocates %v allocs/op, want 0", p.Name(), avg)
+		}
+		if servedViews < rounds {
+			t.Fatalf("%s: %d rounds served %d views", p.Name(), rounds, servedViews)
+		}
 	}
 }
 

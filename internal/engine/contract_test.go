@@ -7,6 +7,7 @@ import (
 
 	"lasmq/internal/core"
 	"lasmq/internal/engine"
+	"lasmq/internal/job"
 	"lasmq/internal/sched"
 	"lasmq/internal/sched/schedtest"
 )
@@ -56,7 +57,7 @@ func TestSparseAnswerContract(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rounds, served := 0, 0
 			var broken error
-			watched := schedtest.Watch(mk(), func(jobs []sched.JobView, shares *sched.Shares) {
+			watched := schedtest.Watch(mk(), func(_ float64, jobs []sched.JobView, shares *sched.Shares) {
 				rounds++
 				served += len(shares.Served())
 				if err := schedtest.AnswerError(len(jobs), shares); err != nil && broken == nil {
@@ -79,6 +80,81 @@ func TestSparseAnswerContract(t *testing.T) {
 			}
 			if rounds == 0 || served == 0 {
 				t.Fatalf("watched %d answers serving %d views", rounds, served)
+			}
+		})
+	}
+}
+
+// TestFIFOMatchesLiteral holds every round of FIFO on the engine's pinned
+// inputs — TestRunResultPinned's (diffWorkload's seeds 1-3 under every noise
+// configuration, orderSpecs with and without chaos) and TestLaunchOrderPinned's
+// (orderSpecs under a tight and a wide admission cap, through Run and
+// RunStream) — against schedtest.LiteralFIFO, bit for bit: FIFO's queue, kept
+// from the change log and served from its head, must answer what a sort of
+// every view would.
+func TestFIFOMatchesLiteral(t *testing.T) {
+	type input struct {
+		name   string
+		specs  []job.Spec
+		cfg    engine.Config
+		stream bool
+	}
+	var inputs []input
+	configs := diffConfigs()
+	for seed := int64(1); seed <= 3; seed++ {
+		for cname, tweak := range configs {
+			cfg := engine.DefaultConfig()
+			cfg.Containers = 20
+			cfg.MaxRunningJobs = 0
+			cfg.Seed = seed
+			tweak(&cfg)
+			inputs = append(inputs, input{fmt.Sprintf("diff/seed%d/%s", seed, cname), diffWorkload(seed, 40), cfg, false})
+		}
+	}
+	chaos := func(cfg engine.Config) engine.Config {
+		cfg.FailureProb = 0.1
+		cfg.StragglerProb = 0.2
+		cfg.StragglerFactor = 3
+		cfg.Speculation = true
+		return cfg
+	}
+	specs := orderSpecs(60)
+	order := engine.DefaultConfig()
+	order.Containers, order.MaxRunningJobs, order.Seed = 9, 6, 5
+	wide := chaos(order)
+	wide.MaxRunningJobs = 14
+	inputs = append(inputs,
+		input{"order/chaos=false", specs, order, false},
+		input{"order/chaos=true", specs, chaos(order), false},
+		input{"launch/tight/stream", arrivalSorted(specs), chaos(order), true},
+		input{"launch/wide/run", specs, wide, false},
+		input{"launch/wide/stream", arrivalSorted(specs), wide, true},
+	)
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			rounds, served := 0, 0
+			var broken error
+			watched := schedtest.Watch(sched.NewFIFO(), func(capacity float64, jobs []sched.JobView, shares *sched.Shares) {
+				rounds++
+				served += len(shares.Served())
+				if err := schedtest.FIFOError(capacity, jobs, shares); err != nil && broken == nil {
+					broken = fmt.Errorf("round %d: %v", rounds, err)
+				}
+			})
+			var err error
+			if in.stream {
+				_, err = engine.RunStream(engine.SliceSource(in.specs), watched, in.cfg, nil)
+			} else {
+				_, err = engine.Run(in.specs, watched, in.cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if broken != nil {
+				t.Fatal(broken)
+			}
+			if rounds == 0 || served == 0 {
+				t.Fatalf("checked %d answers serving %d views", rounds, served)
 			}
 		})
 	}

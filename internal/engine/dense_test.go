@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"lasmq/internal/core"
 	"lasmq/internal/engine"
 	"lasmq/internal/obs"
 	"lasmq/internal/sched"
@@ -102,5 +103,77 @@ func TestDenseMatchesMapOnlySharded(t *testing.T) {
 		if dense.Slab.Recycled == 0 {
 			t.Errorf("%s: no job record was recycled, so no slot was either", name)
 		}
+	}
+}
+
+// TestBlendOverFIFOMatchesMapOnly: a blend of FIFO and LAS_MQ at theta = 0.5
+// drives FIFO's slotted queue through the blend's slots, while the engine
+// replays skipped rounds through the blend's ObserveDense, which only LAS_MQ
+// observes: a slot freed before an observed round never reaches FIFO in a
+// log, and FIFO must find the departure by itself. The run must equal the
+// blend over FIFO's slotless map forms bit for bit — results and probe
+// streams — under chaos (failures, stragglers, a binding admission cap),
+// with speculation on and, so that a completion can leave no ready task and
+// the next round be observed, off on a smaller cluster, on three seeds.
+func TestBlendOverFIFOMatchesMapOnly(t *testing.T) {
+	blend := func(fifo sched.Scheduler) sched.Scheduler {
+		mq, err := core.New(core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sched.NewBlend(fifo, mq, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	unlogged := 0 // completions followed by an observed round before an executed one
+	for _, speculation := range []bool{true, false} {
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg := streamChaosConfig(seed)
+			if !speculation {
+				cfg.Speculation, cfg.Containers = false, 6
+			}
+			specs := diffWorkload(seed, 60)
+			run := func(policy sched.Scheduler) (*engine.Result, []byte) {
+				var log bytes.Buffer
+				sink := obs.NewJSONL(&log)
+				c := cfg
+				c.Probe = sink
+				res, err := engine.Run(specs, policy, c)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if err := sink.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				return res, log.Bytes()
+			}
+			slotted, slottedLog := run(blend(sched.NewFIFO()))
+			mapped, mapLog := run(blend(schedtest.MapOnly(sched.NewFIFO())))
+			if !reflect.DeepEqual(slotted, mapped) {
+				t.Fatalf("speculation %v, seed %d: result differs between FIFO's queue and its slotless sort in the blend",
+					speculation, seed)
+			}
+			if !bytes.Equal(slottedLog, mapLog) {
+				t.Fatalf("speculation %v, seed %d: probe stream differs between FIFO's queue and its slotless sort in the blend",
+					speculation, seed)
+			}
+			done := false
+			for _, line := range bytes.Split(slottedLog, []byte("\n")) {
+				switch {
+				case bytes.Contains(line, []byte(`"job-done"`)):
+					done = true
+				case bytes.Contains(line, []byte(`"round-exec"`)):
+					done = false
+				case done && bytes.Contains(line, []byte(`"observed":true`)):
+					unlogged++
+					done = false
+				}
+			}
+		}
+	}
+	if unlogged < 5 {
+		t.Fatalf("%d completions were followed by an observed round, want at least 5", unlogged)
 	}
 }

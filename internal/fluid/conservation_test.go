@@ -37,7 +37,7 @@ func TestServiceConserved(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					return schedtest.Watch(policy, func(jobs []sched.JobView, _ *sched.Shares) {
+					return schedtest.Watch(policy, func(_ float64, jobs []sched.JobView, _ *sched.Shares) {
 						checks++
 						live := 0.0
 						for _, j := range jobs {

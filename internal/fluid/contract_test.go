@@ -55,7 +55,7 @@ func TestSparseAnswerContract(t *testing.T) {
 				}
 				rounds, served := 0, 0
 				var broken error
-				watched := schedtest.Watch(policy, func(jobs []sched.JobView, shares *sched.Shares) {
+				watched := schedtest.Watch(policy, func(_ float64, jobs []sched.JobView, shares *sched.Shares) {
 					rounds++
 					served += len(shares.Served())
 					if err := schedtest.AnswerError(len(jobs), shares); err != nil && broken == nil {
@@ -81,5 +81,36 @@ func TestSparseAnswerContract(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFIFOMatchesLiteral holds every round of FIFO on every pinned trace
+// against schedtest.LiteralFIFO — the views sorted by Seq, each granted
+// min(ReadyDemand, capacity left) — bit for bit: FIFO's queue, kept from the
+// change log and served from its head, must answer what a sort of every
+// view would.
+func TestFIFOMatchesLiteral(t *testing.T) {
+	for _, tr := range pinnedTraces(t) {
+		t.Run(tr.name, func(t *testing.T) {
+			rounds, served := 0, 0
+			var broken error
+			watched := schedtest.Watch(sched.NewFIFO(), func(capacity float64, jobs []sched.JobView, shares *sched.Shares) {
+				rounds++
+				served += len(shares.Served())
+				if err := schedtest.FIFOError(capacity, jobs, shares); err != nil && broken == nil {
+					broken = fmt.Errorf("round %d: %v", rounds, err)
+				}
+			})
+			res, err := fluid.Run(tr.specs, watched, tr.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if broken != nil {
+				t.Fatal(broken)
+			}
+			if rounds != res.Rounds || served == 0 {
+				t.Fatalf("checked %d answers serving %d views over %d rounds", rounds, served, res.Rounds)
+			}
+		})
 	}
 }

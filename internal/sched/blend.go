@@ -140,7 +140,9 @@ func (b *Blend) active(i int) bool { return (i == 0 && b.theta < 1) || (i == 1 &
 
 // ObserveDense implements DenseObserver by forwarding to the active stateful
 // components, so a blend wrapping LAS_MQ keeps its queue state in sync even
-// at instants the engine skips a full scheduling round.
+// at instants the engine skips a full scheduling round. A component that does
+// not observe misses this call's log: FIFO, the one that keeps per-slot state
+// all the same, finds a departure the log did not name by itself.
 func (b *Blend) ObserveDense(now float64, jobs []JobView, slots, changed, freed []int32) {
 	for i, part := range b.parts {
 		if part.observer != nil && b.active(i) {

@@ -13,9 +13,12 @@ import "slices"
 // A slot is a small integer the substrate gives a job when it becomes
 // schedulable and takes back when the job leaves: unique among the views of
 // one round, below the peak number of schedulable jobs, and recycled. A
-// stateful policy keeps its per-job record in an array indexed by slot, so no
-// round hashes an ID. Stateless policies ignore slots, and callers that have
-// none pass nil.
+// policy that keeps per-job state keeps its record in an array indexed by
+// slot, so no round hashes an ID: the observers (LAS_MQ, SRPT, the adaptive
+// wrapper) and FIFO, whose admission queue of slots lives in AssignDense
+// alone. Stateless policies ignore slots, and callers that have none pass
+// nil; FIFO then sorts the views afresh, as under its map forms, which issue
+// slots to observers only.
 //
 // The answer is the substrate's storage (substrate.ViewSet holds it). Reset
 // clears the previous round's grants, AssignDense adds each grant by view
@@ -41,7 +44,11 @@ import "slices"
 // from freed, arrivals and moves from changed; stateless policies ignore it. A
 // substrate that cannot say what changed passes nil changed, which costs the
 // policy a pass over every view; one that passes a list keeps its views in the
-// order of the previous call unless a job arrived or left since.
+// order of the previous call unless a job arrived or left since. A policy
+// sees the log only at the calls it takes: a wrapper that forwards
+// ObserveDense to its observing parts alone (Blend) leaves a part that does
+// not observe the log of its AssignDense calls, so FIFO checks each record it
+// serves against the slot column and finds a departure the log missed itself.
 //
 // Every policy here and in internal/core answers densely, its map forms
 // MapForms over the dense ones; substrate.Driver drives any policy through

@@ -1,10 +1,14 @@
 // Package schedtest provides a fake sched.JobView for tests of scheduling
-// policies and engines, MapOnly, which hides a policy's dense forms, and
-// Watch, which shows a test every answer a policy gives.
+// policies and engines, MapOnly, which hides a policy's dense forms, Watch,
+// which shows a test every answer a policy gives, and LiteralFIFO, a
+// from-scratch FIFO to hold those answers against.
 package schedtest
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"lasmq/internal/obs"
 	"lasmq/internal/sched"
@@ -145,13 +149,13 @@ func (m mapProbed) SetProbe(p obs.Probe) { m.inner.(obs.ProbeSetter).SetProbe(p)
 
 // Watch returns p behind a wrapper that drives p's dense forms — p's own, or
 // for a map-only p the map adapter sched.DenseForms builds — and hands check
-// each round's views and answer as AssignDense leaves it: the answer
+// each round's capacity, views and answer as AssignDense leaves it: the answer
 // substrate.Driver.Shares and ViewSet.Served read. The wrapper has every dense form and
 // exactly p's map-form capabilities (forwarded to p), which decide what
 // sched.DenseForms resolves; so a substrate drives it as it drives p, and a
 // run with Watch(p) equals the run with p bit for bit. Like MapOnly, it
 // panics on a capability set no policy here has.
-func Watch(p sched.Scheduler, check func(jobs []sched.JobView, shares *sched.Shares)) sched.Scheduler {
+func Watch(p sched.Scheduler, check func(capacity float64, jobs []sched.JobView, shares *sched.Shares)) sched.Scheduler {
 	m, w := &mapOnly{p}, &watchDense{check: check}
 	w.a, w.h, w.o, _ = sched.DenseForms(p)
 	_, obsHinter := p.(sched.ObserveHinter)
@@ -201,12 +205,12 @@ type watchDense struct {
 	a     sched.DenseAssigner
 	h     sched.DenseHinter
 	o     sched.DenseObserver
-	check func([]sched.JobView, *sched.Shares)
+	check func(float64, []sched.JobView, *sched.Shares)
 }
 
 func (w *watchDense) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
 	w.a.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
-	w.check(jobs, shares)
+	w.check(capacity, jobs, shares)
 }
 
 func (w *watchDense) HorizonDense(now float64, jobs []sched.JobView, slots []int32, shares *sched.Shares) float64 {
@@ -246,6 +250,41 @@ func AnswerError(n int, shares *sched.Shares) error {
 	}
 	if nonzero != len(served) {
 		return fmt.Errorf("%d views hold a nonzero share, the served list names %d", nonzero, len(served))
+	}
+	return nil
+}
+
+// LiteralFIFO is FIFO written from its definition, for tests to hold a
+// policy's answers against: the views sorted by Seq, each granted
+// min(ReadyDemand, capacity left) in that order. col[i] is view i's share.
+func LiteralFIFO(capacity float64, jobs []sched.JobView) (col []float64) {
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(jobs[a].Seq(), jobs[b].Seq()) })
+	col = make([]float64, len(jobs))
+	for _, i := range order {
+		if d := jobs[i].ReadyDemand(); capacity > 0 && d > 0 {
+			col[i] = min(d, capacity)
+			capacity -= col[i]
+		}
+	}
+	return col
+}
+
+// FIFOError reports how an answer over jobs breaks the sparse contract
+// (AnswerError) or differs from LiteralFIFO's bit for bit, or nil.
+func FIFOError(capacity float64, jobs []sched.JobView, shares *sched.Shares) error {
+	if err := AnswerError(len(jobs), shares); err != nil {
+		return err
+	}
+	got := shares.Col()
+	for i, want := range LiteralFIFO(capacity, jobs) {
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			return fmt.Errorf("view %d (job %d, seq %d) gets %v of capacity %v, the literal FIFO grants %v",
+				i, jobs[i].ID(), jobs[i].Seq(), got[i], capacity, want)
+		}
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"lasmq/internal/core"
 	"lasmq/internal/job"
+	"lasmq/internal/obs"
 	"lasmq/internal/sched"
 )
 
@@ -172,8 +173,25 @@ func TestLASMQPrioritizesSmallJobLive(t *testing.T) {
 	}
 }
 
+// startWatch is a probe that closes started when job id launches its first
+// task attempt.
+type startWatch struct {
+	obs.Nop
+	id      int
+	started chan struct{}
+}
+
+func (w *startWatch) JobStarted(_ float64, job int) {
+	if job == w.id {
+		close(w.started)
+	}
+}
+
 func TestFIFOBlocksSmallJobLive(t *testing.T) {
-	c, err := New(fastConfig(), sched.NewFIFO())
+	cfg := fastConfig()
+	watch := &startWatch{id: 1, started: make(chan struct{})}
+	cfg.Probe = watch
+	c, err := New(cfg, sched.NewFIFO())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +203,12 @@ func TestFIFOBlocksSmallJobLive(t *testing.T) {
 	if err := c.Submit(large); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
+	// The small job arrives once the large one holds the cluster.
+	select {
+	case <-watch.started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the large job never started")
+	}
 	if err := c.Submit(small); err != nil {
 		t.Fatal(err)
 	}
