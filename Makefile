@@ -50,11 +50,12 @@ lint:
 # (api.go's public alias excepted), substrate.Driver names no map-form
 # interface (it drives every policy through sched.DenseForms), and no policy
 # ported onto the dense contract keeps a map (SRPT, Gittins, Blend, Adaptive,
-# QueueRecorder; LAS_MQ's map form is the dense form's oracle). The last grep
-# fences the adapters that survive only because benchmark/replay.go times them
-# (ViewSet's demand map, Quantizer.QuantizeInto), as eventq.Ladder is fenced.
-# The last four keep a fluid round paying for what it serves: LAS_MQ's dense
-# form has one sweep, driven by the change log; the fluid simulator never
+# QueueRecorder, LAS_MQ: their map forms are sched.MapForms, and LAS_MQ's
+# oracle is schedtest.LiteralLASMQ). The next grep fences the adapters that
+# survive only because benchmark/replay.go times them (ViewSet's demand map,
+# Quantizer.QuantizeInto), as eventq.Ladder is fenced. The next four keep a
+# fluid round paying for what it serves: LAS_MQ has one sweep, in dense.go,
+# driven by the change log, and lasmq.go defines none; the fluid simulator never
 # re-registers its views (no ViewSet.Begin, one AddSlot, at admission: it
 # edits one registration, cutting completed jobs out); it finds the jobs a
 # round serves in the sparse answer's served list, never by ranging over the
@@ -101,7 +102,8 @@ layering:
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -n 'map\[int\]' internal/sched/srpt.go internal/sched/gittins.go \
-		internal/sched/blend.go internal/core/adaptive.go internal/core/recorder.go; true); \
+		internal/sched/blend.go internal/core/adaptive.go internal/core/recorder.go \
+		internal/core/lasmq.go internal/core/dense.go; true); \
 	if [ -n "$$bad" ]; then \
 		echo "layering: the policies ported onto the dense contract keep per-job state by" \
 			"slot, never in a map keyed by job ID (their map forms are sched.MapForms):"; \
@@ -115,9 +117,10 @@ layering:
 		echo "$$bad"; exit 1; \
 	fi
 	@n=$$(grep -c 'func (s \*LASMQ) sweep' internal/core/dense.go); \
-	if [ "$$n" != 1 ]; then \
-		echo "layering: internal/core/dense.go holds one LAS_MQ sweep, driven by the" \
-			"change log; found $$n"; exit 1; \
+	m=$$(grep -c 'sweep(' internal/core/lasmq.go); \
+	if [ "$$n" != 1 ] || [ "$$m" != 0 ]; then \
+		echo "layering: LAS_MQ has one sweep, in internal/core/dense.go, driven by the" \
+			"change log; found $$n there and $$m sweep( in lasmq.go"; exit 1; \
 	fi
 	@n=$$(grep -c '\.Begin(' internal/fluid/fluid.go); \
 	adds=$$(grep -c 'AddSlot(' internal/fluid/fluid.go); \

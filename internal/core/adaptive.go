@@ -228,10 +228,7 @@ func (a *Adaptive) observe(now float64, jobs []sched.JobView, slots, changed, fr
 			i = int(changed[k])
 		}
 		slot := int(slots[i])
-		if have := len(a.recs); slot >= have {
-			want := max(slot+1, len(jobs), 2*have, minSlotRecs)
-			a.recs = append(a.recs, make([]adaptiveRec, want-have)...)
-		}
+		a.recs = sched.GrowSlots(a.recs, slot, len(jobs))
 		a.recs[slot] = adaptiveRec{id: jobs[i].ID(), attained: jobs[i].Attained(), live: true}
 	}
 	a.departed = departed

@@ -9,22 +9,18 @@ import (
 	"lasmq/internal/sched"
 )
 
-// This file is LAS_MQ's dense form (see internal/sched/dense.go): the same
-// Algorithm 1 and 2 as the map-form methods in lasmq.go, with the per-job
-// record kept in an array indexed by the substrate's slot instead of three
-// maps keyed by job ID, and the grants added to the sparse answer by view
-// index. It shares the per-queue ordered lists, their entry helpers and
-// restoreOrder with the map form — on this path an ordEntry's id field holds
-// the job's slot — and must make the same decisions, emit the same probe
-// events in the same order, and answer QueueOf/QueueSizes alike: the map form
-// is the oracle the tests hold it against. One instance runs on one path.
+// This file is LAS_MQ's round (see internal/sched/dense.go): Algorithms 1
+// and 2 over one record per slot, driven by the change log, with the grants
+// added to the sparse answer by view index. It is LAS_MQ's only
+// implementation — lasmq.go's map forms are sched.MapForms over it — and
+// schedtest.LiteralLASMQ, written from the paper, is the oracle the tests hold
+// it against.
 
-// slotRec is the dense path's record of the job holding a slot: what the map
-// path spreads over tracked, seen and remaining.
+// slotRec is the record of the job holding a slot.
 type slotRec struct {
 	id     int     // the owner
 	seq    int     // with demand, the key the job's ordered-list entry is filed under
-	demand float64 // read only under OrderByDemand, like trackRec.demand
+	demand float64 // read only under OrderByDemand
 	// unmet is the job's ready demand when the log last named it, less what
 	// AssignDense granted since: serve decrements only a job it gives a
 	// nonzero share, and the next call's log names that job again.
@@ -38,25 +34,19 @@ type slotRec struct {
 // in job-ID order.
 type exitRec struct{ id, queue int }
 
-// minSlotRecs is the smallest slot-record array: a streamed run's first round
-// sees one job, and doubling up from one would cost every run several small
-// allocations.
-const minSlotRecs = 32
-
 var (
 	_ sched.DenseAssigner = (*LASMQ)(nil)
 	_ sched.DenseHinter   = (*LASMQ)(nil)
 	_ sched.DenseObserver = (*LASMQ)(nil)
 )
 
-// key is the (queue, demand, seq) under which r's entry is filed, in the
-// form the entry helpers take.
-func (r *slotRec) key() trackRec {
-	return trackRec{queue: int(r.queue), demand: r.demand, seq: r.seq}
+// key is the entry r's job, holding slot, is filed under in its queue.
+func (r *slotRec) key(slot int32) ordEntry {
+	return ordEntry{demand: r.demand, seq: r.seq, slot: int(slot)}
 }
 
 // recOf returns the record of the job behind view j, or nil when no sweep
-// has seen that job at that slot — the map path's tracked miss.
+// has seen that job at that slot.
 func (s *LASMQ) recOf(slot int32, j sched.JobView) *slotRec {
 	if int(slot) >= len(s.recs) {
 		return nil
@@ -76,23 +66,24 @@ func (s *LASMQ) orderKey(j sched.JobView) float64 {
 	return 0
 }
 
-// sweepDense is sweep over slot records, driven by the change log (see
-// internal/sched/dense.go) in four steps: departures, from the freed slots;
-// the changed views, in view order — arrival and binary insertion,
-// demote-only queue update, in-place demand refresh, the unmet reset and the
-// view index; a flat re-stamp of every record's view index from the slot
-// column, when a job arrived or left and so the views may have moved; and
-// the exits, emitted after the arrivals and demotions in job-ID order, as
-// sweep does. Every view counts as changed when the log says so (changed is
-// nil) and after a refit, which re-places every job.
+// sweepDense applies Algorithm 1's per-round state mutation, driven by the
+// change log (see internal/sched/dense.go), in four steps: departures, from
+// the freed slots; the changed views, in view order — arrival and binary
+// insertion, demote-only queue update, in-place demand refresh (which marks
+// the queue dirty for restoreOrder instead of re-sorting eagerly), the unmet
+// reset and the view index; a flat re-stamp of every record's view index from
+// the slot column, when a job arrived or left and so the views may have moved;
+// and the exits, emitted after the arrivals and demotions in job-ID order.
+// Every view counts as changed when the log says so (changed is nil) and
+// after a refit, which re-places every job. Shared by ObserveDense and
+// AssignDense, so skipped rounds keep the persistent order exactly in sync.
 func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
-	s.dense = true
 	s.exits = s.exits[:0]
 	for _, slot := range freed {
 		// A slot without a live record left before any sweep saw its job.
 		if int(slot) < len(s.recs) && s.recs[slot].live {
 			r := &s.recs[slot]
-			s.removeEntry(int(r.queue), r.key(), int(slot))
+			s.removeEntry(int(r.queue), r.key(slot))
 			s.exits = append(s.exits, exitRec{r.id, int(r.queue)})
 			r.live = false
 		}
@@ -109,11 +100,7 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, fr
 			i = int(changed[k])
 		}
 		j, slot := jobs[i], slots[i]
-		if have := len(s.recs); int(slot) >= have {
-			// Sized from the first round's view count, then geometrically.
-			want := max(int(slot)+1, len(jobs), 2*have, minSlotRecs)
-			s.recs = append(s.recs, make([]slotRec, want-have)...)
-		}
+		s.recs = sched.GrowSlots(s.recs, int(slot), len(jobs))
 		r := &s.recs[slot]
 		id := j.ID()
 		m := s.metric(j)
@@ -123,10 +110,10 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, fr
 			from := s.levels.Placement(j.Attained())
 			q := s.levels.Demote(from, m)
 			if r.live {
-				s.removeEntry(int(r.queue), r.key(), int(slot))
+				s.removeEntry(int(r.queue), r.key(slot))
 			}
 			*r = slotRec{id: id, seq: j.Seq(), demand: s.orderKey(j), queue: int32(q), live: true}
-			s.push(q, ordEntry{demand: r.demand, seq: r.seq, id: int(slot)})
+			s.push(q, r.key(slot))
 			s.touched[q] = true
 			if q != from && s.probe != nil {
 				s.probe.QueueDemote(now, id, from, q, m)
@@ -135,7 +122,7 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, fr
 			// Arrival: place from the top queue and binary-insert.
 			d, seq := s.orderKey(j), j.Seq()
 			q := s.levels.Demote(0, m)
-			s.insertEntry(q, ordEntry{demand: d, seq: seq, id: int(slot)})
+			s.insertEntry(q, ordEntry{demand: d, seq: seq, slot: int(slot)})
 			*r = slotRec{id: id, seq: seq, demand: d, queue: int32(q), live: true}
 			moved = true
 			if s.probe != nil {
@@ -144,8 +131,8 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, fr
 		} else if from, q := int(r.queue), s.levels.Demote(int(r.queue), m); q != from {
 			// Demotion: move the entry between queue lists by its stored key.
 			d := s.orderKey(j)
-			s.removeEntry(from, r.key(), int(slot))
-			s.insertEntry(q, ordEntry{demand: d, seq: r.seq, id: int(slot)})
+			s.removeEntry(from, r.key(slot))
+			s.insertEntry(q, ordEntry{demand: d, seq: r.seq, slot: int(slot)})
 			r.queue, r.demand = int32(q), d
 			if s.probe != nil {
 				s.probe.QueueDemote(now, id, from, q, m)
@@ -154,7 +141,7 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, fr
 			if d := j.RemainingDemand(); d != r.demand {
 				// Demand changed but the job stays put: refresh the key in
 				// place and leave the re-sort to restoreOrder.
-				if pos := s.findEntry(from, r.key(), int(slot)); pos >= 0 {
+				if pos := s.findEntry(from, r.key(slot)); pos >= 0 {
 					s.ordered[from][pos].demand = d
 				}
 				s.touched[from] = true
@@ -191,13 +178,24 @@ func (s *LASMQ) resetLevels(levels *mlq.Levels) {
 	s.replace = true
 }
 
-// ObserveDense implements sched.DenseObserver: Observe over slot records.
+// ObserveDense implements sched.DenseObserver: it applies exactly the state
+// mutation AssignDense performs — demote-only queue membership updates and
+// dropping state for departed jobs (Algorithm 1) — without computing an
+// allocation. The task-level engine calls it at instants where no launch is
+// possible, so that skipping the full round cannot change queue trajectories.
+// Demotion is deterministic in the current metric, so observing twice at one
+// instant is the same as observing once.
 func (s *LASMQ) ObserveDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
 	s.sweepDense(now, jobs, slots, changed, freed)
 }
 
-// ObserveHorizonDense implements sched.DenseObserver: ObserveHorizon with the
-// rate bounds in a slice parallel to the views.
+// ObserveHorizonDense implements sched.DenseObserver: after an observation
+// every job's metric sits at or below its queue's threshold (demotion is
+// strict-exceed), so given per-job upper bounds on metric growth rate, rates[i]
+// for jobs[i], the earliest possible next demotion is the earliest threshold
+// crossing. A job whose bound is infinite, or that no sweep has seen, makes
+// the horizon collapse to now (no skipping). Departures are not covered: the
+// caller must not skip past a job-set change.
 func (s *LASMQ) ObserveHorizonDense(now float64, jobs []sched.JobView, slots []int32, rates []float64) float64 {
 	horizon := math.Inf(1)
 	for i, j := range jobs {
@@ -227,9 +225,10 @@ func (s *LASMQ) ObserveHorizonDense(now float64, jobs []sched.JobView, slots []i
 	return horizon
 }
 
-// AssignDense implements sched.DenseAssigner: AssignInto over slot records,
-// operation for operation — the same budgets, the same min(budget, unmet)
-// grants in queue order, the same leftover spill.
+// AssignDense implements sched.DenseAssigner. It first updates queue
+// membership and per-queue order (Algorithm 1), then splits capacity across
+// queues by weighted sharing and serves jobs one by one within each queue,
+// spilling leftover capacity to any job with unmet demand (Algorithm 2).
 func (s *LASMQ) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
 	k := s.levels.Queues()
 	s.sweepDense(now, jobs, slots, changed, freed)
@@ -270,7 +269,7 @@ func (s *LASMQ) serve(list []ordEntry, amount, floor float64, shares *sched.Shar
 		if amount <= floor {
 			break
 		}
-		r := &s.recs[e.id]
+		r := &s.recs[e.slot]
 		if r.unmet <= 0 {
 			continue
 		}
@@ -283,9 +282,11 @@ func (s *LASMQ) serve(list []ordEntry, amount, floor float64, shares *sched.Shar
 	return amount
 }
 
-// HorizonDense implements sched.DenseHinter: Horizon over the served views
-// alone, in view order — only they gain service, and an unserved job is one
-// Horizon skips.
+// HorizonDense implements sched.DenseHinter: the decision can change before
+// the next external event when a served job's service metric crosses its
+// queue's demotion threshold. Only the served views gain service, so only
+// they are walked. Used by the fluid engine, where the metric grows at
+// exactly the allocation rate.
 func (s *LASMQ) HorizonDense(now float64, jobs []sched.JobView, slots []int32, shares *sched.Shares) float64 {
 	horizon := math.Inf(1)
 	col := shares.Col()

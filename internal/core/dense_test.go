@@ -41,15 +41,19 @@ type slottedJob struct {
 }
 
 // TestDenseSlotLifetime drives one LAS_MQ through its dense forms and a
-// second, identically configured one through its map forms over the same
-// random rounds, and holds them equal in everything observable: shares,
-// horizons, QueueOf, QueueSizes and the queue-event sequence. Between rounds
-// jobs arrive (under random, not increasing, IDs), depart, cross thresholds
-// and change demand; slots come from the substrate's allocator, so a departed
-// job's slot goes to the next arrival — before the policy has run a round
-// without its previous owner whenever both happen in one gap — and some jobs
-// arrive and leave without the policy ever seeing them. Views are shuffled
-// every round, so a record's view index never repeats by accident.
+// second, identically configured one through its map forms (sched.MapForms,
+// which issues its own slots) over the same random rounds, and holds them
+// equal in everything observable: shares, horizons, QueueOf, QueueSizes and
+// the queue-event sequence. A schedtest.LiteralLASMQ driven on the same views
+// holds the dense one to the paper in lockstep: every round's shares, bit for
+// bit, horizon and QueueOf. Between rounds jobs arrive (under random, not
+// increasing, IDs), depart, cross thresholds and change demand, and in some
+// rounds every stage-aware estimate shrinks, which must promote no job; slots
+// come from the substrate's allocator, so a departed job's slot goes to the
+// next arrival — before the policy has run a round without its previous owner
+// whenever both happen in one gap — and some jobs arrive and leave without the
+// policy ever seeing them. Views are shuffled every round, so a record's view
+// index never repeats by accident.
 func TestDenseSlotLifetime(t *testing.T) {
 	for _, tc := range []struct{ stageAware, byDemand bool }{{true, true}, {false, true}, {true, false}, {false, false}} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -60,6 +64,8 @@ func TestDenseSlotLifetime(t *testing.T) {
 				denseLog, mapLog := &queueLog{}, &queueLog{}
 				dense.SetProbe(denseLog)
 				mapped.SetProbe(mapLog)
+				literal := &schedtest.LiteralLASMQ{Queues: cfg.Queues, FirstThreshold: cfg.FirstThreshold, Step: cfg.Step,
+					Decay: cfg.QueueWeightDecay, StageAware: cfg.StageAware, OrderByDemand: cfg.OrderByDemand}
 
 				rng := rand.New(rand.NewSource(seed))
 				var vs substrate.ViewSet // the slot allocator under test
@@ -70,7 +76,7 @@ func TestDenseSlotLifetime(t *testing.T) {
 				freed := map[int32]bool{} // slots freed since the last round
 				var freedLog []int32      // the same, as the change log hands them over
 				var shares sched.Shares   // reused, so each round clears the last one's grants
-				reissued, unseen := 0, 0
+				reissued, unseen, shrunk := 0, 0, 0
 				arrive := func() {
 					id := rng.Intn(1 << 20)
 					for usedIDs[id] {
@@ -113,8 +119,18 @@ func TestDenseSlotLifetime(t *testing.T) {
 						depart(len(live) - 1)
 						unseen++
 					}
+					shrink := rng.Intn(6) == 0
+					if shrink {
+						shrunk++
+					}
 					for _, j := range live {
 						v := j.view
+						if shrink {
+							// Every estimate falls below the service attained:
+							// demotion stays one-way.
+							v.EstimatedVal *= 0.25
+							continue
+						}
 						if rng.Intn(3) == 0 {
 							v.AttainedVal += rng.Float64() * 8
 						}
@@ -145,6 +161,7 @@ func TestDenseSlotLifetime(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						dense.ObserveDense(now, views, slots, nil, freedLog)
 						mapped.Observe(now, views)
+						literal.Observe(now, views)
 						hDense = dense.ObserveHorizonDense(now, views, slots, rateCol)
 						hMap = mapped.ObserveHorizon(now, views, rates)
 					} else {
@@ -153,9 +170,14 @@ func TestDenseSlotLifetime(t *testing.T) {
 						alloc := sched.Assignment{}
 						dense.AssignDense(now, capacity, views, slots, nil, freedLog, &shares)
 						mapped.AssignInto(now, capacity, views, alloc)
+						lit := literal.Assign(now, capacity, views)
 						for i, j := range live {
-							if x := shares.Col()[i]; x != alloc[j.view.JobID] {
-								t.Fatalf("round %d: job %d gets %v densely, %v by map", round, j.view.JobID, x, alloc[j.view.JobID])
+							id := j.view.JobID
+							if x := shares.Col()[i]; x != alloc[id] {
+								t.Fatalf("round %d: job %d gets %v densely, %v by map", round, id, x, alloc[id])
+							}
+							if x := shares.Col()[i]; math.Float64bits(x) != math.Float64bits(lit[id]) {
+								t.Fatalf("round %d: job %d gets %v, the literal LAS_MQ grants %v", round, id, x, lit[id])
 							}
 						}
 						if served := len(shares.Served()); served != len(alloc) {
@@ -163,6 +185,9 @@ func TestDenseSlotLifetime(t *testing.T) {
 						}
 						hDense = dense.HorizonDense(now, views, slots, &shares)
 						hMap = mapped.Horizon(now, views, alloc)
+						if hLit := literal.Horizon(now, views, lit); hDense != hLit {
+							t.Fatalf("round %d: horizon %v, the literal LAS_MQ's %v", round, hDense, hLit)
+						}
 					}
 					if hDense != hMap {
 						t.Fatalf("round %d: horizon %v densely, %v by map", round, hDense, hMap)
@@ -180,14 +205,18 @@ func TestDenseSlotLifetime(t *testing.T) {
 						if qd != qm || okd != okm {
 							t.Fatalf("round %d: QueueOf(%d) = %d,%v densely, %d,%v by map", round, id, qd, okd, qm, okm)
 						}
+						if ql, okl := literal.QueueOf(id); qd != ql || okd != okl {
+							t.Fatalf("round %d: QueueOf(%d) = %d,%v, the literal LAS_MQ's %d,%v", round, id, qd, okd, ql, okl)
+						}
 					}
 					if !slices.Equal(denseLog.lines, mapLog.lines) {
 						t.Fatalf("round %d: queue events differ\n dense: %q\n   map: %q", round,
 							denseLog.lines[max(0, len(denseLog.lines)-8):], mapLog.lines[max(0, len(mapLog.lines)-8):])
 					}
 				}
-				if reissued < 20 || unseen < 20 || len(denseLog.lines) < 400 {
-					t.Fatalf("the rounds exercised too little: %d slots reissued within a gap, %d unseen jobs, %d events", reissued, unseen, len(denseLog.lines))
+				if reissued < 20 || unseen < 20 || shrunk < 20 || len(denseLog.lines) < 400 {
+					t.Fatalf("the rounds exercised too little: %d slots reissued within a gap, %d unseen jobs, %d shrinking rounds, %d events",
+						reissued, unseen, shrunk, len(denseLog.lines))
 				}
 			})
 		}
@@ -301,6 +330,32 @@ func TestDenseRoundZeroAlloc(t *testing.T) {
 		if servedViews < rounds {
 			t.Fatalf("%s: %d rounds served %d views", p.Name(), rounds, servedViews)
 		}
+	}
+}
+
+// TestSlotRecsSizedExactly: LAS_MQ's slot records grow by sched.GrowSlots,
+// from the first round's view count, then by doubling, to exactly the length
+// the rule asks for. Driven one arrival a round past 512 slots to 2,048, the
+// array never holds capacity beyond its length: growing by append would round
+// the 48-byte records up to 1,365 and then 2,730.
+func TestSlotRecsSizedExactly(t *testing.T) {
+	mq := newLASMQ(t, nil)
+	views, slots := steadyRound(2048)
+	var shares sched.Shares
+	var lengths []int
+	for n := 1; n <= len(views); n++ {
+		shares.Reset(n)
+		mq.AssignDense(float64(n), 120, views[:n], slots[:n], []int32{int32(n - 1)}, nil, &shares)
+		length, capacity := core.SlotRecs(mq)
+		if capacity != length {
+			t.Fatalf("%d slots: %d slot records with capacity %d", n, length, capacity)
+		}
+		if len(lengths) == 0 || lengths[len(lengths)-1] != length {
+			lengths = append(lengths, length)
+		}
+	}
+	if want := []int{32, 64, 128, 256, 512, 1024, 2048}; !slices.Equal(lengths, want) {
+		t.Fatalf("slot records grew through lengths %v, want %v", lengths, want)
 	}
 }
 

@@ -85,21 +85,20 @@ func TestSparseAnswerContract(t *testing.T) {
 	}
 }
 
-// TestFIFOMatchesLiteral holds every round of FIFO on the engine's pinned
-// inputs — TestRunResultPinned's (diffWorkload's seeds 1-3 under every noise
-// configuration, orderSpecs with and without chaos) and TestLaunchOrderPinned's
-// (orderSpecs under a tight and a wide admission cap, through Run and
-// RunStream) — against schedtest.LiteralFIFO, bit for bit: FIFO's queue, kept
-// from the change log and served from its head, must answer what a sort of
-// every view would.
-func TestFIFOMatchesLiteral(t *testing.T) {
-	type input struct {
-		name   string
-		specs  []job.Spec
-		cfg    engine.Config
-		stream bool
-	}
-	var inputs []input
+// literalInput is one engine input the literal policies are held against.
+type literalInput struct {
+	name   string
+	specs  []job.Spec
+	cfg    engine.Config
+	stream bool
+}
+
+// literalInputs are the engine's pinned inputs: TestRunResultPinned's
+// (diffWorkload's seeds 1-3 under every noise configuration, orderSpecs with
+// and without chaos) and TestLaunchOrderPinned's (orderSpecs under a tight and
+// a wide admission cap, through Run and RunStream).
+func literalInputs() []literalInput {
+	var inputs []literalInput
 	configs := diffConfigs()
 	for seed := int64(1); seed <= 3; seed++ {
 		for cname, tweak := range configs {
@@ -108,7 +107,7 @@ func TestFIFOMatchesLiteral(t *testing.T) {
 			cfg.MaxRunningJobs = 0
 			cfg.Seed = seed
 			tweak(&cfg)
-			inputs = append(inputs, input{fmt.Sprintf("diff/seed%d/%s", seed, cname), diffWorkload(seed, 40), cfg, false})
+			inputs = append(inputs, literalInput{fmt.Sprintf("diff/seed%d/%s", seed, cname), diffWorkload(seed, 40), cfg, false})
 		}
 	}
 	chaos := func(cfg engine.Config) engine.Config {
@@ -123,14 +122,32 @@ func TestFIFOMatchesLiteral(t *testing.T) {
 	order.Containers, order.MaxRunningJobs, order.Seed = 9, 6, 5
 	wide := chaos(order)
 	wide.MaxRunningJobs = 14
-	inputs = append(inputs,
-		input{"order/chaos=false", specs, order, false},
-		input{"order/chaos=true", specs, chaos(order), false},
-		input{"launch/tight/stream", arrivalSorted(specs), chaos(order), true},
-		input{"launch/wide/run", specs, wide, false},
-		input{"launch/wide/stream", arrivalSorted(specs), wide, true},
+	return append(inputs,
+		literalInput{"order/chaos=false", specs, order, false},
+		literalInput{"order/chaos=true", specs, chaos(order), false},
+		literalInput{"launch/tight/stream", arrivalSorted(specs), chaos(order), true},
+		literalInput{"launch/wide/run", specs, wide, false},
+		literalInput{"launch/wide/stream", arrivalSorted(specs), wide, true},
 	)
-	for _, in := range inputs {
+}
+
+// run runs the input under p, through Run or RunStream, and returns what the
+// run reports: the Result, or the StreamResult and every streamed JobResult.
+func (in literalInput) run(p sched.Scheduler) (any, error) {
+	if !in.stream {
+		return engine.Run(in.specs, p, in.cfg)
+	}
+	var jobs []engine.JobResult
+	res, err := engine.RunStream(engine.SliceSource(in.specs), p, in.cfg, func(j engine.JobResult) { jobs = append(jobs, j) })
+	return []any{res, jobs}, err
+}
+
+// TestFIFOMatchesLiteral holds every round of FIFO on the engine's pinned
+// inputs (literalInputs) against schedtest.LiteralFIFO, bit for bit: FIFO's
+// queue, kept from the change log and served from its head, must answer what
+// a sort of every view would.
+func TestFIFOMatchesLiteral(t *testing.T) {
+	for _, in := range literalInputs() {
 		t.Run(in.name, func(t *testing.T) {
 			rounds, served := 0, 0
 			var broken error
@@ -141,13 +158,7 @@ func TestFIFOMatchesLiteral(t *testing.T) {
 					broken = fmt.Errorf("round %d: %v", rounds, err)
 				}
 			})
-			var err error
-			if in.stream {
-				_, err = engine.RunStream(engine.SliceSource(in.specs), watched, in.cfg, nil)
-			} else {
-				_, err = engine.Run(in.specs, watched, in.cfg)
-			}
-			if err != nil {
+			if _, err := in.run(watched); err != nil {
 				t.Fatal(err)
 			}
 			if broken != nil {
@@ -157,5 +168,41 @@ func TestFIFOMatchesLiteral(t *testing.T) {
 				t.Fatalf("checked %d answers serving %d views", rounds, served)
 			}
 		})
+	}
+}
+
+// TestLASMQMatchesLiteral runs LAS_MQ and schedtest.LiteralLASMQ — Algorithms
+// 1 and 2 written from the paper, which keeps each job's queue and works
+// everything else out afresh every round — on the engine's pinned inputs
+// (literalInputs), under stage awareness and demand order each on and off,
+// and requires equal results. The literal has no rate-bounded horizon, so the
+// engine observes it at every instant where LAS_MQ may skip: skipping must
+// change nothing either.
+func TestLASMQMatchesLiteral(t *testing.T) {
+	for _, in := range literalInputs() {
+		for _, stageAware := range []bool{false, true} {
+			for _, byDemand := range []bool{false, true} {
+				cfg := core.DefaultConfig()
+				cfg.StageAware, cfg.OrderByDemand = stageAware, byDemand
+				t.Run(fmt.Sprintf("%s/stageAware=%v/byDemand=%v", in.name, stageAware, byDemand), func(t *testing.T) {
+					mq, err := core.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := in.run(mq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := in.run(&schedtest.LiteralLASMQ{Queues: cfg.Queues, FirstThreshold: cfg.FirstThreshold,
+						Step: cfg.Step, Decay: cfg.QueueWeightDecay, StageAware: stageAware, OrderByDemand: byDemand})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatal("LAS_MQ and the literal LAS_MQ differ")
+					}
+				})
+			}
+		}
 	}
 }

@@ -114,3 +114,48 @@ func TestFIFOMatchesLiteral(t *testing.T) {
 		})
 	}
 }
+
+// TestLASMQMatchesLiteral runs LAS_MQ and schedtest.LiteralLASMQ — Algorithms
+// 1 and 2 written from the paper, which keeps each job's queue and works
+// everything else out afresh every round — on every pinned trace and on
+// diffTrace's seeds 2 and 3, under stage awareness and demand order each on
+// and off, and requires equal results: LAS_MQ's change-log sweep, persistent
+// queue lists and sparse answer must decide what the paper's scheduler would,
+// bit for bit.
+func TestLASMQMatchesLiteral(t *testing.T) {
+	traces := pinnedTraces(t)
+	for _, seed := range []int64{2, 3} {
+		specs, tcfg := diffTrace(t, seed)
+		fcfg := fluid.DefaultConfig()
+		fcfg.Capacity = tcfg.Capacity
+		traces = append(traces, pinnedTrace{fmt.Sprintf("facebook/seed%d", seed), specs, fcfg})
+	}
+	for _, tr := range traces {
+		for _, stageAware := range []bool{false, true} {
+			for _, byDemand := range []bool{false, true} {
+				cfg := core.DefaultConfig()
+				cfg.FirstThreshold = 1
+				cfg.StageAware, cfg.OrderByDemand = stageAware, byDemand
+				t.Run(fmt.Sprintf("%s/stageAware=%v/byDemand=%v", tr.name, stageAware, byDemand), func(t *testing.T) {
+					mq, err := core.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := fluid.Run(tr.specs, mq, tr.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := fluid.Run(tr.specs, &schedtest.LiteralLASMQ{Queues: cfg.Queues, FirstThreshold: cfg.FirstThreshold,
+						Step: cfg.Step, Decay: cfg.QueueWeightDecay, StageAware: stageAware, OrderByDemand: byDemand}, tr.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("LAS_MQ and the literal LAS_MQ differ: %d rounds, makespan %v; literal %d rounds, makespan %v",
+							got.Rounds, got.Makespan, want.Rounds, want.Makespan)
+					}
+				})
+			}
+		}
+	}
+}

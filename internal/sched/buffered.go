@@ -49,9 +49,9 @@ type viewEntry struct {
 	slot int32
 }
 
-// minEntries is the smallest entry scratch: a streamed run's first round sees
-// one job, and doubling up from one would cost every run several small
-// allocations.
+// minEntries is the smallest entry scratch or per-slot array: a streamed
+// run's first round sees one job, and doubling up from one would cost every
+// run several small allocations.
 const minEntries = 32
 
 // roomFor returns entries, contents kept, with capacity for n: grown
@@ -83,10 +83,7 @@ func carriedEntries(scratch *[]viewEntry, at *[]int32, jobs []JobView, slots []i
 	// pos[slot] is the view index + 1 of the slot's job, zeroed once written.
 	pos := *at
 	for i, slot := range slots {
-		if have := len(pos); int(slot) >= have {
-			want := max(int(slot)+1, len(jobs), 2*have, minEntries)
-			pos = append(make([]int32, 0, want), pos...)[:want]
-		}
+		pos = GrowSlots(pos, int(slot), len(jobs))
 		pos[slot] = int32(i) + 1
 	}
 	*at = pos

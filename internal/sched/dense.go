@@ -50,9 +50,10 @@ import "slices"
 // not observe the log of its AssignDense calls, so FIFO checks each record it
 // serves against the slot column and finds a departure the log missed itself.
 //
-// Every policy here and in internal/core answers densely, its map forms
-// MapForms over the dense ones; substrate.Driver drives any policy through
-// DenseForms. One policy instance is driven through one form for a whole run.
+// Every policy here and in internal/core, LAS_MQ included, answers densely,
+// its map forms MapForms over the dense ones, with no exception;
+// substrate.Driver drives any policy through DenseForms. One policy instance
+// is driven through one form for a whole run.
 
 // DenseAssigner is the dense form of BufferedAssigner: AssignDense adds to
 // shares, which arrives empty and sized for len(jobs) views, exactly the
@@ -74,6 +75,19 @@ type DenseHinter interface {
 type DenseObserver interface {
 	ObserveDense(now float64, jobs []JobView, slots, changed, freed []int32)
 	ObserveHorizonDense(now float64, jobs []JobView, slots []int32, rates []float64) float64
+}
+
+// GrowSlots returns recs, a per-slot array, long enough to index slot: recs
+// itself when it is, else a copy of length and capacity max(slot+1, views,
+// 2*len(recs), minEntries) — sized from the first round's view count, then
+// geometrically — whose new records are zero.
+func GrowSlots[T any](recs []T, slot, views int) []T {
+	if slot < len(recs) {
+		return recs
+	}
+	grown := make([]T, max(slot+1, views, 2*len(recs), minEntries))
+	copy(grown, recs)
+	return grown
 }
 
 // Shares is one round's sparse answer: a share column parallel to the views

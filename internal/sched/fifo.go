@@ -86,13 +86,7 @@ func (f *FIFO) follow(jobs []JobView, slots, changed, freed []int32) {
 			i = int(changed[c])
 		}
 		j, k := jobs[i], slots[i]+1
-		if have := len(f.recs); int(k) >= have {
-			// Sized from the first round's view count, then geometrically; made
-			// and copied, as append would step past the doubling.
-			recs := make([]fifoRec, max(int(k)+1, len(jobs)+1, 2*have, minEntries))
-			copy(recs, f.recs)
-			f.recs = recs
-		}
+		f.recs = GrowSlots(f.recs, int(k), len(jobs)+1)
 		r := &f.recs[k]
 		if seq := j.Seq(); !r.live || r.seq != seq {
 			if r.live {

@@ -1,7 +1,7 @@
 // Package schedtest provides a fake sched.JobView for tests of scheduling
 // policies and engines, MapOnly, which hides a policy's dense forms, Watch,
-// which shows a test every answer a policy gives, and LiteralFIFO, a
-// from-scratch FIFO to hold those answers against.
+// which shows a test every answer a policy gives, and two policies written
+// from scratch to hold those answers against: LiteralFIFO and LiteralLASMQ.
 package schedtest
 
 import (

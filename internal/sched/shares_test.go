@@ -54,3 +54,39 @@ func TestSharesAnswer(t *testing.T) {
 		})
 	}
 }
+
+// TestGrowSlots: a per-slot array that already indexes the slot comes back as
+// it is; one that does not is copied, records kept and new ones zero, to
+// exactly max(slot+1, views, twice its length, 32) records, with no capacity
+// beyond them.
+func TestGrowSlots(t *testing.T) {
+	for _, tc := range []struct {
+		have, slot, views, want int
+	}{
+		{0, 0, 1, 32},       // the floor
+		{0, 0, 100, 100},    // the first round's view count
+		{32, 32, 1, 64},     // doubling
+		{512, 512, 3, 1024}, // doubling, where append would round up
+		{64, 300, 1, 301},   // the slot itself
+		{64, 10, 1, 64},     // in range: no copy
+	} {
+		recs := make([]int, tc.have)
+		for i := range recs {
+			recs[i] = i + 1
+		}
+		got := sched.GrowSlots(recs, tc.slot, tc.views)
+		if len(got) != tc.want || cap(got) != tc.want {
+			t.Fatalf("GrowSlots(%d records, slot %d, %d views): length %d, capacity %d; want %d",
+				tc.have, tc.slot, tc.views, len(got), cap(got), tc.want)
+		}
+		for i, x := range got {
+			want := 0
+			if i < tc.have {
+				want = i + 1
+			}
+			if x != want {
+				t.Fatalf("record %d is %d after growth, want %d", i, x, want)
+			}
+		}
+	}
+}

@@ -138,6 +138,8 @@ func TestLASMQPrioritizesSmallJobLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := fastConfig()
+	watch := &startWatch{id: 1, started: make(chan struct{})}
+	cfg.Probe = watch
 	c, err := New(cfg, mq)
 	if err != nil {
 		t.Fatal(err)
@@ -145,14 +147,14 @@ func TestLASMQPrioritizesSmallJobLive(t *testing.T) {
 	c.Start()
 	defer c.Shutdown()
 
-	// A large job grabs the cluster; a small job arrives afterwards and must
-	// overtake it once the large job is demoted.
+	// A large job grabs the cluster; a small job arrives once it holds it and
+	// must overtake it once the large job is demoted.
 	large := uniformJob(1, 64, 50)
 	small := uniformJob(2, 2, 5)
 	if err := c.Submit(large); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(60 * time.Millisecond) // let the large job attain service
+	watch.wait(t)
 	if err := c.Submit(small); err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +189,16 @@ func (w *startWatch) JobStarted(_ float64, job int) {
 	}
 }
 
+// wait blocks until the job has launched its first task attempt.
+func (w *startWatch) wait(t *testing.T) {
+	t.Helper()
+	select {
+	case <-w.started:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("job %d never started", w.id)
+	}
+}
+
 func TestFIFOBlocksSmallJobLive(t *testing.T) {
 	cfg := fastConfig()
 	watch := &startWatch{id: 1, started: make(chan struct{})}
@@ -204,11 +216,7 @@ func TestFIFOBlocksSmallJobLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The small job arrives once the large one holds the cluster.
-	select {
-	case <-watch.started:
-	case <-time.After(30 * time.Second):
-		t.Fatal("the large job never started")
-	}
+	watch.wait(t)
 	if err := c.Submit(small); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +343,10 @@ func TestDrainContextCancel(t *testing.T) {
 }
 
 func TestShutdownWithRunningTasks(t *testing.T) {
-	c, err := New(fastConfig(), sched.NewFIFO())
+	cfg := fastConfig()
+	watch := &startWatch{id: 1, started: make(chan struct{})}
+	cfg.Probe = watch
+	c, err := New(cfg, sched.NewFIFO())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +354,7 @@ func TestShutdownWithRunningTasks(t *testing.T) {
 	if err := c.Submit(uniformJob(1, 8, 10000)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
+	watch.wait(t) // its first TaskStart: tasks are running
 	done := make(chan struct{})
 	go func() {
 		c.Shutdown()
