@@ -2,17 +2,18 @@
 
 GO ?= go
 
-.PHONY: all check lint layering build vet test test-race race bench bench-smoke probe-gate alloc-gate crosscheck reproduce replicate examples clean
+.PHONY: all check lint layering build vet test test-race race race-stress bench bench-smoke probe-gate alloc-gate crosscheck reproduce replicate examples clean
 
 all: build vet test
 
 # Full pre-merge gate: map-range lint, import-layering gate, build, vet,
-# tests, race detector, one race-enabled iteration of the engine benchmarks
+# tests, race detector, twenty race-enabled passes over the telemetry sinks
+# and the live cluster (race-stress), one race-enabled iteration of the engine benchmarks
 # (bench-smoke, so the benchmark tier itself cannot rot or race silently),
 # the telemetry zero-overhead assertion (probe-gate), the streamed paths'
 # marginal-allocation assertion (alloc-gate), and the analytic M/M/1
 # cross-check (crosscheck).
-check: lint layering build vet test test-race bench-smoke probe-gate alloc-gate crosscheck
+check: lint layering build vet test test-race race-stress bench-smoke probe-gate alloc-gate crosscheck
 
 # The four substrates that drive a policy through internal/substrate.
 SUBSTRATES = internal/engine internal/fluid internal/yarn internal/geo
@@ -50,8 +51,8 @@ lint:
 # (api.go's public alias excepted), substrate.Driver names no map-form
 # interface (it drives every policy through sched.DenseForms), and no policy
 # ported onto the dense contract keeps a map (SRPT, Gittins, Blend, Adaptive,
-# QueueRecorder, LAS_MQ: their map forms are sched.MapForms, and LAS_MQ's
-# oracle is schedtest.LiteralLASMQ). The next grep fences the adapters that
+# LAS_MQ: their map forms are sched.MapForms, and LAS_MQ's oracle is
+# schedtest.LiteralLASMQ). The next grep fences the adapters that
 # survive only because benchmark/replay.go times them (ViewSet's demand map,
 # Quantizer.QuantizeInto), as eventq.Ladder is fenced. The next four keep a
 # fluid round paying for what it serves: LAS_MQ has one sweep, in dense.go,
@@ -60,9 +61,14 @@ lint:
 # edits one registration, cutting completed jobs out); it finds the jobs a
 # round serves in the sparse answer's served list, never by ranging over the
 # share column; and LAS_MQ's HorizonDense walks that list, not the views.
-# The last fence keeps FIFO's slotted round a walk of its queue from the head:
+# The next fence keeps FIFO's slotted round a walk of its queue from the head:
 # fifo.go builds, sorts and fills no per-view entries, and calls orderFill
 # once, in the slotless branch (`if slots == nil`) the map forms take.
+# The last keeps the telemetry sinks on one vocabulary: every sink records
+# packed obs.Events through one Record switch, so outside tests only obs.go
+# (the emitter that packs Probe calls, and Nop) defines Probe methods in
+# internal/obs and internal/core — no sink re-implements the Probe method
+# set, and no policy wrapper exists to watch probe events.
 layering:
 	@bad=$$(grep -rn '"lasmq/internal/fluid"' internal/trace --include='*.go'; true); \
 	if [ -n "$$bad" ]; then \
@@ -102,7 +108,7 @@ layering:
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -n 'map\[int\]' internal/sched/srpt.go internal/sched/gittins.go \
-		internal/sched/blend.go internal/core/adaptive.go internal/core/recorder.go \
+		internal/sched/blend.go internal/core/adaptive.go \
 		internal/core/lasmq.go internal/core/dense.go; true); \
 	if [ -n "$$bad" ]; then \
 		echo "layering: the policies ported onto the dense contract keep per-job state by" \
@@ -146,6 +152,13 @@ layering:
 			"'if slots == nil {')"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(grep -nE '^func \([^)]*\) (JobSubmitted|JobAdmitted|JobStarted|StageDone|JobDone|TaskStart|TaskDone|TaskFail|QueueEnter|QueueDemote|QueueExit|ThresholdRefit|RoundExecuted|RoundSkipped|ArenaReuse|SlabStats)\(' \
+		internal/obs/*.go internal/core/*.go | grep -v -e '_test\.go:' -e '^internal/obs/obs\.go:'; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: sinks record obs.Events through one Record switch; only" \
+			"internal/obs/obs.go (emitter, Nop) defines Probe methods:"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@echo "layering: ok"
 
 build:
@@ -168,6 +181,14 @@ test-race:
 	$(GO) test -race ./...
 
 race: test-race
+
+# Twenty race-enabled passes over the telemetry sinks (the flight-recorder
+# ring's seqlock under a concurrent drain, the mutex-guarded aggregates) and
+# the live mini-YARN cluster, whose resource manager emits probe events while
+# other goroutines read them: a data race that one pass misses by timing
+# shows up in twenty.
+race-stress:
+	$(GO) test -race -count=20 ./internal/obs ./internal/yarn
 
 # One bench iteration per figure/table; see EXPERIMENTS.md for paper-scale runs.
 bench:

@@ -19,6 +19,7 @@ import (
 	"lasmq/internal/cli"
 	"lasmq/internal/core"
 	"lasmq/internal/engine"
+	"lasmq/internal/obs"
 	"lasmq/internal/sched"
 	"lasmq/internal/workload"
 )
@@ -70,14 +71,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var recorder *core.QueueRecorder
+	var occupancy *obs.QueueTimeline
 	if *queueCSV > 0 {
-		mq, ok := policy.(*core.LASMQ)
-		if !ok {
+		if _, ok := policy.(*core.LASMQ); !ok {
 			return fmt.Errorf("-queue-timeline requires the lasmq scheduler, got %s", policy.Name())
 		}
-		recorder = core.NewQueueRecorder(mq, *queueCSV)
-		policy = recorder
+		occupancy = obs.NewQueueTimeline(*queues, *queueCSV)
 	}
 
 	wcfg := workload.Config{MeanInterval: *interval, DurationSigma: *sigma, Seed: *seed}
@@ -96,7 +95,13 @@ func run() error {
 		Seed:            *seed,
 		SampleInterval:  *timeline,
 	}
-	res, err := engine.Run(specs, policy, ecfg)
+	// The queue timeline watches this run only: the isolated FIFO runs below
+	// reuse ecfg.
+	runCfg := ecfg
+	if occupancy != nil {
+		runCfg.Probe = occupancy
+	}
+	res, err := engine.Run(specs, policy, runCfg)
 	if err != nil {
 		return err
 	}
@@ -144,13 +149,13 @@ func run() error {
 			fmt.Printf("%g,%d,%d,%d\n", s.Time, s.UsedContainers, s.RunningJobs, s.WaitingJobs)
 		}
 	}
-	if recorder != nil {
+	if occupancy != nil {
 		fmt.Print("time")
 		for q := 0; q < *queues; q++ {
 			fmt.Printf(",queue%d", q)
 		}
 		fmt.Println()
-		for _, s := range recorder.Samples() {
+		for _, s := range occupancy.Samples() {
 			fmt.Printf("%g", s.Time)
 			for _, n := range s.Sizes {
 				fmt.Printf(",%d", n)

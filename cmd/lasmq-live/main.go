@@ -173,13 +173,13 @@ func run() error {
 // mutex-taking sink work off the ResourceManager's scheduling goroutine.
 type recorder struct {
 	ring *obs.Ring
-	sink obs.Probe
+	sink obs.Sink
 	quit chan struct{}
 	done chan struct{}
 	lost uint64
 }
 
-func startRecorder(ring *obs.Ring, sink obs.Probe) *recorder {
+func startRecorder(ring *obs.Ring, sink obs.Sink) *recorder {
 	rec := &recorder{ring: ring, sink: sink, quit: make(chan struct{}), done: make(chan struct{})}
 	go rec.loop()
 	return rec

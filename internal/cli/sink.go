@@ -39,7 +39,7 @@ type Sink struct {
 	hists    *obs.Histograms
 	series   *obs.Series
 	outputs  []sinkOutput
-	probes   []obs.Probe
+	sinks    []obs.Sink
 }
 
 // sinkOutput is one open output file and the writer that fills it on Close.
@@ -65,7 +65,7 @@ func OpenSink(cfg SinkConfig) (*Sink, error) {
 			return nil, err
 		}
 		s.counters = obs.NewCounters()
-		s.probes = append(s.probes, s.counters)
+		s.sinks = append(s.sinks, s.counters)
 		if cfg.TraceFormat == "chrome" {
 			chrome := obs.NewChromeTrace()
 			s.attach(chrome, chrome.Export)
@@ -106,10 +106,10 @@ func (s *Sink) create(kind, path string) (*os.File, error) {
 	return f, nil
 }
 
-// attach wires the probe feeding the most recently created output and the
+// attach wires the sink feeding the most recently created output and the
 // writer that serializes it on Close.
-func (s *Sink) attach(p obs.Probe, write func(io.Writer) error) {
-	s.probes = append(s.probes, p)
+func (s *Sink) attach(sink obs.Sink, write func(io.Writer) error) {
+	s.sinks = append(s.sinks, sink)
 	s.outputs[len(s.outputs)-1].write = write
 }
 
@@ -118,7 +118,7 @@ func (s *Sink) Probe() obs.Probe {
 	if s == nil {
 		return nil
 	}
-	return obs.Multi(s.probes...)
+	return obs.Multi(s.sinks...)
 }
 
 // Close writes and closes every output file, reporting the first failure.

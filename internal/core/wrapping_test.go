@@ -7,7 +7,9 @@ import (
 	"lasmq/internal/core"
 	"lasmq/internal/engine"
 	jobspec "lasmq/internal/job"
+	"lasmq/internal/obs"
 	"lasmq/internal/sched"
+	"lasmq/internal/workload"
 )
 
 // wrapWorkload is a seed-varied mix of small and large multi-stage jobs with
@@ -53,37 +55,6 @@ func runWrapped(t *testing.T, seed int64, mk func() sched.Scheduler, full bool) 
 	return res
 }
 
-// TestQueueRecorderTransparent is the capability-forwarding regression gate:
-// wrapping LAS_MQ in a QueueRecorder must leave every simulated outcome
-// byte-identical, in both scheduling modes. Before the recorder forwarded
-// Observer/ObserveHinter, the wrapped policy silently missed skipped-round
-// state replay and its queue state — hence allocations — desynced from the
-// unwrapped run in incremental mode.
-func TestQueueRecorderTransparent(t *testing.T) {
-	for _, full := range []bool{true, false} {
-		for seed := int64(1); seed <= 3; seed++ {
-			bare := runWrapped(t, seed, func() sched.Scheduler {
-				mq, err := core.New(core.DefaultConfig())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return mq
-			}, full)
-			wrapped := runWrapped(t, seed, func() sched.Scheduler {
-				mq, err := core.New(core.DefaultConfig())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return core.NewQueueRecorder(mq, 10)
-			}, full)
-			if !reflect.DeepEqual(bare, wrapped) {
-				t.Fatalf("full=%v seed %d: QueueRecorder wrapping changed the result\n bare: %+v\n wrapped: %+v",
-					full, seed, bare, wrapped)
-			}
-		}
-	}
-}
-
 // TestBlendDegenerateTransparent: a theta=0 blend must schedule exactly like
 // its bare primary (and theta=1 like its bare secondary) — in incremental
 // mode this only holds if Blend forwards Observe/ObserveHorizon correctly.
@@ -124,28 +95,28 @@ func TestBlendDegenerateTransparent(t *testing.T) {
 	}
 }
 
-// TestRecorderSizesMatchInner cross-checks the recorder's incrementally
-// maintained occupancy (built from probe events) against the inner
-// scheduler's authoritative QueueSizes at every sample instant of a live
-// run's final state.
+// TestRecorderSizesMatchInner cross-checks the occupancy an
+// obs.QueueTimeline keeps from LAS_MQ's probe events against the
+// scheduler's authoritative QueueSizes at the end of a run.
 func TestRecorderSizesMatchInner(t *testing.T) {
 	mq, err := core.New(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := core.NewQueueRecorder(mq, 0) // sample every round
+	timeline := obs.NewQueueTimeline(core.DefaultConfig().Queues, 0) // sample every round
 	cfg := wrapConfig(3)
-	if _, err := engine.Run(wrapWorkload(3), rec, cfg); err != nil {
+	cfg.Probe = timeline
+	if _, err := engine.Run(wrapWorkload(3), mq, cfg); err != nil {
 		t.Fatal(err)
 	}
-	samples := rec.Samples()
+	samples := timeline.Samples()
 	if len(samples) == 0 {
 		t.Fatal("no samples recorded")
 	}
-	// The final sample must agree with the inner scheduler's final state.
+	// The final sample must agree with the scheduler's final state.
 	last := samples[len(samples)-1]
 	if got := mq.QueueSizes(); !reflect.DeepEqual(last.Sizes, got) {
-		t.Fatalf("final sample %v != inner QueueSizes %v", last.Sizes, got)
+		t.Fatalf("final sample %v != QueueSizes %v", last.Sizes, got)
 	}
 	deepest := 0
 	for _, s := range samples {
@@ -160,5 +131,42 @@ func TestRecorderSizesMatchInner(t *testing.T) {
 	}
 	if deepest < 2 {
 		t.Fatalf("workload never pushed jobs past queue %d; the cross-check is too weak", deepest)
+	}
+}
+
+// TestQueueRecorderEndToEnd drives a whole engine run of the Table I
+// workload watched by a queue timeline: a large job must be observed in
+// progressively deeper queues.
+func TestQueueRecorderEndToEnd(t *testing.T) {
+	mq, err := core.New(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeline := obs.NewQueueTimeline(core.DefaultConfig().Queues, 0)
+	wcfg := workload.DefaultConfig()
+	wcfg.Seed = 4
+	specs, err := workload.Generate(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.DefaultConfig()
+	cfg.Probe = timeline
+	if _, err := engine.Run(specs[:20], mq, cfg); err != nil {
+		t.Fatal(err)
+	}
+	samples := timeline.Samples()
+	if len(samples) == 0 {
+		t.Fatal("no samples recorded")
+	}
+	deepest := 0
+	for _, s := range samples {
+		for q, n := range s.Sizes {
+			if n > 0 && q > deepest {
+				deepest = q
+			}
+		}
+	}
+	if deepest < 2 {
+		t.Errorf("deepest occupied queue = %d; large jobs never demoted past queue 1?", deepest)
 	}
 }

@@ -16,15 +16,13 @@ import (
 // the engine keeps the sparse contract — the served list strictly ascending
 // and naming exactly the views with a nonzero share, the column zero
 // everywhere else — for every core.PolicyNames policy, Gittins, the adaptive
-// wrapper, a blend at theta = 0.5, the queue recorder and LAS_MQ behind the
-// map adapter, on the differential workload with stragglers and speculation;
+// wrapper, a blend at theta = 0.5 and LAS_MQ behind the map adapter, on the differential workload with stragglers and speculation;
 // and watching the answers changes no result.
 func TestSparseAnswerContract(t *testing.T) {
 	diff := diffPolicies(t)
 	policies := map[string]func() sched.Scheduler{
-		"Gittins":       diff["Gittins"],
-		"Adaptive":      diff["Adaptive"],
-		"QueueRecorder": diff["QueueRecorder"],
+		"Gittins":  diff["Gittins"],
+		"Adaptive": diff["Adaptive"],
 		"Blend-0.5": func() sched.Scheduler {
 			mq, err := core.New(core.DefaultConfig())
 			if err != nil {

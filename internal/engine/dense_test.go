@@ -74,7 +74,7 @@ func TestDenseMatchesMapOnly(t *testing.T) {
 func TestDenseMatchesMapOnlySharded(t *testing.T) {
 	policies := diffPolicies(t)
 	specs := diffWorkload(7, 240)
-	for _, name := range append(slices.Clone(shardPolicyNames), "SRPT", "Adaptive", "Blend", "QueueRecorder") {
+	for _, name := range append(slices.Clone(shardPolicyNames), "SRPT", "Adaptive", "Blend") {
 		run := func(wrap func(sched.Scheduler) sched.Scheduler) (*engine.StreamResult, []byte) {
 			var log bytes.Buffer
 			sink := obs.NewJSONL(&log)

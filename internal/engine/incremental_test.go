@@ -17,7 +17,7 @@ import (
 // in both metric modes (ObserveHinter with the stage-aware and the
 // plain-attained metric), the adaptive wrapper (Observer but deliberately no
 // ObserveHinter), a blend whose Observe must forward to exactly the
-// components its Assign invokes, and the queue recorder.
+// components its Assign invokes.
 func diffPolicies(t *testing.T) map[string]func() sched.Scheduler {
 	t.Helper()
 	mustLASMQ := func(cfg core.Config) *core.LASMQ {
@@ -36,9 +36,6 @@ func diffPolicies(t *testing.T) map[string]func() sched.Scheduler {
 		"SRTF":    func() sched.Scheduler { return sched.NewSRTF() },
 		"SRPT":    func() sched.Scheduler { return sched.NewSRPT() },
 		"Gittins": func() sched.Scheduler { return sched.NewGittins(pinnedGittinsModel(t)) },
-		"QueueRecorder": func() sched.Scheduler {
-			return core.NewQueueRecorder(mustLASMQ(core.DefaultConfig()), 0)
-		},
 		"LASMQ-stageaware": func() sched.Scheduler {
 			return mustLASMQ(core.DefaultConfig())
 		},

@@ -38,7 +38,8 @@ type namedPolicy struct {
 }
 
 // pinnedPolicies are the policies whose probe streams TestProbeStreamPinned
-// holds: SRPT, Gittins, the adaptive wrapper, a blend and the queue recorder.
+// holds: SRPT, Gittins, the adaptive wrapper, a blend and the queue recorder,
+// which is LAS_MQ watched by an obs.QueueTimeline next to the JSONL sink.
 func pinnedPolicies(t *testing.T) []namedPolicy {
 	mq := func() *core.LASMQ {
 		s, err := core.New(core.DefaultConfig())
@@ -68,7 +69,7 @@ func pinnedPolicies(t *testing.T) []namedPolicy {
 			}
 			return b
 		}},
-		{"QueueRecorder", func() sched.Scheduler { return core.NewQueueRecorder(mq(), 0) }},
+		{"QueueRecorder", func() sched.Scheduler { return mq() }},
 	}
 }
 
@@ -99,8 +100,12 @@ func TestProbeStreamPinned(t *testing.T) {
 			var log bytes.Buffer
 			sink := obs.NewJSONL(&log)
 			cfg.Probe = sink
-			policy := p.new()
-			if _, err := engine.Run(specs, policy, cfg); err != nil {
+			var timeline *obs.QueueTimeline
+			if p.name == "QueueRecorder" {
+				timeline = obs.NewQueueTimeline(core.DefaultConfig().Queues, 0)
+				cfg.Probe = obs.Multi(sink, timeline)
+			}
+			if _, err := engine.Run(specs, p.new(), cfg); err != nil {
 				t.Fatalf("%s/%s: %v", p.name, cname, err)
 			}
 			if err := sink.Flush(); err != nil {
@@ -108,8 +113,8 @@ func TestProbeStreamPinned(t *testing.T) {
 			}
 			h := fnv.New64a()
 			h.Write(log.Bytes())
-			if rec, ok := policy.(*core.QueueRecorder); ok {
-				fmt.Fprint(h, rec.Samples())
+			if timeline != nil {
+				fmt.Fprint(h, timeline.Samples())
 			}
 			fmt.Fprintf(&got, "%s %s %d %016x\n", p.name, cname, log.Len(), h.Sum64())
 		}

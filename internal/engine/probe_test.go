@@ -7,6 +7,7 @@ import (
 
 	"lasmq/internal/engine"
 	"lasmq/internal/obs"
+	"lasmq/internal/workload"
 )
 
 // TestProbedMatchesUnprobed is the telemetry layer's correctness gate on the
@@ -92,5 +93,43 @@ func TestProbedCountersConsistency(t *testing.T) {
 	}
 	if s.TotalDemotions() == 0 {
 		t.Fatal("LAS_MQ demoted no jobs on a multi-bin workload")
+	}
+}
+
+// TestSeriesRunningWithinContainers: the series' running-task gauge never
+// exceeds the cluster, with speculation on. The engine kills a finished
+// task's speculative siblings without an event of their own, so the gauge
+// holds only if a task's completion ends every attempt of it.
+func TestSeriesRunningWithinContainers(t *testing.T) {
+	wcfg := workload.DefaultConfig()
+	wcfg.Seed = 3
+	specs, err := workload.Generate(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.DefaultConfig()
+	cfg.Seed = 3
+	cfg.Speculation = true
+	cfg.StragglerProb = 0.1
+	series := obs.NewSeries(50, cfg.Containers)
+	cfg.Probe = series
+	res, err := engine.Run(specs, diffPolicies(t)["LASMQ-stageaware"](), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counters != nil {
+		t.Fatal("a Series alone folded a Counters snapshot")
+	}
+	points := series.Points()
+	if len(points) == 0 {
+		t.Fatal("no series points")
+	}
+	for _, pt := range points {
+		if pt.RunningTasks > int32(cfg.Containers) || pt.RunningTasks < 0 {
+			t.Fatalf("t=%g: %d tasks running on %d containers", pt.Time, pt.RunningTasks, cfg.Containers)
+		}
+	}
+	if last := points[len(points)-1]; last.LiveJobs == 0 && last.RunningTasks != 0 {
+		t.Fatalf("t=%g: %d tasks still running after every job finished", last.Time, last.RunningTasks)
 	}
 }

@@ -231,8 +231,8 @@ func TestEngineShardedProbePerShardCounters(t *testing.T) {
 		t.Fatalf("probe perturbed sharded results:\n want %+v\n  got %+v", bare, probed)
 	}
 
-	if n := c.ShardCount(); n != shards {
-		t.Fatalf("ShardCount = %d, want %d", n, shards)
+	if idx := c.ShardIndexes(); len(idx) != shards {
+		t.Fatalf("ShardIndexes = %v, want %d shards", idx, shards)
 	}
 	var jobs, peak int64
 	for shard := 0; shard < shards; shard++ {

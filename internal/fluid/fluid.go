@@ -212,7 +212,7 @@ func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 	res.Reserve(len(specs))
 	// Slowdown is fluid-derived state, not a probe event, so it reaches the
 	// histogram sink through its side-channel, at each completion.
-	hist := obs.FindHistograms(cfg.Probe)
+	hist, _ := obs.Find[*obs.Histograms](cfg.Probe)
 	s := newSim(SliceSource(feed), policy, cfg, func(jr JobResult) {
 		res.Jobs[index[jr.ID]] = jr
 		if hist != nil {

@@ -15,7 +15,7 @@ import (
 
 // TestHistogramSideChannels pins the fluid substrate's wiring into the
 // Histograms sink: every completed job feeds the response histogram via
-// JobDone and the slowdown histogram via the SlowdownObserver side-channel
+// JobDone and the slowdown histogram via its ObserveSlowdown side-channel
 // (slowdown is fluid-derived state, not a probe event), every admission
 // feeds the wait histogram, and the driver feeds wall-clock round latency,
 // one observation per executed round whichever form it drives the policy

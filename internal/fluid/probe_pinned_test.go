@@ -21,8 +21,8 @@ var updatePinned = flag.Bool("update-pinned", false, "rewrite testdata/probe_str
 
 // pinnedPolicies are the policies whose runs TestProbeStreamPinned holds:
 // every name core.PolicyNames lists, under its reporting name and with LAS_MQ
-// in the trace-simulation configuration of diffPolicies, then Gittins, the adaptive wrapper, a blend
-// and the queue recorder.
+// in the trace-simulation configuration of diffPolicies, then Gittins, the adaptive wrapper and a
+// blend.
 func pinnedPolicies(t *testing.T) []namedPolicy {
 	mqCfg := core.DefaultConfig()
 	mqCfg.FirstThreshold = 1
@@ -63,7 +63,6 @@ func pinnedPolicies(t *testing.T) []namedPolicy {
 			return core.NewAdaptive(cfg)
 		}},
 		namedPolicy{"Blend", func() (sched.Scheduler, error) { return sched.NewBlend(mq(), sched.NewFair(), 0.4) }},
-		namedPolicy{"QueueRecorder", func() (sched.Scheduler, error) { return core.NewQueueRecorder(mq(), 0), nil }},
 	)
 }
 
@@ -125,11 +124,13 @@ type namedPolicy struct {
 // per run, the length of the JSONL probe stream and one FNV-64a hash over
 // the stream, the queue recorder's samples, every JobResult, Makespan,
 // Utilization and Rounds. TestDenseMatchesMapOnly compares two forms of one
-// binary's policies; this file is the other binary.
+// binary's policies; this file is the other binary. The queue recorder's row
+// is LAS_MQ watched by an obs.QueueTimeline next to the JSONL sink.
 func TestProbeStreamPinned(t *testing.T) {
 	var got bytes.Buffer
+	policies := append(pinnedPolicies(t), namedPolicy{"QueueRecorder", diffPolicies(t)["LAS_MQ"]})
 	for _, tr := range pinnedTraces(t) {
-		for _, p := range pinnedPolicies(t) {
+		for _, p := range policies {
 			policy, err := p.new()
 			if err != nil {
 				t.Fatal(err)
@@ -138,6 +139,11 @@ func TestProbeStreamPinned(t *testing.T) {
 			sink := obs.NewJSONL(&log)
 			fcfg := tr.cfg
 			fcfg.Probe = sink
+			var timeline *obs.QueueTimeline
+			if p.name == "QueueRecorder" {
+				timeline = obs.NewQueueTimeline(core.DefaultConfig().Queues, 0)
+				fcfg.Probe = obs.Multi(sink, timeline)
+			}
 			res, err := fluid.Run(tr.specs, policy, fcfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tr.name, p.name, err)
@@ -147,8 +153,8 @@ func TestProbeStreamPinned(t *testing.T) {
 			}
 			h := fnv.New64a()
 			h.Write(log.Bytes())
-			if rec, ok := policy.(*core.QueueRecorder); ok {
-				fmt.Fprint(h, rec.Samples())
+			if timeline != nil {
+				fmt.Fprint(h, timeline.Samples())
 			}
 			for _, jr := range res.Jobs {
 				fmt.Fprintf(h, "%d %x %x %x %x %x %x\n", jr.ID, math.Float64bits(jr.Arrival),

@@ -196,17 +196,18 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestRunContextCancel(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	// The map task outlasts the deadline however the scheduler runs it.
 	slow := Job{
 		ID: 1, Name: "slow", Priority: 1,
 		Splits: []string{"x"}, Reducers: 1,
 		Map: func(split string, emit func(k, v string)) {
-			time.Sleep(200 * time.Millisecond)
+			<-ctx.Done()
 			emit("k", "v")
 		},
 		Reduce: CountReduce,
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
 	if _, err := RunWithContext(ctx, DefaultClusterConfig(), sched.NewFIFO(), []Job{slow}); err == nil {
 		t.Error("expected context deadline error")
 	}

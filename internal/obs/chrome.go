@@ -6,7 +6,7 @@ import (
 	"sort"
 )
 
-// ChromeTrace is a Probe sink that renders a run in the Chrome trace-event
+// ChromeTrace is a sink that renders a run in the Chrome trace-event
 // JSON format, loadable in chrome://tracing or Perfetto (ui.perfetto.dev).
 // Jobs appear as threads of a "jobs" process: each job track carries one
 // complete ("X") slice spanning the whole job with its task attempts nested
@@ -18,7 +18,7 @@ import (
 // Events accumulate in memory; Export sorts them by timestamp (stably, so
 // equal-time events keep emission order) and writes the JSON array.
 type ChromeTrace struct {
-	Nop
+	emitter
 	events []chromeEvent
 	seen   map[int]bool
 	// open tracks queue spans begun but not yet ended, so Export can close
@@ -49,6 +49,7 @@ const (
 // NewChromeTrace returns an empty ChromeTrace sink.
 func NewChromeTrace() *ChromeTrace {
 	t := &ChromeTrace{seen: make(map[int]bool), open: make(map[[2]int]int)}
+	t.emitter = emitter{t}
 	t.meta(chromeJobsPid, 0, "process_name", "jobs")
 	t.meta(chromeSchedPid, 0, "process_name", "scheduler")
 	return t
@@ -94,74 +95,79 @@ func itoa(v int) string {
 
 const usec = 1e6 // virtual seconds -> trace microseconds
 
-func (t *ChromeTrace) JobSubmitted(now float64, job int) {
-	t.track(job)
-	t.events = append(t.events, chromeEvent{
-		Name: "submitted", Cat: "job", Ph: "i",
-		Ts: now * usec, Pid: chromeJobsPid, Tid: job,
-	})
-	t.stamp(now * usec)
-}
-
-func (t *ChromeTrace) JobDone(now float64, job int, response float64) {
-	t.track(job)
-	dur := response * usec
-	t.events = append(t.events, chromeEvent{
-		Name: "job", Cat: "job", Ph: "X",
-		Ts: (now - response) * usec, Dur: &dur,
-		Pid: chromeJobsPid, Tid: job,
-	})
-	t.stamp(now * usec)
-}
-
-func (t *ChromeTrace) TaskDone(now float64, job, stage, task int, start float64, speculative bool) {
-	t.track(job)
-	dur := (now - start) * usec
-	ev := chromeEvent{
-		Name: "s" + itoa(stage) + "/t" + itoa(task), Cat: "task", Ph: "X",
-		Ts: start * usec, Dur: &dur, Pid: chromeJobsPid, Tid: job,
+// Record implements Sink. Job and task events land on the job's track,
+// queue moves open and close its residency spans, and refits and slab
+// statistics are scheduler instants.
+func (t *ChromeTrace) Record(ev Event) {
+	job, ts := int(ev.A), ev.T*usec
+	switch ev.Kind {
+	case KindJobSubmitted:
+		t.track(job)
+		t.events = append(t.events, chromeEvent{
+			Name: "submitted", Cat: "job", Ph: "i",
+			Ts: ts, Pid: chromeJobsPid, Tid: job,
+		})
+	case KindJobDone:
+		t.track(job)
+		dur := ev.F * usec
+		t.events = append(t.events, chromeEvent{
+			Name: "job", Cat: "job", Ph: "X",
+			Ts: (ev.T - ev.F) * usec, Dur: &dur,
+			Pid: chromeJobsPid, Tid: job,
+		})
+	case KindTaskDone, KindTaskFail:
+		t.track(job)
+		dur := (ev.T - ev.F) * usec
+		name := "s" + itoa(int(ev.B)) + "/t" + itoa(int(ev.C))
+		var args map[string]any
+		if ev.Kind == KindTaskFail {
+			name += " FAIL"
+			args = map[string]any{"failed": true}
+		} else if ev.flag() {
+			args = map[string]any{"speculative": true}
+		}
+		t.events = append(t.events, chromeEvent{
+			Name: name, Cat: "task", Ph: "X",
+			Ts: ev.F * usec, Dur: &dur, Pid: chromeJobsPid, Tid: job, Args: args,
+		})
+	case KindQueueEnter:
+		t.track(job)
+		t.span(ts, job, int(ev.B), "b")
+	case KindQueueDemote:
+		t.track(job)
+		t.span(ts, job, int(ev.B), "e")
+		t.span(ts, job, int(ev.C), "b")
+	case KindQueueExit:
+		t.track(job)
+		t.span(ts, job, int(ev.B), "e")
+	case KindThresholdRefit:
+		t.events = append(t.events, chromeEvent{
+			Name: "refit", Cat: "scheduler", Ph: "i",
+			Ts: ts, Pid: chromeSchedPid, Tid: 0,
+			Args: map[string]any{"first": ev.F, "step": ev.G},
+		})
+		return // a refit does not advance the end of the trace
+	case KindSlabStats:
+		t.events = append(t.events, chromeEvent{
+			Name: "slab free-list", Cat: "scheduler", Ph: "i",
+			Ts: ts, Pid: chromeSchedPid, Tid: 0,
+			Args: map[string]any{"live": int(ev.A), "peak": int(ev.B), "recycled": int(ev.C)},
+		})
+	default:
+		return
 	}
-	if speculative {
-		ev.Args = map[string]any{"speculative": true}
+	if ts > t.maxTs { // the end-of-trace high-water mark
+		t.maxTs = ts
 	}
-	t.events = append(t.events, ev)
-	t.stamp(now * usec)
-}
-
-func (t *ChromeTrace) TaskFail(now float64, job, stage, task int, start float64) {
-	t.track(job)
-	dur := (now - start) * usec
-	t.events = append(t.events, chromeEvent{
-		Name: "s" + itoa(stage) + "/t" + itoa(task) + " FAIL", Cat: "task", Ph: "X",
-		Ts: start * usec, Dur: &dur, Pid: chromeJobsPid, Tid: job,
-		Args: map[string]any{"failed": true},
-	})
-	t.stamp(now * usec)
-}
-
-func (t *ChromeTrace) QueueEnter(now float64, job, queue int) {
-	t.track(job)
-	t.span(now, job, queue, "b")
-}
-
-func (t *ChromeTrace) QueueDemote(now float64, job, from, to int, attained float64) {
-	t.track(job)
-	t.span(now, job, from, "e")
-	t.span(now, job, to, "b")
-}
-
-func (t *ChromeTrace) QueueExit(now float64, job, queue int) {
-	t.track(job)
-	t.span(now, job, queue, "e")
 }
 
 // span emits one end of a queue-residency async span. Spans pair up by
 // (cat, id, name), so each (job, queue level) stretch is its own span on
 // the job's async row.
-func (t *ChromeTrace) span(now float64, job, queue int, ph string) {
+func (t *ChromeTrace) span(ts float64, job, queue int, ph string) {
 	t.events = append(t.events, chromeEvent{
 		Name: "Q" + itoa(queue), Cat: "queue", Ph: ph,
-		Ts: now * usec, Pid: chromeJobsPid, Tid: job, ID: job + 1,
+		Ts: ts, Pid: chromeJobsPid, Tid: job, ID: job + 1,
 	})
 	if ph == "b" {
 		t.open[[2]int{job, queue}]++
@@ -171,31 +177,6 @@ func (t *ChromeTrace) span(now float64, job, queue int, ph string) {
 			delete(t.open, [2]int{job, queue})
 		}
 	}
-	t.stamp(now * usec)
-}
-
-// stamp advances the end-of-trace high-water mark.
-func (t *ChromeTrace) stamp(ts float64) {
-	if ts > t.maxTs {
-		t.maxTs = ts
-	}
-}
-
-func (t *ChromeTrace) ThresholdRefit(now, first, step float64) {
-	t.events = append(t.events, chromeEvent{
-		Name: "refit", Cat: "scheduler", Ph: "i",
-		Ts: now * usec, Pid: chromeSchedPid, Tid: 0,
-		Args: map[string]any{"first": first, "step": step},
-	})
-}
-
-func (t *ChromeTrace) SlabStats(now float64, live, peak, recycled int) {
-	t.events = append(t.events, chromeEvent{
-		Name: "slab free-list", Cat: "scheduler", Ph: "i",
-		Ts: now * usec, Pid: chromeSchedPid, Tid: 0,
-		Args: map[string]any{"live": live, "peak": peak, "recycled": recycled},
-	})
-	t.stamp(now * usec)
 }
 
 // Export closes the queue spans of jobs still resident at end of trace,

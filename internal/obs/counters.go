@@ -91,21 +91,25 @@ func (s CounterSnapshot) WriteSummary(w io.Writer) {
 	}
 }
 
-// Counters is an aggregating Probe sink. It is safe for concurrent use:
-// the live cluster's resource manager emits events while the HTTP debug
-// endpoint snapshots them.
+// Counters is an aggregating sink. It is safe for concurrent use: the live
+// cluster's resource manager emits events while the HTTP debug endpoint
+// snapshots them.
 type Counters struct {
+	emitter
 	mu sync.Mutex
 	s  CounterSnapshot
 	// backlog tracks submitted - admitted to maintain the high-water mark.
 	backlog int64
-	// shards holds the per-shard sub-sinks derived via ShardProbe, keyed by
-	// shard index (nil until a sharded run attaches this sink).
-	shards map[int]*Counters
+	// shards holds the per-shard sub-sinks derived via ShardProbe.
+	shards shardTable[*Counters]
 }
 
 // NewCounters returns an empty Counters sink.
-func NewCounters() *Counters { return &Counters{} }
+func NewCounters() *Counters {
+	c := &Counters{}
+	c.emitter = emitter{c}
+	return c
+}
 
 // Snapshot returns a copy of the current aggregates.
 func (c *Counters) Snapshot() CounterSnapshot {
@@ -116,107 +120,56 @@ func (c *Counters) Snapshot() CounterSnapshot {
 	return snap
 }
 
-func (c *Counters) JobSubmitted(float64, int) {
+// Record implements Sink.
+func (c *Counters) Record(ev Event) {
 	c.mu.Lock()
-	c.s.JobsSubmitted++
-	c.backlog++
-	if c.backlog > c.s.PeakAdmissionBacklog {
-		c.s.PeakAdmissionBacklog = c.backlog
+	defer c.mu.Unlock()
+	s := &c.s
+	switch ev.Kind {
+	case KindJobSubmitted:
+		s.JobsSubmitted++
+		c.backlog++
+		s.PeakAdmissionBacklog = max(s.PeakAdmissionBacklog, c.backlog)
+	case KindJobAdmitted:
+		s.JobsAdmitted++
+		c.backlog--
+		if ev.F > s.MaxAdmissionWait {
+			s.MaxAdmissionWait = ev.F
+		}
+	case KindJobDone:
+		s.JobsCompleted++
+	case KindTaskStart:
+		s.TasksLaunched++
+		if ev.flag() {
+			s.SpecLaunches++
+		}
+	case KindTaskDone:
+		s.TasksCompleted++
+		if ev.flag() {
+			s.SpecWins++
+		}
+	case KindTaskFail:
+		s.TaskFailures++
+	case KindQueueDemote:
+		for len(s.Demotions) <= int(ev.C) {
+			s.Demotions = append(s.Demotions, 0)
+		}
+		s.Demotions[ev.C]++
+	case KindThresholdRefit:
+		s.Refits++
+	case KindRoundExecuted:
+		s.RoundsExecuted++
+	case KindRoundSkipped:
+		s.RoundsSkipped++
+		if ev.flag() {
+			s.RoundsObserved++
+		}
+	case KindArenaReuse:
+		if ev.flag() {
+			s.ArenaReuses++
+		}
+	case KindSlabStats:
+		s.SlabPeakLive = max(s.SlabPeakLive, int64(ev.B))
+		s.SlabRecycled += int64(ev.C)
 	}
-	c.mu.Unlock()
-}
-
-func (c *Counters) JobAdmitted(_ float64, _ int, waited float64) {
-	c.mu.Lock()
-	c.s.JobsAdmitted++
-	c.backlog--
-	if waited > c.s.MaxAdmissionWait {
-		c.s.MaxAdmissionWait = waited
-	}
-	c.mu.Unlock()
-}
-
-func (c *Counters) JobStarted(float64, int) {}
-
-func (c *Counters) StageDone(float64, int, int) {}
-
-func (c *Counters) JobDone(float64, int, float64) {
-	c.mu.Lock()
-	c.s.JobsCompleted++
-	c.mu.Unlock()
-}
-
-func (c *Counters) TaskStart(_ float64, _, _, _, _ int, speculative bool) {
-	c.mu.Lock()
-	c.s.TasksLaunched++
-	if speculative {
-		c.s.SpecLaunches++
-	}
-	c.mu.Unlock()
-}
-
-func (c *Counters) TaskDone(_ float64, _, _, _ int, _ float64, speculative bool) {
-	c.mu.Lock()
-	c.s.TasksCompleted++
-	if speculative {
-		c.s.SpecWins++
-	}
-	c.mu.Unlock()
-}
-
-func (c *Counters) TaskFail(float64, int, int, int, float64) {
-	c.mu.Lock()
-	c.s.TaskFailures++
-	c.mu.Unlock()
-}
-
-func (c *Counters) QueueEnter(float64, int, int) {}
-
-func (c *Counters) QueueDemote(_ float64, _, _, to int, _ float64) {
-	c.mu.Lock()
-	for len(c.s.Demotions) <= to {
-		c.s.Demotions = append(c.s.Demotions, 0)
-	}
-	c.s.Demotions[to]++
-	c.mu.Unlock()
-}
-
-func (c *Counters) QueueExit(float64, int, int) {}
-
-func (c *Counters) ThresholdRefit(float64, float64, float64) {
-	c.mu.Lock()
-	c.s.Refits++
-	c.mu.Unlock()
-}
-
-func (c *Counters) RoundExecuted(float64, int) {
-	c.mu.Lock()
-	c.s.RoundsExecuted++
-	c.mu.Unlock()
-}
-
-func (c *Counters) RoundSkipped(_ float64, observed bool) {
-	c.mu.Lock()
-	c.s.RoundsSkipped++
-	if observed {
-		c.s.RoundsObserved++
-	}
-	c.mu.Unlock()
-}
-
-func (c *Counters) ArenaReuse(_, _ int, reused bool) {
-	c.mu.Lock()
-	if reused {
-		c.s.ArenaReuses++
-	}
-	c.mu.Unlock()
-}
-
-func (c *Counters) SlabStats(_ float64, _, peak, recycled int) {
-	c.mu.Lock()
-	if int64(peak) > c.s.SlabPeakLive {
-		c.s.SlabPeakLive = int64(peak)
-	}
-	c.s.SlabRecycled += int64(recycled)
-	c.mu.Unlock()
 }

@@ -283,8 +283,8 @@ func TestMultiFansOut(t *testing.T) {
 			t.Fatalf("sink %d missed events: %+v", i, s)
 		}
 	}
-	if fc := obs.FindCounters(m); fc != c {
-		t.Fatalf("FindCounters(multi) = %p, want first counters %p", fc, c)
+	if fc, _ := obs.Find[*obs.Counters](m); fc != c {
+		t.Fatalf("Find(multi) = %p, want first counters %p", fc, c)
 	}
 }
 

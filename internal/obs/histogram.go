@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -255,97 +254,64 @@ func HistogramNames() []string {
 	return []string{HistAdmissionWait, HistResponse, HistRoundLatency, HistSlowdown, HistTaskDuration}
 }
 
-// Histograms is the distribution-aggregating Probe sink: log-scale
-// histograms of job response time, slowdown, admission wait, task duration
-// and per-round wall-clock scheduler latency. The record path takes one
-// uncontended mutex (snapshots may race it on the live cluster) and never
-// allocates — enforced, like the Ring, by the probe-gate zero-alloc test.
+// Histograms is the distribution-aggregating sink: log-scale histograms of
+// job response time, slowdown, admission wait, task duration and per-round
+// wall-clock scheduler latency. The record path takes one uncontended mutex
+// (snapshots may race it on the live cluster) and never allocates —
+// enforced, like the Ring, by the probe-gate zero-alloc test.
 //
-// Response, admission wait and task duration feed from the generic probe
-// events; slowdown and round latency are pushed by the substrates through
-// the SlowdownObserver / RoundLatencyObserver side-channels, because neither
-// is a simulation event (slowdown is fluid-only derived state, round latency
-// is wall-clock and would poison deterministic event-stream sinks).
+// Response, admission wait and task duration feed from the probe events;
+// slowdown and round latency are pushed by the substrates, which find the
+// sink once per run (Find), through ObserveSlowdown / ObserveRoundLatency,
+// because neither is a simulation event (slowdown is fluid-only derived
+// state, round latency is wall-clock and would poison deterministic
+// event-stream sinks).
 type Histograms struct {
+	emitter
 	mu            sync.Mutex
 	response      Histogram
 	slowdown      Histogram
 	admissionWait Histogram
 	taskDuration  Histogram
 	roundLatency  Histogram
-	// shards holds per-shard sub-sinks derived via ShardProbe, keyed by
-	// shard index (nil until a sharded run attaches this sink).
-	shards map[int]*Histograms
-	Nop
+	// shards holds per-shard sub-sinks derived via ShardProbe.
+	shards shardTable[*Histograms]
 }
 
 // NewHistograms returns an empty Histograms sink.
-func NewHistograms() *Histograms { return &Histograms{} }
-
-// SlowdownObserver receives job slowdowns (response / isolated runtime).
-// The fluid simulator resolves it from its probe once (FindHistograms) and
-// pushes at each job completion.
-type SlowdownObserver interface {
-	ObserveSlowdown(slowdown float64)
+func NewHistograms() *Histograms {
+	h := &Histograms{}
+	h.emitter = emitter{h}
+	return h
 }
 
-// RoundLatencyObserver receives the wall-clock seconds one scheduling round
-// spent inside the policy. substrate.Driver resolves it from its probe once
-// at SetProbe and pushes per executed round. Wall-clock latency deliberately
-// bypasses the Probe event stream: it differs run to run, and the JSONL /
-// ChromeTrace sinks must stay byte-deterministic.
-type RoundLatencyObserver interface {
-	ObserveRoundLatency(seconds float64)
-}
-
-// FindHistograms returns the first Histograms sink reachable from p — p
-// itself or a member of a (possibly nested) Multi — mirroring FindCounters,
-// so substrates can resolve the side-channel observers once per run.
-func FindHistograms(p Probe) *Histograms {
-	switch v := p.(type) {
-	case *Histograms:
-		return v
-	case multi:
-		for _, q := range v {
-			if h := FindHistograms(q); h != nil {
-				return h
-			}
-		}
+// Record implements Sink.
+func (h *Histograms) Record(ev Event) {
+	switch ev.Kind {
+	case KindJobAdmitted:
+		h.observe(&h.admissionWait, ev.F)
+	case KindJobDone:
+		h.observe(&h.response, ev.F)
+	case KindTaskDone:
+		h.observe(&h.taskDuration, ev.T-ev.F)
 	}
-	return nil
 }
 
-func (h *Histograms) JobAdmitted(_ float64, _ int, waited float64) {
+func (h *Histograms) observe(g *Histogram, v float64) {
 	h.mu.Lock()
-	h.admissionWait.Observe(waited)
+	g.Observe(v)
 	h.mu.Unlock()
 }
 
-func (h *Histograms) JobDone(_ float64, _ int, response float64) {
-	h.mu.Lock()
-	h.response.Observe(response)
-	h.mu.Unlock()
-}
+// ObserveSlowdown records one job slowdown (response / isolated runtime).
+// The fluid simulator pushes it at each job completion.
+func (h *Histograms) ObserveSlowdown(slowdown float64) { h.observe(&h.slowdown, slowdown) }
 
-func (h *Histograms) TaskDone(now float64, _, _, _ int, start float64, _ bool) {
-	h.mu.Lock()
-	h.taskDuration.Observe(now - start)
-	h.mu.Unlock()
-}
-
-// ObserveSlowdown implements SlowdownObserver.
-func (h *Histograms) ObserveSlowdown(slowdown float64) {
-	h.mu.Lock()
-	h.slowdown.Observe(slowdown)
-	h.mu.Unlock()
-}
-
-// ObserveRoundLatency implements RoundLatencyObserver.
-func (h *Histograms) ObserveRoundLatency(seconds float64) {
-	h.mu.Lock()
-	h.roundLatency.Observe(seconds)
-	h.mu.Unlock()
-}
+// ObserveRoundLatency records the wall-clock seconds one scheduling round
+// spent inside the policy; substrate.Driver pushes it per executed round.
+// Wall-clock latency deliberately bypasses the event stream: it differs run
+// to run, and the JSONL / ChromeTrace sinks must stay byte-deterministic.
+func (h *Histograms) ObserveRoundLatency(seconds float64) { h.observe(&h.roundLatency, seconds) }
 
 // get returns the histogram registered under name, or nil.
 func (h *Histograms) get(name string) *Histogram {
@@ -396,29 +362,17 @@ func (h *Histograms) SnapshotAll() []NamedHistogram {
 	return out
 }
 
-// ShardProbe implements ShardSink: the returned probe feeds both the global
+// ShardProbe implements ShardSink: the returned sink feeds both the global
 // histograms and a per-shard Histograms, so a sharded run's distributions
 // are queryable per shard as well as merged.
-func (h *Histograms) ShardProbe(shard int) Probe {
-	h.mu.Lock()
-	if h.shards == nil {
-		h.shards = make(map[int]*Histograms)
-	}
-	sub, ok := h.shards[shard]
-	if !ok {
-		sub = NewHistograms()
-		h.shards[shard] = sub
-	}
-	h.mu.Unlock()
-	return Multi(h, sub)
+func (h *Histograms) ShardProbe(shard int) Sink {
+	return Multi(h, h.shards.get(shard, NewHistograms))
 }
 
 // ShardHistogram returns a copy of one shard's named histogram and whether
 // that shard ever derived a probe.
 func (h *Histograms) ShardHistogram(shard int, name string) (Histogram, bool) {
-	h.mu.Lock()
-	sub, ok := h.shards[shard]
-	h.mu.Unlock()
+	sub, ok := h.shards.lookup(shard)
 	if !ok {
 		return Histogram{}, false
 	}
@@ -426,16 +380,7 @@ func (h *Histograms) ShardHistogram(shard int, name string) (Histogram, bool) {
 }
 
 // ShardIndexes returns the derived shard indexes in ascending order.
-func (h *Histograms) ShardIndexes() []int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	idx := make([]int, 0, len(h.shards))
-	for i := range h.shards { // range-ok: indexes are sorted before use
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	return idx
-}
+func (h *Histograms) ShardIndexes() []int { return h.shards.indexes() }
 
 // MergeShards folds every per-shard histogram named name in ascending
 // shard-index order into a fresh Histogram. For a probed (hence serialized,

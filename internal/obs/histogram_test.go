@@ -201,22 +201,25 @@ func TestHistogramsShardMerge(t *testing.T) {
 	}
 }
 
-// TestFindHistograms checks sink resolution through nested Multi fan-ins,
-// mirroring FindCounters.
+// TestFindHistograms checks Find's sink resolution through nested Multi
+// fan-ins.
 func TestFindHistograms(t *testing.T) {
 	h := NewHistograms()
-	if FindHistograms(nil) != nil {
+	if _, ok := Find[*Histograms](nil); ok {
 		t.Fatal("nil probe resolved a sink")
 	}
-	if FindHistograms(h) != h {
+	if got, _ := Find[*Histograms](h); got != h {
 		t.Fatal("direct resolution failed")
 	}
+	if _, ok := Find[*Histograms](Nop{}); ok {
+		t.Fatal("a plain probe resolved a sink")
+	}
 	p := Multi(NewCounters(), Multi(NewRing(16), h))
-	if FindHistograms(p) != h {
+	if got, _ := Find[*Histograms](p); got != h {
 		t.Fatal("nested Multi resolution failed")
 	}
-	if FindCounters(p) == nil {
-		t.Fatal("FindCounters broken by the added members")
+	if _, ok := Find[*Counters](p); !ok {
+		t.Fatal("Find[*Counters] broken by the added members")
 	}
 }
 

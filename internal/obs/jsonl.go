@@ -6,7 +6,7 @@ import (
 	"strconv"
 )
 
-// JSONL is a Probe sink that writes one JSON object per event, in emission
+// JSONL is a sink that writes one JSON object per event, in emission
 // order, with a fixed field order per event type. Field values are scalars
 // formatted with strconv (shortest round-trip floats), so the byte stream
 // for a given run is deterministic — the golden-file and concurrency tests
@@ -15,6 +15,7 @@ import (
 // JSONL buffers internally; call Flush when the run completes. It is not
 // safe for concurrent emitters — attach one JSONL sink per run.
 type JSONL struct {
+	emitter
 	w   *bufio.Writer
 	buf []byte
 	err error
@@ -22,7 +23,9 @@ type JSONL struct {
 
 // NewJSONL returns a JSONL sink writing to w.
 func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{w: bufio.NewWriter(w), buf: make([]byte, 0, 128)}
+	j := &JSONL{w: bufio.NewWriter(w), buf: make([]byte, 0, 128)}
+	j.emitter = emitter{j}
+	return j
 }
 
 // Flush drains the internal buffer and returns the first write error seen.
@@ -41,7 +44,7 @@ func (j *JSONL) line(ev string, now float64) {
 	j.buf = strconv.AppendFloat(j.buf, now, 'g', -1, 64)
 }
 
-func (j *JSONL) intField(key string, v int) {
+func (j *JSONL) intField(key string, v int32) {
 	j.buf = append(j.buf, ',', '"')
 	j.buf = append(j.buf, key...)
 	j.buf = append(j.buf, '"', ':')
@@ -69,129 +72,86 @@ func (j *JSONL) end() {
 	}
 }
 
-func (j *JSONL) JobSubmitted(now float64, job int) {
-	j.line("job-submit", now)
-	j.intField("job", job)
+// Record implements Sink. ArenaReuse logs the arena dimensions but
+// deliberately not the reused flag: whether a run draws a pooled arena or a
+// fresh one depends on process-global sync.Pool state (what other runs
+// finished first), and the log must be byte-deterministic for a given seeded
+// run; Counters still aggregate the flag. Every other payload, SlabStats'
+// free-list counts included, is a function of the simulated run alone.
+func (j *JSONL) Record(ev Event) {
+	switch ev.Kind {
+	case KindJobSubmitted:
+		j.line("job-submit", ev.T)
+		j.intField("job", ev.A)
+	case KindJobAdmitted:
+		j.line("job-admit", ev.T)
+		j.intField("job", ev.A)
+		j.floatField("wait", ev.F)
+	case KindJobStarted:
+		j.line("job-start", ev.T)
+		j.intField("job", ev.A)
+	case KindStageDone:
+		j.line("stage-done", ev.T)
+		j.intField("job", ev.A)
+		j.intField("stage", ev.B)
+	case KindJobDone:
+		j.line("job-done", ev.T)
+		j.intField("job", ev.A)
+		j.floatField("response", ev.F)
+	case KindTaskStart:
+		j.task("task-start", ev)
+		j.intField("containers", ev.D)
+		j.boolField("spec", ev.flag())
+	case KindTaskDone:
+		j.task("task-done", ev)
+		j.floatField("start", ev.F)
+		j.boolField("spec", ev.flag())
+	case KindTaskFail:
+		j.task("task-fail", ev)
+		j.floatField("start", ev.F)
+	case KindQueueEnter:
+		j.line("queue-enter", ev.T)
+		j.intField("job", ev.A)
+		j.intField("queue", ev.B)
+	case KindQueueDemote:
+		j.line("queue-demote", ev.T)
+		j.intField("job", ev.A)
+		j.intField("from", ev.B)
+		j.intField("to", ev.C)
+		j.floatField("attained", ev.F)
+	case KindQueueExit:
+		j.line("queue-exit", ev.T)
+		j.intField("job", ev.A)
+		j.intField("queue", ev.B)
+	case KindThresholdRefit:
+		j.line("refit", ev.T)
+		j.floatField("first", ev.F)
+		j.floatField("step", ev.G)
+	case KindRoundExecuted:
+		j.line("round-exec", ev.T)
+		j.intField("jobs", ev.A)
+	case KindRoundSkipped:
+		j.line("round-skip", ev.T)
+		j.boolField("observed", ev.flag())
+	case KindArenaReuse:
+		j.line("arena", 0)
+		j.intField("jobs", ev.A)
+		j.intField("tasks", ev.B)
+	case KindSlabStats:
+		j.line("slab", ev.T)
+		j.intField("live", ev.A)
+		j.intField("peak", ev.B)
+		j.intField("recycled", ev.C)
+	default:
+		return
+	}
 	j.end()
 }
 
-func (j *JSONL) JobAdmitted(now float64, job int, waited float64) {
-	j.line("job-admit", now)
-	j.intField("job", job)
-	j.floatField("wait", waited)
-	j.end()
-}
-
-func (j *JSONL) JobStarted(now float64, job int) {
-	j.line("job-start", now)
-	j.intField("job", job)
-	j.end()
-}
-
-func (j *JSONL) StageDone(now float64, job, stage int) {
-	j.line("stage-done", now)
-	j.intField("job", job)
-	j.intField("stage", stage)
-	j.end()
-}
-
-func (j *JSONL) JobDone(now float64, job int, response float64) {
-	j.line("job-done", now)
-	j.intField("job", job)
-	j.floatField("response", response)
-	j.end()
-}
-
-func (j *JSONL) TaskStart(now float64, job, stage, task, containers int, speculative bool) {
-	j.line("task-start", now)
-	j.intField("job", job)
-	j.intField("stage", stage)
-	j.intField("task", task)
-	j.intField("containers", containers)
-	j.boolField("spec", speculative)
-	j.end()
-}
-
-func (j *JSONL) TaskDone(now float64, job, stage, task int, start float64, speculative bool) {
-	j.line("task-done", now)
-	j.intField("job", job)
-	j.intField("stage", stage)
-	j.intField("task", task)
-	j.floatField("start", start)
-	j.boolField("spec", speculative)
-	j.end()
-}
-
-func (j *JSONL) TaskFail(now float64, job, stage, task int, start float64) {
-	j.line("task-fail", now)
-	j.intField("job", job)
-	j.intField("stage", stage)
-	j.intField("task", task)
-	j.floatField("start", start)
-	j.end()
-}
-
-func (j *JSONL) QueueEnter(now float64, job, queue int) {
-	j.line("queue-enter", now)
-	j.intField("job", job)
-	j.intField("queue", queue)
-	j.end()
-}
-
-func (j *JSONL) QueueDemote(now float64, job, from, to int, attained float64) {
-	j.line("queue-demote", now)
-	j.intField("job", job)
-	j.intField("from", from)
-	j.intField("to", to)
-	j.floatField("attained", attained)
-	j.end()
-}
-
-func (j *JSONL) QueueExit(now float64, job, queue int) {
-	j.line("queue-exit", now)
-	j.intField("job", job)
-	j.intField("queue", queue)
-	j.end()
-}
-
-func (j *JSONL) ThresholdRefit(now, first, step float64) {
-	j.line("refit", now)
-	j.floatField("first", first)
-	j.floatField("step", step)
-	j.end()
-}
-
-func (j *JSONL) RoundExecuted(now float64, jobs int) {
-	j.line("round-exec", now)
-	j.intField("jobs", jobs)
-	j.end()
-}
-
-func (j *JSONL) RoundSkipped(now float64, observed bool) {
-	j.line("round-skip", now)
-	j.boolField("observed", observed)
-	j.end()
-}
-
-// ArenaReuse logs the arena dimensions but deliberately not the reused
-// flag: whether a run draws a pooled arena or a fresh one depends on
-// process-global sync.Pool state (what other runs finished first), and the
-// JSONL log must be byte-deterministic for a given seeded run. Counters
-// still aggregate the flag.
-func (j *JSONL) ArenaReuse(jobs, tasks int, _ bool) {
-	j.line("arena", 0)
-	j.intField("jobs", jobs)
-	j.intField("tasks", tasks)
-	j.end()
-}
-
-// SlabStats logs the per-run free-list counts. All three are functions of
-// the simulated run alone (not of pool state shared across runs), so the
-// event is byte-deterministic for a given seeded run.
-func (j *JSONL) SlabStats(now float64, live, peak, recycled int) {
-	j.line("slab", now)
-	j.intField("live", live)
-	j.intField("peak", peak)
-	j.intField("recycled", recycled)
-	j.end()
+// task starts a task event: the line and its job, stage and task fields.
+func (j *JSONL) task(name string, ev Event) {
+	j.line(name, ev.T)
+	j.intField("job", ev.A)
+	j.intField("stage", ev.B)
+	j.intField("task", ev.C)
 }

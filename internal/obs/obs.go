@@ -3,8 +3,14 @@
 // a typed Probe interface that substrates and schedulers call at the
 // moments the paper's evaluation cares about (admission waits, LAS_MQ
 // queue demotions, threshold refits, skipped scheduling rounds, arena
-// reuse) plus three sinks: a deterministic JSONL event log (JSONL), a Chrome
-// trace-event exporter (ChromeTrace), and an aggregating Counters sink.
+// reuse), and one event vocabulary its sinks speak: each Probe call is
+// packed into a 48-byte Event by an embedded emitter and handed to the
+// sink's Record, one switch per sink. The sinks are a deterministic JSONL
+// event log (JSONL), a Chrome trace-event exporter (ChromeTrace), the
+// aggregating Counters and Histograms, the windowed Series, LAS_MQ's
+// QueueTimeline, and the lock-free flight-recorder Ring, which Drains its
+// records straight into another sink. Multi fans one stream out to several
+// sinks, and Find looks a sink up behind it.
 //
 // Zero-overhead contract: every emission site is guarded by a nil check on
 // a concrete interface field and passes only scalar arguments, so a nil
@@ -100,138 +106,189 @@ func (Nop) RoundSkipped(float64, bool)                     {}
 func (Nop) ArenaReuse(int, int, bool)                      {}
 func (Nop) SlabStats(float64, int, int, int)               {}
 
-// multi fans every event out to each attached probe in order.
-type multi []Probe
+// Sink is a Probe whose events arrive as packed Events: an embedded emitter
+// packs each Probe call and hands it to Record, the one place a sink reads
+// the vocabulary. A drained Ring and Multi call Record directly.
+type Sink interface {
+	Probe
+	Record(Event)
+}
 
-// Multi combines probes into one; nil entries are dropped. It returns nil
-// for an empty set and the probe itself for a single one, so the zero-
+// Event is one probe event packed into a fixed-size scalar record: no
+// interface boxing, no per-event allocation, one record per cache line once
+// padded into a ring slot. Kind selects the probe method; T is the event's
+// virtual timestamp; F and G carry float payloads (waited, response, start,
+// attained, first/step); A..D carry integer payloads (job, stage, task,
+// containers, queue indices, counts); Flags carries the event's booleans.
+// Sinks take it by value: a pointer through the Sink interface escapes.
+type Event struct {
+	T     float64 // virtual time ("now"); unused by ArenaReuse
+	F     float64 // first float payload (waited / response / start / attained / first)
+	G     float64 // second float payload (ThresholdRefit step)
+	A     int32   // first int payload (job / pending / jobs / live)
+	B     int32   // second int payload (stage / queue / from / tasks / peak)
+	C     int32   // third int payload (task / to / recycled)
+	D     int32   // fourth int payload (containers)
+	Kind  uint8
+	Flags uint8
+	_     [6]byte
+}
+
+// Event kinds, one per Probe method.
+const (
+	KindJobSubmitted uint8 = iota + 1
+	KindJobAdmitted
+	KindJobStarted
+	KindStageDone
+	KindJobDone
+	KindTaskStart
+	KindTaskDone
+	KindTaskFail
+	KindQueueEnter
+	KindQueueDemote
+	KindQueueExit
+	KindThresholdRefit
+	KindRoundExecuted
+	KindRoundSkipped
+	KindArenaReuse
+	KindSlabStats
+)
+
+// FlagTrue is the single boolean payload bit: speculative (TaskStart,
+// TaskDone), observed (RoundSkipped), reused (ArenaReuse).
+const FlagTrue uint8 = 1
+
+// flag reports the event's boolean payload.
+func (e Event) flag() bool { return e.Flags&FlagTrue != 0 }
+
+func boolFlag(b bool) uint8 {
+	if b {
+		return FlagTrue
+	}
+	return 0
+}
+
+// emitter implements Probe for a sink by packing every call into an Event
+// and recording it into sink. Each sink embeds one, and its constructor
+// points it at the sink itself. No method allocates (enforced by the
+// probe-gate zero-alloc tests).
+type emitter struct{ sink Sink }
+
+func (e emitter) JobSubmitted(now float64, job int) {
+	e.sink.Record(Event{Kind: KindJobSubmitted, T: now, A: int32(job)})
+}
+
+func (e emitter) JobAdmitted(now float64, job int, waited float64) {
+	e.sink.Record(Event{Kind: KindJobAdmitted, T: now, A: int32(job), F: waited})
+}
+
+func (e emitter) JobStarted(now float64, job int) {
+	e.sink.Record(Event{Kind: KindJobStarted, T: now, A: int32(job)})
+}
+
+func (e emitter) StageDone(now float64, job, stage int) {
+	e.sink.Record(Event{Kind: KindStageDone, T: now, A: int32(job), B: int32(stage)})
+}
+
+func (e emitter) JobDone(now float64, job int, response float64) {
+	e.sink.Record(Event{Kind: KindJobDone, T: now, A: int32(job), F: response})
+}
+
+func (e emitter) TaskStart(now float64, job, stage, task, containers int, speculative bool) {
+	e.sink.Record(Event{Kind: KindTaskStart, T: now, A: int32(job), B: int32(stage),
+		C: int32(task), D: int32(containers), Flags: boolFlag(speculative)})
+}
+
+func (e emitter) TaskDone(now float64, job, stage, task int, start float64, speculative bool) {
+	e.sink.Record(Event{Kind: KindTaskDone, T: now, A: int32(job), B: int32(stage),
+		C: int32(task), F: start, Flags: boolFlag(speculative)})
+}
+
+func (e emitter) TaskFail(now float64, job, stage, task int, start float64) {
+	e.sink.Record(Event{Kind: KindTaskFail, T: now, A: int32(job), B: int32(stage),
+		C: int32(task), F: start})
+}
+
+func (e emitter) QueueEnter(now float64, job, queue int) {
+	e.sink.Record(Event{Kind: KindQueueEnter, T: now, A: int32(job), B: int32(queue)})
+}
+
+func (e emitter) QueueDemote(now float64, job, from, to int, attained float64) {
+	e.sink.Record(Event{Kind: KindQueueDemote, T: now, A: int32(job), B: int32(from),
+		C: int32(to), F: attained})
+}
+
+func (e emitter) QueueExit(now float64, job, queue int) {
+	e.sink.Record(Event{Kind: KindQueueExit, T: now, A: int32(job), B: int32(queue)})
+}
+
+func (e emitter) ThresholdRefit(now, first, step float64) {
+	e.sink.Record(Event{Kind: KindThresholdRefit, T: now, F: first, G: step})
+}
+
+func (e emitter) RoundExecuted(now float64, jobs int) {
+	e.sink.Record(Event{Kind: KindRoundExecuted, T: now, A: int32(jobs)})
+}
+
+func (e emitter) RoundSkipped(now float64, observed bool) {
+	e.sink.Record(Event{Kind: KindRoundSkipped, T: now, Flags: boolFlag(observed)})
+}
+
+func (e emitter) ArenaReuse(jobs, tasks int, reused bool) {
+	e.sink.Record(Event{Kind: KindArenaReuse, A: int32(jobs), B: int32(tasks), Flags: boolFlag(reused)})
+}
+
+func (e emitter) SlabStats(now float64, live, peak, recycled int) {
+	e.sink.Record(Event{Kind: KindSlabStats, T: now, A: int32(live), B: int32(peak), C: int32(recycled)})
+}
+
+// multi records every event into each member sink in order.
+type multi struct {
+	emitter
+	sinks []Sink
+}
+
+// Record implements Sink.
+func (m *multi) Record(ev Event) {
+	for _, s := range m.sinks {
+		s.Record(ev)
+	}
+}
+
+// Multi combines sinks into one; nil entries are dropped. It returns nil
+// for an empty set and the sink itself for a single one, so the zero-
 // overhead nil check still short-circuits downstream.
-func Multi(probes ...Probe) Probe {
-	kept := make(multi, 0, len(probes))
-	for _, p := range probes {
-		if p != nil {
-			kept = append(kept, p)
+func Multi(sinks ...Sink) Sink {
+	m := &multi{sinks: make([]Sink, 0, len(sinks))}
+	for _, s := range sinks {
+		if s != nil {
+			m.sinks = append(m.sinks, s)
 		}
 	}
-	switch len(kept) {
+	switch len(m.sinks) {
 	case 0:
 		return nil
 	case 1:
-		return kept[0]
+		return m.sinks[0]
 	}
-	return kept
+	m.emitter = emitter{m}
+	return m
 }
 
-// FindCounters returns the first Counters sink reachable from p — p itself
-// or a member of a (possibly nested) Multi, recursing so the shard fan-in
-// built by ForShard stays transparent — so substrates can fold the final
-// counter snapshot into their Result.
-func FindCounters(p Probe) *Counters {
+// Find returns the first sink of type T reachable from p — p itself or a
+// member of a (possibly nested) Multi, so the shard fan-in ForShard builds
+// stays transparent. Substrates resolve their sinks through it once per run.
+func Find[T Sink](p Probe) (T, bool) {
 	switch v := p.(type) {
-	case *Counters:
-		return v
-	case multi:
-		for _, q := range v {
-			if c := FindCounters(q); c != nil {
-				return c
+	case T:
+		return v, true
+	case *multi:
+		for _, s := range v.sinks {
+			if t, ok := Find[T](s); ok {
+				return t, true
 			}
 		}
 	}
-	return nil
-}
-
-func (m multi) JobSubmitted(now float64, job int) {
-	for _, p := range m {
-		p.JobSubmitted(now, job)
-	}
-}
-
-func (m multi) JobAdmitted(now float64, job int, waited float64) {
-	for _, p := range m {
-		p.JobAdmitted(now, job, waited)
-	}
-}
-
-func (m multi) JobStarted(now float64, job int) {
-	for _, p := range m {
-		p.JobStarted(now, job)
-	}
-}
-
-func (m multi) StageDone(now float64, job, stage int) {
-	for _, p := range m {
-		p.StageDone(now, job, stage)
-	}
-}
-
-func (m multi) JobDone(now float64, job int, response float64) {
-	for _, p := range m {
-		p.JobDone(now, job, response)
-	}
-}
-
-func (m multi) TaskStart(now float64, job, stage, task, containers int, speculative bool) {
-	for _, p := range m {
-		p.TaskStart(now, job, stage, task, containers, speculative)
-	}
-}
-
-func (m multi) TaskDone(now float64, job, stage, task int, start float64, speculative bool) {
-	for _, p := range m {
-		p.TaskDone(now, job, stage, task, start, speculative)
-	}
-}
-
-func (m multi) TaskFail(now float64, job, stage, task int, start float64) {
-	for _, p := range m {
-		p.TaskFail(now, job, stage, task, start)
-	}
-}
-
-func (m multi) QueueEnter(now float64, job, queue int) {
-	for _, p := range m {
-		p.QueueEnter(now, job, queue)
-	}
-}
-
-func (m multi) QueueDemote(now float64, job, from, to int, attained float64) {
-	for _, p := range m {
-		p.QueueDemote(now, job, from, to, attained)
-	}
-}
-
-func (m multi) QueueExit(now float64, job, queue int) {
-	for _, p := range m {
-		p.QueueExit(now, job, queue)
-	}
-}
-
-func (m multi) ThresholdRefit(now, first, step float64) {
-	for _, p := range m {
-		p.ThresholdRefit(now, first, step)
-	}
-}
-
-func (m multi) RoundExecuted(now float64, jobs int) {
-	for _, p := range m {
-		p.RoundExecuted(now, jobs)
-	}
-}
-
-func (m multi) RoundSkipped(now float64, observed bool) {
-	for _, p := range m {
-		p.RoundSkipped(now, observed)
-	}
-}
-
-func (m multi) ArenaReuse(jobs, tasks int, reused bool) {
-	for _, p := range m {
-		p.ArenaReuse(jobs, tasks, reused)
-	}
-}
-
-func (m multi) SlabStats(now float64, live, peak, recycled int) {
-	for _, p := range m {
-		p.SlabStats(now, live, peak, recycled)
-	}
+	var zero T
+	return zero, false
 }

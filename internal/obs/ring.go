@@ -6,89 +6,6 @@ import (
 	"unsafe"
 )
 
-// Event is one probe event packed into a fixed-size scalar record: no
-// interface boxing, no per-event allocation, one record per cache line once
-// padded into a ring slot. Kind selects the probe method; T is the event's
-// virtual timestamp; F and G carry float payloads (waited, response, start,
-// attained, first/step); A..D carry integer payloads (job, stage, task,
-// containers, queue indices, counts); Flags carries the event's booleans.
-type Event struct {
-	T     float64 // virtual time ("now"); unused by ArenaReuse
-	F     float64 // first float payload (waited / response / start / attained / first)
-	G     float64 // second float payload (ThresholdRefit step)
-	A     int32   // first int payload (job / pending / jobs / live)
-	B     int32   // second int payload (stage / queue / from / tasks / peak)
-	C     int32   // third int payload (task / to / recycled)
-	D     int32   // fourth int payload (containers)
-	Kind  uint8
-	Flags uint8
-	_     [6]byte
-}
-
-// Event kinds, one per Probe method.
-const (
-	KindJobSubmitted uint8 = iota + 1
-	KindJobAdmitted
-	KindJobStarted
-	KindStageDone
-	KindJobDone
-	KindTaskStart
-	KindTaskDone
-	KindTaskFail
-	KindQueueEnter
-	KindQueueDemote
-	KindQueueExit
-	KindThresholdRefit
-	KindRoundExecuted
-	KindRoundSkipped
-	KindArenaReuse
-	KindSlabStats
-)
-
-// FlagTrue is the single boolean payload bit: speculative (TaskStart,
-// TaskDone), observed (RoundSkipped), reused (ArenaReuse).
-const FlagTrue uint8 = 1
-
-// Apply replays the event into p, invoking the probe method it was packed
-// from. It is how a drained ring feeds downstream sinks (Counters,
-// Histograms, Series) without those sinks knowing about the ring.
-func (e *Event) Apply(p Probe) {
-	switch e.Kind {
-	case KindJobSubmitted:
-		p.JobSubmitted(e.T, int(e.A))
-	case KindJobAdmitted:
-		p.JobAdmitted(e.T, int(e.A), e.F)
-	case KindJobStarted:
-		p.JobStarted(e.T, int(e.A))
-	case KindStageDone:
-		p.StageDone(e.T, int(e.A), int(e.B))
-	case KindJobDone:
-		p.JobDone(e.T, int(e.A), e.F)
-	case KindTaskStart:
-		p.TaskStart(e.T, int(e.A), int(e.B), int(e.C), int(e.D), e.Flags&FlagTrue != 0)
-	case KindTaskDone:
-		p.TaskDone(e.T, int(e.A), int(e.B), int(e.C), e.F, e.Flags&FlagTrue != 0)
-	case KindTaskFail:
-		p.TaskFail(e.T, int(e.A), int(e.B), int(e.C), e.F)
-	case KindQueueEnter:
-		p.QueueEnter(e.T, int(e.A), int(e.B))
-	case KindQueueDemote:
-		p.QueueDemote(e.T, int(e.A), int(e.B), int(e.C), e.F)
-	case KindQueueExit:
-		p.QueueExit(e.T, int(e.A), int(e.B))
-	case KindThresholdRefit:
-		p.ThresholdRefit(e.T, e.F, e.G)
-	case KindRoundExecuted:
-		p.RoundExecuted(e.T, int(e.A))
-	case KindRoundSkipped:
-		p.RoundSkipped(e.T, e.Flags&FlagTrue != 0)
-	case KindArenaReuse:
-		p.ArenaReuse(int(e.A), int(e.B), e.Flags&FlagTrue != 0)
-	case KindSlabStats:
-		p.SlabStats(e.T, int(e.A), int(e.B), int(e.C))
-	}
-}
-
 // slot is one ring cell: a seqlock version word plus the event packed into
 // six atomic words, padded to exactly one 64-byte cache line. The event
 // words are stored atomically (not as a raw Event) so a concurrent reader
@@ -111,7 +28,7 @@ var (
 )
 
 // pack encodes an Event into a slot's six words.
-func (s *slot) pack(ev *Event) {
+func (s *slot) pack(ev Event) {
 	s.words[0].Store(math.Float64bits(ev.T))
 	s.words[1].Store(math.Float64bits(ev.F))
 	s.words[2].Store(math.Float64bits(ev.G))
@@ -151,10 +68,11 @@ func (s *slot) unpack(ev *Event) {
 // an odd version) discards the read, so overwritten records are detected,
 // never misread.
 //
-// Ring implements Probe, so it attaches anywhere a Counters sink does. It
+// Ring is a Sink, so it attaches anywhere a Counters sink does. It
 // deliberately does not implement ShardSink: a sharded run serializes when
 // any probe is attached, so the single-producer contract holds there too.
 type Ring struct {
+	emitter
 	slots []slot
 	mask  uint64
 	// w is the producer cursor: the index of the next record to write.
@@ -175,7 +93,9 @@ func NewRing(capacity int) *Ring {
 	for n < capacity {
 		n <<= 1
 	}
-	return &Ring{slots: make([]slot, n), mask: uint64(n - 1)}
+	r := &Ring{slots: make([]slot, n), mask: uint64(n - 1)}
+	r.emitter = emitter{r}
+	return r
 }
 
 // Cap returns the ring's slot count.
@@ -189,9 +109,10 @@ func (r *Ring) Recorded() uint64 { return r.w.Load() }
 // Only meaningful on the consumer side, after Drain calls.
 func (r *Ring) Dropped() uint64 { return r.dropped }
 
-// push records one event. Producer side: must only ever be called from one
-// goroutine at a time.
-func (r *Ring) push(ev *Event) {
+// Record implements Sink: it stores one event without locking or
+// allocating. Producer side: must only ever be called from one goroutine at
+// a time.
+func (r *Ring) Record(ev Event) {
 	w := r.w.Load()
 	s := &r.slots[w&r.mask]
 	s.seq.Store(w<<1 | 1)
@@ -200,11 +121,11 @@ func (r *Ring) push(ev *Event) {
 	r.w.Store(w + 1)
 }
 
-// Drain replays every un-drained record into p in recording order and
+// Drain records every un-drained event into sink in recording order and
 // returns how many were replayed and how many were lost to overwriting
 // since the previous Drain. Consumer side: must only ever be called from
-// one goroutine. p may be nil to discard (advancing the cursor only).
-func (r *Ring) Drain(p Probe) (replayed, lost uint64) {
+// one goroutine. sink may be nil to discard (advancing the cursor only).
+func (r *Ring) Drain(sink Sink) (replayed, lost uint64) {
 	var ev Event
 	for {
 		w := r.w.Load()
@@ -237,8 +158,8 @@ func (r *Ring) Drain(p Probe) (replayed, lost uint64) {
 			continue // torn: producer lapped us mid-copy
 		}
 		r.r = i + 1
-		if p != nil {
-			ev.Apply(p)
+		if sink != nil {
+			sink.Record(ev)
 		}
 		replayed++
 	}
@@ -259,82 +180,4 @@ func (r *Ring) Tail(buf []Event) []Event {
 		buf = append(buf, ev)
 	}
 	return buf
-}
-
-// Probe implementation: pack scalars into an Event and push. Every method
-// is allocation-free (enforced by the probe-gate zero-alloc test).
-
-func (r *Ring) JobSubmitted(now float64, job int) {
-	r.push(&Event{Kind: KindJobSubmitted, T: now, A: int32(job)})
-}
-
-func (r *Ring) JobAdmitted(now float64, job int, waited float64) {
-	r.push(&Event{Kind: KindJobAdmitted, T: now, A: int32(job), F: waited})
-}
-
-func (r *Ring) JobStarted(now float64, job int) {
-	r.push(&Event{Kind: KindJobStarted, T: now, A: int32(job)})
-}
-
-func (r *Ring) StageDone(now float64, job, stage int) {
-	r.push(&Event{Kind: KindStageDone, T: now, A: int32(job), B: int32(stage)})
-}
-
-func (r *Ring) JobDone(now float64, job int, response float64) {
-	r.push(&Event{Kind: KindJobDone, T: now, A: int32(job), F: response})
-}
-
-func (r *Ring) TaskStart(now float64, job, stage, task, containers int, speculative bool) {
-	r.push(&Event{Kind: KindTaskStart, T: now, A: int32(job), B: int32(stage),
-		C: int32(task), D: int32(containers), Flags: boolFlag(speculative)})
-}
-
-func (r *Ring) TaskDone(now float64, job, stage, task int, start float64, speculative bool) {
-	r.push(&Event{Kind: KindTaskDone, T: now, A: int32(job), B: int32(stage),
-		C: int32(task), F: start, Flags: boolFlag(speculative)})
-}
-
-func (r *Ring) TaskFail(now float64, job, stage, task int, start float64) {
-	r.push(&Event{Kind: KindTaskFail, T: now, A: int32(job), B: int32(stage),
-		C: int32(task), F: start})
-}
-
-func (r *Ring) QueueEnter(now float64, job, queue int) {
-	r.push(&Event{Kind: KindQueueEnter, T: now, A: int32(job), B: int32(queue)})
-}
-
-func (r *Ring) QueueDemote(now float64, job, from, to int, attained float64) {
-	r.push(&Event{Kind: KindQueueDemote, T: now, A: int32(job), B: int32(from),
-		C: int32(to), F: attained})
-}
-
-func (r *Ring) QueueExit(now float64, job, queue int) {
-	r.push(&Event{Kind: KindQueueExit, T: now, A: int32(job), B: int32(queue)})
-}
-
-func (r *Ring) ThresholdRefit(now, first, step float64) {
-	r.push(&Event{Kind: KindThresholdRefit, T: now, F: first, G: step})
-}
-
-func (r *Ring) RoundExecuted(now float64, jobs int) {
-	r.push(&Event{Kind: KindRoundExecuted, T: now, A: int32(jobs)})
-}
-
-func (r *Ring) RoundSkipped(now float64, observed bool) {
-	r.push(&Event{Kind: KindRoundSkipped, T: now, Flags: boolFlag(observed)})
-}
-
-func (r *Ring) ArenaReuse(jobs, tasks int, reused bool) {
-	r.push(&Event{Kind: KindArenaReuse, A: int32(jobs), B: int32(tasks), Flags: boolFlag(reused)})
-}
-
-func (r *Ring) SlabStats(now float64, live, peak, recycled int) {
-	r.push(&Event{Kind: KindSlabStats, T: now, A: int32(live), B: int32(peak), C: int32(recycled)})
-}
-
-func boolFlag(b bool) uint8 {
-	if b {
-		return FlagTrue
-	}
-	return 0
 }

@@ -73,10 +73,10 @@ func TestRingPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRingApplyRoundTrip replays a drained ring into a second ring; both
-// event streams must match, proving Apply inverts the packing for every
-// kind.
-func TestRingApplyRoundTrip(t *testing.T) {
+// TestRingDrainRoundTrip drains a ring into a second ring; both event
+// streams must match, proving the slot unpacking inverts the packing for
+// every kind.
+func TestRingDrainRoundTrip(t *testing.T) {
 	src := NewRing(64)
 	want := emitAll(src)
 	dst := NewRing(64)
@@ -143,7 +143,7 @@ func TestRingConcurrentDrain(t *testing.T) {
 		}
 	}()
 	var replayed, lost uint64
-	check := checkProbe{t: t}
+	check := checkSink{t: t}
 	for replayed+lost < n {
 		got, dropped := r.Drain(&check)
 		replayed += got
@@ -161,22 +161,22 @@ func TestRingConcurrentDrain(t *testing.T) {
 	}
 }
 
-// checkProbe asserts every replayed record is internally consistent with
+// checkSink asserts every replayed record is internally consistent with
 // the producer's encoding in TestRingConcurrentDrain.
-type checkProbe struct {
+type checkSink struct {
 	Nop
 	t    *testing.T
 	last float64
 }
 
-func (c *checkProbe) JobDone(now float64, job int, response float64) {
-	if float64(job) != now || response != now+0.5 {
-		c.t.Errorf("torn record: now=%g job=%d response=%g", now, job, response)
+func (c *checkSink) Record(ev Event) {
+	if ev.Kind != KindJobDone || float64(ev.A) != ev.T || ev.F != ev.T+0.5 {
+		c.t.Errorf("torn record: %+v", ev)
 	}
-	if now < c.last {
-		c.t.Errorf("out-of-order replay: %g after %g", now, c.last)
+	if ev.T < c.last {
+		c.t.Errorf("out-of-order replay: %g after %g", ev.T, c.last)
 	}
-	c.last = now
+	c.last = ev.T
 }
 
 // TestZeroAllocRingRecord is part of the probe-gate: recording into the

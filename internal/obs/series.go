@@ -26,21 +26,27 @@ type SeriesPoint struct {
 	EventsPerSec float64             `json:"events_per_sec"`
 }
 
-// Series is the windowed virtual-time series Probe sink: utilization, queue
-// depth per LAS_MQ level, live jobs and event rate, sampled on scheduling-
-// round boundaries (RoundExecuted / RoundSkipped are the only moments a
-// consistent cut of the run exists). Gauges update allocation-free on every
-// event; appending a point on a window flush amortizes against the window
-// width. Like the other sinks it observes without mutating, so probed runs
-// stay byte-identical.
+// Series is the windowed virtual-time series sink: utilization, queue depth
+// per LAS_MQ level, live jobs and event rate, sampled on scheduling-round
+// boundaries (RoundExecuted / RoundSkipped are the only moments a
+// consistent cut of the run exists). Gauges update on every event; appending
+// a point on a window flush amortizes against the window width. Like the
+// other sinks it observes without mutating, so probed runs stay
+// byte-identical.
+//
+// Running tasks count live attempts per task: a task's TaskDone ends every
+// attempt of it (at least one), because the engine kills a finished task's
+// speculative siblings without an event of their own.
 type Series struct {
+	emitter
 	mu       sync.Mutex
 	window   float64
 	capacity float64
 	// gauges, updated on every event
-	live    int32
-	running int32
-	depth   [SeriesLevels]int32
+	live     int32
+	running  int32
+	attempts map[[3]int32]int32 // live attempts per (job, stage, task)
+	depth    [SeriesLevels]int32
 	// window accumulation
 	events    uint64
 	winStart  float64
@@ -56,126 +62,48 @@ func NewSeries(window float64, capacity int) *Series {
 	if window <= 0 {
 		window = 1
 	}
-	return &Series{window: window, capacity: float64(capacity)}
+	s := &Series{window: window, capacity: float64(capacity), attempts: make(map[[3]int32]int32)}
+	s.emitter = emitter{s}
+	return s
 }
 
-func (s *Series) event() { s.events++; s.winEvents++ }
+func clampLevel(q int32) int32 {
+	return min(max(q, 0), SeriesLevels-1)
+}
 
-func (s *Series) JobSubmitted(float64, int) {
+// Record implements Sink.
+func (s *Series) Record(ev Event) {
 	s.mu.Lock()
-	s.event()
-	s.live++
-	s.mu.Unlock()
-}
-
-func (s *Series) JobAdmitted(float64, int, float64) {
-	s.mu.Lock()
-	s.event()
-	s.mu.Unlock()
-}
-
-func (s *Series) JobStarted(float64, int) {
-	s.mu.Lock()
-	s.event()
-	s.mu.Unlock()
-}
-
-func (s *Series) StageDone(float64, int, int) {
-	s.mu.Lock()
-	s.event()
-	s.mu.Unlock()
-}
-
-func (s *Series) JobDone(float64, int, float64) {
-	s.mu.Lock()
-	s.event()
-	s.live--
-	s.mu.Unlock()
-}
-
-func (s *Series) TaskStart(float64, int, int, int, int, bool) {
-	s.mu.Lock()
-	s.event()
-	s.running++
-	s.mu.Unlock()
-}
-
-func (s *Series) TaskDone(float64, int, int, int, float64, bool) {
-	s.mu.Lock()
-	s.event()
-	s.running--
-	s.mu.Unlock()
-}
-
-func (s *Series) TaskFail(float64, int, int, int, float64) {
-	s.mu.Lock()
-	s.event()
-	s.running--
-	s.mu.Unlock()
-}
-
-func clampLevel(q int) int {
-	if q < 0 {
-		q = 0
+	defer s.mu.Unlock()
+	s.events++
+	s.winEvents++
+	task := [3]int32{ev.A, ev.B, ev.C}
+	switch ev.Kind {
+	case KindJobSubmitted:
+		s.live++
+	case KindJobDone:
+		s.live--
+	case KindTaskStart:
+		s.running++
+		s.attempts[task]++
+	case KindTaskDone:
+		s.running -= max(s.attempts[task], 1)
+		delete(s.attempts, task)
+	case KindTaskFail:
+		s.running--
+		if s.attempts[task]--; s.attempts[task] <= 0 {
+			delete(s.attempts, task)
+		}
+	case KindQueueEnter:
+		s.depth[clampLevel(ev.B)]++
+	case KindQueueDemote:
+		s.depth[clampLevel(ev.B)]--
+		s.depth[clampLevel(ev.C)]++
+	case KindQueueExit:
+		s.depth[clampLevel(ev.B)]--
+	case KindRoundExecuted, KindRoundSkipped:
+		s.sample(ev.T)
 	}
-	if q >= SeriesLevels {
-		q = SeriesLevels - 1
-	}
-	return q
-}
-
-func (s *Series) QueueEnter(_ float64, _, queue int) {
-	s.mu.Lock()
-	s.event()
-	s.depth[clampLevel(queue)]++
-	s.mu.Unlock()
-}
-
-func (s *Series) QueueDemote(_ float64, _, from, to int, _ float64) {
-	s.mu.Lock()
-	s.event()
-	s.depth[clampLevel(from)]--
-	s.depth[clampLevel(to)]++
-	s.mu.Unlock()
-}
-
-func (s *Series) QueueExit(_ float64, _, queue int) {
-	s.mu.Lock()
-	s.event()
-	s.depth[clampLevel(queue)]--
-	s.mu.Unlock()
-}
-
-func (s *Series) ThresholdRefit(float64, float64, float64) {
-	s.mu.Lock()
-	s.event()
-	s.mu.Unlock()
-}
-
-func (s *Series) RoundExecuted(now float64, _ int) {
-	s.mu.Lock()
-	s.event()
-	s.sample(now)
-	s.mu.Unlock()
-}
-
-func (s *Series) RoundSkipped(now float64, _ bool) {
-	s.mu.Lock()
-	s.event()
-	s.sample(now)
-	s.mu.Unlock()
-}
-
-func (s *Series) ArenaReuse(int, int, bool) {
-	s.mu.Lock()
-	s.event()
-	s.mu.Unlock()
-}
-
-func (s *Series) SlabStats(float64, int, int, int) {
-	s.mu.Lock()
-	s.event()
-	s.mu.Unlock()
 }
 
 // sample flushes a point if now has crossed the current window's edge.

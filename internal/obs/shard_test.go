@@ -34,8 +34,8 @@ func TestCountersShardProbe(t *testing.T) {
 		t.Fatalf("global rounds = %d/%d, want 2/1", global.RoundsExecuted, global.RoundsSkipped)
 	}
 
-	if n := c.ShardCount(); n != 2 {
-		t.Fatalf("ShardCount = %d, want 2", n)
+	if idx := c.ShardIndexes(); len(idx) != 2 {
+		t.Fatalf("ShardIndexes = %v, want two shards", idx)
 	}
 	s0, ok := c.ShardSnapshot(0)
 	if !ok || s0.SlabPeakLive != 100 || s0.SlabRecycled != 7 || s0.RoundsExecuted != 1 {
@@ -65,9 +65,9 @@ func TestForShardRebuildsMulti(t *testing.T) {
 	if s, ok := c.ShardSnapshot(4); !ok || s.RoundsExecuted != 1 {
 		t.Fatalf("shard 4 view of first sink = %+v ok=%v", s, ok)
 	}
-	// FindCounters must still find a Counters through the shard fan-in so
+	// Find must still find a Counters through the shard fan-in so
 	// substrates keep folding final snapshots into results.
-	if FindCounters(p) == nil {
-		t.Fatal("FindCounters lost the Counters through ForShard")
+	if _, ok := Find[*Counters](p); !ok {
+		t.Fatal("Find lost the Counters through ForShard")
 	}
 }

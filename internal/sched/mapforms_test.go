@@ -97,7 +97,6 @@ func TestMapFormsMatchSubstrateSlots(t *testing.T) {
 			}
 			return b
 		},
-		"QueueRecorder": func() sched.Scheduler { return core.NewQueueRecorder(mq(), 0) },
 	}
 	for name, mk := range policies {
 		t.Run(name, func(t *testing.T) {

@@ -99,7 +99,7 @@ func MapOnly(p sched.Scheduler) sched.Scheduler {
 			mapObserver
 			mapProbed
 		}{base, mapBuffered{base}, mapHinter{base}, mapObserver{base}, mapProbed{base}}
-	case caps{true, true, true, true, true}: // LAS_MQ, sched.Blend, core.QueueRecorder
+	case caps{true, true, true, true, true}: // LAS_MQ, sched.Blend
 		return struct {
 			*mapOnly
 			mapBuffered
@@ -188,7 +188,7 @@ func Watch(p sched.Scheduler, check func(capacity float64, jobs []sched.JobView,
 			mapObserver
 			mapProbed
 		}{m, w, mapHinter{m}, mapObserver{m}, mapProbed{m}}
-	case caps{true, true, true, true}: // LAS_MQ, sched.Blend, core.QueueRecorder
+	case caps{true, true, true, true}: // LAS_MQ, sched.Blend
 		return struct {
 			*mapOnly
 			*watchDense

@@ -36,7 +36,7 @@ type Result struct {
 // FoldCounters captures the final snapshot of the Counters sink attached to
 // probe, if any. Substrates call it once while building their result.
 func (r *Result) FoldCounters(probe obs.Probe) {
-	if c := obs.FindCounters(probe); c != nil {
+	if c, ok := obs.Find[*obs.Counters](probe); ok {
 		snap := c.Snapshot()
 		r.Counters = &snap
 	}

@@ -53,11 +53,11 @@ type Driver struct {
 	// are worth computing.
 	rated bool
 	probe obs.Probe
-	// latency receives the wall-clock seconds each round spends inside the
-	// policy, resolved once at SetProbe. It is a side-channel, not a Probe
+	// hist receives the wall-clock seconds each round spends inside the
+	// policy, found once at SetProbe. It is a side-channel, not a Probe
 	// event: wall-clock readings differ run to run, and the deterministic
 	// event-stream sinks (JSONL, ChromeTrace) must never see them.
-	latency obs.RoundLatencyObserver
+	hist *obs.Histograms
 
 	// Observation gating for skipped rounds: obsHorizon is the earliest time
 	// the policy's state could change, valid while dirty is false.
@@ -77,10 +77,7 @@ func NewDriver(policy sched.Scheduler) *Driver {
 // obs.ProbeSetter. A nil probe detaches telemetry everywhere.
 func (d *Driver) SetProbe(p obs.Probe) {
 	d.probe = p
-	d.latency = nil
-	if h := obs.FindHistograms(p); h != nil {
-		d.latency = h
-	}
+	d.hist, _ = obs.Find[*obs.Histograms](p)
 	if ps, ok := d.policy.(obs.ProbeSetter); ok {
 		ps.SetProbe(p)
 	}
@@ -104,14 +101,14 @@ func (d *Driver) Shares(now, capacity float64, vs *ViewSet) []float64 {
 		d.probe.RoundExecuted(now, len(vs.views))
 	}
 	var start time.Time
-	if d.latency != nil {
+	if d.hist != nil {
 		start = time.Now()
 	}
 	changed, freed := vs.log()
 	d.assigner.AssignDense(now, capacity, vs.views, vs.slots, changed, freed, &vs.shares)
 	vs.clearLog()
-	if d.latency != nil {
-		d.latency.ObserveRoundLatency(time.Since(start).Seconds())
+	if d.hist != nil {
+		d.hist.ObserveRoundLatency(time.Since(start).Seconds())
 	}
 	return vs.shares.Col()
 }

@@ -95,12 +95,16 @@ func completionOrderLive(t *testing.T, policy sched.Scheduler, cfg Config) []int
 // heartbeat rounds, node-granular launches, wall-clock service accounting —
 // preserves the scheduling decisions the discrete-event engine makes exactly.
 func TestEngineYarnCompletionOrderAgreement(t *testing.T) {
+	// 2 ms per spec second: the timer overshoot each task adds to its
+	// container's chain, under the race detector on a busy machine, must
+	// stay well inside the closest completion gap (4.6 spec seconds under
+	// FIFO); at 1 ms it did not, about once in twenty runs.
 	cfg := Config{
 		Nodes:             2,
 		ContainersPerNode: 2,
 		MaxRunningJobs:    0,
-		TimeScale:         time.Millisecond,
-		HeartbeatInterval: 2 * time.Millisecond,
+		TimeScale:         2 * time.Millisecond,
+		HeartbeatInterval: 4 * time.Millisecond,
 	}
 	containers := cfg.Nodes * cfg.ContainersPerNode
 
