@@ -193,12 +193,6 @@ func (a *Adaptive) ObserveDense(now float64, jobs []sched.JobView, slots, change
 	a.inner.ObserveDense(now, jobs, slots, changed, freed)
 }
 
-// ObserveHorizonDense implements sched.DenseObserver: the completion-size
-// history must see every round's job view, so the answer is now.
-func (a *Adaptive) ObserveHorizonDense(now float64, _ []sched.JobView, _ []int32, _ []float64) float64 {
-	return now
-}
-
 // HorizonDense implements sched.DenseHinter by delegation.
 func (a *Adaptive) HorizonDense(now float64, jobs []sched.JobView, slots []int32, shares *sched.Shares) float64 {
 	return a.inner.HorizonDense(now, jobs, slots, shares)

@@ -189,42 +189,6 @@ func (s *LASMQ) ObserveDense(now float64, jobs []sched.JobView, slots, changed, 
 	s.sweepDense(now, jobs, slots, changed, freed)
 }
 
-// ObserveHorizonDense implements sched.DenseObserver: after an observation
-// every job's metric sits at or below its queue's threshold (demotion is
-// strict-exceed), so given per-job upper bounds on metric growth rate, rates[i]
-// for jobs[i], the earliest possible next demotion is the earliest threshold
-// crossing. A job whose bound is infinite, or that no sweep has seen, makes
-// the horizon collapse to now (no skipping). Departures are not covered: the
-// caller must not skip past a job-set change.
-func (s *LASMQ) ObserveHorizonDense(now float64, jobs []sched.JobView, slots []int32, rates []float64) float64 {
-	horizon := math.Inf(1)
-	for i, j := range jobs {
-		r := s.recOf(slots[i], j)
-		if r == nil {
-			return now // not yet observed; cannot bound
-		}
-		threshold := s.levels.Threshold(int(r.queue))
-		if math.IsInf(threshold, 1) {
-			continue // last queue: never demoted again
-		}
-		rate := rates[i]
-		if rate <= 0 {
-			continue // metric cannot grow
-		}
-		if math.IsInf(rate, 1) {
-			return now
-		}
-		gap := threshold - s.metric(j)
-		if gap <= 0 {
-			return now // sitting on the threshold; next growth demotes
-		}
-		if t := now + gap/rate; t < horizon {
-			horizon = t
-		}
-	}
-	return horizon
-}
-
 // AssignDense implements sched.DenseAssigner. It first updates queue
 // membership and per-queue order (Algorithm 1), then splits capacity across
 // queues by weighted sharing and serves jobs one by one within each queue,

@@ -144,26 +144,14 @@ func TestDenseSlotLifetime(t *testing.T) {
 					rng.Shuffle(len(live), func(a, b int) { live[a], live[b] = live[b], live[a] })
 
 					views, slots := make([]sched.JobView, len(live)), make([]int32, len(live))
-					rateCol, rates := make([]float64, len(live)), sched.Assignment{}
 					for i, j := range live {
-						r := rng.Float64() * 3
-						switch rng.Intn(12) {
-						case 0:
-							r = 0
-						case 1:
-							r = math.Inf(1)
-						}
-						views[i], slots[i], rateCol[i] = j.view, j.slot, r
-						rates[j.view.JobID] = r
+						views[i], slots[i] = j.view, j.slot
 					}
 
-					var hDense, hMap float64
 					if rng.Intn(3) == 0 {
 						dense.ObserveDense(now, views, slots, nil, freedLog)
 						mapped.Observe(now, views)
 						literal.Observe(now, views)
-						hDense = dense.ObserveHorizonDense(now, views, slots, rateCol)
-						hMap = mapped.ObserveHorizon(now, views, rates)
 					} else {
 						capacity := 1 + rng.Float64()*10
 						shares.Reset(len(live))
@@ -183,14 +171,13 @@ func TestDenseSlotLifetime(t *testing.T) {
 						if served := len(shares.Served()); served != len(alloc) {
 							t.Fatalf("round %d: %d jobs served densely, the map holds %d", round, served, len(alloc))
 						}
-						hDense = dense.HorizonDense(now, views, slots, &shares)
-						hMap = mapped.Horizon(now, views, alloc)
+						hDense := dense.HorizonDense(now, views, slots, &shares)
+						if hMap := mapped.Horizon(now, views, alloc); hDense != hMap {
+							t.Fatalf("round %d: horizon %v densely, %v by map", round, hDense, hMap)
+						}
 						if hLit := literal.Horizon(now, views, lit); hDense != hLit {
 							t.Fatalf("round %d: horizon %v, the literal LAS_MQ's %v", round, hDense, hLit)
 						}
-					}
-					if hDense != hMap {
-						t.Fatalf("round %d: horizon %v densely, %v by map", round, hDense, hMap)
 					}
 					if got, want := dense.QueueSizes(), mapped.QueueSizes(); !reflect.DeepEqual(got, want) {
 						t.Fatalf("round %d: QueueSizes %v densely, %v by map", round, got, want)

@@ -196,9 +196,11 @@ func (s *LASMQ) AssignInto(now, capacity float64, jobs []sched.JobView, out sche
 // Observe implements sched.Observer.
 func (s *LASMQ) Observe(now float64, jobs []sched.JobView) { s.maps.Observe(s, now, jobs) }
 
-// ObserveHorizon implements sched.ObserveHinter.
-func (s *LASMQ) ObserveHorizon(now float64, jobs []sched.JobView, rates sched.Assignment) float64 {
-	return s.maps.ObserveHorizon(s, now, jobs, rates)
+// ObserveHorizon implements the inert sched.ObserveHinter and returns now:
+// no substrate asks when LAS_MQ's state could next change, as a skipped round
+// always observes. Only benchmark/trace.go's wrapper names it.
+func (s *LASMQ) ObserveHorizon(now float64, _ []sched.JobView, _ sched.Assignment) float64 {
+	return now
 }
 
 // Horizon implements sched.Hinter.

@@ -57,7 +57,7 @@ func runWrapped(t *testing.T, seed int64, mk func() sched.Scheduler, full bool) 
 
 // TestBlendDegenerateTransparent: a theta=0 blend must schedule exactly like
 // its bare primary (and theta=1 like its bare secondary) — in incremental
-// mode this only holds if Blend forwards Observe/ObserveHorizon correctly.
+// mode this only holds if Blend forwards Observe correctly.
 // Only the Scheduler name may differ.
 func TestBlendDegenerateTransparent(t *testing.T) {
 	mkLASMQ := func() sched.Scheduler {

@@ -124,17 +124,16 @@ func (c *denseCounter) ObserveDense(now float64, jobs []sched.JobView, slots, ch
 
 // TestDenseRoundZeroAlloc pins the dense round contract on the engine: a
 // steady executed round (views with slots, LAS_MQ's sparse answer read by
-// view index, dense quantizer rows) and a steady observation round (the rate
-// column) allocate nothing, both reach the policy through its dense forms,
-// and every answer serves some views and keeps the sparse contract.
+// view index, dense quantizer rows) and a steady observation round allocate
+// nothing, both reach the policy through its dense forms, and every answer
+// serves some views and keeps the sparse contract.
 func TestDenseRoundZeroAlloc(t *testing.T) {
 	mq := &denseCounter{LASMQ: benchLASMQ(t).(*core.LASMQ)}
 	s := newBenchSim(t, mq, nil)
 	observe := func() {
-		s.collectViews(s.driver.NeedsRates())
+		s.collectViews()
 		s.driver.Observe(s.now, &s.vs)
 	}
-	observe() // sizes the rate column
 	mq.assigns, mq.observes = 0, 0
 	if avg := testing.AllocsPerRun(100, func() { s.schedule(); observe() }); avg != 0 {
 		t.Fatalf("dense scheduling and observation rounds allocate %v allocs/op, want 0", avg)
@@ -144,9 +143,9 @@ func TestDenseRoundZeroAlloc(t *testing.T) {
 			mq.assigns, mq.observes, mq.served, mq.broken)
 	}
 
-	// The same pair in the freed1 regime, incremental rounds on: a rated
-	// observation round between two executed rounds refills the rate column
-	// alone — nothing allocated, no view registered again.
+	// The same pair in the freed1 regime, incremental rounds on: an
+	// observation round between two executed rounds allocates nothing and
+	// registers no view again.
 	mq = &denseCounter{LASMQ: benchLASMQ(t).(*core.LASMQ)}
 	s = newFreedSim(t, mq, true)
 	for i := 0; i < 200; i++ {

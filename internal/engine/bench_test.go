@@ -114,7 +114,6 @@ func freedRound(s *sim) {
 	s.busyIntegral += float64(s.usedSlots) * (t - s.now)
 	s.now = t
 	s.attempts[ev.attempt].success = false
-	s.driver.MarkDirty()
 	s.handleAttemptDone(ev.attempt)
 	s.schedule()
 }

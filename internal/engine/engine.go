@@ -363,9 +363,6 @@ func (s *sim) step() error {
 				return err
 			}
 		case evAttemptDone:
-			// Attempt endings change usage and progress aggregates, so any
-			// previously computed observation horizon is stale.
-			s.driver.MarkDirty()
 			s.handleAttemptDone(ev.attempt)
 		}
 	}
@@ -444,7 +441,6 @@ func (s *sim) admit() {
 		}
 		s.setRunning(slices.Insert(s.running, k, js))
 		s.readySlots += js.readyContainers
-		s.driver.MarkDirty() // the schedulable job set changed
 		if s.probe != nil {
 			s.probe.JobAdmitted(s.now, js.spec.ID, s.now-js.spec.Arrival)
 		}
@@ -640,14 +636,10 @@ func (s *sim) schedule() {
 		s.observeRound()
 		return
 	}
-	// A full round may launch tasks, changing usage rates and the policy's
-	// state; any previously computed observation horizon is stale.
-	s.driver.MarkDirty()
-
 	if len(s.running) == 0 {
 		return
 	}
-	s.collectViews(false)
+	s.collectViews()
 	shares := s.driver.Shares(s.now, float64(s.cfg.Containers), &s.vs)
 
 	// Quantize the shares: one dense row per running job, in ascending job ID
@@ -896,29 +888,23 @@ func (s *sim) speculate(reserved int) {
 // running order, each job's index among them, and the ascending-ID order the
 // quantizer's rows are laid out in — depends on the running set alone, so it
 // is rebuilt only after setRunning marked it stale; the views read the clock
-// through a pointer and need no re-stamping. Observation rounds for
-// horizon-hinting policies refill the per-job metric-rate bounds as well
-// (withRates), a column the registration does not depend on. The registry's
-// demand map stays unused: the engine quantizes from job state (see schedule).
-func (s *sim) collectViews(withRates bool) {
-	if s.viewsStale {
-		s.viewsStale = false
-		s.viewRebuilds++
-		s.vs.Begin(false, s.driver.NeedsRates())
-		for i, js := range s.running {
-			js.viewIdx = i
-			s.vs.AddSlot(&js.view, js.slot)
-		}
-		s.idOrder = s.running
-		if !slices.IsSortedFunc(s.running, compareJobID) {
-			s.idScratch = append(s.idScratch[:0], s.running...)
-			slices.SortFunc(s.idScratch, compareJobID)
-			s.idOrder = s.idScratch
-		}
+// through a pointer and need no re-stamping. The registry's demand map stays
+// unused: the engine quantizes from job state (see schedule).
+func (s *sim) collectViews() {
+	if !s.viewsStale {
+		return
 	}
-	if withRates {
-		for _, js := range s.running {
-			s.vs.AddRate(s.metricRateBound(js))
-		}
+	s.viewsStale = false
+	s.viewRebuilds++
+	s.vs.Begin(false, false)
+	for i, js := range s.running {
+		js.viewIdx = i
+		s.vs.AddSlot(&js.view, js.slot)
+	}
+	s.idOrder = s.running
+	if !slices.IsSortedFunc(s.running, compareJobID) {
+		s.idScratch = append(s.idScratch[:0], s.running...)
+		slices.SortFunc(s.idScratch, compareJobID)
+		s.idOrder = s.idScratch
 	}
 }

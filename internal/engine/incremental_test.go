@@ -13,11 +13,12 @@ import (
 )
 
 // diffPolicies builds every scheduler family the engine supports, covering
-// stateless policies (no Observer), SRPT (Observer, no ObserveHinter), LAS_MQ
-// in both metric modes (ObserveHinter with the stage-aware and the
-// plain-attained metric), the adaptive wrapper (Observer but deliberately no
-// ObserveHinter), a blend whose Observe must forward to exactly the
-// components its Assign invokes.
+// stateless policies (no Observer, so a skipped round replays nothing), SRPT
+// (an Observer with nothing to replay), LAS_MQ under the stage-aware and the
+// plain-attained metric (an Observer whose skipped rounds demote), the
+// adaptive wrapper (an Observer whose skipped rounds also feed its refits),
+// and a blend whose Observe must forward to exactly the components its Assign
+// invokes.
 func diffPolicies(t *testing.T) map[string]func() sched.Scheduler {
 	t.Helper()
 	mustLASMQ := func(cfg core.Config) *core.LASMQ {

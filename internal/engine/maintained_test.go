@@ -56,34 +56,30 @@ func maintainedSpecs(n int) []job.Spec {
 
 // roundRecorder is LAS_MQ remembering what the latest round handed it: the
 // views and slots of an executed round (AssignDense) or of an observation
-// round (ObserveDense), and the rate column's length when there was one.
+// round (ObserveDense), and which of the two it was.
 type roundRecorder struct {
 	*core.LASMQ
-	rounds int
-	jobs   []sched.JobView
-	slots  []int32
-	rates  int
+	rounds   int
+	observed bool
+	jobs     []sched.JobView
+	slots    []int32
 }
 
-func (p *roundRecorder) record(jobs []sched.JobView, slots []int32) {
+func (p *roundRecorder) record(jobs []sched.JobView, slots []int32, observed bool) {
 	p.rounds++
+	p.observed = observed
 	p.jobs = append(p.jobs[:0], jobs...)
 	p.slots = append(p.slots[:0], slots...)
 }
 
 func (p *roundRecorder) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
-	p.record(jobs, slots)
+	p.record(jobs, slots, false)
 	p.LASMQ.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
 }
 
 func (p *roundRecorder) ObserveDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
-	p.record(jobs, slots)
+	p.record(jobs, slots, true)
 	p.LASMQ.ObserveDense(now, jobs, slots, changed, freed)
-}
-
-func (p *roundRecorder) ObserveHorizonDense(now float64, jobs []sched.JobView, slots []int32, rates []float64) float64 {
-	p.rates = len(rates)
-	return p.LASMQ.ObserveHorizonDense(now, jobs, slots, rates)
 }
 
 // TestMaintainedRoundState steps chaos runs (failures, stragglers,
@@ -93,8 +89,8 @@ func (p *roundRecorder) ObserveHorizonDense(now float64, jobs []sched.JobView, s
 // each running job's ready counter against a walk of its active stages, the
 // cluster-wide readySlots against the counters' sum, the views and slots the
 // policy was handed against the running list, each job's viewIdx against its
-// place in it, the rate column against its length, and the cached ascending-ID
-// list against a fresh sort of the running list.
+// place in it, and the cached ascending-ID list against a fresh sort of the
+// running list. Observation rounds are held to the same as executed ones.
 func TestMaintainedRoundState(t *testing.T) {
 	specs := maintainedSpecs(90)
 	for _, streamed := range []bool{false, true} {
@@ -117,10 +113,9 @@ func TestMaintainedRoundState(t *testing.T) {
 		if err := s.drainArrivals(math.Inf(-1)); err != nil {
 			t.Fatal(err)
 		}
-		steps, policyRounds, ratedRounds, cachedRounds, unsortedRounds := 0, 0, 0, 0, 0
+		steps, policyRounds, observedRounds, cachedRounds, unsortedRounds := 0, 0, 0, 0, 0
 		for s.remaining > 0 || s.moreArrivals {
 			seen, rebuilds := policy.rounds, s.viewRebuilds
-			policy.rates = -1
 			if err := s.step(); err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +136,7 @@ func TestMaintainedRoundState(t *testing.T) {
 				t.Fatalf("step %d (t=%v): readySlots %d, the running jobs' counters sum to %d", steps, s.now, s.readySlots, sum)
 			}
 			if policy.rounds == seen {
-				continue // skipped without observation: nothing was handed to the policy
+				continue // no views, or no round: nothing was handed to the policy
 			}
 			policyRounds++
 			if s.viewsStale {
@@ -159,11 +154,8 @@ func TestMaintainedRoundState(t *testing.T) {
 						steps, i, js.spec.ID, js.slot, policy.slots[i], js.viewIdx)
 				}
 			}
-			if policy.rates >= 0 {
-				ratedRounds++
-				if policy.rates != len(s.running) {
-					t.Fatalf("step %d: %d rate bounds for %d running jobs", steps, policy.rates, len(s.running))
-				}
+			if policy.observed {
+				observedRounds++
 			}
 			want := slices.Clone(s.running)
 			slices.SortFunc(want, compareJobID)
@@ -175,11 +167,11 @@ func TestMaintainedRoundState(t *testing.T) {
 			}
 		}
 		s.release()
-		t.Logf("streamed %v: %d steps, %d policy rounds (%d rated observations, %d on a cached registration, %d with ID order != running order)",
-			streamed, steps, policyRounds, ratedRounds, cachedRounds, unsortedRounds)
-		if ratedRounds == 0 || cachedRounds == 0 || unsortedRounds == 0 || cachedRounds == policyRounds {
-			t.Errorf("streamed %v: the run did not exercise every path: %d rated, %d cached of %d, %d unsorted",
-				streamed, ratedRounds, cachedRounds, policyRounds, unsortedRounds)
+		t.Logf("streamed %v: %d steps, %d policy rounds (%d observations, %d on a cached registration, %d with ID order != running order)",
+			streamed, steps, policyRounds, observedRounds, cachedRounds, unsortedRounds)
+		if observedRounds == 0 || cachedRounds == 0 || unsortedRounds == 0 || cachedRounds == policyRounds {
+			t.Errorf("streamed %v: the run did not exercise every path: %d observed, %d cached of %d, %d unsorted",
+				streamed, observedRounds, cachedRounds, policyRounds, unsortedRounds)
 		}
 	}
 }

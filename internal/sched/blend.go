@@ -37,7 +37,6 @@ var (
 	_ Scheduler        = (*Blend)(nil)
 	_ BufferedAssigner = (*Blend)(nil)
 	_ Observer         = (*Blend)(nil)
-	_ ObserveHinter    = (*Blend)(nil)
 	_ Hinter           = (*Blend)(nil)
 	_ DenseAssigner    = (*Blend)(nil)
 	_ DenseHinter      = (*Blend)(nil)
@@ -59,7 +58,7 @@ func NewBlend(primary, secondary Scheduler, theta float64) (*Blend, error) {
 }
 
 func newBlendPart(p Scheduler) blendPart {
-	a, h, o, _ := DenseForms(p)
+	a, h, o := DenseForms(p)
 	return blendPart{Scheduler: p, assigner: a, hinter: h, observer: o}
 }
 
@@ -93,11 +92,6 @@ func (b *Blend) AssignInto(now float64, capacity float64, jobs []JobView, out As
 
 // Observe implements Observer.
 func (b *Blend) Observe(now float64, jobs []JobView) { b.maps.Observe(b, now, jobs) }
-
-// ObserveHorizon implements ObserveHinter.
-func (b *Blend) ObserveHorizon(now float64, jobs []JobView, rates Assignment) float64 {
-	return b.maps.ObserveHorizon(b, now, jobs, rates)
-}
 
 // Horizon implements Hinter.
 func (b *Blend) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
@@ -149,22 +143,6 @@ func (b *Blend) ObserveDense(now float64, jobs []JobView, slots, changed, freed 
 			part.observer.ObserveDense(now, jobs, slots, changed, freed)
 		}
 	}
-}
-
-// ObserveHorizonDense implements DenseObserver so that a blend over LAS_MQ
-// keeps the substrate's observation gating: the minimum over the active
-// observing components' horizons (now for one that cannot bound its own).
-func (b *Blend) ObserveHorizonDense(now float64, jobs []JobView, slots []int32, rates []float64) float64 {
-	horizon := math.Inf(1)
-	for i, part := range b.parts {
-		if part.observer == nil || !b.active(i) {
-			continue
-		}
-		if t := part.observer.ObserveHorizonDense(now, jobs, slots, rates); t < horizon {
-			horizon = t
-		}
-	}
-	return horizon
 }
 
 // HorizonDense implements DenseHinter: the earliest change point of either

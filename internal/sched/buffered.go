@@ -24,14 +24,10 @@ type Observer interface {
 	Observe(now float64, jobs []JobView)
 }
 
-// ObserveHinter extends Observer for policies that can bound when their
-// next state change happens: ObserveHorizon returns the earliest virtual
-// time strictly after now at which Observe could mutate state, given
-// per-job upper bounds on the growth rate of the policy's decision metric
-// (for the fluid engine these are the exact allocation rates; the
-// task-level engine passes conservative bounds derived from container
-// usage). The engine may skip Observe calls before the horizon as long as
-// the job set and the rate bounds are unchanged.
+// ObserveHinter is inert: no substrate asks a policy when its next state
+// change could happen, because a skipped round always observes. It stays
+// only because benchmark/trace.go's wrapper names it, and LAS_MQ implements
+// it for that wrapper alone (core.LASMQ.ObserveHorizon returns now).
 type ObserveHinter interface {
 	Observer
 	ObserveHorizon(now float64, jobs []JobView, rates Assignment) float64

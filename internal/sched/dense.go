@@ -69,12 +69,11 @@ type DenseHinter interface {
 	HorizonDense(now float64, jobs []JobView, slots []int32, shares *Shares) float64
 }
 
-// DenseObserver is the dense form of Observer and ObserveHinter: rates[i]
-// bounds the growth rate of jobs[i]'s decision metric. An Observer that is no
-// ObserveHinter answers ObserveHorizonDense with now: it cannot be bounded.
+// DenseObserver is the dense form of Observer: ObserveDense applies the state
+// change AssignDense would apply over the same views and log, and computes no
+// answer. A substrate that skips a round calls it in the round's place.
 type DenseObserver interface {
 	ObserveDense(now float64, jobs []JobView, slots, changed, freed []int32)
-	ObserveHorizonDense(now float64, jobs []JobView, slots []int32, rates []float64) float64
 }
 
 // GrowSlots returns recs, a per-slot array, long enough to index slot: recs
@@ -182,15 +181,13 @@ func (s *Shares) Served() []int32 {
 	return s.served
 }
 
-// DenseForms returns p's assigner, hinter (nil unless p is a Hinter),
-// observer (nil unless p is an Observer), and whether p is an ObserveHinter,
-// the only case where rate bounds are worth computing. A policy without the
-// dense form of every capability it has — a user's Scheduler, a test's
-// map-only wrapper, benchmark's tracer — answers through one map adapter.
-func DenseForms(p Scheduler) (DenseAssigner, DenseHinter, DenseObserver, bool) {
+// DenseForms returns p's assigner, hinter (nil unless p is a Hinter) and
+// observer (nil unless p is an Observer). A policy without the dense form of
+// every capability it has — a user's Scheduler, a test's map-only wrapper,
+// benchmark's tracer — answers through one map adapter.
+func DenseForms(p Scheduler) (DenseAssigner, DenseHinter, DenseObserver) {
 	_, hinter := p.(Hinter)
 	_, observer := p.(Observer)
-	_, rated := p.(ObserveHinter)
 	a, dense := p.(DenseAssigner)
 	h, denseHinter := p.(DenseHinter)
 	o, denseObserver := p.(DenseObserver)
@@ -204,17 +201,16 @@ func DenseForms(p Scheduler) (DenseAssigner, DenseHinter, DenseObserver, bool) {
 	if !observer {
 		o = nil
 	}
-	return a, h, o, rated
+	return a, h, o
 }
 
 // mapAdapter answers the dense forms through a policy's map forms. alloc is
 // the buffer AssignInto fills, col a column filed under job IDs.
 type mapAdapter struct {
 	Scheduler
-	buffered  BufferedAssigner
-	hinter    Hinter
-	observer  Observer
-	obsHinter ObserveHinter
+	buffered BufferedAssigner
+	hinter   Hinter
+	observer Observer
 
 	alloc, col Assignment
 }
@@ -224,7 +220,6 @@ func newMapAdapter(p Scheduler) *mapAdapter {
 	m.buffered, _ = p.(BufferedAssigner)
 	m.hinter, _ = p.(Hinter)
 	m.observer, _ = p.(Observer)
-	m.obsHinter, _ = p.(ObserveHinter)
 	return m
 }
 
@@ -256,28 +251,12 @@ func (m *mapAdapter) ObserveDense(now float64, jobs []JobView, _, _, _ []int32) 
 	m.observer.Observe(now, jobs)
 }
 
-// ObserveHorizonDense files the rate column under the views' job IDs for the
-// map-form ObserveHorizon, or answers now for a policy that has none.
-func (m *mapAdapter) ObserveHorizonDense(now float64, jobs []JobView, _ []int32, rates []float64) float64 {
-	if m.obsHinter == nil {
-		return now
-	}
-	clear(m.col)
-	for i, j := range jobs {
-		if x := rates[i]; x != 0 {
-			m.col[j.ID()] = x
-		}
-	}
-	return m.obsHinter.ObserveHorizon(now, jobs, m.col)
-}
-
 // MapForms is the map forms of a policy that answers densely: the dense form
 // over columns read from or filed under job IDs. A stateful policy (a
 // DenseObserver) gets slots issued by job ID: a job keeps its slot while
 // consecutive calls name it. One MapForms serves one policy.
 type MapForms struct {
 	shares Shares
-	rates  []float64
 	slots  []int32
 	// held[slot] is the job holding slot and the call that last named it (0:
 	// free, and stacked on free).
@@ -379,16 +358,6 @@ func (m *MapForms) Observe(p DenseObserver, now float64, jobs []JobView) {
 	slots := m.slotsFor(p, jobs)
 	p.ObserveDense(now, jobs, slots, nil, m.gone)
 	m.gone = m.gone[:0]
-}
-
-// ObserveHorizon is p's map-form ObserveHorizon.
-func (m *MapForms) ObserveHorizon(p DenseObserver, now float64, jobs []JobView, rates Assignment) float64 {
-	col := m.rates[:0]
-	for _, j := range jobs {
-		col = append(col, rates[j.ID()])
-	}
-	m.rates = col
-	return p.ObserveHorizonDense(now, jobs, m.slotsFor(p, jobs), col)
 }
 
 // sharesInto empties out and files the served shares under their job IDs —

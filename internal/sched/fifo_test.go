@@ -39,7 +39,7 @@ func TestFIFOQueueFollowsLog(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			declared, full, forgetful := sched.NewFIFO(), sched.NewFIFO(), sched.NewFIFO()
-			slotless, _, _, _ := sched.DenseForms(schedtest.MapOnly(sched.NewFIFO()))
+			slotless, _, _ := sched.DenseForms(schedtest.MapOnly(sched.NewFIFO()))
 			var vs substrate.ViewSet // the slot allocator
 			var live []*fifoJob
 			var freed []int32 // the log's freed list

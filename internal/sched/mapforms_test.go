@@ -21,9 +21,6 @@ func (s *slotSpy) AssignDense(_, _ float64, _ []sched.JobView, slots, _, _ []int
 	s.calls = append(s.calls, append([]int32(nil), slots...))
 }
 func (s *slotSpy) ObserveDense(float64, []sched.JobView, []int32, []int32, []int32) {}
-func (s *slotSpy) ObserveHorizonDense(now float64, _ []sched.JobView, _ []int32, _ []float64) float64 {
-	return now
-}
 
 // slotRounds is a sequence of job sets: job 2 leaves and returns in
 // consecutive calls as a new job under its old ID; job 5 arrives in the call
@@ -122,7 +119,7 @@ func runSlotRounds(t *testing.T, p sched.Scheduler, dense bool) ([]string, []byt
 	if ps, ok := p.(obs.ProbeSetter); ok {
 		ps.SetProbe(sink)
 	}
-	assigner, hinter, observer, _ := sched.DenseForms(p)
+	assigner, hinter, observer := sched.DenseForms(p)
 	var vs substrate.ViewSet
 	live := map[int]*schedtest.FakeJob{}
 	slotOf := map[int]int32{}

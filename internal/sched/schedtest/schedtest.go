@@ -55,22 +55,22 @@ func (f *FakeJob) SizeHint() float64 { return f.SizeHintVal }
 func (f *FakeJob) RemainingSizeHint() float64 { return f.RemSizeVal }
 
 // MapOnly returns p behind a wrapper that forwards exactly the map-form
-// capabilities p has — sched.BufferedAssigner, Hinter, Observer,
-// ObserveHinter and obs.ProbeSetter — and none of the dense forms, so
-// substrate.Driver drives the same policy through its maps. It is the
-// test-side twin of benchmark's wrapPolicy: a run with MapOnly(p) must equal
-// the run with a bare p bit for bit. The capability set must be exact, because
-// the Driver picks its round logic by type assertion; MapOnly panics on a set
-// no policy in this repository has.
+// capabilities p has — sched.BufferedAssigner, Hinter, Observer and
+// obs.ProbeSetter — and none of the dense forms, so substrate.Driver drives
+// the same policy through its maps. It is the test-side twin of benchmark's
+// wrapPolicy: a run with MapOnly(p) must equal the run with a bare p bit for
+// bit. The capability set must be exact, because the Driver picks its round
+// logic by type assertion; the inert sched.ObserveHinter, which the Driver
+// never asks for, is not forwarded. MapOnly panics on a set no policy in this
+// repository has.
 func MapOnly(p sched.Scheduler) sched.Scheduler {
 	base := &mapOnly{p}
 	_, buffered := p.(sched.BufferedAssigner)
 	_, hinter := p.(sched.Hinter)
 	_, observer := p.(sched.Observer)
-	_, obsHinter := p.(sched.ObserveHinter)
 	_, probed := p.(obs.ProbeSetter)
-	type caps struct{ buffered, hinter, observer, obsHinter, probed bool }
-	switch (caps{buffered, hinter, observer, obsHinter, probed}) {
+	type caps struct{ buffered, hinter, observer, probed bool }
+	switch (caps{buffered, hinter, observer, probed}) {
 	case caps{}:
 		return base
 	case caps{buffered: true}: // FIFO, FAIR, PS, SJF, SRTF
@@ -91,7 +91,7 @@ func MapOnly(p sched.Scheduler) sched.Scheduler {
 			mapHinter
 			mapObserver
 		}{base, mapBuffered{base}, mapHinter{base}, mapObserver{base}}
-	case caps{buffered: true, hinter: true, observer: true, probed: true}: // core.Adaptive
+	case caps{true, true, true, true}: // LAS_MQ, core.Adaptive, sched.Blend
 		return struct {
 			*mapOnly
 			mapBuffered
@@ -99,14 +99,6 @@ func MapOnly(p sched.Scheduler) sched.Scheduler {
 			mapObserver
 			mapProbed
 		}{base, mapBuffered{base}, mapHinter{base}, mapObserver{base}, mapProbed{base}}
-	case caps{true, true, true, true, true}: // LAS_MQ, sched.Blend
-		return struct {
-			*mapOnly
-			mapBuffered
-			mapHinter
-			mapObserveHinter
-			mapProbed
-		}{base, mapBuffered{base}, mapHinter{base}, mapObserveHinter{mapObserver{base}}, mapProbed{base}}
 	}
 	panic(fmt.Sprintf("schedtest.MapOnly: %s has a capability set no wrapper forwards exactly", p.Name()))
 }
@@ -137,12 +129,6 @@ func (m mapObserver) Observe(now float64, jobs []sched.JobView) {
 	m.inner.(sched.Observer).Observe(now, jobs)
 }
 
-type mapObserveHinter struct{ mapObserver }
-
-func (m mapObserveHinter) ObserveHorizon(now float64, jobs []sched.JobView, rates sched.Assignment) float64 {
-	return m.inner.(sched.ObserveHinter).ObserveHorizon(now, jobs, rates)
-}
-
 type mapProbed struct{ *mapOnly }
 
 func (m mapProbed) SetProbe(p obs.Probe) { m.inner.(obs.ProbeSetter).SetProbe(p) }
@@ -157,11 +143,10 @@ func (m mapProbed) SetProbe(p obs.Probe) { m.inner.(obs.ProbeSetter).SetProbe(p)
 // panics on a capability set no policy here has.
 func Watch(p sched.Scheduler, check func(capacity float64, jobs []sched.JobView, shares *sched.Shares)) sched.Scheduler {
 	m, w := &mapOnly{p}, &watchDense{check: check}
-	w.a, w.h, w.o, _ = sched.DenseForms(p)
-	_, obsHinter := p.(sched.ObserveHinter)
+	w.a, w.h, w.o = sched.DenseForms(p)
 	_, probed := p.(obs.ProbeSetter)
-	type caps struct{ hinter, observer, obsHinter, probed bool }
-	switch (caps{w.h != nil, w.o != nil, obsHinter, probed}) {
+	type caps struct{ hinter, observer, probed bool }
+	switch (caps{w.h != nil, w.o != nil, probed}) {
 	case caps{}: // FIFO, FAIR, PS, SJF, SRTF
 		return struct {
 			*mapOnly
@@ -180,7 +165,7 @@ func Watch(p sched.Scheduler, check func(capacity float64, jobs []sched.JobView,
 			mapHinter
 			mapObserver
 		}{m, w, mapHinter{m}, mapObserver{m}}
-	case caps{hinter: true, observer: true, probed: true}: // core.Adaptive
+	case caps{true, true, true}: // LAS_MQ, core.Adaptive, sched.Blend
 		return struct {
 			*mapOnly
 			*watchDense
@@ -188,14 +173,6 @@ func Watch(p sched.Scheduler, check func(capacity float64, jobs []sched.JobView,
 			mapObserver
 			mapProbed
 		}{m, w, mapHinter{m}, mapObserver{m}, mapProbed{m}}
-	case caps{true, true, true, true}: // LAS_MQ, sched.Blend
-		return struct {
-			*mapOnly
-			*watchDense
-			mapHinter
-			mapObserveHinter
-			mapProbed
-		}{m, w, mapHinter{m}, mapObserveHinter{mapObserver{m}}, mapProbed{m}}
 	}
 	panic(fmt.Sprintf("schedtest.Watch: %s has a capability set no wrapper forwards exactly", p.Name()))
 }
@@ -219,10 +196,6 @@ func (w *watchDense) HorizonDense(now float64, jobs []sched.JobView, slots []int
 
 func (w *watchDense) ObserveDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
 	w.o.ObserveDense(now, jobs, slots, changed, freed)
-}
-
-func (w *watchDense) ObserveHorizonDense(now float64, jobs []sched.JobView, slots []int32, rates []float64) float64 {
-	return w.o.ObserveHorizonDense(now, jobs, slots, rates)
 }
 
 // AnswerError reports how an answer over n views breaks the sparse contract,

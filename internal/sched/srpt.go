@@ -82,11 +82,6 @@ func (s *SRPT) AssignDense(now, capacity float64, jobs []JobView, slots, _, _ []
 // order is only where the next round's repair starts.
 func (s *SRPT) ObserveDense(float64, []JobView, []int32, []int32, []int32) {}
 
-// ObserveHorizonDense implements DenseObserver: SRPT cannot bound it, so now.
-func (s *SRPT) ObserveHorizonDense(now float64, _ []JobView, _ []int32, _ []float64) float64 {
-	return now
-}
-
 // HorizonDense implements DenseHinter: under linear remaining-service decay
 // the first order inversion always occurs between entries adjacent in the
 // order the last AssignDense served, when a faster-draining later entry

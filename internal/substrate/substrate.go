@@ -13,20 +13,20 @@
 //   - Queue: the job-admission module (FIFO waiting queue, running-job cap,
 //     admission sequence numbers, stuck-admission detection).
 //   - ViewSet: the scratch-reusing registry of scheduler-facing job views,
-//     with the slot allocator, the slot and rate columns of the dense round
-//     contract, and the sparse share answer the policy fills.
+//     with the slot allocator, the slot column of the dense round contract,
+//     and the sparse share answer the policy fills.
 //   - Driver: the policy invocation loop — the policy's capabilities
-//     resolved once into dense forms, and the observation-horizon gating that
-//     lets substrates skip dead rounds without desynchronizing stateful
-//     policies.
+//     resolved once into dense forms, a full round (Shares, Horizon), and the
+//     observation that replays a stateful policy's state change on a round a
+//     substrate skips (Observe).
 //   - Result: the response-time/slowdown/per-bin accumulator behind every
 //     substrate's result type.
 //
 // What stays substrate-local, deliberately: time itself (virtual event time,
 // fluid continuous time, scaled wall clock), allocation enforcement
 // (container quantization and task launch vs. fractional rates), and the
-// metric-rate physics feeding ObserveHorizon — those depend on how each
-// substrate models execution.
+// proof that a round may be skipped — those depend on how each substrate
+// models execution.
 package substrate
 
 import (
@@ -40,35 +40,25 @@ import (
 // Driver drives one sched.Scheduler on behalf of a substrate. It resolves
 // the forms it drives the policy through once, at construction
 // (sched.DenseForms: the policy's own dense forms, or the map→dense adapter
-// for a policy without them), and tracks the observation horizon that bounds
-// when a skipped round must replay the policy's state mutation. A Driver
-// (like the policy it wraps) is not safe for concurrent use: each run drives
-// it from a single scheduling loop.
+// for a policy without them). A Driver (like the policy it wraps) is not safe
+// for concurrent use: each run drives it from a single scheduling loop.
 type Driver struct {
 	policy   sched.Scheduler
 	assigner sched.DenseAssigner
 	hinter   sched.DenseHinter   // nil: the policy publishes no change points
 	observer sched.DenseObserver // nil: the policy is stateless
-	// rated says the observer bounds its next state change, so rate bounds
-	// are worth computing.
-	rated bool
-	probe obs.Probe
+	probe    obs.Probe
 	// hist receives the wall-clock seconds each round spends inside the
 	// policy, found once at SetProbe. It is a side-channel, not a Probe
 	// event: wall-clock readings differ run to run, and the deterministic
 	// event-stream sinks (JSONL, ChromeTrace) must never see them.
 	hist *obs.Histograms
-
-	// Observation gating for skipped rounds: obsHorizon is the earliest time
-	// the policy's state could change, valid while dirty is false.
-	dirty      bool
-	obsHorizon float64
 }
 
 // NewDriver wraps a fresh policy instance for one run.
 func NewDriver(policy sched.Scheduler) *Driver {
-	d := &Driver{policy: policy, dirty: true}
-	d.assigner, d.hinter, d.observer, d.rated = sched.DenseForms(policy)
+	d := &Driver{policy: policy}
+	d.assigner, d.hinter, d.observer = sched.DenseForms(policy)
 	return d
 }
 
@@ -92,11 +82,10 @@ func (d *Driver) Name() string { return d.policy.Name() }
 // view registered, zero for a job the policy did not serve. vs.Served lists
 // the served views. Clearing the previous answer costs what it served. Views
 // without a slot (ViewSet.Add) suit only a policy that keeps no per-job
-// state. The round invalidates the observation horizon, is the RoundExecuted
-// event, and reads the wall clock only for a listening histogram sink.
+// state. The round is the RoundExecuted event, and reads the wall clock only
+// for a listening histogram sink.
 func (d *Driver) Shares(now, capacity float64, vs *ViewSet) []float64 {
 	vs.shares.Reset(len(vs.views))
-	d.dirty = true
 	if d.probe != nil {
 		d.probe.RoundExecuted(now, len(vs.views))
 	}
@@ -113,39 +102,15 @@ func (d *Driver) Shares(now, capacity float64, vs *ViewSet) []float64 {
 	return vs.shares.Col()
 }
 
-// MarkDirty invalidates the observation horizon. Substrates call it whenever
-// the inputs behind the policy's decision metrics change outside a round —
-// an attempt ends, a job is admitted — so the next skipped round re-observes.
-func (d *Driver) MarkDirty() { d.dirty = true }
-
 // Observes reports whether the policy is stateful (it observes) and
 // therefore needs skipped rounds replayed at all.
 func (d *Driver) Observes() bool { return d.observer != nil }
-
-// NeedsRates reports whether Observe can exploit per-job metric-rate bounds
-// (the policy bounds its observations); substrates that can compute bounds
-// should fill them into the ViewSet so observation calls are gated by the
-// horizon instead of firing every skipped round.
-func (d *Driver) NeedsRates() bool { return d.rated }
-
-// ObservationDue reports whether a skipped round at time now must replay the
-// policy's state mutation via Observe. Stateless policies never need it; for
-// horizon-hinting policies the call is elided while the job set and metric
-// rates are unchanged (not dirty) and now is strictly before the horizon.
-func (d *Driver) ObservationDue(now float64) bool {
-	if d.observer == nil {
-		return false
-	}
-	return d.dirty || !(now < d.obsHorizon)
-}
 
 // Observe replays the policy's per-round state mutation for a skipped round
 // over the views in vs, handing the policy vs's change log and clearing it.
 // An empty view set is a no-op that keeps the log: a full round returns
 // before invoking the policy when there is nothing to schedule, and skipped
-// rounds must match. When the policy hints horizons and vs carries rate
-// bounds, the next horizon is recorded and the dirty flag cleared, arming
-// ObservationDue's fast path.
+// rounds must match.
 func (d *Driver) Observe(now float64, vs *ViewSet) {
 	if d.observer == nil || vs.Len() == 0 {
 		return
@@ -153,10 +118,6 @@ func (d *Driver) Observe(now float64, vs *ViewSet) {
 	changed, freed := vs.log()
 	d.observer.ObserveDense(now, vs.views, vs.slots, changed, freed)
 	vs.clearLog()
-	if d.rated && vs.hasRates {
-		d.obsHorizon = d.observer.ObserveHorizonDense(now, vs.views, vs.slots, vs.rateCol)
-		d.dirty = false
-	}
 }
 
 // Horizon returns the earliest time strictly after now at which the policy's

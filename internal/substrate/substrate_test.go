@@ -1,7 +1,6 @@
 package substrate_test
 
 import (
-	"maps"
 	"math"
 	"reflect"
 	"slices"
@@ -61,21 +60,6 @@ type fakeObserver struct {
 func (p *fakeObserver) Observe(now float64, jobs []sched.JobView) {
 	p.observes++
 	p.lastNow = now
-}
-
-// fakeHintObserver can bound its next state change, and keeps a copy of the
-// rate bounds it was last handed.
-type fakeHintObserver struct {
-	fakeObserver
-	horizon      float64
-	horizonCalls int
-	lastRates    sched.Assignment
-}
-
-func (p *fakeHintObserver) ObserveHorizon(now float64, jobs []sched.JobView, rates sched.Assignment) float64 {
-	p.horizonCalls++
-	p.lastRates = maps.Clone(rates)
-	return p.horizon
 }
 
 func admitAll(q *substrate.Queue[int]) (jobs, seqs []int) {
@@ -168,7 +152,7 @@ func TestDriverPlainDispatch(t *testing.T) {
 	if p.assigns != 1 || shares[0] != 1 {
 		t.Fatalf("plain dispatch: assigns=%d shares=%v", p.assigns, shares)
 	}
-	if d.Observes() || d.NeedsRates() || d.ObservationDue(0) {
+	if d.Observes() {
 		t.Fatal("stateless policy should need no observation")
 	}
 	if h := d.Horizon(0, &substrate.ViewSet{}); !math.IsInf(h, 1) {
@@ -176,86 +160,34 @@ func TestDriverPlainDispatch(t *testing.T) {
 	}
 }
 
-func TestDriverObservationGating(t *testing.T) {
-	p := &fakeHintObserver{horizon: 50}
-	d := substrate.NewDriver(p)
-	if !d.Observes() || !d.NeedsRates() {
-		t.Fatal("capabilities not resolved")
-	}
-	if !d.ObservationDue(0) {
-		t.Fatal("fresh driver must be dirty: first skipped round observes")
-	}
-
-	var vs substrate.ViewSet
-	vs.Begin(false, true)
-	vs.Add(fakeView{id: 1})
-	vs.AddRate(2.5)
-	d.Observe(10, &vs)
-	if p.observes != 1 || p.lastNow != 10 || p.horizonCalls != 1 {
-		t.Fatalf("observe with rates: observes=%d lastNow=%v horizonCalls=%d", p.observes, p.lastNow, p.horizonCalls)
-	}
-	if d.ObservationDue(20) {
-		t.Fatal("before the horizon with clean metrics, observation must be elided")
-	}
-	if !d.ObservationDue(50) {
-		t.Fatal("at the horizon, observation is due again")
-	}
-	d.MarkDirty()
-	if !d.ObservationDue(20) {
-		t.Fatal("MarkDirty must force the next observation")
-	}
-
-	// An empty view set is a no-op and must not clear the dirty flag.
-	vs.Begin(false, true)
-	d.Observe(30, &vs)
-	if p.observes != 1 {
-		t.Fatalf("empty observe must not reach the policy, observes=%d", p.observes)
-	}
-	if !d.ObservationDue(20) {
-		t.Fatal("empty observe must leave the driver dirty")
-	}
-}
-
-func TestDriverObserveWithoutRates(t *testing.T) {
-	p := &fakeHintObserver{horizon: 1e9}
-	d := substrate.NewDriver(p)
-	var vs substrate.ViewSet
-	vs.Begin(false, false)
-	vs.Add(fakeView{id: 1})
-	d.Observe(5, &vs)
-	if p.observes != 1 || p.horizonCalls != 0 {
-		t.Fatalf("rate-less observe: observes=%d horizonCalls=%d, want 1, 0", p.observes, p.horizonCalls)
-	}
-	// A substrate that supplies no rate bounds (mini-YARN) gets no horizon
-	// fast path: every skipped round observes.
-	if !d.ObservationDue(6) {
-		t.Fatal("without rate bounds the driver must stay dirty")
-	}
-}
-
+// TestDriverPlainObserver: a stateful policy observes every skipped round a
+// substrate replays, at the round's time; a round over no views reaches it
+// not at all.
 func TestDriverPlainObserver(t *testing.T) {
 	p := &fakeObserver{}
 	d := substrate.NewDriver(p)
-	if d.NeedsRates() {
-		t.Fatal("plain observer must not request rates")
+	if !d.Observes() {
+		t.Fatal("an Observer must be driven as a stateful policy")
 	}
+	var vs substrate.ViewSet
 	for _, now := range []float64{1, 2, 3} {
-		if !d.ObservationDue(now) {
-			t.Fatalf("plain observer must observe every skipped round (t=%v)", now)
-		}
-		var vs substrate.ViewSet
 		vs.Begin(false, false)
 		vs.Add(fakeView{id: 1})
 		d.Observe(now, &vs)
+		if p.lastNow != now {
+			t.Fatalf("observed at %v, want %v", p.lastNow, now)
+		}
 	}
+	vs.Begin(false, false)
+	d.Observe(4, &vs)
 	if p.observes != 3 {
-		t.Fatalf("observes = %d, want 3", p.observes)
+		t.Fatalf("observes = %d, want 3: one per round with views", p.observes)
 	}
 }
 
 // bothForms is a policy with every optional capability in map form, which
 // logs the calls it receives and answers from its arguments: a share equal to
-// the job's ID, horizons that add the first job's share or rate bound to now.
+// the job's ID, a horizon that adds the first job's share to now.
 // The dense* types below add the dense forms one capability at a time — shares
 // of ten times the slot, so the two forms' answers can be told apart.
 type bothForms struct{ calls []string }
@@ -285,11 +217,6 @@ func (p *bothForms) Observe(now float64, jobs []sched.JobView) {
 	p.calls = append(p.calls, "Observe")
 }
 
-func (p *bothForms) ObserveHorizon(now float64, jobs []sched.JobView, rates sched.Assignment) float64 {
-	p.calls = append(p.calls, "ObserveHorizon")
-	return now + rates[jobs[0].ID()]
-}
-
 type denseAssign struct{ *bothForms }
 
 func (p denseAssign) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
@@ -312,19 +239,14 @@ func (p denseObserve) ObserveDense(now float64, jobs []sched.JobView, slots, cha
 	p.calls = append(p.calls, "ObserveDense")
 }
 
-func (p denseObserve) ObserveHorizonDense(now float64, jobs []sched.JobView, slots []int32, rates []float64) float64 {
-	p.calls = append(p.calls, "ObserveHorizonDense")
-	return now + rates[0]
-}
-
 // TestDriverDenseDispatch: the Driver has one path, the dense forms. A policy
 // with the dense form of every capability it has answers them itself — the
-// share column is what AssignDense wrote, Horizon hands it back, Observe hands
-// over the rate column. A policy with a partial dense set (no DenseHinter
+// share column is what AssignDense wrote, Horizon hands it back, Observe
+// reaches ObserveDense. A policy with a partial dense set (no DenseHinter
 // beside its map-form Hinter; no DenseObserver beside its Observer; no
 // DenseAssigner at all) runs entirely through its map forms behind the one
 // map→dense adapter: its map is read out into the share column, the same map
-// is handed back to Horizon, and the rate column is filed under the job IDs.
+// is handed back to Horizon, and Observe reaches the map-form Observe.
 func TestDriverDenseDispatch(t *testing.T) {
 	full := func(p *bothForms) sched.Scheduler {
 		return struct {
@@ -349,8 +271,8 @@ func TestDriverDenseDispatch(t *testing.T) {
 		}{p, denseAssign{p}, denseHint{p}}
 	}
 	mapOnly := func(p *bothForms) sched.Scheduler { return p }
-	denseCalls := []string{"AssignDense", "HorizonDense", "ObserveDense", "ObserveHorizonDense"}
-	mapCalls := []string{"AssignInto", "Horizon", "Observe", "ObserveHorizon"}
+	denseCalls := []string{"AssignDense", "HorizonDense", "ObserveDense"}
+	mapCalls := []string{"AssignInto", "Horizon", "Observe"}
 	for _, tc := range []struct {
 		name  string
 		wrap  func(*bothForms) sched.Scheduler
@@ -366,9 +288,8 @@ func TestDriverDenseDispatch(t *testing.T) {
 			p := &bothForms{}
 			d := substrate.NewDriver(tc.wrap(p))
 			var vs substrate.ViewSet
-			vs.Begin(false, true)
+			vs.Begin(false, false)
 			vs.AddSlot(fakeView{id: 7}, 3)
-			vs.AddRate(2.5)
 			shares := d.Shares(1, 4, &vs)
 			if len(shares) != 1 || shares[0] != tc.share {
 				t.Errorf("shares = %v, want [%v]", shares, tc.share)
@@ -377,9 +298,6 @@ func TestDriverDenseDispatch(t *testing.T) {
 				t.Errorf("Horizon = %v, want %v", h, 1+tc.share)
 			}
 			d.Observe(2, &vs)
-			if d.ObservationDue(4) || !d.ObservationDue(4.5) {
-				t.Error("the observation horizon is not now + the rate bound the policy was handed")
-			}
 			if !slices.Equal(p.calls, tc.want) {
 				t.Errorf("calls = %v, want %v", p.calls, tc.want)
 			}
@@ -446,9 +364,6 @@ func (p *logSpy) AssignDense(_, _ float64, _ []sched.JobView, slots, changed, fr
 }
 func (p *logSpy) ObserveDense(_ float64, _ []sched.JobView, slots, changed, freed []int32) {
 	p.record(slots, changed, freed)
-}
-func (p *logSpy) ObserveHorizonDense(now float64, _ []sched.JobView, _ []int32, _ []float64) float64 {
-	return now
 }
 
 // TestViewSetChangeLog: the driver hands the policy the slots freed since its
@@ -538,33 +453,23 @@ func TestViewSetChangeLog(t *testing.T) {
 	}
 }
 
+// TestViewSetReuse: Begin clears the views and, begun with demand, the
+// demand map, keeping their storage for the next registration.
 func TestViewSetReuse(t *testing.T) {
-	p := &fakeHintObserver{}
-	d := substrate.NewDriver(p)
 	var vs substrate.ViewSet
-	vs.Begin(true, true)
+	vs.Begin(true, false)
 	vs.Add(fakeView{id: 1})
 	vs.SetDemand(1, 4)
-	vs.AddRate(0.5)
-	d.Observe(0, &vs)
-	if vs.Len() != 1 || vs.Demand()[1] != 4 || !maps.Equal(p.lastRates, sched.Assignment{1: 0.5}) {
-		t.Fatalf("round 1 state wrong: len=%d demand=%v rates=%v", vs.Len(), vs.Demand(), p.lastRates)
+	if vs.Len() != 1 || vs.Demand()[1] != 4 {
+		t.Fatalf("round 1 state wrong: len=%d demand=%v", vs.Len(), vs.Demand())
 	}
-	vs.Begin(true, true)
+	vs.Begin(true, false)
 	if vs.Len() != 0 || len(vs.Demand()) != 0 {
 		t.Fatalf("Begin must clear the views and the demand map: len=%d demand=%v", vs.Len(), vs.Demand())
 	}
 	vs.Add(fakeView{id: 2})
-	vs.AddRate(0.25)
-	d.Observe(1, &vs)
-	if !maps.Equal(p.lastRates, sched.Assignment{2: 0.25}) {
-		t.Fatalf("a map-only policy was handed rates %v, want this round's bound alone", p.lastRates)
-	}
-	vs.Begin(false, false)
-	vs.Add(fakeView{id: 2})
-	d.Observe(2, &vs)
-	if p.horizonCalls != 2 {
-		t.Fatalf("a round begun without rates asked the policy for a horizon (%d calls, want 2)", p.horizonCalls)
+	if vs.Len() != 1 {
+		t.Fatalf("len=%d after one Add, want 1", vs.Len())
 	}
 }
 

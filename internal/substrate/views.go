@@ -8,8 +8,8 @@ import "lasmq/internal/sched"
 // internal/sched/dense.go): it takes a slot for every job that becomes
 // schedulable (TakeSlot/FreeSlot), registers views with AddSlot, and reads
 // the policy's sparse answer: Driver.Shares returns its share column and
-// Served its served views — slots and the rate bounds (AddRate) are columns
-// parallel to the views, and so is the share column. A substrate registers
+// Served its served views — the slot column and the share column are
+// parallel to the views. A substrate registers
 // anew (Begin, then AddSlot per view) whenever its set changes, or edits one
 // registration as it goes: AddSlot as a job is admitted, Cut as jobs leave
 // (the fluid simulator).
@@ -28,15 +28,13 @@ import "lasmq/internal/sched"
 // Everything reuses its backing storage across rounds, which is what keeps
 // the steady scheduling path allocation-free.
 type ViewSet struct {
-	views    []sched.JobView
-	demand   map[int]float64
-	hasRates bool
+	views  []sched.JobView
+	demand map[int]float64
 
-	// Dense columns, parallel to views, filled as views are added, and the
+	// The slot column, parallel to views, filled as views are added, and the
 	// answer Driver.Shares has the policy fill.
-	slots   []int32
-	rateCol []float64
-	shares  sched.Shares
+	slots  []int32
+	shares sched.Shares
 
 	// The slot allocator: slots below issued have been handed out at least
 	// once, and free stacks the returned ones, so slots stay below the peak
@@ -121,16 +119,14 @@ func (vs *ViewSet) clearLog() {
 	vs.freed = vs.freed[:0]
 }
 
-// Begin starts a new registration, clearing the views, the dense columns and
-// the marks, which index the views.
-// withRates says the rounds over it that feed a horizon-hinting policy's
-// observation carry rate bounds: one AddRate per view, in the order the views
-// were added. withDemand clears the ready-demand map for SetDemand
-// (benchmark/replay.go only).
-func (vs *ViewSet) Begin(withDemand, withRates bool) {
+// Begin starts a new registration, clearing the views, the slot column and
+// the marks, which index the views. withDemand clears the ready-demand map for
+// SetDemand (benchmark/replay.go only). The second argument is ignored: it
+// named a rate column that no longer exists, and stays only because
+// benchmark/replay.go calls Begin(true, false).
+func (vs *ViewSet) Begin(withDemand, _ bool) {
 	vs.views = vs.views[:0]
 	vs.slots = vs.slots[:0]
-	vs.rateCol = vs.rateCol[:0]
 	vs.changed = vs.changed[:0]
 	if withDemand {
 		if vs.demand == nil {
@@ -138,7 +134,6 @@ func (vs *ViewSet) Begin(withDemand, withRates bool) {
 		}
 		clear(vs.demand)
 	}
-	vs.hasRates = withRates
 }
 
 // Reserve makes room for n views in the registration just begun, so a
@@ -167,13 +162,11 @@ func (vs *ViewSet) Served() []int32 { return vs.shares.Served() }
 
 // Cut removes the views at the indices gone lists, strictly ascending,
 // keeping the others and their slots in order: the edit that spares a
-// substrate whose set loses a few jobs re-registering the rest. The rate
-// bounds start over (AddRate). Cut between rounds, before marking views, as
-// the marks index the views.
+// substrate whose set loses a few jobs re-registering the rest. Cut between
+// rounds, before marking views, as the marks index the views.
 func (vs *ViewSet) Cut(gone []int32) {
 	vs.views = Cut(vs.views, gone)
 	vs.slots = Cut(vs.slots, gone)
-	vs.rateCol = vs.rateCol[:0]
 }
 
 // Cut removes from s the elements at the indices gone lists, strictly
@@ -195,18 +188,6 @@ func Cut[T any](s []T, gone []int32) []T {
 	return s[:w]
 }
 
-// AddRate records the metric-rate bound of the next view that has none
-// (Begin(·, true) rounds), in the order the views were added. Once every view
-// has a bound, the next AddRate starts the column over: a substrate whose
-// registration outlives a round (the engine re-registers only when its
-// running set changes) refills the bounds alone, without a Begin.
-func (vs *ViewSet) AddRate(r float64) {
-	if len(vs.rateCol) == len(vs.views) {
-		vs.rateCol = vs.rateCol[:0]
-	}
-	vs.rateCol = append(Grow(vs.rateCol, len(vs.rateCol)+1), r)
-}
-
 // SetDemand records a job's ready container demand (Begin(true, ·) rounds).
 func (vs *ViewSet) SetDemand(id int, d float64) { vs.demand[id] = d }
 
@@ -224,9 +205,7 @@ func (vs *ViewSet) Reset() {
 	clear(vs.views)
 	vs.views = vs.views[:0]
 	vs.slots = vs.slots[:0]
-	vs.rateCol = vs.rateCol[:0]
 	clear(vs.demand)
-	vs.hasRates = false
 	vs.issued = 0
 	vs.free = vs.free[:0]
 	vs.clearLog()
