@@ -11,8 +11,8 @@ all: build vet test
 # and the live cluster (race-stress), one race-enabled iteration of the engine benchmarks
 # (bench-smoke, so the benchmark tier itself cannot rot or race silently),
 # the telemetry zero-overhead assertion (probe-gate), the streamed paths'
-# marginal-allocation assertion (alloc-gate), and the analytic M/M/1
-# cross-check (crosscheck).
+# marginal-allocation assertion (alloc-gate), and the analytic M/M/1 and
+# M/G/1 cross-check (crosscheck).
 check: lint layering build vet test test-race race-stress bench-smoke probe-gate alloc-gate crosscheck
 
 # The four substrates that drive a policy through internal/substrate.
@@ -54,7 +54,10 @@ lint:
 # LAS_MQ: their map forms are sched.MapForms, and LAS_MQ's oracle is
 # schedtest.LiteralLASMQ). The next grep fences the adapters that
 # survive only because benchmark/replay.go times them (ViewSet's demand map,
-# Quantizer.QuantizeInto), as eventq.Ladder is fenced. The next four keep a
+# Quantizer.QuantizeInto), as eventq.Ladder is fenced. The one after keeps
+# the observation horizon's stubs inert until benchmark/ stops naming them: no
+# call of ObserveHorizon (LAS_MQ's returns now) and no ViewSet.Begin with true
+# for its ignored second argument, outside benchmark/ and tests. The next four keep a
 # fluid round paying for what it serves: LAS_MQ has one sweep, in dense.go,
 # driven by the change log, and lasmq.go defines none; the fluid simulator never
 # re-registers its views (no ViewSet.Begin, one AddSlot, at admission: it
@@ -97,7 +100,7 @@ layering:
 		-e '^\./benchmark/' -e '^\./api\.go:.*= sched\.Assignment$$'; true); \
 	if [ -n "$$bad" ]; then \
 		echo "layering: only the policies and benchmark/ touch the map side of the round" \
-			"contract (use Driver.Shares, ViewSet.AddSlot/AddRate, Quantizer.QuantizeRows):"; \
+			"contract (use Driver.Shares, ViewSet.AddSlot, Quantizer.QuantizeRows):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -nE 'sched\.(Assignment|BufferedAssigner|Hinter|Observer|ObserveHinter)\b' \
@@ -120,6 +123,13 @@ layering:
 	if [ -n "$$bad" ]; then \
 		echo "layering: ViewSet's demand map and Quantizer.QuantizeInto are kept for" \
 			"benchmark/replay.go alone; build sched.QuantRow rows instead:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE '\.ObserveHorizon\(|Begin\([^,()]*, *true\)' --include='*.go' . \
+		| grep -v '_test\.go:' | grep -v '^\./benchmark/'; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: a skipped round always observes; ObserveHorizon and Begin's second" \
+			"argument are inert stubs kept for benchmark/ alone:"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@n=$$(grep -c 'func (s \*LASMQ) sweep' internal/core/dense.go); \
@@ -233,10 +243,12 @@ probe-gate:
 alloc-gate:
 	$(GO) test -run '^(TestStreamMarginalAllocs|TestRecordsBoundedByAdmission)$$' -count=1 ./internal/fluid ./internal/engine
 
-# Analytic M/M/1 cross-check: drive the fluid and engine substrates with
-# M/M/1 workloads at rho in {0.5, 0.7, 0.9} and assert FIFO/PS/SRPT/LAS
-# means converge to the closed forms in internal/analytic (-count=1 so a
-# cached pass cannot mask drift introduced by a substrate change). Scale up
+# Analytic cross-check: drive the fluid and engine substrates with M/M/1
+# workloads at rho in {0.5, 0.7, 0.9}, and the fluid substrate with M/G/1
+# lognormal workloads at rho in {0.5, 0.8}, and assert FIFO/PS/SRPT/LAS
+# means converge to the closed forms and analytic.MG1 in internal/analytic
+# (-count=1 so a cached pass cannot mask drift introduced by a substrate
+# change). Scale up
 # with LASMQ_CROSSCHECK_JOBS / LASMQ_CROSSCHECK_SEEDS for a sharper run.
 crosscheck:
 	$(GO) test -run '^TestCrossCheck' -count=1 ./internal/analytic

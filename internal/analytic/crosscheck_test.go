@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lasmq/internal/analytic"
+	"lasmq/internal/dist"
 	"lasmq/internal/engine"
 	"lasmq/internal/fluid"
 	"lasmq/internal/sched"
@@ -16,9 +17,10 @@ import (
 )
 
 // The crosscheck family drives the simulators with M/M/1 workloads
-// (internal/workload.MM1Trace) and asserts the simulated steady-state mean
-// response time agrees with the closed forms in this package. The contract
-// (documented in DESIGN.md):
+// (internal/workload.MM1Trace) and an M/G/1 workload with lognormal sizes
+// (mg1Trace), and asserts the simulated steady-state mean response time
+// agrees with the closed forms and numeric M/G/1 means in this package. The
+// contract (documented in DESIGN.md):
 //
 //   - estimator: per-seed mean over the jobs after a 10% warmup deletion
 //     (the queue starts empty; discarding the transient removes the
@@ -60,30 +62,30 @@ func warmupMean(responses []float64) float64 {
 	return sum / float64(len(tail))
 }
 
-// runMM1Fluid simulates one M/M/1 seed on the fluid substrate and returns
-// the warmup-deleted mean response time.
-func runMM1Fluid(t *testing.T, policy sched.Scheduler, jobs int, rho float64, seed int64) float64 {
+// mm1Trace is the M/M/1 workload at load rho: exponential sizes of mean 1.
+func mm1Trace(t *testing.T, jobs int, rho float64, seed int64) []fluid.JobSpec {
 	t.Helper()
 	specs, err := workload.MM1Trace(workload.MM1Config{Jobs: jobs, Rho: rho, MeanSize: 1, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := fluid.Run(specs, policy, fluid.Config{Capacity: 1, TaskDuration: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return warmupMean(res.ResponseTimes())
+	return specs
 }
 
-// crosscheckFluid replicates the M/M/1 run across seeds and asserts the
-// replicated mean agrees with the analytic value within CI95 plus the
-// residual-bias allowance.
-func crosscheckFluid(t *testing.T, mkPolicy func() sched.Scheduler, rho, want, biasFrac float64) {
+// crosscheckFluid replicates a single-server run of trace across seeds on the
+// fluid substrate at capacity 1 and asserts the replicated warmup-deleted
+// mean agrees with the analytic value within CI95 plus the residual-bias
+// allowance.
+func crosscheckFluid(t *testing.T, mkPolicy func() sched.Scheduler, trace func(t *testing.T, jobs int, rho float64, seed int64) []fluid.JobSpec,
+	jobs, seeds int, rho, want, biasFrac float64) {
 	t.Helper()
-	jobs, seeds := crosscheckJobs(t), crosscheckSeeds(t)
 	means := make([]float64, seeds)
 	for s := range means {
-		means[s] = runMM1Fluid(t, mkPolicy(), jobs, rho, int64(1000+s))
+		res, err := fluid.Run(trace(t, jobs, rho, int64(1000+s)), mkPolicy(), fluid.Config{Capacity: 1, TaskDuration: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		means[s] = warmupMean(res.ResponseTimes())
 	}
 	rep := stats.Replicate(means)
 	tol := rep.CI95 + biasFrac*want
@@ -133,7 +135,57 @@ func TestCrossCheckMM1Fluid(t *testing.T) {
 			rho := rho
 			t.Run(fmt.Sprintf("%s/rho=%.1f", p.name, rho), func(t *testing.T) {
 				t.Parallel()
-				crosscheckFluid(t, p.mk, rho, p.want(rho*mu), biasFor(rho))
+				crosscheckFluid(t, p.mk, mm1Trace, crosscheckJobs(t), crosscheckSeeds(t), rho, p.want(rho*mu), biasFor(rho))
+			})
+		}
+	}
+}
+
+// mg1Trace is an M/G/1 workload at load rho built from internal/dist alone:
+// Poisson arrivals, lognormal sizes of mean 1 and shape σ = 1 (E[S²] = e),
+// width-1 jobs for a capacity-1 server.
+func mg1Trace(t *testing.T, jobs int, rho float64, seed int64) []fluid.JobSpec {
+	t.Helper()
+	r := dist.New(seed)
+	arrivals, err := dist.NewPoissonProcess(r, 1/rho)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]fluid.JobSpec, jobs)
+	for i := range specs {
+		specs[i] = fluid.JobSpec{ID: i + 1, Arrival: arrivals.Next(), Size: dist.LognormalMean(r, 1, 1), Width: 1, Priority: 1}
+	}
+	return specs
+}
+
+// TestCrossCheckMG1Fluid holds FIFO, PS, LAS and SRPT on the fluid substrate
+// to the M/G/1 means of analytic.MG1 under lognormal sizes (mean 1, σ = 1) at
+// two loads. Unlike M/M/1, where FCFS, PS and LAS share one mean, these
+// sizes separate the disciplines — at rho = 0.5, FCFS ≈ 2.36, PS = 2 and
+// LAS ≈ 1.8 — so a LAS that served jobs in arrival order fails here. The
+// heavier tail converges more slowly than M/M/1: each seed runs five times
+// the M/M/1 trace.
+func TestCrossCheckMG1Fluid(t *testing.T) {
+	sizes := dist.LognormalMeanService(1, 1)
+	policies := []struct {
+		name string
+		mk   func() sched.Scheduler
+		want func(m *analytic.MG1) float64
+	}{
+		{"FIFO", func() sched.Scheduler { return sched.NewFIFO() }, (*analytic.MG1).FCFS},
+		{"PS", func() sched.Scheduler { return sched.NewPS() }, (*analytic.MG1).PS},
+		{"LAS", func() sched.Scheduler { return sched.NewLAS() }, (*analytic.MG1).LAS},
+		{"SRPT", func() sched.Scheduler { return sched.NewSRPT() }, (*analytic.MG1).SRPT},
+	}
+	for _, rho := range []float64{0.5, 0.8} {
+		m, err := analytic.NewMG1(rho, sizes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range policies {
+			t.Run(fmt.Sprintf("%s/rho=%.1f", p.name, rho), func(t *testing.T) {
+				t.Parallel()
+				crosscheckFluid(t, p.mk, mg1Trace, 5*crosscheckJobs(t), crosscheckSeeds(t), rho, p.want(m), biasFor(rho))
 			})
 		}
 	}

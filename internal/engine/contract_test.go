@@ -173,10 +173,10 @@ func TestFIFOMatchesLiteral(t *testing.T) {
 // 1 and 2 written from the paper, which keeps each job's queue and works
 // everything else out afresh every round — on the engine's pinned inputs
 // (literalInputs), under stage awareness and demand order each on and off,
-// and requires equal results. The literal has no rate-bounded horizon, so the
-// engine observes it at every instant where LAS_MQ may skip: skipping must
-// change nothing either.
+// and requires equal results. LAS_MQ's queue events are held to the
+// demote-only rule (schedtest.DemoteOnly) on the way.
 func TestLASMQMatchesLiteral(t *testing.T) {
+	demotions := 0
 	for _, in := range literalInputs() {
 		for _, stageAware := range []bool{false, true} {
 			for _, byDemand := range []bool{false, true} {
@@ -187,10 +187,17 @@ func TestLASMQMatchesLiteral(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := in.run(mq)
+					check := &schedtest.DemoteOnly{Queues: cfg.Queues, FirstThreshold: cfg.FirstThreshold, Step: cfg.Step}
+					probed := in
+					probed.cfg.Probe = check
+					got, err := probed.run(mq)
 					if err != nil {
 						t.Fatal(err)
 					}
+					if err := check.Err(); err != nil {
+						t.Fatal(err)
+					}
+					demotions += check.Demotions()
 					want, err := in.run(&schedtest.LiteralLASMQ{Queues: cfg.Queues, FirstThreshold: cfg.FirstThreshold,
 						Step: cfg.Step, Decay: cfg.QueueWeightDecay, StageAware: stageAware, OrderByDemand: byDemand})
 					if err != nil {
@@ -202,5 +209,8 @@ func TestLASMQMatchesLiteral(t *testing.T) {
 				})
 			}
 		}
+	}
+	if demotions == 0 {
+		t.Error("the demote-only probe checked no demotion")
 	}
 }

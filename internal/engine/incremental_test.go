@@ -9,7 +9,9 @@ import (
 	"lasmq/internal/core"
 	"lasmq/internal/engine"
 	"lasmq/internal/job"
+	"lasmq/internal/obs"
 	"lasmq/internal/sched"
+	"lasmq/internal/sched/schedtest"
 )
 
 // diffPolicies builds every scheduler family the engine supports, covering
@@ -132,12 +134,39 @@ func diffConfigs() map[string]func(*engine.Config) {
 	}
 }
 
+// demoteOnlyRun runs specs under p with cfg and, when p is LAS_MQ, with a
+// schedtest.DemoteOnly over its ladder as the probe, failing t on the first
+// queue event that breaks the demote-only rule. It returns the demotions the
+// probe checked (0 for another policy).
+func demoteOnlyRun(t *testing.T, specs []job.Spec, p sched.Scheduler, cfg engine.Config) (*engine.Result, int) {
+	t.Helper()
+	var check *schedtest.DemoteOnly
+	if mq, ok := p.(*core.LASMQ); ok {
+		c := mq.Config()
+		check = &schedtest.DemoteOnly{Queues: c.Queues, FirstThreshold: c.FirstThreshold, Step: c.Step}
+		cfg.Probe = check
+	}
+	res, err := engine.Run(specs, p, cfg)
+	if err != nil {
+		t.Fatalf("seed %d (full reschedule %v): %v", cfg.Seed, cfg.FullReschedule, err)
+	}
+	if check == nil {
+		return res, 0
+	}
+	if err := check.Err(); err != nil {
+		t.Fatalf("seed %d (full reschedule %v): %v", cfg.Seed, cfg.FullReschedule, err)
+	}
+	return res, check.Demotions()
+}
+
 // TestIncrementalMatchesFull is the correctness gate of the incremental
 // scheduling rounds: for every policy family, noise configuration and seed,
 // a run with the fast paths enabled must produce a byte-identical Result to
-// a run that re-invokes the policy every round.
+// a run that re-invokes the policy every round. LAS_MQ's queue events are
+// held to the demote-only rule in both modes (schedtest.DemoteOnly).
 func TestIncrementalMatchesFull(t *testing.T) {
 	configs := diffConfigs()
+	demotions := map[string]int{}
 	for pname, mk := range diffPolicies(t) {
 		for cname, tweak := range configs {
 			t.Run(fmt.Sprintf("%s/%s", pname, cname), func(t *testing.T) {
@@ -151,15 +180,11 @@ func TestIncrementalMatchesFull(t *testing.T) {
 					specs := diffWorkload(seed, 24)
 
 					cfg.FullReschedule = true
-					full, err := engine.Run(specs, mk(), cfg)
-					if err != nil {
-						t.Fatalf("seed %d full: %v", seed, err)
-					}
+					full, n := demoteOnlyRun(t, specs, mk(), cfg)
+					demotions[pname] += n
 					cfg.FullReschedule = false
-					incr, err := engine.Run(specs, mk(), cfg)
-					if err != nil {
-						t.Fatalf("seed %d incremental: %v", seed, err)
-					}
+					incr, n := demoteOnlyRun(t, specs, mk(), cfg)
+					demotions[pname] += n
 					if !reflect.DeepEqual(full, incr) {
 						for i := range full.Jobs {
 							if full.Jobs[i] != incr.Jobs[i] {
@@ -175,16 +200,20 @@ func TestIncrementalMatchesFull(t *testing.T) {
 			})
 		}
 	}
+	for _, pname := range []string{"LASMQ-stageaware", "LASMQ-attained"} {
+		if demotions[pname] == 0 {
+			t.Errorf("%s: the demote-only probe checked no demotion", pname)
+		}
+	}
 }
 
-// TestIncrementalSkipsAreExercised guards the differential test against
-// silently testing nothing: on a saturated workload the incremental mode
-// must actually take its fast paths, which we detect indirectly by asserting
-// both modes agree on a workload long enough that skipped rounds dominate.
-// A direct skip counter would live on sim (unexported); instead this test
-// stresses the LAS_MQ ObserveHorizon gating specifically with a workload
-// whose jobs cross several queue thresholds while the cluster is saturated.
-func TestIncrementalObserveHorizonCrossings(t *testing.T) {
+// TestIncrementalThresholdCrossings runs LAS_MQ on a saturated cluster whose
+// jobs cross several queue thresholds while it stays saturated, in both
+// metric modes, and requires the incremental run to equal the full
+// reschedule. An obs.Counters on the incremental run shows the test tests
+// something: rounds were skipped, every skipped round observed (LAS_MQ is
+// stateful), and jobs were demoted.
+func TestIncrementalThresholdCrossings(t *testing.T) {
 	// Jobs long enough to be demoted across thresholds 10, 100 while running.
 	specs := []job.Spec{
 		uniformJob(1, 0, 6, 200),
@@ -201,7 +230,7 @@ func TestIncrementalObserveHorizonCrossings(t *testing.T) {
 		cfg.Containers = 8 // saturated: 20 ready containers at t=0
 		cfg.MaxRunningJobs = 0
 
-		run := func(full bool) *engine.Result {
+		run := func(full bool, probe obs.Probe) *engine.Result {
 			t.Helper()
 			mq, err := core.New(ccfg)
 			if err != nil {
@@ -209,15 +238,23 @@ func TestIncrementalObserveHorizonCrossings(t *testing.T) {
 			}
 			c := cfg
 			c.FullReschedule = full
+			c.Probe = probe
 			res, err := engine.Run(specs, mq, c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
 		}
-		full, incr := run(true), run(false)
+		counters := obs.NewCounters()
+		full, incr := run(true, nil), run(false, counters)
+		incr.Counters = nil // telemetry, not outcome
 		if !reflect.DeepEqual(full, incr) {
 			t.Fatalf("stageAware=%v: incremental result differs under threshold crossings", stageAware)
+		}
+		snap := counters.Snapshot()
+		if snap.RoundsSkipped == 0 || snap.RoundsObserved != snap.RoundsSkipped || snap.TotalDemotions() == 0 {
+			t.Fatalf("stageAware=%v: %d rounds skipped, %d of them observed, %d demotions; want > 0, all, > 0",
+				stageAware, snap.RoundsSkipped, snap.RoundsObserved, snap.TotalDemotions())
 		}
 	}
 }

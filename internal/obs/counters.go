@@ -32,8 +32,8 @@ type CounterSnapshot struct {
 
 	RoundsExecuted int64 `json:"rounds_executed"`
 	RoundsSkipped  int64 `json:"rounds_skipped"`
-	// RoundsObserved counts skipped rounds that still replayed policy
-	// observation (a subset of RoundsSkipped).
+	// RoundsObserved counts skipped rounds whose policy observes: all of
+	// RoundsSkipped under a stateful policy, none under a stateless one.
 	RoundsObserved int64 `json:"rounds_observed"`
 
 	ArenaReuses int64 `json:"arena_reuses"`

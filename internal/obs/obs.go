@@ -63,8 +63,9 @@ type Probe interface {
 	// over jobs active views.
 	RoundExecuted(now float64, jobs int)
 	// RoundSkipped fires when a substrate proves a round cannot launch
-	// work and skips it; observed reports whether policy observation
-	// replay ran in its place.
+	// work and skips it; observed reports whether the policy observes — a
+	// stateful policy's state change is replayed in every skipped round's
+	// place, a stateless policy's never.
 	RoundSkipped(now float64, observed bool)
 
 	// ArenaReuse fires once per run with slab-arena statistics: the job

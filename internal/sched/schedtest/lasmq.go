@@ -54,12 +54,18 @@ func (l *LiteralLASMQ) metric(j sched.JobView) float64 {
 
 // threshold is queue i's demotion threshold, α₀·pⁱ, +Inf for the last queue.
 func (l *LiteralLASMQ) threshold(i int) float64 {
-	if i >= l.Queues-1 {
+	return threshold(l.Queues, l.FirstThreshold, l.Step, i)
+}
+
+// threshold is queue i's demotion threshold in a ladder of k queues that
+// starts at α₀ = first and grows by p = step: α₀·pⁱ, +Inf for the last queue.
+func threshold(k int, first, step float64, i int) float64 {
+	if i >= k-1 {
 		return math.Inf(1)
 	}
-	t := l.FirstThreshold
+	t := first
 	for ; i > 0; i-- {
-		t *= l.Step
+		t *= step
 	}
 	return t
 }

@@ -584,7 +584,7 @@ func (rm *resourceManager) admitAndSchedule() {
 	}
 	if rm.totalFree() == 0 || ready == 0 {
 		if rm.probe != nil {
-			rm.probe.RoundSkipped(policyNow, true)
+			rm.probe.RoundSkipped(policyNow, rm.driver.Observes())
 		}
 		rm.driver.Observe(policyNow, &rm.vs)
 		return
