@@ -67,11 +67,14 @@ lint:
 # The next fence keeps FIFO's slotted round a walk of its queue from the head:
 # fifo.go builds, sorts and fills no per-view entries, and calls orderFill
 # once, in the slotless branch (`if slots == nil`) the map forms take.
-# The last keeps the telemetry sinks on one vocabulary: every sink records
+# The next keeps the telemetry sinks on one vocabulary: every sink records
 # packed obs.Events through one Record switch, so outside tests only obs.go
 # (the emitter that packs Probe calls, and Nop) defines Probe methods in
 # internal/obs and internal/core — no sink re-implements the Probe method
 # set, and no policy wrapper exists to watch probe events.
+# The last keeps one command: cmd/ holds cmd/lasmq and nothing else (no second
+# main package, no wrapper binary), and no non-test package outside cmd/lasmq
+# and benchmark/ imports flag, so every option is parsed in one place.
 layering:
 	@bad=$$(grep -rn '"lasmq/internal/fluid"' internal/trace --include='*.go'; true); \
 	if [ -n "$$bad" ]; then \
@@ -169,6 +172,14 @@ layering:
 			"internal/obs/obs.go (emitter, Nop) defines Probe methods:"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(find cmd -mindepth 1 ! -path cmd/lasmq ! -regex 'cmd/lasmq/[^/]*\.go'; \
+		grep -rlE --include='*.go' '^[[:space:]]*(import +)?"flag"$$' . | grep -v '_test\.go$$' \
+		| grep -v -e '^\./cmd/lasmq/' -e '^\./benchmark/'; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: one command parses flags: cmd/ holds only cmd/lasmq, and no non-test" \
+			"package outside cmd/lasmq and benchmark/ imports flag:"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@echo "layering: ok"
 
 build:
@@ -255,11 +266,11 @@ crosscheck:
 
 # Regenerate every table and figure at paper scale (writes full_results.txt).
 reproduce:
-	$(GO) run ./cmd/lasmq-bench -repeats 3 -seed 1 | tee full_results.txt
+	$(GO) run ./cmd/lasmq bench -repeats 3 -seed 1 | tee full_results.txt
 
 # Parallel multi-seed reproduction with 95% CIs; resumable via the cache dir.
 replicate:
-	$(GO) run ./cmd/lasmq-bench -seeds 8 -workers 8 -cache .lasmq-cache
+	$(GO) run ./cmd/lasmq bench -seeds 8 -workers 8 -cache .lasmq-cache
 
 examples:
 	$(GO) run ./examples/quickstart

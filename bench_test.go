@@ -3,7 +3,7 @@
 // corresponding experiment and reports the paper's headline numbers as
 // custom metrics (normalized average job response time versus Fair, denoted
 // normX), so the series the paper plots appear directly in the benchmark
-// output. Full paper-scale runs are available via cmd/lasmq-bench; the
+// output. Full paper-scale runs are available via `lasmq bench`; the
 // heaviest traces are scaled down here to keep `go test -bench` interactive,
 // without changing who wins or by roughly what factor.
 //

@@ -1,41 +1,7 @@
-// Command lasmq-bench regenerates the paper's tables and figures. Each
-// experiment prints the same rows/series the paper reports (normalized or
-// absolute average job response times); EXPERIMENTS.md records the
-// paper-vs-measured comparison.
-//
-// Usage:
-//
-//	lasmq-bench [-experiment all|NAME]   (-h lists the catalog's names)
-//	            [-seed N] [-repeats N] [-trace-jobs N] [-uniform-jobs N]
-//	            [-scale-jobs N] [-shards K] [-shard-workers M]
-//	            [-csv-dir DIR]
-//	            [-seeds N] [-workers M] [-cache DIR]
-//	            [-cpuprofile FILE] [-memprofile FILE]
-//	            [-trace-out FILE] [-trace-format jsonl|chrome]
-//	            [-hist-out FILE] [-series-out FILE] [-series-window W]
-//
-// scale-100k (100,000 jobs, materialized), scale-1m (1,000,000 jobs, streamed
-// over -shards independent sub-clusters), scale-10m (10,000,000 jobs, the
-// same machinery 10x longer) and their task-engine twins scale-1m-engine /
-// scale-10m-engine (the same streamed traces staged into map→reduce jobs and
-// simulated task by task with chaos injection, sharded via engine.RunSharded)
-// are stress tiers, not paper figures; "all" skips them in direct mode so
-// reproduce-scale runs stay figure-shaped (select them explicitly, or run
-// replicated mode, where the registry includes them). They are presets of one
-// scale experiment: -scale-jobs overrides the trace length of whichever runs.
-//
-// -cpuprofile and -memprofile capture pprof profiles of the selected
-// experiments (`go tool pprof` reads them), the same hooks `go test -bench`
-// offers — use them to find where a slow figure actually spends its time.
-//
-// With -seeds > 1 (or -workers/-cache set) the replication engine takes
-// over: every experiment is fanned out over N seeds on an M-worker pool,
-// finished (experiment, seed) cells are served from the content-addressed
-// cache in -cache DIR, and each figure is reported as mean ± 95 % CI across
-// the seeds. A re-run with the same cache directory completes from cache.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,20 +12,24 @@ import (
 	"strings"
 	"time"
 
-	"lasmq/internal/cli"
 	"lasmq/internal/experiments"
 	"lasmq/internal/runner"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "lasmq-bench:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("lasmq-bench", flag.ExitOnError)
+// runBench regenerates the paper's tables and figures, one catalog row per
+// experiment (-h lists their names); EXPERIMENTS.md compares them with the
+// paper. The scale-* rows are stress tiers, not paper figures: "all" skips
+// them in direct mode, and -scale-jobs overrides the trace length of
+// whichever runs. -cpuprofile and -memprofile write pprof profiles of the
+// run.
+//
+// With -seeds > 1 (or -workers/-cache set) the replication engine takes
+// over: every experiment fans out over N seeds on an M-worker pool, finished
+// (experiment, seed) cells are served from the content-addressed cache in
+// -cache DIR, and each figure is reported as mean ± 95 % CI across the
+// seeds. The telemetry flags need direct mode.
+func runBench(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("lasmq bench", flag.ExitOnError)
 	var (
 		experiment  = fs.String("experiment", "all", "experiment to run (all, "+strings.Join(experiments.Names(), ", ")+")")
 		seed        = fs.Int64("seed", 1, "workload/trace synthesis seed")
@@ -75,15 +45,10 @@ func run(args []string, out io.Writer) error {
 		cacheDir    = fs.String("cache", "", "content-addressed result cache directory; re-runs serve completed (experiment, seed) cells from it")
 		cpuProfile  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile  = fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
-		traceOut    = fs.String("trace-out", "", "write a scheduler event trace of the selected experiments to this file (direct mode only)")
-		traceFormat = fs.String("trace-format", "jsonl", "event-trace format: "+cli.TraceFormats())
-		histOut     = fs.String("hist-out", "", "write the selected experiments' latency histograms as CSV to this file (direct mode only)")
-		seriesOut   = fs.String("series-out", "", "write the windowed utilization/queue-depth series as CSV to this file (direct mode only)")
-		seriesWin   = fs.Float64("series-window", 50, "series sampling window in cluster seconds")
 	)
-	fs.Parse(args) // ExitOnError: a bad flag never returns
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments %q: lasmq-bench takes flags only (see -h)", fs.Args())
+	sinkCfg := addSinkFlags(fs)
+	if err := parse(fs, args); err != nil {
+		return err
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -100,13 +65,13 @@ func run(args []string, out io.Writer) error {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "lasmq-bench: memprofile:", err)
+				fmt.Fprintln(os.Stderr, "lasmq bench: memprofile:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "lasmq-bench: memprofile:", err)
+				fmt.Fprintln(os.Stderr, "lasmq bench: memprofile:", err)
 			}
 		}()
 	}
@@ -127,11 +92,8 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *seeds > 1 || *workers > 0 || *cacheDir != "" {
-		if *traceOut != "" {
-			return fmt.Errorf("-trace-out requires direct mode: the replication engine runs experiments on concurrent workers, which would interleave one trace file")
-		}
-		if *histOut != "" || *seriesOut != "" {
-			return fmt.Errorf("-hist-out/-series-out require direct mode: the replication engine runs experiments on concurrent workers, which would interleave one sink")
+		if sinkCfg.on() {
+			return errors.New("-trace-out/-hist-out/-series-out require direct mode: the replication engine runs experiments on concurrent workers, which would interleave one sink")
 		}
 		return runReplicated(out, opts, runner.Options{
 			Seeds:    *seeds,
@@ -148,28 +110,23 @@ func run(args []string, out io.Writer) error {
 	// The series utilization denominator is the selected experiment's cluster
 	// capacity. It varies across the catalog, so a multi-experiment run
 	// disables the utilization column rather than report a wrong ratio.
-	capacity := 0
 	if len(selected) == 1 {
-		capacity = selected[0].Capacity(opts)
+		sinkCfg.Capacity = selected[0].Capacity(opts)
 	}
-	sink, err := cli.OpenSink(cli.SinkConfig{
-		TraceOut: *traceOut, TraceFormat: *traceFormat,
-		HistOut: *histOut, SeriesOut: *seriesOut, SeriesWindow: *seriesWin,
-		Capacity: capacity,
-	})
+	sink, err := openSink(*sinkCfg)
 	if err != nil {
 		return err
 	}
-	opts.Probe = sink.Probe()
+	opts.Probe = sink.probe()
 	for _, e := range selected {
 		if err := runDirect(out, e, opts, *csvDir); err != nil {
 			return fmt.Errorf("%s: %w", e.Name, err)
 		}
 	}
-	if err := sink.Close(); err != nil {
+	if err := sink.close(); err != nil {
 		return err
 	}
-	sink.PrintSummary(out)
+	sink.printSummary(out)
 	return nil
 }
 

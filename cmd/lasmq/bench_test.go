@@ -21,7 +21,7 @@ func TestSeriesUtilizationUsesRowCapacity(t *testing.T) {
 	maxUtilization := func(experiment string) float64 {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "series.csv")
-		if err := run([]string{"-experiment", experiment, "-trace-jobs", "600", "-uniform-jobs", "120", "-series-out", path}, io.Discard); err != nil {
+		if err := run([]string{"bench", "-experiment", experiment, "-trace-jobs", "600", "-uniform-jobs", "120", "-series-out", path}, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		f, err := os.Open(path)
@@ -56,12 +56,12 @@ func TestSeriesUtilizationUsesRowCapacity(t *testing.T) {
 // TestExperimentSelectionErrors: the direct-only row is refused by name in
 // replicated mode, and an unknown name lists every valid one.
 func TestExperimentSelectionErrors(t *testing.T) {
-	err := run([]string{"-experiment", "table1", "-seeds", "2"}, io.Discard)
+	err := run([]string{"bench", "-experiment", "table1", "-seeds", "2"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "table1 runs in direct mode only") {
 		t.Errorf("table1 -seeds 2: error %v", err)
 	}
 	for _, mode := range [][]string{nil, {"-seeds", "2"}} {
-		err := run(append([]string{"-experiment", "bogus"}, mode...), io.Discard)
+		err := run(append([]string{"bench", "-experiment", "bogus"}, mode...), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "unknown experiment") || !strings.Contains(err.Error(), "fig7a") {
 			t.Errorf("bogus %v: error %v", mode, err)
 		}

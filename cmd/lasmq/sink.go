@@ -1,6 +1,7 @@
-package cli
+package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -8,12 +9,9 @@ import (
 	"lasmq/internal/obs"
 )
 
-// TraceFormats lists the accepted -trace-format flag values.
-func TraceFormats() string { return "jsonl, chrome" }
-
-// SinkConfig carries the telemetry-output flag values lasmq-sim and
-// lasmq-bench share; an empty path leaves that output off.
-type SinkConfig struct {
+// sinkConfig carries the telemetry-output flag values sim and bench share;
+// an empty path leaves that output off.
+type sinkConfig struct {
 	// TraceOut receives the scheduler event trace in TraceFormat (jsonl or
 	// chrome), alongside an aggregating obs.Counters for the summary.
 	TraceOut, TraceFormat string
@@ -30,11 +28,25 @@ type SinkConfig struct {
 	Capacity int
 }
 
-// Sink bundles every file-backed telemetry output of one CLI run behind a
-// single probe. Attaching it never changes simulated results. All methods
-// are safe on a nil sink (telemetry off, zero overhead).
-type Sink struct {
-	cfg      SinkConfig
+// addSinkFlags registers the telemetry-output flags on fs.
+func addSinkFlags(fs *flag.FlagSet) *sinkConfig {
+	c := &sinkConfig{}
+	fs.StringVar(&c.TraceOut, "trace-out", "", "write a scheduler event trace to this file (telemetry; results are unaffected)")
+	fs.StringVar(&c.TraceFormat, "trace-format", "jsonl", "event-trace format: jsonl, chrome (chrome opens in Perfetto / chrome://tracing)")
+	fs.StringVar(&c.HistOut, "hist-out", "", "write latency histograms (response/slowdown/wait/task/round) as CSV to this file")
+	fs.StringVar(&c.SeriesOut, "series-out", "", "write the windowed utilization/queue-depth series as CSV to this file")
+	fs.Float64Var(&c.SeriesWindow, "series-window", 50, "series sampling window in cluster seconds")
+	return c
+}
+
+// on reports whether any output is asked for.
+func (c *sinkConfig) on() bool { return c.TraceOut != "" || c.HistOut != "" || c.SeriesOut != "" }
+
+// sink bundles every file-backed telemetry output of one run behind a single
+// probe. Attaching it never changes simulated results. All methods are safe
+// on a nil sink (telemetry off, zero overhead).
+type sink struct {
+	cfg      sinkConfig
 	counters *obs.Counters
 	hists    *obs.Histograms
 	series   *obs.Series
@@ -42,23 +54,23 @@ type Sink struct {
 	sinks    []obs.Sink
 }
 
-// sinkOutput is one open output file and the writer that fills it on Close.
+// sinkOutput is one open output file and the writer that fills it on close.
 type sinkOutput struct {
 	kind, path string
 	file       *os.File
 	write      func(io.Writer) error
 }
 
-// OpenSink creates the outputs cfg asks for; with every path empty it returns
-// (nil, nil). The returned sink must be Closed to write the files.
-func OpenSink(cfg SinkConfig) (*Sink, error) {
-	if cfg.TraceOut == "" && cfg.HistOut == "" && cfg.SeriesOut == "" {
+// openSink creates the outputs cfg asks for; with every path empty it returns
+// (nil, nil). The returned sink must be closed to write the files.
+func openSink(cfg sinkConfig) (*sink, error) {
+	if !cfg.on() {
 		return nil, nil
 	}
 	if cfg.TraceOut != "" && cfg.TraceFormat != "jsonl" && cfg.TraceFormat != "chrome" {
-		return nil, fmt.Errorf("unknown trace format %q (want %s)", cfg.TraceFormat, TraceFormats())
+		return nil, fmt.Errorf("unknown trace format %q (want jsonl, chrome)", cfg.TraceFormat)
 	}
-	s := &Sink{cfg: cfg}
+	s := &sink{cfg: cfg}
 	if cfg.TraceOut != "" {
 		f, err := s.create("trace", cfg.TraceOut)
 		if err != nil {
@@ -93,7 +105,7 @@ func OpenSink(cfg SinkConfig) (*Sink, error) {
 
 // create opens the next output file; on failure it removes the files the
 // sink already created, so a refused run leaves nothing behind.
-func (s *Sink) create(kind, path string) (*os.File, error) {
+func (s *sink) create(kind, path string) (*os.File, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		for _, o := range s.outputs {
@@ -107,22 +119,22 @@ func (s *Sink) create(kind, path string) (*os.File, error) {
 }
 
 // attach wires the sink feeding the most recently created output and the
-// writer that serializes it on Close.
-func (s *Sink) attach(sink obs.Sink, write func(io.Writer) error) {
-	s.sinks = append(s.sinks, sink)
+// writer that serializes it on close.
+func (s *sink) attach(o obs.Sink, write func(io.Writer) error) {
+	s.sinks = append(s.sinks, o)
 	s.outputs[len(s.outputs)-1].write = write
 }
 
-// Probe returns the probe to attach to the run (nil on a nil sink).
-func (s *Sink) Probe() obs.Probe {
+// probe returns the probe to attach to the run (nil on a nil sink).
+func (s *sink) probe() obs.Probe {
 	if s == nil {
 		return nil
 	}
 	return obs.Multi(s.sinks...)
 }
 
-// Close writes and closes every output file, reporting the first failure.
-func (s *Sink) Close() error {
+// close writes and closes every output file, reporting the first failure.
+func (s *sink) close() error {
 	if s == nil {
 		return nil
 	}
@@ -139,9 +151,9 @@ func (s *Sink) Close() error {
 	return first
 }
 
-// PrintSummary writes the aggregated counters, the response-time tail and
+// printSummary writes the aggregated counters, the response-time tail and
 // the output paths to w.
-func (s *Sink) PrintSummary(w io.Writer) {
+func (s *sink) printSummary(w io.Writer) {
 	if s == nil {
 		return
 	}

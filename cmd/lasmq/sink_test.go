@@ -1,4 +1,4 @@
-package cli
+package main
 
 import (
 	"os"
@@ -12,27 +12,27 @@ import (
 // summary.
 func TestSinkWritesEveryOutput(t *testing.T) {
 	dir := t.TempDir()
-	cfg := SinkConfig{
+	cfg := sinkConfig{
 		TraceOut: filepath.Join(dir, "t.jsonl"), TraceFormat: "jsonl",
 		HistOut: filepath.Join(dir, "h.csv"), SeriesOut: filepath.Join(dir, "s.csv"),
 		SeriesWindow: 1, Capacity: 4,
 	}
-	sink, err := OpenSink(cfg)
+	sink, err := openSink(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := sink.Probe()
+	p := sink.probe()
 	p.JobSubmitted(0, 1)
 	p.RoundExecuted(0, 1)
 	p.TaskStart(0, 1, 0, 0, 1, false)
 	p.RoundExecuted(2, 1)
 	p.TaskDone(3, 1, 0, 0, 0, false)
 	p.JobDone(3, 1, 3)
-	if err := sink.Close(); err != nil {
+	if err := sink.close(); err != nil {
 		t.Fatal(err)
 	}
 	var summary strings.Builder
-	sink.PrintSummary(&summary)
+	sink.printSummary(&summary)
 	for _, path := range []string{cfg.TraceOut, cfg.HistOut, cfg.SeriesOut} {
 		data, err := os.ReadFile(path)
 		if err != nil || len(data) == 0 {
@@ -51,25 +51,25 @@ func TestSinkWritesEveryOutput(t *testing.T) {
 // TestSinkOffAndRefused: no paths means a nil sink whose methods are no-ops;
 // a bad trace format is refused before any file is created.
 func TestSinkOffAndRefused(t *testing.T) {
-	sink, err := OpenSink(SinkConfig{TraceFormat: "jsonl", SeriesWindow: 50})
+	sink, err := openSink(sinkConfig{TraceFormat: "jsonl", SeriesWindow: 50})
 	if sink != nil || err != nil {
-		t.Fatalf("OpenSink(no paths) = %v, %v; want nil, nil", sink, err)
+		t.Fatalf("openSink(no paths) = %v, %v; want nil, nil", sink, err)
 	}
-	if sink.Probe() != nil || sink.Close() != nil {
+	if sink.probe() != nil || sink.close() != nil {
 		t.Error("nil sink is not inert")
 	}
-	sink.PrintSummary(&strings.Builder{})
+	sink.printSummary(&strings.Builder{})
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.out")
-	if _, err := OpenSink(SinkConfig{TraceOut: path, TraceFormat: "xml"}); err == nil {
+	if _, err := openSink(sinkConfig{TraceOut: path, TraceFormat: "xml"}); err == nil {
 		t.Error("unknown trace format accepted")
 	}
 	if _, err := os.Stat(path); err == nil {
 		t.Errorf("refused sink left %s behind", path)
 	}
 	// A later output that cannot be created removes the earlier ones.
-	if _, err := OpenSink(SinkConfig{TraceOut: path, TraceFormat: "jsonl", HistOut: filepath.Join(dir, "no/such/h.csv")}); err == nil {
+	if _, err := openSink(sinkConfig{TraceOut: path, TraceFormat: "jsonl", HistOut: filepath.Join(dir, "no/such/h.csv")}); err == nil {
 		t.Error("uncreatable histogram path accepted")
 	}
 	if _, err := os.Stat(path); err == nil {

@@ -29,6 +29,6 @@
 //	if err != nil { ... }
 //	fmt.Println(result.MeanResponseTime())
 //
-// See examples/ for runnable programs, cmd/ for the CLIs, and DESIGN.md /
+// See examples/ for runnable programs, cmd/lasmq for the command, and DESIGN.md /
 // EXPERIMENTS.md for the system inventory and the paper-vs-measured record.
 package lasmq

@@ -36,6 +36,9 @@ func TestPolicyTable(t *testing.T) {
 			t.Errorf("NewPolicy(%q) = %v, %v; want a %s scheduler", a.Name(), c, err, a.Name())
 		}
 	}
+	if s, err := NewPolicy("las-mq", DefaultConfig()); err != nil || s.Name() != "LAS_MQ" {
+		t.Errorf("NewPolicy(las-mq) = %v, %v; want a LAS_MQ scheduler", s, err)
+	}
 }
 
 func TestNewPolicyUnknown(t *testing.T) {

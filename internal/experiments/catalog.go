@@ -9,7 +9,7 @@ import (
 )
 
 // Report is the contract every experiment result implements, and all the
-// catalog's consumers need: lasmq-bench prints Table under the row's title,
+// catalog's consumers need: `lasmq bench` prints Table under the row's title,
 // the replication registry aggregates Cells across seeds. Results with
 // plottable series additionally implement CSVReport.
 type Report interface {
@@ -32,12 +32,12 @@ func (t textReport) Table() string        { return string(t) }
 func (t textReport) Cells() []runner.Cell { return nil }
 
 // Experiment is one catalog row. Everything that enumerates experiments — the
-// replication registry, lasmq-bench's dispatch, help text and "all" list —
+// replication registry, `lasmq bench`'s dispatch, help text and "all" list —
 // is computed from the rows, so adding an experiment is adding one row.
 type Experiment struct {
 	// Name is the value -experiment selects the row by.
 	Name string
-	// Title heads the row's section in lasmq-bench's output.
+	// Title heads the row's section in `lasmq bench`'s output.
 	Title string
 	// Run executes the experiment at the given scale and seed.
 	Run func(Options) (Report, error)

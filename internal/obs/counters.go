@@ -7,7 +7,7 @@ import (
 )
 
 // CounterSnapshot is an immutable copy of a Counters sink's aggregates.
-// It is the form folded into substrate.Result and served by lasmq-live's
+// It is the form folded into substrate.Result and served by `lasmq live`'s
 // debug endpoint.
 type CounterSnapshot struct {
 	JobsSubmitted int64 `json:"jobs_submitted"`
@@ -63,7 +63,7 @@ func (s CounterSnapshot) SkippedRoundRatio() float64 {
 }
 
 // WriteSummary prints the snapshot as an aligned key/value block, the form
-// lasmq-bench and lasmq-sim append after their result tables.
+// `lasmq bench` and `lasmq sim` append after their result tables.
 func (s CounterSnapshot) WriteSummary(w io.Writer) {
 	fmt.Fprintf(w, "  jobs submitted/admitted/completed  %d / %d / %d\n",
 		s.JobsSubmitted, s.JobsAdmitted, s.JobsCompleted)

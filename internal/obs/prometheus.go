@@ -216,7 +216,7 @@ func appendHistJSON(buf []byte, name string, s HistogramSnapshot) []byte {
 //
 // kind is "summary" for the per-histogram aggregate row (le empty) and
 // "bucket" for one bucket's own count at upper bound le. This is the
-// -hist-out format of lasmq-sim / lasmq-bench.
+// -hist-out format of `lasmq sim` / `lasmq bench`.
 func WriteHistogramCSV(w io.Writer, hists *Histograms) error {
 	buf := make([]byte, 0, 256)
 	buf = append(buf, "hist,kind,le,count,sum,min,max,mean,p50,p90,p95,p99,p999\n"...)
