@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"lasmq/internal/core"
 	"lasmq/internal/workload"
 )
 
@@ -49,6 +50,67 @@ func TestSubcommands(t *testing.T) {
 	}
 	if err := run([]string{"sim", "extra"}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "lasmq sim takes flags only") {
 		t.Errorf("sim with a positional argument: error %v", err)
+	}
+}
+
+// TestSchedulerFlag: every -scheduler spelling, aliases and any case, reaches
+// core.NewPolicy through the shared policy flags and names its scheduler in
+// the first output line.
+func TestSchedulerFlag(t *testing.T) {
+	tests := []struct {
+		give string
+		want string
+	}{
+		{give: "lasmq", want: "LAS_MQ"},
+		{give: "LAS_MQ", want: "LAS_MQ"},
+		{give: "las-mq", want: "LAS_MQ"},
+		{give: "las", want: "LAS"},
+		{give: "fair", want: "FAIR"},
+		{give: "FIFO", want: "FIFO"},
+		{give: "sjf", want: "SJF"},
+		{give: "srtf", want: "SRTF"},
+		{give: "ps", want: "PS"},
+		{give: "srpt", want: "SRPT"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.give, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run([]string{"sim", "-jobs", "20", "-scheduler", tt.give}, &out); err != nil {
+				t.Fatal(err)
+			}
+			if want := "scheduler=" + tt.want + " "; !strings.HasPrefix(out.String(), want) {
+				first, _, _ := strings.Cut(out.String(), "\n")
+				t.Errorf("-scheduler %s: first line %q, want prefix %q", tt.give, first, want)
+			}
+		})
+	}
+}
+
+// TestSchedulerFlagUnknown: an unknown -scheduler is an error that lists
+// every accepted name.
+func TestSchedulerFlagUnknown(t *testing.T) {
+	for _, cmd := range []string{"sim", "cluster"} {
+		err := run([]string{cmd, "-scheduler", "bogus"}, &bytes.Buffer{})
+		if err == nil {
+			t.Fatalf("%s -scheduler bogus: no error", cmd)
+		}
+		if want := strings.Join(core.PolicyNames(), ", "); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not list the accepted names %q", cmd, err, want)
+		}
+	}
+}
+
+// TestSchedulerFlagInvalidConfig: LAS_MQ knobs that core rejects are an
+// error, not a run.
+func TestSchedulerFlagInvalidConfig(t *testing.T) {
+	for _, cmd := range []string{"sim", "cluster"} {
+		var out bytes.Buffer
+		if err := run([]string{cmd, "-queues", "0"}, &out); err == nil {
+			t.Errorf("%s -queues 0: no error", cmd)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s -queues 0 wrote %q", cmd, out.String())
+		}
 	}
 }
 
