@@ -272,14 +272,11 @@ reproduce:
 replicate:
 	$(GO) run ./cmd/lasmq bench -seeds 8 -workers 8 -cache .lasmq-cache
 
+# Every program under examples/, stopping at the first that fails.
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/adhoc
-	$(GO) run ./examples/tracereplay
-	$(GO) run ./examples/tuning
-	$(GO) run ./examples/miniyarn
-	$(GO) run ./examples/sparkdag
-	$(GO) run ./examples/geo
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; $(GO) run ./$$d || exit 1; \
+	done
 
 clean:
 	rm -f full_results.txt test_output.txt bench_output.txt

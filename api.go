@@ -5,14 +5,12 @@ import (
 
 	"lasmq/internal/analytic"
 	"lasmq/internal/core"
-	"lasmq/internal/dfs"
 	"lasmq/internal/dist"
 	"lasmq/internal/engine"
 	"lasmq/internal/experiments"
 	"lasmq/internal/fluid"
 	"lasmq/internal/geo"
 	"lasmq/internal/job"
-	"lasmq/internal/mapreduce"
 	"lasmq/internal/runner"
 	"lasmq/internal/sched"
 	"lasmq/internal/substrate"
@@ -225,74 +223,6 @@ func NewLiveCluster(cfg LiveClusterConfig, policy Scheduler) (*LiveCluster, erro
 // DefaultLiveClusterConfig returns a 4-node, 120-container cluster at
 // millisecond time scale.
 func DefaultLiveClusterConfig() LiveClusterConfig { return yarn.DefaultConfig() }
-
-// HDFS-like block storage and data locality.
-type (
-	// DFSConfig describes the block store (block size, replication).
-	DFSConfig = dfs.Config
-	// DFSStore is the namenode: file -> block -> replica metadata.
-	DFSStore = dfs.Store
-	// DFSBlock is one replicated block of a file.
-	DFSBlock = dfs.Block
-	// Locality carries per-map-task block locations for the live cluster.
-	Locality = yarn.Locality
-)
-
-// NewDFS returns an empty block store.
-func NewDFS(cfg DFSConfig) (*DFSStore, error) { return dfs.New(cfg) }
-
-// DefaultDFSConfig mirrors the paper's HDFS settings: 128 MB blocks,
-// replication factor 2, four nodes.
-func DefaultDFSConfig() DFSConfig { return dfs.DefaultConfig() }
-
-// LocalityFromDFS derives a job's map-task block locations from a store, for
-// LiveCluster.SubmitWithLocality.
-func LocalityFromDFS(store *DFSStore, file string, remotePenalty float64) (Locality, error) {
-	return yarn.LocalityFromDFS(store, file, remotePenalty)
-}
-
-// MapReduce: a minimal framework running real computation on the mini-YARN
-// cluster, scheduled by any policy.
-type (
-	// MapReduceJob is one MapReduce job (splits, mapper, reducer).
-	MapReduceJob = mapreduce.Job
-	// MapReduceMapper processes one input split.
-	MapReduceMapper = mapreduce.Mapper
-	// MapReduceReducer folds one key's values.
-	MapReduceReducer = mapreduce.Reducer
-	// MapReduceOutput is a job's final key -> value mapping.
-	MapReduceOutput = mapreduce.Output
-	// MapReduceResult carries outputs plus cluster job reports.
-	MapReduceResult = mapreduce.Result
-)
-
-// RunMapReduce executes MapReduce jobs concurrently on a dedicated mini-YARN
-// cluster under the given scheduling policy.
-func RunMapReduce(cfg LiveClusterConfig, policy Scheduler, jobs []MapReduceJob) (*MapReduceResult, error) {
-	return mapreduce.Run(cfg, policy, jobs)
-}
-
-// DefaultMapReduceClusterConfig returns a cluster configuration tuned for
-// real-work MapReduce jobs.
-func DefaultMapReduceClusterConfig() LiveClusterConfig { return mapreduce.DefaultClusterConfig() }
-
-// Built-in MapReduce functions mirroring the paper's benchmarks.
-var (
-	// WordCountMap emits (word, "1") per word.
-	WordCountMap = mapreduce.WordCountMap
-	// WordCountReduce sums per-word counts.
-	WordCountReduce MapReduceReducer = mapreduce.WordCountReduce
-	// InvertedIndexMap emits (word, docID) pairs.
-	InvertedIndexMap = mapreduce.InvertedIndexMap
-	// InvertedIndexReduce joins a word's document IDs.
-	InvertedIndexReduce MapReduceReducer = mapreduce.InvertedIndexReduce
-	// GrepMap builds a mapper emitting lines containing a pattern.
-	GrepMap = mapreduce.GrepMap
-	// CountReduce counts a key's values.
-	CountReduce MapReduceReducer = mapreduce.CountReduce
-	// SynthesizeText builds deterministic pseudo-text splits.
-	SynthesizeText = mapreduce.SynthesizeText
-)
 
 // Workload and trace synthesis.
 type (

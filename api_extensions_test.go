@@ -9,27 +9,6 @@ import (
 	"lasmq"
 )
 
-func TestPublicAPIDFS(t *testing.T) {
-	store, err := lasmq.NewDFS(lasmq.DefaultDFSConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, err := store.AddFile("/data/x", 300<<20) // 300 MB -> 3 blocks
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) != 3 {
-		t.Fatalf("got %d blocks, want 3", len(blocks))
-	}
-	loc, err := lasmq.LocalityFromDFS(store, "/data/x", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loc.PreferredNodes) != 3 || loc.RemotePenalty != 2 {
-		t.Errorf("locality = %+v", loc)
-	}
-}
-
 func TestPublicAPIGeo(t *testing.T) {
 	specs := []lasmq.GeoJob{
 		{ID: 1, Name: "q", Priority: 1, Tasks: []lasmq.GeoTask{
@@ -48,27 +27,6 @@ func TestPublicAPIGeo(t *testing.T) {
 	}
 	if res.Placement != lasmq.GeoPlaceLocalityAware {
 		t.Errorf("placement = %v", res.Placement)
-	}
-}
-
-func TestPublicAPIMapReduce(t *testing.T) {
-	jobs := []lasmq.MapReduceJob{{
-		ID: 1, Name: "wc", Priority: 1,
-		Splits:   lasmq.SynthesizeText(4, 50, 10, 1),
-		Reducers: 2,
-		Map:      lasmq.WordCountMap,
-		Reduce:   lasmq.WordCountReduce,
-	}}
-	mq, err := lasmq.NewScheduler(lasmq.DefaultSchedulerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := lasmq.RunMapReduce(lasmq.DefaultMapReduceClusterConfig(), mq, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Outputs[1]) == 0 {
-		t.Error("empty word-count output")
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"lasmq/internal/experiments"
 	"lasmq/internal/fluid"
 	"lasmq/internal/geo"
-	"lasmq/internal/mapreduce"
 	"lasmq/internal/sched"
 	"lasmq/internal/sched/schedtest"
 	"lasmq/internal/stats"
@@ -686,28 +685,4 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
-}
-
-// BenchmarkMapReduceWordCount runs a real word-count MapReduce job (24
-// splits x 1000 words) on the live mini-YARN cluster under LAS_MQ and
-// reports wall time per complete job.
-func BenchmarkMapReduceWordCount(b *testing.B) {
-	splits := mapreduce.SynthesizeText(24, 1000, 60, 1)
-	for i := 0; i < b.N; i++ {
-		mq, err := core.New(core.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := mapreduce.Run(mapreduce.DefaultClusterConfig(), mq, []mapreduce.Job{{
-			ID: 1, Name: "wordcount", Priority: 1,
-			Splits: splits, Reducers: 4,
-			Map: mapreduce.WordCountMap, Reduce: mapreduce.WordCountReduce,
-		}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Outputs[1]) == 0 {
-			b.Fatal("empty output")
-		}
-	}
 }

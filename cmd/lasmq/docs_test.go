@@ -9,10 +9,11 @@ import (
 )
 
 var (
-	// Anywhere in a document: a cmd/ path, or an old-style lasmq-* binary
-	// name (a dot-prefixed .lasmq-cache directory is not one).
-	docCmdPath = regexp.MustCompile(`\bcmd/[\w./-]*\w`)
-	docBinary  = regexp.MustCompile(`(?:^|[^.\w/-])(lasmq-[a-z]+)`)
+	// Anywhere in a document: a cmd/, internal/ or examples/ path, or an
+	// old-style lasmq-* binary name (a dot-prefixed .lasmq-cache directory is
+	// not one).
+	docPath   = regexp.MustCompile(`\b(?:cmd|internal|examples)/[\w./-]*\w`)
+	docBinary = regexp.MustCompile(`(?:^|[^.\w/-])(lasmq-[a-z]+)`)
 	// Inside code: a subcommand of the command, and make targets.
 	docSubcommand = regexp.MustCompile(`(?:^|[\s/])lasmq ([a-z]\w*)`)
 	docMake       = regexp.MustCompile(`(?:^|\s)make((?: +[a-z][\w-]*)+)`)
@@ -21,8 +22,9 @@ var (
 )
 
 // TestDocsReferToLiveNames: the documents a reader runs commands from name
-// only cmd/ paths that exist, no lasmq-* binary, and, in their code, only
-// subcommands of lasmq and make targets the Makefile defines.
+// only cmd/, internal/ and examples/ paths that exist, no lasmq-* binary,
+// and, in their code, only subcommands of lasmq and make targets the Makefile
+// defines.
 func TestDocsReferToLiveNames(t *testing.T) {
 	root := filepath.Join("..", "..")
 	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
@@ -47,12 +49,13 @@ func TestDocsReferToLiveNames(t *testing.T) {
 	}
 }
 
-// deadNames lists what text names that does not exist: a cmd/ path for which
-// exists is false, a lasmq-* binary, or in its code spans and fenced blocks a
-// lasmq subcommand outside commands or a make target outside targets.
+// deadNames lists what text names that does not exist: a cmd/, internal/ or
+// examples/ path for which exists is false, a lasmq-* binary, or in its code
+// spans and fenced blocks a lasmq subcommand outside commands or a make target
+// outside targets.
 func deadNames(text string, targets map[string]bool, exists func(string) bool) []string {
 	var dead []string
-	for _, m := range docCmdPath.FindAllString(text, -1) {
+	for _, m := range docPath.FindAllString(text, -1) {
 		if !exists(m) {
 			dead = append(dead, "missing path "+m)
 		}
@@ -93,13 +96,17 @@ func deadNames(text string, targets map[string]bool, exists func(string) bool) [
 // pass.
 func TestDeadNamesFires(t *testing.T) {
 	targets := map[string]bool{"check": true, "layering": true}
-	exists := func(path string) bool { return path == "cmd/lasmq" }
-	live := "Run `go run ./cmd/lasmq bench -seeds 2 -cache .lasmq-cache` or\n```sh\nmake check layering\nlasmq sim -jobs 5\n```\nto make sure."
+	exists := func(path string) bool {
+		return path == "cmd/lasmq" || path == "internal/yarn" || path == "examples/geo"
+	}
+	live := "Run `go run ./cmd/lasmq bench -seeds 2 -cache .lasmq-cache` or\n```sh\nmake check layering\nlasmq sim -jobs 5\ngo run ./examples/geo\n```\nto make sure internal/yarn works."
 	if dead := deadNames(live, targets, exists); len(dead) != 0 {
 		t.Errorf("live names reported dead: %q", dead)
 	}
 	for _, text := range []string{
 		"see cmd/lasmq-sim",
+		"the block store in `internal/blockstore`",
+		"```sh\ngo run ./examples/wordcount\n```",
 		"the lasmq-live binary",
 		"run `lasmq simulate`",
 		"```\ngo run ./cmd/lasmq bogus\n```",

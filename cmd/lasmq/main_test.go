@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"lasmq/internal/core"
 	"lasmq/internal/workload"
@@ -167,7 +169,7 @@ func TestLiveWorkloadCounts(t *testing.T) {
 }
 
 // TestLiveReleasesDebugServer: a live run that fails to drain still shuts
-// its debug server down before returning.
+// its debug server down and stops its ring consumer before returning.
 func TestLiveReleasesDebugServer(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"live", "-jobs", "2", "-timeout", "1ns", "-debug-addr", "127.0.0.1:0"}, &out)
@@ -181,6 +183,19 @@ func TestLiveReleasesDebugServer(t *testing.T) {
 	if conn, err := net.Dial("tcp", m[1]); err == nil {
 		conn.Close()
 		t.Errorf("debug server at %s still accepts connections", m[1])
+	}
+	// The consumer has closed its done channel by the time run returns, but
+	// may not have left its frame yet; a leaked one never does.
+	buf := make([]byte, 1<<20)
+	for try := 0; ; try++ {
+		stacks := buf[:runtime.Stack(buf, true)]
+		if !bytes.Contains(stacks, []byte("drainRing")) {
+			break
+		}
+		if try == 100 {
+			t.Fatalf("a ring consumer outlives the run:\n%s", stacks)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

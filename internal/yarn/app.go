@@ -33,11 +33,6 @@ type application struct {
 	runWeight float64
 
 	failures int
-	work     TaskWork  // nil for simulated (timer-based) jobs
-	locality *Locality // nil when the job has no block locations
-
-	localTasks  int
-	remoteTasks int
 
 	// viewAdapter is the persistent sched.JobView adapter re-stamped by
 	// view() each round, so view construction allocates nothing.

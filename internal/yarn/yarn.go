@@ -112,10 +112,6 @@ type JobReport struct {
 	Service float64
 	// Failures counts failed task attempts (failure injection).
 	Failures int
-	// LocalTasks and RemoteTasks count first-stage tasks that ran on and off
-	// their block-holding nodes (only populated for SubmitWithLocality jobs).
-	LocalTasks  int
-	RemoteTasks int
 }
 
 // Cluster is the live mini-YARN cluster. Create with New, then Start, Submit
@@ -169,63 +165,9 @@ func (c *Cluster) Start() {
 	})
 }
 
-// Locality describes data placement for a job's first (map) stage:
-// PreferredNodes[task] lists the nodes holding that task's input block (from
-// an HDFS-like store), and RemotePenalty multiplies a task's duration when it
-// runs on a node that does not hold its block. The ResourceManager prefers a
-// block-holding node with free containers and otherwise runs the task remote
-// immediately (no delay scheduling).
-type Locality struct {
-	PreferredNodes [][]int
-	RemotePenalty  float64
-}
-
-// TaskWork is real work executed by a task attempt: stage and task identify
-// the unit. When a job is submitted with work, the spec's task durations act
-// as the scheduler's progress estimates while actual completion happens when
-// the work returns. Work runs on NodeManager goroutines and must be safe for
-// concurrent invocation across tasks.
-type TaskWork func(stage, task int)
-
 // Submit hands a job to the admission module. The submission time is now.
 // Submit must not be called after Shutdown.
 func (c *Cluster) Submit(spec job.Spec) error {
-	return c.submit(spec, nil, nil)
-}
-
-// SubmitWithLocality submits a simulated job whose first-stage tasks have
-// block locations: tasks run data-local when possible and pay
-// loc.RemotePenalty on their durations otherwise.
-func (c *Cluster) SubmitWithLocality(spec job.Spec, loc Locality) error {
-	if len(loc.PreferredNodes) != len(spec.Stages[0].Tasks) {
-		return fmt.Errorf("yarn: job %d has %d first-stage tasks but %d block locations",
-			spec.ID, len(spec.Stages[0].Tasks), len(loc.PreferredNodes))
-	}
-	if loc.RemotePenalty < 1 {
-		return fmt.Errorf("yarn: remote penalty must be >= 1, got %v", loc.RemotePenalty)
-	}
-	for ti, nodes := range loc.PreferredNodes {
-		for _, n := range nodes {
-			if n < 0 || n >= c.cfg.Nodes {
-				return fmt.Errorf("yarn: job %d task %d prefers unknown node %d", spec.ID, ti, n)
-			}
-		}
-	}
-	return c.submit(spec, nil, &loc)
-}
-
-// SubmitWithWork submits a job whose task attempts execute real work instead
-// of sleeping out their specified durations (the durations remain the
-// scheduler's progress estimates, as task-duration predictions are in real
-// Hadoop).
-func (c *Cluster) SubmitWithWork(spec job.Spec, work TaskWork) error {
-	if work == nil {
-		return errors.New("yarn: nil task work")
-	}
-	return c.submit(spec, work, nil)
-}
-
-func (c *Cluster) submit(spec job.Spec, work TaskWork, loc *Locality) error {
 	if err := spec.Validate(); err != nil {
 		return fmt.Errorf("yarn: %w", err)
 	}
@@ -240,15 +182,8 @@ func (c *Cluster) submit(spec job.Spec, work TaskWork, loc *Locality) error {
 	if !c.started {
 		return errors.New("yarn: cluster not started")
 	}
-	c.rm.submissions <- submission{spec: spec, work: work, locality: loc}
+	c.rm.submissions <- spec
 	return nil
-}
-
-// submission pairs a job spec with its (optional) real work and locality.
-type submission struct {
-	spec     job.Spec
-	work     TaskWork
-	locality *Locality
 }
 
 // Drain blocks until every submitted job has completed (or ctx expires) and
@@ -295,8 +230,6 @@ type launchRequest struct {
 	// success is decided by the RM at launch (failure injection); a failed
 	// attempt consumes its (truncated) duration without completing the task.
 	success bool
-	// work, when non-nil, is executed instead of sleeping out duration.
-	work TaskWork
 }
 
 // completion reports a finished attempt back to the ResourceManager.
@@ -344,16 +277,12 @@ func (n *nodeManager) run() {
 			go func(req launchRequest) {
 				defer n.running.Done()
 				started := time.Now()
-				if req.work != nil {
-					req.work(req.stage, req.task)
-				} else {
-					timer := time.NewTimer(req.duration)
-					defer timer.Stop()
-					select {
-					case <-timer.C:
-					case <-n.quit:
-						return // abandoned on shutdown
-					}
+				timer := time.NewTimer(req.duration)
+				defer timer.Stop()
+				select {
+				case <-timer.C:
+				case <-n.quit:
+					return // abandoned on shutdown
 				}
 				comp := completion{
 					node:       n.id,
@@ -388,7 +317,7 @@ func (n *nodeManager) run() {
 type resourceManager struct {
 	cluster *Cluster
 
-	submissions   chan submission
+	submissions   chan job.Spec
 	completions   chan completion
 	drainRequests chan chan []JobReport
 	quit          chan struct{}
@@ -428,7 +357,7 @@ func newResourceManager(c *Cluster) *resourceManager {
 	}
 	rm := &resourceManager{
 		cluster:       c,
-		submissions:   make(chan submission),
+		submissions:   make(chan job.Spec),
 		completions:   make(chan completion, c.cfg.Nodes*c.cfg.ContainersPerNode),
 		drainRequests: make(chan chan []JobReport),
 		quit:          make(chan struct{}),
@@ -454,8 +383,8 @@ func (rm *resourceManager) run() {
 	defer heartbeat.Stop()
 	for {
 		select {
-		case sub := <-rm.submissions:
-			rm.handleSubmission(sub)
+		case spec := <-rm.submissions:
+			rm.handleSubmission(spec)
 			rm.admitAndSchedule()
 		case comp := <-rm.completions:
 			rm.handleCompletion(comp)
@@ -474,11 +403,9 @@ func (rm *resourceManager) run() {
 	}
 }
 
-func (rm *resourceManager) handleSubmission(sub submission) {
-	app := newApplication(sub.spec, time.Now())
-	app.work = sub.work
-	app.locality = sub.locality
-	rm.apps[sub.spec.ID] = app
+func (rm *resourceManager) handleSubmission(spec job.Spec) {
+	app := newApplication(spec, time.Now())
+	rm.apps[spec.ID] = app
 	rm.adm.Push(app)
 	rm.remaining++
 	if rm.probe != nil {
@@ -528,17 +455,15 @@ func (rm *resourceManager) finishApp(app *application) {
 	rm.remaining--
 	scale := float64(rm.cluster.cfg.TimeScale)
 	rm.reports = append(rm.reports, JobReport{
-		ID:          app.spec.ID,
-		Name:        app.spec.Name,
-		Bin:         app.spec.Bin,
-		Submitted:   app.submittedAt,
-		Admitted:    app.admittedAt,
-		Completed:   now,
-		Response:    float64(now.Sub(app.submittedAt)) / scale,
-		Service:     app.finalizedService,
-		Failures:    app.failures,
-		LocalTasks:  app.localTasks,
-		RemoteTasks: app.remoteTasks,
+		ID:        app.spec.ID,
+		Name:      app.spec.Name,
+		Bin:       app.spec.Bin,
+		Submitted: app.submittedAt,
+		Admitted:  app.admittedAt,
+		Completed: now,
+		Response:  float64(now.Sub(app.submittedAt)) / scale,
+		Service:   app.finalizedService,
+		Failures:  app.failures,
 	})
 	if rm.probe != nil {
 		rm.probe.JobDone(rm.specTime(now), app.spec.ID, rm.reports[len(rm.reports)-1].Response)
@@ -676,25 +601,12 @@ func (rm *resourceManager) launchNext(app *application, reserved int) (launched 
 	if rm.totalFree()-reserved < spec.Containers {
 		return false, spec.Containers
 	}
-	// Locality: prefer a block-holding node when this is a first-stage task
-	// of a locality-aware job.
+	// First fit: a multi-container task must fit on one node (as in YARN).
 	node := -1
-	local := false
-	if app.locality != nil && stage == 0 {
-		for _, n := range app.locality.PreferredNodes[taskIdx] {
-			if rm.freeOn[n] >= spec.Containers {
-				node, local = n, true
-				break
-			}
-		}
-	}
-	if node < 0 {
-		// First fit: a multi-container task must fit on one node (as in YARN).
-		for n, free := range rm.freeOn {
-			if free >= spec.Containers {
-				node = n
-				break
-			}
+	for n, free := range rm.freeOn {
+		if free >= spec.Containers {
+			node = n
+			break
 		}
 	}
 	if node >= 0 {
@@ -709,19 +621,10 @@ func (rm *resourceManager) launchNext(app *application, reserved int) (launched 
 		}
 		app.markLaunched(stage, taskIdx, spec.Containers, start)
 		// Failure injection: a failed attempt dies after a uniform fraction
-		// of its duration without completing the task. Real work (TaskWork)
-		// is never failure-injected: its outcome is the work itself.
+		// of its duration without completing the task.
 		duration := spec.Duration
-		if app.locality != nil && stage == 0 {
-			if local {
-				app.localTasks++
-			} else {
-				app.remoteTasks++
-				duration *= app.locality.RemotePenalty
-			}
-		}
 		success := true
-		if p := rm.cluster.cfg.FailureProb; p > 0 && app.work == nil && rm.rng.Float64() < p {
+		if p := rm.cluster.cfg.FailureProb; p > 0 && rm.rng.Float64() < p {
 			success = false
 			duration *= rm.rng.Float64()
 		}
@@ -732,7 +635,6 @@ func (rm *resourceManager) launchNext(app *application, reserved int) (launched 
 			containers: spec.Containers,
 			duration:   time.Duration(duration * float64(rm.cluster.cfg.TimeScale)),
 			success:    success,
-			work:       app.work,
 		}
 		return true, 0
 	}
