@@ -21,10 +21,10 @@ var (
 	makeTarget    = regexp.MustCompile(`(?m)^([a-z][\w-]*):`)
 )
 
-// TestDocsReferToLiveNames: the documents a reader runs commands from name
-// only cmd/, internal/ and examples/ paths that exist, no lasmq-* binary,
-// and, in their code, only subcommands of lasmq and make targets the Makefile
-// defines.
+// TestDocsReferToLiveNames: the documents a reader runs commands from, and
+// PAPER.md's component table, name only cmd/, internal/ and examples/ paths
+// that exist, no lasmq-* binary, and, in their code, only subcommands of
+// lasmq and make targets the Makefile defines.
 func TestDocsReferToLiveNames(t *testing.T) {
 	root := filepath.Join("..", "..")
 	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
@@ -35,7 +35,7 @@ func TestDocsReferToLiveNames(t *testing.T) {
 	for _, m := range makeTarget.FindAllStringSubmatch(string(makefile), -1) {
 		targets[m[1]] = true
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md", ".claude/skills/verify/SKILL.md"} {
 		data, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
 			t.Fatal(err)

@@ -33,25 +33,90 @@ func Lognormal(r *rand.Rand, mu, sigma float64) float64 {
 // parameter sigma. The location parameter is derived as
 // mu = ln(mean) - sigma^2/2 so that E[X] = mean.
 func LognormalMean(r *rand.Rand, mean, sigma float64) float64 {
+	d := NewLognormalMean(mean, sigma)
+	return d.Draw(r)
+}
+
+// LognormalMeanDist is LognormalMean's distribution for one (mean, sigma),
+// its location computed once: Draw returns, bit for bit and from the same
+// RNG values, what LognormalMean(r, mean, sigma) would.
+type LognormalMeanDist struct {
+	mu, sigma float64
+	zero      bool // mean <= 0: every draw is 0 and consumes nothing
+}
+
+// NewLognormalMean returns the lognormal distribution with the given mean and
+// shape sigma.
+func NewLognormalMean(mean, sigma float64) LognormalMeanDist {
 	if mean <= 0 {
+		return LognormalMeanDist{zero: true}
+	}
+	return LognormalMeanDist{mu: math.Log(mean) - sigma*sigma/2, sigma: sigma}
+}
+
+// Draw draws one sample.
+func (d *LognormalMeanDist) Draw(r *rand.Rand) float64 {
+	if d.zero {
 		return 0
 	}
-	mu := math.Log(mean) - sigma*sigma/2
-	return Lognormal(r, mu, sigma)
+	return Lognormal(r, d.mu, d.sigma)
+}
+
+// Skip consumes the RNG values one Draw would, without the transform.
+func (d *LognormalMeanDist) Skip(r *rand.Rand) {
+	if !d.zero {
+		r.NormFloat64()
+	}
 }
 
 // BoundedPareto draws from a bounded Pareto distribution on [lo, hi] with
 // shape alpha, via inverse-transform sampling.
 func BoundedPareto(r *rand.Rand, alpha, lo, hi float64) float64 {
+	d := NewBoundedPareto(alpha, lo, hi)
+	return d.Draw(r)
+}
+
+// BoundedParetoDist is BoundedPareto's distribution for one (alpha, lo, hi),
+// the powers of its inverse CDF computed once: Draw returns, bit for bit and
+// from the same RNG values, what BoundedPareto(r, alpha, lo, hi) would.
+type BoundedParetoDist struct {
+	lo, hi float64
+	la, ha float64 // lo^alpha, hi^alpha
+	exp    float64 // -1/alpha
+	fixed  bool    // degenerate arguments: every draw is lo and consumes nothing
+}
+
+// NewBoundedPareto returns the bounded Pareto distribution on [lo, hi] with
+// shape alpha.
+func NewBoundedPareto(alpha, lo, hi float64) BoundedParetoDist {
 	if lo <= 0 || hi <= lo || alpha <= 0 {
-		return lo
+		return BoundedParetoDist{lo: lo, fixed: true}
+	}
+	return BoundedParetoDist{
+		lo: lo, hi: hi,
+		la:  math.Pow(lo, alpha),
+		ha:  math.Pow(hi, alpha),
+		exp: -1 / alpha,
+	}
+}
+
+// Draw draws one sample.
+func (d *BoundedParetoDist) Draw(r *rand.Rand) float64 {
+	if d.fixed {
+		return d.lo
 	}
 	u := r.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
+	la, ha := d.la, d.ha
 	// Inverse CDF of the bounded Pareto.
-	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-	return math.Min(math.Max(x, lo), hi)
+	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), d.exp)
+	return math.Min(math.Max(x, d.lo), d.hi)
+}
+
+// Skip consumes the RNG values one Draw would, without the transform.
+func (d *BoundedParetoDist) Skip(r *rand.Rand) {
+	if !d.fixed {
+		r.Float64()
+	}
 }
 
 // IntBetween draws a uniform integer in [lo, hi] inclusive.

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -199,5 +200,65 @@ func TestBoundedParetoBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHoistedDrawsMatchLiteral: the distributions that compute their
+// constants once draw, bit for bit and from the same RNG values, what the
+// per-draw formulas do, and Skip leaves the RNG where Draw does. The oracles
+// are the formulas written out in full.
+func TestHoistedDrawsMatchLiteral(t *testing.T) {
+	literalLognormal := func(r *rand.Rand, mean, sigma float64) float64 {
+		if mean <= 0 {
+			return 0
+		}
+		mu := math.Log(mean) - sigma*sigma/2
+		return math.Exp(mu + sigma*r.NormFloat64())
+	}
+	literalPareto := func(r *rand.Rand, alpha, lo, hi float64) float64 {
+		if lo <= 0 || hi <= lo || alpha <= 0 {
+			return lo
+		}
+		u := r.Float64()
+		la := math.Pow(lo, alpha)
+		ha := math.Pow(hi, alpha)
+		x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
+		return math.Min(math.Max(x, lo), hi)
+	}
+	for _, c := range []struct{ mean, sigma float64 }{{10, 2}, {20, 0.4}, {0.3, 0}, {1e6, 3}, {0, 1}, {-1, 1}} {
+		d := NewLognormalMean(c.mean, c.sigma)
+		want, got, skipped := New(5), New(5), New(5)
+		for i := 0; i < 2000; i++ {
+			w := literalLognormal(want, c.mean, c.sigma)
+			if g := d.Draw(got); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("lognormal %+v draw %d: %v, literal %v", c, i, g, w)
+			}
+			if g := LognormalMean(got, c.mean, c.sigma); math.Float64bits(g) != math.Float64bits(literalLognormal(want, c.mean, c.sigma)) {
+				t.Fatalf("LognormalMean %+v draw %d differs from the literal", c, i)
+			}
+			d.Skip(skipped)
+			d.Skip(skipped)
+		}
+		if a, b := want.Int63(), skipped.Int63(); a != b {
+			t.Errorf("lognormal %+v: Skip left the RNG elsewhere than Draw", c)
+		}
+	}
+	for _, c := range []struct{ alpha, lo, hi float64 }{{1.1, 20, 1e4}, {1.3, 1, 1e4}, {0.5, 1e-3, 1e9}, {2, 5, 5}, {1, 0, 10}, {0, 1, 10}} {
+		d := NewBoundedPareto(c.alpha, c.lo, c.hi)
+		want, got, skipped := New(7), New(7), New(7)
+		for i := 0; i < 2000; i++ {
+			w := literalPareto(want, c.alpha, c.lo, c.hi)
+			if g := d.Draw(got); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("pareto %+v draw %d: %v, literal %v", c, i, g, w)
+			}
+			if g := BoundedPareto(got, c.alpha, c.lo, c.hi); math.Float64bits(g) != math.Float64bits(literalPareto(want, c.alpha, c.lo, c.hi)) {
+				t.Fatalf("BoundedPareto %+v draw %d differs from the literal", c, i)
+			}
+			d.Skip(skipped)
+			d.Skip(skipped)
+		}
+		if a, b := want.Int63(), skipped.Int63(); a != b {
+			t.Errorf("pareto %+v: Skip left the RNG elsewhere than Draw", c)
+		}
 	}
 }

@@ -42,13 +42,14 @@ type ShardedConfig struct {
 // sub-clusters, each a full streaming engine run with chaos injection.
 // newSource must return shard i's job stream — typically
 // substrate.Strided(src, i, cfg.Shards) over an independent source instance
-// per shard — and newPolicy a fresh scheduler per shard. Shard i runs with
-// Containers/Shards containers and RNG seed cfg.Seed+i (so Shards=1
-// reproduces RunStream with cfg.Seed byte-identically). Per-shard results
-// are folded in shard-index order into one StreamResult: Makespan is the max
-// across shards, Utilization is total busy container-seconds over total
-// containers across the global makespan, and PeakUsage sums the per-shard
-// peaks (an upper bound on global concurrency — shard peaks need not
+// per shard, which walks the whole trace but builds only the jobs shard i
+// keeps when the source can Skip — and newPolicy a fresh scheduler per shard.
+// Shard i runs with Containers/Shards containers and RNG seed cfg.Seed+i (so
+// Shards=1 reproduces RunStream with cfg.Seed byte-identically). Per-shard
+// results are folded in shard-index order into one StreamResult: Makespan is
+// the max across shards, Utilization is total busy container-seconds over
+// total containers across the global makespan, and PeakUsage sums the
+// per-shard peaks (an upper bound on global concurrency — shard peaks need not
 // coincide in time).
 func RunSharded(newSource func(shard int) (Source, error), newPolicy func() (sched.Scheduler, error), cfg ShardedConfig) (*StreamResult, error) {
 	if newSource == nil || newPolicy == nil {

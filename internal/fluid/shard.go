@@ -35,11 +35,12 @@ type ShardedConfig struct {
 
 // RunSharded simulates a trace partitioned across cfg.Shards independent
 // sub-clusters. newSource must return shard i's job stream — typically
-// Strided(src, i, cfg.Shards) over an independent source instance per shard
-// — and newPolicy a fresh scheduler per shard. Per-shard results are folded
-// in shard-index order into one StreamResult (Makespan is the max across
-// shards, Utilization is total delivered service over total capacity across
-// the global makespan).
+// Strided(src, i, cfg.Shards) over an independent source instance per shard,
+// which walks the whole trace but builds only the jobs shard i keeps when the
+// source can Skip — and newPolicy a fresh scheduler per shard. Per-shard
+// results are folded in shard-index order into one StreamResult (Makespan is
+// the max across shards, Utilization is total delivered service over total
+// capacity across the global makespan).
 func RunSharded(newSource func(shard int) (Source, error), newPolicy func() (sched.Scheduler, error), cfg ShardedConfig) (*StreamResult, error) {
 	if newSource == nil || newPolicy == nil {
 		return nil, errors.New("fluid: nil source or policy constructor")

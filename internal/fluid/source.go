@@ -22,10 +22,9 @@ func SliceSource(specs []JobSpec) Source { return substrate.SliceStream(specs) }
 
 // Strided filters a source down to one shard's jobs: of the stream's items
 // (0-indexed), it yields those whose index is congruent to offset modulo
-// stride. Each shard of a sharded run wraps its own independent source
-// instance — every shard regenerates or re-reads the full sequence and keeps
-// every stride-th item — so shards never contend on a shared reader and a
-// bounded worker pool cannot deadlock on a demultiplexed stream.
+// stride. It is substrate.Strided: each shard wraps its own source instance
+// and walks the whole sequence, passing over other shards' jobs through the
+// source's Skip when it has one (trace.NewFacebookSource's does).
 func Strided(src Source, offset, stride int) Source {
 	return substrate.Strided(src, offset, stride)
 }

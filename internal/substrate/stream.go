@@ -62,27 +62,57 @@ func (s *sliceStream[S]) Next() (S, bool, error) {
 	return item, true, nil
 }
 
+// Skip passes over the next item; Strided uses it.
+func (s *sliceStream[S]) Skip() (bool, error) {
+	if s.i >= len(s.items) {
+		return false, nil
+	}
+	s.i++
+	return true, nil
+}
+
+// skipper is the optional side of a Stream that Strided discovers: Skip
+// passes over the next item exactly as Next would — leaving the stream where
+// Next would, with the same ok and error — without building the item.
+type skipper interface {
+	Skip() (bool, error)
+}
+
 // Strided filters a stream down to one shard's items: of the stream's items
 // (0-indexed), it yields those whose index is congruent to offset modulo
 // stride. Each shard of a sharded run wraps its own independent stream
-// instance — every shard regenerates or re-reads the full sequence and keeps
-// every stride-th item — so shards never contend on a shared reader and a
-// bounded worker pool cannot deadlock on a demultiplexed stream.
+// instance, so shards never contend on a shared reader and a bounded worker
+// pool cannot deadlock on a demultiplexed stream. Every shard still walks the
+// whole sequence; when the stream has a Skip method, Strided passes over
+// another shard's item through Skip, which saves building it, and otherwise
+// reads it with Next and drops it.
 func Strided[S any](src Stream[S], offset, stride int) Stream[S] {
-	return &stridedStream[S]{src: src, offset: offset, stride: stride}
+	s := &stridedStream[S]{src: src, offset: offset, stride: stride}
+	s.skip, _ = src.(skipper)
+	return s
 }
 
 type stridedStream[S any] struct {
 	src            Stream[S]
+	skip           skipper // src's Skip, or nil
 	offset, stride int
 	i              int
 }
 
 func (s *stridedStream[S]) Next() (S, bool, error) {
+	var zero S
+	if s.skip != nil {
+		for s.i%s.stride != s.offset {
+			ok, err := s.skip.Skip()
+			if !ok || err != nil {
+				return zero, false, err
+			}
+			s.i++
+		}
+	}
 	for {
 		item, ok, err := s.src.Next()
 		if !ok || err != nil {
-			var zero S
 			return zero, false, err
 		}
 		mine := s.i%s.stride == s.offset

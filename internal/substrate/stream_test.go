@@ -244,3 +244,80 @@ func TestStreamCursorPeekPopDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Peek+Pop: %v allocs per spec, want 0", allocs)
 	}
 }
+
+// tape yields 0, 10, 20, ... for n items; with fail >= 0 the item at that
+// index fails, in Next and in Skip alike, every time it is reached. It
+// counts the items Next built.
+type tape struct {
+	n, fail, i int
+	built      int
+}
+
+var errTape = errors.New("tape torn")
+
+func (s *tape) Next() (int, bool, error) {
+	ok, err := s.Skip()
+	if !ok || err != nil {
+		return 0, ok, err
+	}
+	s.built++
+	return (s.i - 1) * 10, true, nil
+}
+
+func (s *tape) Skip() (bool, error) {
+	if s.i == s.fail {
+		return false, errTape
+	}
+	if s.i >= s.n {
+		return false, nil
+	}
+	s.i++
+	return true, nil
+}
+
+// hidden wraps a stream so that only its Next shows.
+type hidden struct{ Stream[int] }
+
+// TestStridedSkipMatchesNext: Strided over a stream with Skip yields, call
+// for call, what it yields over the same stream with Skip hidden — items, the
+// end, and an error raised while passing over another shard's item, at the
+// same call — and builds only the items it yields. SliceStream's Skip is
+// held to the same.
+func TestStridedSkipMatchesNext(t *testing.T) {
+	same := func(t *testing.T, name string, got, want Stream[int], calls int) (yielded int) {
+		t.Helper()
+		for call := 0; call < calls; call++ {
+			wv, wok, werr := want.Next()
+			gv, gok, gerr := got.Next()
+			if gv != wv || gok != wok || gerr != werr {
+				t.Fatalf("%s call %d: (%v, %v, %v), want (%v, %v, %v)", name, call, gv, gok, gerr, wv, wok, werr)
+			}
+			if gok {
+				yielded++
+			}
+		}
+		return yielded
+	}
+	for _, n := range []int{0, 1, 3, 7, 17} {
+		items := make([]int, n)
+		for i := range items {
+			items[i] = i * 10
+		}
+		for _, stride := range []int{1, 2, 3, 5, 8, 20} {
+			for offset := 0; offset < stride; offset++ {
+				name := fmt.Sprintf("n %d stride %d offset %d", n, stride, offset)
+				same(t, name+" slice", Strided(SliceStream(items), offset, stride),
+					Strided[int](hidden{SliceStream(items)}, offset, stride), n+3)
+				for _, fail := range []int{-1, 0, 1, n / 2, n - 1, n} {
+					name := fmt.Sprintf("%s fail %d", name, fail)
+					skipping := &tape{n: n, fail: fail}
+					yielded := same(t, name, Strided[int](skipping, offset, stride),
+						Strided[int](hidden{&tape{n: n, fail: fail}}, offset, stride), n+3)
+					if skipping.built != yielded {
+						t.Fatalf("%s: built %d items for %d yielded", name, skipping.built, yielded)
+					}
+				}
+			}
+		}
+	}
+}

@@ -47,6 +47,7 @@ func Collect(src Source) ([]JobSpec, error) {
 // identically. The emitted sequence is byte-identical to Facebook's.
 type facebookSource struct {
 	cfg      FacebookConfig
+	sizes    rawSizes
 	scale    float64
 	arrivals *dist.PoissonProcess
 	resize   *rand.Rand // replay RNG, positioned at size draw i
@@ -55,14 +56,17 @@ type facebookSource struct {
 
 // NewFacebookSource returns a streaming generator of the heavy-tailed trace:
 // per-seed deterministic and byte-identical to the materialized Facebook.
+// The source also has a Skip method, which substrate.Strided uses to pass
+// over the jobs another shard keeps.
 func NewFacebookSource(cfg FacebookConfig) (Source, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	sizes := newRawSizes(&cfg)
 	r := dist.New(cfg.Seed)
 	var sum float64
 	for i := 0; i < cfg.Jobs; i++ {
-		sum += drawRawSize(r, &cfg)
+		sum += sizes.draw(r)
 	}
 	scale := cfg.MeanSize / (sum / float64(cfg.Jobs))
 	arrivals, err := dist.NewPoissonProcess(r, cfg.MeanSize/(cfg.Load*cfg.Capacity))
@@ -71,6 +75,7 @@ func NewFacebookSource(cfg FacebookConfig) (Source, error) {
 	}
 	return &facebookSource{
 		cfg:      cfg,
+		sizes:    sizes,
 		scale:    scale,
 		arrivals: arrivals,
 		resize:   dist.New(cfg.Seed),
@@ -81,7 +86,7 @@ func (s *facebookSource) Next() (JobSpec, bool, error) {
 	if s.i >= s.cfg.Jobs {
 		return JobSpec{}, false, nil
 	}
-	size := drawRawSize(s.resize, &s.cfg) * s.scale
+	size := s.sizes.draw(s.resize) * s.scale
 	if size > s.cfg.MaxSize {
 		size = s.cfg.MaxSize
 	}
@@ -93,6 +98,19 @@ func (s *facebookSource) Next() (JobSpec, bool, error) {
 		Width:    widthFor(size, s.cfg.WidthTaskDuration, s.cfg.Capacity),
 		Priority: 1,
 	}, true, nil
+}
+
+// Skip passes over the next job as Next would, consuming the same values of
+// both RNGs and advancing the job ID, but computes no size transform, width
+// or spec. It reports false once the trace is exhausted.
+func (s *facebookSource) Skip() (bool, error) {
+	if s.i >= s.cfg.Jobs {
+		return false, nil
+	}
+	s.sizes.skip(s.resize)
+	s.arrivals.Next()
+	s.i++
+	return true, nil
 }
 
 // csvSource streams a WriteCSV-format trace one record at a time (the csv

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"lasmq/internal/substrate"
 )
 
 // TestFacebookSourceMatchesMaterialized pins the two-pass streaming
@@ -119,5 +122,78 @@ func TestCSVSourceErrors(t *testing.T) {
 				t.Fatal("ReadCSV accepted input the streaming reader rejects")
 			}
 		})
+	}
+}
+
+// TestFacebookSourceSkipMatchesNext: a Facebook source driven through a
+// random interleaving of Skip and Next yields at every Next the job, field
+// for field, that the Next-only sequence has at that position; Skip past the
+// end reports false. The configurations cover an all-body and an all-tail
+// trace besides the default, and a tail whose bounds leave it one value
+// (MaxSize below MeanSize), which draws no random number.
+func TestFacebookSourceSkipMatchesNext(t *testing.T) {
+	for _, c := range []struct{ tail, max float64 }{{0, 1e4}, {0.05, 1e4}, {1, 1e4}, {0.5, 15}} {
+		tail := c.tail
+		for _, seed := range []int64{1, 2, 3, 4} {
+			cfg := DefaultFacebookConfig()
+			cfg.Jobs = 1500
+			cfg.Seed = seed
+			cfg.TailFraction = tail
+			cfg.MaxSize = c.max
+			want, err := Facebook(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := NewFacebookSource(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			skip := src.(interface{ Skip() (bool, error) })
+			pick := rand.New(rand.NewSource(seed))
+			for i := range want {
+				if pick.Intn(3) == 0 {
+					if ok, err := skip.Skip(); !ok || err != nil {
+						t.Fatalf("tail %v seed %d: Skip at %d = %v, %v", tail, seed, i, ok, err)
+					}
+					continue
+				}
+				got, ok, err := src.Next()
+				if !ok || err != nil || got != want[i] {
+					t.Fatalf("tail %v seed %d: job %d = %+v (%v, %v), want %+v", tail, seed, i, got, ok, err, want[i])
+				}
+			}
+			for i := 0; i < 2; i++ {
+				if ok, err := skip.Skip(); ok || err != nil {
+					t.Fatalf("tail %v seed %d: Skip past the end = %v, %v", tail, seed, ok, err)
+				}
+				if _, ok, err := src.Next(); ok || err != nil {
+					t.Fatalf("tail %v seed %d: Next past the end = %v, %v", tail, seed, ok, err)
+				}
+			}
+		}
+	}
+}
+
+// TestStridedFacebookNextAllocatesNothing: a shard's strided Facebook stream,
+// passing over the other shards' jobs, allocates nothing per job.
+func TestStridedFacebookNextAllocatesNothing(t *testing.T) {
+	cfg := DefaultFacebookConfig()
+	cfg.Jobs = 100000
+	cfg.Seed = 1
+	src, err := NewFacebookSource(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := substrate.Strided(src, 3, 8)
+	if _, _, err := s.Next(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, ok, err := s.Next(); !ok || err != nil {
+			t.Fatalf("Next = %v, %v", ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Strided.Next allocates %v objects per job, want 0", allocs)
 	}
 }

@@ -121,24 +121,49 @@ func Facebook(cfg FacebookConfig) ([]JobSpec, error) {
 	}
 }
 
-// drawRawSize draws one raw (pre-renormalization) job size: lognormal body
-// with a bounded Pareto tail, clamped to [1e-3, MaxSize]. Both the
-// materialized and streaming generators call it, so a size draw consumes the
-// same RNG values on both paths.
-func drawRawSize(r *rand.Rand, cfg *FacebookConfig) float64 {
-	var s float64
-	if r.Float64() < cfg.TailFraction {
-		s = dist.BoundedPareto(r, cfg.TailAlpha, cfg.MeanSize, cfg.MaxSize)
-	} else {
-		s = dist.LognormalMean(r, cfg.MeanSize/2, cfg.Sigma)
+// rawSizes draws raw (pre-renormalization) job sizes: a lognormal body
+// with a bounded Pareto tail, clamped to [1e-3, MaxSize]. Its distributions
+// compute their constants once per configuration; the setup pass and Next
+// both draw through it, so a size draw consumes the same RNG values on both.
+type rawSizes struct {
+	tailFraction, maxSize float64
+	tail                  dist.BoundedParetoDist
+	body                  dist.LognormalMeanDist
+}
+
+func newRawSizes(cfg *FacebookConfig) rawSizes {
+	return rawSizes{
+		tailFraction: cfg.TailFraction,
+		maxSize:      cfg.MaxSize,
+		tail:         dist.NewBoundedPareto(cfg.TailAlpha, cfg.MeanSize, cfg.MaxSize),
+		body:         dist.NewLognormalMean(cfg.MeanSize/2, cfg.Sigma),
 	}
-	if s > cfg.MaxSize {
-		s = cfg.MaxSize
+}
+
+// draw draws one raw size.
+func (d *rawSizes) draw(r *rand.Rand) float64 {
+	var s float64
+	if r.Float64() < d.tailFraction {
+		s = d.tail.Draw(r)
+	} else {
+		s = d.body.Draw(r)
+	}
+	if s > d.maxSize {
+		s = d.maxSize
 	}
 	if s < 1e-3 {
 		s = 1e-3
 	}
 	return s
+}
+
+// skip consumes the RNG values one draw would, without the transforms.
+func (d *rawSizes) skip(r *rand.Rand) {
+	if r.Float64() < d.tailFraction {
+		d.tail.Skip(r)
+	} else {
+		d.body.Skip(r)
+	}
 }
 
 func widthFor(size, taskDuration, capacity float64) float64 {

@@ -118,9 +118,19 @@ func GenerateMix(types []JobType, cfg Config) ([]job.Spec, error) {
 		return nil, err
 	}
 
+	// Each type's map and reduce duration distributions, built once.
+	durations := make([][2]taskDurations, len(types))
+	for ti, jt := range types {
+		durations[ti] = [2]taskDurations{
+			newTaskDurations(jt.MapMean, cfg.DurationSigma),
+			newTaskDurations(jt.ReduceMean, cfg.DurationSigma),
+		}
+	}
+
 	specs := make([]job.Spec, 0, len(order))
 	for i, ti := range order {
 		jt := types[ti]
+		mapDur, reduceDur := &durations[ti][0], &durations[ti][1]
 		spec := job.Spec{
 			ID:       i + 1,
 			Name:     jt.Name,
@@ -130,14 +140,14 @@ func GenerateMix(types []JobType, cfg Config) ([]job.Spec, error) {
 		}
 		maps := make([]job.TaskSpec, jt.Maps)
 		for m := range maps {
-			maps[m] = job.TaskSpec{Duration: taskDuration(r, jt.MapMean, cfg.DurationSigma), Containers: 1}
+			maps[m] = job.TaskSpec{Duration: mapDur.draw(r), Containers: 1}
 		}
 		spec.Stages = append(spec.Stages, job.StageSpec{Name: "map", Tasks: maps})
 		if jt.Reduces > 0 {
 			reduces := make([]job.TaskSpec, jt.Reduces)
 			for m := range reduces {
 				reduces[m] = job.TaskSpec{
-					Duration:   taskDuration(r, jt.ReduceMean, cfg.DurationSigma),
+					Duration:   reduceDur.draw(r),
 					Containers: ReduceContainers,
 				}
 			}
@@ -152,13 +162,23 @@ func GenerateMix(types []JobType, cfg Config) ([]job.Spec, error) {
 	return specs, nil
 }
 
-// taskDuration draws a skewed task duration with the given mean: lognormal
-// with shape sigma, or exactly the mean when sigma is zero.
-func taskDuration(r *rand.Rand, mean, sigma float64) float64 {
-	if sigma == 0 {
-		return mean
+// taskDurations draws skewed task durations with one mean: lognormal with
+// shape sigma, or exactly the mean when sigma is zero.
+type taskDurations struct {
+	mean float64
+	skew bool
+	d    dist.LognormalMeanDist
+}
+
+func newTaskDurations(mean, sigma float64) taskDurations {
+	return taskDurations{mean: mean, skew: sigma != 0, d: dist.NewLognormalMean(mean, sigma)}
+}
+
+func (t *taskDurations) draw(r *rand.Rand) float64 {
+	if !t.skew {
+		return t.mean
 	}
-	return dist.LognormalMean(r, mean, sigma)
+	return t.d.Draw(r)
 }
 
 // TotalService returns the expected total service of the mix in

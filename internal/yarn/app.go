@@ -43,7 +43,6 @@ type appStage struct {
 	tasks    []job.TaskSpec
 	readyIdx []int
 	doneTask int
-	launched []bool
 
 	// DAG bookkeeping (see engine.stageState).
 	remainingDeps int
@@ -70,7 +69,6 @@ func newApplication(spec job.Spec, now time.Time) *application {
 	for i := range spec.Stages {
 		st := &app.stages[i]
 		st.tasks = spec.Stages[i].Tasks
-		st.launched = make([]bool, len(st.tasks))
 		for _, t := range st.tasks {
 			st.totalContainers += t.Containers
 		}
@@ -134,7 +132,6 @@ func (a *application) markLaunched(stage, taskIdx, containers int, start time.Ti
 	st := &a.stages[stage]
 	st.readyIdx = st.readyIdx[1:]
 	st.readyContainers -= containers
-	st.launched[taskIdx] = true
 
 	startNanos := float64(start.UnixNano())
 	a.usage += containers
