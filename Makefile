@@ -64,6 +64,10 @@ lint:
 # edits one registration, cutting completed jobs out); it finds the jobs a
 # round serves in the sparse answer's served list, never by ranging over the
 # share column; and LAS_MQ's HorizonDense walks that list, not the views.
+# The next two keep LAS's HorizonDense a search of the order its round's
+# AssignDense sorted (no range over the views, no sort), and the fluid
+# round's clamps on the builtin min and max, which inline (no math.Min or
+# math.Max in fluid.go or core/dense.go).
 # The next fence keeps FIFO's slotted round a walk of its queue from the head:
 # fifo.go builds, sorts and fills no per-view entries, and calls orderFill
 # once, in the slotless branch (`if slots == nil`) the map forms take.
@@ -153,6 +157,20 @@ layering:
 	if [ -n "$$bad" ]; then \
 		echo "layering: a fluid round reads the sparse answer's served list: fluid.go ranges" \
 			"over no share column, and LAS_MQ's HorizonDense walks no view list:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(awk '/^func \(l \*LAS\) HorizonDense\(/,/^}/' internal/sched/las.go \
+		| grep -nE 'range +jobs\b|sort\.(Float64s|Slice|Sort)|slices\.Sort|sortEntries\('; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: LAS's HorizonDense searches the order its round's AssignDense left" \
+			"in l.entries; it walks no view list and sorts nothing:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -nE 'math\.(Min|Max)\(' internal/fluid/fluid.go internal/core/dense.go \
+		| grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: the fluid round and LAS_MQ's dense form clamp with the builtin" \
+			"min and max, which inline; math.Min and math.Max are calls:"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@n=$$(grep -c 'orderFill(' internal/sched/fifo.go); \

@@ -237,7 +237,13 @@ func (s *LASMQ) serve(list []ordEntry, amount, floor float64, shares *sched.Shar
 		if r.unmet <= 0 {
 			continue
 		}
-		// The builtin min treats NaN and signed zeros as math.Min does.
+		// The builtin min treats NaN and signed zeros as math.Min does, except
+		// where a NaN meets an infinity: math.Min(NaN, -Inf) is -Inf, but
+		// min(NaN, -Inf) is NaN. The clamps that were math.Min or math.Max
+		// calls (HorizonDense's, and five in internal/fluid/fluid.go) cannot
+		// meet that pair: fluid shares are NaN-checked before they are
+		// clamped, spec sizes, widths and capacity are validated finite, and
+		// HorizonDense skips an infinite threshold.
 		x := min(amount, r.unmet)
 		shares.Add(int(r.view), x)
 		r.unmet -= x
@@ -269,7 +275,7 @@ func (s *LASMQ) HorizonDense(now float64, jobs []sched.JobView, slots []int32, s
 			continue // last queue: never demoted again
 		}
 		gap := threshold - s.metric(j)
-		t := now + math.Max(gap, 0)/rate
+		t := now + max(gap, 0)/rate
 		if t <= now {
 			// The metric sits exactly on the threshold; a strictly positive
 			// nudge lets it cross so the next round demotes the job.

@@ -106,7 +106,7 @@ type fluidJob struct {
 func (j *fluidJob) remaining() float64 { return j.spec.Size - j.attained }
 
 func (j *fluidJob) finished() bool {
-	return j.remaining() <= 1e-9*math.Max(1, j.spec.Size)
+	return j.remaining() <= 1e-9*max(1, j.spec.Size)
 }
 
 // jobView adapts fluidJob to sched.JobView with the run's demand granularity.
@@ -137,7 +137,7 @@ func (v *jobView) demand() float64 {
 	if v.taskDuration > 0 {
 		tasks = math.Ceil(rem / v.taskDuration)
 	}
-	return math.Min(v.j.spec.Width, tasks)
+	return min(v.j.spec.Width, tasks)
 }
 
 func (v *jobView) ReadyDemand() float64     { return v.demand() }
@@ -375,7 +375,7 @@ func (s *sim) admit() {
 		s.vs.AddSlot(&j.view, j.slot)
 		s.fresh++
 		if s.probe != nil {
-			s.probe.JobAdmitted(s.now, j.spec.ID, math.Max(0, s.now-j.spec.Arrival))
+			s.probe.JobAdmitted(s.now, j.spec.ID, max(0, s.now-j.spec.Arrival))
 		}
 	})
 }
@@ -455,7 +455,7 @@ func (s *sim) run() error {
 			if math.IsNaN(x) {
 				return fmt.Errorf("fluid: %s gave job %d a NaN share at t=%v", s.driver.Name(), j.spec.ID, s.now)
 			}
-			j.rate = math.Min(x, j.spec.Width)
+			j.rate = min(x, j.spec.Width)
 			if j.rate < 0 {
 				j.rate = 0
 			}
@@ -509,7 +509,7 @@ func (s *sim) run() error {
 				continue
 			}
 			s.adm.Done()
-			iso := j.spec.Size / math.Min(j.spec.Width, capacity)
+			iso := j.spec.Size / min(j.spec.Width, capacity)
 			response := s.now - j.spec.Arrival
 			jr := JobResult{
 				ID:           j.spec.ID,

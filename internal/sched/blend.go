@@ -146,12 +146,13 @@ func (b *Blend) ObserveDense(now float64, jobs []JobView, slots, changed, freed 
 }
 
 // HorizonDense implements DenseHinter: the earliest change point of either
-// component, evaluated against the blended shares (both components' horizons
-// are pure functions of the shares they are given).
+// active component, evaluated against the blended shares. A component
+// answers only for a round it ran: at theta 0 or 1 the inactive one did not
+// assign, and LAS, for one, reads the order its own AssignDense left.
 func (b *Blend) HorizonDense(now float64, jobs []JobView, slots []int32, shares *Shares) float64 {
 	horizon := math.Inf(1)
-	for _, part := range b.parts {
-		if part.hinter == nil {
+	for i, part := range b.parts {
+		if part.hinter == nil || !b.active(i) {
 			continue
 		}
 		if t := part.hinter.HorizonDense(now, jobs, slots, shares); t < horizon {

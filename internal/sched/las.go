@@ -18,7 +18,6 @@ type LAS struct {
 	entries []viewEntry // between rounds: the last round's order (see carriedEntries)
 	at      []int32     // carriedEntries' scratch
 	fill    []fillEntry
-	levels  []float64
 	maps    MapForms
 }
 
@@ -100,17 +99,11 @@ func (l *LAS) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
 
 // HorizonDense implements DenseHinter: the decision changes when a served
 // job's attained service catches up with the attained service of a job that
-// is currently ahead of it.
+// is currently ahead of it. The round's AssignDense left every view's
+// attained service in l.entries, ascending, so each served job finds the
+// next level strictly above its own there by binary search.
 func (l *LAS) HorizonDense(now float64, jobs []JobView, _ []int32, shares *Shares) float64 {
-	// Collect attained levels of all jobs, and find for each served job the
-	// next level strictly above its own.
-	levels := slices.Grow(l.levels[:0], len(jobs))
-	for _, j := range jobs {
-		levels = append(levels, j.Attained())
-	}
-	l.levels = levels
-	sort.Float64s(levels)
-
+	entries := l.entries
 	horizon := math.Inf(1)
 	col := shares.Col()
 	for _, i := range shares.Served() {
@@ -120,11 +113,12 @@ func (l *LAS) HorizonDense(now float64, jobs []JobView, _ []int32, shares *Share
 		}
 		a := jobs[i].Attained()
 		// Next attained level strictly above a (beyond the tie tolerance).
-		idx := sort.SearchFloat64s(levels, a+lasTieEps)
-		if idx >= len(levels) {
+		above := a + lasTieEps
+		k := sort.Search(len(entries), func(k int) bool { return entries[k].key >= above })
+		if k >= len(entries) {
 			continue
 		}
-		t := now + (levels[idx]-a)/rate
+		t := now + (entries[k].key-a)/rate
 		if t < horizon {
 			horizon = t
 		}

@@ -91,16 +91,20 @@ func TestSortEntriesMatchesLibrarySort(t *testing.T) {
 	}
 }
 
-// orderView is a JobView with an attained service the test moves.
+// orderView is a JobView with an attained service and a ready demand the
+// test moves.
 type orderView struct {
 	JobView
-	id, seq  int
-	attained float64
+	id, seq         int
+	attained, ready float64
 }
 
-func (v *orderView) ID() int           { return v.id }
-func (v *orderView) Seq() int          { return v.seq }
-func (v *orderView) Attained() float64 { return v.attained }
+func (v *orderView) ID() int                  { return v.id }
+func (v *orderView) Seq() int                 { return v.seq }
+func (v *orderView) Priority() int            { return 1 }
+func (v *orderView) Attained() float64        { return v.attained }
+func (v *orderView) ReadyDemand() float64     { return v.ready }
+func (v *orderView) RemainingDemand() float64 { return v.ready }
 
 // TestLASCarriedOrderMatchesLibrarySort drives LAS.orderedEntries the way a
 // substrate does — round after round over a changing job set, attained
