@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check lint layering build vet test test-race race race-stress bench bench-smoke probe-gate alloc-gate crosscheck reproduce replicate examples clean
+.PHONY: all check lint layering build vet test test-race race race-stress bench-smoke probe-gate alloc-gate crosscheck reproduce replicate examples clean
 
 all: build vet test
 
@@ -11,9 +11,10 @@ all: build vet test
 # and the live cluster (race-stress), one race-enabled iteration of the engine benchmarks
 # (bench-smoke, so the benchmark tier itself cannot rot or race silently),
 # the telemetry zero-overhead assertion (probe-gate), the streamed paths'
-# marginal-allocation assertion (alloc-gate), and the analytic M/M/1 and
-# M/G/1 cross-check (crosscheck).
-check: lint layering build vet test test-race race-stress bench-smoke probe-gate alloc-gate crosscheck
+# marginal-allocation assertion (alloc-gate), the analytic M/M/1 and M/G/1
+# cross-check (crosscheck), and every program under examples/ (examples: the
+# runnable surface beside cmd/lasmq, which no test runs).
+check: lint layering build vet test test-race race-stress bench-smoke probe-gate alloc-gate crosscheck examples
 
 # The four substrates that drive a policy through internal/substrate.
 SUBSTRATES = internal/engine internal/fluid internal/yarn internal/geo
@@ -47,9 +48,9 @@ lint:
 # attempt-room split), the engine's heap→ladder event-queue hybrid, and the map side of
 # the round contract — no substrate indexes an `alloc[` map, nothing outside
 # the policies (internal/sched, internal/core) and benchmark/ names a
-# sched.Assignment, calls a map-form Assign/AssignInto or quantizes from maps
-# (api.go's public alias excepted), substrate.Driver names no map-form
-# interface (it drives every policy through sched.DenseForms), and no policy
+# sched.Assignment, calls a map-form Assign/AssignInto or quantizes from maps,
+# substrate.Driver names no map-form interface (it drives every policy
+# through sched.DenseForms), and no policy
 # ported onto the dense contract keeps a map (SRPT, Gittins, Blend, Adaptive,
 # LAS_MQ: their map forms are sched.MapForms, and LAS_MQ's oracle is
 # schedtest.LiteralLASMQ). The next grep fences the adapters that
@@ -76,9 +77,13 @@ lint:
 # (the emitter that packs Probe calls, and Nop) defines Probe methods in
 # internal/obs and internal/core — no sink re-implements the Probe method
 # set, and no policy wrapper exists to watch probe events.
-# The last keeps one command: cmd/ holds cmd/lasmq and nothing else (no second
+# The next keeps one command: cmd/ holds cmd/lasmq and nothing else (no second
 # main package, no wrapper binary), and no non-test package outside cmd/lasmq
 # and benchmark/ imports flag, so every option is parsed in one place.
+# The last keeps one public surface, cmd/lasmq plus examples/: the root
+# package is its package comment alone (no non-test .go file but doc.go at the
+# root), and no package imports "lasmq", so no façade of aliases over
+# internal/ grows back.
 layering:
 	@bad=$$(grep -rn '"lasmq/internal/fluid"' internal/trace --include='*.go'; true); \
 	if [ -n "$$bad" ]; then \
@@ -104,7 +109,7 @@ layering:
 	@bad=$$(grep -rn 'alloc\[' --include='*.go' $(SUBSTRATES) | grep -v '_test\.go:'; \
 		grep -rnE 'sched\.Assignment|\.Assign(Into)?\(|Quantize(Into)?\(' --include='*.go' . \
 		| grep -v '_test\.go:' | grep -v -e '^\./internal/sched/' -e '^\./internal/core/' \
-		-e '^\./benchmark/' -e '^\./api\.go:.*= sched\.Assignment$$'; true); \
+		-e '^\./benchmark/'; true); \
 	if [ -n "$$bad" ]; then \
 		echo "layering: only the policies and benchmark/ touch the map side of the round" \
 			"contract (use Driver.Shares, ViewSet.AddSlot, Quantizer.QuantizeRows):"; \
@@ -198,6 +203,13 @@ layering:
 			"package outside cmd/lasmq and benchmark/ imports flag:"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(ls *.go | grep -v -e '_test\.go$$' -e '^doc\.go$$'; \
+		grep -rlE --include='*.go' '^[[:space:]]*(import +)?(\w+ +)?"lasmq"$$' .; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: the public surface is cmd/lasmq and examples/: the root holds no" \
+			"non-test .go file but doc.go, and no package imports \"lasmq\":"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@echo "layering: ok"
 
 build:
@@ -228,10 +240,6 @@ race: test-race
 # shows up in twenty.
 race-stress:
 	$(GO) test -race -count=20 ./internal/obs ./internal/yarn
-
-# One bench iteration per figure/table; see EXPERIMENTS.md for paper-scale runs.
-bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x .
 
 # One race-enabled iteration of every benchmark in the repo, with the scale
 # tiers shrunk via LASMQ_SCALE_JOBS / LASMQ_SCALE_SHARDS so the race

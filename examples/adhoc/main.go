@@ -13,7 +13,10 @@ import (
 	"fmt"
 	"log"
 
-	"lasmq"
+	"lasmq/internal/core"
+	"lasmq/internal/engine"
+	"lasmq/internal/sched"
+	"lasmq/internal/workload"
 )
 
 func main() {
@@ -23,17 +26,17 @@ func main() {
 }
 
 func run() error {
-	cluster := lasmq.DefaultClusterConfig()
+	cluster := engine.DefaultConfig()
 
 	// Oracle SJF: perfect size information (the recurring-jobs assumption).
-	wcfg := lasmq.DefaultWorkloadConfig()
+	wcfg := workload.DefaultConfig()
 	wcfg.MeanInterval = 50
 	wcfg.Seed = 7
-	exact, err := lasmq.GenerateWorkload(wcfg)
+	exact, err := workload.Generate(wcfg)
 	if err != nil {
 		return err
 	}
-	oracle, err := lasmq.RunCluster(exact, lasmq.NewSJF(), cluster)
+	oracle, err := engine.Run(exact, sched.NewSJF(), cluster)
 	if err != nil {
 		return err
 	}
@@ -44,11 +47,11 @@ func run() error {
 	// Ad hoc reality: size estimates off by up to the given factor either way.
 	for _, errFactor := range []float64{2, 10, 100} {
 		wcfg.SizeErrorFactor = errFactor
-		specs, err := lasmq.GenerateWorkload(wcfg)
+		specs, err := workload.Generate(wcfg)
 		if err != nil {
 			return err
 		}
-		res, err := lasmq.RunCluster(specs, lasmq.NewSJF(), cluster)
+		res, err := engine.Run(specs, sched.NewSJF(), cluster)
 		if err != nil {
 			return err
 		}
@@ -56,11 +59,11 @@ func run() error {
 	}
 
 	// LAS_MQ: no size information at all.
-	mq, err := lasmq.NewScheduler(lasmq.DefaultSchedulerConfig())
+	mq, err := core.New(core.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	mqRes, err := lasmq.RunCluster(exact, mq, cluster)
+	mqRes, err := engine.Run(exact, mq, cluster)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,9 @@ import (
 	"log"
 	"math/rand"
 
-	"lasmq"
+	"lasmq/internal/core"
+	"lasmq/internal/geo"
+	"lasmq/internal/sched"
 )
 
 func main() {
@@ -35,19 +37,19 @@ func run() error {
 // placementExperiment: moderate load, expensive transfers — where the tasks
 // run dominates.
 func placementExperiment() error {
-	var specs []lasmq.GeoJob
+	var specs []geo.JobSpec
 	for i := 0; i < 6; i++ {
 		specs = append(specs, geoJob(i+1, "etl", float64(5*i), 9, 5, 10))
 	}
-	cfg := lasmq.DefaultGeoConfig()
+	cfg := geo.DefaultConfig()
 	cfg.SiteContainers = []int{8, 8, 8}
 	cfg.BaseBandwidth = 0.5 // slow WAN: moving 10 data units costs ~20 s
 
 	fmt.Println("experiment 1 — task placement on a slow WAN (same Fair scheduler):")
-	for _, placement := range []lasmq.GeoPlacement{lasmq.GeoPlaceBlind, lasmq.GeoPlaceLocalityAware} {
+	for _, placement := range []geo.PlacementPolicy{geo.PlaceBlind, geo.PlaceLocalityAware} {
 		gcfg := cfg
 		gcfg.Placement = placement
-		res, err := lasmq.RunGeo(specs, lasmq.NewFair(), gcfg)
+		res, err := geo.Run(specs, sched.NewFair(), gcfg)
 		if err != nil {
 			return err
 		}
@@ -68,7 +70,7 @@ func placementExperiment() error {
 // job order dominates.
 func orderingExperiment() error {
 	r := rand.New(rand.NewSource(7))
-	var specs []lasmq.GeoJob
+	var specs []geo.JobSpec
 	arrival := 0.0
 	for i := 1; i <= 30; i++ {
 		arrival += r.ExpFloat64() * 8
@@ -78,13 +80,13 @@ func orderingExperiment() error {
 			specs = append(specs, geoJob(i, "interactive", arrival, 12, 3, 2))
 		}
 	}
-	cfg := lasmq.DefaultGeoConfig()
+	cfg := geo.DefaultConfig()
 	cfg.SiteContainers = []int{6, 6, 6}
 
 	fmt.Println("experiment 2 — job ordering under contention (locality-aware placement):")
-	policies := map[string]func() (lasmq.Scheduler, error){
-		"FIFO":   func() (lasmq.Scheduler, error) { return lasmq.NewFIFO(), nil },
-		"FAIR":   func() (lasmq.Scheduler, error) { return lasmq.NewFair(), nil },
+	policies := map[string]func() (sched.Scheduler, error){
+		"FIFO":   func() (sched.Scheduler, error) { return sched.NewFIFO(), nil },
+		"FAIR":   func() (sched.Scheduler, error) { return sched.NewFair(), nil },
 		"LAS_MQ": mq,
 	}
 	for _, name := range []string{"FIFO", "FAIR", "LAS_MQ"} {
@@ -92,7 +94,7 @@ func orderingExperiment() error {
 		if err != nil {
 			return err
 		}
-		res, err := lasmq.RunGeo(specs, p, cfg)
+		res, err := geo.Run(specs, p, cfg)
 		if err != nil {
 			return err
 		}
@@ -112,16 +114,16 @@ func orderingExperiment() error {
 	return nil
 }
 
-func mq() (lasmq.Scheduler, error) {
-	cfg := lasmq.DefaultSchedulerConfig()
+func mq() (sched.Scheduler, error) {
+	cfg := core.DefaultConfig()
 	cfg.FirstThreshold = 10
-	return lasmq.NewScheduler(cfg)
+	return core.New(cfg)
 }
 
-func geoJob(id int, name string, arrival float64, tasks int, compute, dataSize float64) lasmq.GeoJob {
-	ts := make([]lasmq.GeoTask, tasks)
+func geoJob(id int, name string, arrival float64, tasks int, compute, dataSize float64) geo.JobSpec {
+	ts := make([]geo.TaskSpec, tasks)
 	for i := range ts {
-		ts[i] = lasmq.GeoTask{Compute: compute, DataSite: i % 3, DataSize: dataSize}
+		ts[i] = geo.TaskSpec{Compute: compute, DataSite: i % 3, DataSize: dataSize}
 	}
-	return lasmq.GeoJob{ID: id, Name: name, Arrival: arrival, Priority: 1, Tasks: ts}
+	return geo.JobSpec{ID: id, Name: name, Arrival: arrival, Priority: 1, Tasks: ts}
 }

@@ -16,7 +16,9 @@ import (
 	"sort"
 	"time"
 
-	"lasmq"
+	"lasmq/internal/core"
+	"lasmq/internal/job"
+	"lasmq/internal/yarn"
 )
 
 func main() {
@@ -26,14 +28,14 @@ func main() {
 }
 
 func run() error {
-	mq, err := lasmq.NewScheduler(lasmq.DefaultSchedulerConfig())
+	mq, err := core.New(core.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	cfg := lasmq.DefaultLiveClusterConfig()
+	cfg := yarn.DefaultConfig()
 	cfg.TimeScale = 500 * time.Microsecond // 1 cluster second = 0.5 ms
 
-	cluster, err := lasmq.NewLiveCluster(cfg, mq)
+	cluster, err := yarn.New(cfg, mq)
 	if err != nil {
 		return err
 	}
@@ -42,7 +44,7 @@ func run() error {
 
 	// Submit a shrunken Table I-style mix: two heavy jobs up front, small
 	// and medium jobs trickling in behind them.
-	specs := []lasmq.JobSpec{
+	specs := []job.Spec{
 		mapReduce(1, "wordcount-100g", 120, 40, 16, 60),
 		mapReduce(2, "seqcount-30g", 60, 25, 12, 30),
 		mapReduce(3, "histogram-10g", 24, 15, 6, 15),
@@ -80,18 +82,18 @@ func run() error {
 	return nil
 }
 
-func mapReduce(id int, name string, nMap int, mapSec float64, nReduce int, redSec float64) lasmq.JobSpec {
-	maps := make([]lasmq.TaskSpec, nMap)
+func mapReduce(id int, name string, nMap int, mapSec float64, nReduce int, redSec float64) job.Spec {
+	maps := make([]job.TaskSpec, nMap)
 	for i := range maps {
-		maps[i] = lasmq.TaskSpec{Duration: mapSec, Containers: 1}
+		maps[i] = job.TaskSpec{Duration: mapSec, Containers: 1}
 	}
-	reduces := make([]lasmq.TaskSpec, nReduce)
+	reduces := make([]job.TaskSpec, nReduce)
 	for i := range reduces {
-		reduces[i] = lasmq.TaskSpec{Duration: redSec, Containers: 2}
+		reduces[i] = job.TaskSpec{Duration: redSec, Containers: 2}
 	}
-	return lasmq.JobSpec{
+	return job.Spec{
 		ID: id, Name: name, Priority: 1,
-		Stages: []lasmq.StageSpec{
+		Stages: []job.StageSpec{
 			{Name: "map", Tasks: maps},
 			{Name: "reduce", Tasks: reduces},
 		},

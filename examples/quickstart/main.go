@@ -11,7 +11,10 @@ import (
 	"fmt"
 	"log"
 
-	"lasmq"
+	"lasmq/internal/core"
+	"lasmq/internal/engine"
+	"lasmq/internal/job"
+	"lasmq/internal/sched"
 )
 
 func main() {
@@ -23,33 +26,33 @@ func main() {
 func run() error {
 	// A mixed workload: two large jobs arrive first, then small ones trickle
 	// in behind them. No scheduler is told any job sizes.
-	specs := []lasmq.JobSpec{
+	specs := []job.Spec{
 		batchJob(1, "etl-large", 0, 400, 30),
 		batchJob(2, "model-train", 10, 300, 40),
 		batchJob(3, "dashboard-query", 60, 8, 5),
 		batchJob(4, "alert-check", 90, 4, 5),
 		batchJob(5, "sample-report", 120, 12, 6),
 	}
-	cfg := lasmq.DefaultClusterConfig()
+	cfg := engine.DefaultConfig()
 	cfg.Containers = 40
 	cfg.MaxRunningJobs = 0
 
 	fmt.Println("job response times (seconds) on a 40-container cluster:")
 	fmt.Printf("%-16s %10s %10s %10s\n", "job", "FIFO", "FAIR", "LAS_MQ")
 
-	fifoRes, err := lasmq.RunCluster(specs, lasmq.NewFIFO(), cfg)
+	fifoRes, err := engine.Run(specs, sched.NewFIFO(), cfg)
 	if err != nil {
 		return err
 	}
-	fairRes, err := lasmq.RunCluster(specs, lasmq.NewFair(), cfg)
+	fairRes, err := engine.Run(specs, sched.NewFair(), cfg)
 	if err != nil {
 		return err
 	}
-	mq, err := lasmq.NewScheduler(lasmq.DefaultSchedulerConfig())
+	mq, err := core.New(core.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	mqRes, err := lasmq.RunCluster(specs, mq, cfg)
+	mqRes, err := engine.Run(specs, mq, cfg)
 	if err != nil {
 		return err
 	}
@@ -71,17 +74,17 @@ func run() error {
 }
 
 // batchJob builds a single-stage job of n map tasks with the given duration.
-func batchJob(id int, name string, arrival float64, tasks int, taskSeconds float64) lasmq.JobSpec {
-	ts := make([]lasmq.TaskSpec, tasks)
+func batchJob(id int, name string, arrival float64, tasks int, taskSeconds float64) job.Spec {
+	ts := make([]job.TaskSpec, tasks)
 	for i := range ts {
-		ts[i] = lasmq.TaskSpec{Duration: taskSeconds, Containers: 1}
+		ts[i] = job.TaskSpec{Duration: taskSeconds, Containers: 1}
 	}
-	return lasmq.JobSpec{
+	return job.Spec{
 		ID:       id,
 		Name:     name,
 		Bin:      1,
 		Priority: 1,
 		Arrival:  arrival,
-		Stages:   []lasmq.StageSpec{{Name: "map", Tasks: ts}},
+		Stages:   []job.StageSpec{{Name: "map", Tasks: ts}},
 	}
 }

@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"log"
 
-	"lasmq"
+	"lasmq/internal/core"
+	"lasmq/internal/engine"
+	"lasmq/internal/job"
 )
 
 func main() {
@@ -28,9 +30,9 @@ func run() error {
 	//            ┌── filter(users) ──┐
 	//   scan ────┤                   ├── join ── aggregate
 	//            └── filter(events) ─┘
-	query := lasmq.JobSpec{
+	query := job.Spec{
 		ID: 1, Name: "sql-query", Priority: 1,
-		Stages: []lasmq.StageSpec{
+		Stages: []job.StageSpec{
 			mkStage("scan", 16, 12, []int{}),
 			mkStage("filter-users", 8, 20, []int{0}),
 			mkStage("filter-events", 8, 6, []int{0}),
@@ -42,20 +44,20 @@ func run() error {
 	linear := query
 	linear.ID = 2
 	linear.Name = "sql-query-linear"
-	linear.Stages = append([]lasmq.StageSpec(nil), query.Stages...)
+	linear.Stages = append([]job.StageSpec(nil), query.Stages...)
 	for i := range linear.Stages {
 		linear.Stages[i].DependsOn = nil // default: depend on the previous stage
 	}
 
-	cfg := lasmq.DefaultClusterConfig()
+	cfg := engine.DefaultConfig()
 	cfg.Containers = 32
 	cfg.MaxRunningJobs = 0
 
-	mq, err := lasmq.NewScheduler(lasmq.DefaultSchedulerConfig())
+	mq, err := core.New(core.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	res, err := lasmq.RunCluster([]lasmq.JobSpec{query, linear}, mq, cfg)
+	res, err := engine.Run([]job.Spec{query, linear}, mq, cfg)
 	if err != nil {
 		return err
 	}
@@ -73,15 +75,15 @@ func run() error {
 	heavy := query
 	heavy.ID = 3
 	heavy.Name = "heavy-dag"
-	small := lasmq.JobSpec{
+	small := job.Spec{
 		ID: 4, Name: "small-adhoc", Priority: 1, Arrival: 30,
-		Stages: []lasmq.StageSpec{mkStage("probe", 4, 3, []int{})},
+		Stages: []job.StageSpec{mkStage("probe", 4, 3, []int{})},
 	}
-	mq2, err := lasmq.NewScheduler(lasmq.DefaultSchedulerConfig())
+	mq2, err := core.New(core.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	res2, err := lasmq.RunCluster([]lasmq.JobSpec{heavy, small}, mq2, cfg)
+	res2, err := engine.Run([]job.Spec{heavy, small}, mq2, cfg)
 	if err != nil {
 		return err
 	}
@@ -92,10 +94,10 @@ func run() error {
 	return nil
 }
 
-func mkStage(name string, tasks int, seconds float64, deps []int) lasmq.StageSpec {
-	ts := make([]lasmq.TaskSpec, tasks)
+func mkStage(name string, tasks int, seconds float64, deps []int) job.StageSpec {
+	ts := make([]job.TaskSpec, tasks)
 	for i := range ts {
-		ts[i] = lasmq.TaskSpec{Duration: seconds, Containers: 1}
+		ts[i] = job.TaskSpec{Duration: seconds, Containers: 1}
 	}
-	return lasmq.StageSpec{Name: name, Tasks: ts, DependsOn: deps}
+	return job.StageSpec{Name: name, Tasks: ts, DependsOn: deps}
 }

@@ -13,7 +13,10 @@ import (
 	"os"
 	"path/filepath"
 
-	"lasmq"
+	"lasmq/internal/core"
+	"lasmq/internal/fluid"
+	"lasmq/internal/sched"
+	"lasmq/internal/trace"
 )
 
 func main() {
@@ -24,10 +27,10 @@ func main() {
 
 func run() error {
 	// Synthesize a (scaled-down) heavy-tailed trace and persist it.
-	tcfg := lasmq.DefaultFacebookTraceConfig()
+	tcfg := trace.DefaultFacebookConfig()
 	tcfg.Jobs = 5000
 	tcfg.Seed = 42
-	specs, err := lasmq.FacebookTrace(tcfg)
+	specs, err := trace.Facebook(tcfg)
 	if err != nil {
 		return err
 	}
@@ -37,7 +40,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := lasmq.WriteTraceCSV(f, specs); err != nil {
+	if err := trace.WriteCSV(f, specs); err != nil {
 		f.Close()
 		return err
 	}
@@ -52,31 +55,31 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	replayed, err := lasmq.ReadTraceCSV(g)
+	replayed, err := trace.ReadCSV(g)
 	g.Close()
 	if err != nil {
 		return err
 	}
 
-	fcfg := lasmq.DefaultFluidConfig()
+	fcfg := fluid.DefaultConfig()
 	fcfg.Capacity = tcfg.Capacity
 
 	fmt.Println("\nmean job response time on the replayed trace (load 0.9):")
-	policies := []lasmq.Scheduler{lasmq.NewLAS(), lasmq.NewFair(), lasmq.NewFIFO()}
-	mqCfg := lasmq.DefaultSchedulerConfig()
+	policies := []sched.Scheduler{sched.NewLAS(), sched.NewFair(), sched.NewFIFO()}
+	mqCfg := core.DefaultConfig()
 	mqCfg.FirstThreshold = 1 // the paper's trace-simulation threshold
 	mqCfg.StageAware = false
 	mqCfg.OrderByDemand = false
-	mq, err := lasmq.NewScheduler(mqCfg)
+	mq, err := core.New(mqCfg)
 	if err != nil {
 		return err
 	}
-	policies = append([]lasmq.Scheduler{mq}, policies...)
+	policies = append([]sched.Scheduler{mq}, policies...)
 
 	var fair float64
 	results := make(map[string]float64, len(policies))
 	for _, p := range policies {
-		res, err := lasmq.RunTrace(replayed, p, fcfg)
+		res, err := fluid.Run(replayed, p, fcfg)
 		if err != nil {
 			return err
 		}

@@ -12,7 +12,10 @@ import (
 	"fmt"
 	"log"
 
-	"lasmq"
+	"lasmq/internal/core"
+	"lasmq/internal/engine"
+	"lasmq/internal/sched"
+	"lasmq/internal/workload"
 )
 
 func main() {
@@ -22,16 +25,16 @@ func main() {
 }
 
 func run() error {
-	wcfg := lasmq.DefaultWorkloadConfig()
+	wcfg := workload.DefaultConfig()
 	wcfg.MeanInterval = 50
 	wcfg.Seed = 3
-	specs, err := lasmq.GenerateWorkload(wcfg)
+	specs, err := workload.Generate(wcfg)
 	if err != nil {
 		return err
 	}
-	cluster := lasmq.DefaultClusterConfig()
+	cluster := engine.DefaultConfig()
 
-	fair, err := lasmq.RunCluster(specs, lasmq.NewFair(), cluster)
+	fair, err := engine.Run(specs, sched.NewFair(), cluster)
 	if err != nil {
 		return err
 	}
@@ -39,14 +42,14 @@ func run() error {
 	fmt.Printf("FAIR baseline mean response: %.0f s\n", fairMean)
 	fmt.Println("normalized response time vs FAIR (higher is better):")
 
-	runWith := func(mutate func(*lasmq.SchedulerConfig)) (float64, error) {
-		cfg := lasmq.DefaultSchedulerConfig()
+	runWith := func(mutate func(*core.Config)) (float64, error) {
+		cfg := core.DefaultConfig()
 		mutate(&cfg)
-		mq, err := lasmq.NewScheduler(cfg)
+		mq, err := core.New(cfg)
 		if err != nil {
 			return 0, err
 		}
-		res, err := lasmq.RunCluster(specs, mq, cluster)
+		res, err := engine.Run(specs, mq, cluster)
 		if err != nil {
 			return 0, err
 		}
@@ -56,7 +59,7 @@ func run() error {
 	fmt.Println("\nnumber of queues (threshold 100, step 10):")
 	fmt.Println("          basic MLQ   full design (stage awareness + ordering)")
 	for _, k := range []int{1, 2, 4, 5, 10, 15} {
-		basic, err := runWith(func(c *lasmq.SchedulerConfig) {
+		basic, err := runWith(func(c *core.Config) {
 			c.Queues = k
 			c.StageAware = false
 			c.OrderByDemand = false
@@ -64,7 +67,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		full, err := runWith(func(c *lasmq.SchedulerConfig) { c.Queues = k })
+		full, err := runWith(func(c *core.Config) { c.Queues = k })
 		if err != nil {
 			return err
 		}
@@ -73,7 +76,7 @@ func run() error {
 
 	fmt.Println("\nfirst-queue threshold (10 queues, step 10):")
 	for _, alpha := range []float64{1, 10, 100, 1000, 10000} {
-		norm, err := runWith(func(c *lasmq.SchedulerConfig) { c.FirstThreshold = alpha })
+		norm, err := runWith(func(c *core.Config) { c.FirstThreshold = alpha })
 		if err != nil {
 			return err
 		}
@@ -82,7 +85,7 @@ func run() error {
 
 	fmt.Println("\ncross-queue weight decay:")
 	for _, decay := range []float64{1, 2, 4, 8, 16} {
-		norm, err := runWith(func(c *lasmq.SchedulerConfig) { c.QueueWeightDecay = decay })
+		norm, err := runWith(func(c *core.Config) { c.QueueWeightDecay = decay })
 		if err != nil {
 			return err
 		}

@@ -56,6 +56,18 @@ func TestNewAdaptiveValidation(t *testing.T) {
 	}
 }
 
+// TestAdaptiveDefaults: the default configuration names the policy and
+// starts one threshold below each of its ten queues.
+func TestAdaptiveDefaults(t *testing.T) {
+	s := newAdaptive(t, nil)
+	if s.Name() != "LAS_MQ_ADAPTIVE" {
+		t.Errorf("Name = %q", s.Name())
+	}
+	if len(s.Thresholds()) != 9 {
+		t.Errorf("thresholds = %v, want 9", s.Thresholds())
+	}
+}
+
 func TestAdaptiveRefitsAfterWarmup(t *testing.T) {
 	s := newAdaptive(t, func(c *core.AdaptiveConfig) { c.WarmupJobs = 5; c.RefitEvery = 5 })
 	initial := s.Thresholds()

@@ -1,4 +1,4 @@
-package lasmq_test
+package engine_test
 
 import (
 	"math"

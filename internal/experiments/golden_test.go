@@ -1,4 +1,4 @@
-package lasmq_test
+package experiments_test
 
 import (
 	"bufio"
@@ -8,7 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"lasmq"
+	"lasmq/internal/experiments"
+	"lasmq/internal/runner"
 )
 
 // goldenNormalized parses full_results.txt and returns, per figure section,
@@ -17,7 +18,7 @@ import (
 // reproduction; these ratios are its shape.
 func goldenNormalized(t *testing.T, section string) map[string]float64 {
 	t.Helper()
-	f, err := os.Open("full_results.txt")
+	f, err := os.Open("../../full_results.txt")
 	if err != nil {
 		t.Fatalf("golden file: %v", err)
 	}
@@ -82,10 +83,12 @@ func TestGoldenShapesSeeds1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment regeneration in -short mode")
 	}
-	opts := lasmq.ExperimentOptions{TraceJobs: 3000, UniformJobs: 400}
-	report, err := lasmq.RunReplicated(opts,
-		lasmq.ReplicationOptions{Seeds: 1, BaseSeed: 1, Workers: 1},
-		"fig5", "fig6", "fig7a", "fig7b", "fig8a")
+	opts := experiments.Options{TraceJobs: 3000, UniformJobs: 400}
+	exps, err := experiments.SelectRegistry(opts, "fig5", "fig6", "fig7a", "fig7b", "fig8a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := runner.Run(exps, runner.Options{Seeds: 1, BaseSeed: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,6 +82,9 @@ func TestRunAggregates(t *testing.T) {
 	if err := report.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
+	if !strings.HasPrefix(buf.String(), "experiment,group,key,n,mean") {
+		t.Errorf("CSV header missing:\n%s", buf.String())
+	}
 	if !strings.Contains(buf.String(), "e1,a,x,4,23,") {
 		t.Errorf("CSV missing aggregate row:\n%s", buf.String())
 	}
