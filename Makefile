@@ -77,6 +77,10 @@ lint:
 # (the emitter that packs Probe calls, and Nop) defines Probe methods in
 # internal/obs and internal/core — no sink re-implements the Probe method
 # set, and no policy wrapper exists to watch probe events.
+# The next keeps telemetry out of results: outside internal/obs, non-test code
+# resolves a sink with obs.Find only for *obs.Histograms (the slowdown and
+# round-latency side channels), so no sink's state folds back into a
+# simulated result; a caller that attached a Counters reads it itself.
 # The next keeps one command: cmd/ holds cmd/lasmq and nothing else (no second
 # main package, no wrapper binary), and no non-test package outside cmd/lasmq
 # and benchmark/ imports flag, so every option is parsed in one place.
@@ -193,6 +197,13 @@ layering:
 	if [ -n "$$bad" ]; then \
 		echo "layering: sinks record obs.Events through one Record switch; only" \
 			"internal/obs/obs.go (emitter, Nop) defines Probe methods:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'obs\.Find\[' --include='*.go' . | grep -v -e '_test\.go:' -e '^\./internal/obs/' \
+		| grep -v 'obs\.Find\[\*obs\.Histograms\]'; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: outside internal/obs, obs.Find resolves only *obs.Histograms for its" \
+			"side channels; no sink's state folds into a simulated result:"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(find cmd -mindepth 1 ! -path cmd/lasmq ! -regex 'cmd/lasmq/[^/]*\.go'; \

@@ -184,7 +184,6 @@ func Run(specs []job.Spec, policy sched.Scheduler, cfg Config) (*Result, error) 
 	for i := range res.Jobs {
 		res.Record(res.Jobs[i].Bin, res.Jobs[i].ResponseTime)
 	}
-	res.FoldCounters(s.probe)
 	return res, nil
 }
 

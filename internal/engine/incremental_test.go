@@ -247,7 +247,6 @@ func TestIncrementalThresholdCrossings(t *testing.T) {
 		}
 		counters := obs.NewCounters()
 		full, incr := run(true, nil), run(false, counters)
-		incr.Counters = nil // telemetry, not outcome
 		if !reflect.DeepEqual(full, incr) {
 			t.Fatalf("stageAware=%v: incremental result differs under threshold crossings", stageAware)
 		}

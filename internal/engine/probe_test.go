@@ -14,8 +14,7 @@ import (
 // task-level engine: attaching a probe (with every sink type fanned in) must
 // not perturb the simulation. Results are compared byte-for-byte across the
 // same policy families and adversarial config the incremental differential
-// test uses; only the Counters snapshot — telemetry, not a simulated
-// outcome — may differ, so it is nulled before the comparison.
+// test uses, with nothing nulled: a Result holds no telemetry.
 func TestProbedMatchesUnprobed(t *testing.T) {
 	for pname, mk := range diffPolicies(t) {
 		t.Run(pname, func(t *testing.T) {
@@ -41,10 +40,6 @@ func TestProbedMatchesUnprobed(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d probed: %v", seed, err)
 				}
-				if probed.Counters == nil {
-					t.Fatalf("seed %d: probed run did not fold a Counters snapshot into its Result", seed)
-				}
-				probed.Counters = nil
 				if !reflect.DeepEqual(plain, probed) {
 					t.Fatalf("seed %d: attaching a probe changed the simulation result\n plain: %+v\n probed: %+v",
 						seed, plain, probed)
@@ -66,14 +61,10 @@ func TestProbedCountersConsistency(t *testing.T) {
 	cfg.Probe = counters
 
 	specs := diffWorkload(7, 30)
-	res, err := engine.Run(specs, diffPolicies(t)["LASMQ-stageaware"](), cfg)
-	if err != nil {
+	if _, err := engine.Run(specs, diffPolicies(t)["LASMQ-stageaware"](), cfg); err != nil {
 		t.Fatal(err)
 	}
-	s := res.Counters
-	if s == nil {
-		t.Fatal("Result.Counters not folded")
-	}
+	s := counters.Snapshot()
 	if int(s.JobsSubmitted) != len(specs) || int(s.JobsCompleted) != len(specs) || int(s.JobsAdmitted) != len(specs) {
 		t.Fatalf("job accounting: submitted=%d admitted=%d completed=%d, want all %d",
 			s.JobsSubmitted, s.JobsAdmitted, s.JobsCompleted, len(specs))
@@ -113,12 +104,8 @@ func TestSeriesRunningWithinContainers(t *testing.T) {
 	cfg.StragglerProb = 0.1
 	series := obs.NewSeries(50, cfg.Containers)
 	cfg.Probe = series
-	res, err := engine.Run(specs, diffPolicies(t)["LASMQ-stageaware"](), cfg)
-	if err != nil {
+	if _, err := engine.Run(specs, diffPolicies(t)["LASMQ-stageaware"](), cfg); err != nil {
 		t.Fatal(err)
-	}
-	if res.Counters != nil {
-		t.Fatal("a Series alone folded a Counters snapshot")
 	}
 	points := series.Points()
 	if len(points) == 0 {

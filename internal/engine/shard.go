@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 
-	"lasmq/internal/obs"
 	"lasmq/internal/sched"
 	"lasmq/internal/substrate"
 )
@@ -81,7 +80,6 @@ func RunSharded(newSource func(shard int) (Source, error), newPolicy func() (sch
 		}
 		scfg := shardCfg
 		scfg.Seed = cfg.Seed + int64(shard)
-		scfg.Probe = obs.ForShard(cfg.Probe, shard)
 		return RunStream(src, policy, scfg, nil)
 	})
 	if err != nil {

@@ -201,10 +201,11 @@ func TestEngineShardedSourceErrorNamesShard(t *testing.T) {
 	}
 }
 
-// TestEngineShardedProbePerShardCounters pins the telemetry fan-in: a
-// Counters sink attached to a sharded run collects per-shard SlabStats and
-// round events under the shard label while the global aggregates still fold
-// everything — and attaching the probe does not change results.
+// TestEngineShardedProbePerShardCounters checks that the K-shard fold
+// equals the sum of its shards: a Counters sink attached to a K = 4 run with
+// chaos on sees every shard's events, and its global totals match the folded
+// StreamResult — completed jobs, launched attempts, failures and speculative
+// launches. Attaching the probe does not change results.
 func TestEngineShardedProbePerShardCounters(t *testing.T) {
 	specs := diffWorkload(9, 80)
 	cfg := streamChaosConfig(9)
@@ -230,42 +231,30 @@ func TestEngineShardedProbePerShardCounters(t *testing.T) {
 	if !reflect.DeepEqual(bare, probed) {
 		t.Fatalf("probe perturbed sharded results:\n want %+v\n  got %+v", bare, probed)
 	}
-
-	if idx := c.ShardIndexes(); len(idx) != shards {
-		t.Fatalf("ShardIndexes = %v, want %d shards", idx, shards)
+	if probed.Jobs != len(specs) || probed.Failures == 0 || probed.Speculative == 0 {
+		t.Fatalf("run completed %d of %d jobs with %d failures and %d speculative launches; want all, > 0, > 0",
+			probed.Jobs, len(specs), probed.Failures, probed.Speculative)
 	}
-	var jobs, peak int64
-	for shard := 0; shard < shards; shard++ {
-		s, ok := c.ShardSnapshot(shard)
-		if !ok {
-			t.Fatalf("no counters recorded for shard %d", shard)
+	s := c.Snapshot()
+	for _, f := range []struct {
+		name      string
+		sink, res int64
+	}{
+		{"JobsCompleted/Jobs", s.JobsCompleted, int64(probed.Jobs)},
+		{"TasksLaunched/Attempts", s.TasksLaunched, int64(probed.Attempts)},
+		{"TaskFailures/Failures", s.TaskFailures, int64(probed.Failures)},
+		{"SpecLaunches/Speculative", s.SpecLaunches, int64(probed.Speculative)},
+	} {
+		if f.sink != f.res {
+			t.Errorf("%s: global sink %d, folded result %d", f.name, f.sink, f.res)
 		}
-		if s.RoundsExecuted == 0 {
-			t.Fatalf("shard %d recorded no scheduling rounds", shard)
-		}
-		jobs += s.JobsCompleted
-		if s.SlabPeakLive > peak {
-			peak = s.SlabPeakLive
-		}
-	}
-	global := c.Snapshot()
-	if jobs != global.JobsCompleted || int(jobs) != probed.Jobs {
-		t.Fatalf("per-shard jobs %d, global %d, result %d — shard attribution leaks",
-			jobs, global.JobsCompleted, probed.Jobs)
-	}
-	if global.SlabPeakLive != peak {
-		t.Fatalf("global slab peak %d, max per-shard %d", global.SlabPeakLive, peak)
 	}
 }
 
-// TestEngineShardedHistogramMerge is the histogram merge contract over the
-// sharded engine, 3 seeds x 4 policies with chaos on: a Histograms sink
-// attached to a K-shard run must (a) not perturb results, (b) see every
-// completion exactly once globally, and (c) satisfy the shard-merge
-// identity — folding the per-shard histograms in ascending shard-index
-// order reproduces the global histogram bucket-for-bucket, so the K-shard
-// merged distribution IS the run's single global distribution. For K=1 the
-// same identity pins the sharded fan-in against the plain stream sink.
+// TestEngineShardedHistogramMerge checks a Histograms sink over the sharded
+// engine, 3 seeds x 4 policies with chaos on: attached to a K-shard run it
+// must not perturb results, and its response histogram must see every
+// completion exactly once, with the stream's mean.
 func TestEngineShardedHistogramMerge(t *testing.T) {
 	policies := diffPolicies(t)
 	const shards = 4
@@ -295,20 +284,6 @@ func TestEngineShardedHistogramMerge(t *testing.T) {
 			}
 			if !reflect.DeepEqual(bare, probed) {
 				t.Fatalf("seed %d %s: histogram sink perturbed sharded results", seed, name)
-			}
-			if got := len(h.ShardIndexes()); got != shards {
-				t.Fatalf("seed %d %s: %d shard histograms derived, want %d", seed, name, got, shards)
-			}
-			for _, hist := range []string{obs.HistResponse, obs.HistTaskDuration, obs.HistAdmissionWait} {
-				global, ok := h.Histogram(hist)
-				if !ok {
-					t.Fatalf("unknown histogram %q", hist)
-				}
-				merged := h.MergeShards(hist)
-				if !merged.BucketsEqual(&global) {
-					t.Fatalf("seed %d %s: shard-merged %s histogram differs from the global sink bucket-for-bucket",
-						seed, name, hist)
-				}
 			}
 			resp, _ := h.Histogram(obs.HistResponse)
 			if int(resp.Count()) != probed.Jobs || probed.Jobs != len(specs) {

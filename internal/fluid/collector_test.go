@@ -209,11 +209,10 @@ func TestSlabStatsIndependentOfArenaHistory(t *testing.T) {
 
 	counters := obs.NewCounters()
 	fcfg.Probe = counters
-	res, err := fluid.Run(small, sched.NewLAS(), fcfg)
-	if err != nil {
+	if _, err := fluid.Run(small, sched.NewLAS(), fcfg); err != nil {
 		t.Fatal(err)
 	}
-	if res.Counters == nil || int(res.Counters.SlabPeakLive) != first.Slab.Peak || int(res.Counters.SlabRecycled) != first.Slab.Recycled {
-		t.Fatalf("Run's SlabStats event %+v disagrees with the streamed run's %+v", res.Counters, first.Slab)
+	if snap := counters.Snapshot(); int(snap.SlabPeakLive) != first.Slab.Peak || int(snap.SlabRecycled) != first.Slab.Recycled {
+		t.Fatalf("Run's SlabStats event %+v disagrees with the streamed run's %+v", snap, first.Slab)
 	}
 }

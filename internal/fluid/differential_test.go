@@ -228,6 +228,48 @@ func TestShardedImbalancedWorkStealing(t *testing.T) {
 	}
 }
 
+// TestShardedProbeCountersMatchFold checks that the K-shard fold equals the
+// sum of its shards: a Counters sink attached to a K = 4 run sees every
+// shard's events, and its global totals match the folded StreamResult's jobs
+// and executed rounds. Attaching the probe does not change results.
+func TestShardedProbeCountersMatchFold(t *testing.T) {
+	specs, _ := diffTrace(t, 1)
+	const shards = 4
+	newSource := func(shard int) (fluid.Source, error) {
+		return fluid.Strided(fluid.SliceSource(specs), shard, shards), nil
+	}
+	fcfg := fluid.DefaultConfig()
+	fcfg.Capacity = 20 * shards
+	for name, newPolicy := range diffPolicies(t) {
+		t.Run(name, func(t *testing.T) {
+			bare, err := fluid.RunSharded(newSource, newPolicy,
+				fluid.ShardedConfig{Config: fcfg, Shards: shards, Workers: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := obs.NewCounters()
+			pcfg := fcfg
+			pcfg.Probe = c
+			probed, err := fluid.RunSharded(newSource, newPolicy,
+				fluid.ShardedConfig{Config: pcfg, Shards: shards, Workers: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(bare, probed) {
+				t.Fatalf("probe perturbed sharded results:\n want %+v\n  got %+v", bare, probed)
+			}
+			s := c.Snapshot()
+			if probed.Jobs != len(specs) || s.JobsCompleted != int64(probed.Jobs) {
+				t.Errorf("JobsCompleted/Jobs: global sink %d, folded result %d of %d jobs",
+					s.JobsCompleted, probed.Jobs, len(specs))
+			}
+			if probed.Rounds == 0 || s.RoundsExecuted != int64(probed.Rounds) {
+				t.Errorf("RoundsExecuted/Rounds: global sink %d, folded result %d", s.RoundsExecuted, probed.Rounds)
+			}
+		})
+	}
+}
+
 // TestRunStreamRejectsUnsortedSource pins the streaming contract: an
 // out-of-order arrival is an error, not a silent misordering.
 func TestRunStreamRejectsUnsortedSource(t *testing.T) {

@@ -234,7 +234,6 @@ func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 		res.Record(0, res.Jobs[i].ResponseTime)
 		res.RecordSlowdown(res.Jobs[i].Slowdown)
 	}
-	res.FoldCounters(cfg.Probe)
 	return res, nil
 }
 

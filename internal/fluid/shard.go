@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 
-	"lasmq/internal/obs"
 	"lasmq/internal/sched"
 	"lasmq/internal/substrate"
 )
@@ -66,7 +65,6 @@ func RunSharded(newSource func(shard int) (Source, error), newPolicy func() (sch
 			return nil, err
 		}
 		scfg := shardCfg
-		scfg.Probe = obs.ForShard(cfg.Probe, shard)
 		return RunStream(src, policy, scfg, nil)
 	})
 	if err != nil {

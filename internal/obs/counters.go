@@ -7,8 +7,8 @@ import (
 )
 
 // CounterSnapshot is an immutable copy of a Counters sink's aggregates.
-// It is the form folded into substrate.Result and served by `lasmq live`'s
-// debug endpoint.
+// It is the form printed in the `lasmq sim`/`bench` summary and served by
+// `lasmq live`'s debug endpoint.
 type CounterSnapshot struct {
 	JobsSubmitted int64 `json:"jobs_submitted"`
 	JobsAdmitted  int64 `json:"jobs_admitted"`
@@ -100,8 +100,6 @@ type Counters struct {
 	s  CounterSnapshot
 	// backlog tracks submitted - admitted to maintain the high-water mark.
 	backlog int64
-	// shards holds the per-shard sub-sinks derived via ShardProbe.
-	shards shardTable[*Counters]
 }
 
 // NewCounters returns an empty Counters sink.

@@ -99,38 +99,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Merge folds o into h. The merge contract is exact on all integer state:
-// bucket counts, Count, Min, Max and the out-of-range tally are identical
-// whether events were observed directly or merged from per-shard
-// histograms, in any merge order (bucket addition is associative and
-// commutative) — there is no sketch-style approximation. Sum is a float
-// accumulation, so re-associating it (per-shard subtotals vs. one global
-// stream) can differ in the last ulps; consumers needing a distribution
-// identity compare BucketsEqual, not Sum.
-func (h *Histogram) Merge(o *Histogram) {
-	if o.count == 0 {
-		return
-	}
-	if h.count == 0 {
-		h.min, h.max = o.min, o.max
-	} else {
-		if o.min < h.min {
-			h.min = o.min
-		}
-		if o.max > h.max {
-			h.max = o.max
-		}
-	}
-	h.count += o.count
-	h.sum += o.sum
-	h.outOfRange += o.outOfRange
-	for i, n := range o.counts {
-		if n != 0 {
-			h.counts[i] += n
-		}
-	}
-}
-
 // Quantile returns an estimate of the q-quantile (q in [0, 1]) by walking
 // the cumulative bucket counts and interpolating linearly inside the
 // selected bucket. Out-of-range observations rank below every bucket. With
@@ -224,20 +192,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return snap
 }
 
-// BucketsEqual reports whether two histograms hold identical integer state
-// bucket-for-bucket: counts, Count, Min, Max and the out-of-range tally.
-// Sum is deliberately excluded — it is an order-dependent float
-// accumulation (see Merge).
-func (h *Histogram) BucketsEqual(o *Histogram) bool {
-	if h.count != o.count || h.outOfRange != o.outOfRange {
-		return false
-	}
-	if h.count > 0 && (h.min != o.min || h.max != o.max) {
-		return false
-	}
-	return h.counts == o.counts
-}
-
 // Histogram names, in the fixed sorted order every exposition surface
 // (Prometheus text, schedhist JSON, CSV) emits them.
 const (
@@ -274,8 +228,6 @@ type Histograms struct {
 	admissionWait Histogram
 	taskDuration  Histogram
 	roundLatency  Histogram
-	// shards holds per-shard sub-sinks derived via ShardProbe.
-	shards shardTable[*Histograms]
 }
 
 // NewHistograms returns an empty Histograms sink.
@@ -360,40 +312,4 @@ func (h *Histograms) SnapshotAll() []NamedHistogram {
 		out = append(out, NamedHistogram{Name: name, HistogramSnapshot: h.get(name).Snapshot()})
 	}
 	return out
-}
-
-// ShardProbe implements ShardSink: the returned sink feeds both the global
-// histograms and a per-shard Histograms, so a sharded run's distributions
-// are queryable per shard as well as merged.
-func (h *Histograms) ShardProbe(shard int) Sink {
-	return Multi(h, h.shards.get(shard, NewHistograms))
-}
-
-// ShardHistogram returns a copy of one shard's named histogram and whether
-// that shard ever derived a probe.
-func (h *Histograms) ShardHistogram(shard int, name string) (Histogram, bool) {
-	sub, ok := h.shards.lookup(shard)
-	if !ok {
-		return Histogram{}, false
-	}
-	return sub.Histogram(name)
-}
-
-// ShardIndexes returns the derived shard indexes in ascending order.
-func (h *Histograms) ShardIndexes() []int { return h.shards.indexes() }
-
-// MergeShards folds every per-shard histogram named name in ascending
-// shard-index order into a fresh Histogram. For a probed (hence serialized,
-// index-ordered) sharded run the result equals the global histogram
-// bucket-for-bucket (BucketsEqual) — the merge-contract test pins this.
-func (h *Histograms) MergeShards(name string) Histogram {
-	var merged Histogram
-	for _, i := range h.ShardIndexes() {
-		sub, ok := h.ShardHistogram(i, name)
-		if !ok {
-			continue
-		}
-		merged.Merge(&sub)
-	}
-	return merged
 }

@@ -77,57 +77,8 @@ func sortFloats(v []float64) {
 	}
 }
 
-// TestHistogramMergeProperties is the merge-contract property test: over
-// seeded random shard splits, Merge is associative and commutative on the
-// integer state (bucket counts, Count, Min, Max, out-of-range), and with
-// exactly-representable values even Sum survives any association.
-func TestHistogramMergeProperties(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		// Dyadic values (k/8 for small k) add exactly in float64, so Sum
-		// equality is testable alongside the integer state.
-		parts := make([]*Histogram, 4)
-		var direct Histogram
-		for i := range parts {
-			parts[i] = &Histogram{}
-			for n := 0; n < 500+rng.Intn(500); n++ {
-				v := float64(rng.Intn(1<<16)) / 8
-				parts[i].Observe(v)
-				direct.Observe(v)
-			}
-		}
-		// (((a+b)+c)+d)
-		var left Histogram
-		for _, p := range parts {
-			left.Merge(p)
-		}
-		// ((a+b)+(c+d))
-		var ab, cd, tree Histogram
-		ab.Merge(parts[0])
-		ab.Merge(parts[1])
-		cd.Merge(parts[2])
-		cd.Merge(parts[3])
-		tree.Merge(&ab)
-		tree.Merge(&cd)
-		// reversed order (commutativity)
-		var rev Histogram
-		for i := len(parts) - 1; i >= 0; i-- {
-			rev.Merge(parts[i])
-		}
-		for name, m := range map[string]*Histogram{"left-fold": &left, "tree": &tree, "reversed": &rev} {
-			if !m.BucketsEqual(&direct) {
-				t.Fatalf("seed %d: %s merge differs from direct observation bucket-for-bucket", seed, name)
-			}
-			if m.Sum() != direct.Sum() {
-				t.Fatalf("seed %d: %s merge Sum %g != direct %g on dyadic values", seed, name, m.Sum(), direct.Sum())
-			}
-		}
-	}
-}
-
 // TestHistogramOutOfRange pins the contract for values the log buckets
-// cannot place: zeros and negatives count, rank below every bucket, and
-// survive merging.
+// cannot place: zeros and negatives count and rank below every bucket.
 func TestHistogramOutOfRange(t *testing.T) {
 	var h Histogram
 	h.Observe(0)
@@ -141,11 +92,6 @@ func TestHistogramOutOfRange(t *testing.T) {
 	}
 	if q := h.Quantile(0.5); q != -3 {
 		t.Fatalf("median with majority out-of-range = %g, want min (-3)", q)
-	}
-	var m Histogram
-	m.Merge(&h)
-	if !m.BucketsEqual(&h) {
-		t.Fatal("merge dropped out-of-range state")
 	}
 }
 
@@ -173,31 +119,6 @@ func TestHistogramsSinkEvents(t *testing.T) {
 	}
 	if _, ok := h.Histogram("nope"); ok {
 		t.Fatal("unknown histogram name reported ok")
-	}
-}
-
-// TestHistogramsShardMerge checks the ShardSink plumbing directly: events
-// sent to shard probes land in both the global and per-shard histograms,
-// and MergeShards reproduces the global state bucket-for-bucket.
-func TestHistogramsShardMerge(t *testing.T) {
-	h := NewHistograms()
-	rng := rand.New(rand.NewSource(11))
-	for shard := 0; shard < 3; shard++ {
-		p := ForShard(Probe(h), shard)
-		for n := 0; n < 200; n++ {
-			p.JobDone(1, n, rng.ExpFloat64()*50)
-		}
-	}
-	if got := h.ShardIndexes(); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("ShardIndexes = %v, want [0 1 2]", got)
-	}
-	global, _ := h.Histogram(HistResponse)
-	merged := h.MergeShards(HistResponse)
-	if !merged.BucketsEqual(&global) {
-		t.Fatal("shard-merged response histogram differs from the global sink bucket-for-bucket")
-	}
-	if global.Count() != 600 {
-		t.Fatalf("global count = %d, want 600", global.Count())
 	}
 }
 

@@ -277,8 +277,8 @@ func Multi(sinks ...Sink) Sink {
 }
 
 // Find returns the first sink of type T reachable from p — p itself or a
-// member of a (possibly nested) Multi, so the shard fan-in ForShard builds
-// stays transparent. Substrates resolve their sinks through it once per run.
+// member of a (possibly nested) Multi. Substrates resolve their sinks
+// through it once per run.
 func Find[T Sink](p Probe) (T, bool) {
 	switch v := p.(type) {
 	case T:

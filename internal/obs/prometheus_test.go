@@ -149,34 +149,3 @@ func TestPrometheusWellFormed(t *testing.T) {
 		}
 	}
 }
-
-// TestCountersShardSummaryOrder pins satellite-level determinism: the
-// per-shard summary lines emit in ascending shard-index order no matter the
-// order shard probes were derived or the map's iteration order.
-func TestCountersShardSummaryOrder(t *testing.T) {
-	c := NewCounters()
-	for _, shard := range []int{7, 2, 11, 0, 5} {
-		p := c.ShardProbe(shard)
-		p.JobSubmitted(0, shard)
-	}
-	if got := c.ShardIndexes(); len(got) != 5 || got[0] != 0 || got[4] != 11 {
-		t.Fatalf("ShardIndexes = %v, want ascending [0 2 5 7 11]", got)
-	}
-	var buf bytes.Buffer
-	c.WriteSummary(&buf)
-	var order []string
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "shard ") {
-			order = append(order, strings.Fields(line)[1])
-		}
-	}
-	want := []string{"0", "2", "5", "7", "11"}
-	if len(order) != len(want) {
-		t.Fatalf("got %d shard lines, want %d:\n%s", len(order), len(want), buf.String())
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("shard summary order = %v, want %v", order, want)
-		}
-	}
-}

@@ -56,11 +56,10 @@ func (s *slot) unpack(ev *Event) {
 // Ring is a fixed-capacity single-producer lock-free flight recorder for
 // probe events. The producer (the simulation or resource-manager goroutine
 // the probe is attached to) records without taking any lock and without
-// allocating; exactly one consumer goroutine drains concurrently (Drain),
-// or the owner dumps the retained tail after the run (Tail). When the
-// consumer falls behind, the producer overwrites the oldest records —
-// flight-recorder semantics: the most recent Cap() events always survive,
-// and Drain reports how many were dropped.
+// allocating; exactly one consumer goroutine drains concurrently (Drain).
+// When the consumer falls behind, the producer overwrites the oldest
+// records — flight-recorder semantics: the most recent capacity events
+// always survive, and Drain reports how many were lost.
 //
 // Each slot is a per-slot seqlock: the producer bumps the slot's version to
 // an odd value, stores the packed event, then publishes the even version
@@ -68,9 +67,9 @@ func (s *slot) unpack(ev *Event) {
 // an odd version) discards the read, so overwritten records are detected,
 // never misread.
 //
-// Ring is a Sink, so it attaches anywhere a Counters sink does. It
-// deliberately does not implement ShardSink: a sharded run serializes when
-// any probe is attached, so the single-producer contract holds there too.
+// Ring is a Sink, so it attaches anywhere a Counters sink does. A sharded
+// run serializes when any probe is attached, so the single-producer
+// contract holds there too.
 type Ring struct {
 	emitter
 	slots []slot
@@ -81,9 +80,6 @@ type Ring struct {
 	// r is the consumer cursor: the index of the next record to read.
 	// Owned by the single consumer; no atomicity needed.
 	r uint64
-	// dropped accumulates records overwritten before the consumer reached
-	// them, maintained by the consumer during Drain.
-	dropped uint64
 }
 
 // NewRing returns a ring holding capacity events; capacity is rounded up to
@@ -98,16 +94,9 @@ func NewRing(capacity int) *Ring {
 	return r
 }
 
-// Cap returns the ring's slot count.
-func (r *Ring) Cap() int { return len(r.slots) }
-
 // Recorded returns how many events the producer has recorded in total
 // (including any since overwritten).
 func (r *Ring) Recorded() uint64 { return r.w.Load() }
-
-// Dropped returns how many records were overwritten before being drained.
-// Only meaningful on the consumer side, after Drain calls.
-func (r *Ring) Dropped() uint64 { return r.dropped }
 
 // Record implements Sink: it stores one event without locking or
 // allocating. Producer side: must only ever be called from one goroutine at
@@ -130,7 +119,6 @@ func (r *Ring) Drain(sink Sink) (replayed, lost uint64) {
 	for {
 		w := r.w.Load()
 		if r.r == w {
-			r.dropped += lost
 			return replayed, lost
 		}
 		// The producer may have lapped us: everything older than w-cap is
@@ -163,21 +151,4 @@ func (r *Ring) Drain(sink Sink) (replayed, lost uint64) {
 		}
 		replayed++
 	}
-}
-
-// Tail appends the retained records (oldest first) to buf and returns it.
-// It is a post-run accessor for single-threaded use — call it only once the
-// producer has stopped; concurrent production would tear the scan.
-func (r *Ring) Tail(buf []Event) []Event {
-	w := r.w.Load()
-	lo := r.r
-	if cap := uint64(len(r.slots)); w-lo > cap {
-		lo = w - cap
-	}
-	for i := lo; i < w; i++ {
-		var ev Event
-		r.slots[i&r.mask].unpack(&ev)
-		buf = append(buf, ev)
-	}
-	return buf
 }

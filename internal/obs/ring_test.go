@@ -57,25 +57,34 @@ func emitAll(p Probe) []Event {
 	}
 }
 
+// sliceSink collects the events a Drain replays, in replay order.
+type sliceSink struct {
+	Nop
+	events []Event
+}
+
+func (s *sliceSink) Record(ev Event) { s.events = append(s.events, ev) }
+
 // TestRingPackUnpackRoundTrip drives every probe method through the ring
-// and checks the retained tail decodes each payload exactly.
+// and checks the drained events decode each payload exactly.
 func TestRingPackUnpackRoundTrip(t *testing.T) {
 	r := NewRing(64)
 	want := emitAll(r)
-	got := r.Tail(nil)
-	if len(got) != len(want) {
-		t.Fatalf("tail has %d events, want %d", len(got), len(want))
+	var got sliceSink
+	r.Drain(&got)
+	if len(got.events) != len(want) {
+		t.Fatalf("drained %d events, want %d", len(got.events), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: got %+v, want %+v", i, got[i], want[i])
+		if got.events[i] != want[i] {
+			t.Fatalf("event %d: got %+v, want %+v", i, got.events[i], want[i])
 		}
 	}
 }
 
-// TestRingDrainRoundTrip drains a ring into a second ring; both event
-// streams must match, proving the slot unpacking inverts the packing for
-// every kind.
+// TestRingDrainRoundTrip drains a ring into a second ring and that one into
+// a slice; both event streams must match, proving the slot unpacking
+// inverts the packing for every kind.
 func TestRingDrainRoundTrip(t *testing.T) {
 	src := NewRing(64)
 	want := emitAll(src)
@@ -84,10 +93,14 @@ func TestRingDrainRoundTrip(t *testing.T) {
 	if lost != 0 || replayed != uint64(len(want)) {
 		t.Fatalf("Drain = (%d, %d), want (%d, 0)", replayed, lost, len(want))
 	}
-	got := dst.Tail(nil)
+	var got sliceSink
+	dst.Drain(&got)
+	if len(got.events) != len(want) {
+		t.Fatalf("replayed %d events, want %d", len(got.events), len(want))
+	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("replayed event %d: got %+v, want %+v", i, got[i], want[i])
+		if got.events[i] != want[i] {
+			t.Fatalf("replayed event %d: got %+v, want %+v", i, got.events[i], want[i])
 		}
 	}
 	// A second drain is a no-op.
@@ -98,29 +111,27 @@ func TestRingDrainRoundTrip(t *testing.T) {
 
 // TestRingOverwriteKeepsNewest pins the flight-recorder semantics: with no
 // consumer, producing past capacity drops the oldest records, keeps the
-// newest Cap(), and Drain reports the loss.
+// newest capacity of them in order, and Drain reports the loss exactly once.
 func TestRingOverwriteKeepsNewest(t *testing.T) {
-	r := NewRing(16)
-	n := uint64(3*r.Cap() + 5)
+	const capacity = 16 // a power of two: NewRing keeps it as is
+	r := NewRing(capacity)
+	n := uint64(3*capacity + 5)
 	for i := uint64(0); i < n; i++ {
 		r.RoundExecuted(float64(i), int(i))
 	}
-	tail := r.Tail(nil)
-	if len(tail) != r.Cap() {
-		t.Fatalf("tail holds %d events, want %d", len(tail), r.Cap())
+	var got sliceSink
+	replayed, lost := r.Drain(&got)
+	if replayed != capacity || lost != n-capacity {
+		t.Fatalf("Drain = (%d, %d), want (%d, %d)", replayed, lost, capacity, n-capacity)
 	}
-	for k, ev := range tail {
-		if want := n - uint64(r.Cap()) + uint64(k); ev.T != float64(want) {
-			t.Fatalf("tail[%d].T = %g, want %d (newest %d must survive)", k, ev.T, want, r.Cap())
+	for k, ev := range got.events {
+		if want := n - capacity + uint64(k); ev.T != float64(want) {
+			t.Fatalf("drained[%d].T = %g, want %d (newest %d must survive)", k, ev.T, want, capacity)
 		}
 	}
-	var sink Counters
-	replayed, lost := r.Drain(&sink)
-	if replayed != uint64(r.Cap()) || lost != n-uint64(r.Cap()) {
-		t.Fatalf("Drain = (%d, %d), want (%d, %d)", replayed, lost, r.Cap(), n-uint64(r.Cap()))
-	}
-	if r.Dropped() != lost {
-		t.Fatalf("Dropped() = %d, want %d", r.Dropped(), lost)
+	// The loss is reported once: a second Drain neither replays nor loses.
+	if replayed, lost := r.Drain(&got); replayed != 0 || lost != 0 {
+		t.Fatalf("second Drain = (%d, %d), want (0, 0)", replayed, lost)
 	}
 	if r.Recorded() != n {
 		t.Fatalf("Recorded() = %d, want %d", r.Recorded(), n)

@@ -1,10 +1,6 @@
 package substrate
 
-import (
-	"slices"
-
-	"lasmq/internal/obs"
-)
+import "slices"
 
 // Result is the run-outcome accumulator embedded in every substrate's
 // result type, deduplicating the response-time/slowdown/per-bin method sets
@@ -12,7 +8,9 @@ import (
 // record each finished job in their canonical reporting order (workload
 // order for the simulators), so the derived statistics — including the
 // floating-point summation order behind MeanResponseTime — are deterministic
-// and identical across substrates.
+// and identical across substrates. A Result holds the simulated outcome
+// alone: telemetry stays in the sinks the caller attached to the run's probe,
+// so a probed run's Result equals an unprobed one's.
 type Result struct {
 	// Scheduler is the policy name (sched.Scheduler.Name).
 	Scheduler string
@@ -21,25 +19,10 @@ type Result struct {
 	// Utilization is the time-averaged fraction of capacity in use over the
 	// makespan.
 	Utilization float64
-	// Counters holds the final aggregate snapshot when the run was driven
-	// with an obs.Counters sink attached to its probe; nil otherwise. It is
-	// telemetry about the run, not part of the simulated outcome —
-	// differential tests that compare probed against unprobed runs null it
-	// before comparing.
-	Counters *obs.CounterSnapshot
 
 	bins      []int
 	responses []float64
 	slowdowns []float64
-}
-
-// FoldCounters captures the final snapshot of the Counters sink attached to
-// probe, if any. Substrates call it once while building their result.
-func (r *Result) FoldCounters(probe obs.Probe) {
-	if c, ok := obs.Find[*obs.Counters](probe); ok {
-		snap := c.Snapshot()
-		r.Counters = &snap
-	}
 }
 
 // Reserve presizes the accumulator for n jobs, so a collector that records
