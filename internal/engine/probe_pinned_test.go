@@ -38,8 +38,7 @@ type namedPolicy struct {
 }
 
 // pinnedPolicies are the policies whose probe streams TestProbeStreamPinned
-// holds: SRPT, Gittins, the adaptive wrapper, a blend and the queue recorder,
-// which is LAS_MQ watched by an obs.QueueTimeline next to the JSONL sink.
+// holds: SRPT, Gittins, the adaptive wrapper, a blend and LAS_MQ.
 func pinnedPolicies(t *testing.T) []namedPolicy {
 	mq := func() *core.LASMQ {
 		s, err := core.New(core.DefaultConfig())
@@ -69,7 +68,7 @@ func pinnedPolicies(t *testing.T) []namedPolicy {
 			}
 			return b
 		}},
-		{"QueueRecorder", func() sched.Scheduler { return mq() }},
+		{"LAS_MQ", func() sched.Scheduler { return mq() }},
 	}
 }
 
@@ -80,7 +79,6 @@ func pinnedPolicies(t *testing.T) []namedPolicy {
 // TestProbeStreamPinned -update-pinned rewrites it). TestDenseMatchesMapOnly
 // compares two forms of one binary's policies; this file is the other binary,
 // written before these policies' map forms were rebuilt on their dense ones.
-// The queue recorder's samples are folded in after its stream.
 func TestProbeStreamPinned(t *testing.T) {
 	specs := diffWorkload(1, 60)
 	configs := diffConfigs()
@@ -100,11 +98,6 @@ func TestProbeStreamPinned(t *testing.T) {
 			var log bytes.Buffer
 			sink := obs.NewJSONL(&log)
 			cfg.Probe = sink
-			var timeline *obs.QueueTimeline
-			if p.name == "QueueRecorder" {
-				timeline = obs.NewQueueTimeline(core.DefaultConfig().Queues, 0)
-				cfg.Probe = obs.Multi(sink, timeline)
-			}
 			if _, err := engine.Run(specs, p.new(), cfg); err != nil {
 				t.Fatalf("%s/%s: %v", p.name, cname, err)
 			}
@@ -113,9 +106,6 @@ func TestProbeStreamPinned(t *testing.T) {
 			}
 			h := fnv.New64a()
 			h.Write(log.Bytes())
-			if timeline != nil {
-				fmt.Fprint(h, timeline.Samples())
-			}
 			fmt.Fprintf(&got, "%s %s %d %016x\n", p.name, cname, log.Len(), h.Sum64())
 		}
 	}

@@ -14,8 +14,7 @@ import (
 )
 
 // resultDigest folds a whole *engine.Result into one FNV-64a hash, floats by
-// their bit patterns: every Jobs entry in slice order, the timeline, the
-// mean response time, the per-bin means in ascending bin, the makespan,
+// their bit patterns: every Jobs entry in slice order, the mean response time, the per-bin means in ascending bin, the makespan,
 // utilization and peak usage.
 func resultDigest(res *engine.Result) uint64 {
 	h := fnv.New64a()
@@ -39,13 +38,6 @@ func resultDigest(res *engine.Result) uint64 {
 		word(uint64(j.Failures))
 		word(uint64(j.Speculative))
 	}
-	word(uint64(len(res.Timeline)))
-	for _, s := range res.Timeline {
-		f(s.Time)
-		word(uint64(s.UsedContainers))
-		word(uint64(s.RunningJobs))
-		word(uint64(s.WaitingJobs))
-	}
 	f(res.MeanResponseTime())
 	means := res.BinMeans()
 	bins := make([]int, 0, len(means))
@@ -64,12 +56,12 @@ func resultDigest(res *engine.Result) uint64 {
 }
 
 // TestRunResultPinned holds engine.Run's whole result — per-job outcomes in
-// workload order, the sampled timeline and the statistics folded from them —
-// against testdata/run_results.txt (go test ./internal/engine -run
+// workload order and the statistics folded from them — against
+// testdata/run_results.txt (go test ./internal/engine -run
 // TestRunResultPinned -update-pinned rewrites it). The inputs are
 // diffWorkload's seeds 1-3 under every noise configuration of diffConfigs,
-// sampled every 5 s, and orderSpecs, whose spec, ID and arrival orders all
-// differ, under a binding admission cap with and without chaos.
+// and orderSpecs, whose spec, ID and arrival orders all differ, under a
+// binding admission cap with and without chaos.
 func TestRunResultPinned(t *testing.T) {
 	mq := core.DefaultConfig()
 	mq.FirstThreshold = 10
@@ -85,7 +77,7 @@ func TestRunResultPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %s: %v", name, policy, err)
 		}
-		fmt.Fprintf(&got, "%s %s %d %016x\n", name, policy, len(res.Timeline), resultDigest(res))
+		fmt.Fprintf(&got, "%s %s %016x\n", name, policy, resultDigest(res))
 	}
 
 	configs := diffConfigs()
@@ -103,7 +95,6 @@ func TestRunResultPinned(t *testing.T) {
 				cfg.MaxRunningJobs = 0
 				cfg.Seed = seed
 				configs[cname](&cfg)
-				cfg.SampleInterval = 5
 				run(fmt.Sprintf("diff/seed%d/%s", seed, cname), specs, policy, cfg)
 			}
 		}
@@ -116,7 +107,6 @@ func TestRunResultPinned(t *testing.T) {
 			cfg.Containers = 9
 			cfg.MaxRunningJobs = 6
 			cfg.Seed = 5
-			cfg.SampleInterval = 5
 			if chaos {
 				cfg.FailureProb = 0.1
 				cfg.StragglerProb = 0.2

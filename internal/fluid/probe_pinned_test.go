@@ -122,15 +122,13 @@ type namedPolicy struct {
 // policy on each pinned trace against testdata/probe_streams.txt (go test
 // ./internal/fluid -run TestProbeStreamPinned -update-pinned rewrites it):
 // per run, the length of the JSONL probe stream and one FNV-64a hash over
-// the stream, the queue recorder's samples, every JobResult, Makespan,
-// Utilization and Rounds. TestDenseMatchesMapOnly compares two forms of one
-// binary's policies; this file is the other binary. The queue recorder's row
-// is LAS_MQ watched by an obs.QueueTimeline next to the JSONL sink.
+// the stream, every JobResult, Makespan, Utilization and Rounds.
+// TestDenseMatchesMapOnly compares two forms of one binary's policies; this
+// file is the other binary.
 func TestProbeStreamPinned(t *testing.T) {
 	var got bytes.Buffer
-	policies := append(pinnedPolicies(t), namedPolicy{"QueueRecorder", diffPolicies(t)["LAS_MQ"]})
 	for _, tr := range pinnedTraces(t) {
-		for _, p := range policies {
+		for _, p := range pinnedPolicies(t) {
 			policy, err := p.new()
 			if err != nil {
 				t.Fatal(err)
@@ -139,11 +137,6 @@ func TestProbeStreamPinned(t *testing.T) {
 			sink := obs.NewJSONL(&log)
 			fcfg := tr.cfg
 			fcfg.Probe = sink
-			var timeline *obs.QueueTimeline
-			if p.name == "QueueRecorder" {
-				timeline = obs.NewQueueTimeline(core.DefaultConfig().Queues, 0)
-				fcfg.Probe = obs.Multi(sink, timeline)
-			}
 			res, err := fluid.Run(tr.specs, policy, fcfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tr.name, p.name, err)
@@ -153,9 +146,6 @@ func TestProbeStreamPinned(t *testing.T) {
 			}
 			h := fnv.New64a()
 			h.Write(log.Bytes())
-			if timeline != nil {
-				fmt.Fprint(h, timeline.Samples())
-			}
 			for _, jr := range res.Jobs {
 				fmt.Fprintf(h, "%d %x %x %x %x %x %x\n", jr.ID, math.Float64bits(jr.Arrival),
 					math.Float64bits(jr.Completed), math.Float64bits(jr.ResponseTime),
