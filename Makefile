@@ -84,10 +84,13 @@ lint:
 # The next keeps one command: cmd/ holds cmd/lasmq and nothing else (no second
 # main package, no wrapper binary), and no non-test package outside cmd/lasmq
 # and benchmark/ imports flag, so every option is parsed in one place.
-# The last keeps one public surface, cmd/lasmq plus examples/: the root
+# The next keeps one public surface, cmd/lasmq plus examples/: the root
 # package is its package comment alone (no non-test .go file but doc.go at the
 # root), and no package imports "lasmq", so no façade of aliases over
 # internal/ grows back.
+# The last keeps one windowed view of a run, the obs.Series sink: no non-test
+# Go names the engine's sampled timeline (Config.SampleInterval,
+# Result.Timeline) or obs.QueueTimeline, so no second sampler grows back.
 layering:
 	@bad=$$(grep -rn '"lasmq/internal/fluid"' internal/trace --include='*.go'; true); \
 	if [ -n "$$bad" ]; then \
@@ -221,6 +224,13 @@ layering:
 			"non-test .go file but doc.go, and no package imports \"lasmq\":"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(grep -rnE --include='*.go' 'SampleInterval|QueueTimeline|\.Timeline\b' . \
+		| grep -v '_test\.go:'; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: obs.Series is the one windowed view of a run; no non-test Go names" \
+			"SampleInterval, QueueTimeline or .Timeline:"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@echo "layering: ok"
 
 build:
@@ -238,9 +248,12 @@ test: vet
 # hot spots — run this before merging anything that touches either. It also
 # runs the incremental-vs-full differential tests (TestIncrementalMatchesFull
 # and the registry-level counterpart) under the race detector, covering the
-# engine's scratch-buffer reuse.
+# engine's scratch-buffer reuse. The explicit timeout leaves room over the
+# slowest package: internal/experiments took 421 s alone under -race on 2
+# CPUs and 527 s inside a full `make check`, against go test's default
+# 10-minute per-package timeout.
 test-race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 20m ./...
 
 race: test-race
 

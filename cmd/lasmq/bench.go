@@ -107,7 +107,6 @@ func runBench(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sinkCfg.Capacity = seriesCapacity(selected, opts)
 	sink, err := openSink(*sinkCfg)
 	if err != nil {
 		return err
@@ -123,17 +122,6 @@ func runBench(args []string, out io.Writer) error {
 	}
 	sink.printSummary(out)
 	return nil
-}
-
-// seriesCapacity is the series utilization denominator: the selected
-// experiment's cluster capacity. It varies across the catalog, so a
-// multi-experiment run gets 0, which disables the utilization column rather
-// than report a wrong ratio.
-func seriesCapacity(selected []experiments.Experiment, opts experiments.Options) int {
-	if len(selected) != 1 {
-		return 0
-	}
-	return selected[0].Capacity(opts)
 }
 
 // runDirect runs one catalog row and prints its section: title, table, the

@@ -29,8 +29,7 @@ func runCluster(args []string, out io.Writer) error {
 		specul     = fs.Bool("speculation", false, "enable speculative execution")
 		jobsCSV    = fs.Bool("jobs-csv", false, "print per-job results as CSV")
 		showCDF    = fs.Bool("cdf", false, "print the response-time CDF")
-		timeline   = fs.Float64("timeline", 0, "print a utilization timeline as CSV, sampled every N seconds")
-		queueCSV   = fs.Float64("queue-timeline", 0, "print LAS_MQ per-queue occupancy as CSV, sampled every N seconds (lasmq scheduler only)")
+		timeline   = fs.Float64("timeline", 0, "print the run's jobs, containers and LAS_MQ queue depths as CSV, one point every N seconds")
 	)
 	pol := addPolicyFlags(fs, core.DefaultConfig())
 	fs.BoolVar(&pol.mq.StageAware, "stage-awareness", true, "LAS_MQ: demote on the stage-aware service estimate")
@@ -42,14 +41,6 @@ func runCluster(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var occupancy *obs.QueueTimeline
-	if *queueCSV > 0 {
-		if _, ok := policy.(*core.LASMQ); !ok {
-			return fmt.Errorf("-queue-timeline requires the lasmq scheduler, got %s", policy.Name())
-		}
-		occupancy = obs.NewQueueTimeline(pol.mq.Queues, *queueCSV)
-	}
-
 	specs, err := workload.Generate(workload.Config{MeanInterval: *interval, DurationSigma: *sigma, Seed: *seed})
 	if err != nil {
 		return err
@@ -62,13 +53,14 @@ func runCluster(args []string, out io.Writer) error {
 		StragglerFactor: *stragFact,
 		Speculation:     *specul,
 		Seed:            *seed,
-		SampleInterval:  *timeline,
 	}
-	// The queue timeline watches this run only: the isolated FIFO runs below
-	// reuse ecfg.
+	// The series watches this run only: the isolated FIFO runs below reuse
+	// ecfg.
 	runCfg := ecfg
-	if occupancy != nil {
-		runCfg.Probe = occupancy
+	var series *obs.Series
+	if *timeline > 0 {
+		series = obs.NewSeries(*timeline)
+		runCfg.Probe = series
 	}
 	res, err := engine.Run(specs, policy, runCfg)
 	if err != nil {
@@ -106,25 +98,8 @@ func runCluster(args []string, out io.Writer) error {
 	if *showCDF {
 		printCDF(out, res.ResponseTimes(), 50)
 	}
-	if *timeline > 0 {
-		fmt.Fprintln(out, "time,used_containers,running_jobs,waiting_jobs")
-		for _, s := range res.Timeline {
-			fmt.Fprintf(out, "%g,%d,%d,%d\n", s.Time, s.UsedContainers, s.RunningJobs, s.WaitingJobs)
-		}
-	}
-	if occupancy != nil {
-		fmt.Fprint(out, "time")
-		for q := 0; q < pol.mq.Queues; q++ {
-			fmt.Fprintf(out, ",queue%d", q)
-		}
-		fmt.Fprintln(out)
-		for _, s := range occupancy.Samples() {
-			fmt.Fprintf(out, "%g", s.Time)
-			for _, n := range s.Sizes {
-				fmt.Fprintf(out, ",%d", n)
-			}
-			fmt.Fprintln(out)
-		}
+	if series != nil {
+		return series.WriteCSV(out)
 	}
 	return nil
 }

@@ -12,7 +12,9 @@
 // the paper's trace simulations do, cluster to the testbed's
 // core.DefaultConfig() and adds -stage-awareness. sim and bench share the
 // telemetry flags (-trace-out -trace-format -hist-out -series-out
-// -series-window), which observe a run without changing its results.
+// -series-window), which observe a run without changing its results;
+// cluster -timeline N prints the same series (live and waiting jobs, running
+// containers, events/sec, one column per LAS_MQ queue level entered).
 package main
 
 import (

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -52,6 +53,32 @@ func TestSubcommands(t *testing.T) {
 	}
 	if err := run([]string{"sim", "extra"}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "lasmq sim takes flags only") {
 		t.Errorf("sim with a positional argument: error %v", err)
+	}
+}
+
+// TestClusterTimeline: `lasmq cluster -timeline 50` ends in the series CSV,
+// one q column per queue level the run entered. Under the testbed ladder
+// (α₀ = 100, step 10) no Table I job passes 10^5 container-seconds, so levels
+// 0-4 only; α₀ = 1 and step 2 push jobs through all ten default levels.
+func TestClusterTimeline(t *testing.T) {
+	for levels, extra := range map[int][]string{5: nil, 10: {"-threshold", "1", "-step", "2"}} {
+		var out bytes.Buffer
+		if err := run(append([]string{"cluster", "-timeline", "50"}, extra...), &out); err != nil {
+			t.Fatal(err)
+		}
+		header := "time,live_jobs,waiting_jobs,running_containers,events_per_sec"
+		for q := range levels {
+			header += ",q" + strconv.Itoa(q)
+		}
+		_, rows, ok := strings.Cut(out.String(), "\n"+header+"\n")
+		if !ok || rows == "" {
+			t.Fatalf("%v: no %d-level series CSV with a point in:\n%s", extra, levels, out.String())
+		}
+		for _, row := range strings.Split(strings.TrimSuffix(rows, "\n"), "\n") {
+			if n := strings.Count(row, ","); n != 4+levels {
+				t.Fatalf("%v: row %q has %d fields, want %d", extra, row, n+1, 5+levels)
+			}
+		}
 	}
 }
 

@@ -21,9 +21,9 @@ import (
 // (https://ui.perfetto.dev) or chrome://tracing. -hist-out writes the run's
 // latency distributions (response, slowdown, admission wait, task duration,
 // scheduler round latency) as log-scale histogram CSVs with p50..p999
-// summary rows; -series-out writes a windowed virtual-time series
-// (utilization, per-queue depths, live jobs, events/sec) sampled every
-// -series-window cluster seconds.
+// summary rows; -series-out writes a windowed virtual-time series (live and
+// waiting jobs, running containers, events/sec, per-queue depths), one point
+// every -series-window cluster seconds.
 func runSim(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("lasmq sim", flag.ExitOnError)
 	var (
@@ -66,7 +66,6 @@ func runSim(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sinkCfg.Capacity = int(fcfg.Capacity)
 	sink, err := openSink(*sinkCfg)
 	if err != nil {
 		return err

@@ -18,14 +18,11 @@ type sinkConfig struct {
 	// HistOut receives the latency histograms (job response, slowdown,
 	// admission wait, task duration, per-round scheduler latency) as CSV.
 	HistOut string
-	// SeriesOut receives the windowed virtual-time series (utilization, queue
-	// depths, live jobs, events/sec) as CSV, one point per SeriesWindow
-	// virtual seconds.
+	// SeriesOut receives the windowed virtual-time series (live and waiting
+	// jobs, running containers, events/sec, LAS_MQ queue depths) as CSV, one
+	// point per SeriesWindow virtual seconds.
 	SeriesOut    string
 	SeriesWindow float64
-	// Capacity is the cluster's container count, the series' utilization
-	// denominator; 0 disables the utilization column.
-	Capacity int
 }
 
 // addSinkFlags registers the telemetry-output flags on fs.
@@ -34,7 +31,7 @@ func addSinkFlags(fs *flag.FlagSet) *sinkConfig {
 	fs.StringVar(&c.TraceOut, "trace-out", "", "write a scheduler event trace to this file (telemetry; results are unaffected)")
 	fs.StringVar(&c.TraceFormat, "trace-format", "jsonl", "event-trace format: jsonl, chrome (chrome opens in Perfetto / chrome://tracing)")
 	fs.StringVar(&c.HistOut, "hist-out", "", "write latency histograms (response/slowdown/wait/task/round) as CSV to this file")
-	fs.StringVar(&c.SeriesOut, "series-out", "", "write the windowed utilization/queue-depth series as CSV to this file")
+	fs.StringVar(&c.SeriesOut, "series-out", "", "write the windowed jobs/containers/queue-depth series as CSV to this file")
 	fs.Float64Var(&c.SeriesWindow, "series-window", 50, "series sampling window in cluster seconds")
 	return c
 }
@@ -97,7 +94,7 @@ func openSink(cfg sinkConfig) (*sink, error) {
 		if _, err := s.create("series", cfg.SeriesOut); err != nil {
 			return nil, err
 		}
-		s.series = obs.NewSeries(cfg.SeriesWindow, cfg.Capacity)
+		s.series = obs.NewSeries(cfg.SeriesWindow)
 		s.attach(s.series, s.series.WriteCSV)
 	}
 	return s, nil

@@ -15,7 +15,7 @@ func TestSinkWritesEveryOutput(t *testing.T) {
 	cfg := sinkConfig{
 		TraceOut: filepath.Join(dir, "t.jsonl"), TraceFormat: "jsonl",
 		HistOut: filepath.Join(dir, "h.csv"), SeriesOut: filepath.Join(dir, "s.csv"),
-		SeriesWindow: 1, Capacity: 4,
+		SeriesWindow: 1,
 	}
 	sink, err := openSink(cfg)
 	if err != nil {
@@ -23,8 +23,9 @@ func TestSinkWritesEveryOutput(t *testing.T) {
 	}
 	p := sink.probe()
 	p.JobSubmitted(0, 1)
+	p.JobAdmitted(0, 1, 0)
 	p.RoundExecuted(0, 1)
-	p.TaskStart(0, 1, 0, 0, 1, false)
+	p.TaskStart(0, 1, 0, 0, 2, false)
 	p.RoundExecuted(2, 1)
 	p.TaskDone(3, 1, 0, 0, 0, false)
 	p.JobDone(3, 1, 3)
@@ -43,8 +44,8 @@ func TestSinkWritesEveryOutput(t *testing.T) {
 		}
 	}
 	series, _ := os.ReadFile(cfg.SeriesOut)
-	if !strings.Contains(string(series), "\n2,0.25,") {
-		t.Errorf("series lacks the t=2 point at utilization 1/4:\n%s", series)
+	if !strings.Contains(string(series), "\n2,1,0,2,") {
+		t.Errorf("series lacks the t=2 point with one live job on 2 containers:\n%s", series)
 	}
 }
 

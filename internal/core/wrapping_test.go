@@ -6,9 +6,11 @@ import (
 
 	"lasmq/internal/core"
 	"lasmq/internal/engine"
+	"lasmq/internal/fluid"
 	jobspec "lasmq/internal/job"
 	"lasmq/internal/obs"
 	"lasmq/internal/sched"
+	"lasmq/internal/trace"
 	"lasmq/internal/workload"
 )
 
@@ -95,78 +97,91 @@ func TestBlendDegenerateTransparent(t *testing.T) {
 	}
 }
 
-// TestRecorderSizesMatchInner cross-checks the occupancy an
-// obs.QueueTimeline keeps from LAS_MQ's probe events against the
-// scheduler's authoritative QueueSizes at the end of a run.
-func TestRecorderSizesMatchInner(t *testing.T) {
-	mq, err := core.New(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	timeline := obs.NewQueueTimeline(core.DefaultConfig().Queues, 0) // sample every round
-	cfg := wrapConfig(3)
-	cfg.Probe = timeline
-	if _, err := engine.Run(wrapWorkload(3), mq, cfg); err != nil {
-		t.Fatal(err)
-	}
-	samples := timeline.Samples()
-	if len(samples) == 0 {
-		t.Fatal("no samples recorded")
-	}
-	// The final sample must agree with the scheduler's final state.
-	last := samples[len(samples)-1]
-	if got := mq.QueueSizes(); !reflect.DeepEqual(last.Sizes, got) {
-		t.Fatalf("final sample %v != QueueSizes %v", last.Sizes, got)
-	}
-	deepest := 0
-	for _, s := range samples {
-		for q, n := range s.Sizes {
-			if n < 0 {
-				t.Fatalf("sample at t=%v has negative occupancy: %v", s.Time, s.Sizes)
+// TestSeriesReportsWhatItNames drives an obs.Series through two real LAS_MQ
+// runs — the Table I workload on the engine under the admission cap of 30
+// with failures, stragglers and speculation, and an uncapped fluid run of
+// 2,000 Facebook jobs — and checks that its points mean what they name:
+// ordered and at least a window apart, running containers within the
+// cluster, the queues holding exactly the running jobs whenever one runs,
+// and the last point's depths equal to LAS_MQ's own.
+func TestSeriesReportsWhatItNames(t *testing.T) {
+	const window = 50
+	check := func(name string, mq *core.LASMQ, capacity int32, run func(obs.Probe) error) {
+		series := obs.NewSeries(window)
+		if err := run(series); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		pts := series.Points()
+		if len(pts) < 10 {
+			t.Fatalf("%s: %d points", name, len(pts))
+		}
+		checked := 0
+		for i, pt := range pts {
+			if i > 0 && pt.Time < pts[i-1].Time+window {
+				t.Fatalf("%s: point at t=%g follows t=%g by less than a window", name, pt.Time, pts[i-1].Time)
 			}
-			if n > 0 && q > deepest {
-				deepest = q
+			if pt.RunningContainers < 0 || pt.RunningContainers > capacity {
+				t.Fatalf("%s: t=%g: %d containers running on %d", name, pt.Time, pt.RunningContainers, capacity)
+			}
+			var queued int32
+			for _, n := range pt.QueueDepth {
+				queued += n
+			}
+			if running := pt.LiveJobs - pt.WaitingJobs; running > 0 {
+				checked++
+				if queued != running {
+					t.Fatalf("%s: t=%g: %d jobs queued (%v), %d running", name, pt.Time, queued, pt.QueueDepth, running)
+				}
+			}
+		}
+		last := pts[len(pts)-1].QueueDepth
+		want := mq.QueueSizes()
+		if checked == 0 || len(last) < 3 || len(last) > len(want) {
+			t.Fatalf("%s: %d points with a running job, %d levels seen of %d", name, checked, len(last), len(want))
+		}
+		for q, n := range want {
+			var got int32
+			if q < len(last) {
+				got = last[q]
+			}
+			if int(got) != n {
+				t.Fatalf("%s: last point's depths %v, QueueSizes %v", name, last, want)
 			}
 		}
 	}
-	if deepest < 2 {
-		t.Fatalf("workload never pushed jobs past queue %d; the cross-check is too weak", deepest)
-	}
-}
 
-// TestQueueRecorderEndToEnd drives a whole engine run of the Table I
-// workload watched by a queue timeline: a large job must be observed in
-// progressively deeper queues.
-func TestQueueRecorderEndToEnd(t *testing.T) {
+	specs, err := workload.Generate(workload.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	mq, err := core.New(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	timeline := obs.NewQueueTimeline(core.DefaultConfig().Queues, 0)
-	wcfg := workload.DefaultConfig()
-	wcfg.Seed = 4
-	specs, err := workload.Generate(wcfg)
+	ecfg := engine.DefaultConfig()
+	ecfg.Seed, ecfg.FailureProb, ecfg.StragglerProb, ecfg.Speculation = 1, 0.05, 0.1, true
+	check("engine", mq, int32(ecfg.Containers), func(p obs.Probe) error {
+		ecfg.Probe = p
+		_, err := engine.Run(specs, mq, ecfg)
+		return err
+	})
+
+	tcfg := trace.DefaultFacebookConfig()
+	tcfg.Jobs, tcfg.Seed = 2000, 1
+	jobs, err := trace.Facebook(tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := engine.DefaultConfig()
-	cfg.Probe = timeline
-	if _, err := engine.Run(specs[:20], mq, cfg); err != nil {
+	mqCfg := core.DefaultConfig()
+	mqCfg.FirstThreshold, mqCfg.StageAware, mqCfg.OrderByDemand = 1, false, false
+	if mq, err = core.New(mqCfg); err != nil {
 		t.Fatal(err)
 	}
-	samples := timeline.Samples()
-	if len(samples) == 0 {
-		t.Fatal("no samples recorded")
-	}
-	deepest := 0
-	for _, s := range samples {
-		for q, n := range s.Sizes {
-			if n > 0 && q > deepest {
-				deepest = q
-			}
-		}
-	}
-	if deepest < 2 {
-		t.Errorf("deepest occupied queue = %d; large jobs never demoted past queue 1?", deepest)
-	}
+	fcfg := fluid.DefaultConfig()
+	fcfg.Capacity = tcfg.Capacity
+	check("fluid", mq, 0, func(p obs.Probe) error {
+		fcfg.Probe = p
+		_, err := fluid.Run(jobs, mq, fcfg)
+		return err
+	})
 }

@@ -47,10 +47,6 @@ type Config struct {
 	Speculation bool
 	// Seed drives failure and straggler sampling.
 	Seed int64
-	// SampleInterval, when positive, records a cluster timeline sample
-	// (container usage, running and waiting jobs) at most every
-	// SampleInterval seconds of virtual time.
-	SampleInterval float64
 	// FullReschedule disables the incremental fast paths and re-invokes the
 	// policy on every scheduling round, as the engine originally did. The
 	// default (false) skips rounds that provably cannot launch a task —
@@ -95,19 +91,7 @@ func (c *Config) validate() error {
 	if c.StragglerProb > 0 && c.StragglerFactor <= 1 {
 		return fmt.Errorf("engine: straggler factor must be > 1, got %v", c.StragglerFactor)
 	}
-	if !(c.SampleInterval >= 0) || math.IsInf(c.SampleInterval, 1) {
-		return fmt.Errorf("engine: sample interval must be finite and >= 0, got %v", c.SampleInterval)
-	}
 	return nil
-}
-
-// Sample is one point of the cluster timeline (recorded when
-// Config.SampleInterval is positive).
-type Sample struct {
-	Time           float64
-	UsedContainers int
-	RunningJobs    int
-	WaitingJobs    int
 }
 
 // JobResult reports one finished job.
@@ -134,8 +118,6 @@ type Result struct {
 	Jobs []JobResult
 	// PeakUsage is the maximum number of containers simultaneously busy.
 	PeakUsage int
-	// Timeline holds utilization samples when Config.SampleInterval > 0.
-	Timeline []Sample
 }
 
 // Run simulates the workload under the given scheduling policy and returns
@@ -176,11 +158,6 @@ func Run(specs []job.Spec, policy sched.Scheduler, cfg Config) (*Result, error) 
 		res.Utilization = s.busyIntegral / (s.makespan * float64(s.cfg.Containers))
 	}
 	res.PeakUsage = s.peakUsage
-	// The timeline must be copied out: its backing array belongs to the
-	// pooled arena and is reused by the next run.
-	if len(s.timeline) > 0 {
-		res.Timeline = slices.Clone(s.timeline)
-	}
 	for i := range res.Jobs {
 		res.Record(res.Jobs[i].Bin, res.Jobs[i].ResponseTime)
 	}
@@ -258,7 +235,6 @@ type sim struct {
 
 	busyIntegral float64 // container-seconds delivered (for utilization)
 	peakUsage    int
-	lastSample   float64
 
 	// attemptSlab is the attempt slab's free-list accounting (see
 	// attemptRecycling).
@@ -343,7 +319,7 @@ func (s *sim) run() error {
 }
 
 // step advances the run by one instant: every event due at the earliest
-// pending time, then admission, one scheduling round and the timeline sample.
+// pending time, then admission and one scheduling round.
 func (s *sim) step() error {
 	t, batch, ok := s.queue.PopBatch(s.batchBuf)
 	s.batchBuf = batch
@@ -367,7 +343,6 @@ func (s *sim) step() error {
 	}
 	s.admit()
 	s.schedule()
-	s.sample()
 	return nil
 }
 
@@ -402,23 +377,6 @@ func (s *sim) drainArrivals(t float64) error {
 			s.probe.JobSubmitted(s.now, p.spec.ID)
 		}
 	}
-}
-
-// sample records a timeline point if sampling is on and due.
-func (s *sim) sample() {
-	if s.cfg.SampleInterval <= 0 {
-		return
-	}
-	if len(s.timeline) > 0 && s.now < s.lastSample+s.cfg.SampleInterval {
-		return
-	}
-	s.lastSample = s.now
-	s.timeline = append(s.timeline, Sample{
-		Time:           s.now,
-		UsedContainers: s.usedSlots,
-		RunningJobs:    s.adm.Running(),
-		WaitingJobs:    s.adm.Waiting(),
-	})
 }
 
 // admit releases waiting jobs into the cluster while the admission limit

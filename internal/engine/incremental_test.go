@@ -129,7 +129,6 @@ func diffConfigs() map[string]func(*engine.Config) {
 			c.StragglerProb = 0.2
 			c.StragglerFactor = 3
 			c.Speculation = true
-			c.SampleInterval = 5
 		},
 	}
 }

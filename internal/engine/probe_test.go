@@ -26,7 +26,6 @@ func TestProbedMatchesUnprobed(t *testing.T) {
 				cfg.StragglerProb = 0.2
 				cfg.StragglerFactor = 3
 				cfg.Speculation = true
-				cfg.SampleInterval = 5
 				cfg.Seed = seed
 				specs := diffWorkload(seed, 24)
 
@@ -35,7 +34,7 @@ func TestProbedMatchesUnprobed(t *testing.T) {
 					t.Fatalf("seed %d unprobed: %v", seed, err)
 				}
 				cfg.Probe = obs.Multi(obs.NewCounters(), obs.NewJSONL(io.Discard), obs.NewChromeTrace(),
-					obs.NewRing(1<<12), obs.NewHistograms(), obs.NewSeries(50, cfg.Containers))
+					obs.NewRing(1<<12), obs.NewHistograms(), obs.NewSeries(50))
 				probed, err := engine.Run(specs, mk(), cfg)
 				if err != nil {
 					t.Fatalf("seed %d probed: %v", seed, err)
@@ -87,10 +86,10 @@ func TestProbedCountersConsistency(t *testing.T) {
 	}
 }
 
-// TestSeriesRunningWithinContainers: the series' running-task gauge never
-// exceeds the cluster, with speculation on. The engine kills a finished
-// task's speculative siblings without an event of their own, so the gauge
-// holds only if a task's completion ends every attempt of it.
+// TestSeriesRunningWithinContainers: the series' running containers never
+// exceed the run's peak usage, with speculation on. The engine kills a
+// finished task's speculative siblings without an event of their own, so the
+// count holds only if a task's completion ends every attempt of it.
 func TestSeriesRunningWithinContainers(t *testing.T) {
 	wcfg := workload.DefaultConfig()
 	wcfg.Seed = 3
@@ -102,9 +101,10 @@ func TestSeriesRunningWithinContainers(t *testing.T) {
 	cfg.Seed = 3
 	cfg.Speculation = true
 	cfg.StragglerProb = 0.1
-	series := obs.NewSeries(50, cfg.Containers)
+	series := obs.NewSeries(50)
 	cfg.Probe = series
-	if _, err := engine.Run(specs, diffPolicies(t)["LASMQ-stageaware"](), cfg); err != nil {
+	res, err := engine.Run(specs, diffPolicies(t)["LASMQ-stageaware"](), cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	points := series.Points()
@@ -112,11 +112,11 @@ func TestSeriesRunningWithinContainers(t *testing.T) {
 		t.Fatal("no series points")
 	}
 	for _, pt := range points {
-		if pt.RunningTasks > int32(cfg.Containers) || pt.RunningTasks < 0 {
-			t.Fatalf("t=%g: %d tasks running on %d containers", pt.Time, pt.RunningTasks, cfg.Containers)
+		if pt.RunningContainers > int32(res.PeakUsage) || pt.RunningContainers < 0 {
+			t.Fatalf("t=%g: %d containers running, peak usage %d", pt.Time, pt.RunningContainers, res.PeakUsage)
 		}
 	}
-	if last := points[len(points)-1]; last.LiveJobs == 0 && last.RunningTasks != 0 {
-		t.Fatalf("t=%g: %d tasks still running after every job finished", last.Time, last.RunningTasks)
+	if last := points[len(points)-1]; last.LiveJobs == 0 && last.RunningContainers != 0 {
+		t.Fatalf("t=%g: %d containers still running after every job finished", last.Time, last.RunningContainers)
 	}
 }

@@ -306,50 +306,6 @@ func TestEngineResponseNeverBeatsIsolated(t *testing.T) {
 	}
 }
 
-func TestTimelineSampling(t *testing.T) {
-	specs := randomWorkload(5, 10)
-	cfg := engine.Config{Containers: 10, SampleInterval: 5}
-	res, err := engine.Run(specs, sched.NewFair(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Timeline) == 0 {
-		t.Fatal("no timeline samples despite SampleInterval > 0")
-	}
-	prev := -1.0
-	for _, s := range res.Timeline {
-		if s.Time < prev {
-			t.Fatalf("timeline not ordered: %v after %v", s.Time, prev)
-		}
-		if prev >= 0 && s.Time-prev < 5-1e-9 {
-			t.Fatalf("samples %v and %v closer than the interval", prev, s.Time)
-		}
-		prev = s.Time
-		if s.UsedContainers < 0 || s.UsedContainers > 10 {
-			t.Fatalf("sample usage %d out of [0,10]", s.UsedContainers)
-		}
-		if s.RunningJobs < 0 || s.WaitingJobs < 0 {
-			t.Fatalf("negative job counts in sample %+v", s)
-		}
-	}
-
-	// Sampling off: no timeline.
-	cfg.SampleInterval = 0
-	res, err = engine.Run(specs, sched.NewFair(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Timeline != nil {
-		t.Errorf("timeline recorded despite sampling off: %d samples", len(res.Timeline))
-	}
-
-	// Negative interval rejected.
-	cfg.SampleInterval = -1
-	if _, err := engine.Run(specs, sched.NewFair(), cfg); err == nil {
-		t.Error("expected validation error for negative sample interval")
-	}
-}
-
 // TestUtilizationHighUnderOverload: with far more demand than capacity, the
 // cluster should be nearly fully utilized until the work drains.
 func TestUtilizationHighUnderOverload(t *testing.T) {

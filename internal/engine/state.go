@@ -469,8 +469,6 @@ type arena struct {
 	rows      []sched.QuantRow // one per running job, ascending ID
 	cands     []launchCand
 	specCands []specCand
-
-	timeline []Sample
 }
 
 // arenaPool recycles simulation arenas across runs; each concurrent worker
@@ -501,7 +499,6 @@ func (a *arena) scrub() {
 	clear(a.idScratch[:cap(a.idScratch)])
 	a.queue.Reset()
 	a.vs.Reset()
-	a.timeline = a.timeline[:0]
 }
 
 // setRunning is the one place running changes: whatever a round derives from

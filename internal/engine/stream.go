@@ -186,7 +186,7 @@ func validateStreamRef(n int, prev float64, r *jobRef) error {
 }
 
 // StreamResult reports a streaming engine run. Unlike Result it holds no
-// per-job slice or timeline — an arbitrarily long run keeps running
+// per-job slice — an arbitrarily long run keeps running
 // aggregates only; per-job records flow through RunStream's callback as jobs
 // complete. SumResponse accumulates in completion order (deterministic for a
 // given seeded run), not workload order, so its last-ulp value may differ
@@ -241,8 +241,7 @@ func (r *StreamResult) MeanResponseTime() float64 {
 // are reported through each (in completion order) when non-nil, and their
 // records return to a free-list pool, so peak memory is bounded by the jobs
 // live at once, not the stream length. The scheduler instance must be fresh.
-// Unlike Run, duplicate job IDs are detected only while both jobs are live,
-// and Config.SampleInterval is ignored (no timeline is kept).
+// Unlike Run, duplicate job IDs are detected only while both jobs are live.
 func RunStream(src Source, policy sched.Scheduler, cfg Config, each func(JobResult)) (*StreamResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -254,7 +253,6 @@ func RunStream(src Source, policy sched.Scheduler, cfg Config, each func(JobResu
 		return nil, errors.New("engine: nil source")
 	}
 	out := &StreamResult{}
-	cfg.SampleInterval = 0 // no timeline is kept
 	s := newSim(policy, cfg, func(_ *jobState, jr JobResult) {
 		out.Jobs++
 		out.SumResponse += jr.ResponseTime

@@ -47,24 +47,6 @@ type Experiment struct {
 	// DirectOnly marks rows with no per-seed metric cells; they are absent
 	// from the replication registry.
 	DirectOnly bool
-	// Containers is the capacity of the cluster the row simulates — of each
-	// shard when PerShard is set. It is the utilization denominator of a
-	// -series-out time series.
-	Containers int
-	PerShard   bool
-}
-
-// Capacity returns the row's total container count at opts: 0 for a
-// per-shard row at invalid opts, on which its run fails.
-func (e Experiment) Capacity(opts Options) int {
-	if !e.PerShard {
-		return e.Containers
-	}
-	o, err := opts.Defaults()
-	if err != nil {
-		return 0
-	}
-	return e.Containers * o.Shards
 }
 
 // report adapts a typed experiment runner to the catalog's Run signature.
@@ -80,45 +62,41 @@ func report[R Report](run func(Options) (R, error)) func(Options) (Report, error
 
 // scaleRow builds the catalog row of one scale-tier preset.
 func scaleRow(name, title string, tier scaleTier) Experiment {
-	return Experiment{
-		Name: name, Title: "Scale tier: " + title, Run: report(tier.run),
-		Stress: true, Containers: 20, PerShard: tier.sharded,
-	}
+	return Experiment{Name: name, Title: "Scale tier: " + title, Run: report(tier.run), Stress: true}
 }
 
 // catalog declares every experiment once, in reporting order.
 var catalog = []Experiment{
 	{Name: "table1", Title: "Table I: workload composition", DirectOnly: true,
 		Run: func(Options) (Report, error) { return textReport(TableIText()), nil }},
-	{Name: "fig1", Title: "Fig. 1: motivating example (sizes 4, 4, 1)", Containers: 1,
+	{Name: "fig1", Title: "Fig. 1: motivating example (sizes 4, 4, 1)",
 		Run: report(func(Options) (*Fig1Result, error) { return Fig1() })},
-	{Name: "fig3", Title: "Fig. 3: design options (normalized over FAIR, 50 s interval)", Containers: 120,
+	{Name: "fig3", Title: "Fig. 3: design options (normalized over FAIR, 50 s interval)",
 		Run: report(Fig3)},
-	{Name: "fig5", Title: "Cluster experiment, 80 s mean arrival interval", Containers: 120,
+	{Name: "fig5", Title: "Cluster experiment, 80 s mean arrival interval",
 		Run: report(Fig5)},
-	{Name: "fig6", Title: "Cluster experiment, 50 s mean arrival interval", Containers: 120,
+	{Name: "fig6", Title: "Cluster experiment, 50 s mean arrival interval",
 		Run: report(Fig6)},
-	{Name: "fig7a", Title: "Fig. 7a: heavy-tailed trace (Facebook-like, load 0.9)", Containers: 20,
+	{Name: "fig7a", Title: "Fig. 7a: heavy-tailed trace (Facebook-like, load 0.9)",
 		Run: report(Fig7HeavyTailed)},
-	{Name: "fig7b", Title: "Fig. 7b: uniform workload (10,000 x size 10,000)", Containers: 1,
+	{Name: "fig7b", Title: "Fig. 7b: uniform workload (10,000 x size 10,000)",
 		Run: report(Fig7Uniform)},
-	{Name: "fig8a", Title: "Fig. 8a: number of queues sweep", Containers: 20,
+	{Name: "fig8a", Title: "Fig. 8a: number of queues sweep",
 		Run: report(Fig8Queues)},
-	{Name: "fig8b", Title: "Fig. 8b: first-queue threshold sweep", Containers: 20,
+	{Name: "fig8b", Title: "Fig. 8b: first-queue threshold sweep",
 		Run: report(Fig8Thresholds)},
-	{Name: "sjf-error", Title: "Motivation: SJF under size-estimate error (50 s interval)", Containers: 120,
+	{Name: "sjf-error", Title: "Motivation: SJF under size-estimate error (50 s interval)",
 		Run: report(MotivationSJFError)},
-	{Name: "weights", Title: "Ablation: cross-queue weight decay (normalized over FAIR)", Containers: 120,
+	{Name: "weights", Title: "Ablation: cross-queue weight decay (normalized over FAIR)",
 		Run: report(AblationWeights)},
-	{Name: "adaptive", Title: "Extension: adaptive thresholds (heavy-tailed trace)", Containers: 20,
+	{Name: "adaptive", Title: "Extension: adaptive thresholds (heavy-tailed trace)",
 		Run: report(Adaptive)},
-	{Name: "tradeoff", Title: "Extension: fairness/response tradeoff (LAS_MQ <-> FAIR blend)", Containers: 120,
+	{Name: "tradeoff", Title: "Extension: fairness/response tradeoff (LAS_MQ <-> FAIR blend)",
 		Run: report(Tradeoff)},
-	{Name: "geo", Title: "Extension: geo-distributed scheduling (3 sites, variable WAN)", Containers: 18,
+	{Name: "geo", Title: "Extension: geo-distributed scheduling (3 sites, variable WAN)",
 		Run: report(Geo)},
-	{Name: "price-of-obliviousness", Containers: priceCapacity,
-		Title: "Price of obliviousness: information hierarchy on the congested Table-I mix",
-		Run:   report(PriceOfObliviousness)},
+	{Name: "price-of-obliviousness", Title: "Price of obliviousness: information hierarchy on the congested Table-I mix",
+		Run: report(PriceOfObliviousness)},
 	scaleRow("scale-100k", "heavy-tailed trace at 100,000 jobs",
 		scaleTier{jobs: 100_000}),
 	scaleRow("scale-1m", "streamed heavy-tailed trace at 1,000,000 jobs, sharded",

@@ -85,9 +85,6 @@ func TestCatalog(t *testing.T) {
 					t.Errorf("cell (%s, %s) = %v", c.Group, c.Key, c.Value)
 				}
 			}
-			if e.Capacity(shrunk) <= 0 != e.DirectOnly {
-				t.Errorf("capacity %d on a row with DirectOnly=%t", e.Capacity(shrunk), e.DirectOnly)
-			}
 		})
 	}
 }

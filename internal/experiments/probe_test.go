@@ -23,7 +23,7 @@ func TestProbedMatchesUnprobedAcrossRegistry(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
 				probed := shrunk
 				probed.Probe = obs.Multi(obs.NewCounters(), obs.NewJSONL(io.Discard), obs.NewChromeTrace(),
-					obs.NewRing(1<<12), obs.NewHistograms(), obs.NewSeries(50, 0))
+					obs.NewRing(1<<12), obs.NewHistograms(), obs.NewSeries(50))
 				sample, err := Registry(probed)[i].Run(seed)
 				if err != nil {
 					t.Fatalf("seed %d probed: %v", seed, err)

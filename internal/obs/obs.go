@@ -7,9 +7,9 @@
 // packed into a 48-byte Event by an embedded emitter and handed to the
 // sink's Record, one switch per sink. The sinks are a deterministic JSONL
 // event log (JSONL), a Chrome trace-event exporter (ChromeTrace), the
-// aggregating Counters and Histograms, the windowed Series, LAS_MQ's
-// QueueTimeline, and the lock-free flight-recorder Ring, which Drains its
-// records straight into another sink. Multi fans one stream out to several
+// aggregating Counters and Histograms, the windowed Series (jobs, containers
+// and LAS_MQ queue depths over virtual time), and the lock-free
+// flight-recorder Ring, which Drains its records straight into another sink. Multi fans one stream out to several
 // sinks, and Find looks a sink up behind it.
 //
 // Zero-overhead contract: every emission site is guarded by a nil check on

@@ -1,144 +1,171 @@
 package obs
 
 import (
-	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 )
 
-// SeriesLevels is how many LAS_MQ queue levels a Series tracks depth for;
-// deeper levels fold into the last slot. Fixed so sampling never allocates
-// per point beyond the appended point itself.
-const SeriesLevels = 8
-
-// SeriesPoint is one windowed sample of the run's live state, taken on the
-// first scheduling-round boundary at or past each window edge. Times are
-// virtual; EventsPerSec is probe events per virtual second over the window.
+// SeriesPoint is the state of a run just after one scheduling round: its
+// queues after the policy call and its containers after the launches. Times
+// are virtual; EventsPerSec is probe events per virtual second since the
+// previous point (0 on a run's first point).
 type SeriesPoint struct {
-	Time float64 `json:"time"`
-	// Utilization is RunningTasks / Capacity when the Series was given a
-	// capacity, else 0.
-	Utilization  float64             `json:"utilization"`
-	LiveJobs     int32               `json:"live_jobs"`
-	RunningTasks int32               `json:"running_tasks"`
-	QueueDepth   [SeriesLevels]int32 `json:"queue_depth"`
-	EventsPerSec float64             `json:"events_per_sec"`
+	Time float64
+	// LiveJobs counts submitted jobs not yet done, WaitingJobs those of them
+	// the admission queue still holds; the difference is the running jobs.
+	LiveJobs, WaitingJobs int32
+	// RunningContainers counts the containers held by running task attempts
+	// (a fluid run launches no tasks, so it holds none).
+	RunningContainers int32
+	// QueueDepth counts jobs per LAS_MQ queue level, one entry per level the
+	// run has entered so far.
+	QueueDepth   []int32
+	EventsPerSec float64
 }
 
-// Series is the windowed virtual-time series sink: utilization, queue depth
-// per LAS_MQ level, live jobs and event rate, sampled on scheduling-round
-// boundaries (RoundExecuted / RoundSkipped are the only moments a
-// consistent cut of the run exists). Gauges update on every event; appending
-// a point on a window flush amortizes against the window width. Like the
-// other sinks it observes without mutating, so probed runs stay
-// byte-identical.
+// Series is the windowed virtual-time view of a run: live, waiting and
+// running jobs, running containers and the jobs in each LAS_MQ queue level,
+// one point per window. A round at or past the window's edge (the first of a
+// run always) makes a point due; the point is taken at the first later event
+// that carries a different time, or by Points, so it holds everything the
+// round did. A round earlier than the last one starts a new run on the same
+// sink: the window restarts there, and the queue depths start from empty,
+// as the new run's policy does. Like the other sinks it observes without
+// mutating, so probed runs stay byte-identical.
 //
-// Running tasks count live attempts per task: a task's TaskDone ends every
-// attempt of it (at least one), because the engine kills a finished task's
-// speculative siblings without an event of their own.
+// A task's TaskDone ends every attempt of it, because the engine kills a
+// finished task's speculative siblings without an event of their own.
 type Series struct {
 	emitter
-	mu       sync.Mutex
-	window   float64
-	capacity float64
+	mu     sync.Mutex
+	window float64
 	// gauges, updated on every event
-	live     int32
-	running  int32
-	attempts map[[3]int32]int32 // live attempts per (job, stage, task)
-	depth    [SeriesLevels]int32
-	// window accumulation
+	live, waiting, running int32
+	tasks                  map[[3]int32]taskAttempts // per (job, stage, task)
+	depth                  []int32
+	// sampling
 	events    uint64
-	winStart  float64
-	winEvents uint64
-	started   bool
+	winEvents uint64  // events since the last point
+	last      float64 // time of the last round
+	start     float64 // time of the last point
+	started   bool    // the current run has a point
+	due       bool    // a point at time last is still to be taken
+	span      float64 // virtual time the due point's events cover
 	points    []SeriesPoint
 }
 
-// NewSeries returns a Series sampling one point per window virtual seconds
-// (window <= 0 defaults to 1). capacity is the cluster's container count
-// for the utilization gauge; 0 disables it.
-func NewSeries(window float64, capacity int) *Series {
+// taskAttempts is one task's live attempts and the containers each holds.
+type taskAttempts struct{ n, containers int32 }
+
+// NewSeries returns a Series taking one point per window virtual seconds
+// (window <= 0 defaults to 1).
+func NewSeries(window float64) *Series {
 	if window <= 0 {
 		window = 1
 	}
-	s := &Series{window: window, capacity: float64(capacity), attempts: make(map[[3]int32]int32)}
+	s := &Series{window: window, tasks: make(map[[3]int32]taskAttempts)}
 	s.emitter = emitter{s}
 	return s
 }
 
-func clampLevel(q int32) int32 {
-	return min(max(q, 0), SeriesLevels-1)
+// level returns the depth counter of queue level q, growing the levels seen.
+func (s *Series) level(q int32) *int32 {
+	if int(q) >= len(s.depth) {
+		s.depth = append(s.depth, make([]int32, int(q)+1-len(s.depth))...)
+	}
+	return &s.depth[q]
 }
 
 // Record implements Sink.
 func (s *Series) Record(ev Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.due && ev.T != s.last {
+		s.take()
+	}
 	s.events++
 	s.winEvents++
 	task := [3]int32{ev.A, ev.B, ev.C}
 	switch ev.Kind {
 	case KindJobSubmitted:
 		s.live++
+		s.waiting++
+	case KindJobAdmitted:
+		s.waiting--
 	case KindJobDone:
 		s.live--
 	case KindTaskStart:
-		s.running++
-		s.attempts[task]++
+		t := s.tasks[task]
+		t.n, t.containers = t.n+1, ev.D
+		s.tasks[task] = t
+		s.running += ev.D
 	case KindTaskDone:
-		s.running -= max(s.attempts[task], 1)
-		delete(s.attempts, task)
+		t := s.tasks[task]
+		s.running -= t.n * t.containers
+		delete(s.tasks, task)
 	case KindTaskFail:
-		s.running--
-		if s.attempts[task]--; s.attempts[task] <= 0 {
-			delete(s.attempts, task)
+		t := s.tasks[task]
+		s.running -= t.containers
+		if t.n--; t.n > 0 {
+			s.tasks[task] = t
+		} else {
+			delete(s.tasks, task)
 		}
 	case KindQueueEnter:
-		s.depth[clampLevel(ev.B)]++
+		*s.level(ev.B)++
 	case KindQueueDemote:
-		s.depth[clampLevel(ev.B)]--
-		s.depth[clampLevel(ev.C)]++
+		*s.level(ev.B)--
+		*s.level(ev.C)++
 	case KindQueueExit:
-		s.depth[clampLevel(ev.B)]--
+		*s.level(ev.B)--
 	case KindRoundExecuted, KindRoundSkipped:
-		s.sample(ev.T)
+		s.round(ev.T)
 	}
 }
 
-// sample flushes a point if now has crossed the current window's edge.
-// Called with s.mu held, from round boundaries only.
-func (s *Series) sample(now float64) {
-	if !s.started {
-		s.started = true
-		s.winStart = now
-		s.winEvents = 0
-		return
+// round makes a point due at a round that opens a run or reaches the
+// window's edge. Called with s.mu held.
+func (s *Series) round(now float64) {
+	if now < s.last {
+		s.started = false
+		clear(s.depth)
 	}
-	if now < s.winStart+s.window {
-		return
+	s.last = now
+	switch {
+	case !s.started:
+		s.started, s.due, s.span = true, true, 0
+	case now >= s.start+s.window:
+		s.due, s.span = true, now-s.start
 	}
-	span := now - s.winStart
+}
+
+// take appends the due point. Called with s.mu held.
+func (s *Series) take() {
 	pt := SeriesPoint{
-		Time:         now,
-		LiveJobs:     s.live,
-		RunningTasks: s.running,
-		QueueDepth:   s.depth,
-		EventsPerSec: float64(s.winEvents) / span,
+		Time:              s.last,
+		LiveJobs:          s.live,
+		WaitingJobs:       s.waiting,
+		RunningContainers: s.running,
+		QueueDepth:        slices.Clone(s.depth),
 	}
-	if s.capacity > 0 {
-		pt.Utilization = float64(s.running) / s.capacity
+	if s.span > 0 {
+		pt.EventsPerSec = float64(s.winEvents) / s.span
 	}
 	s.points = append(s.points, pt)
-	s.winStart = now
-	s.winEvents = 0
+	s.start, s.winEvents, s.due = s.last, 0, false
 }
 
-// Points returns a copy of the sampled points in time order.
+// Points takes the due point, if any, and returns a copy of the points in
+// the order they were taken.
 func (s *Series) Points() []SeriesPoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]SeriesPoint(nil), s.points...)
+	if s.due {
+		s.take()
+	}
+	return slices.Clone(s.points)
 }
 
 // Events returns the total probe events observed.
@@ -148,28 +175,38 @@ func (s *Series) Events() uint64 {
 	return s.events
 }
 
-// WriteCSV writes the sampled series with a fixed header:
+// WriteCSV writes the points under the header
 //
-//	time,utilization,live_jobs,running_tasks,events_per_sec,q0..q7
+//	time,live_jobs,waiting_jobs,running_containers,events_per_sec,q0,...
+//
+// with one q column per queue level seen; a point taken before a level was
+// first entered has 0 there.
 func (s *Series) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, seriesHeader()); err != nil {
+	points := s.Points()
+	levels := 0
+	if len(points) > 0 {
+		levels = len(points[len(points)-1].QueueDepth)
+	}
+	buf := []byte("time,live_jobs,waiting_jobs,running_containers,events_per_sec")
+	for q := range levels {
+		buf = append(append(buf, ",q"...), strconv.Itoa(q)...)
+	}
+	buf = append(buf, '\n')
+	if _, err := w.Write(buf); err != nil {
 		return err
 	}
-	buf := make([]byte, 0, 128)
-	for _, pt := range s.Points() {
-		buf = buf[:0]
-		buf = strconv.AppendFloat(buf, pt.Time, 'g', -1, 64)
-		buf = append(buf, ',')
-		buf = strconv.AppendFloat(buf, pt.Utilization, 'g', -1, 64)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(pt.LiveJobs), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(pt.RunningTasks), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendFloat(buf, pt.EventsPerSec, 'g', -1, 64)
-		for _, d := range pt.QueueDepth {
-			buf = append(buf, ',')
-			buf = strconv.AppendInt(buf, int64(d), 10)
+	for _, pt := range points {
+		buf = strconv.AppendFloat(buf[:0], pt.Time, 'g', -1, 64)
+		for _, n := range []int32{pt.LiveJobs, pt.WaitingJobs, pt.RunningContainers} {
+			buf = strconv.AppendInt(append(buf, ','), int64(n), 10)
+		}
+		buf = strconv.AppendFloat(append(buf, ','), pt.EventsPerSec, 'g', -1, 64)
+		for q := range levels {
+			var d int32
+			if q < len(pt.QueueDepth) {
+				d = pt.QueueDepth[q]
+			}
+			buf = strconv.AppendInt(append(buf, ','), int64(d), 10)
 		}
 		buf = append(buf, '\n')
 		if _, err := w.Write(buf); err != nil {
@@ -177,12 +214,4 @@ func (s *Series) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func seriesHeader() string {
-	h := "time,utilization,live_jobs,running_tasks,events_per_sec"
-	for q := 0; q < SeriesLevels; q++ {
-		h += fmt.Sprintf(",q%d", q)
-	}
-	return h + "\n"
 }
