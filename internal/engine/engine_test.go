@@ -410,8 +410,8 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestNonFiniteConfigRejected: a NaN or infinite probability, straggler
-// factor or sample interval is an error naming the field from every entry
+// TestNonFiniteConfigRejected: a NaN or infinite probability or straggler
+// factor is an error naming the field from every entry
 // point — NaN fails both halves of a range check written with < and >.
 func TestNonFiniteConfigRejected(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)

@@ -10,6 +10,7 @@ import (
 	"lasmq/internal/engine"
 	"lasmq/internal/fluid"
 	"lasmq/internal/job"
+	"lasmq/internal/obs"
 	"lasmq/internal/sched"
 )
 
@@ -302,6 +303,29 @@ func TestEngineResponseNeverBeatsIsolated(t *testing.T) {
 				t.Errorf("%s job %d response %v beats isolated %v",
 					res.Scheduler, specs[i].ID, res.Jobs[i].ResponseTime, iso)
 			}
+		}
+	}
+}
+
+// TestTimelineSampling: an obs.Series watching an engine run with a 5-unit
+// window takes ordered points at least a window apart, with the running
+// containers within the cluster and no negative job count.
+func TestTimelineSampling(t *testing.T) {
+	series := obs.NewSeries(5)
+	cfg := engine.Config{Containers: 10, Probe: series}
+	if _, err := engine.Run(randomWorkload(5, 10), sched.NewFair(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	pts := series.Points()
+	if len(pts) < 2 {
+		t.Fatalf("%d points", len(pts))
+	}
+	for i, pt := range pts {
+		if i > 0 && pt.Time < pts[i-1].Time+5 {
+			t.Fatalf("points at %v and %v closer than the window", pts[i-1].Time, pt.Time)
+		}
+		if pt.RunningContainers < 0 || pt.RunningContainers > 10 || pt.WaitingJobs < 0 || pt.LiveJobs < pt.WaitingJobs {
+			t.Fatalf("point %+v: containers out of [0,10] or bad job counts", pt)
 		}
 	}
 }

@@ -47,6 +47,51 @@ func TestSeriesSampling(t *testing.T) {
 	}
 }
 
+// queueTimeline returns each point's time and queue depths.
+func queueTimeline(s *Series) (times []float64, depths [][]int32) {
+	for _, pt := range s.Points() {
+		times, depths = append(times, pt.Time), append(depths, pt.QueueDepth)
+	}
+	return times, depths
+}
+
+// TestQueueTimelineSnapshots drives a Series with the events LAS_MQ and the
+// driver emit: a point holds the queue depths after its round's policy
+// invocation (whose queue events follow RoundExecuted), never a later
+// round's moves.
+func TestQueueTimelineSnapshots(t *testing.T) {
+	s := NewSeries(1)
+	s.RoundExecuted(0, 2)
+	s.QueueEnter(0, 1, 0)
+	s.QueueEnter(0, 2, 2) // a 5,000-unit job enters past both thresholds
+	s.RoundSkipped(0.5, true)
+	s.QueueDemote(0.5, 1, 0, 1, 150) // observation replay of the skipped round
+	s.RoundExecuted(1, 2)
+	s.QueueExit(1, 2, 2)
+
+	times, depths := queueTimeline(s)
+	if want := [][]int32{{1, 0, 1}, {0, 1, 0}}; !reflect.DeepEqual(times, []float64{0, 1}) || !reflect.DeepEqual(depths, want) {
+		t.Fatalf("points at %v with depths %v, want [0 1] with %v", times, depths, want)
+	}
+	if times, _ = queueTimeline(s); len(times) != 2 {
+		t.Fatalf("a second Points call returned %d points, want 2", len(times))
+	}
+}
+
+// TestQueueTimelineSpacing: with a 10-unit window, rounds every unit over
+// [0, 35) give points at 0, 10, 20 and 30.
+func TestQueueTimelineSpacing(t *testing.T) {
+	s := NewSeries(10)
+	s.QueueEnter(0, 1, 0)
+	for now := 0.0; now < 35; now++ {
+		s.RoundExecuted(now, 1)
+	}
+	times, depths := queueTimeline(s)
+	if want := [][]int32{{1}, {1}, {1}, {1}}; !reflect.DeepEqual(times, []float64{0, 10, 20, 30}) || !reflect.DeepEqual(depths, want) {
+		t.Fatalf("points at %v with depths %v, want [0 10 20 30] with the job in queue 0", times, depths)
+	}
+}
+
 // TestSeriesCountsContainers: a 2-container task holds two containers per
 // live attempt; a failure ends one attempt, its completion every attempt.
 func TestSeriesCountsContainers(t *testing.T) {
