@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -103,7 +104,7 @@ func TestBlendDegenerateTransparent(t *testing.T) {
 // 2,000 Facebook jobs — and checks that its points mean what they name:
 // ordered and at least a window apart, running containers within the
 // cluster, the queues holding exactly the running jobs whenever one runs,
-// and the last point's depths equal to LAS_MQ's own.
+// and no job queued, in the series or in LAS_MQ, once the run is over.
 func TestSeriesReportsWhatItNames(t *testing.T) {
 	const window = 50
 	check := func(name string, mq *core.LASMQ, capacity int32, run func(obs.Probe) error) {
@@ -138,8 +139,11 @@ func TestSeriesReportsWhatItNames(t *testing.T) {
 		if checked == 0 || len(last) < 3 {
 			t.Fatalf("%s: %d points with a running job, %d levels seen", name, checked, len(last))
 		}
-		if !sameDepths(last, mq.QueueSizes()) {
-			t.Fatalf("%s: last point's depths %v, QueueSizes %v", name, last, mq.QueueSizes())
+		// A closing round makes the series take the state the run left.
+		series.RoundExecuted(math.Inf(1), 0)
+		end := series.Points()[len(pts)].QueueDepth
+		if !sameDepths(end, mq.QueueSizes()) || !sameDepths(end, make([]int, len(end))) {
+			t.Fatalf("%s: after the run the series queues %v, LAS_MQ %v; want none", name, end, mq.QueueSizes())
 		}
 	}
 

@@ -594,6 +594,8 @@ func (s *sim) schedule() {
 		return
 	}
 	if len(s.running) == 0 {
+		s.collectViews()
+		s.driver.Observe(s.now, &s.vs) // the departures of the last running jobs
 		return
 	}
 	s.collectViews()

@@ -401,7 +401,9 @@ func (s *sim) run() error {
 		s.admit()
 
 		if len(s.active) == 0 {
-			// Idle: jump to the next arrival.
+			// Idle: tell the policy of the departures that emptied the
+			// cluster, then jump to the next arrival.
+			s.driver.Observe(s.now, &s.vs)
 			t, ok, err := s.cur.Peek()
 			if err != nil {
 				return err

@@ -108,11 +108,11 @@ func (d *Driver) Observes() bool { return d.observer != nil }
 
 // Observe replays the policy's per-round state mutation for a skipped round
 // over the views in vs, handing the policy vs's change log and clearing it.
-// An empty view set is a no-op that keeps the log: a full round returns
-// before invoking the policy when there is nothing to schedule, and skipped
-// rounds must match.
+// Over an empty view set it hands on only departures: a substrate calls it
+// when its last running job leaves, so the policy learns of the departure at
+// the instant it happens, and with nothing logged it is a no-op.
 func (d *Driver) Observe(now float64, vs *ViewSet) {
-	if d.observer == nil || vs.Len() == 0 {
+	if d.observer == nil || vs.Len() == 0 && len(vs.freed) == 0 {
 		return
 	}
 	changed, freed := vs.log()

@@ -369,7 +369,8 @@ func (p *logSpy) ObserveDense(_ float64, _ []sched.JobView, slots, changed, free
 // TestViewSetChangeLog: the driver hands the policy the slots freed since its
 // previous call and, once the substrate marks views, the views marked since
 // — every view until then — and clears the log; Begin drops the marks, an
-// empty round keeps the log for the next call, and Reset forgets the marking.
+// observation over no views hands on the departures alone, or nothing, and
+// Reset forgets the marking.
 // A registration edited in place — views added behind the others without a
 // Begin, and cut out (ViewSet.Cut) keeping the rest in order — reaches the
 // policy as the edits left it. Every answer lists, ascending, exactly the
@@ -414,10 +415,11 @@ func TestViewSetChangeLog(t *testing.T) {
 	register(0)
 	vs.MarkChanged(0)
 	register()
-	d.Observe(4, &vs) // no views: the policy is not called, the log waits
+	d.Observe(4, &vs) // no views: slot 2 alone
+	d.Observe(4, &vs) // no views and nothing logged: the policy is not called
 	register(0)
 	vs.MarkChanged(0)
-	shares(5) // view 0, and slot 2
+	shares(5) // view 0
 
 	// Edits: two views join behind view 0 and are marked; then the middle one
 	// leaves, cut out with its slot; then one more joins.
@@ -441,9 +443,9 @@ func TestViewSetChangeLog(t *testing.T) {
 	vs.TakeSlot()
 	register(0)
 	shares(9) // a fresh run: every view again
-	wantChanged := [][]int32{nil, nil, {1}, {}, {0}, {1, 2}, {1}, {1}, nil}
-	wantFreed := [][]int32{{}, {1}, {}, {}, {2}, {}, {2}, {}, {}}
-	wantSlots := [][]int32{{0, 1, 2}, {0, 2}, {0, 2}, {0, 2}, {0}, {0, 2, 1}, {0, 1}, {1, 2}, {0}}
+	wantChanged := [][]int32{nil, nil, {1}, {}, {}, {0}, {1, 2}, {1}, {1}, nil}
+	wantFreed := [][]int32{{}, {1}, {}, {}, {2}, {}, {}, {2}, {}, {}}
+	wantSlots := [][]int32{{0, 1, 2}, {0, 2}, {0, 2}, {0, 2}, {}, {0}, {0, 2, 1}, {0, 1}, {1, 2}, {0}}
 	wantServed := [][]int32{{0, 1, 2}, {1}, {}, {0}, {1, 2}, {1}, {1}, {0}}
 	if !reflect.DeepEqual(p.changed, wantChanged) || !reflect.DeepEqual(p.freed, wantFreed) {
 		t.Fatalf("the policy was handed changed %#v and freed %v; want %#v and %v", p.changed, p.freed, wantChanged, wantFreed)
