@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"hash"
 	"hash/fnv"
@@ -13,9 +12,8 @@ import (
 	"lasmq/internal/engine"
 	"lasmq/internal/obs"
 	"lasmq/internal/sched"
+	"lasmq/internal/sched/schedtest"
 )
-
-var updatePinned = flag.Bool("update-pinned", false, "rewrite the testdata pins of the tests run from what the engine does now")
 
 // launchFold folds every TaskStart event, in the order the engine emits them,
 // into one FNV-1a hash: which attempt a round launches, and in which order
@@ -125,5 +123,5 @@ func TestLaunchOrderPinned(t *testing.T) {
 			}
 		}
 	}
-	checkPinned(t, "testdata/launch_order.txt", got.Bytes())
+	schedtest.Pinned(t, "testdata/launch_order.txt", got.Bytes())
 }

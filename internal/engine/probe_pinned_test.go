@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"slices"
 	"testing"
 
@@ -13,6 +12,7 @@ import (
 	"lasmq/internal/engine"
 	"lasmq/internal/obs"
 	"lasmq/internal/sched"
+	"lasmq/internal/sched/schedtest"
 )
 
 // pinnedGittinsModel is the service distribution the pinned Gittins runs
@@ -109,31 +109,5 @@ func TestProbeStreamPinned(t *testing.T) {
 			fmt.Fprintf(&got, "%s %s %d %016x\n", p.name, cname, log.Len(), h.Sum64())
 		}
 	}
-	checkPinned(t, "testdata/probe_streams.txt", got.Bytes())
-}
-
-// checkPinned holds got against the pinned file at path, or rewrites the file
-// under -update-pinned.
-func checkPinned(t *testing.T, path string, got []byte) {
-	t.Helper()
-	if *updatePinned {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got, want) {
-		return
-	}
-	gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-	for i := range min(len(gotLines), len(wantLines)) {
-		if !bytes.Equal(gotLines[i], wantLines[i]) {
-			t.Fatalf("%s line %d: got %q, pinned %q", path, i+1, gotLines[i], wantLines[i])
-		}
-	}
-	t.Fatalf("%s: %d lines, pinned %d", path, len(gotLines), len(wantLines))
+	schedtest.Pinned(t, "testdata/probe_streams.txt", got.Bytes())
 }

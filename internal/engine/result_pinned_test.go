@@ -11,6 +11,7 @@ import (
 	"lasmq/internal/core"
 	"lasmq/internal/engine"
 	"lasmq/internal/job"
+	"lasmq/internal/sched/schedtest"
 )
 
 // resultDigest folds a whole *engine.Result into one FNV-64a hash, floats by
@@ -116,5 +117,5 @@ func TestRunResultPinned(t *testing.T) {
 			run(fmt.Sprintf("order/chaos=%v", chaos), specs, policy, cfg)
 		}
 	}
-	checkPinned(t, "testdata/run_results.txt", got.Bytes())
+	schedtest.Pinned(t, "testdata/run_results.txt", got.Bytes())
 }

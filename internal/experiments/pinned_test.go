@@ -3,7 +3,6 @@ package experiments
 import (
 	"bufio"
 	"bytes"
-	"flag"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -11,9 +10,8 @@ import (
 	"testing"
 
 	"lasmq/internal/runner"
+	"lasmq/internal/sched/schedtest"
 )
-
-var updatePinned = flag.Bool("update-pinned", false, "rewrite testdata/catalog_pinned.txt from the cells the registry yields now")
 
 const catalogPinnedPath = "testdata/catalog_pinned.txt"
 
@@ -91,26 +89,5 @@ func TestCatalogPinned(t *testing.T) {
 			fmt.Fprintf(&got, "%s %d %016x\n", name, seed, cellsDigest(sample.Cells))
 		}
 	}
-	if *updatePinned {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(catalogPinnedPath, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(catalogPinnedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotLines, wantLines := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
-	for i := range min(len(gotLines), len(wantLines)) {
-		if !bytes.Equal(gotLines[i], wantLines[i]) {
-			t.Errorf("line %d: got %q, pinned %q", i+1, gotLines[i], wantLines[i])
-		}
-	}
-	if len(gotLines) != len(wantLines) {
-		t.Errorf("%d lines, pinned %d", len(gotLines), len(wantLines))
-	}
+	schedtest.Pinned(t, catalogPinnedPath, got.Bytes())
 }

@@ -2,11 +2,9 @@ package fluid_test
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
 	"testing"
 
 	"lasmq/internal/core"
@@ -14,10 +12,9 @@ import (
 	"lasmq/internal/fluid"
 	"lasmq/internal/obs"
 	"lasmq/internal/sched"
+	"lasmq/internal/sched/schedtest"
 	"lasmq/internal/trace"
 )
-
-var updatePinned = flag.Bool("update-pinned", false, "rewrite testdata/probe_streams.txt from the streams the simulator emits now")
 
 // pinnedPolicies are the policies whose runs TestProbeStreamPinned holds:
 // every name core.PolicyNames lists, under its reporting name and with LAS_MQ
@@ -155,21 +152,5 @@ func TestProbeStreamPinned(t *testing.T) {
 			fmt.Fprintf(&got, "%s %s %d %016x\n", tr.name, p.name, log.Len(), h.Sum64())
 		}
 	}
-	const path = "testdata/probe_streams.txt"
-	if *updatePinned {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("probe streams moved:\n got:\n%s pinned:\n%s", got.Bytes(), want)
-	}
+	schedtest.Pinned(t, "testdata/probe_streams.txt", got.Bytes())
 }

@@ -2,18 +2,15 @@ package geo
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 
 	"lasmq/internal/core"
 	"lasmq/internal/sched"
+	"lasmq/internal/sched/schedtest"
 )
-
-var updatePinned = flag.Bool("update-pinned", false, "rewrite testdata/pinned.txt from what Run returns now")
 
 // pinnedSpecs is a seeded workload for TestGeoPinned: a few heavy scans among
 // many small queries, data spread at random over three sites, two jobs
@@ -97,25 +94,5 @@ func TestGeoPinned(t *testing.T) {
 			}
 		}
 	}
-	const path = "testdata/pinned.txt"
-	if *updatePinned {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got.Bytes(), want) {
-		return
-	}
-	gotLines, wantLines := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
-	for i := range min(len(gotLines), len(wantLines)) {
-		if !bytes.Equal(gotLines[i], wantLines[i]) {
-			t.Fatalf("line %d: got %q, pinned %q", i+1, gotLines[i], wantLines[i])
-		}
-	}
-	t.Fatalf("%d lines, pinned %d", len(gotLines), len(wantLines))
+	schedtest.Pinned(t, "testdata/pinned.txt", got.Bytes())
 }
