@@ -90,9 +90,16 @@ lint:
 # package is its package comment alone (no non-test .go file but doc.go at the
 # root), and no package imports "lasmq", so no façade of aliases over
 # internal/ grows back.
-# The last keeps one windowed view of a run, the obs.Series sink: no non-test
+# The next keeps one windowed view of a run, the obs.Series sink: no non-test
 # Go names the engine's sampled timeline (Config.SampleInterval,
 # Result.Timeline) or obs.QueueTimeline, so no second sampler grows back.
+# The last keeps one conformance suite: the policy oracles AnswerError,
+# FIFOError, LiteralLASMQ, MapOnly and DemoteOnly are called only by
+# schedtest.Conform, by the policy packages' own tests (internal/sched,
+# internal/core), and by the engine tests that drive runs Conform does not
+# (dense_test.go's sharded and blend-over-FIFO differentials,
+# incremental_test.go's full-reschedule one, bench_probe_test.go's synthetic
+# rounds), so no substrate wires an oracle in by hand again.
 layering:
 	@bad=$$(grep -rn '"lasmq/internal/fluid"' internal/trace --include='*.go'; true); \
 	if [ -n "$$bad" ]; then \
@@ -231,6 +238,14 @@ layering:
 	if [ -n "$$bad" ]; then \
 		echo "layering: obs.Series is the one windowed view of a run; no non-test Go names" \
 			"SampleInterval, QueueTimeline or .Timeline:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE --include='*.go' 'schedtest\.((AnswerError|FIFOError|MapOnly)\(|(LiteralLASMQ|DemoteOnly)\{)' . \
+		| grep -v -e '^\./internal/sched/' -e '^\./internal/core/' -e '^\./internal/engine/dense_test\.go:' \
+		-e '^\./internal/engine/incremental_test\.go:' -e '^\./internal/engine/bench_probe_test\.go:'; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: a substrate holds its policies to the oracles through schedtest.Conform," \
+			"calling none of AnswerError, FIFOError, LiteralLASMQ, MapOnly or DemoteOnly itself:"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "layering: ok"

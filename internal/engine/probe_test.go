@@ -1,52 +1,12 @@
 package engine_test
 
 import (
-	"io"
-	"reflect"
 	"testing"
 
 	"lasmq/internal/engine"
 	"lasmq/internal/obs"
 	"lasmq/internal/workload"
 )
-
-// TestProbedMatchesUnprobed is the telemetry layer's correctness gate on the
-// task-level engine: attaching a probe (with every sink type fanned in) must
-// not perturb the simulation. Results are compared byte-for-byte across the
-// same policy families and adversarial config the incremental differential
-// test uses, with nothing nulled: a Result holds no telemetry.
-func TestProbedMatchesUnprobed(t *testing.T) {
-	for pname, mk := range diffPolicies(t) {
-		t.Run(pname, func(t *testing.T) {
-			for seed := int64(1); seed <= 2; seed++ {
-				cfg := engine.DefaultConfig()
-				cfg.Containers = 16
-				cfg.MaxRunningJobs = 4
-				cfg.FailureProb = 0.1
-				cfg.StragglerProb = 0.2
-				cfg.StragglerFactor = 3
-				cfg.Speculation = true
-				cfg.Seed = seed
-				specs := diffWorkload(seed, 24)
-
-				plain, err := engine.Run(specs, mk(), cfg)
-				if err != nil {
-					t.Fatalf("seed %d unprobed: %v", seed, err)
-				}
-				cfg.Probe = obs.Multi(obs.NewCounters(), obs.NewJSONL(io.Discard), obs.NewChromeTrace(),
-					obs.NewRing(1<<12), obs.NewHistograms(), obs.NewSeries(50))
-				probed, err := engine.Run(specs, mk(), cfg)
-				if err != nil {
-					t.Fatalf("seed %d probed: %v", seed, err)
-				}
-				if !reflect.DeepEqual(plain, probed) {
-					t.Fatalf("seed %d: attaching a probe changed the simulation result\n plain: %+v\n probed: %+v",
-						seed, plain, probed)
-				}
-			}
-		})
-	}
-}
 
 // TestProbedCountersConsistency sanity-checks the aggregate snapshot against
 // the run it observed: every submitted job was admitted and completed, tasks

@@ -10,7 +10,6 @@ import (
 	"lasmq/internal/fluid"
 	"lasmq/internal/obs"
 	"lasmq/internal/sched"
-	"lasmq/internal/sched/schedtest"
 )
 
 // TestHistogramSideChannels pins the fluid substrate's wiring into the
@@ -31,7 +30,7 @@ func TestHistogramSideChannels(t *testing.T) {
 	for name, newPolicy := range map[string]func() sched.Scheduler{
 		"LAS dense":    func() sched.Scheduler { return sched.NewLAS() },
 		"LAS_MQ dense": newLASMQ,
-		"LAS_MQ map":   func() sched.Scheduler { return schedtest.MapOnly(newLASMQ()) },
+		"LAS_MQ map":   func() sched.Scheduler { return struct{ sched.Scheduler }{newLASMQ()} }, // Assign alone
 	} {
 		t.Run(name, func(t *testing.T) { histogramSideChannels(t, newPolicy) })
 	}

@@ -32,13 +32,7 @@ func pinnedPolicies(t *testing.T) []namedPolicy {
 		}
 		return s
 	}
-	model, err := dist.NewMixture([]dist.Service{
-		dist.LognormalService{Mu: 0, Sigma: 0.5},
-		dist.LognormalService{Mu: 4, Sigma: 1},
-	}, []float64{0.8, 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := pinnedGittinsModel(t)
 	var out []namedPolicy
 	for _, name := range core.PolicyNames() {
 		newPolicy := func() (sched.Scheduler, error) { return core.NewPolicy(name, mqCfg) }
@@ -61,6 +55,19 @@ func pinnedPolicies(t *testing.T) []namedPolicy {
 		}},
 		namedPolicy{"Blend", func() (sched.Scheduler, error) { return sched.NewBlend(mq(), sched.NewFair(), 0.4) }},
 	)
+}
+
+// pinnedGittinsModel is the service distribution the pinned Gittins runs
+// schedule from: a mixture of a small and a large lognormal cluster.
+func pinnedGittinsModel(t *testing.T) dist.Service {
+	m, err := dist.NewMixture([]dist.Service{
+		dist.LognormalService{Mu: 0, Sigma: 0.5},
+		dist.LognormalService{Mu: 4, Sigma: 1},
+	}, []float64{0.8, 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // pinnedTrace is one input of TestProbeStreamPinned: a trace and the

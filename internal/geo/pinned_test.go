@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"lasmq/internal/core"
+	"lasmq/internal/dist"
+	"lasmq/internal/obs"
 	"lasmq/internal/sched"
 	"lasmq/internal/sched/schedtest"
 )
@@ -71,6 +73,16 @@ func pinnedPolicies(t *testing.T) []func() sched.Scheduler {
 	}
 }
 
+// pinnedConfig is the configuration of TestGeoPinned's runs: three sites of
+// six, five and seven containers under the given placement.
+func pinnedConfig(placement PlacementPolicy) Config {
+	cfg := DefaultConfig()
+	cfg.SiteContainers = []int{6, 5, 7}
+	cfg.Placement = placement
+	cfg.Seed = 11
+	return cfg
+}
+
 // TestGeoPinned holds Run's per-job results bit for bit against
 // testdata/pinned.txt, which was written at the last commit where Run called
 // policy.Assign and sched.Quantize itself (go test ./internal/geo -run
@@ -80,11 +92,7 @@ func TestGeoPinned(t *testing.T) {
 	var got bytes.Buffer
 	for _, mk := range pinnedPolicies(t) {
 		for _, placement := range []PlacementPolicy{PlaceLocalityAware, PlaceBlind} {
-			cfg := DefaultConfig()
-			cfg.SiteContainers = []int{6, 5, 7}
-			cfg.Placement = placement
-			cfg.Seed = 11
-			res, err := Run(specs, mk(), cfg)
+			res, err := Run(specs, mk(), pinnedConfig(placement))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,4 +103,22 @@ func TestGeoPinned(t *testing.T) {
 		}
 	}
 	schedtest.Pinned(t, "testdata/pinned.txt", got.Bytes())
+}
+
+// TestConform holds every policy of schedtest.Conform's table to its oracles
+// on TestGeoPinned's workload under both placements, at a first LAS_MQ
+// threshold of 10. Run takes no probe, so the checks that read one are left
+// out.
+func TestConform(t *testing.T) {
+	specs := pinnedSpecs()
+	placements := []PlacementPolicy{PlaceLocalityAware, PlaceBlind}
+	schedtest.Conform(t, schedtest.Substrate{
+		Inputs: []string{placements[0].String(), placements[1].String()},
+		Run: func(i int, p sched.Scheduler, _ obs.Probe, check schedtest.Check) (any, error) {
+			return Run(specs, schedtest.Watch(p, check), pinnedConfig(placements[i]))
+		},
+		Unprobed:       true,
+		FirstThreshold: 10,
+		Gittins:        dist.LognormalService{Mu: 3, Sigma: 1},
+	})
 }

@@ -139,9 +139,13 @@ func (m mapProbed) SetProbe(p obs.Probe) { m.inner.(obs.ProbeSetter).SetProbe(p)
 // substrate.Driver.Shares and ViewSet.Served read. The wrapper has every dense form and
 // exactly p's map-form capabilities (forwarded to p), which decide what
 // sched.DenseForms resolves; so a substrate drives it as it drives p, and a
-// run with Watch(p) equals the run with p bit for bit. Like MapOnly, it
-// panics on a capability set no policy here has.
+// run with Watch(p) equals the run with p bit for bit. A nil check watches
+// nothing: Watch returns p. Like MapOnly, it panics on a capability set no
+// policy here has.
 func Watch(p sched.Scheduler, check func(capacity float64, jobs []sched.JobView, shares *sched.Shares)) sched.Scheduler {
+	if check == nil {
+		return p
+	}
 	m, w := &mapOnly{p}, &watchDense{check: check}
 	w.a, w.h, w.o = sched.DenseForms(p)
 	_, probed := p.(obs.ProbeSetter)
