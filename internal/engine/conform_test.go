@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"lasmq/internal/core"
 	"lasmq/internal/engine"
 	"lasmq/internal/job"
 	"lasmq/internal/obs"
@@ -24,18 +25,7 @@ type literalInput struct {
 // and without chaos) and TestLaunchOrderPinned's (orderSpecs under a tight and
 // a wide admission cap, through Run and RunStream).
 func literalInputs() []literalInput {
-	var inputs []literalInput
-	configs := diffConfigs()
-	for seed := int64(1); seed <= 3; seed++ {
-		for cname, tweak := range configs {
-			cfg := engine.DefaultConfig()
-			cfg.Containers = 20
-			cfg.MaxRunningJobs = 0
-			cfg.Seed = seed
-			tweak(&cfg)
-			inputs = append(inputs, literalInput{fmt.Sprintf("diff/seed%d/%s", seed, cname), diffWorkload(seed, 40), cfg, false})
-		}
-	}
+	inputs := diffInputs("diff", 40)
 	chaos := func(cfg engine.Config) engine.Config {
 		cfg.FailureProb = 0.1
 		cfg.StragglerProb = 0.2
@@ -57,6 +47,23 @@ func literalInputs() []literalInput {
 	)
 }
 
+// diffInputs are diffWorkload's seeds 1-3 at n jobs under every noise
+// configuration.
+func diffInputs(name string, n int) []literalInput {
+	var inputs []literalInput
+	for seed := int64(1); seed <= 3; seed++ {
+		for cname, tweak := range diffConfigs() {
+			cfg := engine.DefaultConfig()
+			cfg.Containers = 20
+			cfg.MaxRunningJobs = 0
+			cfg.Seed = seed
+			tweak(&cfg)
+			inputs = append(inputs, literalInput{fmt.Sprintf("%s/seed%d/%s", name, seed, cname), diffWorkload(seed, n), cfg, false})
+		}
+	}
+	return inputs
+}
+
 // run runs the input under p, through Run or RunStream, and returns what the
 // run reports: the Result, or the StreamResult and every streamed JobResult.
 func (in literalInput) run(p sched.Scheduler) (any, error) {
@@ -69,10 +76,13 @@ func (in literalInput) run(p sched.Scheduler) (any, error) {
 }
 
 // TestConform holds every policy of schedtest.Conform's table to its oracles
-// on the engine's pinned inputs (literalInputs), at a first LAS_MQ threshold
-// of 10 and under the pinned Gittins model.
+// on the engine's pinned inputs (literalInputs) and on the differential
+// workload at 24 jobs, with LAS_MQ in its default configuration and at a
+// first threshold of 10, and Gittins under the pinned model.
 func TestConform(t *testing.T) {
-	inputs := literalInputs()
+	inputs := append(literalInputs(), diffInputs("diff24", 24)...)
+	attained := core.DefaultConfig()
+	attained.FirstThreshold = 10
 	names := make([]string, len(inputs))
 	for i, in := range inputs {
 		names[i] = in.name
@@ -84,7 +94,7 @@ func TestConform(t *testing.T) {
 			in.cfg.Probe = probe
 			return in.run(schedtest.Watch(p, check))
 		},
-		FirstThreshold: 10,
-		Gittins:        pinnedGittinsModel(t),
+		LASMQ:   []core.Config{core.DefaultConfig(), attained},
+		Gittins: pinnedGittinsModel(t),
 	})
 }

@@ -76,8 +76,8 @@ func pinnedPolicies(t *testing.T) []namedPolicy {
 // launch, completion and queue event — for each pinned policy on
 // diffWorkload's seed 1 under every noise configuration against
 // testdata/probe_streams.txt (go test ./internal/engine -run
-// TestProbeStreamPinned -update-pinned rewrites it). TestDenseMatchesMapOnly
-// compares two forms of one binary's policies; this file is the other binary,
+// TestProbeStreamPinned -update-pinned rewrites it). TestConform compares
+// two forms of one binary's policies; this file is the other binary,
 // written before these policies' map forms were rebuilt on their dense ones.
 func TestProbeStreamPinned(t *testing.T) {
 	specs := diffWorkload(1, 60)

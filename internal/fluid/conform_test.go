@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"lasmq/internal/core"
 	"lasmq/internal/fluid"
 	"lasmq/internal/obs"
 	"lasmq/internal/sched"
@@ -12,10 +13,13 @@ import (
 )
 
 // TestConform holds every policy of schedtest.Conform's table to its oracles
-// on the pinned traces and diffTrace's seeds 2 and 3, at a first LAS_MQ
-// threshold of 1 and under the pinned Gittins model. The simulator's own
-// check of every answer is that service is conserved.
+// on the pinned traces and diffTrace's seeds 2 and 3, with LAS_MQ in the
+// trace-simulation configuration of pinnedPolicies and Gittins under the
+// pinned model. The simulator's own check of every answer is that service is
+// conserved.
 func TestConform(t *testing.T) {
+	mq := core.DefaultConfig()
+	mq.FirstThreshold, mq.StageAware, mq.OrderByDemand = 1, false, false
 	inputs := pinnedTraces(t)
 	for _, seed := range []int64{2, 3} {
 		specs, tcfg := diffTrace(t, seed)
@@ -33,7 +37,7 @@ func TestConform(t *testing.T) {
 			in := inputs[i]
 			c := conservation{attained: make([]float64, len(in.specs)+1)}
 			in.cfg.Probe = probe
-			var jobs []fluid.JobResult
+			jobs := make([]fluid.JobResult, 0, len(in.specs))
 			res, err := fluid.StreamDelivering(in.specs, func(delivered func() float64) sched.Scheduler {
 				if check == nil {
 					return p
@@ -52,8 +56,8 @@ func TestConform(t *testing.T) {
 			}
 			return []any{res, jobs}, err
 		},
-		FirstThreshold: 1,
-		Gittins:        pinnedGittinsModel(t),
+		LASMQ:   []core.Config{mq},
+		Gittins: pinnedGittinsModel(t),
 	})
 }
 

@@ -127,8 +127,8 @@ type namedPolicy struct {
 // ./internal/fluid -run TestProbeStreamPinned -update-pinned rewrites it):
 // per run, the length of the JSONL probe stream and one FNV-64a hash over
 // the stream, every JobResult, Makespan, Utilization and Rounds.
-// TestDenseMatchesMapOnly compares two forms of one binary's policies; this
-// file is the other binary.
+// TestConform compares two forms of one binary's policies; this file is the
+// other binary.
 func TestProbeStreamPinned(t *testing.T) {
 	var got bytes.Buffer
 	for _, tr := range pinnedTraces(t) {

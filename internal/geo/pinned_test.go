@@ -106,19 +106,21 @@ func TestGeoPinned(t *testing.T) {
 }
 
 // TestConform holds every policy of schedtest.Conform's table to its oracles
-// on TestGeoPinned's workload under both placements, at a first LAS_MQ
+// on TestGeoPinned's workload under both placements, with LAS_MQ at a first
 // threshold of 10. Run takes no probe, so the checks that read one are left
 // out.
 func TestConform(t *testing.T) {
 	specs := pinnedSpecs()
+	mq := core.DefaultConfig()
+	mq.FirstThreshold = 10
 	placements := []PlacementPolicy{PlaceLocalityAware, PlaceBlind}
 	schedtest.Conform(t, schedtest.Substrate{
 		Inputs: []string{placements[0].String(), placements[1].String()},
 		Run: func(i int, p sched.Scheduler, _ obs.Probe, check schedtest.Check) (any, error) {
 			return Run(specs, schedtest.Watch(p, check), pinnedConfig(placements[i]))
 		},
-		Unprobed:       true,
-		FirstThreshold: 10,
-		Gittins:        dist.LognormalService{Mu: 3, Sigma: 1},
+		Unprobed: true,
+		LASMQ:    []core.Config{mq},
+		Gittins:  dist.LognormalService{Mu: 3, Sigma: 1},
 	})
 }

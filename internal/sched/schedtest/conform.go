@@ -29,10 +29,11 @@ type Substrate struct {
 	// Unprobed marks a substrate that takes no probe: Conform skips the
 	// checks that read the probe stream.
 	Unprobed bool
-	// FirstThreshold is LAS_MQ's first threshold, and the adaptive wrapper's
-	// initial one, at the substrate's scale; Gittins schedules from Gittins.
-	FirstThreshold float64
-	Gittins        dist.Service
+	// LASMQ are LAS_MQ's configurations at the substrate's scale. Each runs
+	// under stage awareness × demand order; the first also configures the
+	// adaptive wrapper's initial ladder and the blends' LAS_MQ.
+	LASMQ   []core.Config
+	Gittins dist.Service // the service model Gittins schedules from
 }
 
 // entry is one policy of Conform's table; mq configures LAS_MQ itself.
@@ -43,42 +44,39 @@ type entry struct {
 }
 
 // policies is Conform's policy table: the baselines core.NewPolicy builds,
-// Gittins, LAS_MQ under stage awareness × demand order, the adaptive wrapper
-// and two blends of LAS_MQ with FAIR.
+// Gittins, each LAS_MQ configuration under stage awareness × demand order,
+// the adaptive wrapper and two blends of LAS_MQ with FAIR.
 func (s *Substrate) policies() []entry {
-	mq := func(stageAware, byDemand bool) core.Config {
-		c := core.DefaultConfig()
-		c.FirstThreshold, c.StageAware, c.OrderByDemand = s.FirstThreshold, stageAware, byDemand
-		return c
-	}
 	var out []entry
 	for _, name := range core.PolicyNames()[1:] { // all but LAS_MQ, which comes first
 		p, _ := core.NewPolicy(name, core.Config{})
 		out = append(out, entry{name: p.Name(), new: func() (sched.Scheduler, error) { return core.NewPolicy(name, core.Config{}) }})
 	}
 	out = append(out, entry{name: "Gittins", new: func() (sched.Scheduler, error) { return sched.NewGittins(s.Gittins), nil }})
-	for _, stageAware := range []bool{false, true} {
-		for _, byDemand := range []bool{false, true} {
-			c := mq(stageAware, byDemand)
-			out = append(out, entry{fmt.Sprintf("LAS_MQ/stageAware=%v/byDemand=%v", stageAware, byDemand),
-				func() (sched.Scheduler, error) { return core.New(c) }, &c})
+	for _, mq := range s.LASMQ {
+		for _, stageAware := range []bool{false, true} {
+			for _, byDemand := range []bool{false, true} {
+				c := mq
+				c.StageAware, c.OrderByDemand = stageAware, byDemand
+				out = append(out, entry{fmt.Sprintf("LAS_MQ/first=%v/stageAware=%v/byDemand=%v", c.FirstThreshold, stageAware, byDemand),
+					func() (sched.Scheduler, error) { return core.New(c) }, &c})
+			}
 		}
 	}
+	mq := s.LASMQ[0]
 	out = append(out, entry{name: "Adaptive", new: func() (sched.Scheduler, error) {
 		c := core.DefaultAdaptiveConfig()
-		c.InitialThreshold, c.WarmupJobs, c.RefitEvery = s.FirstThreshold, 4, 4
+		c.Queues, c.QueueWeightDecay, c.StageAware, c.OrderByDemand = mq.Queues, mq.QueueWeightDecay, mq.StageAware, mq.OrderByDemand
+		c.InitialThreshold, c.InitialStep, c.WarmupJobs, c.RefitEvery = mq.FirstThreshold, mq.Step, 4, 4
 		return core.NewAdaptive(c)
 	}})
-	for _, b := range []struct {
-		theta float64
-		mq    core.Config
-	}{{0.4, mq(true, true)}, {0.5, mq(false, false)}} {
-		out = append(out, entry{name: fmt.Sprintf("Blend-%v", b.theta), new: func() (sched.Scheduler, error) {
-			p, err := core.New(b.mq)
+	for _, theta := range []float64{0.4, 0.5} {
+		out = append(out, entry{name: fmt.Sprintf("Blend-%v", theta), new: func() (sched.Scheduler, error) {
+			p, err := core.New(mq)
 			if err != nil {
 				return nil, err
 			}
-			return sched.NewBlend(p, sched.NewFair(), b.theta)
+			return sched.NewBlend(p, sched.NewFair(), theta)
 		}})
 	}
 	return out
@@ -204,7 +202,7 @@ func (s *Substrate) runPair(t *testing.T, i int, e *entry) *pair {
 		return sch
 	}
 	log := obs.NewJSONL(io.Discard)
-	sinks := []obs.Sink{&p.stream, log, obs.NewCounters(), obs.NewChromeTrace(), obs.NewRing(1 << 12),
+	sinks := []obs.Sink{&p.stream, log, obs.NewCounters(), obs.NewChromeTrace(), obs.NewRing(1 << 8),
 		obs.NewHistograms(), obs.NewSeries(50)}
 	if c := e.mq; c != nil {
 		p.literal = run(&LiteralLASMQ{Queues: c.Queues, FirstThreshold: c.FirstThreshold, Step: c.Step,
