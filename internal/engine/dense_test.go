@@ -17,9 +17,10 @@ import (
 // contract that schedtest.Conform holds engine.Run to: a policy driven through
 // its dense forms and the same policy with those forms hidden
 // (schedtest.MapOnly) must produce DeepEqual results and byte-identical JSONL
-// probe streams. Streamed runs recycle job records and slots as jobs complete, four shards each with
-// its own driver, view registry and policy, chaos on — for the sharded
-// suite's policies and the stateful ones whose map forms issue their own slots.
+// probe streams. Streamed runs recycle job records and slots as jobs
+// complete, four shards each with its own driver, view registry and policy,
+// chaos on — for the sharded suite's policies and the stateful ones whose map
+// forms issue their own slots.
 func TestDenseMatchesMapOnlySharded(t *testing.T) {
 	policies := diffPolicies(t)
 	specs := diffWorkload(7, 240)

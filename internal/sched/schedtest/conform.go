@@ -15,9 +15,6 @@ import (
 	"lasmq/internal/sched"
 )
 
-// Check is what Watch shows each answer.
-type Check func(capacity float64, jobs []sched.JobView, shares *sched.Shares)
-
 // Substrate is a deterministic substrate as Conform drives it.
 type Substrate struct {
 	Inputs []string // the inputs Run takes by index

@@ -133,6 +133,10 @@ type mapProbed struct{ *mapOnly }
 
 func (m mapProbed) SetProbe(p obs.Probe) { m.inner.(obs.ProbeSetter).SetProbe(p) }
 
+// Check is what Watch shows each answer: the round's capacity, its views and
+// the answer.
+type Check func(capacity float64, jobs []sched.JobView, shares *sched.Shares)
+
 // Watch returns p behind a wrapper that drives p's dense forms — p's own, or
 // for a map-only p the map adapter sched.DenseForms builds — and hands check
 // each round's capacity, views and answer as AssignDense leaves it: the answer
@@ -142,7 +146,7 @@ func (m mapProbed) SetProbe(p obs.Probe) { m.inner.(obs.ProbeSetter).SetProbe(p)
 // run with Watch(p) equals the run with p bit for bit. A nil check watches
 // nothing: Watch returns p. Like MapOnly, it panics on a capability set no
 // policy here has.
-func Watch(p sched.Scheduler, check func(capacity float64, jobs []sched.JobView, shares *sched.Shares)) sched.Scheduler {
+func Watch(p sched.Scheduler, check Check) sched.Scheduler {
 	if check == nil {
 		return p
 	}
@@ -186,7 +190,7 @@ type watchDense struct {
 	a     sched.DenseAssigner
 	h     sched.DenseHinter
 	o     sched.DenseObserver
-	check func(float64, []sched.JobView, *sched.Shares)
+	check Check
 }
 
 func (w *watchDense) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
