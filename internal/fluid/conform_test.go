@@ -3,6 +3,7 @@ package fluid_test
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"lasmq/internal/core"
@@ -12,53 +13,163 @@ import (
 	"lasmq/internal/sched/schedtest"
 )
 
-// TestConform holds every policy of schedtest.Conform's table to its oracles
-// on the pinned traces and diffTrace's seeds 2 and 3, with LAS_MQ in the
+// conformance is the fluid simulator's substrate for schedtest.Conform: the
+// pinned traces and diffTrace's seeds 2 and 3, with LAS_MQ in the
 // trace-simulation configuration of pinnedPolicies and Gittins under the
 // pinned model. The simulator's own check of every answer is that service is
-// conserved.
-func TestConform(t *testing.T) {
-	mq := core.DefaultConfig()
-	mq.FirstThreshold, mq.StageAware, mq.OrderByDemand = 1, false, false
-	inputs := pinnedTraces(t)
-	for _, seed := range []int64{2, 3} {
-		specs, tcfg := diffTrace(t, seed)
-		cfg := fluid.DefaultConfig()
-		cfg.Capacity = tcfg.Capacity
-		inputs = append(inputs, pinnedTrace{fmt.Sprintf("facebook/seed%d", seed), specs, cfg})
-	}
-	names := make([]string, len(inputs))
-	for i, in := range inputs {
-		names[i] = in.name
-	}
-	schedtest.Conform(t, schedtest.Substrate{
-		Inputs: names,
-		Run: func(i int, p sched.Scheduler, probe obs.Probe, check schedtest.Check) (any, error) {
-			in := inputs[i]
-			c := conservation{attained: make([]float64, len(in.specs)+1)}
-			in.cfg.Probe = probe
-			jobs := make([]fluid.JobResult, 0, len(in.specs))
-			res, err := fluid.StreamDelivering(in.specs, func(delivered func() float64) sched.Scheduler {
-				if check == nil {
-					return p
-				}
-				return schedtest.Watch(p, func(capacity float64, views []sched.JobView, shares *sched.Shares) {
-					check(capacity, views, shares)
-					c.round(delivered(), views)
+// conserved. TestConform and the tests below, which read its checks, share
+// its runs.
+var conformance struct {
+	sync.Once
+	s *schedtest.Substrate
+}
+
+func conforming(t *testing.T) *schedtest.Substrate {
+	conformance.Do(func() {
+		mq := core.DefaultConfig()
+		mq.FirstThreshold, mq.StageAware, mq.OrderByDemand = 1, false, false
+		inputs := pinnedTraces(t)
+		for _, seed := range []int64{2, 3} {
+			specs, tcfg := diffTrace(t, seed)
+			cfg := fluid.DefaultConfig()
+			cfg.Capacity = tcfg.Capacity
+			inputs = append(inputs, pinnedTrace{fmt.Sprintf("facebook/seed%d", seed), specs, cfg})
+		}
+		names := make([]string, len(inputs))
+		for i, in := range inputs {
+			names[i] = in.name
+		}
+		conformance.s = &schedtest.Substrate{
+			Inputs: names,
+			Run: func(i int, p sched.Scheduler, probe obs.Probe, check schedtest.Check) (any, error) {
+				in := inputs[i]
+				c := conservation{attained: make([]float64, len(in.specs)+1)}
+				in.cfg.Probe = probe
+				jobs := make([]fluid.JobResult, 0, len(in.specs))
+				res, err := fluid.StreamDelivering(in.specs, func(delivered func() float64) sched.Scheduler {
+					if check == nil {
+						return p
+					}
+					return schedtest.Watch(p, func(capacity float64, views []sched.JobView, shares *sched.Shares) {
+						check(capacity, views, shares)
+						c.round(delivered(), views)
+					})
+				}, in.cfg, func(jr fluid.JobResult) {
+					jobs = append(jobs, jr)
+					c.completed += jr.Size
 				})
-			}, in.cfg, func(jr fluid.JobResult) {
-				jobs = append(jobs, jr)
-				c.completed += jr.Size
-			})
-			if err == nil {
-				c.round(res.Delivered, nil)
-				err = c.err
-			}
-			return []any{res, jobs}, err
-		},
-		LASMQ:   []core.Config{mq},
-		Gittins: pinnedGittinsModel(t),
+				if err == nil {
+					c.round(res.Delivered, nil)
+					err = c.err
+				}
+				return []any{res, jobs}, err
+			},
+			LASMQ:   []core.Config{mq},
+			Gittins: pinnedGittinsModel(t),
+		}
 	})
+	if conformance.s == nil {
+		t.Fatal("the fluid simulator's conformance substrate was not built")
+	}
+	return conformance.s
+}
+
+// TestConform holds every policy of schedtest.Conform's table to its oracles
+// on the fluid simulator's conformance substrate.
+func TestConform(t *testing.T) {
+	schedtest.Conform(t, conforming(t))
+}
+
+// The tests below read Conform's checks, each on the pairs it names.
+
+// mqPinned names Conform's LAS_MQ in the configuration of pinnedPolicies.
+const mqPinned = "LAS_MQ/first=1/stageAware=false/byDemand=false"
+
+// contractPolicies names, for each pinned policy, a blend at theta = 0.5 and
+// LAS_MQ behind the map adapter, its row in Conform's table.
+func contractPolicies(t *testing.T) map[string]string {
+	out := map[string]string{"Blend-0.5": "Blend-0.5", "MapOnly-LAS_MQ": mqPinned}
+	for _, p := range pinnedPolicies(t) {
+		out[p.name] = p.name
+	}
+	out["LAS_MQ"], out["Blend"] = mqPinned, "Blend-0.4"
+	return out
+}
+
+// TestSparseAnswerContract: every answer of every contract policy on every
+// pinned trace keeps the sparse contract, and watching the answers changes no
+// result.
+func TestSparseAnswerContract(t *testing.T) {
+	s := conforming(t)
+	for _, tr := range pinnedTraces(t) {
+		for name, policy := range contractPolicies(t) {
+			t.Run(tr.name+"/"+name, func(t *testing.T) {
+				s.Check(t, tr.name, policy, "AnswerError", "answers", "MapOnly with one sink")
+			})
+		}
+	}
+}
+
+// TestFIFOMatchesLiteral holds every answer of FIFO on every pinned trace
+// against schedtest.LiteralFIFO, bit for bit.
+func TestFIFOMatchesLiteral(t *testing.T) {
+	s := conforming(t)
+	for _, tr := range pinnedTraces(t) {
+		t.Run(tr.name, func(t *testing.T) { s.Check(t, tr.name, "FIFO", "FIFOError", "answers") })
+	}
+}
+
+// TestLASMQMatchesLiteral holds LAS_MQ against schedtest.LiteralLASMQ, bit
+// for bit, on every pinned trace and on diffTrace's seeds 2 and 3, under
+// stage awareness and demand order each on and off.
+func TestLASMQMatchesLiteral(t *testing.T) {
+	s := conforming(t)
+	for _, input := range s.Inputs {
+		for _, stageAware := range []bool{false, true} {
+			for _, byDemand := range []bool{false, true} {
+				sub := fmt.Sprintf("stageAware=%v/byDemand=%v", stageAware, byDemand)
+				t.Run(input+"/"+sub, func(t *testing.T) {
+					s.Check(t, input, "LAS_MQ/first=1/"+sub, "LiteralLASMQ with no probe")
+				})
+			}
+		}
+	}
+}
+
+// TestServiceConserved checks, between every two answers of every contract
+// policy on every pinned trace, that service is conserved — the live jobs'
+// attained service plus the sizes of the completed jobs equals the service
+// delivered, to 1e-9 relative, and no job's attained service ever decreases
+// (the substrate's own check, which fails the run) — and that every job
+// completes exactly once.
+func TestServiceConserved(t *testing.T) {
+	s := conforming(t)
+	for _, tr := range pinnedTraces(t) {
+		for name, policy := range contractPolicies(t) {
+			t.Run(tr.name+"/"+name, func(t *testing.T) {
+				s.Check(t, tr.name, policy, "answers", "every job completes once")
+			})
+		}
+	}
+}
+
+// TestDenseMatchesMapOnly is the dense round contract's gate on the fluid
+// simulator: a policy driven through its dense forms and the same policy with
+// those forms hidden (schedtest.MapOnly) must produce DeepEqual results and
+// byte-identical probe streams, over diffTrace's 3 seeds × every pinned
+// policy. Jobs here complete, and their slots are reissued, thousands of
+// times a run.
+func TestDenseMatchesMapOnly(t *testing.T) {
+	s := conforming(t)
+	inputs := []string{"facebook", "facebook/seed2", "facebook/seed3"}
+	policies := contractPolicies(t)
+	for seed, input := range inputs {
+		for _, p := range pinnedPolicies(t) {
+			t.Run(fmt.Sprintf("seed%d/%s", seed+1, p.name), func(t *testing.T) {
+				s.Check(t, input, policies[p.name], "MapOnly with one sink", "MapOnly's probe stream")
+			})
+		}
+	}
 }
 
 // conservation is what TestConform's watched runs keep between rounds: each

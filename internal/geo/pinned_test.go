@@ -114,7 +114,7 @@ func TestConform(t *testing.T) {
 	mq := core.DefaultConfig()
 	mq.FirstThreshold = 10
 	placements := []PlacementPolicy{PlaceLocalityAware, PlaceBlind}
-	schedtest.Conform(t, schedtest.Substrate{
+	schedtest.Conform(t, &schedtest.Substrate{
 		Inputs: []string{placements[0].String(), placements[1].String()},
 		Run: func(i int, p sched.Scheduler, _ obs.Probe, check schedtest.Check) (any, error) {
 			return Run(specs, schedtest.Watch(p, check), pinnedConfig(placements[i]))

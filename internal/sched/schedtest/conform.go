@@ -6,6 +6,8 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -15,13 +17,16 @@ import (
 	"lasmq/internal/sched"
 )
 
-// Substrate is a deterministic substrate as Conform drives it.
+// Substrate is a deterministic substrate as Conform drives it. It keeps what
+// each (input, policy) pair's runs showed, so that Conform and Check run a
+// pair once however many tests read it: share one *Substrate between them.
 type Substrate struct {
 	Inputs []string // the inputs Run takes by index
 	// Run runs input i under p, with probe attached unless it is nil, and
 	// returns what the run reports, for reflect.DeepEqual. check is nil but
-	// on the watched run, which drives Watch(p, check); a substrate may add
-	// checks of its own there, failing the run. Runs may overlap.
+	// on the dense and the MapOnly run, which drive Watch(p, check); a
+	// substrate may add checks of its own there, failing the run. Runs may
+	// overlap.
 	Run func(i int, p sched.Scheduler, probe obs.Probe, check Check) (any, error)
 	// Unprobed marks a substrate that takes no probe: Conform skips the
 	// checks that read the probe stream.
@@ -31,6 +36,18 @@ type Substrate struct {
 	// adaptive wrapper's initial ladder and the blends' LAS_MQ.
 	LASMQ   []core.Config
 	Gittins dist.Service // the service model Gittins schedules from
+
+	mu    sync.Mutex
+	cells map[string]*cell // by input and policy name
+}
+
+// cell is what a Substrate keeps of one pair's runs: the error of a run that
+// failed, else each check's verdict, and the demotions DemoteOnly counted.
+type cell struct {
+	once      sync.Once
+	err       error
+	verdicts  map[string]error // by check name; nil where the check holds
+	demotions int
 }
 
 // entry is one policy of Conform's table; mq configures LAS_MQ itself.
@@ -79,21 +96,21 @@ func (s *Substrate) policies() []entry {
 	return out
 }
 
-// pair is what Conform keeps of one (input, policy) pair's runs.
+// pair is one (input, policy) pair's runs, as the checks read them.
 type pair struct {
 	*entry
-	rounds, served  int
-	broken          error // the first answer a check failed
-	watched, mapped any   // the results of the watched and the MapOnly run
-	literal         any   // LiteralLASMQ's, for LAS_MQ
+	rounds, served  int              // the dense run's answers and the views they served
+	broken          map[string]error // by check, the first answer it failed
+	watched, mapped any              // the results of the dense and the MapOnly run
+	literal         any              // LiteralLASMQ's, for LAS_MQ
 	stream, mapLog  stream
 	demote          *DemoteOnly // for LAS_MQ
 }
 
 // checks is Conform's table of oracles, each holding every answer of the
-// watched run (answer) or the pair's runs (runs). Conform skips a row that
-// reads the probe stream (probe) on an unprobed substrate, and a row about
-// LAS_MQ (lasmq) for any other policy.
+// dense and the MapOnly run (answer) or the pair's runs (runs). A row that
+// reads the probe stream (probe) does not apply on an unprobed substrate,
+// nor a row about LAS_MQ (lasmq) to any other policy.
 var checks = []struct {
 	name         string
 	probe, lasmq bool
@@ -111,10 +128,10 @@ var checks = []struct {
 	}},
 	{name: "grants within demand and capacity", answer: grantError},
 	{name: "answers", runs: func(p *pair) error {
-		if p.broken == nil && (p.rounds == 0 || p.served == 0) {
+		if p.rounds == 0 || p.served == 0 {
 			return fmt.Errorf("%d answers serving %d views", p.rounds, p.served)
 		}
-		return p.broken
+		return nil
 	}},
 	{name: "MapOnly with one sink", runs: func(p *pair) error { return differ(p.watched, p.mapped) }},
 	{name: "MapOnly's probe stream", probe: true, runs: func(p *pair) error {
@@ -136,8 +153,8 @@ var checks = []struct {
 // Conform holds every policy of its table on every input of s to every
 // oracle of its table, each pair in a parallel subtest. A pair runs through
 // the policy's dense forms, watched and with every obs sink fanned in; behind
-// MapOnly, with the suite's own sink alone; and, for LAS_MQ, as LiteralLASMQ
-// with no probe. Every check is taken from those runs:
+// MapOnly, watched, with the suite's own sink alone; and, for LAS_MQ, as
+// LiteralLASMQ with no probe. Every check is taken from those runs:
 //
 //   - every answer keeps the sparse contract (AnswerError), grants each view
 //     at most its ready demand and all of them at most the capacity, to 1e-9
@@ -148,83 +165,148 @@ var checks = []struct {
 //   - the probe stream completes every submitted job exactly once;
 //   - LAS_MQ equals LiteralLASMQ, and its queue events keep the demote-only
 //     rule (DemoteOnly), which must see one; over all inputs it must demote.
-func Conform(t *testing.T, s Substrate) {
+func Conform(t *testing.T, s *Substrate) {
 	var demotions atomic.Int64
 	t.Cleanup(func() {
 		if !s.Unprobed && demotions.Load() == 0 {
 			t.Error("LAS_MQ demoted no job on any input")
 		}
 	})
-	for i, input := range s.Inputs {
+	for _, input := range s.Inputs {
 		for _, e := range s.policies() {
 			t.Run(input+"/"+e.name, func(t *testing.T) {
 				t.Parallel()
-				p := s.runPair(t, i, &e)
-				for _, c := range checks {
-					if c.runs == nil || c.probe && s.Unprobed || c.lasmq && e.mq == nil {
-						continue
-					}
-					if err := c.runs(p); err != nil {
-						t.Errorf("%s: %v", c.name, err)
-					}
-				}
-				if p.demote != nil {
-					demotions.Add(int64(p.demote.Demotions()))
-				}
+				demotions.Add(int64(s.Check(t, input, e.name)))
 			})
 		}
 	}
 }
 
+// Check fails t on each named check of Conform's table, or on every check
+// that applies if none is named, for input under the named policy of the
+// table; the pair runs unless it has run for s already. It returns the
+// demotions DemoteOnly counted on the pair (0 for any policy but LAS_MQ).
+func (s *Substrate) Check(t *testing.T, input, policy string, names ...string) int {
+	t.Helper()
+	i := slices.Index(s.Inputs, input)
+	ps := s.policies()
+	k := slices.IndexFunc(ps, func(e entry) bool { return e.name == policy })
+	if i < 0 || k < 0 {
+		t.Fatalf("Conform has no pair %s/%s", input, policy)
+	}
+	c := s.cell(i, &ps[k])
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	for _, name := range names {
+		if _, ok := c.verdicts[name]; !ok {
+			t.Fatalf("check %q does not apply to %s/%s", name, input, policy)
+		}
+	}
+	for _, ch := range checks {
+		if err, ok := c.verdicts[ch.name]; ok && err != nil && (len(names) == 0 || slices.Contains(names, ch.name)) {
+			t.Errorf("%s: %v", ch.name, err)
+		}
+	}
+	return c.demotions
+}
+
+// cell runs input i under e's policy, once for s, and keeps each check's
+// verdict on the runs.
+func (s *Substrate) cell(i int, e *entry) *cell {
+	s.mu.Lock()
+	if s.cells == nil {
+		s.cells = map[string]*cell{}
+	}
+	c := s.cells[s.Inputs[i]+"/"+e.name]
+	if c == nil {
+		c = &cell{}
+		s.cells[s.Inputs[i]+"/"+e.name] = c
+	}
+	s.mu.Unlock()
+	c.once.Do(func() {
+		p, err := s.runPair(i, e)
+		if err != nil {
+			c.err = err
+			return
+		}
+		c.verdicts = map[string]error{}
+		for _, ch := range checks {
+			switch {
+			case ch.probe && s.Unprobed || ch.lasmq && e.mq == nil:
+			case ch.answer != nil:
+				c.verdicts[ch.name] = p.broken[ch.name]
+			default:
+				c.verdicts[ch.name] = ch.runs(p)
+			}
+		}
+		if p.demote != nil {
+			c.demotions = p.demote.Demotions()
+		}
+	})
+	return c
+}
+
 // runPair runs input i under e's policy: as LiteralLASMQ for LAS_MQ, watched
-// with every sink, and behind MapOnly.
-func (s *Substrate) runPair(t *testing.T, i int, e *entry) *pair {
-	p := &pair{entry: e, stream: newStream(), mapLog: newStream()}
-	run := func(policy sched.Scheduler, probe obs.Sink, check Check) any {
+// with every sink, and watched behind MapOnly.
+func (s *Substrate) runPair(i int, e *entry) (*pair, error) {
+	p := &pair{entry: e, broken: map[string]error{}, stream: newStream(), mapLog: newStream()}
+	run := func(policy sched.Scheduler, probe obs.Sink, check Check) (any, error) {
 		var attached obs.Probe
 		if probe != nil && !s.Unprobed {
 			attached = probe
 		}
-		res, err := s.Run(i, policy, attached, check)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return s.Run(i, policy, attached, check)
 	}
-	policy := func() sched.Scheduler {
-		sch, err := e.new()
-		if err != nil {
-			t.Fatal(err)
+	// watch checks every answer of a run; the answers it counts are the
+	// dense run's.
+	watch := func(run string, count bool) Check {
+		answers := 0
+		return func(capacity float64, jobs []sched.JobView, shares *sched.Shares) {
+			answers++
+			if count {
+				p.rounds++
+				p.served += len(shares.Served())
+			}
+			for _, c := range checks {
+				if c.answer != nil && p.broken[c.name] == nil {
+					if err := c.answer(p, capacity, jobs, shares); err != nil {
+						p.broken[c.name] = fmt.Errorf("%s answer %d: %v", run, answers, err)
+					}
+				}
+			}
 		}
-		return sch
 	}
 	log := obs.NewJSONL(io.Discard)
 	sinks := []obs.Sink{&p.stream, log, obs.NewCounters(), obs.NewChromeTrace(), obs.NewRing(1 << 8),
 		obs.NewHistograms(), obs.NewSeries(50)}
 	if c := e.mq; c != nil {
-		p.literal = run(&LiteralLASMQ{Queues: c.Queues, FirstThreshold: c.FirstThreshold, Step: c.Step,
+		literal, err := run(&LiteralLASMQ{Queues: c.Queues, FirstThreshold: c.FirstThreshold, Step: c.Step,
 			Decay: c.QueueWeightDecay, StageAware: c.StageAware, OrderByDemand: c.OrderByDemand}, nil, nil)
+		if err != nil {
+			return nil, fmt.Errorf("LiteralLASMQ: %v", err)
+		}
+		p.literal = literal
 		p.demote = &DemoteOnly{Queues: c.Queues, FirstThreshold: c.FirstThreshold, Step: c.Step}
 		sinks = append(sinks, p.demote)
 	}
-	p.watched = run(policy(), obs.Multi(sinks...), func(capacity float64, jobs []sched.JobView, shares *sched.Shares) {
-		p.rounds++
-		p.served += len(shares.Served())
-		for _, c := range checks {
-			if c.answer != nil && p.broken == nil {
-				if err := c.answer(p, capacity, jobs, shares); err != nil {
-					p.broken = fmt.Errorf("answer %d: %s: %v", p.rounds, c.name, err)
-				}
-			}
-		}
-	})
+	dense, err := e.new()
+	if err != nil {
+		return nil, err
+	}
+	if p.watched, err = run(dense, obs.Multi(sinks...), watch("dense", true)); err != nil {
+		return nil, err
+	}
+	mapped, err := e.new()
+	if err != nil {
+		return nil, err
+	}
 	// A lone sink would take the Probe calls, which stream leaves to obs.Nop:
 	// beside a Counters, obs.Multi packs them into events.
-	p.mapped = run(MapOnly(policy()), obs.Multi(&p.mapLog, obs.NewCounters()), nil)
-	if err := log.Flush(); err != nil {
-		t.Fatal(err)
+	if p.mapped, err = run(MapOnly(mapped), obs.Multi(&p.mapLog, obs.NewCounters()), watch("MapOnly", false)); err != nil {
+		return nil, fmt.Errorf("MapOnly: %v", err)
 	}
-	return p
+	return p, log.Flush()
 }
 
 // differ reports whether two runs' results differ.
