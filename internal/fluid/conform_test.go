@@ -16,8 +16,9 @@ import (
 // conformance is the fluid simulator's substrate for schedtest.Conform: the
 // pinned traces and diffTrace's seeds 2 and 3, with LAS_MQ in the
 // trace-simulation configuration of pinnedPolicies and Gittins under the
-// pinned model. The simulator's own check of every answer is that service is
-// conserved. TestConform and the tests below, which read its checks, share
+// pinned model. The simulator's own checks on a watched run are that service
+// is conserved between every two answers and that every round's answer is
+// checked. TestConform and the tests below, which read its checks, share
 // its runs.
 var conformance struct {
 	sync.Once
@@ -44,6 +45,7 @@ func conforming(t *testing.T) *schedtest.Substrate {
 			Run: func(i int, p sched.Scheduler, probe obs.Probe, check schedtest.Check) (any, error) {
 				in := inputs[i]
 				c := conservation{attained: make([]float64, len(in.specs)+1)}
+				answers := 0
 				in.cfg.Probe = probe
 				jobs := make([]fluid.JobResult, 0, len(in.specs))
 				res, err := fluid.StreamDelivering(in.specs, func(delivered func() float64) sched.Scheduler {
@@ -51,6 +53,7 @@ func conforming(t *testing.T) *schedtest.Substrate {
 						return p
 					}
 					return schedtest.Watch(p, func(capacity float64, views []sched.JobView, shares *sched.Shares) {
+						answers++
 						check(capacity, views, shares)
 						c.round(delivered(), views)
 					})
@@ -61,6 +64,9 @@ func conforming(t *testing.T) *schedtest.Substrate {
 				if err == nil {
 					c.round(res.Delivered, nil)
 					err = c.err
+				}
+				if err == nil && check != nil && answers != res.Rounds {
+					err = fmt.Errorf("%d answers checked over %d rounds", answers, res.Rounds)
 				}
 				return []any{res, jobs}, err
 			},
@@ -80,7 +86,9 @@ func TestConform(t *testing.T) {
 	schedtest.Conform(t, conforming(t))
 }
 
-// The tests below read Conform's checks, each on the pairs it names.
+// The tests below keep the names of the per-oracle tests Conform replaced.
+// Each fails on every check of Conform's table that fails on a pair the old
+// test ran; the pairs run once, for whichever test reads them first.
 
 // mqPinned names Conform's LAS_MQ in the configuration of pinnedPolicies.
 const mqPinned = "LAS_MQ/first=1/stageAware=false/byDemand=false"
@@ -97,15 +105,17 @@ func contractPolicies(t *testing.T) map[string]string {
 }
 
 // TestSparseAnswerContract: every answer of every contract policy on every
-// pinned trace keeps the sparse contract, and watching the answers changes no
-// result.
-func TestSparseAnswerContract(t *testing.T) {
+// pinned trace keeps the sparse contract, and neither watching the answers nor
+// any sink attached changes the result.
+func TestSparseAnswerContract(t *testing.T) { readContract(t) }
+
+// readContract fails t on every check that fails on a pinned trace under a
+// contract policy, in a subtest for each pair.
+func readContract(t *testing.T) {
 	s := conforming(t)
 	for _, tr := range pinnedTraces(t) {
 		for name, policy := range contractPolicies(t) {
-			t.Run(tr.name+"/"+name, func(t *testing.T) {
-				s.Check(t, tr.name, policy, "AnswerError", "answers", "MapOnly with one sink")
-			})
+			t.Run(tr.name+"/"+name, func(t *testing.T) { s.Check(t, tr.name, policy) })
 		}
 	}
 }
@@ -115,7 +125,7 @@ func TestSparseAnswerContract(t *testing.T) {
 func TestFIFOMatchesLiteral(t *testing.T) {
 	s := conforming(t)
 	for _, tr := range pinnedTraces(t) {
-		t.Run(tr.name, func(t *testing.T) { s.Check(t, tr.name, "FIFO", "FIFOError", "answers") })
+		t.Run(tr.name, func(t *testing.T) { s.Check(t, tr.name, "FIFO") })
 	}
 }
 
@@ -129,7 +139,7 @@ func TestLASMQMatchesLiteral(t *testing.T) {
 			for _, byDemand := range []bool{false, true} {
 				sub := fmt.Sprintf("stageAware=%v/byDemand=%v", stageAware, byDemand)
 				t.Run(input+"/"+sub, func(t *testing.T) {
-					s.Check(t, input, "LAS_MQ/first=1/"+sub, "LiteralLASMQ with no probe")
+					s.Check(t, input, "LAS_MQ/first=1/"+sub)
 				})
 			}
 		}
@@ -142,16 +152,7 @@ func TestLASMQMatchesLiteral(t *testing.T) {
 // delivered, to 1e-9 relative, and no job's attained service ever decreases
 // (the substrate's own check, which fails the run) — and that every job
 // completes exactly once.
-func TestServiceConserved(t *testing.T) {
-	s := conforming(t)
-	for _, tr := range pinnedTraces(t) {
-		for name, policy := range contractPolicies(t) {
-			t.Run(tr.name+"/"+name, func(t *testing.T) {
-				s.Check(t, tr.name, policy, "answers", "every job completes once")
-			})
-		}
-	}
-}
+func TestServiceConserved(t *testing.T) { readContract(t) }
 
 // TestDenseMatchesMapOnly is the dense round contract's gate on the fluid
 // simulator: a policy driven through its dense forms and the same policy with
@@ -166,7 +167,7 @@ func TestDenseMatchesMapOnly(t *testing.T) {
 	for seed, input := range inputs {
 		for _, p := range pinnedPolicies(t) {
 			t.Run(fmt.Sprintf("seed%d/%s", seed+1, p.name), func(t *testing.T) {
-				s.Check(t, input, policies[p.name], "MapOnly with one sink", "MapOnly's probe stream")
+				s.Check(t, input, policies[p.name])
 			})
 		}
 	}

@@ -3,8 +3,8 @@ package schedtest
 import (
 	"errors"
 	"fmt"
-	"io"
-	"math"
+	"hash"
+	"hash/fnv"
 	"reflect"
 	"slices"
 	"sync"
@@ -42,11 +42,11 @@ type Substrate struct {
 }
 
 // cell is what a Substrate keeps of one pair's runs: the error of a run that
-// failed, else each check's verdict, and the demotions DemoteOnly counted.
+// failed, else the checks that failed, and the demotions DemoteOnly counted.
 type cell struct {
 	once      sync.Once
 	err       error
-	verdicts  map[string]error // by check name; nil where the check holds
+	failed    []error
 	demotions int
 }
 
@@ -99,12 +99,13 @@ func (s *Substrate) policies() []entry {
 // pair is one (input, policy) pair's runs, as the checks read them.
 type pair struct {
 	*entry
-	rounds, served  int              // the dense run's answers and the views they served
-	broken          map[string]error // by check, the first answer it failed
-	watched, mapped any              // the results of the dense and the MapOnly run
-	literal         any              // LiteralLASMQ's, for LAS_MQ
-	stream, mapLog  stream
-	demote          *DemoteOnly // for LAS_MQ
+	rounds, served        int              // the dense run's answers and the views they served
+	broken                map[string]error // by check, the first answer it failed
+	watched, mapped, bare any              // the results of the dense, the MapOnly and the bare run
+	literal               any              // LiteralLASMQ's, for LAS_MQ
+	stream                stream
+	log, mapLog           hash.Hash64 // the JSONL streams of the dense and the MapOnly run
+	demote                *DemoteOnly // for LAS_MQ
 }
 
 // checks is Conform's table of oracles, each holding every answer of the
@@ -135,11 +136,12 @@ var checks = []struct {
 	}},
 	{name: "MapOnly with one sink", runs: func(p *pair) error { return differ(p.watched, p.mapped) }},
 	{name: "MapOnly's probe stream", probe: true, runs: func(p *pair) error {
-		if p.stream.digest != p.mapLog.digest {
-			return fmt.Errorf("the streams differ (%d vs %d events)", p.stream.events, p.mapLog.events)
+		if p.log.Sum64() != p.mapLog.Sum64() {
+			return errors.New("the JSONL streams differ")
 		}
 		return nil
 	}},
+	{name: "unprobed and unwatched", runs: func(p *pair) error { return differ(p.watched, p.bare) }},
 	{name: "every job completes once", probe: true, runs: func(p *pair) error { return p.stream.jobsErr() }},
 	{name: "LiteralLASMQ with no probe", lasmq: true, runs: func(p *pair) error { return differ(p.watched, p.literal) }},
 	{name: "DemoteOnly", probe: true, lasmq: true, runs: func(p *pair) error {
@@ -153,15 +155,16 @@ var checks = []struct {
 // Conform holds every policy of its table on every input of s to every
 // oracle of its table, each pair in a parallel subtest. A pair runs through
 // the policy's dense forms, watched and with every obs sink fanned in; behind
-// MapOnly, watched, with the suite's own sink alone; and, for LAS_MQ, as
-// LiteralLASMQ with no probe. Every check is taken from those runs:
+// MapOnly, watched, with a JSONL sink alone; bare, neither watched nor probed;
+// and, for LAS_MQ, as LiteralLASMQ with no probe. Every check is taken from
+// those runs:
 //
 //   - every answer keeps the sparse contract (AnswerError), grants each view
 //     at most its ready demand and all of them at most the capacity, to 1e-9
 //     relative, and for FIFO is LiteralFIFO's (FIFOError);
 //   - the runs report equal results, and the first two byte-identical JSONL
-//     streams (compared as the events a JSONL sink writes): the dense forms
-//     equal the map forms, and every sink attached changes nothing;
+//     streams (compared by FNV-1a sum): the dense forms equal the map forms,
+//     and neither watching nor any sink attached changes the run;
 //   - the probe stream completes every submitted job exactly once;
 //   - LAS_MQ equals LiteralLASMQ, and its queue events keep the demote-only
 //     rule (DemoteOnly), which must see one; over all inputs it must demote.
@@ -182,11 +185,11 @@ func Conform(t *testing.T, s *Substrate) {
 	}
 }
 
-// Check fails t on each named check of Conform's table, or on every check
-// that applies if none is named, for input under the named policy of the
-// table; the pair runs unless it has run for s already. It returns the
-// demotions DemoteOnly counted on the pair (0 for any policy but LAS_MQ).
-func (s *Substrate) Check(t *testing.T, input, policy string, names ...string) int {
+// Check fails t on every check of Conform's table that input fails under the
+// named policy of the table; the pair runs unless it has run for s already.
+// It returns the demotions DemoteOnly counted on the pair (0 for any policy
+// but LAS_MQ).
+func (s *Substrate) Check(t *testing.T, input, policy string) int {
 	t.Helper()
 	i := slices.Index(s.Inputs, input)
 	ps := s.policies()
@@ -198,21 +201,14 @@ func (s *Substrate) Check(t *testing.T, input, policy string, names ...string) i
 	if c.err != nil {
 		t.Fatal(c.err)
 	}
-	for _, name := range names {
-		if _, ok := c.verdicts[name]; !ok {
-			t.Fatalf("check %q does not apply to %s/%s", name, input, policy)
-		}
-	}
-	for _, ch := range checks {
-		if err, ok := c.verdicts[ch.name]; ok && err != nil && (len(names) == 0 || slices.Contains(names, ch.name)) {
-			t.Errorf("%s: %v", ch.name, err)
-		}
+	for _, err := range c.failed {
+		t.Error(err)
 	}
 	return c.demotions
 }
 
-// cell runs input i under e's policy, once for s, and keeps each check's
-// verdict on the runs.
+// cell runs input i under e's policy, once for s, and keeps the checks the
+// runs fail.
 func (s *Substrate) cell(i int, e *entry) *cell {
 	s.mu.Lock()
 	if s.cells == nil {
@@ -230,14 +226,16 @@ func (s *Substrate) cell(i int, e *entry) *cell {
 			c.err = err
 			return
 		}
-		c.verdicts = map[string]error{}
 		for _, ch := range checks {
+			err := p.broken[ch.name]
 			switch {
 			case ch.probe && s.Unprobed || ch.lasmq && e.mq == nil:
-			case ch.answer != nil:
-				c.verdicts[ch.name] = p.broken[ch.name]
-			default:
-				c.verdicts[ch.name] = ch.runs(p)
+				continue
+			case ch.runs != nil:
+				err = ch.runs(p)
+			}
+			if err != nil {
+				c.failed = append(c.failed, fmt.Errorf("%s: %v", ch.name, err))
 			}
 		}
 		if p.demote != nil {
@@ -248,9 +246,9 @@ func (s *Substrate) cell(i int, e *entry) *cell {
 }
 
 // runPair runs input i under e's policy: as LiteralLASMQ for LAS_MQ, watched
-// with every sink, and watched behind MapOnly.
+// with every sink, watched behind MapOnly, and bare.
 func (s *Substrate) runPair(i int, e *entry) (*pair, error) {
-	p := &pair{entry: e, broken: map[string]error{}, stream: newStream(), mapLog: newStream()}
+	p := &pair{entry: e, broken: map[string]error{}, stream: newStream(), log: fnv.New64a(), mapLog: fnv.New64a()}
 	run := func(policy sched.Scheduler, probe obs.Sink, check Check) (any, error) {
 		var attached obs.Probe
 		if probe != nil && !s.Unprobed {
@@ -277,7 +275,7 @@ func (s *Substrate) runPair(i int, e *entry) (*pair, error) {
 			}
 		}
 	}
-	log := obs.NewJSONL(io.Discard)
+	log, mapLog := obs.NewJSONL(p.log), obs.NewJSONL(p.mapLog)
 	sinks := []obs.Sink{&p.stream, log, obs.NewCounters(), obs.NewChromeTrace(), obs.NewRing(1 << 8),
 		obs.NewHistograms(), obs.NewSeries(50)}
 	if c := e.mq; c != nil {
@@ -301,12 +299,17 @@ func (s *Substrate) runPair(i int, e *entry) (*pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A lone sink would take the Probe calls, which stream leaves to obs.Nop:
-	// beside a Counters, obs.Multi packs them into events.
-	if p.mapped, err = run(MapOnly(mapped), obs.Multi(&p.mapLog, obs.NewCounters()), watch("MapOnly", false)); err != nil {
+	if p.mapped, err = run(MapOnly(mapped), mapLog, watch("MapOnly", false)); err != nil {
 		return nil, fmt.Errorf("MapOnly: %v", err)
 	}
-	return p, log.Flush()
+	bare, err := e.new()
+	if err != nil {
+		return nil, err
+	}
+	if p.bare, err = run(bare, nil, nil); err != nil {
+		return nil, fmt.Errorf("bare: %v", err)
+	}
+	return p, errors.Join(log.Flush(), mapLog.Flush())
 }
 
 // differ reports whether two runs' results differ.
@@ -334,14 +337,10 @@ func grantError(_ *pair, capacity float64, jobs []sched.JobView, shares *sched.S
 	return nil
 }
 
-// stream is the suite's own obs.Sink. It folds every event, field by field,
-// into an FNV-1a-style digest — equal digests, equal events, and so
-// byte-identical JSONL — leaving out, as JSONL does, ArenaReuse's flag, which
-// says whether the run found a pooled arena; and it counts each job's
-// submissions and completions. It records only as one of an obs.Multi.
+// stream is the suite's own obs.Sink: it counts each job's submissions and
+// completions. It records only as one of an obs.Multi.
 type stream struct {
 	obs.Nop
-	digest, events  uint64
 	submitted, done map[int32]int
 }
 
@@ -350,19 +349,11 @@ func newStream() stream { return stream{submitted: map[int32]int{}, done: map[in
 // Record implements obs.Sink.
 func (s *stream) Record(ev obs.Event) {
 	switch ev.Kind {
-	case obs.KindArenaReuse:
-		ev.Flags = 0
 	case obs.KindJobSubmitted:
 		s.submitted[ev.A]++
 	case obs.KindJobDone:
 		s.done[ev.A]++
 	}
-	for _, x := range [...]uint64{math.Float64bits(ev.T), math.Float64bits(ev.F), math.Float64bits(ev.G),
-		uint64(uint32(ev.A))<<32 | uint64(uint32(ev.B)), uint64(uint32(ev.C))<<32 | uint64(uint32(ev.D)),
-		uint64(ev.Kind)<<8 | uint64(ev.Flags)} {
-		s.digest = (s.digest ^ x) * 1099511628211
-	}
-	s.events++
 }
 
 // jobsErr reports a job submitted or completed other than exactly once.
