@@ -72,6 +72,13 @@ lint:
 # The next fence keeps FIFO's slotted round a walk of its queue from the head:
 # fifo.go builds, sorts and fills no per-view entries, and calls orderFill
 # once, in the slotless branch (`if slots == nil`) the map forms take.
+# The next keeps a departure costing what it moves: fluid.go moves no
+# elements itself (no copy, no slices.Delete), so its active list and
+# registration lose completed jobs only through the two-sided substrate.Cut
+# and ViewSet.Cut, and grow only through substrate.Room, which slides a
+# window cut at the front back before it allocates; and LAS_MQ's dense form
+# and FIFO each keep exactly one loop over the whole slot column, the full
+# re-stamp that runs only when sched.FindView misses.
 # The next keeps the telemetry sinks on one vocabulary: every sink records
 # packed obs.Events through one Record switch, so outside tests only obs.go
 # (the emitter that packs Probe calls, and Nop) defines Probe methods in
@@ -202,6 +209,15 @@ layering:
 		echo "layering: FIFO's slotted round walks its queue and builds no per-view entries:" \
 			"one orderFill call, in the slotless branch (found $$n, $$guarded of them under" \
 			"'if slots == nil {')"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -nE 'copy\(|slices\.Delete|substrate\.Grow\(s\.active' internal/fluid/fluid.go; true); \
+	mq=$$(grep -c 'range slots' internal/core/dense.go); \
+	fifo=$$(grep -c 'range slots' internal/sched/fifo.go); \
+	if [ -n "$$bad" ] || [ "$$mq" != 1 ] || [ "$$fifo" != 1 ]; then \
+		echo "layering: fluid.go cuts only through substrate.Cut and ViewSet.Cut and grows its" \
+			"active list through substrate.Room; core/dense.go and sched/fifo.go each keep one" \
+			"full re-stamp loop, the fallback of sched.FindView (found $$mq and $$fifo range slots):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -nE '^func \([^)]*\) (JobSubmitted|JobAdmitted|JobStarted|StageDone|JobDone|TaskStart|TaskDone|TaskFail|QueueEnter|QueueDemote|QueueExit|ThresholdRefit|RoundExecuted|RoundSkipped|ArenaReuse|SlabStats)\(' \

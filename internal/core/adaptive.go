@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"lasmq/internal/mlq"
 	"lasmq/internal/obs"
@@ -75,6 +74,7 @@ type Adaptive struct {
 
 	recs       []adaptiveRec // by slot: the job holding it and its last attained service
 	history    []float64     // completed-job sizes (sliding window)
+	scratch    []float64     // refit's copy of history, reordered by selection
 	sinceRefit int
 	refits     int
 	totalSeen  int
@@ -260,10 +260,9 @@ func (a *Adaptive) refit(now float64) {
 	if k < 2 || len(a.history) == 0 {
 		return
 	}
-	sorted := append([]float64(nil), a.history...)
-	sort.Float64s(sorted)
-	low := quantileSorted(sorted, a.cfg.LowQuantile)
-	high := quantileSorted(sorted, a.cfg.HighQuantile)
+	a.scratch = append(a.scratch[:0], a.history...)
+	low := quantile(a.scratch, a.cfg.LowQuantile)
+	high := quantile(a.scratch, a.cfg.HighQuantile)
 	if low <= 0 {
 		low = math.SmallestNonzeroFloat64
 	}
@@ -291,23 +290,39 @@ func (a *Adaptive) refit(now float64) {
 	}
 }
 
-// quantileSorted returns the q-quantile of a sorted slice.
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	pos := q * float64(len(sorted)-1)
+// quantile returns the q-quantile of s as a sort would give it, reading the
+// order statistics by selection, which reorders s.
+func quantile(s []float64, q float64) float64 {
+	pos := q * float64(len(s)-1)
 	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo < 0 {
-		lo = 0
+	x := selectNth(s, lo)
+	if frac := pos - float64(lo); frac > 0 {
+		return x*(1-frac) + slices.Min(s[lo+1:])*frac
 	}
-	if hi >= len(sorted) {
-		hi = len(sorted) - 1
+	return x
+}
+
+// selectNth returns the k-th smallest of s in sort.Float64s's order, leaving
+// none greater before it and none smaller after it (Hoare's selection).
+func selectNth(s []float64, k int) float64 {
+	p, i, j := s[len(s)/2], 0, len(s)-1
+	for i <= j {
+		for cmp.Less(s[i], p) {
+			i++
+		}
+		for cmp.Less(p, s[j]) {
+			j--
+		}
+		if i <= j {
+			s[i], s[j] = s[j], s[i]
+			i, j = i+1, j-1
+		}
 	}
-	if lo == hi {
-		return sorted[lo]
+	switch {
+	case k <= j:
+		return selectNth(s[:j+1], k)
+	case k >= i:
+		return selectNth(s[i:], k-i)
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return s[k]
 }

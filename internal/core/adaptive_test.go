@@ -2,6 +2,9 @@ package core_test
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -206,5 +209,54 @@ func TestAdaptiveRecoversFromMisconfiguredLadder(t *testing.T) {
 	if adaptiveMean >= badMean {
 		t.Errorf("adaptive (%v) did not improve on the misconfigured fixed ladder (%v)",
 			adaptiveMean, badMean)
+	}
+}
+
+// quantileSorted is the q-quantile of a sorted slice as Adaptive's refit read
+// it before it selected: the oracle of TestQuantileMatchesSort.
+func quantileSorted(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo < 0 {
+		lo = 0
+	}
+	if hi >= len(sorted) {
+		hi = len(sorted) - 1
+	}
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// TestQuantileMatchesSort: the refit's quantiles, read by selection on one
+// reused buffer that each read reorders, are bit for bit those of a sort, on
+// random histories drawn from pools small enough to hold ties, at q = 0 and 1
+// and in between.
+func TestQuantileMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(200)
+		pool := make([]float64, 1+rng.Intn(n))
+		for i := range pool {
+			pool[i] = math.Exp(8 * rng.Float64())
+		}
+		history := make([]float64, n)
+		for i := range history {
+			history[i] = pool[rng.Intn(len(pool))]
+		}
+		sorted := slices.Clone(history)
+		sort.Float64s(sorted)
+		buf := slices.Clone(history)
+		for _, q := range []float64{0, 1, 0.2, 0.98, rng.Float64(), 0.5} {
+			if got, want := core.Quantile(buf, q), quantileSorted(sorted, q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("history %v, q=%v: selection %v, sort %v", history, q, got, want)
+			}
+		}
 	}
 }

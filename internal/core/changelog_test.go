@@ -128,32 +128,11 @@ func TestChangedSlotSweepMatchesFullSweep(t *testing.T) {
 					gone = append(gone, j.view.JobID)
 				}
 
-				for round := 0; round < 400; round++ {
+				// call lays the live jobs out as views, hands both policies the
+				// call — one in four an observation — checks that they agree,
+				// and grows the served jobs.
+				call := func(round int) {
 					now := float64(round)
-					// Finished jobs leave, and now and then an unfinished one;
-					// then arrivals take the freed slots, and now and then a job
-					// arrives and leaves before either policy sees it.
-					n := len(live)
-					live = slices.DeleteFunc(live, func(j *logJob) bool {
-						if j.view.ReadyVal > 0 && rng.Intn(30) != 0 {
-							return false
-						}
-						leave(j)
-						return true
-					})
-					moved := len(live) != n
-					for k := rng.Intn(3); (k > 0 || len(live) == 0) && len(live) < 40; k-- {
-						live = append(live, arrive())
-						moved = true
-					}
-					if rng.Intn(6) == 0 {
-						leave(arrive())
-						unseen++
-					}
-					if moved && rng.Intn(2) == 0 {
-						rng.Shuffle(len(live), func(a, b int) { live[a], live[b] = live[b], live[a] })
-					}
-
 					views, slots := make([]sched.JobView, len(live)), make([]int32, len(live))
 					changed := []int32{}
 					for i, j := range live {
@@ -237,12 +216,89 @@ func TestChangedSlotSweepMatchesFullSweep(t *testing.T) {
 						}
 					}
 				}
+
+				for round := 0; round < 400; round++ {
+					// Finished jobs leave, and now and then an unfinished one;
+					// then arrivals take the freed slots, and now and then a job
+					// arrives and leaves before either policy sees it.
+					n := len(live)
+					live = slices.DeleteFunc(live, func(j *logJob) bool {
+						if j.view.ReadyVal > 0 && rng.Intn(30) != 0 {
+							return false
+						}
+						leave(j)
+						return true
+					})
+					moved := len(live) != n
+					for k := rng.Intn(3); (k > 0 || len(live) == 0) && len(live) < 40; k-- {
+						live = append(live, arrive())
+						moved = true
+					}
+					if rng.Intn(6) == 0 {
+						leave(arrive())
+						unseen++
+					}
+					if moved && rng.Intn(2) == 0 {
+						rng.Shuffle(len(live), func(a, b int) { live[a], live[b] = live[b], live[a] })
+					}
+
+					call(round)
+				}
 				if reissued < 20 || unseen < 20 || narrow < 200 || logs[0].Len() < 20000 {
 					t.Fatalf("the rounds exercised too little: %d slots reissued within a gap, %d unseen jobs, "+
 						"%d narrow logs, %d bytes of events", reissued, unseen, narrow, logs[0].Len())
 				}
 				if tc.adaptive && ads[1].Refits() < 3 {
 					t.Fatalf("%d refits, want at least 3", ads[1].Refits())
+				}
+				walks, restamps := core.Finds(declared)
+				if restamps == 0 {
+					t.Fatalf("the shuffled rounds never made the declared log's policy re-stamp its records")
+				}
+
+				// Oldest first and nothing arriving, the shape of a batch of
+				// equal jobs, its views in seq order: they keep their order,
+				// and every index a record holds less the departures since is
+				// exact, so no call walks or re-stamps.
+				for len(live) < 40 {
+					live = append(live, arrive())
+				}
+				slices.SortFunc(live, func(a, b *logJob) int { return a.view.JobSeq - b.view.JobSeq })
+				for _, j := range live {
+					j.moved = true // laid out anew: every record is stamped
+				}
+				call(400)
+				w0, r0 := core.Finds(declared)
+				for round := 401; len(live) > 0; round++ {
+					k := min(1+rng.Intn(2), len(live))
+					for _, j := range live[:k] {
+						leave(j)
+					}
+					live = slices.Delete(live, 0, k)
+					call(round)
+				}
+				if w, r := core.Finds(declared); w != w0 || r != r0 {
+					t.Fatalf("oldest-first departures: %d walks, %d re-stamps; want none", w-w0, r-r0)
+				}
+
+				// Arrivals placed before existing views, as the engine inserts
+				// by position: a record's view moves up past them, and a walk
+				// from the index it held less the departures since finds it.
+				for round := 500; round < 700; round++ {
+					live = slices.DeleteFunc(live, func(j *logJob) bool {
+						if j.view.ReadyVal > 0 && rng.Intn(30) != 0 {
+							return false
+						}
+						leave(j)
+						return true
+					})
+					for k := 1 + rng.Intn(2); k > 0 && len(live) < 40; k-- {
+						live = slices.Insert(live, rng.Intn(len(live)+1), arrive())
+					}
+					call(round)
+				}
+				if w, _ := core.Finds(declared); w == walks {
+					t.Fatalf("arrivals before existing views: no call found a record's view by a walk")
 				}
 			})
 		}

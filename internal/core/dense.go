@@ -25,7 +25,7 @@ type slotRec struct {
 	// AssignDense granted since: serve decrements only a job it gives a
 	// nonzero share, and the next call's log names that job again.
 	unmet float64
-	view  int32 // the job's index among the latest call's views
+	at    int32 // its view index when last stamped plus gone then (sched.FindView)
 	queue int32
 	live  bool
 }
@@ -67,18 +67,18 @@ func (s *LASMQ) orderKey(j sched.JobView) float64 {
 }
 
 // sweepDense applies Algorithm 1's per-round state mutation, driven by the
-// change log (see internal/sched/dense.go), in four steps: departures, from
-// the freed slots; the changed views, in view order — arrival and binary
-// insertion, demote-only queue update, in-place demand refresh (which marks
-// the queue dirty for restoreOrder instead of re-sorting eagerly), the unmet
-// reset and the view index; a flat re-stamp of every record's view index from
-// the slot column, when a job arrived or left and so the views may have moved;
-// and the exits, emitted after the arrivals and demotions in job-ID order.
-// Every view counts as changed when the log says so (changed is nil) and
-// after a refit, which re-places every job. Shared by ObserveDense and
+// change log (see internal/sched/dense.go), in three steps: departures, from
+// the freed slots, counted into gone; the changed views, in view order —
+// arrival and binary insertion, demote-only queue update, in-place demand
+// refresh (which marks the queue dirty for restoreOrder instead of re-sorting
+// eagerly), the unmet reset and the record's stamp (at), which serve mends
+// (locate); and the exits, emitted after the arrivals and demotions in job-ID
+// order. Every view counts as changed when the log says so (changed is nil)
+// and after a refit, which re-places every job. Shared by ObserveDense and
 // AssignDense, so skipped rounds keep the persistent order exactly in sync.
 func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
 	s.exits = s.exits[:0]
+	s.gone += int32(len(freed))
 	for _, slot := range freed {
 		// A slot without a live record left before any sweep saw its job.
 		if int(slot) < len(s.recs) && s.recs[slot].live {
@@ -89,7 +89,6 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, fr
 		}
 	}
 	all := changed == nil || s.replace
-	moved := len(freed) > 0
 	n := len(changed)
 	if all {
 		n = len(jobs)
@@ -124,7 +123,6 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, fr
 			q := s.levels.Demote(0, m)
 			s.insertEntry(q, ordEntry{demand: d, seq: seq, slot: int(slot)})
 			*r = slotRec{id: id, seq: seq, demand: d, queue: int32(q), live: true}
-			moved = true
 			if s.probe != nil {
 				s.probe.QueueEnter(now, id, q)
 			}
@@ -152,12 +150,7 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, fr
 		if d := j.ReadyDemand(); d > 0 {
 			r.unmet = d
 		}
-		r.view = int32(i)
-	}
-	if moved && !all {
-		for i, slot := range slots {
-			s.recs[slot].view = int32(i)
-		}
+		r.at = int32(i) + s.gone
 	}
 	s.replace = false
 	if len(s.exits) > 1 {
@@ -218,17 +211,18 @@ func (s *LASMQ) AssignDense(now, capacity float64, jobs []sched.JobView, slots, 
 	// one in queue order; line 13: spill what is left to any job with unmet
 	// demand, highest-priority queues first.
 	leftover := 0.0
+	s.walk = len(slots)
 	for i := 0; i < k; i++ {
-		leftover += s.serve(s.ordered[i], capacity*weights[i]/totalWeight, 0, shares)
+		leftover += s.serve(s.ordered[i], slots, capacity*weights[i]/totalWeight, 0, shares)
 	}
 	for i := 0; i < k && leftover > 1e-12; i++ {
-		leftover = s.serve(s.ordered[i], leftover, 1e-12, shares)
+		leftover = s.serve(s.ordered[i], slots, leftover, 1e-12, shares)
 	}
 }
 
 // serve grants amount to the list's jobs with unmet demand, one by one in
 // list order, until no more than floor is left, and returns what is left.
-func (s *LASMQ) serve(list []ordEntry, amount, floor float64, shares *sched.Shares) float64 {
+func (s *LASMQ) serve(list []ordEntry, slots []int32, amount, floor float64, shares *sched.Shares) float64 {
 	for _, e := range list {
 		if amount <= floor {
 			break
@@ -236,6 +230,10 @@ func (s *LASMQ) serve(list []ordEntry, amount, floor float64, shares *sched.Shar
 		r := &s.recs[e.slot]
 		if r.unmet <= 0 {
 			continue
+		}
+		v := int(r.at - s.gone)
+		if v < 0 || v >= len(slots) || slots[v] != int32(e.slot) {
+			v = s.locate(r, slots, int32(e.slot), v)
 		}
 		// The builtin min treats NaN and signed zeros as math.Min does, except
 		// where a NaN meets an infinity: math.Min(NaN, -Inf) is -Inf, but
@@ -245,11 +243,25 @@ func (s *LASMQ) serve(list []ordEntry, amount, floor float64, shares *sched.Shar
 		// clamped, spec sizes, widths and capacity are validated finite, and
 		// HorizonDense skips an infinite threshold.
 		x := min(amount, r.unmet)
-		shares.Add(int(r.view), x)
+		shares.Add(v, x)
 		r.unmet -= x
 		amount -= x
 	}
 	return amount
+}
+
+// locate finds and re-stamps the stale view index of r, the record of the job
+// holding slot: by sched.FindView from lo, or else by re-stamping every record.
+func (s *LASMQ) locate(r *slotRec, slots []int32, slot int32, lo int) int {
+	if v := sched.FindView(slots, lo, slot, &s.walk); v >= 0 {
+		s.walks, r.at = s.walks+1, v+s.gone
+		return int(v)
+	}
+	s.restamps++
+	for i, slot := range slots {
+		s.recs[slot].at = int32(i) + s.gone
+	}
+	return int(r.at - s.gone)
 }
 
 // HorizonDense implements sched.DenseHinter: the decision can change before

@@ -105,6 +105,9 @@ type LASMQ struct {
 	recs    []slotRec
 	exits   []exitRec
 	replace bool
+	// gone counts the logged departures (slotRec.at); walk is locate's budget.
+	gone                  int32
+	walk, walks, restamps int
 
 	maps sched.MapForms
 

@@ -249,8 +249,8 @@ type arena struct {
 	jobs substrate.SlabPool[fluidJob]
 	// active lists the admitted jobs that have not completed, in admission
 	// order; vs registers their views in the same order, so the i-th view is
-	// active[i]'s.
-	active []*fluidJob
+	// active[i]'s. It is a window on activeBase (see substrate.Room).
+	active, activeBase []*fluidJob
 	// served lists, ascending, the views a round visits — those the policy
 	// served and those admitted since the previous round — and, once the
 	// round has advanced, those of them it served that are still active,
@@ -365,7 +365,7 @@ func (s *sim) admit() {
 	if limit := s.cfg.MaxRunningJobs; limit > 0 {
 		n = min(n, limit-s.adm.Running())
 	}
-	s.active = substrate.Grow(s.active, len(s.active)+n)
+	s.active = substrate.Room(&s.activeBase, s.active, len(s.active)+n)
 	s.vs.Reserve(len(s.active) + n)
 	s.adm.Admit(func(j *fluidJob, seq int) {
 		j.seq = seq

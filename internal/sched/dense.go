@@ -89,6 +89,18 @@ func GrowSlots[T any](recs []T, slot, views int) []T {
 	return grown
 }
 
+// FindView returns the index of slot in the slot column, walking up from lo,
+// a lower bound on it (see FIFO.serve), one step of *budget per view it
+// passes; -1 when the budget or the column runs out first.
+func FindView(slots []int32, lo int, slot int32, budget *int) int32 {
+	for i := max(lo, 0); i < len(slots) && *budget >= 0; i, *budget = i+1, *budget-1 {
+		if slots[i] == slot {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
 // Shares is one round's sparse answer: a share column parallel to the views
 // that is zero except at the served views, and the list of those. The zero
 // value is an empty answer over no views.

@@ -19,6 +19,9 @@ type FIFO struct {
 	recs    []fifoRec
 	entries []viewEntry // the slotless round's sort scratch
 	maps    MapForms
+	// gone counts the logged departures (fifoRec.at); serve counts its finds.
+	gone            int32
+	walks, restamps int
 }
 
 // fifoRec is FIFO's record of the job holding a slot and its place in the
@@ -27,7 +30,7 @@ type FIFO struct {
 // what the slotless round's sort entry does.
 type fifoRec struct {
 	seq        int
-	view       int32 // the job's index among the latest call's views
+	at         int32 // its view index when last stamped plus gone then (see FindView)
 	prev, next int32
 	live       bool
 }
@@ -70,6 +73,7 @@ func (f *FIFO) AssignDense(now, capacity float64, jobs []JobView, slots, changed
 // (nil changed names every view), and the changed views' indices are stamped
 // in their records.
 func (f *FIFO) follow(jobs []JobView, slots, changed, freed []int32) {
+	f.gone += int32(len(freed))
 	for _, slot := range freed {
 		if k := int(slot) + 1; k < len(f.recs) && f.recs[k].live {
 			f.unlink(int32(k))
@@ -95,14 +99,7 @@ func (f *FIFO) follow(jobs []JobView, slots, changed, freed []int32) {
 			r.seq = seq
 			f.link(k)
 		}
-		r.view = int32(i)
-	}
-}
-
-// restamp records every view's index in its slot's record.
-func (f *FIFO) restamp(slots []int32) {
-	for i, slot := range slots {
-		f.recs[slot+1].view = int32(i)
+		r.at = int32(i) + f.gone
 	}
 }
 
@@ -131,23 +128,28 @@ func (f *FIFO) unlink(k int32) {
 // serve walks the queue from its head and grants each job min(ReadyDemand,
 // capacity left), fillInOrder's grant in seq order, until capacity runs out.
 // It grants only to a record the latest call's slot column names, with the
-// view's seq unless follow has just checked every view's (all). A record it
-// does not name has a stale view index — a job arrived or left since the
-// index was stamped, and the views moved — or left without the log saying
-// so: the walk re-stamps every view's index from the slot column, once a
-// round, and a record still not named leaves the queue.
+// view's seq unless follow has just checked every view's (all). A stale view
+// index — the views moved as jobs left or arrived — is found by FindView from
+// at less the departures logged since, the lowest it can be, or when a round's
+// walks miss or pass as many views as the column holds, by re-stamping every
+// record; a record still not named left unlogged, and leaves the queue.
 func (f *FIFO) serve(capacity float64, jobs []JobView, slots []int32, all bool, shares *Shares) {
-	restamped := false
-	for k := f.recs[0].next; k != 0; {
-		if capacity <= 0 {
-			break
-		}
+	budget, restamped := len(slots), false
+	for k := f.recs[0].next; k != 0 && capacity > 0; {
 		r := &f.recs[k]
-		v := int(r.view)
-		if v >= len(slots) || slots[v] != k-1 || !all && jobs[v].Seq() != r.seq {
+		v := int(r.at - f.gone)
+		if v < 0 || v >= len(slots) || slots[v] != k-1 {
+			if v = int(FindView(slots, v, k-1, &budget)); v >= 0 {
+				r.at = int32(v) + f.gone
+				f.walks++
+			}
+		}
+		if v < 0 || !all && jobs[v].Seq() != r.seq {
 			if !restamped {
-				f.restamp(slots)
-				restamped = true
+				for i, slot := range slots {
+					f.recs[slot+1].at = int32(i) + f.gone
+				}
+				f.restamps, restamped = f.restamps+1, true
 				continue
 			}
 			next := r.next

@@ -68,27 +68,10 @@ func TestFIFOQueueFollowsLog(t *testing.T) {
 				freed = append(freed, j.slot)
 			}
 
-			for round := 0; round < 600; round++ {
-				n := len(live)
-				live = slices.DeleteFunc(live, func(j *fifoJob) bool {
-					if rng.Intn(8) != 0 {
-						return false
-					}
-					leave(j)
-					return true
-				})
-				moved := len(live) != n
-				for k := rng.Intn(3); k > 0 && len(live) < 40; k-- {
-					live = append(live, arrive())
-					moved = true
-				}
-				if rng.Intn(5) == 0 {
-					leave(arrive())
-					unseen++
-				}
-				if moved && rng.Intn(2) == 0 {
-					rng.Shuffle(len(live), func(a, b int) { live[a], live[b] = live[b], live[a] })
-				}
+			round := 0
+			// call lays the live jobs out as views, moves demands at random,
+			// hands the call to the four FIFOs and checks their answers.
+			call := func() {
 				// Demands move at random, and the oldest job's is often zero.
 				oldest := -1
 				for i, j := range live {
@@ -152,11 +135,87 @@ func TestFIFOQueueFollowsLog(t *testing.T) {
 						cutInside++
 					}
 				}
+				round++
+			}
+
+			// Jobs leave at random and arrive at the tail; a call that saw
+			// either may lay the views out anew.
+			for round < 600 {
+				n := len(live)
+				live = slices.DeleteFunc(live, func(j *fifoJob) bool {
+					if rng.Intn(8) != 0 {
+						return false
+					}
+					leave(j)
+					return true
+				})
+				moved := len(live) != n
+				for k := rng.Intn(3); k > 0 && len(live) < 40; k-- {
+					live = append(live, arrive())
+					moved = true
+				}
+				if rng.Intn(5) == 0 {
+					leave(arrive())
+					unseen++
+				}
+				if moved && rng.Intn(2) == 0 {
+					rng.Shuffle(len(live), func(a, b int) { live[a], live[b] = live[b], live[a] })
+				}
+				call()
 			}
 			if reissued < 20 || unseen < 20 || outOfOrder < 20 || zeroHead < 100 || cutInside < 100 {
 				t.Fatalf("the rounds exercised too little: %d slots reissued within a gap, %d unseen jobs, "+
 					"%d arrivals out of seq order, %d rounds with a zero-demand head, %d cut inside a job",
 					reissued, unseen, outOfOrder, zeroHead, cutInside)
+			}
+			walks, restamps := sched.FIFOFinds(declared)
+			if restamps == 0 {
+				t.Fatalf("the shuffled rounds never made the declared FIFO re-stamp its records")
+			}
+
+			// Oldest first and nothing arriving, the shape of a batch of equal
+			// jobs, its views in seq order: they keep their order, and every
+			// index a record holds less the departures since is exact, so no
+			// call walks or re-stamps.
+			for len(live) < 40 {
+				live = append(live, arrive())
+			}
+			slices.SortFunc(live, func(a, b *fifoJob) int { return a.view.JobSeq - b.view.JobSeq })
+			for _, j := range live {
+				j.moved = true // laid out anew: every record is stamped
+			}
+			call()
+			w0, r0 := sched.FIFOFinds(declared)
+			for len(live) > 0 {
+				k := min(1+rng.Intn(2), len(live))
+				for _, j := range live[:k] {
+					leave(j)
+				}
+				live = slices.Delete(live, 0, k)
+				call()
+			}
+			if w, r := sched.FIFOFinds(declared); r != r0 || w != w0 {
+				t.Fatalf("oldest-first departures: %d walks, %d re-stamps; want none", w-w0, r-r0)
+			}
+
+			// Arrivals placed before existing views, as the engine inserts
+			// by position: a record's view moves up past them, and a walk
+			// from the index it held less the departures since finds it.
+			for k := 0; k < 200; k++ {
+				live = slices.DeleteFunc(live, func(j *fifoJob) bool {
+					if rng.Intn(8) != 0 {
+						return false
+					}
+					leave(j)
+					return true
+				})
+				for k := 1 + rng.Intn(2); k > 0 && len(live) < 40; k-- {
+					live = slices.Insert(live, rng.Intn(len(live)+1), arrive())
+				}
+				call()
+			}
+			if w, _ := sched.FIFOFinds(declared); w == walks {
+				t.Fatalf("arrivals before existing views: no call found a record's view by a walk")
 			}
 		})
 	}

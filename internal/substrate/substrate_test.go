@@ -2,6 +2,7 @@ package substrate_test
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -505,23 +506,83 @@ func TestResultAccumulator(t *testing.T) {
 	}
 }
 
-// TestCut: Cut drops the elements at the listed indices and keeps the rest in
-// order, zeroing the vacated tail.
+// cutBefore is Cut as it was before it moved the shorter side: every kept
+// element behind gone[0] moves forward. TestCut holds Cut to it.
+func cutBefore(s []int, gone []int32) []int {
+	if len(gone) == 0 {
+		return s
+	}
+	w := int(gone[0])
+	for k, g := range gone {
+		end := len(s)
+		if k+1 < len(gone) {
+			end = int(gone[k+1])
+		}
+		w += copy(s[w:], s[g+1:end])
+	}
+	clear(s[w:])
+	return s[:w]
+}
+
+// TestCut: on random lengths and ascending gone lists, Cut keeps what
+// cutBefore keeps, in the same order, and zeroes every element of the array
+// outside the window it returns, so nothing stays pinned; and a ViewSet cut at
+// the front takes as many views back without allocating, its windows sliding
+// back to their arrays' start.
 func TestCut(t *testing.T) {
-	for _, tc := range []struct {
-		gone []int32
-		want []int
-	}{
-		{nil, []int{0, 1, 2, 3, 4, 5}},
-		{[]int32{0}, []int{1, 2, 3, 4, 5}},
-		{[]int32{5}, []int{0, 1, 2, 3, 4}},
-		{[]int32{1, 2, 4}, []int{0, 3, 5}},
-		{[]int32{0, 1, 2, 3, 4, 5}, []int{}},
-	} {
-		s := []int{0, 1, 2, 3, 4, 5}
-		got := substrate.Cut(s, tc.gone)
-		if !slices.Equal(got, tc.want) || slices.ContainsFunc(s[len(got):], func(x int) bool { return x != 0 }) {
-			t.Errorf("Cut(%v) = %v, backing %v; want %v and a zeroed tail", tc.gone, got, s, tc.want)
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 5000; trial++ {
+		n := rng.Intn(48)
+		var gone []int32
+		p := rng.Float64()
+		for i := 0; i < n; i++ {
+			if rng.Float64() < p {
+				gone = append(gone, int32(i))
+			}
+		}
+		s := make([]int, n)
+		for i := range s {
+			s[i] = i + 1
+		}
+		want := cutBefore(slices.Clone(s), gone)
+		got := substrate.Cut(s, gone)
+		head := cap(s) - cap(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("Cut(1..%d, %v) = %v; want %v", n, gone, got, want)
+		}
+		for i, x := range s {
+			if (i < head || i >= head+len(got)) && x != 0 {
+				t.Fatalf("Cut(1..%d, %v) left %d at %d outside its window [%d, %d): %v",
+					n, gone, x, i, head, head+len(got), s)
+			}
+		}
+	}
+
+	views := make([]fakeView, 64)
+	var vs substrate.ViewSet
+	for i := range views {
+		views[i] = fakeView{id: i, seq: i}
+		vs.AddSlot(&views[i], vs.TakeSlot())
+	}
+	front, next := []int32{0, 1, 2}, 0
+	allocs := testing.AllocsPerRun(100, func() {
+		vs.Cut(front)
+		for range front {
+			vs.AddSlot(&views[next], int32(next))
+			next = (next + 1) % len(views)
+		}
+	})
+	if allocs != 0 || vs.Len() != len(views) {
+		t.Errorf("cutting %d views at the front and adding as many: %v allocs, %d views; want 0, %d",
+			len(front), allocs, vs.Len(), len(views))
+	}
+	// The slot column holds the views added last, in the order they came.
+	spy := &logSpy{}
+	substrate.NewDriver(spy).Shares(0, 1, &vs)
+	for i, slot := range spy.slots[0] {
+		if want := int32((next + i) % len(views)); slot != want {
+			t.Fatalf("after the cuts, slot column %v; want it to start at %d and count up mod %d",
+				spy.slots[0], next, len(views))
 		}
 	}
 }

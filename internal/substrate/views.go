@@ -36,6 +36,10 @@ type ViewSet struct {
 	slots  []int32
 	shares sched.Shares
 
+	// The arrays views and slots are windows on (see Room).
+	viewBase []sched.JobView
+	slotBase []int32
+
 	// The slot allocator: slots below issued have been handed out at least
 	// once, and free stacks the returned ones, so slots stay below the peak
 	// number of jobs holding one at once and the most recently freed is
@@ -59,7 +63,7 @@ const denseFloor = 64
 
 // Grow returns s with room for at least n elements, keeping its contents:
 // at least denseFloor, then as append grows a slice (doubling while small, by
-// a quarter once large). The fluid simulator grows its job lists with it too.
+// a quarter once large). A list Cut may have advanced grows with Room.
 func Grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s
@@ -68,6 +72,24 @@ func Grow[T any](s []T, n int) []T {
 		return append(make([]T, 0, max(denseFloor, n)), s...)
 	}
 	return append(s[:cap(s)], make([]T, n-cap(s))...)[:len(s)]
+}
+
+// Room returns the window s with room for n elements: when it lacks it, s
+// slides back to the start of its array, *base, zeroing what it vacates, and
+// then grows as Grow does, *base following a grown array.
+func Room[T any](base *[]T, s []T, n int) []T {
+	if cap(s) >= n {
+		return s
+	}
+	if b := (*base)[:cap(*base)]; cap(b) > cap(s) {
+		m := copy(b, s)
+		clear(b[m : len(b)-cap(s)+m])
+		s = b[:m]
+	}
+	if s = Grow(s, n); cap(s) > cap(*base) {
+		*base = s
+	}
+	return s
 }
 
 // TakeSlot issues a slot for a job entering the schedulable set.
@@ -140,8 +162,8 @@ func (vs *ViewSet) Begin(withDemand, _ bool) {
 // substrate that knows how many views it will add grows each column at most
 // once.
 func (vs *ViewSet) Reserve(n int) {
-	vs.views = Grow(vs.views, n)
-	vs.slots = Grow(vs.slots, n)
+	vs.views = Room(&vs.viewBase, vs.views, n)
+	vs.slots = Room(&vs.slotBase, vs.slots, n)
 }
 
 // Add registers one schedulable job's view for this round, without a slot
@@ -151,8 +173,11 @@ func (vs *ViewSet) Add(v sched.JobView) { vs.views = append(vs.views, v) }
 
 // AddSlot registers one schedulable job's view and the slot the job holds.
 func (vs *ViewSet) AddSlot(v sched.JobView, slot int32) {
+	if len(vs.views) == cap(vs.views) || len(vs.slots) == cap(vs.slots) {
+		vs.Reserve(len(vs.views) + 1)
+	}
 	vs.views = append(vs.views, v)
-	vs.slots = append(Grow(vs.slots, len(vs.slots)+1), slot)
+	vs.slots = append(vs.slots, slot)
 }
 
 // Served lists, strictly ascending, the views the latest Driver.Shares over vs
@@ -170,20 +195,28 @@ func (vs *ViewSet) Cut(gone []int32) {
 }
 
 // Cut removes from s the elements at the indices gone lists, strictly
-// ascending, keeping the others in order: each run between two removed
-// elements moves in one copy. The vacated tail is zeroed so it pins nothing.
+// ascending, keeping the others in order: the shorter side moves, the window's
+// head advancing when it is the front (see Room), each run between two
+// removed elements in one copy. The vacated elements are zeroed.
 func Cut[T any](s []T, gone []int32) []T {
 	if len(gone) == 0 {
 		return s
 	}
-	w := int(gone[0])
-	for k, g := range gone {
-		end := len(s)
-		if k+1 < len(gone) {
-			end = int(gone[k+1])
+	first, last := int(gone[0]), int(gone[len(gone)-1])
+	if first+last+1 < len(s) { // fewer kept before last than after first
+		w := last + 1
+		for k := len(gone) - 1; k > 0; k-- {
+			w -= copy(s[w-int(gone[k]-gone[k-1]-1):w], s[gone[k-1]+1:gone[k]])
 		}
-		w += copy(s[w:], s[g+1:end])
+		w -= copy(s[w-first:w], s[:first])
+		clear(s[:w])
+		return s[w:]
 	}
+	w := first
+	for k := 1; k < len(gone); k++ {
+		w += copy(s[w:], s[gone[k-1]+1:gone[k]])
+	}
+	w += copy(s[w:], s[last+1:])
 	clear(s[w:])
 	return s[:w]
 }

@@ -84,6 +84,35 @@ func TestLASMQDrivenDenseLive(t *testing.T) {
 	}
 }
 
+// TestDrainingDeparturesObserved: the departures that drain the cluster reach
+// the policy. The RM observes after the completion that answers Drain, before
+// it reads the quit Shutdown closes, so LAS_MQ holds no job once both have
+// returned.
+func TestDrainingDeparturesObserved(t *testing.T) {
+	p := newCountingLASMQ(t)
+	c, err := New(fastConfig(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	for id, dur := range []float64{5, 8} {
+		if err := c.Submit(uniformJob(id+1, 1, dur)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(drain(t, c)); got != 2 {
+		t.Fatalf("completed %d jobs, want 2", got)
+	}
+	c.Shutdown()
+	held := 0
+	for _, n := range p.QueueSizes() {
+		held += n
+	}
+	if held != 0 {
+		t.Errorf("LAS_MQ holds %d jobs after the cluster drained (queues %v); want 0", held, p.QueueSizes())
+	}
+}
+
 // TestRunningListBounded: the list every round walks holds the admitted,
 // unfinished applications and nothing else. Twenty jobs submitted one after
 // the other, each drained before the next, never show the policy more than

@@ -494,6 +494,9 @@ func (rm *resourceManager) finishApp(app *application) {
 func (rm *resourceManager) admitAndSchedule() {
 	rm.admit()
 	if len(rm.running) == 0 {
+		// Tell the policy of the departures that drained the cluster.
+		rm.vs.Begin(false, false)
+		rm.driver.Observe(rm.specTime(time.Now()), &rm.vs)
 		return
 	}
 	now := time.Now()
