@@ -69,13 +69,20 @@ lint:
 # AssignDense sorted (no range over the views, no sort), and the fluid
 # round's clamps on the builtin min and max, which inline (no math.Min or
 # math.Max in fluid.go or core/dense.go).
-# The next fence keeps FIFO's slotted round a walk of its queue from the head:
-# fifo.go builds, sorts and fills no per-view entries, and calls orderFill
-# once, in the slotless branch (`if slots == nil`) the map forms take.
+# The next fence keeps FIFO's round a walk of its queue from the head:
+# fifo.go builds, sorts and fills no per-view entries and calls no orderFill.
+# The next keeps slots on every dense call: no non-test file of internal/sched
+# or internal/core tests `slots == nil`, as the map forms issue every policy
+# slots (sched.MapForms), so no policy keeps a slotless second path; and the
+# window lists have one kernel, sched.Grow, Room and Cut, with no second
+# growth rule or private list code beside it (roomFor, shareFloor,
+# minQueueList, buildEntries, LAS_MQ's push) and no slices.Grow or cap( in
+# LAS_MQ's files, whose queues grow through sched.Room and shrink through a
+# one-index sched.Cut.
 # The next keeps a departure costing what it moves: fluid.go moves no
 # elements itself (no copy, no slices.Delete), so its active list and
-# registration lose completed jobs only through the two-sided substrate.Cut
-# and ViewSet.Cut, and grow only through substrate.Room, which slides a
+# registration lose completed jobs only through the two-sided sched.Cut
+# and ViewSet.Cut, and grow only through sched.Room, which slides a
 # window cut at the front back before it allocates; and LAS_MQ's dense form
 # and FIFO each keep exactly one loop over the whole slot column, the full
 # re-stamp that runs only when sched.FindView misses.
@@ -201,22 +208,26 @@ layering:
 			"min and max, which inline; math.Min and math.Max are calls:"; \
 		echo "$$bad"; exit 1; \
 	fi
-	@n=$$(grep -c 'orderFill(' internal/sched/fifo.go); \
-	guarded=$$(grep -B1 'orderFill(' internal/sched/fifo.go | grep -c 'if slots == nil {'); \
-	bad=$$(grep -nE '(buildEntries|carriedEntries|sortEntries|firstEntries|fillInOrder)\(|viewEntry\{' \
+	@bad=$$(grep -nE '(orderFill|buildEntries|carriedEntries|sortEntries|firstEntries|fillInOrder)\(|viewEntry\{' \
 		internal/sched/fifo.go; true); \
-	if [ "$$n" != 1 ] || [ "$$guarded" != 1 ] || [ -n "$$bad" ]; then \
-		echo "layering: FIFO's slotted round walks its queue and builds no per-view entries:" \
-			"one orderFill call, in the slotless branch (found $$n, $$guarded of them under" \
-			"'if slots == nil {')"; \
+	if [ -n "$$bad" ]; then \
+		echo "layering: FIFO's round walks its queue and builds no per-view entries:"; \
 		echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(grep -nE 'copy\(|slices\.Delete|substrate\.Grow\(s\.active' internal/fluid/fluid.go; true); \
+	@bad=$$(grep -nE 'slots == nil|roomFor|shareFloor|minQueueList|buildEntries|\) push\(' \
+		internal/sched/*.go internal/core/*.go | grep -v '_test\.go:'; \
+		grep -nE 'slices\.Grow\(|cap\(' internal/core/lasmq.go internal/core/dense.go; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: every dense call carries slots, and sched.Grow, Room and Cut are the" \
+			"one window-list kernel (no slotless path, no second list code):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -nE 'copy\(|slices\.Delete|sched\.Grow\(s\.active' internal/fluid/fluid.go; true); \
 	mq=$$(grep -c 'range slots' internal/core/dense.go); \
 	fifo=$$(grep -c 'range slots' internal/sched/fifo.go); \
 	if [ -n "$$bad" ] || [ "$$mq" != 1 ] || [ "$$fifo" != 1 ]; then \
-		echo "layering: fluid.go cuts only through substrate.Cut and ViewSet.Cut and grows its" \
-			"active list through substrate.Room; core/dense.go and sched/fifo.go each keep one" \
+		echo "layering: fluid.go cuts only through sched.Cut and ViewSet.Cut and grows its" \
+			"active list through sched.Room; core/dense.go and sched/fifo.go each keep one" \
 			"full re-stamp loop, the fallback of sched.FindView (found $$mq and $$fifo range slots):"; \
 		echo "$$bad"; exit 1; \
 	fi

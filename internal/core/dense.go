@@ -112,7 +112,7 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, fr
 				s.removeEntry(int(r.queue), r.key(slot))
 			}
 			*r = slotRec{id: id, seq: j.Seq(), demand: s.orderKey(j), queue: int32(q), live: true}
-			s.push(q, r.key(slot))
+			s.ordered[q] = append(sched.Room(&s.base[q], s.ordered[q], len(s.ordered[q])+1), r.key(slot))
 			s.touched[q] = true
 			if q != from && s.probe != nil {
 				s.probe.QueueDemote(now, id, from, q, m)

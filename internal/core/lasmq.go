@@ -91,10 +91,8 @@ type LASMQ struct {
 
 	// ordered holds each queue's (demand, seq)-sorted entries, and touched
 	// flags queues whose members changed demand in place. ordered[q] is a
-	// window on the array base[q] spans: removeEntry closes the gap from the
-	// shorter side, moving the window's head when that is the side before
-	// the entry, and push slides the window back to the array's start when an
-	// append meets the array's end.
+	// window list on the array base[q] (see internal/sched/window.go): an
+	// entry joins through sched.Room and leaves through sched.Cut.
 	ordered [][]ordEntry
 	base    [][]ordEntry
 	touched []bool
@@ -240,31 +238,10 @@ func (s *LASMQ) insertEntry(q int, e ordEntry) {
 			hi = mid
 		}
 	}
-	list = s.push(q, e)
+	list = append(sched.Room(&s.base[q], list, len(list)+1), e)
 	copy(list[lo+1:], list[lo:])
 	list[lo] = e
-}
-
-// push appends e to queue q's ordered list and returns the list. When the
-// list's window meets the end of its array after removeEntry moved its head,
-// the window slides back to the array's start in place, so the array grows
-// only when the queue fills it — from minQueueList entries, then as append
-// grows a slice.
-func (s *LASMQ) push(q int, e ordEntry) []ordEntry {
-	list := s.ordered[q]
-	if len(list) == cap(list) {
-		if base := s.base[q]; cap(base) > cap(list) {
-			list = base[:copy(base, list)]
-		} else {
-			list = slices.Grow(list, minQueueList)
-		}
-	}
-	list = append(list, e)
-	if cap(list) > cap(s.base[q]) {
-		s.base[q] = list[:cap(list)] // a fresh array
-	}
 	s.ordered[q] = list
-	return list
 }
 
 // findEntry locates the entry filed under key in queue q by binary search,
@@ -291,34 +268,15 @@ func (s *LASMQ) findEntry(q int, key ordEntry) int {
 	return -1
 }
 
-// removeEntry deletes the entry filed under key from queue q's ordered list,
-// moving the entries on the shorter side of it: those before it one place
-// back, past the window's head, or those after it one place forward. A
-// demotion takes the job from near the head of its queue, which then costs no
-// move.
+// removeEntry deletes the entry filed under key from queue q's ordered list
+// by a one-index sched.Cut, which moves the entries on the shorter side of
+// it: a demotion takes the job from near the head of its queue, which then
+// costs no move.
 func (s *LASMQ) removeEntry(q int, key ordEntry) {
-	pos := s.findEntry(q, key)
-	if pos < 0 {
-		return
+	if pos := s.findEntry(q, key); pos >= 0 {
+		s.ordered[q] = sched.Cut(s.ordered[q], []int32{int32(pos)})
 	}
-	list := s.ordered[q]
-	if pos < len(list)/2 {
-		copy(list[1:], list[:pos])
-		list = list[1:]
-	} else {
-		copy(list[pos:], list[pos+1:])
-		list = list[:len(list)-1]
-	}
-	if len(list) == 0 {
-		list = s.base[q][:0]
-	}
-	s.ordered[q] = list
 }
-
-// minQueueList is the smallest array a queue's ordered list is grown to: a
-// run's queues fill one job at a time, and doubling up from one would cost
-// each queue several small allocations.
-const minQueueList = 16
 
 // entryLess orders jobs within one queue (Algorithm 1 line 10). Sequence
 // numbers are unique, making the order total (stability is irrelevant).

@@ -61,7 +61,8 @@ func TestDenseMatchesMapOnlySharded(t *testing.T) {
 // replays skipped rounds through the blend's ObserveDense, which only LAS_MQ
 // observes: a slot freed before an observed round never reaches FIFO in a
 // log, and FIFO must find the departure by itself. The run must equal the
-// blend over FIFO's slotless map forms bit for bit — results and probe
+// blend over FIFO's map forms, which issue slots by job ID and see every
+// call, bit for bit — results and probe
 // streams — under chaos (failures, stragglers, a binding admission cap),
 // with speculation on and, so that a completion can leave no ready task and
 // the next round be observed, off on a smaller cluster, on three seeds.
@@ -102,11 +103,11 @@ func TestBlendOverFIFOMatchesMapOnly(t *testing.T) {
 			slotted, slottedLog := run(blend(sched.NewFIFO()))
 			mapped, mapLog := run(blend(schedtest.MapOnly(sched.NewFIFO())))
 			if !reflect.DeepEqual(slotted, mapped) {
-				t.Fatalf("speculation %v, seed %d: result differs between FIFO's queue and its slotless sort in the blend",
+				t.Fatalf("speculation %v, seed %d: result differs between FIFO's dense and map forms in the blend",
 					speculation, seed)
 			}
 			if !bytes.Equal(slottedLog, mapLog) {
-				t.Fatalf("speculation %v, seed %d: probe stream differs between FIFO's queue and its slotless sort in the blend",
+				t.Fatalf("speculation %v, seed %d: probe stream differs between FIFO's dense and map forms in the blend",
 					speculation, seed)
 			}
 			done := false

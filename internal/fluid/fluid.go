@@ -239,7 +239,7 @@ func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 
 // arena is the run state that outlives a run: the job-record pool, the
 // active-job, served-view and completed-view lists and the view registry keep
-// their backing storage, the lists grown from substrate.Grow's floor. Arenas
+// their backing storage, the lists grown from sched.Grow's floor. Arenas
 // are pooled, so repeated runs on one worker — the policies of a sweep, the
 // seeds of a replication, the shards one worker advances — reuse the records
 // earlier runs carved instead of allocating one per live job per run.
@@ -249,7 +249,7 @@ type arena struct {
 	jobs substrate.SlabPool[fluidJob]
 	// active lists the admitted jobs that have not completed, in admission
 	// order; vs registers their views in the same order, so the i-th view is
-	// active[i]'s. It is a window on activeBase (see substrate.Room).
+	// active[i]'s. It is a window on activeBase (see sched.Room).
 	active, activeBase []*fluidJob
 	// served lists, ascending, the views a round visits — those the policy
 	// served and those admitted since the previous round — and, once the
@@ -365,7 +365,7 @@ func (s *sim) admit() {
 	if limit := s.cfg.MaxRunningJobs; limit > 0 {
 		n = min(n, limit-s.adm.Running())
 	}
-	s.active = substrate.Room(&s.activeBase, s.active, len(s.active)+n)
+	s.active = sched.Room(&s.activeBase, s.active, len(s.active)+n)
 	s.vs.Reserve(len(s.active) + n)
 	s.adm.Admit(func(j *fluidJob, seq int) {
 		j.seq = seq
@@ -441,7 +441,7 @@ func (s *sim) run() error {
 		// below first, then the tail. Rates are defensively capped by width.
 		// Every other job adds x + 0·dt to its attained service and nothing
 		// to Delivered, so skipping it changes no bits.
-		visit := substrate.Grow(s.served[:0], min(len(served), first)+len(s.active)-first)
+		visit := sched.Grow(s.served[:0], min(len(served), first)+len(s.active)-first)
 		for _, i := range served {
 			if int(i) >= first {
 				break
@@ -495,7 +495,7 @@ func (s *sim) run() error {
 		// ones the next round tells the policy about.
 		dt := next - s.now
 		s.now = next
-		kept, gone := visit[:0], substrate.Grow(s.gone[:0], len(visit))
+		kept, gone := visit[:0], sched.Grow(s.gone[:0], len(visit))
 		for _, i := range visit {
 			j := s.active[i]
 			out.Delivered += j.rate * dt
@@ -541,7 +541,7 @@ func (s *sim) run() error {
 		// keeping the rest in order, and re-index the served ones past them.
 		s.served, s.gone = kept, gone
 		if len(gone) > 0 {
-			s.active = substrate.Cut(s.active, gone)
+			s.active = sched.Cut(s.active, gone)
 			s.vs.Cut(gone)
 			k := 0
 			for n, i := range kept {

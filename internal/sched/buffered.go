@@ -36,8 +36,8 @@ type ObserveHinter interface {
 // viewEntry caches one job's sort key and tie-break so ordering policies
 // sort concrete data instead of making interface calls inside a
 // reflection-based comparator. idx is the job's position in the round's view
-// slice, which is also where its share goes; slot is the job's slot where a
-// policy carries its entries from round to round (LAS, SRPT), unset elsewhere.
+// slice, which is also where its share goes; slot is the job's slot, by which
+// a policy carries its entries from round to round (carriedEntries).
 type viewEntry struct {
 	key  float64
 	seq  int
@@ -45,30 +45,10 @@ type viewEntry struct {
 	slot int32
 }
 
-// minEntries is the smallest entry scratch or per-slot array: a streamed
-// run's first round sees one job, and doubling up from one would cost every
-// run several small allocations.
+// minEntries is the smallest per-slot array (GrowSlots): a streamed run's
+// first round sees one job, and doubling up from one would cost every run
+// several small allocations.
 const minEntries = 32
-
-// roomFor returns entries, contents kept, with capacity for n: grown
-// geometrically from minEntries when it has to be.
-func roomFor(entries []viewEntry, n int) []viewEntry {
-	if cap(entries) >= n {
-		return entries
-	}
-	return append(make([]viewEntry, 0, max(n, 2*cap(entries), minEntries)), entries...)
-}
-
-// buildEntries fills scratch (reusing its backing array) with
-// (key(j), Seq, index) for every job.
-func buildEntries(scratch *[]viewEntry, jobs []JobView, key func(JobView) float64) []viewEntry {
-	entries := roomFor((*scratch)[:0], len(jobs))
-	for i, j := range jobs {
-		entries = append(entries, viewEntry{key: key(j), seq: j.Seq(), idx: int32(i)})
-	}
-	*scratch = entries
-	return entries
-}
 
 // carriedEntries returns the jobs' entries in the order the previous call
 // left *scratch in, recognising jobs by slot: departed jobs dropped, new ones
@@ -94,7 +74,7 @@ func carriedEntries(scratch *[]viewEntry, at *[]int32, jobs []JobView, slots []i
 			pos[old.slot] = 0
 		}
 	}
-	entries = roomFor(entries, len(jobs))
+	entries = Grow(entries, len(jobs))
 	for i, slot := range slots {
 		if pos[slot] != 0 {
 			entries = append(entries, entry(int32(i)))
@@ -211,11 +191,12 @@ type fillEntry struct {
 	weight float64
 }
 
-// orderFill is the dense core of the serve-in-key-order policies: sort the
-// jobs by (key, Seq) and grant each min(demand, remaining capacity) in that
-// order, adding the grants to shares by view index.
-func orderFill(scratch *[]viewEntry, capacity float64, jobs []JobView, key func(JobView) float64, shares *Shares) {
-	entries := buildEntries(scratch, jobs, key)
+// orderFill is the dense core of the serve-in-key-order policies: order the
+// jobs by (key, Seq), starting from the order the previous call left in
+// *scratch (carriedEntries), and grant each min(demand, remaining capacity)
+// in that order, adding the grants to shares by view index.
+func orderFill(scratch *[]viewEntry, at *[]int32, capacity float64, jobs []JobView, slots []int32, key func(JobView) float64, shares *Shares) {
+	entries := carriedEntries(scratch, at, jobs, slots, key)
 	sortEntries(entries)
 	fillInOrder(entries, capacity, jobs, shares)
 }

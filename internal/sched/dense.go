@@ -12,13 +12,14 @@ import "slices"
 //
 // A slot is a small integer the substrate gives a job when it becomes
 // schedulable and takes back when the job leaves: unique among the views of
-// one round, below the peak number of schedulable jobs, and recycled. A
+// one round, below the peak number of schedulable jobs, and recycled. Slots
+// are never nil: every call carries one per view, from a substrate's ViewSet
+// or from a policy's map forms (MapForms), which issue them by job ID. A
 // policy that keeps per-job state keeps its record in an array indexed by
 // slot, so no round hashes an ID: the observers (LAS_MQ, SRPT, the adaptive
-// wrapper) and FIFO, whose admission queue of slots lives in AssignDense
-// alone. Stateless policies ignore slots, and callers that have none pass
-// nil; FIFO then sorts the views afresh, as under its map forms, which issue
-// slots to observers only.
+// wrapper), FIFO, whose admission queue of slots lives in AssignDense alone,
+// and the ordering policies (LAS, SJF, SRTF, Gittins), which carry the last
+// round's order by slot. The sharing policies (Fair, PS) ignore slots.
 //
 // The answer is the substrate's storage (substrate.ViewSet holds it). Reset
 // clears the previous round's grants, AssignDense adds each grant by view
@@ -117,10 +118,6 @@ type Shares struct {
 	sparse bool
 }
 
-// shareFloor is the smallest capacity the column is grown to,
-// substrate.Grow's floor: a streamed run's live set starts at one job.
-const shareFloor = 64
-
 // Reset clears the previous round's grants — a sparse answer those it lists,
 // and nothing else — and sizes the column for n views.
 func (s *Shares) Reset(n int) {
@@ -132,10 +129,7 @@ func (s *Shares) Reset(n int) {
 	} else {
 		clear(s.col)
 	}
-	if cap(s.col) < n {
-		s.col = make([]float64, max(n, 2*cap(s.col), shareFloor))
-	}
-	s.col = s.col[:n]
+	s.col = Grow(s.col, n)[:n]
 }
 
 // Add grants view i the share x on top of what the round has granted it so
@@ -264,9 +258,9 @@ func (m *mapAdapter) ObserveDense(now float64, jobs []JobView, _, _, _ []int32) 
 }
 
 // MapForms is the map forms of a policy that answers densely: the dense form
-// over columns read from or filed under job IDs. A stateful policy (a
-// DenseObserver) gets slots issued by job ID: a job keeps its slot while
-// consecutive calls name it. One MapForms serves one policy.
+// over columns read from or filed under job IDs, with slots issued by job ID,
+// as a substrate issues them: a job keeps its slot while consecutive calls
+// name it. One MapForms serves one policy.
 type MapForms struct {
 	shares Shares
 	slots  []int32
@@ -286,12 +280,9 @@ type slotHold struct {
 	call uint64
 }
 
-// slotsFor returns p's slot column for jobs (nil for a stateless p), freeing
-// the slots of jobs the call does not name before issuing new ones.
-func (m *MapForms) slotsFor(p any, jobs []JobView) []int32 {
-	if _, ok := p.(DenseObserver); !ok {
-		return nil
-	}
+// slotsFor returns the slot column for jobs, freeing the slots of jobs the
+// call does not name before issuing new ones.
+func (m *MapForms) slotsFor(jobs []JobView) []int32 {
 	if m.slotOf == nil {
 		m.slotOf = make(map[int]int32)
 	}
@@ -354,7 +345,7 @@ func (m *MapForms) Assign(p DenseAssigner, now, capacity float64, jobs []JobView
 // shares filed under their job IDs.
 func (m *MapForms) AssignInto(p DenseAssigner, now, capacity float64, jobs []JobView, out Assignment) {
 	m.shares.Reset(len(jobs))
-	slots := m.slotsFor(p, jobs)
+	slots := m.slotsFor(jobs)
 	p.AssignDense(now, capacity, jobs, slots, nil, m.gone, &m.shares)
 	m.gone = m.gone[:0]
 	sharesInto(jobs, &m.shares, out)
@@ -362,12 +353,12 @@ func (m *MapForms) AssignInto(p DenseAssigner, now, capacity float64, jobs []Job
 
 // Horizon is p's map-form Horizon.
 func (m *MapForms) Horizon(p DenseHinter, now float64, jobs []JobView, alloc Assignment) float64 {
-	return p.HorizonDense(now, jobs, m.slotsFor(p, jobs), m.answer(jobs, alloc))
+	return p.HorizonDense(now, jobs, m.slotsFor(jobs), m.answer(jobs, alloc))
 }
 
 // Observe is p's map-form Observe.
 func (m *MapForms) Observe(p DenseObserver, now float64, jobs []JobView) {
-	slots := m.slotsFor(p, jobs)
+	slots := m.slotsFor(jobs)
 	p.ObserveDense(now, jobs, slots, nil, m.gone)
 	m.gone = m.gone[:0]
 }

@@ -9,16 +9,13 @@ package sched
 // a queue in Seq order that the change log (see dense.go) keeps current: a
 // freed slot leaves the queue, an arrival joins it by seq — an append, in
 // admission order — and a round walks it from the head, reading only the
-// views it walks, until capacity runs out. Views without slots (the map
-// forms issue FIFO none) are sorted afresh each round. The scheduler carries
-// this state, so one instance must not be shared between concurrent
-// simulation runs.
+// views it walks, until capacity runs out. The scheduler carries this state,
+// so one instance must not be shared between concurrent simulation runs.
 type FIFO struct {
 	// recs[slot+1] is the record of the job holding slot; recs[0] is the
 	// queue's sentinel, its next the head and its prev the tail.
-	recs    []fifoRec
-	entries []viewEntry // the slotless round's sort scratch
-	maps    MapForms
+	recs []fifoRec
+	maps MapForms
 	// gone counts the logged departures (fifoRec.at); serve counts its finds.
 	gone            int32
 	walks, restamps int
@@ -26,8 +23,7 @@ type FIFO struct {
 
 // fifoRec is FIFO's record of the job holding a slot and its place in the
 // queue, whose links are record indices (0: the sentinel). The job is known
-// by its seq, which no two jobs of a run share; at 24 bytes a record costs
-// what the slotless round's sort entry does.
+// by its seq, which no two jobs of a run share.
 type fifoRec struct {
 	seq        int
 	at         int32 // its view index when last stamped plus gone then (see FindView)
@@ -58,12 +54,8 @@ func (f *FIFO) AssignInto(now float64, capacity float64, jobs []JobView, out Ass
 }
 
 // AssignDense implements DenseAssigner: the queue, brought up to date from
-// the change log and served from its head, or over slotless views a sort.
+// the change log and served from its head.
 func (f *FIFO) AssignDense(now, capacity float64, jobs []JobView, slots, changed, freed []int32, shares *Shares) {
-	if slots == nil {
-		orderFill(&f.entries, capacity, jobs, func(j JobView) float64 { return float64(j.Seq()) }, shares)
-		return
-	}
 	f.follow(jobs, slots, changed, freed)
 	f.serve(capacity, jobs, slots, changed == nil, shares)
 }

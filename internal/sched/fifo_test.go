@@ -25,8 +25,8 @@ type fifoJob struct {
 // arrived since its previous call or whose ready demand moved — one the nil
 // log (every view changed), one the declared log without its freed slots,
 // which must find the departures by itself, and schedtest.MapOnly(FIFO),
-// which the map adapter drives without slots, so it sorts every round
-// afresh. Jobs arrive now and then under a seq below some already queued,
+// FIFO's map forms, which issue slots of their own by job ID and hand its
+// queue the nil log. Jobs arrive now and then under a seq below some already queued,
 // take their slots from the substrate's allocator, so a slot freed since the
 // previous call goes to the next arrival, and some arrive and leave unseen;
 // they leave at random. The oldest job often has no ready demand, and
@@ -39,7 +39,7 @@ func TestFIFOQueueFollowsLog(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			declared, full, forgetful := sched.NewFIFO(), sched.NewFIFO(), sched.NewFIFO()
-			slotless, _, _ := sched.DenseForms(schedtest.MapOnly(sched.NewFIFO()))
+			mapForms, _, _ := sched.DenseForms(schedtest.MapOnly(sched.NewFIFO()))
 			var vs substrate.ViewSet // the slot allocator
 			var live []*fifoJob
 			var freed []int32 // the log's freed list
@@ -113,9 +113,9 @@ func TestFIFOQueueFollowsLog(t *testing.T) {
 				declared.AssignDense(now, capacity, views, slots, changed, freed, &shares[0])
 				full.AssignDense(now, capacity, views, slots, nil, freed, &shares[1])
 				forgetful.AssignDense(now, capacity, views, slots, changed, nil, &shares[2])
-				slotless.AssignDense(now, capacity, views, nil, nil, nil, &shares[3])
+				mapForms.AssignDense(now, capacity, views, slots, nil, nil, &shares[3])
 				freed = freed[:0]
-				names := [4]string{"the declared log", "the nil log", "the log without departures", "the slotless sort"}
+				names := [4]string{"the declared log", "the nil log", "the log without departures", "the map forms"}
 				for k := 1; k < len(shares); k++ {
 					for i := range views {
 						if x, y := shares[0].Col()[i], shares[k].Col()[i]; math.Float64bits(x) != math.Float64bits(y) {

@@ -22,12 +22,13 @@ import (
 // FIFO-within-queue behaviour LAS_MQ approximates without knowing the
 // distribution.
 //
-// The scheduler carries sort scratch, so one instance must not be shared
+// The scheduler carries its last order, so one instance must not be shared
 // between concurrent simulation runs.
 type Gittins struct {
 	service dist.Service
 	table   *dist.GittinsTable
-	entries []viewEntry
+	entries []viewEntry // between rounds: the last round's order (see carriedEntries)
+	at      []int32     // carriedEntries' scratch
 	maps    MapForms
 }
 
@@ -81,9 +82,9 @@ func (g *Gittins) Horizon(now float64, jobs []JobView, alloc Assignment) float64
 // totally orders with Seq as tie-break; an infinite index — a job past the
 // distribution's support or sitting on a completion atom — sorts first and is
 // driven to completion).
-func (g *Gittins) AssignDense(now, capacity float64, jobs []JobView, _, _, _ []int32, shares *Shares) {
+func (g *Gittins) AssignDense(now, capacity float64, jobs []JobView, slots, _, _ []int32, shares *Shares) {
 	table := g.lazyTable()
-	orderFill(&g.entries, capacity, jobs, func(j JobView) float64 {
+	orderFill(&g.entries, &g.at, capacity, jobs, slots, func(j JobView) float64 {
 		return -table.Index(j.Attained())
 	}, shares)
 }

@@ -76,18 +76,12 @@ func (l *LAS) AssignDense(now, capacity float64, jobs []JobView, slots, _, _ []i
 	}
 }
 
-// orderedEntries returns the jobs' entries in (attained, seq) order: with
-// slots, the order the last round left them in (carriedEntries) repaired by
-// sortEntries. The view order it would otherwise start from is close to the
-// reverse: views arrive oldest first, and the oldest jobs have attained the
-// most.
+// orderedEntries returns the jobs' entries in (attained, seq) order: the
+// order the last round left them in (carriedEntries) repaired by
+// sortEntries. The view order is close to the reverse: views arrive oldest
+// first, and the oldest jobs have attained the most.
 func (l *LAS) orderedEntries(jobs []JobView, slots []int32) []viewEntry {
-	var entries []viewEntry
-	if slots == nil {
-		entries = buildEntries(&l.entries, jobs, JobView.Attained)
-	} else {
-		entries = carriedEntries(&l.entries, &l.at, jobs, slots, JobView.Attained)
-	}
+	entries := carriedEntries(&l.entries, &l.at, jobs, slots, JobView.Attained)
 	sortEntries(entries)
 	return entries
 }

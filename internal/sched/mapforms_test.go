@@ -13,14 +13,18 @@ import (
 	"lasmq/internal/substrate"
 )
 
-// slotSpy is a stateful dense policy (a DenseObserver, so MapForms issues it
-// slots) that records the slot column of every call.
+// slotSpy is a stateless dense policy that records the slot column of every
+// call.
 type slotSpy struct{ calls [][]int32 }
 
 func (s *slotSpy) AssignDense(_, _ float64, _ []sched.JobView, slots, _, _ []int32, _ *sched.Shares) {
 	s.calls = append(s.calls, append([]int32(nil), slots...))
 }
-func (s *slotSpy) ObserveDense(float64, []sched.JobView, []int32, []int32, []int32) {}
+
+// observingSpy is a stateful slotSpy (a DenseObserver).
+type observingSpy struct{ slotSpy }
+
+func (s *observingSpy) ObserveDense(float64, []sched.JobView, []int32, []int32, []int32) {}
 
 // slotRounds is a sequence of job sets: job 2 leaves and returns in
 // consecutive calls as a new job under its old ID; job 5 arrives in the call
@@ -28,12 +32,25 @@ func (s *slotSpy) ObserveDense(float64, []sched.JobView, []int32, []int32, []int
 // for good.
 var slotRounds = [][]int{{1, 2, 3, 4}, {1, 3, 4}, {1, 2, 3, 4}, {1, 3, 4, 5}, {3, 4, 5}, {3, 4, 5, 6, 7}}
 
-// TestMapFormsIssueSlots: the slots MapForms issues by job ID keep the dense
-// contract — unique within a call, kept by a job across consecutive calls
-// that name it, below the peak number of jobs named at once.
+// TestMapFormsIssueSlots: MapForms issues every policy, stateless or not, a
+// slot per view by job ID, and the slots keep the dense contract — unique
+// within a call, kept by a job across consecutive calls that name it, below
+// the peak number of jobs named at once.
 func TestMapFormsIssueSlots(t *testing.T) {
+	stateless, stateful := &slotSpy{}, &observingSpy{}
+	for _, p := range []struct {
+		name string
+		spy  sched.DenseAssigner
+		log  *slotSpy
+	}{{"stateless", stateless, stateless}, {"stateful", stateful, &stateful.slotSpy}} {
+		t.Run(p.name, func(t *testing.T) { checkIssuedSlots(t, p.spy, p.log) })
+	}
+}
+
+// checkIssuedSlots drives spy's map forms over slotRounds and checks the
+// slot columns log records.
+func checkIssuedSlots(t *testing.T, spy sched.DenseAssigner, log *slotSpy) {
 	var m sched.MapForms
-	spy := &slotSpy{}
 	prev := map[int]int32{}
 	peak := 0
 	for r, ids := range slotRounds {
@@ -43,7 +60,10 @@ func TestMapFormsIssueSlots(t *testing.T) {
 		}
 		m.AssignInto(spy, 0, 10, jobs, sched.Assignment{})
 		peak = max(peak, len(ids))
-		slots := spy.calls[r]
+		slots := log.calls[r]
+		if len(slots) != len(ids) {
+			t.Fatalf("call %d: %d slots for %d views: %v", r, len(slots), len(ids), slots)
+		}
 		seen := map[int32]bool{}
 		cur := map[int]int32{}
 		for i, id := range ids {
@@ -61,7 +81,8 @@ func TestMapFormsIssueSlots(t *testing.T) {
 	}
 }
 
-// TestMapFormsMatchSubstrateSlots drives each stateful policy twice over
+// TestMapFormsMatchSubstrateSlots drives each policy that keeps state by slot
+// — the observers, and the ordering policies LAS and SJF — twice over
 // slotRounds — jobs attaining service as they are served — once through its
 // map forms (MapForms issuing slots by job ID) and once densely with slots a
 // substrate.ViewSet issues as jobs come and go: the shares, horizons and
@@ -77,6 +98,8 @@ func TestMapFormsMatchSubstrateSlots(t *testing.T) {
 		return s
 	}
 	policies := map[string]func() sched.Scheduler{
+		"LAS":  func() sched.Scheduler { return sched.NewLAS() },
+		"SJF":  func() sched.Scheduler { return sched.NewSJF() },
 		"SRPT": func() sched.Scheduler { return sched.NewSRPT() },
 		"Adaptive": func() sched.Scheduler {
 			cfg := core.DefaultAdaptiveConfig()
@@ -145,7 +168,8 @@ func runSlotRounds(t *testing.T, p sched.Scheduler, dense bool) ([]string, []byt
 			j, ok := live[id]
 			if !ok {
 				seq++
-				j = &schedtest.FakeJob{JobID: id, JobSeq: seq, JobPriority: 1, ReadyVal: 2, RemainingVal: 2, RemSizeVal: float64(10 * id)}
+				j = &schedtest.FakeJob{JobID: id, JobSeq: seq, JobPriority: 1, ReadyVal: 2, RemainingVal: 2,
+					SizeHintVal: float64(100 - 10*id), RemSizeVal: float64(10 * id)}
 				live[id] = j
 				slotOf[id] = vs.TakeSlot()
 			}
@@ -154,18 +178,27 @@ func runSlotRounds(t *testing.T, p sched.Scheduler, dense bool) ([]string, []byt
 		shares := make(sched.Assignment)
 		var horizon float64
 		if dense {
-			observer.ObserveDense(now, jobs, slots, nil, freed)
+			if observer != nil {
+				observer.ObserveDense(now, jobs, slots, nil, freed)
+				freed = nil
+			}
 			var ans sched.Shares
 			ans.Reset(len(jobs))
-			assigner.AssignDense(now, 3, jobs, slots, nil, nil, &ans)
+			assigner.AssignDense(now, 3, jobs, slots, nil, freed, &ans)
 			for _, i := range ans.Served() {
 				shares[jobs[i].ID()] = ans.Col()[i]
 			}
-			horizon = hinter.HorizonDense(now, jobs, slots, &ans)
+			if hinter != nil {
+				horizon = hinter.HorizonDense(now, jobs, slots, &ans)
+			}
 		} else {
-			p.(sched.Observer).Observe(now, jobs)
+			if o, ok := p.(sched.Observer); ok {
+				o.Observe(now, jobs)
+			}
 			p.(sched.BufferedAssigner).AssignInto(now, 3, jobs, shares)
-			horizon = p.(sched.Hinter).Horizon(now, jobs, shares)
+			if h, ok := p.(sched.Hinter); ok {
+				horizon = h.Horizon(now, jobs, shares)
+			}
 		}
 		out = append(out, fmt.Sprintf("%v %v", shares, horizon))
 		for _, j := range jobs {

@@ -5,10 +5,11 @@ package sched
 // perturb the hint to model estimation error, reproducing the paper's claim
 // that under-estimated large jobs delay all smaller jobs behind them.
 //
-// The scheduler carries sort scratch, so one instance must not be shared
+// The scheduler carries its last order, so one instance must not be shared
 // between concurrent simulation runs.
 type SJF struct {
-	entries []viewEntry
+	entries []viewEntry // between rounds: the last round's order (see carriedEntries)
+	at      []int32     // carriedEntries' scratch
 	maps    MapForms
 }
 
@@ -35,17 +36,18 @@ func (s *SJF) AssignInto(now float64, capacity float64, jobs []JobView, out Assi
 }
 
 // AssignDense implements DenseAssigner.
-func (s *SJF) AssignDense(now, capacity float64, jobs []JobView, _, _, _ []int32, shares *Shares) {
-	orderFill(&s.entries, capacity, jobs, JobView.SizeHint, shares)
+func (s *SJF) AssignDense(now, capacity float64, jobs []JobView, slots, _, _ []int32, shares *Shares) {
+	orderFill(&s.entries, &s.at, capacity, jobs, slots, JobView.SizeHint, shares)
 }
 
 // SRTF is the preemptive shortest-remaining-time-first policy. Like SJF it
 // requires size information (JobView.RemainingSizeHint).
 //
-// The scheduler carries sort scratch, so one instance must not be shared
+// The scheduler carries its last order, so one instance must not be shared
 // between concurrent simulation runs.
 type SRTF struct {
-	entries []viewEntry
+	entries []viewEntry // between rounds: the last round's order (see carriedEntries)
+	at      []int32     // carriedEntries' scratch
 	maps    MapForms
 }
 
@@ -72,6 +74,6 @@ func (s *SRTF) AssignInto(now float64, capacity float64, jobs []JobView, out Ass
 }
 
 // AssignDense implements DenseAssigner.
-func (s *SRTF) AssignDense(now, capacity float64, jobs []JobView, _, _, _ []int32, shares *Shares) {
-	orderFill(&s.entries, capacity, jobs, JobView.RemainingSizeHint, shares)
+func (s *SRTF) AssignDense(now, capacity float64, jobs []JobView, slots, _, _ []int32, shares *Shares) {
+	orderFill(&s.entries, &s.at, capacity, jobs, slots, JobView.RemainingSizeHint, shares)
 }

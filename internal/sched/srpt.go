@@ -79,7 +79,10 @@ func (s *SRPT) AssignDense(now, capacity float64, jobs []JobView, slots, _, _ []
 }
 
 // ObserveDense implements DenseObserver: nothing to replay, as the carried
-// order is only where the next round's repair starts.
+// order is only where the next round's repair starts. Every policy's map
+// forms issue slots now, so SRPT needs no observer to get them; it stays one
+// because benchmark/'s TestWrapperTransparent pins its capability set (an
+// Observer that is no ObserveHinter, which the tracer cannot wrap exactly).
 func (s *SRPT) ObserveDense(float64, []JobView, []int32, []int32, []int32) {}
 
 // HorizonDense implements DenseHinter: under linear remaining-service decay

@@ -2,7 +2,6 @@ package substrate_test
 
 import (
 	"math"
-	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -506,58 +505,11 @@ func TestResultAccumulator(t *testing.T) {
 	}
 }
 
-// cutBefore is Cut as it was before it moved the shorter side: every kept
-// element behind gone[0] moves forward. TestCut holds Cut to it.
-func cutBefore(s []int, gone []int32) []int {
-	if len(gone) == 0 {
-		return s
-	}
-	w := int(gone[0])
-	for k, g := range gone {
-		end := len(s)
-		if k+1 < len(gone) {
-			end = int(gone[k+1])
-		}
-		w += copy(s[w:], s[g+1:end])
-	}
-	clear(s[w:])
-	return s[:w]
-}
-
-// TestCut: on random lengths and ascending gone lists, Cut keeps what
-// cutBefore keeps, in the same order, and zeroes every element of the array
-// outside the window it returns, so nothing stays pinned; and a ViewSet cut at
-// the front takes as many views back without allocating, its windows sliding
-// back to their arrays' start.
+// TestCut: a ViewSet cut at the front takes as many views back without
+// allocating, its windows sliding back to their arrays' start (sched.Cut and
+// sched.Room; the slice cut itself is sched's TestCut), and its slot column
+// keeps the views in the order they came.
 func TestCut(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 5000; trial++ {
-		n := rng.Intn(48)
-		var gone []int32
-		p := rng.Float64()
-		for i := 0; i < n; i++ {
-			if rng.Float64() < p {
-				gone = append(gone, int32(i))
-			}
-		}
-		s := make([]int, n)
-		for i := range s {
-			s[i] = i + 1
-		}
-		want := cutBefore(slices.Clone(s), gone)
-		got := substrate.Cut(s, gone)
-		head := cap(s) - cap(got)
-		if !slices.Equal(got, want) {
-			t.Fatalf("Cut(1..%d, %v) = %v; want %v", n, gone, got, want)
-		}
-		for i, x := range s {
-			if (i < head || i >= head+len(got)) && x != 0 {
-				t.Fatalf("Cut(1..%d, %v) left %d at %d outside its window [%d, %d): %v",
-					n, gone, x, i, head, head+len(got), s)
-			}
-		}
-	}
-
 	views := make([]fakeView, 64)
 	var vs substrate.ViewSet
 	for i := range views {

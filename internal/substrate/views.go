@@ -12,7 +12,9 @@ import "lasmq/internal/sched"
 // parallel to the views. A substrate registers
 // anew (Begin, then AddSlot per view) whenever its set changes, or edits one
 // registration as it goes: AddSlot as a job is admitted, Cut as jobs leave
-// (the fluid simulator).
+// (the fluid simulator). Every view carries a slot: the contract has no
+// slotless call. The view and slot columns are window lists (see
+// internal/sched/window.go), grown with sched.Room and cut with sched.Cut.
 //
 // The ViewSet also keeps the contract's change log, which Driver.Shares and
 // Driver.Observe hand to the policy and then clear: FreeSlot logs the freed
@@ -23,8 +25,9 @@ import "lasmq/internal/sched"
 // and the views it does not mark count as unchanged.
 //
 // The ready-demand map (Begin(true, ·), SetDemand, Demand) and the slotless
-// Add have no product caller left: they are what benchmark/replay.go's
-// viewset replay times, fenced by `make layering` and deleted with it.
+// Add have no product caller left and drive no policy: they are what
+// benchmark/replay.go's viewset replay times, fenced by `make layering` and
+// deleted with it.
 // Everything reuses its backing storage across rounds, which is what keeps
 // the steady scheduling path allocation-free.
 type ViewSet struct {
@@ -36,7 +39,7 @@ type ViewSet struct {
 	slots  []int32
 	shares sched.Shares
 
-	// The arrays views and slots are windows on (see Room).
+	// The arrays views and slots are windows on (see sched.Room).
 	viewBase []sched.JobView
 	slotBase []int32
 
@@ -55,43 +58,6 @@ type ViewSet struct {
 	declared bool
 }
 
-// denseFloor is the smallest capacity a dense column, the slot free list or
-// the change log is grown to: a streamed run's live set starts at one job,
-// and growing by doubling from one would cost every fresh arena a dozen small
-// allocations.
-const denseFloor = 64
-
-// Grow returns s with room for at least n elements, keeping its contents:
-// at least denseFloor, then as append grows a slice (doubling while small, by
-// a quarter once large). A list Cut may have advanced grows with Room.
-func Grow[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s
-	}
-	if cap(s) < denseFloor {
-		return append(make([]T, 0, max(denseFloor, n)), s...)
-	}
-	return append(s[:cap(s)], make([]T, n-cap(s))...)[:len(s)]
-}
-
-// Room returns the window s with room for n elements: when it lacks it, s
-// slides back to the start of its array, *base, zeroing what it vacates, and
-// then grows as Grow does, *base following a grown array.
-func Room[T any](base *[]T, s []T, n int) []T {
-	if cap(s) >= n {
-		return s
-	}
-	if b := (*base)[:cap(*base)]; cap(b) > cap(s) {
-		m := copy(b, s)
-		clear(b[m : len(b)-cap(s)+m])
-		s = b[:m]
-	}
-	if s = Grow(s, n); cap(s) > cap(*base) {
-		*base = s
-	}
-	return s
-}
-
 // TakeSlot issues a slot for a job entering the schedulable set.
 func (vs *ViewSet) TakeSlot() int32 {
 	if n := len(vs.free); n > 0 {
@@ -107,8 +73,8 @@ func (vs *ViewSet) TakeSlot() int32 {
 // logs it for the policy. It may be reissued at once — before the policy has
 // run a round without the job.
 func (vs *ViewSet) FreeSlot(slot int32) {
-	vs.free = append(Grow(vs.free, len(vs.free)+1), slot)
-	vs.freed = append(Grow(vs.freed, len(vs.freed)+1), slot)
+	vs.free = append(sched.Grow(vs.free, len(vs.free)+1), slot)
+	vs.freed = append(sched.Grow(vs.freed, len(vs.freed)+1), slot)
 }
 
 // MarkChanged logs that the inputs of the i-th view registered — its
@@ -121,7 +87,7 @@ func (vs *ViewSet) FreeSlot(slot int32) {
 func (vs *ViewSet) MarkChanged(i int) {
 	vs.declared = true
 	if len(vs.changed) == cap(vs.changed) {
-		vs.changed = Grow(vs.changed, len(vs.views)) // there are no more marks than views
+		vs.changed = sched.Grow(vs.changed, len(vs.views)) // there are no more marks than views
 	}
 	vs.changed = append(vs.changed, int32(i))
 }
@@ -162,8 +128,8 @@ func (vs *ViewSet) Begin(withDemand, _ bool) {
 // substrate that knows how many views it will add grows each column at most
 // once.
 func (vs *ViewSet) Reserve(n int) {
-	vs.views = Room(&vs.viewBase, vs.views, n)
-	vs.slots = Room(&vs.slotBase, vs.slots, n)
+	vs.views = sched.Room(&vs.viewBase, vs.views, n)
+	vs.slots = sched.Room(&vs.slotBase, vs.slots, n)
 }
 
 // Add registers one schedulable job's view for this round, without a slot
@@ -190,35 +156,8 @@ func (vs *ViewSet) Served() []int32 { return vs.shares.Served() }
 // substrate whose set loses a few jobs re-registering the rest. Cut between
 // rounds, before marking views, as the marks index the views.
 func (vs *ViewSet) Cut(gone []int32) {
-	vs.views = Cut(vs.views, gone)
-	vs.slots = Cut(vs.slots, gone)
-}
-
-// Cut removes from s the elements at the indices gone lists, strictly
-// ascending, keeping the others in order: the shorter side moves, the window's
-// head advancing when it is the front (see Room), each run between two
-// removed elements in one copy. The vacated elements are zeroed.
-func Cut[T any](s []T, gone []int32) []T {
-	if len(gone) == 0 {
-		return s
-	}
-	first, last := int(gone[0]), int(gone[len(gone)-1])
-	if first+last+1 < len(s) { // fewer kept before last than after first
-		w := last + 1
-		for k := len(gone) - 1; k > 0; k-- {
-			w -= copy(s[w-int(gone[k]-gone[k-1]-1):w], s[gone[k-1]+1:gone[k]])
-		}
-		w -= copy(s[w-first:w], s[:first])
-		clear(s[:w])
-		return s[w:]
-	}
-	w := first
-	for k := 1; k < len(gone); k++ {
-		w += copy(s[w:], s[gone[k-1]+1:gone[k]])
-	}
-	w += copy(s[w:], s[last+1:])
-	clear(s[w:])
-	return s[:w]
+	vs.views = sched.Cut(vs.views, gone)
+	vs.slots = sched.Cut(vs.slots, gone)
 }
 
 // SetDemand records a job's ready container demand (Begin(true, ·) rounds).
