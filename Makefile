@@ -86,6 +86,9 @@ lint:
 # window cut at the front back before it allocates; and LAS_MQ's dense form
 # and FIFO each keep exactly one loop over the whole slot column, the full
 # re-stamp that runs only when sched.FindView misses.
+# The next keeps run arenas on one free list: internal/engine and
+# internal/fluid recycle them through substrate.Arenas, which keeps an arena
+# across collections and Ps, never through a sync.Pool, which drops them.
 # The next keeps the telemetry sinks on one vocabulary: every sink records
 # packed obs.Events through one Record switch, so outside tests only obs.go
 # (the emitter that packs Probe calls, and Nop) defines Probe methods in
@@ -231,6 +234,11 @@ layering:
 			"full re-stamp loop, the fallback of sched.FindView (found $$mq and $$fifo range slots):"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(grep -rn 'sync\.Pool' --include='*.go' internal/engine internal/fluid | grep -v '_test\.go:'; true); \
+	if [ -n "$$bad" ]; then \
+		echo "layering: run arenas are recycled through substrate.Arenas, never a sync.Pool:"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@bad=$$(grep -nE '^func \([^)]*\) (JobSubmitted|JobAdmitted|JobStarted|StageDone|JobDone|TaskStart|TaskDone|TaskFail|QueueEnter|QueueDemote|QueueExit|ThresholdRefit|RoundExecuted|RoundSkipped|ArenaReuse|SlabStats)\(' \
 		internal/obs/*.go internal/core/*.go | grep -v -e '_test\.go:' -e '^internal/obs/obs\.go:'; true); \
 	if [ -n "$$bad" ]; then \
@@ -344,9 +352,11 @@ probe-gate:
 # heap objects per extra job. And the engine's task state is bounded by
 # admission, not the backlog: N jobs queued behind a cap of k hold at most k
 # records in engine.Run and engine.RunStream, at N = 50 and 500
-# (TestRecordsBoundedByAdmission). -count=1 for the same reason as probe-gate.
+# (TestRecordsBoundedByAdmission). A run after two collections finds the
+# arena an earlier run returned (TestArenaSurvivesGC). -count=1 for the same
+# reason as probe-gate.
 alloc-gate:
-	$(GO) test -run '^(TestStreamMarginalAllocs|TestRecordsBoundedByAdmission)$$' -count=1 ./internal/fluid ./internal/engine
+	$(GO) test -run '^(TestStreamMarginalAllocs|TestRecordsBoundedByAdmission|TestArenaSurvivesGC)$$' -count=1 ./internal/fluid ./internal/engine
 
 # Analytic cross-check: drive the fluid and engine substrates with M/M/1
 # workloads at rho in {0.5, 0.7, 0.9}, and the fluid substrate with M/G/1

@@ -106,15 +106,19 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, fr
 		if s.replace {
 			// Re-placement under a refitted ladder: placed from attained
 			// service, demoted from there, appended for restoreOrder to sort.
-			from := s.levels.Placement(j.Attained())
-			q := s.levels.Demote(from, m)
-			if r.live {
-				s.removeEntry(int(r.queue), r.key(slot))
+			// A job seen first enters; one whose level changes moves from the
+			// level it held, upward too (see DESIGN.md, Adaptive thresholds).
+			q := s.levels.Demote(s.levels.Placement(j.Attained()), m)
+			held, from := r.live, int(r.queue)
+			if held {
+				s.removeEntry(from, r.key(slot))
 			}
 			*r = slotRec{id: id, seq: j.Seq(), demand: s.orderKey(j), queue: int32(q), live: true}
 			s.ordered[q] = append(sched.Room(&s.base[q], s.ordered[q], len(s.ordered[q])+1), r.key(slot))
 			s.touched[q] = true
-			if q != from && s.probe != nil {
+			if s.probe != nil && !held {
+				s.probe.QueueEnter(now, id, q)
+			} else if s.probe != nil && q != from {
 				s.probe.QueueDemote(now, id, from, q, m)
 			}
 		} else if !r.live {
@@ -192,16 +196,11 @@ func (s *LASMQ) AssignDense(now, capacity float64, jobs []sched.JobView, slots, 
 	s.restoreOrder()
 
 	// Algorithm 2 line 1: split capacity across non-empty queues by weight.
-	weights := s.weights[:k]
 	var totalWeight float64
-	w := 1.0
-	for i := 0; i < k; i++ {
-		weights[i] = 0
+	for i, w := range s.weights {
 		if len(s.ordered[i]) > 0 {
-			weights[i] = w
 			totalWeight += w
 		}
-		w /= s.cfg.QueueWeightDecay
 	}
 	if totalWeight == 0 {
 		return
@@ -213,7 +212,9 @@ func (s *LASMQ) AssignDense(now, capacity float64, jobs []sched.JobView, slots, 
 	leftover := 0.0
 	s.walk = len(slots)
 	for i := 0; i < k; i++ {
-		leftover += s.serve(s.ordered[i], slots, capacity*weights[i]/totalWeight, 0, shares)
+		if len(s.ordered[i]) > 0 {
+			leftover += s.serve(s.ordered[i], slots, capacity*s.weights[i]/totalWeight, 0, shares)
+		}
 	}
 	for i := 0; i < k && leftover > 1e-12; i++ {
 		leftover = s.serve(s.ordered[i], slots, leftover, 1e-12, shares)

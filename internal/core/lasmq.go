@@ -96,7 +96,10 @@ type LASMQ struct {
 	ordered [][]ordEntry
 	base    [][]ordEntry
 	touched []bool
-	weights []float64 // scratch, reused across rounds
+	// weights[i] is queue i's weight, QueueWeightDecay⁻ⁱ by repeated
+	// division: it depends on neither the thresholds nor the round, so a
+	// refit's ladder (resetLevels), which keeps the queue count, keeps it.
+	weights []float64
 
 	// One record per slot and the departures a sweep found; replace asks the
 	// next sweep to re-place every job under a refitted ladder (resetLevels).
@@ -134,13 +137,19 @@ func New(cfg Config) (*LASMQ, error) {
 		return nil, fmt.Errorf("core: queue weight decay must be finite and >= 1, got %v", cfg.QueueWeightDecay)
 	}
 	lists := make([][]ordEntry, 2*cfg.Queues)
+	weights := make([]float64, cfg.Queues)
+	w := 1.0
+	for i := range weights {
+		weights[i] = w
+		w /= cfg.QueueWeightDecay
+	}
 	return &LASMQ{
 		cfg:     cfg,
 		levels:  levels,
 		ordered: lists[:cfg.Queues:cfg.Queues],
 		base:    lists[cfg.Queues:],
 		touched: make([]bool, cfg.Queues),
-		weights: make([]float64, cfg.Queues),
+		weights: weights,
 	}, nil
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"lasmq/internal/core"
 	"lasmq/internal/engine"
+	"lasmq/internal/obs"
 	"lasmq/internal/sched"
 	"lasmq/internal/substrate"
 	"lasmq/internal/trace"
@@ -19,7 +20,7 @@ import (
 // sub-clusters, the 30-job admission cap, light chaos with speculation.
 // shards == 0 runs engine.RunStream; otherwise engine.RunSharded on one
 // worker (Workers never changes what a shard does, and with one worker the
-// number of pooled arenas in play does not depend on goroutine scheduling).
+// number of recycled arenas in play does not depend on goroutine scheduling).
 func scaleTierMallocs(t *testing.T, policy string, jobs, shards int) uint64 {
 	t.Helper()
 	k := max(shards, 1)
@@ -87,9 +88,6 @@ func TestStreamMarginalAllocs(t *testing.T) {
 		n     = 3000
 		limit = 0.25
 	)
-	if raceEnabled {
-		t.Skip("sync.Pool drops arenas at random under the race detector")
-	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, tc := range []struct {
@@ -106,5 +104,27 @@ func TestStreamMarginalAllocs(t *testing.T) {
 				t.Errorf("%s %s: %.4f objects per extra job, limit %v", tc.name, policy, perJob, limit)
 			}
 		}
+	}
+}
+
+// TestArenaSurvivesGC: a run after two collections still finds the arena an
+// earlier run returned — the free list keeps it where a sync.Pool drops it —
+// and reports the reuse through ArenaReuse.
+func TestArenaSurvivesGC(t *testing.T) {
+	specs := diffWorkload(1, 20)
+	run := func() int64 {
+		counters := obs.NewCounters()
+		cfg := streamChaosConfig(1)
+		cfg.Probe = counters
+		if _, err := engine.Run(specs, sched.NewFIFO(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		return counters.Snapshot().ArenaReuses
+	}
+	run()
+	runtime.GC()
+	runtime.GC()
+	if reuses := run(); reuses != 1 {
+		t.Fatalf("a run after two collections reused %d arenas, want 1", reuses)
 	}
 }

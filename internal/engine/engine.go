@@ -206,8 +206,8 @@ type sim struct {
 	// (driver) and the FIFO admission module (adm), which holds the arrived
 	// jobs' pending entries. The embedded arena holds the pooled job records
 	// and entries, the attempt slab, the event queue, the view registry (vs)
-	// and the round-local scratch; it is pooled, so repeated runs on one
-	// worker reuse the same storage.
+	// and the round-local scratch; it is recycled (substrate.Arenas), so
+	// repeated runs reuse the same storage.
 	driver *substrate.Driver
 	adm    *substrate.Queue[*pendingJob]
 	*arena
@@ -267,11 +267,11 @@ type specCand struct {
 	remaining float64
 }
 
-// newSim wires a run over a pooled arena; finish, when non-nil, receives each
+// newSim wires a run over a recycled arena; finish, when non-nil, receives each
 // job's result as it completes. The caller points the arrival cursor at its
 // input (feedSpecs or feedSource) and releases the sim.
 func newSim(policy sched.Scheduler, cfg Config, finish func(*jobState, JobResult)) *sim {
-	ar := arenaPool.Get().(*arena)
+	ar := arenas.Get()
 	s := &sim{
 		cfg:    cfg,
 		probe:  cfg.Probe,
@@ -289,13 +289,13 @@ func newSim(policy sched.Scheduler, cfg Config, finish func(*jobState, JobResult
 
 func compareJobID(a, b *jobState) int { return a.spec.ID - b.spec.ID }
 
-// release scrubs the sim's arena and returns it to the pool. The sim must
-// not be used afterwards.
+// release scrubs the sim's arena and returns it to the free list. The sim
+// must not be used afterwards.
 func (s *sim) release() {
 	ar := s.arena
 	s.arena = nil
 	ar.scrub()
-	arenaPool.Put(ar)
+	arenas.Put(ar)
 }
 
 func (s *sim) run() error {

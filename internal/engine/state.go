@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sync"
-
 	"lasmq/internal/eventq"
 	"lasmq/internal/job"
 	"lasmq/internal/sched"
@@ -417,9 +415,9 @@ func (r *jobRecord) build(p *pendingJob, room jobShape) *jobState {
 // arena is the run state that outlives a run: the job-record and
 // pending-entry pools, the attempt slab, the event queue, the view registry
 // and the round-local scratch all keep their backing storage. Arenas are
-// pooled, so repeated runs on one worker — the policies of a sweep, the seeds
-// of a replication, the shards one worker advances — reuse one arena instead
-// of re-allocating the per-run state from scratch.
+// recycled (substrate.Arenas), so repeated runs — the policies of a sweep,
+// the seeds of a replication, the shards a worker advances — reuse one arena
+// instead of re-allocating the per-run state from scratch.
 type arena struct {
 	// records and entries pool the admitted jobs' task state and the arrived
 	// jobs' backlog entries. The records one run grew (three slabs each, sized
@@ -471,9 +469,9 @@ type arena struct {
 	specCands []specCand
 }
 
-// arenaPool recycles simulation arenas across runs; each concurrent worker
-// effectively owns one.
-var arenaPool = sync.Pool{New: func() any {
+// arenas recycles simulation arenas across runs: a process keeps one per run
+// it ever had live at once.
+var arenas = substrate.Arenas[arena]{New: func() *arena {
 	a := &arena{liveIDs: make(map[int]struct{}, 64)}
 	a.records.Reset = resetJobRecord
 	a.entries.Reset = resetPending
@@ -482,7 +480,7 @@ var arenaPool = sync.Pool{New: func() any {
 
 // scrub readies the arena for its next run: it takes back every record and
 // entry the run still held (the reset hooks drop their references into
-// caller-owned specs, so a pooled arena cannot pin a workload after its run),
+// caller-owned specs, so a recycled arena cannot pin a workload after its run),
 // drops the job pointers the attempt slab and the round scratch hold, and
 // empties the event queue, the view registry and the per-run lists.
 func (a *arena) scrub() {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lasmq/internal/fluid"
+	"lasmq/internal/obs"
 	"lasmq/internal/trace"
 )
 
@@ -49,12 +50,10 @@ func streamMallocs(t *testing.T, policy string, jobs int) uint64 {
 // marginal objects per job — a per-run cost cannot hide a per-job one, and a
 // per-job one cannot hide behind a long trace's small average. Each round's
 // served-job list and the view registry's change log live in the pooled
-// arena, so a round that grew either per job would show here. The collector
-// is off and the test holds one P for the measurement (as
-// testing.AllocsPerRun does) so that the pooled arena is certain to survive
-// from the warm-up into both measured runs: sync.Pool drops its contents
-// across collections, and an arena parked in one P's private slot is not
-// found from another.
+// arena, so a round that grew either per job would show here. The arena the
+// warm-up grew comes back from the free list (substrate.Arenas) for both
+// measured runs; the collector is off and the test holds one P for the
+// measurement, as testing.AllocsPerRun does.
 func TestStreamMarginalAllocs(t *testing.T) {
 	const (
 		n     = 10000
@@ -71,5 +70,32 @@ func TestStreamMarginalAllocs(t *testing.T) {
 		if perJob > limit {
 			t.Errorf("%s: %.4f objects per extra job, limit %v", policy, perJob, limit)
 		}
+	}
+}
+
+// TestArenaSurvivesGC: a run after two collections still finds the arena an
+// earlier run returned — the free list keeps it where a sync.Pool drops it —
+// and reports the reuse through ArenaReuse.
+func TestArenaSurvivesGC(t *testing.T) {
+	specs, tcfg := diffTrace(t, 1)
+	run := func() int64 {
+		p, err := diffPolicies(t)["FIFO"]()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters := obs.NewCounters()
+		cfg := fluid.DefaultConfig()
+		cfg.Capacity = tcfg.Capacity
+		cfg.Probe = counters
+		if _, err := fluid.Run(specs, p, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return counters.Snapshot().ArenaReuses
+	}
+	run()
+	runtime.GC()
+	runtime.GC()
+	if reuses := run(); reuses != 1 {
+		t.Fatalf("a run after two collections reused %d arenas, want 1", reuses)
 	}
 }

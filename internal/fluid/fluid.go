@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"lasmq/internal/obs"
 	"lasmq/internal/sched"
@@ -240,9 +239,9 @@ func Run(specs []JobSpec, policy sched.Scheduler, cfg Config) (*Result, error) {
 // arena is the run state that outlives a run: the job-record pool, the
 // active-job, served-view and completed-view lists and the view registry keep
 // their backing storage, the lists grown from sched.Grow's floor. Arenas
-// are pooled, so repeated runs on one worker — the policies of a sweep, the
-// seeds of a replication, the shards one worker advances — reuse the records
-// earlier runs carved instead of allocating one per live job per run.
+// are recycled (substrate.Arenas), so repeated runs — the policies of a
+// sweep, the seeds of a replication, the shards a worker advances — reuse the
+// records earlier runs carved instead of allocating one per live job per run.
 type arena struct {
 	// jobs recycles the fluidJob records: a run holds only the jobs that are
 	// live at once. scrub rewinds it, so each run reads a fresh pool's Stats.
@@ -259,7 +258,9 @@ type arena struct {
 	vs           substrate.ViewSet
 }
 
-var arenaPool = sync.Pool{New: func() any { return new(arena) }}
+// arenas recycles run arenas: a process keeps one per run it ever had live
+// at once.
+var arenas = substrate.Arenas[arena]{New: func() *arena { return new(arena) }}
 
 // scrub takes back every record the finished run still held and drops the
 // arena's pointers to them, keeping the backing storage. A fluidJob holds no
@@ -297,10 +298,10 @@ type sim struct {
 	fresh int
 }
 
-// newSim wires a run over a pooled arena. The caller must stream (or
+// newSim wires a run over a recycled arena. The caller must stream (or
 // release) it.
 func newSim(src Source, policy sched.Scheduler, cfg Config, each func(JobResult)) *sim {
-	ar := arenaPool.Get().(*arena)
+	ar := arenas.Get()
 	s := &sim{
 		cfg:    cfg,
 		probe:  cfg.Probe,
@@ -328,13 +329,13 @@ func newSim(src Source, policy sched.Scheduler, cfg Config, each func(JobResult)
 	return s
 }
 
-// release scrubs the sim's arena and returns it to the pool. The sim must
-// not be used afterwards.
+// release scrubs the sim's arena and returns it to the free list. The sim
+// must not be used afterwards.
 func (s *sim) release() {
 	ar := s.arena
 	s.arena = nil
 	ar.scrub()
-	arenaPool.Put(ar)
+	arenas.Put(ar)
 }
 
 // stream runs the sim to completion, releases it, and reports the run.

@@ -161,3 +161,85 @@ func TestProbeStreamPinned(t *testing.T) {
 	}
 	schedtest.Pinned(t, "testdata/probe_streams.txt", got.Bytes())
 }
+
+// queueLedger follows each job's queue level through LAS_MQ's queue events
+// and records the first that breaks the ledger: a job enters only while it
+// holds no level, moves only from the level it holds to another, and exits
+// only from the level it holds. Unlike schedtest.DemoteOnly it allows a move
+// upward, which an adaptive refit makes.
+type queueLedger struct {
+	obs.Nop
+	level              map[int]int
+	enters, downs, ups int
+	err                error
+}
+
+func (l *queueLedger) fail(format string, args ...any) {
+	if l.err == nil {
+		l.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (l *queueLedger) QueueEnter(now float64, job, queue int) {
+	if q, ok := l.level[job]; ok {
+		l.fail("t=%v: job %d enters queue %d while in queue %d", now, job, queue, q)
+	}
+	l.level[job] = queue
+	l.enters++
+}
+
+func (l *queueLedger) QueueDemote(now float64, job, from, to int, _ float64) {
+	if q, ok := l.level[job]; !ok || q != from || to == from {
+		l.fail("t=%v: job %d moves from queue %d to %d while in queue %d (held: %v)", now, job, from, to, q, ok)
+	}
+	if to > from {
+		l.downs++
+	} else {
+		l.ups++
+	}
+	l.level[job] = to
+}
+
+func (l *queueLedger) QueueExit(now float64, job, queue int) {
+	if q, ok := l.level[job]; !ok || q != queue {
+		l.fail("t=%v: job %d exits queue %d while in queue %d (held: %v)", now, job, queue, q, ok)
+	}
+	delete(l.level, job)
+}
+
+// TestAdaptiveQueueLedger: over the pinned facebook trace, the adaptive
+// wrapper's refits report every re-placement — a job the refit's sweep sees
+// first enters, a job whose level changes moves from the level it held, up
+// or down — so the ledger of its queue events balances, and no job holds a
+// level once the run is over.
+func TestAdaptiveQueueLedger(t *testing.T) {
+	var adaptive namedPolicy
+	for _, p := range pinnedPolicies(t) {
+		if p.name == "Adaptive" {
+			adaptive = p
+		}
+	}
+	tr := pinnedTraces(t)[0]
+	policy, err := adaptive.new()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger := &queueLedger{level: map[int]int{}}
+	cfg := tr.cfg
+	cfg.Probe = ledger
+	if _, err := fluid.Run(tr.specs, policy, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if ledger.err != nil {
+		t.Fatal(ledger.err)
+	}
+	if len(ledger.level) != 0 {
+		t.Fatalf("%d jobs still hold a queue level after the run: %v", len(ledger.level), ledger.level)
+	}
+	refits := policy.(*core.Adaptive).Refits()
+	if refits == 0 || ledger.downs == 0 || ledger.ups == 0 {
+		t.Fatalf("%s/%s: %d refits, %d enters, %d moves down, %d up; want a refit and moves both ways",
+			tr.name, adaptive.name, refits, ledger.enters, ledger.downs, ledger.ups)
+	}
+	t.Logf("%d refits, %d enters, %d moves down, %d up", refits, ledger.enters, ledger.downs, ledger.ups)
+}

@@ -26,7 +26,8 @@ type CounterSnapshot struct {
 	SpecLaunches int64 `json:"spec_launches"`
 	SpecWins     int64 `json:"spec_wins"`
 
-	// Demotions[q] counts LAS_MQ demotions whose destination was queue q.
+	// Demotions[q] counts LAS_MQ demotions whose destination was queue q;
+	// an adaptive refit's move upward is no demotion.
 	Demotions []int64 `json:"demotions,omitempty"`
 	Refits    int64   `json:"refits"`
 
@@ -149,6 +150,9 @@ func (c *Counters) Record(ev Event) {
 	case KindTaskFail:
 		s.TaskFailures++
 	case KindQueueDemote:
+		if ev.C <= ev.B {
+			break // a refit's move upward (see core.Adaptive)
+		}
 		for len(s.Demotions) <= int(ev.C) {
 			s.Demotions = append(s.Demotions, 0)
 		}

@@ -73,8 +73,8 @@ func (j *JSONL) end() {
 }
 
 // Record implements Sink. ArenaReuse logs the arena dimensions but
-// deliberately not the reused flag: whether a run draws a pooled arena or a
-// fresh one depends on process-global sync.Pool state (what other runs
+// deliberately not the reused flag: whether a run draws a recycled arena or
+// a fresh one depends on the process-global free list (what other runs
 // finished first), and the log must be byte-deterministic for a given seeded
 // run; Counters still aggregate the flag. Every other payload, SlabStats'
 // free-list counts included, is a function of the simulated run alone.

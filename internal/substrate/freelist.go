@@ -1,5 +1,7 @@
 package substrate
 
+import "sync"
+
 // SlabPool is a chunked free-list arena: records are carved from fixed-size
 // chunks (so pointers to them are stable for the pool's lifetime) and
 // returned records are recycled before a new chunk is touched. It is the
@@ -109,3 +111,40 @@ func (p *SlabPool[T]) Rewind() {
 
 // Stats returns the pool's current recycling statistics.
 func (p *SlabPool[T]) Stats() SlabStats { return p.stats }
+
+// Arenas is the free list of a simulator's run arenas, shared by every run of
+// the process: Get takes the arena returned last, or makes one with New, and
+// Put returns it. Where a sync.Pool is local to a P and may drop its arenas
+// at any collection, Arenas keeps every arena Put until a Get takes it, so a
+// run finds the arena an earlier run grew whichever goroutine it runs on and
+// however many collections came between. Each arena held was live in a run,
+// so it holds at most as many as runs were ever live at once. It is safe for
+// concurrent use.
+type Arenas[T any] struct {
+	New func() *T
+
+	mu   sync.Mutex
+	free []*T
+}
+
+// Get returns an arena no run holds.
+func (a *Arenas[T]) Get() *T {
+	a.mu.Lock()
+	if n := len(a.free); n > 0 {
+		x := a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+		a.mu.Unlock()
+		return x
+	}
+	a.mu.Unlock()
+	return a.New()
+}
+
+// Put returns an arena its run is done with: scrubbed, so that it pins none
+// of the run's memory.
+func (a *Arenas[T]) Put(x *T) {
+	a.mu.Lock()
+	a.free = append(a.free, x)
+	a.mu.Unlock()
+}

@@ -1,6 +1,11 @@
 package substrate
 
-import "testing"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
 
 func TestSlabPoolRecycles(t *testing.T) {
 	var p SlabPool[[4]int]
@@ -113,5 +118,45 @@ func TestSlabPoolRewind(t *testing.T) {
 	p.Rewind()
 	if r := p.Get(); cap(r.scratch) < 3 {
 		t.Fatalf("rewound record lost the capacity Reset keeps: cap %d", cap(r.scratch))
+	}
+}
+
+// TestArenasKeepWhatIsPut: Get makes an arena only when none is free and
+// otherwise takes the one Put last, through collections; the list holds no
+// more arenas than were out at once, and concurrent runs never share one.
+func TestArenasKeepWhatIsPut(t *testing.T) {
+	var made atomic.Int32
+	a := Arenas[[8]int]{New: func() *[8]int { made.Add(1); return new([8]int) }}
+	x, y := a.Get(), a.Get()
+	if x == y || made.Load() != 2 {
+		t.Fatalf("two Gets from an empty list: same arena %v, %d made; want distinct, 2", x == y, made.Load())
+	}
+	a.Put(x)
+	a.Put(y)
+	runtime.GC()
+	runtime.GC()
+	if got := a.Get(); got != y || made.Load() != 2 {
+		t.Fatalf("Get after two collections made a new arena or not the one Put last (%d made)", made.Load())
+	}
+	a.Put(y)
+	if len(a.free) != 2 {
+		t.Fatalf("%d arenas free after two were out at once; want 2", len(a.free))
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				r := a.Get()
+				r[0]++ // the race detector catches two runs on one arena
+				a.Put(r)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(a.free) > 4 || made.Load() > 4 {
+		t.Fatalf("4 workers left %d arenas free, %d made; want at most 4 each", len(a.free), made.Load())
 	}
 }
