@@ -110,6 +110,9 @@ lint:
 # The next keeps one windowed view of a run, the obs.Series sink: no non-test
 # Go names the engine's sampled timeline (Config.SampleInterval,
 # Result.Timeline) or obs.QueueTimeline, so no second sampler grows back.
+# The next keeps the engine's change log in one place: non-test
+# internal/engine calls ViewSet.MarkChanged only in sim.logMoved, the one pass
+# that names the jobs whose inputs may have moved before each policy call.
 # The last keeps one conformance suite: the policy oracles AnswerError,
 # FIFOError, LiteralLASMQ, MapOnly and DemoteOnly are called only by
 # schedtest.Conform, by the policy packages' own tests (internal/sched,
@@ -275,6 +278,12 @@ layering:
 			"SampleInterval, QueueTimeline or .Timeline:"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@n=$$(grep -rn 'MarkChanged(' --include='*.go' internal/engine | grep -v '_test\.go:' | wc -l); \
+	m=$$(awk '/^func \(s \*sim\) logMoved\(/,/^}/' internal/engine/engine.go | grep -c 'MarkChanged('); \
+	if [ "$$n" != 1 ] || [ "$$m" != 1 ]; then \
+		echo "layering: the engine marks its change log in one function, sim.logMoved" \
+			"(found $$n MarkChanged calls in non-test internal/engine, $$m in logMoved; want 1 and 1)"; exit 1; \
+	fi
 	@bad=$$(grep -rnE --include='*.go' 'schedtest\.((AnswerError|FIFOError|MapOnly)\(|(LiteralLASMQ|DemoteOnly)\{)' . \
 		| grep -v -e '^\./internal/sched/' -e '^\./internal/core/' -e '^\./internal/engine/dense_test\.go:' \
 		-e '^\./internal/engine/incremental_test\.go:' -e '^\./internal/engine/bench_probe_test\.go:'; true); \
@@ -337,8 +346,8 @@ bench-smoke:
 # The same holds for the dense round contract: a steady LAS_MQ round over
 # 1,000 slotted views, a LAS_MQ and a FIFO round driven over 1,000 views
 # registered and logged as the fluid simulator does, and an engine round and
-# observation round driven through the dense forms, allocate nothing
-# (TestDenseRoundZeroAlloc).
+# observation round driven through the dense forms with the engine's partial
+# change log, allocate nothing (TestDenseRoundZeroAlloc).
 # Run -count=1 so a cached pass cannot mask a regression introduced by an
 # unrelated package.
 probe-gate:

@@ -21,13 +21,17 @@ type slotRec struct {
 	id     int     // the owner
 	seq    int     // with demand, the key the job's ordered-list entry is filed under
 	demand float64 // read only under OrderByDemand
-	// unmet is the job's ready demand when the log last named it, less what
-	// AssignDense granted since: serve decrements only a job it gives a
-	// nonzero share, and the next call's log names that job again.
-	unmet float64
-	at    int32 // its view index when last stamped plus gone then (sched.FindView)
-	queue int32
-	live  bool
+	// ready is the job's ready demand (0 unless positive) when the log last
+	// named it, which holds until the log names it again: a job the log
+	// leaves out kept its demands, even one served a share it launched
+	// nothing on. unmet is what is left of ready in the AssignDense call
+	// stamped in call: serve starts it from ready in each call, at the
+	// record's first visit, and takes off each grant.
+	ready, unmet float64
+	call         uint64
+	at           int32 // its view index when last stamped plus gone then (sched.FindView)
+	queue        int32
+	live         bool
 }
 
 // exitRec is one departure of a sweep, held until the exits can be emitted
@@ -71,8 +75,8 @@ func (s *LASMQ) orderKey(j sched.JobView) float64 {
 // the freed slots, counted into gone; the changed views, in view order —
 // arrival and binary insertion, demote-only queue update, in-place demand
 // refresh (which marks the queue dirty for restoreOrder instead of re-sorting
-// eagerly), the unmet reset and the record's stamp (at), which serve mends
-// (locate); and the exits, emitted after the arrivals and demotions in job-ID
+// eagerly), the ready demand serve starts from and the record's stamp (at),
+// which serve mends (locate); and the exits, emitted after the arrivals and demotions in job-ID
 // order. Every view counts as changed when the log says so (changed is nil)
 // and after a refit, which re-places every job. Shared by ObserveDense and
 // AssignDense, so skipped rounds keep the persistent order exactly in sync.
@@ -150,9 +154,9 @@ func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, fr
 				r.demand = d
 			}
 		}
-		r.unmet = 0
+		r.ready = 0
 		if d := j.ReadyDemand(); d > 0 {
-			r.unmet = d
+			r.ready = d
 		}
 		r.at = int32(i) + s.gone
 	}
@@ -211,6 +215,7 @@ func (s *LASMQ) AssignDense(now, capacity float64, jobs []sched.JobView, slots, 
 	// demand, highest-priority queues first.
 	leftover := 0.0
 	s.walk = len(slots)
+	s.call++
 	for i := 0; i < k; i++ {
 		if len(s.ordered[i]) > 0 {
 			leftover += s.serve(s.ordered[i], slots, capacity*s.weights[i]/totalWeight, 0, shares)
@@ -229,6 +234,9 @@ func (s *LASMQ) serve(list []ordEntry, slots []int32, amount, floor float64, sha
 			break
 		}
 		r := &s.recs[e.slot]
+		if r.call != s.call {
+			r.call, r.unmet = s.call, r.ready
+		}
 		if r.unmet <= 0 {
 			continue
 		}

@@ -106,9 +106,11 @@ type LASMQ struct {
 	recs    []slotRec
 	exits   []exitRec
 	replace bool
-	// gone counts the logged departures (slotRec.at); walk is locate's budget.
+	// gone counts the logged departures (slotRec.at); walk is locate's budget;
+	// call counts the AssignDense calls (slotRec.call).
 	gone                  int32
 	walk, walks, restamps int
+	call                  uint64
 
 	maps sched.MapForms
 

@@ -101,15 +101,23 @@ func TestScheduleRoundNilProbeZeroAlloc(t *testing.T) {
 
 // denseCounter is LAS_MQ with its dense calls counted: the embedded policy
 // brings every map and dense form along, so substrate.Driver drives it
-// densely, and the overrides show that it did.
+// densely, and the overrides show that it did, and how many calls carried a
+// change log naming only some of the views (partial).
 type denseCounter struct {
 	*core.LASMQ
-	assigns, observes, served int
-	broken                    error // the first answer that broke the sparse contract
+	assigns, observes, served, partial int
+	broken                             error // the first answer that broke the sparse contract
+}
+
+func (c *denseCounter) logged(jobs []sched.JobView, changed []int32) {
+	if changed != nil && len(changed) < len(jobs) {
+		c.partial++
+	}
 }
 
 func (c *denseCounter) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
 	c.assigns++
+	c.logged(jobs, changed)
 	c.LASMQ.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
 	c.served += len(shares.Served())
 	if err := schedtest.AnswerError(len(jobs), shares); err != nil && c.broken == nil {
@@ -119,14 +127,16 @@ func (c *denseCounter) AssignDense(now, capacity float64, jobs []sched.JobView, 
 
 func (c *denseCounter) ObserveDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
 	c.observes++
+	c.logged(jobs, changed)
 	c.LASMQ.ObserveDense(now, jobs, slots, changed, freed)
 }
 
 // TestDenseRoundZeroAlloc pins the dense round contract on the engine: a
-// steady executed round (views with slots, LAS_MQ's sparse answer read by
-// view index, dense quantizer rows) and a steady observation round allocate
-// nothing, both reach the policy through its dense forms, and every answer
-// serves some views and keeps the sparse contract.
+// steady executed round (views with slots and the engine's change log, which
+// names the 3 of 200 jobs that run, LAS_MQ's sparse answer read by view
+// index, dense quantizer rows) and a steady observation round allocate
+// nothing, both reach the policy through its dense forms with that partial
+// log, and every answer serves some views and keeps the sparse contract.
 func TestDenseRoundZeroAlloc(t *testing.T) {
 	mq := &denseCounter{LASMQ: benchLASMQ(t).(*core.LASMQ)}
 	s := newBenchSim(t, mq, nil)
@@ -134,13 +144,13 @@ func TestDenseRoundZeroAlloc(t *testing.T) {
 		s.collectViews()
 		s.driver.Observe(s.now, &s.vs)
 	}
-	mq.assigns, mq.observes = 0, 0
+	mq.assigns, mq.observes, mq.partial = 0, 0, 0
 	if avg := testing.AllocsPerRun(100, func() { s.schedule(); observe() }); avg != 0 {
 		t.Fatalf("dense scheduling and observation rounds allocate %v allocs/op, want 0", avg)
 	}
-	if mq.assigns == 0 || mq.observes == 0 || mq.served == 0 || mq.broken != nil {
-		t.Fatalf("the rounds reached the policy through AssignDense %d times and ObserveDense %d times, serving %d views (%v); want > 0, > 0, > 0 and no error",
-			mq.assigns, mq.observes, mq.served, mq.broken)
+	if mq.assigns == 0 || mq.observes == 0 || mq.served == 0 || mq.broken != nil || mq.partial != mq.assigns+mq.observes {
+		t.Fatalf("the rounds reached the policy through AssignDense %d times and ObserveDense %d times, %d with a partial log, serving %d views (%v); want > 0, > 0, every call, > 0 and no error",
+			mq.assigns, mq.observes, mq.partial, mq.served, mq.broken)
 	}
 
 	// The same pair in the freed1 regime, incremental rounds on: an

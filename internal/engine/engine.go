@@ -389,6 +389,7 @@ func (s *sim) admit() {
 		js.seq = seq
 		js.slot = s.vs.TakeSlot()
 		js.view.now = &s.now
+		js.moved = true
 		// Jobs are admitted in arrival order and listed by workload position,
 		// which differ in a Run over an unsorted workload: insert from the
 		// back by position.
@@ -449,6 +450,7 @@ func removeID(ids []int, id int) []int {
 func (s *sim) processAttemptDone(a *attempt) {
 	s.finishAttempt(a)
 	js := a.js
+	js.moved = true
 	st := &js.stages[a.stage]
 	task := &st.tasks[a.task]
 	task.runningAttempts--
@@ -492,6 +494,7 @@ func (s *sim) processAttemptDone(a *attempt) {
 func (s *sim) requeueTask(js *jobState, st *stageState, taskIdx int) {
 	task := &st.tasks[taskIdx]
 	task.ready = true
+	js.moved = true
 	st.pushReady(taskIdx)
 	st.readyContainers += task.spec.Containers
 	js.readyContainers += task.spec.Containers
@@ -504,6 +507,7 @@ func (s *sim) finishAttempt(a *attempt) {
 	a.ended = true
 	consumed := float64(a.containers) * (s.now - a.start)
 	js := a.js
+	js.moved = true
 	st := &js.stages[a.stage]
 
 	js.finalizedService += consumed
@@ -520,6 +524,14 @@ func (s *sim) finishAttempt(a *attempt) {
 		// Progress contributed by an unfinished primary attempt disappears
 		// with it; completed tasks are counted via doneTasks instead.
 	}
+	if st.usage == 0 {
+		// An idle stage's progress is its completed tasks alone. The sums
+		// are set to exactly zero, not left at the rounding residue of
+		// adding and removing each 1/duration: a residue would make the
+		// stage's progress, and so the job's estimate, drift with the clock
+		// while nothing runs, and the change log leaves an idle job unnamed.
+		st.invDurSum, st.startInvDurSum = 0, 0
+	}
 	s.usedSlots -= a.containers
 }
 
@@ -530,6 +542,7 @@ func (s *sim) completeStage(js *jobState, idx int) {
 	st := &js.stages[idx]
 	st.completed = true
 	st.active = false
+	js.moved = true
 	if s.probe != nil {
 		s.probe.StageDone(s.now, js.spec.ID, idx)
 	}
@@ -720,6 +733,7 @@ func (s *sim) startNextReadyTask(js *jobState, reserved int) (started bool, need
 func (s *sim) launchAttempt(js *jobState, stage, taskIdx int, speculative bool) {
 	st := &js.stages[stage]
 	task := &st.tasks[taskIdx]
+	js.moved = true
 
 	// Full (progress-relevant) duration, possibly stretched by a straggler.
 	duration := task.spec.Duration
@@ -842,28 +856,50 @@ func (s *sim) speculate(reserved int) {
 	}
 }
 
-// collectViews brings the kernel's view registry up to date for a round. The
-// registration — the running jobs' persistent view adapters and slots in
-// running order, each job's index among them, and the ascending-ID order the
-// quantizer's rows are laid out in — depends on the running set alone, so it
-// is rebuilt only after setRunning marked it stale; the views read the clock
-// through a pointer and need no re-stamping. The registry's demand map stays
-// unused: the engine quantizes from job state (see schedule).
+// collectViews brings the kernel's view registry up to date for a policy
+// call. The registration — the running jobs' persistent view adapters and
+// slots in running order, each job's index among them, and the ascending-ID
+// order the quantizer's rows are laid out in — depends on the running set
+// alone, so it is rebuilt only after setRunning marked it stale; the views
+// read the clock through a pointer and need no re-stamping. The registry's
+// demand map stays unused: the engine quantizes from job state (see
+// schedule). For a policy that observes, the change log is then marked
+// (logMoved).
 func (s *sim) collectViews() {
-	if !s.viewsStale {
-		return
+	if s.viewsStale {
+		s.viewsStale = false
+		s.viewRebuilds++
+		s.vs.Begin(false, false)
+		for i, js := range s.running {
+			js.viewIdx = i
+			s.vs.AddSlot(&js.view, js.slot)
+		}
+		s.idOrder = s.running
+		if !slices.IsSortedFunc(s.running, compareJobID) {
+			s.idScratch = append(s.idScratch[:0], s.running...)
+			slices.SortFunc(s.idScratch, compareJobID)
+			s.idOrder = s.idScratch
+		}
 	}
-	s.viewsStale = false
-	s.viewRebuilds++
-	s.vs.Begin(false, false)
+	if s.driver.Observes() {
+		s.logMoved()
+	}
+}
+
+// logMoved marks in the change log (see internal/sched/dense.go), in view
+// order, every running job whose inputs may have moved since the policy's
+// previous call: one whose state changed since (jobState.moved), arrivals
+// included, and one with containers running, whose service grows with the
+// clock. Any other job runs nothing and saw no event, so its attained
+// service, estimate and demands read as they did: the log may leave it out.
+// Only an observing policy is marked: it takes every call, skipped rounds
+// included, so the flags it clears are cleared for the call that follows. A
+// policy that does not observe follows no log, and gets nil changed.
+func (s *sim) logMoved() {
 	for i, js := range s.running {
-		js.viewIdx = i
-		s.vs.AddSlot(&js.view, js.slot)
-	}
-	s.idOrder = s.running
-	if !slices.IsSortedFunc(s.running, compareJobID) {
-		s.idScratch = append(s.idScratch[:0], s.running...)
-		slices.SortFunc(s.idScratch, compareJobID)
-		s.idOrder = s.idScratch
+		if js.moved || js.usage > 0 {
+			s.vs.MarkChanged(i)
+			js.moved = false
+		}
 	}
 }

@@ -172,6 +172,12 @@ type jobState struct {
 	// so the record must outlive them.
 	pendingEvents int
 
+	// moved says the job's inputs to the policy — its service, estimate or
+	// demands — may have moved since the policy's previous call, or that the
+	// job is new to it: set wherever the job's state changes, cleared as the
+	// round's change log names the job (sim.collectViews).
+	moved bool
+
 	// rec points back to the pooled record holding this state.
 	rec *jobRecord
 

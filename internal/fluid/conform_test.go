@@ -52,10 +52,12 @@ func conforming(t *testing.T) *schedtest.Substrate {
 					if check == nil {
 						return p
 					}
-					return schedtest.Watch(p, func(capacity float64, views []sched.JobView, shares *sched.Shares) {
-						answers++
-						check(capacity, views, shares)
-						c.round(delivered(), views)
+					return schedtest.Watch(p, func(call *schedtest.Call) {
+						check(call)
+						if call.Shares != nil {
+							answers++
+							c.round(delivered(), call.Jobs)
+						}
 					})
 				}, in.cfg, func(jr fluid.JobResult) {
 					jobs = append(jobs, jr)

@@ -23,6 +23,9 @@ type Blend struct {
 	theta  float64
 	ps, ss Shares // the components' answers
 	maps   MapForms
+	// observed says an ObserveDense call came since the last AssignDense: a
+	// part that does not observe missed its log (see logFor).
+	observed bool
 }
 
 // blendPart is one component and its DenseForms, driven with the blend's slots.
@@ -101,14 +104,20 @@ func (b *Blend) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
 // AssignDense implements DenseAssigner: each active component's answer,
 // mixed over the views either serves, in view order (elsewhere both are 0).
 func (b *Blend) AssignDense(now, capacity float64, jobs []JobView, slots, changed, freed []int32, shares *Shares) {
-	if b.theta == 0 || b.theta == 1 {
-		b.parts[int(b.theta)].assigner.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
+	lp, ls := b.logFor(0, changed), b.logFor(1, changed)
+	b.observed = false
+	if b.theta == 0 {
+		b.parts[0].assigner.AssignDense(now, capacity, jobs, slots, lp, freed, shares)
+		return
+	}
+	if b.theta == 1 {
+		b.parts[1].assigner.AssignDense(now, capacity, jobs, slots, ls, freed, shares)
 		return
 	}
 	b.ps.Reset(len(jobs))
 	b.ss.Reset(len(jobs))
-	b.parts[0].assigner.AssignDense(now, capacity, jobs, slots, changed, freed, &b.ps)
-	b.parts[1].assigner.AssignDense(now, capacity, jobs, slots, changed, freed, &b.ss)
+	b.parts[0].assigner.AssignDense(now, capacity, jobs, slots, lp, freed, &b.ps)
+	b.parts[1].assigner.AssignDense(now, capacity, jobs, slots, ls, freed, &b.ss)
 	pc, sc := b.ps.Col(), b.ss.Col()
 	p, s := b.ps.Served(), b.ss.Served()
 	for len(p) > 0 || len(s) > 0 {
@@ -128,6 +137,17 @@ func (b *Blend) AssignDense(now, capacity float64, jobs []JobView, slots, change
 	}
 }
 
+// logFor is the changed list component i's AssignDense takes: the call's,
+// unless an ObserveDense call came since the last AssignDense and the
+// component does not observe. That one missed the observed call's log, which
+// may have named an arrival, and gets nil changed, every view.
+func (b *Blend) logFor(i int, changed []int32) []int32 {
+	if b.observed && b.parts[i].observer == nil {
+		return nil
+	}
+	return changed
+}
+
 // active reports whether component i's AssignDense runs: the primary's when
 // theta < 1, the secondary's when theta > 0.
 func (b *Blend) active(i int) bool { return (i == 0 && b.theta < 1) || (i == 1 && b.theta > 0) }
@@ -135,9 +155,11 @@ func (b *Blend) active(i int) bool { return (i == 0 && b.theta < 1) || (i == 1 &
 // ObserveDense implements DenseObserver by forwarding to the active stateful
 // components, so a blend wrapping LAS_MQ keeps its queue state in sync even
 // at instants the engine skips a full scheduling round. A component that does
-// not observe misses this call's log: FIFO, the one that keeps per-slot state
-// all the same, finds a departure the log did not name by itself.
+// not observe misses this call's log: its next AssignDense gets nil changed
+// (logFor), and FIFO, the one that keeps per-slot state all the same, finds
+// a departure the log did not name by itself.
 func (b *Blend) ObserveDense(now float64, jobs []JobView, slots, changed, freed []int32) {
+	b.observed = true
 	for i, part := range b.parts {
 		if part.observer != nil && b.active(i) {
 			part.observer.ObserveDense(now, jobs, slots, changed, freed)

@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -136,5 +137,74 @@ func TestBlendHorizonDelegates(t *testing.T) {
 	}
 	if h := ff.Horizon(0, jobs, alloc); !math.IsInf(h, 1) {
 		t.Errorf("hinterless blend horizon = %v, want +Inf", h)
+	}
+}
+
+// logSpy is a blend part that records the changed list of each dense call.
+// Its map forms are never called.
+type logSpy struct {
+	assigned, observed [][]int32
+}
+
+func (s *logSpy) Name() string                                              { return "SPY" }
+func (s *logSpy) Assign(float64, float64, []sched.JobView) sched.Assignment { return nil }
+func (s *logSpy) AssignDense(_, _ float64, _ []sched.JobView, _, changed, _ []int32, _ *sched.Shares) {
+	s.assigned = append(s.assigned, changed)
+}
+
+// observingLogSpy is a logSpy that observes.
+type observingLogSpy struct{ logSpy }
+
+func (s *observingLogSpy) Observe(float64, []sched.JobView) {}
+func (s *observingLogSpy) ObserveDense(_ float64, _ []sched.JobView, _, changed, _ []int32) {
+	s.observed = append(s.observed, changed)
+}
+
+// TestBlendLogsEachPartWhole: a part that does not observe misses the log of
+// an observed call, which may name an arrival, so the blend's next
+// AssignDense passes it nil changed (every view), while the observing part,
+// which took the observed call, gets the call's own list; an AssignDense with
+// no observed call before it passes both parts the list. At theta 0 and 1
+// the one active part is driven the same way.
+func TestBlendLogsEachPartWhole(t *testing.T) {
+	jobs := views(job(1, 1, 1, 0, 1), job(2, 2, 1, 0, 1))
+	slots := []int32{0, 1}
+	for _, theta := range []float64{0, 0.5, 1} {
+		for _, observerFirst := range []bool{true, false} {
+			obsSpy, plain := &observingLogSpy{}, &logSpy{}
+			var b *sched.Blend
+			var err error
+			if observerFirst {
+				b, err = sched.NewBlend(obsSpy, plain, theta)
+			} else {
+				b, err = sched.NewBlend(plain, obsSpy, theta)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var shares sched.Shares
+			round := func(changed []int32) {
+				shares.Reset(len(jobs))
+				b.AssignDense(0, 4, jobs, slots, changed, nil, &shares)
+			}
+			b.ObserveDense(0, jobs, slots, []int32{1}, nil)
+			round([]int32{0})
+			round([]int32{1})
+			obsActive := theta != 1 && observerFirst || theta != 0 && !observerFirst
+			plainActive := theta != 1 && !observerFirst || theta != 0 && observerFirst
+			if obsActive {
+				if len(obsSpy.observed) != 1 || len(obsSpy.assigned) != 2 ||
+					!slices.Equal(obsSpy.assigned[0], []int32{0}) || !slices.Equal(obsSpy.assigned[1], []int32{1}) {
+					t.Errorf("theta %v, observer first %v: the observing part took observed %v, assigned %v; want one observed call and [[0] [1]]",
+						theta, observerFirst, obsSpy.observed, obsSpy.assigned)
+				}
+			}
+			if plainActive {
+				if len(plain.assigned) != 2 || plain.assigned[0] != nil || !slices.Equal(plain.assigned[1], []int32{1}) {
+					t.Errorf("theta %v, observer first %v: the part that does not observe was assigned %v; want [[] [1]] with the first nil",
+						theta, observerFirst, plain.assigned)
+				}
+			}
+		}
 	}
 }

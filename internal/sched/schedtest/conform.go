@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"math"
 	"reflect"
 	"slices"
 	"sync"
@@ -105,8 +106,13 @@ type pair struct {
 	literal               any              // LiteralLASMQ's, for LAS_MQ
 	stream                stream
 	log, mapLog           hash.Hash64 // the JSONL streams of the dense and the MapOnly run
+	ledger                QueueLedger
 	demote                *DemoteOnly // for LAS_MQ
 }
+
+// logSound names the row that holds each watched run's change logs (see
+// soundLog).
+const logSound = "the log is sound"
 
 // checks is Conform's table of oracles, each holding every answer of the
 // dense and the MapOnly run (answer) or the pair's runs (runs). A row that
@@ -143,6 +149,8 @@ var checks = []struct {
 	}},
 	{name: "unprobed and unwatched", runs: func(p *pair) error { return differ(p.watched, p.bare) }},
 	{name: "every job completes once", probe: true, runs: func(p *pair) error { return p.stream.jobsErr() }},
+	{name: logSound},
+	{name: "QueueLedger", probe: true, runs: func(p *pair) error { return p.ledger.Err() }},
 	{name: "LiteralLASMQ with no probe", lasmq: true, runs: func(p *pair) error { return differ(p.watched, p.literal) }},
 	{name: "DemoteOnly", probe: true, lasmq: true, runs: func(p *pair) error {
 		if p.demote.Events() == 0 {
@@ -165,7 +173,10 @@ var checks = []struct {
 //   - the runs report equal results, and the first two byte-identical JSONL
 //     streams (compared by FNV-1a sum): the dense forms equal the map forms,
 //     and neither watching nor any sink attached changes the run;
-//   - the probe stream completes every submitted job exactly once;
+//   - the change log of every call is sound (soundLog): a view it leaves out
+//     reads what it read at the policy's previous call, in the same job;
+//   - the probe stream completes every submitted job exactly once, and the
+//     queue events, of any policy that has queues, balance (QueueLedger);
 //   - LAS_MQ equals LiteralLASMQ, and its queue events keep the demote-only
 //     rule (DemoteOnly), which must see one; over all inputs it must demote.
 func Conform(t *testing.T, s *Substrate) {
@@ -256,27 +267,34 @@ func (s *Substrate) runPair(i int, e *entry) (*pair, error) {
 		}
 		return s.Run(i, policy, attached, check)
 	}
-	// watch checks every answer of a run; the answers it counts are the
-	// dense run's.
+	// watch checks every call of a run — its change log — and every answer;
+	// the answers it counts are the dense run's.
 	watch := func(run string, count bool) Check {
+		var log soundLog
 		answers := 0
-		return func(capacity float64, jobs []sched.JobView, shares *sched.Shares) {
+		return func(c *Call) {
+			if err := log.check(c); err != nil && p.broken[logSound] == nil {
+				p.broken[logSound] = fmt.Errorf("%s call %d: %v", run, log.calls, err)
+			}
+			if c.Shares == nil {
+				return
+			}
 			answers++
 			if count {
 				p.rounds++
-				p.served += len(shares.Served())
+				p.served += len(c.Shares.Served())
 			}
-			for _, c := range checks {
-				if c.answer != nil && p.broken[c.name] == nil {
-					if err := c.answer(p, capacity, jobs, shares); err != nil {
-						p.broken[c.name] = fmt.Errorf("%s answer %d: %v", run, answers, err)
+			for _, ch := range checks {
+				if ch.answer != nil && p.broken[ch.name] == nil {
+					if err := ch.answer(p, c.Capacity, c.Jobs, c.Shares); err != nil {
+						p.broken[ch.name] = fmt.Errorf("%s answer %d: %v", run, answers, err)
 					}
 				}
 			}
 		}
 	}
 	log, mapLog := obs.NewJSONL(p.log), obs.NewJSONL(p.mapLog)
-	sinks := []obs.Sink{&p.stream, log, obs.NewCounters(), obs.NewChromeTrace(), obs.NewRing(1 << 8),
+	sinks := []obs.Sink{&p.stream, &p.ledger, log, obs.NewCounters(), obs.NewChromeTrace(), obs.NewRing(1 << 8),
 		obs.NewHistograms(), obs.NewSeries(50)}
 	if c := e.mq; c != nil {
 		literal, err := run(&LiteralLASMQ{Queues: c.Queues, FirstThreshold: c.FirstThreshold, Step: c.Step,
@@ -367,4 +385,57 @@ func (s *stream) jobsErr() error {
 		return fmt.Errorf("%d jobs completed, %d submitted", len(s.done), len(s.submitted))
 	}
 	return nil
+}
+
+// soundLog follows the calls of one watched run and holds each call's change
+// log (see internal/sched/dense.go) to what the views read: a view the log
+// does not name must read exactly what the view at its slot read at the
+// previous call — attained service, estimate, ready and remaining demand —
+// and be the same job (by Seq). A slot that held no view at the previous
+// call, or another job, is new at its slot, and a log that leaves it out is
+// unsound too. nil changed names every view.
+type soundLog struct {
+	calls int
+	last  []viewInputs // by slot
+}
+
+// viewInputs is what a view at a slot read at a call.
+type viewInputs struct {
+	call                                  int
+	seq                                   int
+	attained, estimated, ready, remaining float64
+}
+
+// same reports whether a and b read the same job's inputs, bit for bit.
+func (a viewInputs) same(b viewInputs) bool {
+	bits := math.Float64bits
+	return a.seq == b.seq && bits(a.attained) == bits(b.attained) && bits(a.estimated) == bits(b.estimated) &&
+		bits(a.ready) == bits(b.ready) && bits(a.remaining) == bits(b.remaining)
+}
+
+// check records what c's views read and returns the first view c's log
+// leaves out unsoundly, or nil.
+func (l *soundLog) check(c *Call) error {
+	l.calls++
+	var err error
+	next := 0 // the first entry of c.Changed not below the view
+	for i, j := range c.Jobs {
+		in := viewInputs{l.calls, j.Seq(), j.Attained(), j.Estimated(), j.ReadyDemand(), j.RemainingDemand()}
+		for next < len(c.Changed) && int(c.Changed[next]) < i {
+			next++
+		}
+		named := c.Changed == nil || next < len(c.Changed) && int(c.Changed[next]) == i
+		slot := int(c.Slots[i])
+		l.last = sched.GrowSlots(l.last, slot, len(c.Jobs))
+		switch prev := l.last[slot]; {
+		case named || err != nil:
+		case prev.call == 0 || prev.call != l.calls-1 || prev.seq != in.seq:
+			err = fmt.Errorf("view %d (job %d) is new at slot %d, and the log leaves it out", i, j.ID(), slot)
+		case !prev.same(in):
+			err = fmt.Errorf("view %d (job %d) read %+v at the previous call and %+v now, and the log leaves it out",
+				i, j.ID(), prev, in)
+		}
+		l.last[slot] = in
+	}
+	return err
 }

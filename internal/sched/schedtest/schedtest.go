@@ -133,19 +133,28 @@ type mapProbed struct{ *mapOnly }
 
 func (m mapProbed) SetProbe(p obs.Probe) { m.inner.(obs.ProbeSetter).SetProbe(p) }
 
-// Check is what Watch shows each answer: the round's capacity, its views and
-// the answer.
-type Check func(capacity float64, jobs []sched.JobView, shares *sched.Shares)
+// Call is one call of a policy's dense forms as Watch shows it: an
+// AssignDense, with the answer it left in Shares, or an ObserveDense, with
+// Shares nil. The slices are the call's; they are valid during the check.
+type Call struct {
+	Now, Capacity         float64
+	Jobs                  []sched.JobView
+	Slots, Changed, Freed []int32
+	Shares                *sched.Shares
+}
+
+// Check is what Watch shows each call.
+type Check func(c *Call)
 
 // Watch returns p behind a wrapper that drives p's dense forms — p's own, or
 // for a map-only p the map adapter sched.DenseForms builds — and hands check
-// each round's capacity, views and answer as AssignDense leaves it: the answer
-// substrate.Driver.Shares and ViewSet.Served read. The wrapper has every dense form and
-// exactly p's map-form capabilities (forwarded to p), which decide what
-// sched.DenseForms resolves; so a substrate drives it as it drives p, and a
-// run with Watch(p) equals the run with p bit for bit. A nil check watches
-// nothing: Watch returns p. Like MapOnly, it panics on a capability set no
-// policy here has.
+// each call: each AssignDense with the answer as it leaves it, the answer
+// substrate.Driver.Shares and ViewSet.Served read, and each ObserveDense. The
+// wrapper has every dense form and exactly p's map-form capabilities
+// (forwarded to p), which decide what sched.DenseForms resolves; so a
+// substrate drives it as it drives p, and a run with Watch(p) equals the run
+// with p bit for bit. A nil check watches nothing: Watch returns p. Like
+// MapOnly, it panics on a capability set no policy here has.
 func Watch(p sched.Scheduler, check Check) sched.Scheduler {
 	if check == nil {
 		return p
@@ -185,17 +194,19 @@ func Watch(p sched.Scheduler, check Check) sched.Scheduler {
 	panic(fmt.Sprintf("schedtest.Watch: %s has a capability set no wrapper forwards exactly", p.Name()))
 }
 
-// watchDense is Watch's dense forms: p's, with check called on each answer.
+// watchDense is Watch's dense forms: p's, with check called on each call.
 type watchDense struct {
 	a     sched.DenseAssigner
 	h     sched.DenseHinter
 	o     sched.DenseObserver
 	check Check
+	call  Call
 }
 
 func (w *watchDense) AssignDense(now, capacity float64, jobs []sched.JobView, slots, changed, freed []int32, shares *sched.Shares) {
 	w.a.AssignDense(now, capacity, jobs, slots, changed, freed, shares)
-	w.check(capacity, jobs, shares)
+	w.call = Call{now, capacity, jobs, slots, changed, freed, shares}
+	w.check(&w.call)
 }
 
 func (w *watchDense) HorizonDense(now float64, jobs []sched.JobView, slots []int32, shares *sched.Shares) float64 {
@@ -204,6 +215,8 @@ func (w *watchDense) HorizonDense(now float64, jobs []sched.JobView, slots []int
 
 func (w *watchDense) ObserveDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
 	w.o.ObserveDense(now, jobs, slots, changed, freed)
+	w.call = Call{now, 0, jobs, slots, changed, freed, nil}
+	w.check(&w.call)
 }
 
 // AnswerError reports how an answer over n views breaks the sparse contract,
