@@ -49,15 +49,19 @@ func (j *logJob) serve(dt float64) {
 // TestChangedSlotSweepMatchesFullSweep drives two identically configured
 // policies in lockstep through random fluid-like rounds: one is handed the
 // full log (every view changed), the other the declared log — the views
-// of jobs that arrived since its previous call or were served in the latest
-// assignment. Jobs arrive under random IDs, grow only while served, finish or
-// leave at random, and their slots come from the substrate's allocator, so a
+// of jobs that arrived since its previous call or grew since. Jobs arrive
+// under random IDs, grow only while served, though one served in four stays
+// put, as an engine job does that launches nothing on its share (so the log
+// leaves it out), finish or leave at random, and their slots come from the
+// substrate's allocator, so a
 // freed slot goes to the next arrival, and some jobs arrive and leave unseen;
 // views are laid out anew only in calls where a job arrived or left, as the
 // contract allows. One call in four is an observation. After every call the
 // two must agree bit for bit on shares and horizon, QueueOf and QueueSizes
 // (the refit ladder, for the adaptive wrapper) and the JSONL probe stream,
 // with OrderByDemand on and off and across the adaptive wrapper's refits.
+// The declared policy's count of calls, which stamps its records, starts
+// close enough to its limit to wrap.
 func TestChangedSlotSweepMatchesFullSweep(t *testing.T) {
 	for _, tc := range []struct {
 		name                           string
@@ -91,6 +95,7 @@ func TestChangedSlotSweepMatchesFullSweep(t *testing.T) {
 					pols[k] = mqs[k]
 				}
 				full, declared := pols[0], pols[1]
+				core.SetCalls(declared, math.MaxUint32-100)
 				var logs [2]bytes.Buffer
 				sinks := [2]*obs.JSONL{obs.NewJSONL(&logs[0]), obs.NewJSONL(&logs[1])}
 				full.SetProbe(sinks[0])
@@ -104,7 +109,7 @@ func TestChangedSlotSweepMatchesFullSweep(t *testing.T) {
 				usedIDs := map[int]bool{}
 				gone := []int{-1}
 				seq := 0
-				reissued, unseen, narrow := 0, 0, 0
+				reissued, unseen, narrow, stalled := 0, 0, 0, 0
 				arrive := func() *logJob {
 					id := rng.Intn(1 << 20)
 					for usedIDs[id] {
@@ -207,10 +212,13 @@ func TestChangedSlotSweepMatchesFullSweep(t *testing.T) {
 					}
 
 					// Served-only growth: the latest assignment's rates hold
-					// until the next one.
+					// until the next one, but for one served job in four,
+					// which stays as it was.
 					dt := rng.Float64() * 2
 					for _, j := range live {
-						if j.rate != 0 {
+						if j.rate != 0 && rng.Intn(4) == 0 {
+							stalled++
+						} else if j.rate != 0 {
 							j.serve(dt)
 							j.moved = true
 						}
@@ -244,9 +252,10 @@ func TestChangedSlotSweepMatchesFullSweep(t *testing.T) {
 
 					call(round)
 				}
-				if reissued < 20 || unseen < 20 || narrow < 200 || logs[0].Len() < 20000 {
+				if reissued < 20 || unseen < 20 || narrow < 200 || stalled < 100 || logs[0].Len() < 20000 {
 					t.Fatalf("the rounds exercised too little: %d slots reissued within a gap, %d unseen jobs, "+
-						"%d narrow logs, %d bytes of events", reissued, unseen, narrow, logs[0].Len())
+						"%d narrow logs, %d served jobs left out of the log, %d bytes of events",
+						reissued, unseen, narrow, stalled, logs[0].Len())
 				}
 				if tc.adaptive && ads[1].Refits() < 3 {
 					t.Fatalf("%d refits, want at least 3", ads[1].Refits())

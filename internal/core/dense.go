@@ -28,9 +28,9 @@ type slotRec struct {
 	// stamped in call: serve starts it from ready in each call, at the
 	// record's first visit, and takes off each grant.
 	ready, unmet float64
-	call         uint64
 	at           int32 // its view index when last stamped plus gone then (sched.FindView)
 	queue        int32
+	call         uint32
 	live         bool
 }
 
@@ -76,10 +76,11 @@ func (s *LASMQ) orderKey(j sched.JobView) float64 {
 // arrival and binary insertion, demote-only queue update, in-place demand
 // refresh (which marks the queue dirty for restoreOrder instead of re-sorting
 // eagerly), the ready demand serve starts from and the record's stamp (at),
-// which serve mends (locate); and the exits, emitted after the arrivals and demotions in job-ID
-// order. Every view counts as changed when the log says so (changed is nil)
-// and after a refit, which re-places every job. Shared by ObserveDense and
-// AssignDense, so skipped rounds keep the persistent order exactly in sync.
+// which serve mends (locate); and the exits, emitted after the arrivals and
+// demotions in job-ID order. Every view counts as changed when the log says
+// so (changed is nil) and after a refit, which re-places every job. Shared by
+// ObserveDense and AssignDense, so skipped rounds keep the persistent order
+// exactly in sync.
 func (s *LASMQ) sweepDense(now float64, jobs []sched.JobView, slots, changed, freed []int32) {
 	s.exits = s.exits[:0]
 	s.gone += int32(len(freed))
@@ -215,7 +216,13 @@ func (s *LASMQ) AssignDense(now, capacity float64, jobs []sched.JobView, slots, 
 	// demand, highest-priority queues first.
 	leftover := 0.0
 	s.walk = len(slots)
-	s.call++
+	if s.call++; s.call == 0 {
+		// The count wrapped: no record may keep a stamp it could match.
+		for i := range s.recs {
+			s.recs[i].call = 0
+		}
+		s.call = 1
+	}
 	for i := 0; i < k; i++ {
 		if len(s.ordered[i]) > 0 {
 			leftover += s.serve(s.ordered[i], slots, capacity*s.weights[i]/totalWeight, 0, shares)

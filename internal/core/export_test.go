@@ -16,3 +16,13 @@ func Finds(p any) (walks, restamps int) {
 	}
 	return s.walks, s.restamps
 }
+
+// SetCalls sets the count of AssignDense calls of p, LAS_MQ or the adaptive
+// wrapper around it, which stamps its records (slotRec.call).
+func SetCalls(p any, n uint32) {
+	s, _ := p.(*LASMQ)
+	if a, ok := p.(*Adaptive); ok {
+		s = a.inner
+	}
+	s.call = n
+}

@@ -110,7 +110,7 @@ type LASMQ struct {
 	// call counts the AssignDense calls (slotRec.call).
 	gone                  int32
 	walk, walks, restamps int
-	call                  uint64
+	call                  uint32
 
 	maps sched.MapForms
 

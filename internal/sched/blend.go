@@ -104,20 +104,17 @@ func (b *Blend) Horizon(now float64, jobs []JobView, alloc Assignment) float64 {
 // AssignDense implements DenseAssigner: each active component's answer,
 // mixed over the views either serves, in view order (elsewhere both are 0).
 func (b *Blend) AssignDense(now, capacity float64, jobs []JobView, slots, changed, freed []int32, shares *Shares) {
-	lp, ls := b.logFor(0, changed), b.logFor(1, changed)
+	logs := [2][]int32{b.logFor(0, changed), b.logFor(1, changed)}
 	b.observed = false
-	if b.theta == 0 {
-		b.parts[0].assigner.AssignDense(now, capacity, jobs, slots, lp, freed, shares)
-		return
-	}
-	if b.theta == 1 {
-		b.parts[1].assigner.AssignDense(now, capacity, jobs, slots, ls, freed, shares)
+	if b.theta == 0 || b.theta == 1 {
+		i := int(b.theta)
+		b.parts[i].assigner.AssignDense(now, capacity, jobs, slots, logs[i], freed, shares)
 		return
 	}
 	b.ps.Reset(len(jobs))
 	b.ss.Reset(len(jobs))
-	b.parts[0].assigner.AssignDense(now, capacity, jobs, slots, lp, freed, &b.ps)
-	b.parts[1].assigner.AssignDense(now, capacity, jobs, slots, ls, freed, &b.ss)
+	b.parts[0].assigner.AssignDense(now, capacity, jobs, slots, logs[0], freed, &b.ps)
+	b.parts[1].assigner.AssignDense(now, capacity, jobs, slots, logs[1], freed, &b.ss)
 	pc, sc := b.ps.Col(), b.ss.Col()
 	p, s := b.ps.Served(), b.ss.Served()
 	for len(p) > 0 || len(s) > 0 {

@@ -31,11 +31,14 @@ import "slices"
 // With each AssignDense and ObserveDense call comes the change log: what
 // moved since the policy's previous AssignDense or ObserveDense call.
 //
-//   - changed lists, ascending, the indices of the views whose metric or
-//     demand inputs may have moved: every job that arrived since, and every
-//     job the latest AssignDense granted a nonzero share, which has been
-//     served since. A view it does not name keeps its attained service,
-//     estimate and demands. nil means every view.
+//   - changed lists, ascending, the indices of every view whose attained
+//     service, estimate or demands may have moved since, and of every job
+//     that arrived since. A view it does not name keeps its attained service,
+//     estimate and demands, even one the latest AssignDense granted a share:
+//     a grant moves nothing until the substrate acts on it (the fluid
+//     simulator names the jobs it served, whose service moved; the engine
+//     the jobs an event touched and those running containers). nil means
+//     every view.
 //   - freed lists the slots taken back since, in the order they were freed.
 //     A slot may be reissued before the policy has run a round without its
 //     previous owner, so a slot in freed may also belong to a view in

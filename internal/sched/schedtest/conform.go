@@ -267,20 +267,22 @@ func (s *Substrate) runPair(i int, e *entry) (*pair, error) {
 		}
 		return s.Run(i, policy, attached, check)
 	}
-	// watch checks every call of a run — its change log — and every answer;
-	// the answers it counts are the dense run's.
-	watch := func(run string, count bool) Check {
+	// watch checks every answer of a run; the answers it counts, and the
+	// change logs it checks at every call, are the dense run's.
+	watch := func(run string, dense bool) Check {
 		var log soundLog
 		answers := 0
 		return func(c *Call) {
-			if err := log.check(c); err != nil && p.broken[logSound] == nil {
-				p.broken[logSound] = fmt.Errorf("%s call %d: %v", run, log.calls, err)
+			if dense {
+				if err := log.check(c); err != nil && p.broken[logSound] == nil {
+					p.broken[logSound] = fmt.Errorf("%s call %d: %v", run, log.calls, err)
+				}
 			}
 			if c.Shares == nil {
 				return
 			}
 			answers++
-			if count {
+			if dense {
 				p.rounds++
 				p.served += len(c.Shares.Served())
 			}

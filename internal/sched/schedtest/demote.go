@@ -13,7 +13,7 @@ import (
 //
 //   - a job enters while it holds a level, or moves or exits while it holds
 //     none;
-//   - a move starts anywhere but the job's level, or ends there;
+//   - a move starts anywhere but the job's level, or ends where it starts;
 //   - an exit names a level the job does not hold, or comes at any time but
 //     the job's JobDone: the policy learns of a departure at once;
 //   - a job still holds a level when the run is over (Err).

@@ -19,10 +19,12 @@ import "lasmq/internal/sched"
 // The ViewSet also keeps the contract's change log, which Driver.Shares and
 // Driver.Observe hand to the policy and then clear: FreeSlot logs the freed
 // slot, and MarkChanged the index of a view whose inputs may have moved. A
-// substrate that never marks a view — the engine, yarn and geo, whose every
-// view moves between calls — has every view counted as changed at every
-// call; the fluid simulator marks the jobs it served and those it admitted,
-// and the views it does not mark count as unchanged.
+// substrate that never marks a view — yarn and geo — has every view counted
+// as changed at every call. The fluid simulator marks the jobs it served and
+// those it admitted; the engine, for a policy that observes, the jobs an
+// event touched (an admission, a launch, an attempt's end, a requeue, a
+// stage's completion) and those running containers. The views they do not
+// mark count as unchanged.
 //
 // The ready-demand map (Begin(true, ·), SetDemand, Demand) and the slotless
 // Add have no product caller left and drive no policy: they are what
